@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import proofs as pf
 from . import syntax as sx
-from .systems import SystemSpec, allowed_rules, sequent_validator
+from .systems import SystemSpec, allowed_rules, validate_sequent
 
 
 def _leaf(t) -> Optional[sx.LFormula]:
@@ -381,26 +381,17 @@ def check_derivation(sys: SystemSpec, phi, d: pf.Derivation, trail=None) -> bool
     allowed = allowed_rules(sys)
     validators = dict(_VALIDATORS)
     validators[pf.ASSUMPTION] = _make_assumption_check(phi)
-    # d keeps every node alive for the duration, so the memoized validator
-    # may key on object identity
-    vocab_check = sequent_validator(sys)
 
     def fail(node, msg):
         if trail is not None:
             trail.append(f"{node.rule} at {sx.render_sequent(node.seq)}: {msg}")
         return False
 
-    seen = set()
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
+    for node in pf.iter_nodes(d):
         if node.rule not in allowed:
             return fail(node, "rule not available in this system")
         try:
-            vocab_check(node.seq)
+            validate_sequent(sys, node.seq)
         except Exception as e:  # noqa: BLE001 - report, never raise
             return fail(node, f"ill-formed sequent ({e})")
         if len(node.premises) != _ARITY[node.rule]:
@@ -411,5 +402,4 @@ def check_derivation(sys: SystemSpec, phi, d: pf.Derivation, trail=None) -> bool
         msg = validators[node.rule](node.seq, node.premises, node.inst, sys)
         if msg is not None:
             return fail(node, msg)
-        stack.extend(node.premises)
     return True

@@ -654,10 +654,6 @@ def lat_le_strict(a: sx.LFormula, b: sx.LFormula) -> pf.Derivation:
 # boolean entailment with certificates
 
 
-def _is_generator(f: sx.LFormula) -> bool:
-    return not isinstance(f, (sx.LAnd, sx.LOr, sx.LNot)) and f not in (sx.TOP, sx.BOT)
-
-
 @lru_cache(maxsize=65536)
 def _nnf(f: sx.LFormula) -> tuple[sx.LFormula, pf.Derivation, pf.Derivation]:
     """Negation-normal form with certificates both ways: (nf, f=>nf, nf=>f)."""

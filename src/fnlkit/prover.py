@@ -39,7 +39,6 @@ class SearchBudget:
     seed: int = 0
     samples: int = 600  # countermodel attempts
     refute: bool = True
-    cut_candidates: Optional[sx.ClosureSpec] = None  # overrides cut_size
 
     def __post_init__(self):
         if self.max_depth < 0 or self.max_goals <= 0 or self.time_cap_ms <= 0:
@@ -106,13 +105,11 @@ class _Exhausted(Exception):
 
 
 def _cut_pool(sys: SystemSpec, phi, goal: sx.Sequent, budget: SearchBudget):
-    spec = budget.cut_candidates
-    if spec is None:
-        base = set(sx.subformulas_of_problem(goal, phi))
-        if sys.bounded:
-            base |= {sx.TOP, sx.BOT}
-        mode = "and_or_not" if sys.negation else "and_or"
-        spec = sx.ClosureSpec(frozenset(base), mode, budget.cut_size)
+    base = set(sx.subformulas_of_problem(goal, phi))
+    if sys.bounded:
+        base |= {sx.TOP, sx.BOT}
+    mode = "and_or_not" if sys.negation else "and_or"
+    spec = sx.ClosureSpec(frozenset(base), mode, budget.cut_size)
     pool = set(spec.base) | set(sx.enumerate_closure(spec))
     return tuple(sorted(pool, key=sx.sort_key))
 

@@ -96,12 +96,6 @@ def sample_ternary(
     return md.TernaryModel(ws, frozenset(rel), val, unit, dia)
 
 
-def kripke_stream(seed: int, max_states: int, atoms: tuple[str, ...]) -> Iterator[md.KripkeModel]:
-    rng = random.Random(seed)
-    while True:
-        yield sample_kripke(rng, max_states, atoms)
-
-
 def ternary_stream(seed: int, max_states: int, atoms: tuple[str, ...], **kw) -> Iterator[md.TernaryModel]:
     rng = random.Random(seed)
     while True:
@@ -117,7 +111,6 @@ class SampleBudget:
     seed: int = 0
     max_states: int = 4
     samples: int = 1500
-    two_copy: bool = True  # also try doubled-Kripke constructions
     symmetric: bool = False
     with_unit: bool = False
     with_dia: bool = False
@@ -152,7 +145,8 @@ def _verify_ternary(j: md.TernaryModel, u: str, goal: sx.Sequent, phi) -> bool:
 
 
 def _candidate_ternary(atoms, budget: SampleBudget) -> Iterator[md.TernaryModel]:
-    if not (budget.with_unit or budget.with_dia):
+    plain = not (budget.with_unit or budget.with_dia)
+    if plain:
         if len(atoms) <= 4:
             yield from all_ternary(1, atoms)
         if len(atoms) <= 3:
@@ -166,9 +160,8 @@ def _candidate_ternary(atoms, budget: SampleBudget) -> Iterator[md.TernaryModel]
         with_unit=budget.with_unit,
         with_dia=budget.with_dia,
     )
-    two_copy_ok = budget.two_copy and not (budget.with_unit or budget.with_dia)
     for i in range(budget.samples):
-        if two_copy_ok and i % 5 == 4:
+        if plain and i % 5 == 4:
             from .transform import build_ternary_model  # circular at module level
 
             base = tuple(a for a in atoms if a != "m")[:3] or ("p",)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ParseError
 
@@ -324,6 +324,15 @@ def tree_formulas(t: StructTree) -> Iterator[LFormula]:
             stack.append(x.a)
 
 
+def map_tree(t: StructTree, fmap: Callable[[LFormula], LFormula]) -> StructTree:
+    """The same tree with fmap applied to every leaf formula."""
+    if isinstance(t, SLeaf):
+        return SLeaf(fmap(t.f))
+    if isinstance(t, SNode):
+        return SNode(map_tree(t.l, fmap), map_tree(t.r, fmap))
+    return SBracket(map_tree(t.a, fmap))
+
+
 def sequent_formulas(s: Sequent) -> Iterator[LFormula]:
     if s.ant is not None:
         yield from tree_formulas(s.ant)
@@ -440,6 +449,20 @@ def render_sequent(s: Sequent) -> str:
     if s.ant is None:
         return "=> " + render_lambek(s.suc)
     return render_tree(s.ant) + " => " + render_lambek(s.suc)
+
+
+# connective spellings in sort keys; the order they give cut candidates
+# rests on these exact strings
+_L_TAGS = {
+    LAnd: "and",
+    LOr: "or",
+    LNot: "not",
+    LProd: "prod",
+    LUnder: "under",
+    LOver: "over",
+    LDia: "dia",
+    LBoxDown: "boxdown",
+}
 
 
 def _prefix_key(f: LFormula) -> str:
@@ -785,113 +808,3 @@ def enumerate_closure(spec: ClosureSpec) -> tuple[LFormula, ...]:
     out = [f for k in range(spec.size_bound + 1) for f in by_size.get(k, ()) if lsize(f) <= spec.size_bound]
     out.sort(key=sort_key)
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# JSON codecs
-
-_M_TAGS = {MAtom: "atom", MBot: "bot", MAnd: "and", MOr: "or", MImp: "imp", MNot: "not", MDia: "dia"}
-
-
-def modal_to_json(f: ModalFormula) -> dict:
-    k = _M_TAGS[type(f)]
-    if isinstance(f, MAtom):
-        return {"k": k, "name": f.name}
-    if isinstance(f, MBot):
-        return {"k": k}
-    if isinstance(f, (MNot, MDia)):
-        return {"k": k, "a": modal_to_json(f.a)}
-    return {"k": k, "l": modal_to_json(f.l), "r": modal_to_json(f.r)}
-
-
-def modal_from_json(d: dict) -> ModalFormula:
-    k = d["k"]
-    if k == "atom":
-        return MAtom(d["name"])
-    if k == "bot":
-        return MBot()
-    if k == "not":
-        return MNot(modal_from_json(d["a"]))
-    if k == "dia":
-        return MDia(modal_from_json(d["a"]))
-    ctor = {"and": MAnd, "or": MOr, "imp": MImp}[k]
-    return ctor(modal_from_json(d["l"]), modal_from_json(d["r"]))
-
-
-_L_TAGS = {
-    LAtom: "atom",
-    LFresh: "fresh",
-    LBot: "bot",
-    LTop: "top",
-    LOne: "one",
-    LAnd: "and",
-    LOr: "or",
-    LNot: "not",
-    LProd: "prod",
-    LUnder: "under",
-    LOver: "over",
-    LDia: "dia",
-    LBoxDown: "boxdown",
-}
-_L_BIN_CTORS = {"and": LAnd, "or": LOr, "prod": LProd, "under": LUnder, "over": LOver}
-_L_UN_CTORS = {"not": LNot, "dia": LDia, "boxdown": LBoxDown}
-_L_CONSTS = {"bot": BOT, "top": TOP, "one": ONE}
-
-
-def lformula_to_json(f: LFormula) -> dict:
-    k = _L_TAGS[type(f)]
-    if isinstance(f, LAtom):
-        return {"k": k, "name": f.name}
-    if isinstance(f, LFresh):
-        d = {"k": k, "mark": f.mark}
-        if f.of is not None:
-            d["of"] = lformula_to_json(f.of)
-        return d
-    if isinstance(f, _UNARY):
-        return {"k": k, "a": lformula_to_json(f.a)}
-    if isinstance(f, _BINARY):
-        return {"k": k, "l": lformula_to_json(f.l), "r": lformula_to_json(f.r)}
-    return {"k": k}
-
-
-def lformula_from_json(d: dict) -> LFormula:
-    k = d["k"]
-    if k == "atom":
-        return LAtom(d["name"])
-    if k == "fresh":
-        of = lformula_from_json(d["of"]) if "of" in d else None
-        return LFresh(d["mark"], of)
-    if k in _L_CONSTS:
-        return _L_CONSTS[k]
-    if k in _L_UN_CTORS:
-        return _L_UN_CTORS[k](lformula_from_json(d["a"]))
-    return _L_BIN_CTORS[k](lformula_from_json(d["l"]), lformula_from_json(d["r"]))
-
-
-def tree_to_json(t: StructTree) -> dict:
-    if isinstance(t, SLeaf):
-        return {"k": "leaf", "f": lformula_to_json(t.f)}
-    if isinstance(t, SNode):
-        return {"k": "node", "l": tree_to_json(t.l), "r": tree_to_json(t.r)}
-    return {"k": "bracket", "a": tree_to_json(t.a)}
-
-
-def tree_from_json(d: dict) -> StructTree:
-    k = d["k"]
-    if k == "leaf":
-        return SLeaf(lformula_from_json(d["f"]))
-    if k == "node":
-        return SNode(tree_from_json(d["l"]), tree_from_json(d["r"]))
-    return SBracket(tree_from_json(d["a"]))
-
-
-def sequent_to_json(s: Sequent) -> dict:
-    return {
-        "ant": None if s.ant is None else tree_to_json(s.ant),
-        "suc": lformula_to_json(s.suc),
-    }
-
-
-def sequent_from_json(d: dict) -> Sequent:
-    ant = None if d.get("ant") is None else tree_from_json(d["ant"])
-    return Sequent(ant, lformula_from_json(d["suc"]))

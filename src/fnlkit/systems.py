@@ -96,11 +96,18 @@ def validate_formula(sys: SystemSpec, f: sx.LFormula):
 
 
 def validate_tree(sys: SystemSpec, t: sx.StructTree):
-    for _, x in pf.positions(t):
-        if isinstance(x, sx.SBracket) and sys.modal is None:
-            raise ValidationError(f"{sys.name} has no bracket structure")
+    stack = [t]
+    while stack:
+        x = stack.pop()
         if isinstance(x, sx.SLeaf):
             validate_formula(sys, x.f)
+        elif isinstance(x, sx.SNode):
+            stack.append(x.r)
+            stack.append(x.l)
+        elif sys.modal is None:
+            raise ValidationError(f"{sys.name} has no bracket structure")
+        else:
+            stack.append(x.a)
 
 
 def validate_sequent(sys: SystemSpec, s: sx.Sequent):
@@ -110,32 +117,6 @@ def validate_sequent(sys: SystemSpec, s: sx.Sequent):
     else:
         validate_tree(sys, s.ant)
     validate_formula(sys, s.suc)
-
-
-def sequent_validator(sys: SystemSpec):
-    """Return a single-use validate_sequent that skips objects it has already
-    accepted.  Derivations share tree and formula objects across nodes, so a
-    bulk check can replace most vocabulary walks with id lookups; the memo is
-    only sound while the caller keeps every checked object alive."""
-    seen: set[int] = set()
-
-    def check(s: sx.Sequent) -> None:
-        if s.ant is None:
-            if not sys.allow_empty_antecedent:
-                raise ValidationError(f"{sys.name} does not allow empty antecedents")
-        elif id(s.ant) not in seen:
-            for _, x in pf.positions(s.ant):
-                if isinstance(x, sx.SBracket) and sys.modal is None:
-                    raise ValidationError(f"{sys.name} has no bracket structure")
-                if isinstance(x, sx.SLeaf) and id(x.f) not in seen:
-                    validate_formula(sys, x.f)
-                    seen.add(id(x.f))
-            seen.add(id(s.ant))
-        if id(s.suc) not in seen:
-            validate_formula(sys, s.suc)
-            seen.add(id(s.suc))
-
-    return check
 
 
 def validate_assumptions(sys: SystemSpec, phi):

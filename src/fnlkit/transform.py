@@ -261,16 +261,8 @@ def ddagger(a: sx.LFormula, ctx: Optional[TranslationContext] = None) -> sx.LFor
     return out
 
 
-def _ddag_tree(t: sx.StructTree) -> sx.StructTree:
-    if isinstance(t, sx.SLeaf):
-        return sx.SLeaf(_ddag(t.f))
-    if isinstance(t, sx.SNode):
-        return sx.SNode(_ddag_tree(t.l), _ddag_tree(t.r))
-    return sx.SBracket(_ddag_tree(t.a))
-
-
 def ddagger_sequent(s: sx.Sequent) -> sx.Sequent:
-    ant = None if s.ant is None else _ddag_tree(s.ant)
+    ant = None if s.ant is None else sx.map_tree(s.ant, _ddag)
     return sx.Sequent(ant, _ddag(s.suc))
 
 
@@ -309,20 +301,12 @@ def section_map(a: sx.LFormula) -> sx.LFormula:
     return a
 
 
-def _section_tree(t: sx.StructTree) -> sx.StructTree:
-    if isinstance(t, sx.SLeaf):
-        return sx.SLeaf(section_map(t.f))
-    if isinstance(t, sx.SNode):
-        return sx.SNode(_section_tree(t.l), _section_tree(t.r))
-    return sx.SBracket(_section_tree(t.a))
-
-
 def section_sequent(s: sx.Sequent) -> sx.Sequent:
     """An empty antecedent becomes the top letter.  The target system keeps
     no empty-antecedent axioms (the top axiom is gone), so a literally
     empty image would be underivable even for trivially valid inputs;
     cutting with the absorbed antecedent inverts the change."""
-    ant = sx.SLeaf(sx.P_TOP) if s.ant is None else _section_tree(s.ant)
+    ant = sx.SLeaf(sx.P_TOP) if s.ant is None else sx.map_tree(s.ant, section_map)
     return sx.Sequent(ant, section_map(s.suc))
 
 
@@ -522,16 +506,8 @@ def negrewrite(a: sx.LFormula) -> sx.LFormula:
     return a
 
 
-def negrewrite_tree(t: sx.StructTree) -> sx.StructTree:
-    if isinstance(t, sx.SLeaf):
-        return sx.SLeaf(negrewrite(t.f))
-    if isinstance(t, sx.SNode):
-        return sx.SNode(negrewrite_tree(t.l), negrewrite_tree(t.r))
-    return sx.SBracket(negrewrite_tree(t.a))
-
-
 def negrewrite_sequent(s: sx.Sequent) -> sx.Sequent:
-    ant = None if s.ant is None else negrewrite_tree(s.ant)
+    ant = None if s.ant is None else sx.map_tree(s.ant, negrewrite)
     return sx.Sequent(ant, negrewrite(s.suc))
 
 
@@ -550,16 +526,8 @@ def section_inverse(a: sx.LFormula) -> sx.LFormula:
     return a
 
 
-def section_inverse_tree(t: sx.StructTree) -> sx.StructTree:
-    if isinstance(t, sx.SLeaf):
-        return sx.SLeaf(section_inverse(t.f))
-    if isinstance(t, sx.SNode):
-        return sx.SNode(section_inverse_tree(t.l), section_inverse_tree(t.r))
-    return sx.SBracket(section_inverse_tree(t.a))
-
-
 def section_inverse_sequent(s: sx.Sequent) -> sx.Sequent:
-    ant = None if s.ant is None else section_inverse_tree(s.ant)
+    ant = None if s.ant is None else sx.map_tree(s.ant, section_inverse)
     return sx.Sequent(ant, section_inverse(s.suc))
 
 
@@ -664,10 +632,9 @@ def section_derivation(d: pf.Derivation, phi=None) -> pf.Derivation:
 
     def step(n: pf.Derivation, prems):
         if n.rule == pf.TOP_AX:
-            ant = sx.SLeaf(sx.P_TOP) if n.seq.ant is None else _section_tree(n.seq.ant)
-            return tree_top(ant, phi)
+            return tree_top(section_sequent(n.seq).ant, phi)
         if n.rule == pf.BOT_AX:
-            out = tree_absorb(_section_tree(n.seq.ant), n.inst.path, phi)
+            out = tree_absorb(sx.map_tree(n.seq.ant, section_map), n.inst.path, phi)
             suc = section_map(n.seq.suc)
             if suc != sx.P_BOT:
                 out = lm.le_trans(out, sec_from_pbot(suc, phi))

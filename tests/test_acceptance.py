@@ -478,7 +478,7 @@ def mutate_node(rng: random.Random, node: dict) -> None:
         key = "member" if kind == "member" else "seq"
         src = node["inst"].get("member") if kind == "member" else node[key]
         if src is None:
-            node["rule"] = rng.choice(ALL_RULES)
+            node["rule"] = rng.choice([r for r in ALL_RULES if r != node["rule"]])
             return
         s = sx.parse_sequent(src)
         if kind == "ant" and s.ant is not None:

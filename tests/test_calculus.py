@@ -153,6 +153,22 @@ def test_checker_rejects_sequents_the_system_disallows():
     # unstarred dfnl also refuses the empty antecedent itself
     d2 = pf.node(seq("=> p * (p \\ p)"), pf.UNDER_R)
     assert not ck.check_derivation(get_system("dfnl"), (), d2)
+    # the vocabulary check reaches inside antecedent trees; each step below is
+    # sound in the first system and rejected for its tree in the second
+    member = seq("p o ~q => p")
+    shared = member.ant  # one ill-formed object in conclusion and premise
+    disjoin = lm.dor_r(lm.dassume(member), f("p \\/ q"), 1)
+    assert disjoin.seq.ant is shared
+    for good, bad, d, phi, reason in [
+        (BFT, BF, lm.dtop(sx.parse_tree("p o < q >")), (), "no bracket structure"),
+        (BF, DF, lm.dassume(member), (member,), "no negation"),
+        (BF, DF, disjoin, (member,), "no negation"),
+    ]:
+        checked(good, d, phi)
+        trail = []
+        assert not ck.check_derivation(bad, phi, d, trail)
+        assert trail[0].startswith(f"{d.rule} at ")  # the root is rejected first
+        assert f"ill-formed sequent ({bad.name} has {reason})" in trail[0]
 
 
 def _reinst(d, **fields):

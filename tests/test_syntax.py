@@ -234,16 +234,3 @@ def test_closure_contains_vs_enumeration(f):
     elif inside:
         raise AssertionError("enumeration produced an oversized formula")
 
-
-# ---------------------------------------------------------------------------
-# json
-
-
-@given(modal_formulas)
-def test_modal_json_roundtrip(f):
-    assert sx.modal_from_json(sx.modal_to_json(f)) == f
-
-
-@given(sequents)
-def test_sequent_json_roundtrip(s):
-    assert sx.sequent_from_json(sx.sequent_to_json(s)) == s
