@@ -77,6 +77,9 @@ def validate_ternary(j: TernaryModel):
 # ---------------------------------------------------------------------------
 # satisfaction
 
+NO_UNIT = "unit constant on a model without a unit"
+NO_DIA = "modal operator on a model without a dia relation"
+
 
 def eval_modal(m: KripkeModel, w: str, a: sx.ModalFormula) -> bool:
     if w not in m.states:
@@ -120,7 +123,7 @@ def _eval_l(j: TernaryModel, u: str, a: sx.LFormula) -> bool:
         return True
     if isinstance(a, sx.LOne):
         if j.unit is None:
-            raise ModelError("unit constant on a model without a unit")
+            raise ModelError(NO_UNIT)
         return u == j.unit
     if isinstance(a, sx.LAnd):
         return eval_lambek(j, u, a.l) and eval_lambek(j, u, a.r)
@@ -151,7 +154,7 @@ def _eval_l(j: TernaryModel, u: str, a: sx.LFormula) -> bool:
             if x == u
         )
     if j.dia is None:
-        raise ModelError("modal operator on a model without a dia relation")
+        raise ModelError(NO_DIA)
     if isinstance(a, sx.LDia):
         return any(eval_lambek(j, v, a.a) for (x, v) in j.dia if x == u)
     if isinstance(a, sx.LBoxDown):

@@ -1,13 +1,16 @@
 """Budgeted proof search: strategy chain, iterative-deepening backward
 search with analytic cut, and gated semantic refutation.
 
-The driver tries the closed-form strategies first, then deepening
+`derive` tries the closed-form strategies first.  Then, on the
+fragments where the semantics is known to match the calculus, it looks
+for a countermodel among the exhaustively enumerated small models, which
+is cheap and often decides a non-theorem outright.  Then comes deepening
 depth-first search over the rule moves with cut formulas drawn from a
-bounded closure of the problem's subformulas, and finally a countermodel
-search on the fragments where the semantics is known to match the
-calculus.  Proofs are re-validated by the independent checker before
-they are returned; countermodels are re-evaluated on a fresh copy.
-Unknown is an honest first-class outcome."""
+bounded closure of the problem's subformulas, and finally, on the same
+fragments, the full countermodel search with seeded sampling.  Proofs
+are re-validated by the independent checker before they are returned;
+countermodels are re-evaluated on a fresh copy.  Unknown is an honest
+first-class outcome."""
 
 from __future__ import annotations
 
@@ -199,7 +202,13 @@ def _refutation_ok(sys: SystemSpec, phi, goal: sx.Sequent) -> bool:
 def derive(sys: SystemSpec, phi: Iterable[sx.Sequent], goal: sx.Sequent,
            budget: Optional[SearchBudget] = None) -> ProofResult:
     """Three-valued derivability: Proved with a checked derivation,
-    Refuted with a re-verified countermodel, or Unknown."""
+    Refuted with a re-verified countermodel, or Unknown.
+
+    Phases, in order: the strategy chain; where `_refutation_ok` holds,
+    the exhaustive small-model stage of the countermodel search; backward
+    search; where `_refutation_ok` holds, the full countermodel search
+    (which repeats the exhaustive stage, then samples).  The first phase
+    that decides ends the call."""
     budget = budget or SearchBudget()
     phi = frozenset(phi)
     validate_sequent(sys, goal)
@@ -219,21 +228,29 @@ def derive(sys: SystemSpec, phi: Iterable[sx.Sequent], goal: sx.Sequent,
         if d is not None and d.seq == goal and ck.check_derivation(sys, phi, d):
             return ProofResult(PROVED, derivation=d, strategy=name)
 
-    d = _search(sys, phi, goal, budget, deadline)
-    if d is not None and ck.check_derivation(sys, phi, d):
-        return ProofResult(PROVED, derivation=d, strategy="search")
-
-    if budget.refute and _refutation_ok(sys, phi, goal):
+    refute = budget.refute and _refutation_ok(sys, phi, goal)
+    if refute:
         sb = sampling.SampleBudget(
             seed=budget.seed,
             samples=budget.samples,
             symmetric=sys.exchange,
             with_unit=sys.unit,
         )
-        hit = sampling.find_countermodel(goal, tuple(sorted(phi, key=sx.render_sequent)), sb)
+        ordered = tuple(sorted(phi, key=sx.render_sequent))
+        # the exhaustive small models first: a hit here is the first hit of
+        # the full call below, and costs far less than the search
+        hit = sampling.find_countermodel(goal, ordered, replace(sb, samples=0))
         if hit is not None:
-            j, u = hit
-            return ProofResult(REFUTED, model=j, state=u)
+            return ProofResult(REFUTED, model=hit[0], state=hit[1])
+
+    d = _search(sys, phi, goal, budget, deadline)
+    if d is not None and ck.check_derivation(sys, phi, d):
+        return ProofResult(PROVED, derivation=d, strategy="search")
+
+    if refute:
+        hit = sampling.find_countermodel(goal, ordered, sb)
+        if hit is not None:
+            return ProofResult(REFUTED, model=hit[0], state=hit[1])
 
     report = (
         f"no proof within depth {budget.max_depth}, {budget.max_goals} goals, "

@@ -3,10 +3,22 @@
 Exhaustive enumeration is capped hard (3 states binary, 2 states ternary
 -- the next size is 2^27 relations); beyond the caps everything is seeded
 pseudo-random, so equal seeds give equal streams.
+
+The exhaustive ternary stage of the countermodel search does not build
+the models of `all_ternary` one by one.  A bit-parallel kernel evaluates
+the goal and the assumptions in all of them at once: bit m of an int is
+the truth at one state in the m-th model, the lattice connectives become
+`& | ^`, and the product and residuals combine per-triple relation
+masks.  The kernel only filters: it yields, in enumeration order, the
+models that satisfy the assumptions and falsify the goal at some state,
+and `find_countermodel` re-evaluates each one with the reference
+evaluator in `models` before it returns it.  `all_ternary` stays as the
+reference enumeration.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -144,16 +156,122 @@ def _verify_ternary(j: md.TernaryModel, u: str, goal: sx.Sequent, phi) -> bool:
     return md.satisfies_assumptions(j2, phi) and not md.sequent_true(j2, u, goal)
 
 
-def _candidate_ternary(atoms, budget: SampleBudget) -> Iterator[md.TernaryModel]:
+# Model m of all_ternary(n, atoms) has relation m // V and valuation m % V,
+# for V valuations per relation; bit m of every mask below is about model m.
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_masks(n_states: int, n_atoms: int):
+    """The models of all_ternary(n_states, <n_atoms letters>) as masks:
+    relations (as triples of state indices) and valuations in enumeration
+    order, one mask per triple, per-state masks per letter, the
+    symmetric-relation mask and the all-models mask."""
+    ws = _names(n_states)
+    triples = tuple(itertools.product(range(n_states), repeat=3))
+    rels = tuple(_subsets(triples))
+    vals = tuple(itertools.product(*(_subsets(ws) for _ in range(n_atoms))))
+    by_triple = dict.fromkeys(triples, 0)
+    for i, r in enumerate(rels):
+        for t in r:
+            by_triple[t] |= 1 << i
+    # symmetric: each (u, v, w) present exactly when (u, w, v) is
+    by_sym = (1 << len(rels)) - 1
+    for (u, v, w), bits in by_triple.items():
+        by_sym &= ~(bits ^ by_triple[u, w, v])
+    # a relation's bit i becomes bits i*V .. i*V+V-1, one per valuation
+    blocks = str.maketrans({"0": "0" * len(vals), "1": "1" * len(vals)})
+
+    def spread(bits: int) -> int:
+        return int(format(bits, f"0{len(rels)}b").translate(blocks), 2)
+
+    full = (1 << (len(rels) * len(vals))) - 1
+    every_relation = full // ((1 << len(vals)) - 1)
+    letters = tuple(
+        tuple(every_relation * sum(1 << k for k, vs in enumerate(vals) if w in vs[i]) for w in ws)
+        for i in range(n_atoms)
+    )
+    rel = {t: spread(bits) for t, bits in by_triple.items()}
+    return ws, rels, vals, rel, letters, spread(by_sym), full
+
+
+def _exhaustive_ternary(n_states: int, atoms: tuple[str, ...], goal: sx.Sequent,
+                        phi, symmetric: bool) -> Iterator[md.TernaryModel]:
+    """The models of all_ternary(n_states, atoms), symmetric ones only if
+    asked, that satisfy phi and falsify the goal at some state, in
+    enumeration order.  Formulas must lie in the plain vocabulary: no unit,
+    no modal operators."""
+    ws, rels, vals, rel, letters, sym, full = _frame_masks(n_states, len(atoms))
+    span = range(n_states)
+    pairs = tuple(itertools.product(span, span))
+    keyed = dict(zip(atoms, letters))
+    memo: dict = {}
+
+    def ev(a: sx.LFormula) -> tuple[int, ...]:
+        out = memo.get(a)
+        if out is not None:
+            return out
+        if isinstance(a, sx.LAtom):
+            out = keyed[a.name]
+        elif isinstance(a, sx.LFresh):
+            out = keyed[sx.render_lambek(a)]
+        elif isinstance(a, sx.LBot):
+            out = (0,) * n_states
+        elif isinstance(a, sx.LTop):
+            out = (full,) * n_states
+        elif isinstance(a, sx.LNot):
+            out = tuple(x ^ full for x in ev(a.a))
+        elif isinstance(a, sx.LAnd):
+            out = tuple(x & y for x, y in zip(ev(a.l), ev(a.r)))
+        elif isinstance(a, sx.LOr):
+            out = tuple(x | y for x, y in zip(ev(a.l), ev(a.r)))
+        elif isinstance(a, sx.LProd):
+            # some (u, v, w) with l at v and r at w
+            l, r = ev(a.l), ev(a.r)
+            out = tuple(_join(rel[u, v, w] & l[v] & r[w] for v, w in pairs) for u in span)
+        elif isinstance(a, sx.LUnder):
+            # no (v, w, u) with l at w and r false at v
+            l, r = ev(a.l), ev(a.r)
+            out = tuple(full ^ _join(rel[v, w, u] & l[w] & ~r[v] for v, w in pairs)
+                        for u in span)
+        elif isinstance(a, sx.LOver):
+            # no (w, u, v) with r at v and l false at w
+            l, r = ev(a.l), ev(a.r)
+            out = tuple(full ^ _join(rel[w, u, v] & r[v] & ~l[w] for w, v in pairs)
+                        for u in span)
+        else:
+            raise ModelError(f"no bit-parallel reading of {a!r}")
+        memo[a] = out
+        return out
+
+    def holds(s: sx.Sequent) -> tuple[int, ...]:
+        if s.ant is None:
+            return ev(s.suc)
+        return tuple((x ^ full) | y for x, y in zip(ev(sx.phi_of_tree(s.ant)), ev(s.suc)))
+
+    keep = sym if symmetric else full
+    for s in phi:
+        keep &= functools.reduce(int.__and__, holds(s))
+    if keep:
+        keep &= full ^ functools.reduce(int.__and__, holds(goal))
+    while keep:
+        low = keep & -keep
+        keep ^= low
+        r, v = divmod(low.bit_length() - 1, len(vals))
+        rel3 = frozenset((ws[a], ws[b], ws[c]) for a, b, c in rels[r])
+        yield md.TernaryModel(ws, rel3, {a: frozenset(x) for a, x in zip(atoms, vals[v])})
+
+
+def _join(masks) -> int:
+    return functools.reduce(int.__or__, masks, 0)
+
+
+def _candidate_ternary(goal: sx.Sequent, phi, atoms, budget: SampleBudget) -> Iterator[md.TernaryModel]:
     plain = not (budget.with_unit or budget.with_dia)
     if plain:
         if len(atoms) <= 4:
-            yield from all_ternary(1, atoms)
+            yield from _exhaustive_ternary(1, atoms, goal, phi, budget.symmetric)
         if len(atoms) <= 3:
-            for j in all_ternary(2, atoms):
-                if budget.symmetric and any((u, w, v) not in j.rel3 for (u, v, w) in j.rel3):
-                    continue
-                yield j
+            yield from _exhaustive_ternary(2, atoms, goal, phi, budget.symmetric)
     rng = random.Random(budget.seed)
     kw = dict(
         symmetric=budget.symmetric,
@@ -181,20 +299,24 @@ def find_countermodel(
 
     Returns (model, state) or None; None is *not* a validity certificate.
     Every hit is re-verified on a fresh copy of the model before returning.
+    A goal or assumption that uses `one` without `budget.with_unit`, or a
+    modal operator without `budget.with_dia`, raises the evaluator's
+    ModelError before any model is tried.
     """
     budget = budget or SampleBudget()
     if isinstance(goal, sx.ModalFormula):
         if phi:
             raise ModelError("assumptions are sequent-side only")
         return _modal_counter(goal, budget)
-    keys: set[str] = set()
-    for f in sx.sequent_formulas(goal):
-        keys |= sx.atom_keys(f)
-    for s in phi:
-        for f in sx.sequent_formulas(s):
-            keys |= sx.atom_keys(f)
+    forms = [f for s in (goal, *phi) for f in sx.sequent_formulas(s)]
+    for g in (g for f in forms for g in sx.walk(f)):
+        if isinstance(g, sx.LOne) and not budget.with_unit:
+            raise ModelError(md.NO_UNIT)
+        if isinstance(g, (sx.LDia, sx.LBoxDown)) and not budget.with_dia:
+            raise ModelError(md.NO_DIA)
+    keys = set().union(*map(sx.atom_keys, forms))
     atoms = tuple(sorted(keys)) or ("p",)
-    for j in _candidate_ternary(atoms, budget):
+    for j in _candidate_ternary(goal, phi, atoms, budget):
         if not md.satisfies_assumptions(j, phi):
             continue
         for u in j.states:

@@ -176,6 +176,20 @@ def test_countermodel_respects_assumptions(capsys, tmp_path):
     assert code == 2 and payload["found"] is False
 
 
+def test_countermodel_rejects_vocabulary_the_models_lack(capsys):
+    # the answer must not depend on whether evaluation reaches the operator
+    for goal in ("q => p /\\ <>p", "p => <>p"):
+        code, out, err = run(capsys, "countermodel", goal)
+        assert code == 1 and out == ""
+        assert "modal operator on a model without a dia relation" in err
+    for goal in ("q => p /\\ one", "p => one"):
+        code, out, err = run(capsys, "countermodel", goal)
+        assert code == 1 and out == ""
+        assert "unit constant on a model without a unit" in err
+    code, payload = run_json(capsys, "countermodel", "q => p /\\ one", "--with-unit")
+    assert code == 0 and payload["found"] is True
+
+
 # ---------------------------------------------------------------------------
 # translate and pipeline
 

@@ -217,6 +217,29 @@ def test_refutation_determinism_under_seed():
     assert r1.state == r2.state
 
 
+class _SearchReached(Exception):
+    pass
+
+
+def test_exhaustive_refutation_comes_before_search(monkeypatch):
+    def no_search(*args):
+        raise _SearchReached
+
+    monkeypatch.setattr(pv, "_search", no_search)
+    goal = seq("q => p")
+    b = replace(FAST, seed=4)
+    r = pv.derive(BF, frozenset(), goal, b)
+    assert r.verdict == pv.REFUTED
+    # the same first hit as the full countermodel search
+    hit = sampling.find_countermodel(goal, (), sampling.SampleBudget(seed=4, samples=b.samples))
+    assert (md.ternary_to_json(r.model), r.state) == (md.ternary_to_json(hit[0]), hit[1])
+    # where the refutation gate is shut, search still comes first
+    with pytest.raises(_SearchReached):
+        pv.derive(BF, frozenset(), goal, replace(b, refute=False))
+    with pytest.raises(_SearchReached):
+        pv.derive(get_system("bfnl-star-k"), frozenset(), seq("<>q => p"), b)
+
+
 def test_modal_goals_are_never_refuted_by_sampling():
     # the ternary semantics only matches the calculus on the modal-free
     # fragment, so modal goals may end Unknown but never Refuted

@@ -3,8 +3,9 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import lambek_formulas, modal_formulas
+from conftest import lambek_formulas, modal_formulas, sequents
 from fnlkit import models as md
 from fnlkit import sampling as smp
 from fnlkit import syntax as sx
@@ -206,6 +207,78 @@ def test_find_countermodel_modal():
     m, w = hit
     assert not md.eval_modal(m, w, sx.parse_modal("[]p -> p"))
     assert smp.find_countermodel(sx.parse_modal("p -> p")) is None
+
+
+def test_find_countermodel_rejects_vocabulary_the_models_lack():
+    # raised up front, so a short-circuit that never reads the operator
+    # cannot hide it
+    for text in ("q => p /\\ <>p", "p => <>p", "q => p /\\ [v]p"):
+        with pytest.raises(ModelError, match="without a dia relation"):
+            smp.find_countermodel(sx.parse_sequent(text))
+    with pytest.raises(ModelError, match="without a dia relation"):
+        smp.find_countermodel(sx.parse_sequent("q => p"), (sx.parse_sequent("q => <>q"),))
+    for text in ("q => p /\\ one", "p => one"):
+        with pytest.raises(ModelError, match="without a unit"):
+            smp.find_countermodel(sx.parse_sequent(text))
+    hit = smp.find_countermodel(sx.parse_sequent("q => p /\\ one"), (),
+                                smp.SampleBudget(with_unit=True))
+    assert hit is not None and not md.sequent_true(hit[0], hit[1], sx.parse_sequent("q => p /\\ one"))
+    assert smp.find_countermodel(sx.parse_sequent("p => <>p"), (),
+                                 smp.SampleBudget(with_dia=True)) is not None
+
+
+def _plain_sequent(s, letters):
+    # s in the ten connectives plain models interpret, over the given
+    # letters: `one` reads as top, the modal operators and brackets are
+    # dropped, and the k-th letter of s by name becomes letters[k % len]
+    order = sorted(set().union(*map(sx.atom_keys, sx.sequent_formulas(s))))
+    fold = {k: letters[i % len(letters)] for i, k in enumerate(order)}
+
+    def f(a):
+        if isinstance(a, sx.LAtom):
+            return fold[a.name]
+        if isinstance(a, sx.LFresh):
+            return fold[sx.render_lambek(a)]
+        if isinstance(a, sx.LOne):
+            return sx.TOP
+        if isinstance(a, (sx.LDia, sx.LBoxDown)):
+            return f(a.a)
+        if isinstance(a, sx.LNot):
+            return sx.LNot(f(a.a))
+        if isinstance(a, (sx.LAnd, sx.LOr, sx.LProd, sx.LUnder, sx.LOver)):
+            return type(a)(f(a.l), f(a.r))
+        return a
+
+    def t(x):
+        if isinstance(x, sx.SLeaf):
+            return sx.SLeaf(f(x.f))
+        if isinstance(x, sx.SNode):
+            return sx.SNode(t(x.l), t(x.r))
+        return t(x.a)
+
+    return sx.Sequent(None if s.ant is None else t(s.ant), f(s.suc))
+
+
+# n = 2 stays at two letters: the reference then walks 4096 models
+_KERNEL_LETTERS = {1: (p, q, sx.fresh_for(p), sx.P_TOP), 2: (p, sx.fresh_for(q))}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=50)
+@given(goal=sequents, assumption=st.one_of(st.none(), sequents), symmetric=st.booleans())
+def test_kernel_keeps_exactly_the_reference_candidates(n, goal, assumption, symmetric):
+    goal = _plain_sequent(goal, _KERNEL_LETTERS[n])
+    phi = () if assumption is None else (_plain_sequent(assumption, _KERNEL_LETTERS[n]),)
+    keys = set().union(*(sx.atom_keys(f) for s in (goal, *phi) for f in sx.sequent_formulas(s)))
+    atoms = tuple(sorted(keys)) or ("p",)
+    expected = [
+        j for j in smp.all_ternary(n, atoms)
+        if not (symmetric and any((u, w, v) not in j.rel3 for (u, v, w) in j.rel3))
+        and md.satisfies_assumptions(j, phi)
+        and any(not md.sequent_true(j, u, goal) for u in j.states)
+    ]
+    got = list(smp._exhaustive_ternary(n, atoms, goal, phi, symmetric))
+    assert [md.ternary_to_json(j) for j in got] == [md.ternary_to_json(j) for j in expected]
 
 
 # ---------------------------------------------------------------------------
