@@ -115,11 +115,11 @@ def _result_text(r: pv.ProofResult) -> str:
     return "\n".join(lines)
 
 
-def _recheck(r: pv.ProofResult, system, phi, goal: sx.Sequent) -> str:
-    """Round-trip the verdict's evidence through the serializers and the
-    independent checkers; any failure is a hard error."""
+def _recheck(r: pv.ProofResult, payload: dict, system, phi, goal: sx.Sequent) -> str:
+    """Round-trip the verdict's evidence, as the payload carries it, through
+    JSON text and the independent checkers; any failure is a hard error."""
     if r.verdict == pv.PROVED:
-        again = pf.from_json(json.loads(json.dumps(pf.to_json(r.derivation))))
+        again = pf.from_json(json.loads(json.dumps(payload["derivation"])))
         if again.seq != goal or not ck.check_derivation(system, phi, again):
             raise FnlError("recheck failed: reloaded derivation rejected")
         return "derivation reloaded and accepted"
@@ -134,7 +134,8 @@ def _recheck(r: pv.ProofResult, system, phi, goal: sx.Sequent) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands; each returns (json payload, text rendering, exit code)
+# commands; each returns (json payload, text rendering, exit code); a
+# derivation is rendered as text only when --format text asks for it
 
 
 _STAGES = ("dagger", "ddagger", "section")
@@ -176,9 +177,9 @@ def cmd_prove(args):
     r = pv.derive(system, phi, goal, _budget(args))
     payload = {"system": args.system, "goal": sx.render_sequent(goal)}
     payload.update(pv.result_to_json(r))
-    text = _result_text(r)
+    text = _result_text(r) if args.format == "text" else ""
     if args.recheck:
-        note = _recheck(r, system, phi, goal)
+        note = _recheck(r, payload, system, phi, goal)
         payload["recheck"] = note
         text += f"\nrecheck: {note}"
     return payload, text, 2 if r.verdict == pv.UNKNOWN else 0
@@ -258,7 +259,8 @@ def cmd_pipeline(args):
     if args.run_prover:
         r = pv.derive(get_system(system), phi, goal, _budget(args))
         payload.update(pv.result_to_json(r))
-        text.append(_result_text(r))
+        if args.format == "text":
+            text.append(_result_text(r))
         code = 2 if r.verdict == pv.UNKNOWN else 0
     return payload, "\n".join(text), code
 

@@ -79,6 +79,7 @@ def validate_ternary(j: TernaryModel):
 
 NO_UNIT = "unit constant on a model without a unit"
 NO_DIA = "modal operator on a model without a dia relation"
+NO_BRACKET = "bracketed antecedent, which has no formula to evaluate"
 
 
 def eval_modal(m: KripkeModel, w: str, a: sx.ModalFormula) -> bool:

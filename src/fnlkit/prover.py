@@ -186,9 +186,7 @@ def _refutation_ok(sys: SystemSpec, phi, goal: sx.Sequent) -> bool:
     subs = sx.subformulas_of_problem(goal, phi)
     if any(isinstance(f, (sx.LDia, sx.LBoxDown)) for f in subs):
         return False
-    if goal.ant is not None and any(
-        isinstance(x, sx.SBracket) for _, x in pf.positions(goal.ant)
-    ):
+    if sx.has_bracket(goal.ant):
         return False
     if goal.ant is None and any(isinstance(f, (sx.LUnder, sx.LOver)) for f in subs):
         return False

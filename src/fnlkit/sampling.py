@@ -301,13 +301,16 @@ def find_countermodel(
     Every hit is re-verified on a fresh copy of the model before returning.
     A goal or assumption that uses `one` without `budget.with_unit`, or a
     modal operator without `budget.with_dia`, raises the evaluator's
-    ModelError before any model is tried.
+    ModelError before any model is tried; so does a bracketed antecedent,
+    which the models cannot read.
     """
     budget = budget or SampleBudget()
     if isinstance(goal, sx.ModalFormula):
         if phi:
             raise ModelError("assumptions are sequent-side only")
         return _modal_counter(goal, budget)
+    if any(sx.has_bracket(s.ant) for s in (goal, *phi)):
+        raise ModelError(md.NO_BRACKET)
     forms = [f for s in (goal, *phi) for f in sx.sequent_formulas(s)]
     for g in (g for f in forms for g in sx.walk(f)):
         if isinstance(g, sx.LOne) and not budget.with_unit:

@@ -324,6 +324,18 @@ def tree_formulas(t: StructTree) -> Iterator[LFormula]:
             stack.append(x.a)
 
 
+def has_bracket(t: Optional[StructTree]) -> bool:
+    stack = [t] if t is not None else []
+    while stack:
+        x = stack.pop()
+        if isinstance(x, SBracket):
+            return True
+        if isinstance(x, SNode):
+            stack.append(x.l)
+            stack.append(x.r)
+    return False
+
+
 def map_tree(t: StructTree, fmap: Callable[[LFormula], LFormula]) -> StructTree:
     """The same tree with fmap applied to every leaf formula."""
     if isinstance(t, SLeaf):
@@ -451,9 +463,9 @@ def render_sequent(s: Sequent) -> str:
     return render_tree(s.ant) + " => " + render_lambek(s.suc)
 
 
-# connective spellings in sort keys; the order they give cut candidates
-# rests on these exact strings
-_L_TAGS = {
+# connective spellings in sort keys and derivation tables; the order they
+# give cut candidates rests on these exact strings
+L_TAGS = {
     LAnd: "and",
     LOr: "or",
     LNot: "not",
@@ -476,7 +488,7 @@ def _prefix_key(f: LFormula) -> str:
         return "fresh neg(" + _prefix_key(f.of) + ")"
     if isinstance(f, (LBot, LTop, LOne)):
         return "const " + {LBot: "bot", LTop: "top", LOne: "one"}[type(f)]
-    tag = _L_TAGS[type(f)]
+    tag = L_TAGS[type(f)]
     if isinstance(f, _UNARY):
         return tag + "(" + _prefix_key(f.a) + ")"
     return tag + "(" + _prefix_key(f.l) + "," + _prefix_key(f.r) + ")"
@@ -517,6 +529,12 @@ _SYMBOLS = [
     ("<", "LT"),
     (">", "GT"),
 ]
+
+
+def is_atom_name(name) -> bool:
+    """Whether name reads back as an atom, not a keyword or a fresh letter."""
+    return (isinstance(name, str) and _ATOM_RE.fullmatch(name) is not None
+            and name not in _RESERVED)
 
 
 @dataclass

@@ -455,43 +455,68 @@ ALL_RULES = [pf.ID, pf.DIST, pf.BOT_AX, pf.TOP_AX, pf.NEG1, pf.NEG2, pf.UNDER_L,
              pf.AND_L, pf.AND_R, pf.OR_L, pf.OR_R, pf.ASSUMPTION]
 
 
-def mutate_formula(rng: random.Random, f: sx.LFormula) -> sx.LFormula:
-    swaps = {sx.LAnd: sx.LOr, sx.LOr: sx.LAnd, sx.LProd: sx.LAnd,
-             sx.LUnder: sx.LOver, sx.LOver: sx.LUnder}
-    if type(f) in swaps and rng.random() < 0.7:
-        return swaps[type(f)](f.l, f.r)
-    if isinstance(f, sx.LAtom):
-        return sx.LAtom("q" if f.name == "p" else "p")
-    if isinstance(f, sx.LNot):
-        return f.a
-    return sx.LAnd(f, f)
+def mutate_formula(rng: random.Random, formulas: list, i: int) -> int:
+    """Index of a mutant of formula i; a new formula is appended, never
+    written over an entry other references may share."""
+    swaps = {"and": "or", "or": "and", "prod": "and", "under": "over", "over": "under"}
+    e = formulas[i]
+    if e[0] in swaps and rng.random() < 0.7:
+        mutant = [swaps[e[0]], *e[1:]]
+    elif e[0] == "atom":
+        mutant = ["atom", "q" if e[1] == "p" else "p"]
+    elif e[0] == "not":
+        return e[1]
+    else:
+        mutant = ["and", i, i]
+    formulas.append(mutant)
+    return len(formulas) - 1
 
 
-def mutate_node(rng: random.Random, node: dict) -> None:
-    """Apply one single-node mutation to a serialized derivation node."""
+def table_leaves(t, path=()):
+    """(path, formula index) of each leaf of a table antecedent, left first."""
+    if isinstance(t, int):
+        return [(path, t)]
+    if isinstance(t, list):
+        return table_leaves(t[0], path + (0,)) + table_leaves(t[1], path + (1,))
+    return table_leaves(t["b"], path + (2,))
+
+
+def put_leaf(t, path, i):
+    """A copy of table antecedent t with formula index i at path."""
+    if not path:
+        return i
+    if isinstance(t, list):
+        kids = list(t)
+        kids[path[0]] = put_leaf(t[path[0]], path[1:], i)
+        return kids
+    return {"b": put_leaf(t["b"], path[1:], i)}
+
+
+def mutate_node(rng: random.Random, blob: dict, k: int) -> None:
+    """Apply one single-node mutation to node k of a derivation table.  A
+    changed sequent is appended to the table and only node k points at it."""
+    node = blob["nodes"][k]
     node.setdefault("inst", {})  # to_json omits "inst" when nothing is recorded
     kind = rng.choice(["rule", "suc", "ant", "idx", "path", "arity", "member"])
     if kind == "rule":
         node["rule"] = rng.choice([r for r in ALL_RULES if r != node["rule"]])
         return
     if kind in ("suc", "ant", "member"):
-        key = "member" if kind == "member" else "seq"
-        src = node["inst"].get("member") if kind == "member" else node[key]
+        src = node["inst"].get("member") if kind == "member" else node["seq"]
         if src is None:
             node["rule"] = rng.choice([r for r in ALL_RULES if r != node["rule"]])
             return
-        s = sx.parse_sequent(src)
-        if kind == "ant" and s.ant is not None:
-            leaf_paths = [at for at, x in pf.positions(s.ant) if isinstance(x, sx.SLeaf)]
-            at = rng.choice(leaf_paths)
-            new_leaf = sx.SLeaf(mutate_formula(rng, pf.tree_at(s.ant, at).f))
-            s = sx.Sequent(pf.tree_replace(s.ant, at, new_leaf), s.suc)
+        ant, suc = blob["sequents"][src]
+        if kind == "ant" and ant is not None:
+            at, leaf = rng.choice(table_leaves(ant))
+            ant = put_leaf(ant, at, mutate_formula(rng, blob["formulas"], leaf))
         else:
-            s = sx.Sequent(s.ant, mutate_formula(rng, s.suc))
+            suc = mutate_formula(rng, blob["formulas"], suc)
+        blob["sequents"].append([ant, suc])
         if kind == "member":
-            node["inst"]["member"] = sx.render_sequent(s)
+            node["inst"]["member"] = len(blob["sequents"]) - 1
         else:
-            node["seq"] = sx.render_sequent(s)
+            node["seq"] = len(blob["sequents"]) - 1
         return
     if kind == "idx":
         node["inst"]["idx"] = {None: 1, 1: 2, 2: 1}.get(node["inst"].get("idx"), 1)
@@ -501,8 +526,14 @@ def mutate_node(rng: random.Random, node: dict) -> None:
         return
     if node["premises"]:
         node["premises"] = node["premises"][1:]
-    else:
-        node["premises"] = [dict(node)]
+        return
+    # a leaf gets a copy of itself as premise; the copy goes in before it,
+    # so every premise still points at an earlier node
+    nodes = blob["nodes"]
+    nodes.insert(k, json.loads(json.dumps(node)))
+    for n in nodes:
+        n["premises"] = [p + 1 if p >= k else p for p in n["premises"]]
+    node["premises"] = [k]
 
 
 def test_criterion_10_prover_integrity():
@@ -537,13 +568,7 @@ def test_criterion_10_prover_integrity():
     for _ in range(500):
         r, phi = rng.choice(pool)
         blob = pf.to_json(r.derivation)
-        nodes = []
-        todo = [blob]
-        while todo:
-            n = todo.pop()
-            nodes.append(n)
-            todo.extend(n["premises"])
-        mutate_node(rng, rng.choice(nodes))
+        mutate_node(rng, blob, rng.randrange(len(blob["nodes"])))
         try:
             mutated = pf.from_json(blob)
             accepted = ck.check_derivation(BFNL, phi, mutated)

@@ -2,6 +2,7 @@
 builders."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from fnlkit import lemmas as lm
 from fnlkit import proofs as pf
 from fnlkit import rules
 from fnlkit import syntax as sx
-from fnlkit.errors import LemmaError, ValidationError
+from fnlkit.errors import FnlError, LemmaError, ValidationError
 from fnlkit.systems import get_system
 
 BF = get_system("bfnl-star")
@@ -404,6 +405,68 @@ def test_serialization_round_trip_preserves_checkability():
     d2 = pf.from_json(j)
     assert d2.seq == d.seq and pf.size(d2) == pf.size(d)
     checked(BF, d2)
+
+
+def _tree_count(d):
+    # nodes counted once per occurrence, shared subproofs again each time
+    return 1 + sum(_tree_count(x) for x in d.premises)
+
+
+@given(lambek_formulas, lambek_formulas)
+@settings(max_examples=40)
+def test_table_round_trip_keeps_shared_subproofs(a, b):
+    da, db = lm.did(a), lm.did(b)
+    d = lm.and_mono(lm.prod_mono(da, db), lm.or_mono(da, lm.comm_and(a, b)))
+    j = pf.to_json(d)
+    assert len(j["nodes"]) == pf.size(d) < _tree_count(d)
+    d2 = pf.from_json(json.loads(json.dumps(j)))
+    assert d2.seq == d.seq and pf.size(d2) == pf.size(d)
+    checked(get_system("bfnl1-s5"), d2)
+
+
+def _edit(path, value):
+    def apply(t):
+        *head, last = path
+        for k in head:
+            t = t[k]
+        t[last] = value
+    return apply
+
+
+@pytest.mark.parametrize("edit, why", [
+    (lambda t: t.pop("format"), "format"),
+    (_edit(["format"], 1), "format"),
+    (lambda t: t["formulas"].append(["xor", 0, 0]), "unknown entry"),
+    (lambda t: t["formulas"].append(["atom", "bot"]), "unknown entry"),
+    (lambda t: t["formulas"].append(["not", len(t["formulas"])]), "not an index below"),
+    (lambda t: t["formulas"].append(["and", 0, -1]), "not an index below"),
+    (_edit(["sequents", 0, 1], 999), "not an index below"),
+    (_edit(["sequents", 0, 0], [0, 999]), "not an index below"),
+    (_edit(["nodes", -1, "seq"], 999), "not an index below"),
+    (_edit(["nodes", -1, "premises", 0], 999), "not an index below"),
+    (_edit(["nodes", 0, "premises"], [0]), "not an index below"),
+    (lambda t: t["nodes"][0].update(premises=[len(t["nodes"]) - 1]), "not an index below"),
+    (_edit(["nodes", -1, "inst", "main"], 999), "not an index below"),
+    (_edit(["nodes", -1, "inst", "mian"], 0), "unknown"),
+    (_edit(["nodes", -1, "premises"], None), "malformed"),
+    (lambda t: t["nodes"].clear(), "no nodes"),
+], ids=["no-format", "format-1", "unknown-tag", "keyword-atom", "formula-self",
+        "formula-negative", "succedent-range", "leaf-range", "node-sequent-range",
+        "premise-range", "premise-self", "premise-later", "main-range",
+        "unknown-inst-field", "premises-not-a-list", "empty"])
+def test_from_json_rejects_malformed_tables(edit, why):
+    d = lm.and_mono(lm.did(p), lm.did(q))
+    table = json.loads(json.dumps(pf.to_json(d)))
+    checked(BF, pf.from_json(table))
+    edit(table)
+    with pytest.raises(FnlError, match=why):
+        pf.from_json(table)
+
+
+def test_positions_are_breadth_first_left_to_right():
+    t = sx.parse_tree("(p o <q>) o r")
+    assert [path for path, _ in pf.positions(t)] == [
+        (), (0,), (1,), (0, 0), (0, 1), (0, 1, 2)]
 
 
 def test_assumptions_of_collects_used_members():

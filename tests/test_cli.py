@@ -45,6 +45,38 @@ def test_prove_recheck_round_trip(capsys):
     assert payload["recheck"] == "derivation reloaded and accepted"
 
 
+def test_prove_text_recheck_prints_tree_and_recheck(capsys):
+    code, out, err = run(capsys, "prove", "--system", "bfnl-star", "p /\\ q => q",
+                         "--recheck", "--format", "text")
+    assert code == 0, err
+    assert out.splitlines() == [
+        "verdict: proved",
+        "strategy: lattice",
+        "AndL: p /\\ q => q",
+        "  Id: q => q",
+        "recheck: derivation reloaded and accepted",
+    ]
+
+
+def test_tower_table_grows_linearly_and_reloads_without_parsing(capsys, monkeypatch):
+    blobs = {}
+    for n in (200, 400):
+        code, payload = run_json(capsys, "prove", "--system", "bfnl-star", "~" * n + "p => p")
+        assert code == 0 and payload["verdict"] == "proved"
+        blobs[n] = json.dumps(payload["derivation"], separators=(",", ":"))
+    assert len(blobs[400]) < 2.5 * len(blobs[200])
+
+    def no_parse(*args):
+        raise AssertionError("from_json parsed concrete syntax")
+
+    goal = sx.parse_sequent("~" * 400 + "p => p")
+    for name in ("parse_lambek", "parse_tree", "parse_sequent", "parse_modal"):
+        monkeypatch.setattr(sx, name, no_parse)
+    d = pf.from_json(json.loads(blobs[400]))
+    assert d.seq == goal and pf.size(d) == len(json.loads(blobs[400])["nodes"])
+    assert ck.check_derivation(get_system("bfnl-star"), (), d)
+
+
 def test_prove_refuted_countermodel_payload(capsys):
     code, payload = run_json(capsys, "prove", "--system", "bfnl-star",
                              "p => q", "--recheck", "--seed", "3")
@@ -188,6 +220,17 @@ def test_countermodel_rejects_vocabulary_the_models_lack(capsys):
         assert "unit constant on a model without a unit" in err
     code, payload = run_json(capsys, "countermodel", "q => p /\\ one", "--with-unit")
     assert code == 0 and payload["found"] is True
+
+
+def test_countermodel_rejects_bracketed_antecedents(capsys, tmp_path):
+    code, out, err = run(capsys, "countermodel", "<p> => p")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "bracketed antecedent" in err
+    phi = tmp_path / "phi.txt"
+    phi.write_text("<q> => p\n")
+    code, out, err = run(capsys, "countermodel", "p => q", "--assumptions", str(phi))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "bracketed antecedent" in err
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,18 @@ def test_find_countermodel_rejects_vocabulary_the_models_lack():
                                  smp.SampleBudget(with_dia=True)) is not None
 
 
+def test_find_countermodel_rejects_bracketed_antecedents():
+    # the models read an antecedent through its formula, which a bracket lacks
+    for text in ("<p> => p", "q o <p> => p", "<<p>> => q"):
+        with pytest.raises(ModelError, match="bracketed antecedent"):
+            smp.find_countermodel(sx.parse_sequent(text))
+    with pytest.raises(ModelError, match="bracketed antecedent"):
+        smp.find_countermodel(sx.parse_sequent("p => q"), (sx.parse_sequent("<q> => p"),))
+    with pytest.raises(ModelError, match="bracketed antecedent"):
+        smp.find_countermodel(sx.parse_sequent("<p> => p"), (), smp.SampleBudget(with_dia=True))
+    assert smp.find_countermodel(sx.parse_sequent("q o p => p")) is not None
+
+
 def _plain_sequent(s, letters):
     # s in the ten connectives plain models interpret, over the given
     # letters: `one` reads as top, the modal operators and brackets are
