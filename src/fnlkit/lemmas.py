@@ -11,7 +11,7 @@ and boolean entailments between formulas built from opaque generators."""
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 from . import proofs as pf
 from . import syntax as sx
@@ -537,14 +537,6 @@ def or_leaves(f: sx.LFormula) -> tuple[sx.LFormula, ...]:
     if isinstance(f, sx.LOr):
         return or_leaves(f.l) + or_leaves(f.r)
     return (f,)
-
-
-def or_elim(f: sx.LFormula, build: Callable[[sx.LFormula], pf.Derivation]) -> pf.Derivation:
-    """Assemble G-free case analysis: from d_i : C_i => G for each \\/-leaf
-    C_i of f, conclude f => G."""
-    if isinstance(f, sx.LOr):
-        return dor_l(or_elim(f.l, build), or_elim(f.r, build), f)
-    return build(f)
 
 
 def or_inject(d: pf.Derivation, f: sx.LFormula) -> pf.Derivation:

@@ -139,13 +139,14 @@ def _search(sys: SystemSpec, phi, goal: sx.Sequent, budget: SearchBudget,
             raise _Exhausted
         if goals % 256 == 0 and time.monotonic() > deadline:
             raise _Exhausted
-        moves = rules.rule_instances(sys, g, phi, pool)
         path2 = path | {g}
         clean = True
-        for rule, prems, inst in moves:
+        for rule, prems, inst in rules.rule_instances(sys, g, phi, pool):
             if prems and depth == 0:
-                clean = False  # deeper iterations will retry this move
-                continue
+                # deeper iterations will retry this move; no later move can
+                # close g here, since every zero-premise move comes first
+                clean = False
+                break
             ds = []
             ok = True
             for p in prems:

@@ -1,22 +1,36 @@
 """Backward rule application: all ways one goal decomposes into premise
 goals, in a fixed deterministic order.
 
-Cheap and invertible moves come first; the pick-one rules and slash left
-rules follow; cut comes last, instantiated only over the supplied
-candidate pool (the bounded closure of the problem's subformulas)."""
+Axioms come first, then cheap and invertible moves; the pick-one rules
+and slash left rules follow; cut comes last, instantiated only over the
+supplied candidate pool (the bounded closure of the problem's
+subformulas).
+
+``rule_instances`` is a generator whose moves are right by construction,
+with no filter behind them:
+
+- only the system's rules: each optional rule is guarded by the flag
+  that admits it in ``systems.allowed_rules``;
+- each move once, as long as the cut pool lists each formula once;
+- zero-premise moves first, so a caller that can only close the goal
+  outright may stop at the first move with premises;
+- moves built lazily, so a search that closes or abandons a goal early
+  never builds the rest (cut instances above all).
+"""
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import proofs as pf
 from . import syntax as sx
-from .systems import SystemSpec, allowed_rules
+from .systems import MODAL_AXIOMS, SystemSpec
 
 Move = tuple[str, list[sx.Sequent], pf.Inst]
 
 
-def _axioms(sys: SystemSpec, goal: sx.Sequent, phi) -> Iterable[Move]:
+def axioms(sys: SystemSpec, goal: sx.Sequent, phi) -> Iterator[Move]:
+    """The zero-premise moves that close ``goal``, in ``rule_instances`` order."""
     ant, suc = goal.ant, goal.suc
     leaf = ant.f if isinstance(ant, sx.SLeaf) else None
     if leaf is not None and leaf == suc:
@@ -55,17 +69,17 @@ def _axioms(sys: SystemSpec, goal: sx.Sequent, phi) -> Iterable[Move]:
     if sys.unit and ant is None and suc == sx.ONE:
         yield pf.ONE_R, [], pf.Inst()
     if sys.modal is not None:
-        axioms = allowed_rules(sys)
-        if pf.AX_T in axioms and leaf is not None and suc == sx.LDia(leaf):
+        extra = MODAL_AXIOMS[sys.modal]
+        if pf.AX_T in extra and leaf is not None and suc == sx.LDia(leaf):
             yield pf.AX_T, [], pf.Inst()
         if (
-            pf.AX_4 in axioms
+            pf.AX_4 in extra
             and isinstance(suc, sx.LDia)
             and leaf == sx.LDia(sx.LDia(suc.a))
         ):
             yield pf.AX_4, [], pf.Inst()
         if (
-            pf.AX_5 in axioms
+            pf.AX_5 in extra
             and isinstance(leaf, sx.LDia)
             and suc == sx.LNot(sx.LDia(sx.LNot(sx.LDia(leaf.a))))
         ):
@@ -77,8 +91,8 @@ def rule_instances(
     goal: sx.Sequent,
     phi,
     cut_pool: Iterable[sx.LFormula] = (),
-) -> list[Move]:
-    moves: list[Move] = list(_axioms(sys, goal, phi))
+) -> Iterator[Move]:
+    yield from axioms(sys, goal, phi)
     ant, suc = goal.ant, goal.suc
     spots = list(pf.positions(ant)) if ant is not None else []
 
@@ -86,73 +100,61 @@ def rule_instances(
     for path, x in spots:
         if isinstance(x, sx.SLeaf) and isinstance(x.f, sx.LProd):
             prem = pf.tree_replace(ant, path, sx.SNode(sx.SLeaf(x.f.l), sx.SLeaf(x.f.r)))
-            moves.append((pf.PROD_L, [sx.Sequent(prem, suc)], pf.Inst(path=path, main=x.f)))
+            yield pf.PROD_L, [sx.Sequent(prem, suc)], pf.Inst(path=path, main=x.f)
         if sys.modal is not None:
             if isinstance(x, sx.SLeaf) and isinstance(x.f, sx.LDia):
                 prem = pf.tree_replace(ant, path, sx.SBracket(sx.SLeaf(x.f.a)))
-                moves.append((pf.DIA_L, [sx.Sequent(prem, suc)], pf.Inst(path=path, main=x.f)))
+                yield pf.DIA_L, [sx.Sequent(prem, suc)], pf.Inst(path=path, main=x.f)
             if (
                 isinstance(x, sx.SBracket)
                 and isinstance(x.a, sx.SLeaf)
                 and isinstance(x.a.f, sx.LBoxDown)
             ):
                 prem = pf.tree_replace(ant, path, sx.SLeaf(x.a.f.a))
-                moves.append(
-                    (pf.BOXDOWN_L, [sx.Sequent(prem, suc)], pf.Inst(path=path, main=x.a.f))
-                )
+                yield pf.BOXDOWN_L, [sx.Sequent(prem, suc)], pf.Inst(path=path, main=x.a.f)
         if sys.unit and isinstance(x, sx.SNode):
             if x.l == sx.SLeaf(sx.ONE):
                 prem = pf.tree_replace(ant, path, x.r)
-                moves.append((pf.ONE_L_LEFT, [sx.Sequent(prem, suc)], pf.Inst(path=path)))
+                yield pf.ONE_L_LEFT, [sx.Sequent(prem, suc)], pf.Inst(path=path)
             if x.r == sx.SLeaf(sx.ONE):
                 prem = pf.tree_replace(ant, path, x.l)
-                moves.append((pf.ONE_L_RIGHT, [sx.Sequent(prem, suc)], pf.Inst(path=path)))
+                yield pf.ONE_L_RIGHT, [sx.Sequent(prem, suc)], pf.Inst(path=path)
 
     # invertible branching
     if isinstance(suc, sx.LAnd):
-        moves.append(
-            (pf.AND_R, [sx.Sequent(ant, suc.l), sx.Sequent(ant, suc.r)], pf.Inst(main=suc))
-        )
+        yield pf.AND_R, [sx.Sequent(ant, suc.l), sx.Sequent(ant, suc.r)], pf.Inst(main=suc)
     for path, x in spots:
         if isinstance(x, sx.SLeaf) and isinstance(x.f, sx.LOr):
             p1 = pf.tree_replace(ant, path, sx.SLeaf(x.f.l))
             p2 = pf.tree_replace(ant, path, sx.SLeaf(x.f.r))
-            moves.append(
-                (pf.OR_L, [sx.Sequent(p1, suc), sx.Sequent(p2, suc)], pf.Inst(path=path, main=x.f))
-            )
+            yield pf.OR_L, [sx.Sequent(p1, suc), sx.Sequent(p2, suc)], pf.Inst(path=path, main=x.f)
 
     # right slash/modal introductions
     if isinstance(suc, sx.LUnder):
         prem_ant = sx.SLeaf(suc.l) if ant is None else sx.SNode(sx.SLeaf(suc.l), ant)
-        moves.append((pf.UNDER_R, [sx.Sequent(prem_ant, suc.r)], pf.Inst(main=suc)))
+        yield pf.UNDER_R, [sx.Sequent(prem_ant, suc.r)], pf.Inst(main=suc)
     if isinstance(suc, sx.LOver):
         prem_ant = sx.SLeaf(suc.r) if ant is None else sx.SNode(ant, sx.SLeaf(suc.r))
-        moves.append((pf.OVER_R, [sx.Sequent(prem_ant, suc.l)], pf.Inst(main=suc)))
+        yield pf.OVER_R, [sx.Sequent(prem_ant, suc.l)], pf.Inst(main=suc)
     if sys.modal is not None:
         if isinstance(suc, sx.LDia) and isinstance(ant, sx.SBracket):
-            moves.append((pf.DIA_R, [sx.Sequent(ant.a, suc.a)], pf.Inst(main=suc)))
+            yield pf.DIA_R, [sx.Sequent(ant.a, suc.a)], pf.Inst(main=suc)
         if isinstance(suc, sx.LBoxDown) and ant is not None:
-            moves.append(
-                (pf.BOXDOWN_R, [sx.Sequent(sx.SBracket(ant), suc.a)], pf.Inst(main=suc))
-            )
+            yield pf.BOXDOWN_R, [sx.Sequent(sx.SBracket(ant), suc.a)], pf.Inst(main=suc)
 
     # product right needs the antecedent split at the root
     if isinstance(suc, sx.LProd) and isinstance(ant, sx.SNode):
-        moves.append(
-            (pf.PROD_R, [sx.Sequent(ant.l, suc.l), sx.Sequent(ant.r, suc.r)], pf.Inst(main=suc))
-        )
+        yield pf.PROD_R, [sx.Sequent(ant.l, suc.l), sx.Sequent(ant.r, suc.r)], pf.Inst(main=suc)
 
     # pick-one rules
     for path, x in spots:
         if isinstance(x, sx.SLeaf) and isinstance(x.f, sx.LAnd):
             for idx, sub in ((1, x.f.l), (2, x.f.r)):
                 prem = pf.tree_replace(ant, path, sx.SLeaf(sub))
-                moves.append(
-                    (pf.AND_L, [sx.Sequent(prem, suc)], pf.Inst(path=path, main=x.f, idx=idx))
-                )
+                yield pf.AND_L, [sx.Sequent(prem, suc)], pf.Inst(path=path, main=x.f, idx=idx)
     if isinstance(suc, sx.LOr):
         for idx, sub in ((1, suc.l), (2, suc.r)):
-            moves.append((pf.OR_R, [sx.Sequent(ant, sub)], pf.Inst(main=suc, idx=idx)))
+            yield pf.OR_R, [sx.Sequent(ant, sub)], pf.Inst(main=suc, idx=idx)
 
     # slash left rules: the slash leaf must sit beside its argument tree
     for path, x in spots:
@@ -162,48 +164,31 @@ def rule_instances(
             f = x.r.f
             minor = sx.Sequent(x.l, f.l)
             major = sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(f.r)), suc)
-            moves.append((pf.UNDER_L, [minor, major], pf.Inst(path=path, main=f)))
+            yield pf.UNDER_L, [minor, major], pf.Inst(path=path, main=f)
         if isinstance(x.l, sx.SLeaf) and isinstance(x.l.f, sx.LOver):
             f = x.l.f
             major = sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(f.l)), suc)
             minor = sx.Sequent(x.r, f.r)
-            moves.append((pf.OVER_L, [major, minor], pf.Inst(path=path, main=f)))
+            yield pf.OVER_L, [major, minor], pf.Inst(path=path, main=f)
 
     # exchange: one swap per node
     if sys.exchange:
         for path, x in spots:
             if isinstance(x, sx.SNode):
                 prem = pf.tree_replace(ant, path, sx.SNode(x.r, x.l))
-                moves.append((pf.EXCH, [sx.Sequent(prem, suc)], pf.Inst(path=path)))
+                yield pf.EXCH, [sx.Sequent(prem, suc)], pf.Inst(path=path)
 
     # analytic cut, last: all hole positions x all candidates
     for c in cut_pool:
         if ant is None:
             if c != suc:
-                moves.append(
-                    (
-                        pf.CUT,
-                        [sx.Sequent(None, c), sx.Sequent(sx.SLeaf(c), suc)],
-                        pf.Inst(path=(), side=c),
-                    )
-                )
+                prems = [sx.Sequent(None, c), sx.Sequent(sx.SLeaf(c), suc)]
+                yield pf.CUT, prems, pf.Inst(path=(), side=c)
             continue
         for path, x in spots:
             if x == sx.SLeaf(c):
                 continue  # replacing c by itself loops
             minor = sx.Sequent(x, c)
             major = sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(c)), suc)
-            moves.append((pf.CUT, [minor, major], pf.Inst(path=path, side=c)))
+            yield pf.CUT, [minor, major], pf.Inst(path=path, side=c)
 
-    allowed = allowed_rules(sys)
-    seen = set()
-    out = []
-    for rule, prems, inst in moves:
-        if rule not in allowed:
-            continue
-        key = (rule, tuple(prems), inst)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((rule, prems, inst))
-    return out

@@ -128,8 +128,8 @@ class SampleBudget:
     with_dia: bool = False
 
     def __post_init__(self):
-        if self.max_states > STATE_CAP:
-            raise ModelError(f"state cap is {STATE_CAP}")
+        if not 1 <= self.max_states <= STATE_CAP:
+            raise ModelError(f"max_states must be between 1 and {STATE_CAP}")
 
 
 def _modal_counter(goal: sx.ModalFormula, budget: SampleBudget):

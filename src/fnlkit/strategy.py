@@ -34,9 +34,8 @@ Recurse = Callable[[SystemSpec, frozenset, sx.Sequent], Optional[pf.Derivation]]
 
 
 def try_axioms(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
-    for rule, prems, inst in rules.rule_instances(sys, goal, phi):
-        if not prems:
-            return pf.node(goal, rule, (), inst)
+    for rule, _, inst in rules.axioms(sys, goal, phi):
+        return pf.node(goal, rule, (), inst)
     return None
 
 

@@ -126,28 +126,25 @@ def validate_assumptions(sys: SystemSpec, phi):
         validate_sequent(sys, s)
 
 
-def _mk(name, negation, bounded, exchange, unit, empty, modal=None):
-    return SystemSpec(name, negation, bounded, exchange, unit, empty, modal)
-
-
 def _registry() -> dict[str, SystemSpec]:
-    out = {}
-
-    def add(s: SystemSpec):
-        out[s.name] = s
-
-    add(_mk("bfnl-star", True, True, False, False, True))
-    add(_mk("bfnl-e-star", True, True, True, False, True))
+    specs = [
+        SystemSpec("bfnl-star", True, True, False, False, True),
+        SystemSpec("bfnl-e-star", True, True, True, False, True),
+    ]
     for i in MODAL_AXIOMS:
         low = i.lower()
-        add(_mk(f"bfnl-star-{low}", True, True, False, False, True, i))
-        add(_mk(f"bfnl-e-star-{low}", True, True, True, False, True, i))
-        add(_mk(f"bfnl1-{low}", True, True, False, True, True, i))
-        add(_mk(f"bfnl1-e-{low}", True, True, True, True, True, i))
-    add(_mk("bdfnl-star", False, True, False, False, True))
-    add(_mk("dfnl-star", False, False, False, False, True))
-    add(_mk("dfnl", False, False, False, False, False))
-    return out
+        specs += [
+            SystemSpec(f"bfnl-star-{low}", True, True, False, False, True, i),
+            SystemSpec(f"bfnl-e-star-{low}", True, True, True, False, True, i),
+            SystemSpec(f"bfnl1-{low}", True, True, False, True, True, i),
+            SystemSpec(f"bfnl1-e-{low}", True, True, True, True, True, i),
+        ]
+    specs += [
+        SystemSpec("bdfnl-star", False, True, False, False, True),
+        SystemSpec("dfnl-star", False, False, False, False, True),
+        SystemSpec("dfnl", False, False, False, False, False),
+    ]
+    return {s.name: s for s in specs}
 
 
 SYSTEMS = _registry()

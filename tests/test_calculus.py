@@ -5,16 +5,16 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from conftest import lambek_formulas
+from conftest import lambek_formulas, sequents
 from fnlkit import checker as ck
 from fnlkit import lemmas as lm
 from fnlkit import proofs as pf
 from fnlkit import rules
 from fnlkit import syntax as sx
 from fnlkit.errors import FnlError, LemmaError, ValidationError
-from fnlkit.systems import get_system
+from fnlkit.systems import SYSTEMS, allowed_rules, get_system
 
 BF = get_system("bfnl-star")
 BFT = get_system("bfnl-star-t")
@@ -47,7 +47,7 @@ def checked(sys, d, phi=()):
 
 def test_rule_instances_id_and_prod_l():
     goal = seq("p * q => p * q")
-    moves = rules.rule_instances(BF, goal, frozenset())
+    moves = list(rules.rule_instances(BF, goal, frozenset()))
     names = [m[0] for m in moves]
     assert pf.ID in names  # matched directly, zero premises
     idx = names.index(pf.ID)
@@ -74,7 +74,7 @@ def test_rule_instances_t_axiom():
 def test_rule_instances_assumption_and_cut_pool():
     member = seq("p => q")
     goal = seq("p => q")
-    moves = rules.rule_instances(BF, goal, frozenset([member]), cut_pool=(r,))
+    moves = list(rules.rule_instances(BF, goal, frozenset([member]), cut_pool=(r,)))
     names = [m[0] for m in moves]
     assert pf.ASSUMPTION in names
     cuts = [m for m in moves if m[0] == pf.CUT]
@@ -101,6 +101,26 @@ def test_premises_stay_well_formed():
                 from fnlkit.systems import validate_sequent
 
                 validate_sequent(sys, g)
+
+
+@given(sequents)
+@example(seq("(p * q) o bot => r"))  # random goals rarely hold an axiom behind a premise move
+@example(seq("(<>p o one) o (p /\\ q) => <>(q \\/ r)"))
+def test_moves_are_legal_distinct_and_axioms_first(goal):
+    # rule_instances promises these by construction, with no filter behind it
+    pool = tuple(sorted(sx.subformulas_of_problem(goal, ()), key=sx.sort_key))
+    for sys in SYSTEMS.values():
+        allowed = allowed_rules(sys)
+        for phi in (frozenset(), frozenset([goal])):
+            seen = set()
+            branched = False
+            for rule, prems, inst in rules.rule_instances(sys, goal, phi, pool):
+                assert rule in allowed, (sys.name, rule)
+                key = (rule, tuple(prems), inst)
+                assert key not in seen, (sys.name, rule)
+                seen.add(key)
+                assert prems or not branched, (sys.name, rule)
+                branched = branched or bool(prems)
 
 
 # ---------------------------------------------------------------------------

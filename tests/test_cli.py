@@ -222,6 +222,14 @@ def test_countermodel_rejects_vocabulary_the_models_lack(capsys):
     assert code == 0 and payload["found"] is True
 
 
+def test_countermodel_rejects_max_states_below_one(capsys):
+    for n in ("0", "-3"):
+        code, out, err = run(capsys, "countermodel", "p => p", "--max-states", n)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "max_states" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_countermodel_rejects_bracketed_antecedents(capsys, tmp_path):
     code, out, err = run(capsys, "countermodel", "<p> => p")
     assert code == 1 and out == ""

@@ -227,6 +227,13 @@ def test_find_countermodel_rejects_vocabulary_the_models_lack():
                                  smp.SampleBudget(with_dia=True)) is not None
 
 
+def test_sample_budget_rejects_state_bounds_outside_one_to_the_cap():
+    for n in (0, -3, smp.STATE_CAP + 1):
+        with pytest.raises(ModelError, match="max_states"):
+            smp.SampleBudget(max_states=n)
+    assert smp.SampleBudget(max_states=1).max_states == 1
+
+
 def test_find_countermodel_rejects_bracketed_antecedents():
     # the models read an antecedent through its formula, which a bracket lacks
     for text in ("<p> => p", "q o <p> => p", "<<p>> => q"):
