@@ -184,14 +184,10 @@ def _refutation_ok(sys: SystemSpec, phi, goal: sx.Sequent) -> bool:
     models refute the modal systems only through their conservative
     fragment), and no residuals when the antecedent is empty (the empty
     residual introductions outrun the everywhere-true reading)."""
-    subs = sx.subformulas_of_problem(goal, phi)
-    if any(isinstance(f, (sx.LDia, sx.LBoxDown)) for f in subs):
+    v = sx.vocab(goal, *phi)
+    if v & (sx.V_MODAL | sx.V_BRACKET):
         return False
-    if sx.has_bracket(goal.ant):
-        return False
-    if goal.ant is None and any(isinstance(f, (sx.LUnder, sx.LOver)) for f in subs):
-        return False
-    return True
+    return not (goal.ant is None and v & sx.V_RESID)
 
 
 # ---------------------------------------------------------------------------

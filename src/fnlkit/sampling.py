@@ -130,6 +130,8 @@ class SampleBudget:
     def __post_init__(self):
         if not 1 <= self.max_states <= STATE_CAP:
             raise ModelError(f"max_states must be between 1 and {STATE_CAP}")
+        if self.samples < 0:
+            raise ModelError("samples must be at least 0")
 
 
 def _modal_counter(goal: sx.ModalFormula, budget: SampleBudget):
@@ -299,24 +301,24 @@ def find_countermodel(
 
     Returns (model, state) or None; None is *not* a validity certificate.
     Every hit is re-verified on a fresh copy of the model before returning.
-    A goal or assumption that uses `one` without `budget.with_unit`, or a
-    modal operator without `budget.with_dia`, raises the evaluator's
-    ModelError before any model is tried; so does a bracketed antecedent,
-    which the models cannot read.
+    A goal or assumption with a bracketed antecedent, which the models
+    cannot read, `one` without `budget.with_unit`, or a modal operator
+    without `budget.with_dia` raises the evaluator's ModelError before any
+    model is tried, naming the first of these three it uses.
     """
     budget = budget or SampleBudget()
     if isinstance(goal, sx.ModalFormula):
         if phi:
             raise ModelError("assumptions are sequent-side only")
         return _modal_counter(goal, budget)
-    if any(sx.has_bracket(s.ant) for s in (goal, *phi)):
+    v = sx.vocab(goal, *phi)
+    if v & sx.V_BRACKET:
         raise ModelError(md.NO_BRACKET)
+    if v & sx.V_UNIT and not budget.with_unit:
+        raise ModelError(md.NO_UNIT)
+    if v & sx.V_MODAL and not budget.with_dia:
+        raise ModelError(md.NO_DIA)
     forms = [f for s in (goal, *phi) for f in sx.sequent_formulas(s)]
-    for g in (g for f in forms for g in sx.walk(f)):
-        if isinstance(g, sx.LOne) and not budget.with_unit:
-            raise ModelError(md.NO_UNIT)
-        if isinstance(g, (sx.LDia, sx.LBoxDown)) and not budget.with_dia:
-            raise ModelError(md.NO_DIA)
     keys = set().union(*map(sx.atom_keys, forms))
     atoms = tuple(sorted(keys)) or ("p",)
     for j in _candidate_ternary(goal, phi, atoms, budget):

@@ -4,6 +4,12 @@ Two formula languages live here: the modal language (atoms, bot, /\\, \\/,
 ->, ~, <>) and the substructural language (additionally top, one, *, \\,
 /, [v], and generated fresh atoms).  Plus structure trees, sequents, and
 the closure machinery shared by search and the translations.
+
+Each substructural formula stores its vocabulary mask, built once at
+construction from its children's (`V_NEG` ... `V_RESID`, one bit per
+connective family); a fresh letter is atomic, so its payload does not
+count.  `vocab` reads it, ORs the masks of a tree's or sequent's leaves
+and adds `V_BRACKET` for a bracket; trees store nothing (rebuilt per rule).
 """
 
 from __future__ import annotations
@@ -107,8 +113,24 @@ def matoms(f: ModalFormula) -> frozenset[str]:
 # substructural formulas
 
 
+V_NEG, V_BOUNDS, V_UNIT, V_MODAL, V_RESID, V_BRACKET = 1, 2, 4, 8, 16, 32
+
+
 class LFormula:
+    # _vocab is the class's own vocabulary bit; a compound node shadows it
+    # at construction with that bit ORed with its children's masks
     __slots__ = ()
+    _vocab = 0
+
+
+class _Unary(LFormula):
+    def __post_init__(self):
+        self.__dict__["_vocab"] = self._vocab | self.a._vocab
+
+
+class _Binary(LFormula):
+    def __post_init__(self):
+        self.__dict__["_vocab"] = self._vocab | self.l._vocab | self.r._vocab
 
 
 @_node
@@ -127,65 +149,70 @@ class LFresh(LFormula):
 
 @_node
 class LBot(LFormula):
-    pass
+    _vocab = V_BOUNDS
 
 
 @_node
 class LTop(LFormula):
-    pass
+    _vocab = V_BOUNDS
 
 
 @_node
 class LOne(LFormula):
-    pass
+    _vocab = V_UNIT
 
 
 @_node
-class LAnd(LFormula):
+class LAnd(_Binary):
     l: LFormula
     r: LFormula
 
 
 @_node
-class LOr(LFormula):
+class LOr(_Binary):
     l: LFormula
     r: LFormula
 
 
 @_node
-class LNot(LFormula):
+class LNot(_Unary):
+    _vocab = V_NEG
     a: LFormula
 
 
 @_node
-class LProd(LFormula):
+class LProd(_Binary):
     l: LFormula
     r: LFormula
 
 
 @_node
-class LUnder(LFormula):
+class LUnder(_Binary):
     """Left residual: LUnder(a, b) is a\\b."""
 
+    _vocab = V_RESID
     l: LFormula
     r: LFormula
 
 
 @_node
-class LOver(LFormula):
+class LOver(_Binary):
     """Right residual: LOver(a, b) is a/b."""
 
+    _vocab = V_RESID
     l: LFormula
     r: LFormula
 
 
 @_node
-class LDia(LFormula):
+class LDia(_Unary):
+    _vocab = V_MODAL
     a: LFormula
 
 
 @_node
-class LBoxDown(LFormula):
+class LBoxDown(_Unary):
+    _vocab = V_MODAL
     a: LFormula
 
 
@@ -195,9 +222,6 @@ ONE = LOne()
 P_BOT = LFresh("bot")
 P_TOP = LFresh("top")
 
-_BINARY = (LAnd, LOr, LProd, LUnder, LOver)
-_UNARY = (LNot, LDia, LBoxDown)
-
 
 def fresh_for(a: LFormula) -> LFresh:
     return LFresh("neg", a)
@@ -206,9 +230,9 @@ def fresh_for(a: LFormula) -> LFresh:
 def lsize(f: LFormula) -> int:
     """Connective count.  Atoms, constants and fresh letters all weigh 0;
     a fresh letter is atomic, its payload is bookkeeping, not structure."""
-    if isinstance(f, _UNARY):
+    if isinstance(f, _Unary):
         return 1 + lsize(f.a)
-    if isinstance(f, _BINARY):
+    if isinstance(f, _Binary):
         return 1 + lsize(f.l) + lsize(f.r)
     return 0
 
@@ -221,9 +245,9 @@ def subformulas(f: LFormula) -> frozenset[LFormula]:
         if g in out:
             continue
         out.add(g)
-        if isinstance(g, _UNARY):
+        if isinstance(g, _Unary):
             stack.append(g.a)
-        elif isinstance(g, _BINARY):
+        elif isinstance(g, _Binary):
             stack.append(g.l)
             stack.append(g.r)
     return frozenset(out)
@@ -241,15 +265,15 @@ def walk(f: LFormula) -> Iterator[LFormula]:
     while stack:
         g = stack.pop()
         yield g
-        if isinstance(g, _UNARY):
+        if isinstance(g, _Unary):
             stack.append(g.a)
-        elif isinstance(g, _BINARY):
+        elif isinstance(g, _Binary):
             stack.append(g.l)
             stack.append(g.r)
 
 
 def neg_free(f: LFormula) -> bool:
-    return not any(isinstance(g, LNot) for g in walk(f))
+    return not f._vocab & V_NEG
 
 
 def atom_keys(f: LFormula) -> frozenset[str]:
@@ -324,16 +348,34 @@ def tree_formulas(t: StructTree) -> Iterator[LFormula]:
             stack.append(x.a)
 
 
-def has_bracket(t: Optional[StructTree]) -> bool:
-    stack = [t] if t is not None else []
+def vocab(*xs) -> int:
+    """OR of the vocabulary masks of formulas, structure trees and sequents;
+    an empty antecedent (None) adds nothing."""
+    v, stack = 0, list(xs)
     while stack:
         x = stack.pop()
-        if isinstance(x, SBracket):
-            return True
-        if isinstance(x, SNode):
-            stack.append(x.l)
-            stack.append(x.r)
-    return False
+        if isinstance(x, SLeaf):
+            v |= x.f._vocab
+        elif isinstance(x, SNode):
+            stack += (x.l, x.r)
+        elif isinstance(x, SBracket):
+            v |= V_BRACKET
+            stack.append(x.a)
+        elif isinstance(x, Sequent):
+            v |= x.suc._vocab
+            stack.append(x.ant)
+        elif x is not None:
+            v |= x._vocab
+    return v
+
+
+def map_children(f: LFormula, fmap: Callable[[LFormula], LFormula]) -> LFormula:
+    """The same connective over fmap of each child; atomic f unchanged."""
+    if isinstance(f, _Binary):
+        return type(f)(fmap(f.l), fmap(f.r))
+    if isinstance(f, _Unary):
+        return type(f)(fmap(f.a))
+    return f
 
 
 def map_tree(t: StructTree, fmap: Callable[[LFormula], LFormula]) -> StructTree:
@@ -407,7 +449,7 @@ def _lprec(f: LFormula) -> int:
         return _P_SLASH
     if isinstance(f, LProd):
         return _P_STAR
-    if isinstance(f, _UNARY):
+    if isinstance(f, _Unary):
         return _P_UNARY
     return _P_ATOM
 
@@ -489,7 +531,7 @@ def _prefix_key(f: LFormula) -> str:
     if isinstance(f, (LBot, LTop, LOne)):
         return "const " + {LBot: "bot", LTop: "top", LOne: "one"}[type(f)]
     tag = L_TAGS[type(f)]
-    if isinstance(f, _UNARY):
+    if isinstance(f, _Unary):
         return tag + "(" + _prefix_key(f.a) + ")"
     return tag + "(" + _prefix_key(f.l) + "," + _prefix_key(f.r) + ")"
 

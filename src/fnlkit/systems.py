@@ -4,7 +4,7 @@ of the calculus admits."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional
 
 from . import proofs as pf
@@ -35,6 +35,11 @@ class SystemSpec:
             raise ValidationError("negation needs the bounds (its axioms mention them)")
         if self.modal is not None and self.modal not in MODAL_AXIOMS:
             raise ValidationError(f"unknown modal axiom set {self.modal!r}")
+
+    @cached_property
+    def vocab(self) -> int:  # the syntax.V_* bits this system admits
+        return (sx.V_RESID | sx.V_NEG * self.negation | sx.V_BOUNDS * self.bounded
+                | sx.V_UNIT * self.unit | (sx.V_MODAL | sx.V_BRACKET) * (self.modal is not None))
 
 
 _BASE_RULES = frozenset(
@@ -73,50 +78,21 @@ def allowed_rules(sys: SystemSpec) -> frozenset[str]:
     return frozenset(rules)
 
 
-@lru_cache(maxsize=1 << 16)
-def _formula_misfit(sys: SystemSpec, f: sx.LFormula) -> Optional[str]:
-    # vocabulary checks run on every node of every derivation, over a
-    # heavily repeating formula population, so the verdict is memoized
-    for g in sx.walk(f):
-        if isinstance(g, sx.LNot) and not sys.negation:
-            return f"{sys.name} has no negation"
-        if isinstance(g, (sx.LTop, sx.LBot)) and not sys.bounded:
-            return f"{sys.name} has no bounds"
-        if isinstance(g, sx.LOne) and not sys.unit:
-            return f"{sys.name} has no unit"
-        if isinstance(g, (sx.LDia, sx.LBoxDown)) and sys.modal is None:
-            return f"{sys.name} has no modalities"
-    return None
-
-
-def validate_formula(sys: SystemSpec, f: sx.LFormula):
-    msg = _formula_misfit(sys, f)
-    if msg is not None:
-        raise ValidationError(msg)
-
-
-def validate_tree(sys: SystemSpec, t: sx.StructTree):
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, sx.SLeaf):
-            validate_formula(sys, x.f)
-        elif isinstance(x, sx.SNode):
-            stack.append(x.r)
-            stack.append(x.l)
-        elif sys.modal is None:
-            raise ValidationError(f"{sys.name} has no bracket structure")
-        else:
-            stack.append(x.a)
+_MISFITS = ((sx.V_NEG, "negation"), (sx.V_BOUNDS, "bounds"), (sx.V_UNIT, "unit"),
+            (sx.V_MODAL, "modalities"), (sx.V_BRACKET, "bracket structure"))
 
 
 def validate_sequent(sys: SystemSpec, s: sx.Sequent):
-    if s.ant is None:
-        if not sys.allow_empty_antecedent:
-            raise ValidationError(f"{sys.name} does not allow empty antecedents")
-    else:
-        validate_tree(sys, s.ant)
-    validate_formula(sys, s.suc)
+    """Raises ValidationError if s uses an empty antecedent, a connective or
+    bracket structure that sys lacks.  Of several vocabulary misfits, the
+    first in the order negation, bounds, unit, modalities, bracket
+    structure is reported, wherever each occurs in s."""
+    if s.ant is None and not sys.allow_empty_antecedent:
+        raise ValidationError(f"{sys.name} does not allow empty antecedents")
+    bad = sx.vocab(s) & ~sys.vocab
+    for bit, what in _MISFITS:
+        if bad & bit:
+            raise ValidationError(f"{sys.name} has no {what}")
 
 
 def validate_assumptions(sys: SystemSpec, phi):

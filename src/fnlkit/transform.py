@@ -245,12 +245,7 @@ def ec(t: Iterable[sx.LFormula]) -> frozenset[sx.LFormula]:
 def _ddag(a: sx.LFormula) -> sx.LFormula:
     if isinstance(a, sx.LNot):
         return _tilde(_ddag(a.a), frozenset(), strict=False)
-    if isinstance(a, (sx.LAnd, sx.LOr, sx.LProd, sx.LUnder, sx.LOver)):
-        ctor = type(a)
-        return ctor(_ddag(a.l), _ddag(a.r))
-    if isinstance(a, (sx.LDia, sx.LBoxDown)):
-        return type(a)(_ddag(a.a))
-    return a
+    return sx.map_children(a, _ddag)
 
 
 def ddagger(a: sx.LFormula, ctx: Optional[TranslationContext] = None) -> sx.LFormula:
@@ -294,11 +289,7 @@ def section_map(a: sx.LFormula) -> sx.LFormula:
         return sx.P_TOP
     if isinstance(a, sx.LNot):
         raise ValidationError("the constant-elimination map expects negation-free input")
-    if isinstance(a, (sx.LAnd, sx.LOr, sx.LProd, sx.LUnder, sx.LOver)):
-        return type(a)(section_map(a.l), section_map(a.r))
-    if isinstance(a, (sx.LDia, sx.LBoxDown)):
-        return type(a)(section_map(a.a))
-    return a
+    return sx.map_children(a, section_map)
 
 
 def section_sequent(s: sx.Sequent) -> sx.Sequent:
@@ -499,11 +490,7 @@ def negrewrite(a: sx.LFormula) -> sx.LFormula:
     """Read every generated letter as the negation of its payload."""
     if isinstance(a, sx.LFresh) and a.mark == "neg":
         return sx.LNot(negrewrite(a.of))
-    if isinstance(a, (sx.LAnd, sx.LOr, sx.LProd, sx.LUnder, sx.LOver)):
-        return type(a)(negrewrite(a.l), negrewrite(a.r))
-    if isinstance(a, (sx.LNot, sx.LDia, sx.LBoxDown)):
-        return type(a)(negrewrite(a.a))
-    return a
+    return sx.map_children(a, negrewrite)
 
 
 def negrewrite_sequent(s: sx.Sequent) -> sx.Sequent:
@@ -519,11 +506,7 @@ def section_inverse(a: sx.LFormula) -> sx.LFormula:
         return sx.TOP
     if isinstance(a, sx.LFresh) and a.mark == "neg":
         return sx.fresh_for(section_inverse(a.of))
-    if isinstance(a, (sx.LAnd, sx.LOr, sx.LProd, sx.LUnder, sx.LOver)):
-        return type(a)(section_inverse(a.l), section_inverse(a.r))
-    if isinstance(a, (sx.LNot, sx.LDia, sx.LBoxDown)):
-        return type(a)(section_inverse(a.a))
-    return a
+    return sx.map_children(a, section_inverse)
 
 
 def section_inverse_sequent(s: sx.Sequent) -> sx.Sequent:

@@ -184,6 +184,9 @@ def test_checker_rejects_sequents_the_system_disallows():
         (BFT, BF, lm.dtop(sx.parse_tree("p o < q >")), (), "no bracket structure"),
         (BF, DF, lm.dassume(member), (member,), "no negation"),
         (BF, DF, disjoin, (member,), "no negation"),
+        # several misfits: the fixed order reports negation first
+        (B1, DF, lm.did(f("~one")), (), "no negation"),
+        (B1, DF, lm.did(f("~p * one")), (), "no negation"),
     ]:
         checked(good, d, phi)
         trail = []

@@ -230,6 +230,14 @@ def test_countermodel_rejects_max_states_below_one(capsys):
         assert len(err.strip().splitlines()) == 1
 
 
+def test_countermodel_rejects_negative_samples(capsys):
+    code, out, err = run(capsys, "countermodel", "p1 * p2 => p3 \\/ p4 \\/ p5",
+                         "--samples", "-5")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "samples" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_countermodel_rejects_bracketed_antecedents(capsys, tmp_path):
     code, out, err = run(capsys, "countermodel", "<p> => p")
     assert code == 1 and out == ""

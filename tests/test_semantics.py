@@ -234,6 +234,13 @@ def test_sample_budget_rejects_state_bounds_outside_one_to_the_cap():
     assert smp.SampleBudget(max_states=1).max_states == 1
 
 
+def test_sample_budget_rejects_negative_samples():
+    for n in (-1, -5):
+        with pytest.raises(ModelError, match="samples"):
+            smp.SampleBudget(samples=n)
+    assert smp.SampleBudget(samples=0).samples == 0
+
+
 def test_find_countermodel_rejects_bracketed_antecedents():
     # the models read an antecedent through its formula, which a bracket lacks
     for text in ("<p> => p", "q o <p> => p", "<<p>> => q"):

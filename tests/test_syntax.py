@@ -1,9 +1,12 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import lambek_formulas, modal_formulas, sequents, struct_trees
 from fnlkit import syntax as sx
-from fnlkit.errors import ParseError
+from fnlkit.errors import ParseError, ValidationError
+from fnlkit.systems import SYSTEMS, validate_sequent
 
 p, q, r = sx.LAtom("p"), sx.LAtom("q"), sx.LAtom("r")
 
@@ -123,6 +126,92 @@ def test_subformulas_idempotent(f):
     subs = sx.subformulas(f)
     for g in subs:
         assert sx.subformulas(g) <= subs
+
+
+# ---------------------------------------------------------------------------
+# vocabulary masks
+
+# reference: which connectives a formula uses, by a plain walk; in the
+# order the validator reports misfits, residuals (admitted everywhere) last
+_REF_KINDS = [
+    ("negation", sx.V_NEG, (sx.LNot,)),
+    ("bounds", sx.V_BOUNDS, (sx.LBot, sx.LTop)),
+    ("unit", sx.V_UNIT, (sx.LOne,)),
+    ("modalities", sx.V_MODAL, (sx.LDia, sx.LBoxDown)),
+    ("residuals", sx.V_RESID, (sx.LUnder, sx.LOver)),
+]
+
+
+def _ref_vocab(f):
+    return sum(bit for _, bit, kinds in _REF_KINDS
+               if any(isinstance(g, kinds) for g in sx.walk(f)))
+
+
+def _ref_bracket(t):
+    if isinstance(t, sx.SBracket):
+        return True
+    return isinstance(t, sx.SNode) and (_ref_bracket(t.l) or _ref_bracket(t.r))
+
+
+def _ref_tree(t):
+    used = sx.V_BRACKET if _ref_bracket(t) else 0
+    for g in sx.tree_formulas(t):
+        used |= _ref_vocab(g)
+    return used
+
+
+def _ref_misfit(system, s):
+    if s.ant is None and not system.allow_empty_antecedent:
+        return f"{system.name} does not allow empty antecedents"
+    used = _ref_vocab(s.suc) | (0 if s.ant is None else _ref_tree(s.ant))
+    admits = {"negation": system.negation, "bounds": system.bounded,
+              "unit": system.unit, "modalities": system.modal is not None,
+              "residuals": True}
+    for what, bit, _ in _REF_KINDS:
+        if used & bit and not admits[what]:
+            return f"{system.name} has no {what}"
+    if used & sx.V_BRACKET and system.modal is None:
+        return f"{system.name} has no bracket structure"
+    return None
+
+
+@settings(max_examples=300)
+@given(sequents)
+def test_vocab_matches_a_walk_and_drives_validation(s):
+    for g in sx.sequent_formulas(s):
+        assert sx.vocab(g) == _ref_vocab(g)
+        assert sx.neg_free(g) == (not _ref_vocab(g) & sx.V_NEG)
+    if s.ant is None:
+        assert sx.vocab(s) == _ref_vocab(s.suc)
+    else:
+        assert sx.vocab(s.ant) == _ref_tree(s.ant)
+        assert sx.vocab(s) == _ref_tree(s.ant) | _ref_vocab(s.suc)
+    for system in SYSTEMS.values():
+        want = _ref_misfit(system, s)
+        if want is None:
+            validate_sequent(system, s)
+        else:
+            with pytest.raises(ValidationError) as e:
+                validate_sequent(system, s)
+            assert str(e.value) == want
+
+
+def test_deep_negation_tower_validates_in_constant_stack():
+    # built by a loop, so no parser recursion is involved
+    f = p
+    for _ in range(5000):
+        f = sx.LNot(f)
+    s = sx.simple(f, p)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(ValidationError, match="^dfnl-star has no negation$"):
+            validate_sequent(SYSTEMS["dfnl-star"], s)
+        validate_sequent(SYSTEMS["bfnl-star"], s)
+        assert not sx.neg_free(f)
+        assert sx.vocab(s) == sx.V_NEG
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_phi_of_tree():
