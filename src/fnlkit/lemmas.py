@@ -446,7 +446,7 @@ def dnn_elim(a: sx.LFormula) -> pf.Derivation:
     na, nna = sx.LNot(a), sx.LNot(sx.LNot(a))
     split = expand_by_cases(did(nna), a)
     left = dand_l(did(a), sx.LAnd(nna, a), 2)
-    flip = lat_le_strict(sx.LAnd(nna, na), sx.LAnd(na, nna))
+    flip = comm_and(nna, na)
     right = le_trans(flip, dneg1(na), dbot_f(a))
     return le_trans(split, dor_l(left, right, sx.LOr(sx.LAnd(nna, a), sx.LAnd(nna, na))))
 

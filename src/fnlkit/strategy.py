@@ -5,7 +5,8 @@ derivation outright or maps the problem into a neighbouring system where
 a recursive call has better tools, transporting the proof back.  A
 strategy may be optimistic: the driver re-validates every candidate with
 the independent checker before accepting it, so returning a wrong
-derivation costs a check, never soundness.
+derivation costs a check, never soundness.  A strategy declines by
+returning None or by raising LemmaError, which the driver catches.
 
 The cross-system strategies mirror the two embeddings in reverse.  A
 negation-free bounded goal whose letters are negation markers is pulled
@@ -26,7 +27,6 @@ from . import proofs as pf
 from . import rules
 from . import syntax as sx
 from . import transform as tr
-from .errors import LemmaError
 from .systems import SystemSpec, get_system
 
 # recurse(sys, phi, goal) -> derivation or None; supplied by the driver
@@ -71,26 +71,23 @@ def try_pairs(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
     the order of the two halves."""
     if not phi:
         return None
-    try:
-        if (
-            goal.suc == sx.BOT
-            and isinstance(goal.ant, sx.SLeaf)
-            and isinstance(goal.ant.f, sx.LAnd)
-        ):
-            l, r = goal.ant.f.l, goal.ant.f.r
-            if tr.tilde_ext(l) == r:
-                return tr.pair_bot(l, phi)
-            if tr.tilde_ext(r) == l:
-                return lm.le_trans(lm.comm_and(l, r), tr.pair_bot(r, phi))
-        if goal.ant == sx.SLeaf(sx.TOP) and isinstance(goal.suc, sx.LOr):
-            l, r = goal.suc.l, goal.suc.r
-            if tr.tilde_ext(l) == r:
-                return tr.pair_top(l, phi)
-            if tr.tilde_ext(r) == l:
-                swap = lm.lat_le_strict(sx.LOr(r, l), sx.LOr(l, r))
-                return lm.le_trans(tr.pair_top(r, phi), swap)
-    except LemmaError:
-        return None
+    if (
+        goal.suc == sx.BOT
+        and isinstance(goal.ant, sx.SLeaf)
+        and isinstance(goal.ant.f, sx.LAnd)
+    ):
+        l, r = goal.ant.f.l, goal.ant.f.r
+        if tr.tilde_ext(l) == r:
+            return tr.pair_bot(l, phi)
+        if tr.tilde_ext(r) == l:
+            return lm.le_trans(lm.comm_and(l, r), tr.pair_bot(r, phi))
+    if goal.ant == sx.SLeaf(sx.TOP) and isinstance(goal.suc, sx.LOr):
+        l, r = goal.suc.l, goal.suc.r
+        if tr.tilde_ext(l) == r:
+            return tr.pair_top(l, phi)
+        if tr.tilde_ext(r) == l:
+            swap = lm.lat_le_strict(sx.LOr(r, l), sx.LOr(l, r))
+            return lm.le_trans(tr.pair_top(r, phi), swap)
     return None
 
 
@@ -99,17 +96,14 @@ def try_absorb(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
     bottom letter entail whatever the members can reach from it."""
     if not phi or goal.ant is None:
         return None
-    try:
-        if goal.suc == sx.P_TOP:
-            return tr.tree_top(goal.ant, phi)
-        for path, x in pf.positions(goal.ant):
-            if x == sx.SLeaf(sx.P_BOT):
-                d = tr.tree_absorb(goal.ant, path, phi)
-                if goal.suc != sx.P_BOT:
-                    d = lm.le_trans(d, tr.sec_from_pbot(goal.suc, phi))
-                return d
-    except LemmaError:
-        return None
+    if goal.suc == sx.P_TOP:
+        return tr.tree_top(goal.ant, phi)
+    for path, x in pf.positions(goal.ant):
+        if x == sx.SLeaf(sx.P_BOT):
+            d = tr.tree_absorb(goal.ant, path, phi)
+            if goal.suc != sx.P_BOT:
+                d = lm.le_trans(d, tr.sec_from_pbot(goal.suc, phi))
+            return d
     return None
 
 
@@ -146,19 +140,15 @@ def try_congruence(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
     dba = recurse(sys, phi, sx.simple(b, a))
     if dba is None:
         return None
-    try:
-        got, fwd, _ = lm.cong_replace(c, a, b, dab, dba)
-    except LemmaError:
-        return None
+    got, fwd, _ = lm.cong_replace(c, a, b, dab, dba)
     return fwd if got == c2 else None
 
 
 def try_k_oracle(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
     """Goals in the image of the modal translation: decide them with the
-    modal sequent prover and translate its proof."""
-    if phi or not (sys.negation and sys.bounded) or sys.exchange or sys.unit:
-        return None
-    if sys.modal is not None:
+    modal sequent prover and translate its proof.  The proof uses bfnl-star
+    rules only, so every system with negation admits it."""
+    if phi or not (sys.negation and sys.bounded):
         return None
     ctx = tr.TranslationContext()
     if goal.ant is None:
@@ -199,10 +189,7 @@ def try_unneg(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
     d = recurse(get_system("bfnl-star"), frozenset(kept), ng)
     if d is None:
         return None
-    try:
-        return tr.ddagger_derivation(d, phi)
-    except LemmaError:
-        return None
+    return tr.ddagger_derivation(d, phi)
 
 
 def _bound_theorem(s: sx.Sequent) -> Optional[pf.Derivation]:
@@ -241,10 +228,7 @@ def try_unsection(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
     d = recurse(get_system("bdfnl-star"), frozenset(kept), si)
     if d is None:
         return None
-    try:
-        return tr.section_derivation(d, phi)
-    except LemmaError:
-        return None
+    return tr.section_derivation(d, phi)
 
 
 # cheap and shape-specific first, recursive and cross-system last

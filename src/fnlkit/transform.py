@@ -25,6 +25,7 @@ from . import models as md
 from . import proofs as pf
 from . import syntax as sx
 from .errors import LemmaError, ValidationError
+from .systems import allowed_rules, get_system
 
 
 @dataclass(frozen=True)
@@ -548,13 +549,10 @@ def _map_inst(inst: pf.Inst, fmap, smap) -> pf.Inst:
     )
 
 
-_NO_DDAG = frozenset({pf.EXCH, pf.DIA_L, pf.DIA_R, pf.BOXDOWN_L, pf.BOXDOWN_R,
-                      pf.AX_T, pf.AX_4, pf.AX_5, pf.ONE_R, pf.ONE_L_LEFT, pf.ONE_L_RIGHT})
-
-
 def ddagger_derivation(d: pf.Derivation, phi=None) -> pf.Derivation:
     """Negation elimination on a whole derivation: negation axioms become
     companion-pair derivations, everything else maps homomorphically."""
+    target = allowed_rules(get_system("bdfnl-star"))
 
     def step(n: pf.Derivation, prems):
         if n.rule == pf.NEG1:
@@ -564,7 +562,7 @@ def ddagger_derivation(d: pf.Derivation, phi=None) -> pf.Derivation:
         if n.rule == pf.ASSUMPTION:
             member = ddagger_sequent(n.inst.member)
             return pf.node(member, pf.ASSUMPTION, (), pf.Inst(member=member))
-        if n.rule in _NO_DDAG:
+        if n.rule not in target:
             raise LemmaError(f"{n.rule} has no image in the negation-free system")
         return pf.node(ddagger_sequent(n.seq), n.rule, prems,
                        _map_inst(n.inst, _ddag, ddagger_sequent))
@@ -602,16 +600,12 @@ def negrewrite_derivation(d: pf.Derivation) -> pf.Derivation:
     return _map_derivation(d, step)
 
 
-_NO_SECTION = frozenset({pf.NEG1, pf.NEG2, pf.EXCH, pf.DIA_L, pf.DIA_R,
-                         pf.BOXDOWN_L, pf.BOXDOWN_R, pf.AX_T, pf.AX_4, pf.AX_5,
-                         pf.ONE_R, pf.ONE_L_LEFT, pf.ONE_L_RIGHT})
-
-
 def section_derivation(d: pf.Derivation, phi=None) -> pf.Derivation:
     """Constant elimination on a whole derivation: bound axioms become
     absorption derivations over the letter members, and empty antecedents
     become the top letter throughout (matching section_sequent).  Empty
     residual introductions have no image and fail."""
+    target = allowed_rules(get_system("dfnl-star"))
 
     def step(n: pf.Derivation, prems):
         if n.rule == pf.TOP_AX:
@@ -622,7 +616,7 @@ def section_derivation(d: pf.Derivation, phi=None) -> pf.Derivation:
             if suc != sx.P_BOT:
                 out = lm.le_trans(out, sec_from_pbot(suc, phi))
             return out
-        if n.rule in _NO_SECTION:
+        if n.rule not in target:
             raise LemmaError(f"{n.rule} has no image in the constant-free system")
         if n.rule in (pf.UNDER_R, pf.OVER_R) and n.seq.ant is None:
             raise LemmaError("empty residual introduction has no constant-free image")

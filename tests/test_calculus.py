@@ -218,6 +218,66 @@ def test_checker_validates_every_recorded_field(good, fields, phi, reason):
     assert reason in trail[0]
 
 
+# one small instance per rule, in a system that admits every rule; an axiom
+# comes with a conclusion that misses its shape and the reason given for it
+E5 = get_system("bfnl1-e-s5")
+_PQ_AND, _PQ_OR = f("p /\\ q"), f("p \\/ q")
+_MEMBER = seq("p => q")
+RULE_CASES = {
+    pf.ID: (lm.did(p), "p => q", "single leaf equal to the succedent"),
+    pf.DIST: (lm.dD(p, q, r), "p /\\ (q \\/ r) => p /\\ q \\/ p /\\ p", "does not distribute"),
+    pf.BOT_AX: (lm.dbot(sx.parse_tree("p o bot"), (1,), q), "p o q => q", "does not hold bot"),
+    pf.TOP_AX: (lm.dtop(sx.parse_tree("p o q")), "p o q => p", "succedent must be top"),
+    pf.NEG1: (lm.dneg1(p), "p /\\ ~q => bot", "A /\\ ~A => bot"),
+    pf.NEG2: (lm.dneg2(p), "top => p \\/ ~q", "top => A \\/ ~A"),
+    pf.AX_T: (lm.dax_t(p), "p => <>q", "A => <>A"),
+    pf.AX_4: (lm.dax_4(p), "<><>p => <>q", "<><>A => <>A"),
+    pf.AX_5: (lm.dax_5(p), "<>p => ~<>~<>q", "<>A => ~<>~<>A"),
+    pf.ONE_R: (lm.done_r(), "p => one", "empty-antecedent unit sequent"),
+    pf.ASSUMPTION: (lm.dassume(_MEMBER), "p => r", "not among the assumptions"),
+    pf.PROD_L: lm.dprod_l(lm.dprod_r(lm.did(p), lm.did(q))),
+    pf.PROD_R: lm.dprod_r(lm.did(p), lm.did(q)),
+    pf.DIA_L: lm.ddia_l(lm.ddia_r(lm.did(p))),
+    pf.DIA_R: lm.ddia_r(lm.did(p)),
+    pf.BOXDOWN_L: lm.dboxdown_l(lm.did(p)),
+    pf.BOXDOWN_R: lm.dboxdown_r(lm.dboxdown_l(lm.did(p))),
+    pf.ONE_L_LEFT: lm.done_l(lm.did(p), side="l"),
+    pf.ONE_L_RIGHT: lm.done_l(lm.did(p), side="r"),
+    pf.EXCH: lm.dexch(lm.dprod_r(lm.did(q), lm.did(p))),
+    pf.AND_L: lm.dand_l(lm.did(q), _PQ_AND, 2),
+    pf.AND_R: lm.comm_and(p, q),
+    pf.OR_L: lm.dor_l(lm.dor_r(lm.did(p), _PQ_OR, 1), lm.dor_r(lm.did(q), _PQ_OR, 2), _PQ_OR),
+    pf.OR_R: lm.dor_r(lm.did(q), _PQ_OR, 2),
+    pf.UNDER_R: lm.dunder_r(lm.dprod_r(lm.did(p), lm.did(q)), p),
+    pf.OVER_R: lm.dover_r(lm.dprod_r(lm.did(p), lm.did(q)), q),
+    pf.UNDER_L: lm.dunder_l(lm.did(p), lm.did(q)),
+    pf.OVER_L: lm.dover_l(lm.did(q), lm.did(p)),
+    pf.CUT: lm.dcut(lm.dand_l(lm.did(p), _PQ_AND, 1), lm.dor_r(lm.did(p), _PQ_OR, 1)),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(ck._RULES))
+def test_checker_rejects_a_misfit_of_each_rule(rule):
+    # the sound instance passes; the same step with its conclusion (an axiom)
+    # or its last premise (any other rule) altered is rejected with its reason
+    case, phi = RULE_CASES[rule], (_MEMBER,)
+    good = case[0] if isinstance(case, tuple) else case
+    assert good.rule == rule
+    checked(E5, good, phi)
+    if good.premises:
+        swapped = (*good.premises[:-1], lm.did(sx.LAtom("z")))
+        bad = pf.node(good.seq, rule, swapped, good.inst)
+        k, want = len(swapped), good.premises[-1].seq
+        reason = f"premise {k} is not {sx.render_sequent(want)}"
+    else:
+        _, conclusion, reason = case
+        inst = pf.Inst(member=seq(conclusion)) if rule == pf.ASSUMPTION else good.inst
+        bad = pf.node(seq(conclusion), rule, (), inst)
+    trail = []
+    assert not ck.check_derivation(E5, phi, bad, trail)
+    assert trail[0].startswith(f"{rule} at ") and reason in trail[0], trail
+
+
 # ---------------------------------------------------------------------------
 # certified builders: zero-premise schemas
 

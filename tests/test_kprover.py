@@ -15,7 +15,9 @@ from fnlkit import models as md
 from fnlkit import sampling
 from fnlkit import syntax as sx
 from fnlkit import transform as tr
-from fnlkit.systems import get_system
+from fnlkit.prover import SearchBudget, derive
+from fnlkit.systems import SYSTEMS, get_system
+from test_acceptance import corpus
 
 BF = get_system("bfnl-star")
 
@@ -255,3 +257,16 @@ def test_prove_dagger_sequent_between_formulas():
     assert d.seq == sx.Sequent(sx.SLeaf(tr.dagger(a, ctx)), tr.dagger(b, ctx))
     assert ck.check_derivation(BF, (), d)
     assert gk.prove_dagger_sequent(m("[]p"), m("p"), ctx) is None
+
+
+def test_variant_systems_inherit_the_k_oracle():
+    # every negation-bearing variant admits the bfnl-star rules, so the
+    # dagger images of the criterion-02 theorems prove in each of them
+    theorems, _ = corpus()
+    variants = [s for s in SYSTEMS.values() if s.negation]
+    assert len(theorems) == 29 and len(variants) == 22
+    budget = SearchBudget(max_goals=2000, samples=0, refute=False)
+    for sys in variants:
+        for a in theorems:
+            r = derive(sys, (), sx.Sequent(None, tr.dagger(a)), budget)
+            assert r.verdict == "proved", (sys.name, sx.render_modal(a), r.report)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from fnlkit import checker as ck
+from fnlkit import lemmas as lm
 from fnlkit import models as md
 from fnlkit import proofs as pf
 from fnlkit import prover as pv
@@ -77,6 +78,23 @@ def test_facts_corpus_shape():
     assert len(labels) == len(set(labels)) == 20
     conditionals = [fact for fact in corpus if fact.premises]
     assert len(conditionals) == 4
+
+
+def test_negation_tower_needs_no_lattice_search(monkeypatch):
+    # double-negation elimination swaps its conjuncts with comm_and, so the
+    # boolean proof of ~^n p => p never calls lat_le_strict, whose equality
+    # tests on the two near-equal towers cost O(n) per step
+    def refuse(a, b):
+        raise RuntimeError("lat_le_strict called")
+
+    for cached in (lm._lat, lm._nnf, lm._blat):
+        cached.cache_clear()
+    monkeypatch.setattr(lm, "lat_le_strict", refuse)
+    tower = sx.LAtom("p")
+    for _ in range(200):
+        tower = sx.LNot(tower)
+    r = proved(BF, frozenset(), sx.simple(tower, sx.LAtom("p")))
+    assert r.strategy == "boolean"
 
 
 # ---------------------------------------------------------------------------
