@@ -138,24 +138,9 @@ def _recheck(r: pv.ProofResult, payload: dict, system, phi, goal: sx.Sequent) ->
 # derivation is rendered as text only when --format text asks for it
 
 
-_STAGES = ("dagger", "ddagger", "section")
-
-
-def _translate_stage(a: sx.ModalFormula, stage: str):
-    ctx = tr.TranslationContext()
-    base = sx.Sequent(None, tr.dagger(a, ctx))
-    if stage == "dagger":
-        return "bfnl-star", base, frozenset()
-    goal, phi = tr.ddagger_problem(base, ())
-    if stage == "ddagger":
-        return "bdfnl-star", goal, phi
-    goal, phi = tr.section_embed(goal, phi)
-    return "dfnl-star", goal, phi
-
-
 def cmd_translate(args):
     a = sx.parse_modal(args.formula)
-    system, goal, phi = _translate_stage(a, args.stage)
+    system, goal, phi = tr.pipeline_k_to_dfnl(a, args.stage)
     payload = {
         "source": args.source,
         "formula": sx.render_modal(a),
@@ -164,9 +149,8 @@ def cmd_translate(args):
         "goal": sx.render_sequent(goal),
         "assumptions": _phi_lines(phi),
     }
-    text = [f"system: {system}", f"goal: {sx.render_sequent(goal)}"]
-    text.append(f"assumptions ({len(phi)}):")
-    text += [f"  {line}" for line in _phi_lines(phi)]
+    text = [f"system: {system}", f"goal: {payload['goal']}", f"assumptions ({len(phi)}):"]
+    text += [f"  {line}" for line in payload["assumptions"]]
     return payload, "\n".join(text), 0
 
 
@@ -236,8 +220,8 @@ def cmd_countermodel(args):
         goal, tuple(sorted(phi, key=sx.render_sequent)), budget
     )
     if hit is None:
-        payload = {"found": False, "report": f"no countermodel in {args.samples} samples"}
-        return payload, "no countermodel found", 2
+        report = "valid in K" if args.modal else f"no countermodel in {args.samples} samples"
+        return {"found": False, "report": report}, "no countermodel found", 2
     m, state = hit
     payload = {"found": True, "state": state, "model": _model_to_json(m)}
     text = f"countermodel falsifying the goal at {state}:\n{_model_text(m)}"
@@ -307,7 +291,7 @@ def _build_parser() -> _Parser:
     p = add("translate", cmd_translate, "map a modal formula down the reduction chain")
     p.add_argument("source", choices=("k",), help="source logic")
     p.add_argument("formula", help="modal formula in the concrete grammar")
-    p.add_argument("--stage", choices=_STAGES, default="dagger",
+    p.add_argument("--stage", choices=tr.STAGES, default="dagger",
                    help="dagger: negation goal; ddagger: letter-companion "
                         "problem; section: constant-free problem")
 
@@ -331,7 +315,8 @@ def _build_parser() -> _Parser:
 
     p = add("countermodel", cmd_countermodel, "sample models hunting for a falsifier")
     p.add_argument("goal", help="sequent (or modal formula with --modal)")
-    p.add_argument("--modal", action="store_true", help="goal is a modal formula")
+    p.add_argument("--modal", action="store_true",
+                   help="goal is a modal formula, decided by the K tableau")
     p.add_argument("--assumptions", help="file with one sequent per line")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1500)
@@ -354,7 +339,7 @@ def _build_parser() -> _Parser:
     p = add("buildmodel", cmd_buildmodel, "turn a binary model file into a ternary one")
     p.add_argument("kripke", help="binary model JSON file")
     p.add_argument("--variant", choices=("plain", "exchange", "unit"), default="plain")
-    p.add_argument("--letter", default="m",
+    p.add_argument("--letter", default=tr.M,
                    help="designated letter valued everywhere ('' for none)")
 
     return top
@@ -374,6 +359,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except OSError as e:
         print(f"error: {e}", file=_sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input nests too deeply", file=_sys.stderr)
         return 1
     print(json.dumps(payload, indent=2) if args.format == "json" else text)
     return code

@@ -11,14 +11,15 @@ boolean entailment engines."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Optional
 
 from . import lemmas as lm
 from . import proofs as pf
 from . import syntax as sx
 from .errors import LemmaError
-from .transform import TranslationContext, dagger
+from .transform import M, dagger
 
 Side = tuple[sx.ModalFormula, ...]
 
@@ -125,24 +126,20 @@ class KProver:
 # certified translation
 
 
-def _conj(side: Side, ctx: TranslationContext) -> sx.LFormula:
-    imgs = [dagger(f, ctx) for f in side]
+def _fold(side: Side, ctor, empty: sx.LFormula) -> sx.LFormula:
+    # the images of side joined right-nested by ctor, or empty
+    imgs = [dagger(f) for f in side]
     if not imgs:
-        return sx.TOP
-    out = imgs[-1]
-    for g in reversed(imgs[:-1]):
-        out = sx.LAnd(g, out)
-    return out
+        return empty
+    return functools.reduce(lambda out, g: ctor(g, out), reversed(imgs[:-1]), imgs[-1])
 
 
-def _disj(side: Side, ctx: TranslationContext) -> sx.LFormula:
-    imgs = [dagger(f, ctx) for f in side]
-    if not imgs:
-        return sx.BOT
-    out = imgs[-1]
-    for g in reversed(imgs[:-1]):
-        out = sx.LOr(g, out)
-    return out
+def _conj(side: Side) -> sx.LFormula:
+    return _fold(side, sx.LAnd, sx.TOP)
+
+
+def _disj(side: Side) -> sx.LFormula:
+    return _fold(side, sx.LOr, sx.BOT)
 
 
 def _glue(a: sx.LFormula, b: sx.LFormula) -> pf.Derivation:
@@ -182,105 +179,94 @@ def _k_core(m: sx.LFormula, a_img: pf.Derivation, witnesses: list[sx.LFormula]) 
     return lm.dprod_l(lm.dcut(a_img, spine, (1,)))
 
 
-def to_derivation(proof: GKProof, ctx: TranslationContext) -> pf.Derivation:
+def _via(start: sx.LFormula, prem: GKProof, d: sx.LFormula) -> pf.Derivation:
+    # start => conj(L)-image of the premise, its translation, then on to d
+    sub = to_derivation(prem)
+    return lm.le_trans(_glue(start, _conj(prem.left)), sub, _glue(sub.seq.suc, d))
+
+
+def to_derivation(proof: GKProof) -> pf.Derivation:
     """A derivation of  conj(L)-image => disj(R)-image  in the negation
     system, mirroring the K proof step by step."""
-    c = _conj(proof.left, ctx)
-    d = _disj(proof.right, ctx)
+    c = _conj(proof.left)
+    d = _disj(proof.right)
     r = proof.rule
     if r in ("ax", "botl"):
         return _glue(c, d)
     if r == "botr":
-        sub = to_derivation(proof.premises[0], ctx)
+        sub = to_derivation(proof.premises[0])
         return lm.le_trans(sub, _glue(sub.seq.suc, d))
     if r in ("andl", "orr"):
-        sub = to_derivation(proof.premises[0], ctx)
-        return lm.le_trans(_glue(c, _conj(proof.premises[0].left, ctx)), sub, _glue(sub.seq.suc, d))
+        return _via(c, proof.premises[0], d)
     if r == "andr":
-        d1 = to_derivation(proof.premises[0], ctx)
-        d2 = to_derivation(proof.premises[1], ctx)
+        d1 = to_derivation(proof.premises[0])
+        d2 = to_derivation(proof.premises[1])
         both = lm.dand_r(d1, d2)
         return lm.le_trans(both, _glue(both.seq.suc, d))
     if r in ("orl", "impl"):
-        g1 = (
-            dagger(proof.principal.l, ctx)
-            if r == "orl"
-            else sx.LNot(dagger(proof.principal.l, ctx))
-        )
-        g2 = dagger(proof.principal.r, ctx)
-        rest = _conj(canon(_without(proof.left, proof.principal)), ctx)
+        g1 = dagger(proof.principal.l) if r == "orl" else sx.LNot(dagger(proof.principal.l))
+        g2 = dagger(proof.principal.r)
+        rest = _conj(canon(_without(proof.left, proof.principal)))
         case1, case2 = sx.LAnd(rest, g1), sx.LAnd(rest, g2)
         split = _glue(c, sx.LOr(case1, case2))
         if r == "orl":
-            sub1 = to_derivation(proof.premises[0], ctx)
-            b1 = lm.le_trans(_glue(case1, _conj(proof.premises[0].left, ctx)), sub1,
-                             _glue(sub1.seq.suc, d))
+            b1 = _via(case1, proof.premises[0], d)
         else:
-            sub1 = to_derivation(proof.premises[0], ctx)
+            sub1 = to_derivation(proof.premises[0])
             mono = lm.and_mono(
-                lm.le_trans(_glue(rest, _conj(proof.premises[0].left, ctx)), sub1), lm.did(g1)
+                lm.le_trans(_glue(rest, _conj(proof.premises[0].left)), sub1), lm.did(g1)
             )
             b1 = lm.le_trans(mono, _glue(mono.seq.suc, d))
-        sub2 = to_derivation(proof.premises[1], ctx)
-        b2 = lm.le_trans(_glue(case2, _conj(proof.premises[1].left, ctx)), sub2,
-                         _glue(sub2.seq.suc, d))
+        b2 = _via(case2, proof.premises[1], d)
         return lm.le_trans(split, lm.dor_l(b1, b2, sx.LOr(case1, case2)))
     if r == "negl":
-        g = sx.LNot(dagger(proof.principal.a, ctx))
-        sub = to_derivation(proof.premises[0], ctx)
-        prem_c = _conj(proof.premises[0].left, ctx)
+        g = sx.LNot(dagger(proof.principal.a))
+        sub = to_derivation(proof.premises[0])
+        prem_c = _conj(proof.premises[0].left)
         mono = lm.and_mono(sub, lm.did(g))
         start = _glue(c, sx.LAnd(prem_c, g))
         return lm.le_trans(start, mono, _glue(mono.seq.suc, d))
     if r in ("negr", "impr"):
         x = proof.principal.a if r == "negr" else proof.principal.l
-        gx = dagger(x, ctx)
+        gx = dagger(x)
         split = lm.expand_by_cases(lm.did(c), gx)
-        sub = to_derivation(proof.premises[0], ctx)
-        left = lm.le_trans(
-            _glue(sx.LAnd(c, gx), _conj(proof.premises[0].left, ctx)), sub,
-            _glue(sub.seq.suc, d),
-        )
+        left = _via(sx.LAnd(c, gx), proof.premises[0], d)
         right = lm.le_trans(_glue(sx.LAnd(c, sx.LNot(gx)), sx.LNot(gx)),
                             _glue(sx.LNot(gx), d))
         combined = lm.dor_l(left, right, sx.LOr(sx.LAnd(c, gx), sx.LAnd(c, sx.LNot(gx))))
         return lm.le_trans(split, combined)
     if r == "k":
-        m = sx.LAtom(ctx.m_letter)
-        sub = to_derivation(proof.premises[0], ctx)
-        witnesses = [dagger(b, ctx) for b in proof.premises[0].right]
+        m = sx.LAtom(M)
+        sub = to_derivation(proof.premises[0])
+        witnesses = [dagger(b) for b in proof.premises[0].right]
         core = _k_core(m, sub, witnesses)
-        pick = _glue(c, sx.LProd(m, dagger(proof.principal.a, ctx)))
+        pick = _glue(c, sx.LProd(m, dagger(proof.principal.a)))
         return lm.le_trans(pick, core, _glue(core.seq.suc, d))
     raise AssertionError(f"unknown rule {r}")
 
 
-def prove_dagger_goal(a: sx.ModalFormula, ctx: TranslationContext) -> Optional[pf.Derivation]:
-    """A derivation of  => dagger(a)  when a is K-provable, else None."""
-    proof = KProver().prove_formula(a)
-    if proof is None:
-        return None
-    d = to_derivation(proof, ctx)
-    return lm.dcut(lm.dtop(None), d, ())
-
-
-def prove_dagger_top(b: sx.ModalFormula, ctx: TranslationContext) -> Optional[pf.Derivation]:
+def prove_dagger_top(b: sx.ModalFormula) -> Optional[pf.Derivation]:
     """A derivation of  top => dagger(b)  when b is K-provable, else None.
     (The raw translation of an empty left side already starts from top.)"""
     proof = KProver().prove_formula(b)
     if proof is None:
         return None
-    return to_derivation(proof, ctx)
+    return to_derivation(proof)
 
 
-def prove_dagger_sequent(
-    a: sx.ModalFormula, b: sx.ModalFormula, ctx: TranslationContext
-) -> Optional[pf.Derivation]:
+def prove_dagger_goal(a: sx.ModalFormula) -> Optional[pf.Derivation]:
+    """A derivation of  => dagger(a)  when a is K-provable, else None: the
+    top-started one, cut against the empty top axiom."""
+    d = prove_dagger_top(a)
+    return None if d is None else lm.dcut(lm.dtop(None), d, ())
+
+
+def prove_dagger_sequent(a: sx.ModalFormula, b: sx.ModalFormula) -> Optional[pf.Derivation]:
     """A derivation of  dagger(a) => dagger(b)  when a entails b in K."""
     proof = KProver().prove((a,), (b,))
     if proof is None:
         return None
-    d = to_derivation(proof, ctx)
-    start = lm.lat_le_strict(dagger(a, ctx), _conj(proof.left, ctx))
-    end = lm.lat_le_strict(_disj(proof.right, ctx), dagger(b, ctx))
+    d = to_derivation(proof)
+    start = lm.lat_le_strict(dagger(a), _conj(proof.left))
+    end = lm.lat_le_strict(_disj(proof.right), dagger(b))
     return lm.le_trans(start, d, end)

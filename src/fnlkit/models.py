@@ -192,14 +192,30 @@ def kripke_to_json(m: KripkeModel) -> dict:
     }
 
 
-def kripke_from_json(d: dict) -> KripkeModel:
-    try:
-        states = tuple(d["states"])
-        rel = frozenset((a, b) for a, b in d["rel"])
-        val = {k: frozenset(v) for k, v in d["val"].items()}
-    except (KeyError, TypeError, ValueError) as e:
-        raise ModelError(f"malformed model object: {e}") from e
-    return KripkeModel(states, rel, val)
+def _names(x, what: str) -> tuple[str, ...]:
+    if not isinstance(x, list) or not all(isinstance(w, str) for w in x):
+        raise ModelError(f"{what} must be a list of state names")
+    return tuple(x)
+
+
+def _tuples(x, arity: int, what: str) -> frozenset[tuple[str, ...]]:
+    if not isinstance(x, list) or not all(isinstance(t, list) and len(t) == arity for t in x):
+        raise ModelError(f"{what} must be a list of {arity}-element lists")
+    return frozenset(_names(t, f"each entry of {what}") for t in x)
+
+
+def _fields(d, arity: int) -> tuple:
+    # states, relation and valuation of a model object, every shape checked
+    if not isinstance(d, dict) or not {"states", "rel", "val"} <= d.keys():
+        raise ModelError("a model must be a JSON object with states, rel and val")
+    if not isinstance(d["val"], dict):
+        raise ModelError("val must map each letter to a list of state names")
+    val = {k: frozenset(_names(v, f"the valuation of {k!r}")) for k, v in d["val"].items()}
+    return _names(d["states"], "states"), _tuples(d["rel"], arity, "rel"), val
+
+
+def kripke_from_json(d) -> KripkeModel:
+    return KripkeModel(*_fields(d, 2))
 
 
 def ternary_to_json(j: TernaryModel) -> dict:
@@ -215,23 +231,17 @@ def ternary_to_json(j: TernaryModel) -> dict:
     return d
 
 
-def ternary_from_json(d: dict) -> TernaryModel:
-    try:
-        states = tuple(d["states"])
-        raw = [tuple(t) for t in d["rel"]]
-        val = {k: frozenset(v) for k, v in d["val"].items()}
-    except (KeyError, TypeError, ValueError) as e:
-        raise ModelError(f"malformed model object: {e}") from e
-    if any(len(t) != 3 for t in raw):
-        raise ModelError("ternary model needs 3-tuples in rel")
-    dia = None
-    if "dia" in d:
-        dia = frozenset((a, b) for a, b in d["dia"])
-    return TernaryModel(states, frozenset(raw), val, d.get("unit"), dia)
+def ternary_from_json(d) -> TernaryModel:
+    states, rel3, val = _fields(d, 3)
+    unit = d.get("unit")
+    if unit is not None and not isinstance(unit, str):
+        raise ModelError("unit must be a state name")
+    dia = _tuples(d["dia"], 2, "dia") if "dia" in d else None
+    return TernaryModel(states, rel3, val, unit, dia)
 
 
-def model_from_json(d: dict):
+def model_from_json(d):
     """Dispatch on tuple arity; empty relations load as ternary."""
-    if any(len(t) == 2 for t in d.get("rel", [])) and "dia" not in d:
-        return kripke_from_json(d)
-    return ternary_from_json(d)
+    rel = d.get("rel") if isinstance(d, dict) else None
+    binary = isinstance(rel, list) and any(isinstance(t, list) and len(t) == 2 for t in rel)
+    return kripke_from_json(d) if binary and "dia" not in d else ternary_from_json(d)

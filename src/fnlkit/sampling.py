@@ -26,7 +26,9 @@ from typing import Iterator, Optional, Union
 
 from . import models as md
 from . import syntax as sx
+from . import transform as tr
 from .errors import ModelError
+from .ktableau import k_decide
 
 KRIPKE_EXHAUSTIVE_CAP = 3
 TERNARY_EXHAUSTIVE_CAP = 2
@@ -132,23 +134,6 @@ class SampleBudget:
             raise ModelError(f"max_states must be between 1 and {STATE_CAP}")
         if self.samples < 0:
             raise ModelError("samples must be at least 0")
-
-
-def _modal_counter(goal: sx.ModalFormula, budget: SampleBudget):
-    atoms = tuple(sorted(sx.matoms(goal))) or ("p",)
-    cap = 2 if len(atoms) <= 2 else 1
-    for n in range(1, cap + 1):
-        for m in all_kripke(n, atoms):
-            for w in m.states:
-                if not md.eval_modal(m, w, goal):
-                    return m, w
-    rng = random.Random(budget.seed)
-    for _ in range(budget.samples):
-        m = sample_kripke(rng, budget.max_states, atoms)
-        for w in m.states:
-            if not md.eval_modal(m, w, goal):
-                return m, w
-    return None
 
 
 def _verify_ternary(j: md.TernaryModel, u: str, goal: sx.Sequent, phi) -> bool:
@@ -282,12 +267,10 @@ def _candidate_ternary(goal: sx.Sequent, phi, atoms, budget: SampleBudget) -> It
     )
     for i in range(budget.samples):
         if plain and i % 5 == 4:
-            from .transform import build_ternary_model  # circular at module level
-
-            base = tuple(a for a in atoms if a != "m")[:3] or ("p",)
+            base = tuple(a for a in atoms if a != tr.M)[:3] or ("p",)
             km = sample_kripke(rng, 3, base)
-            yield build_ternary_model(km, m_letter="m" if "m" in atoms else None,
-                                      exchange=budget.symmetric)
+            yield tr.build_ternary_model(km, tr.M if tr.M in atoms else None,
+                                         exchange=budget.symmetric)
         else:
             yield sample_ternary(rng, budget.max_states, atoms, **kw)
 
@@ -299,8 +282,11 @@ def find_countermodel(
 ):
     """Search for a model of phi falsifying the goal somewhere.
 
-    Returns (model, state) or None; None is *not* a validity certificate.
-    Every hit is re-verified on a fresh copy of the model before returning.
+    Returns (model, state) or None.  A modal goal is decided by the K
+    tableau, so it gets a Kripke countermodel exactly when it is invalid
+    in K.  For a sequent goal None is *not* a validity certificate, and
+    every hit is re-verified on a fresh copy of the model before
+    returning.
     A goal or assumption with a bracketed antecedent, which the models
     cannot read, `one` without `budget.with_unit`, or a modal operator
     without `budget.with_dia` raises the evaluator's ModelError before any
@@ -310,7 +296,8 @@ def find_countermodel(
     if isinstance(goal, sx.ModalFormula):
         if phi:
             raise ModelError("assumptions are sequent-side only")
-        return _modal_counter(goal, budget)
+        verdict = k_decide(goal)
+        return None if verdict.valid else (verdict.model, verdict.root)
     v = sx.vocab(goal, *phi)
     if v & sx.V_BRACKET:
         raise ModelError(md.NO_BRACKET)

@@ -8,13 +8,11 @@ the independent checker before accepting it, so returning a wrong
 derivation costs a check, never soundness.  A strategy declines by
 returning None or by raising LemmaError, which the driver catches.
 
-The cross-system strategies mirror the two embeddings in reverse.  A
-negation-free bounded goal whose letters are negation markers is pulled
-back through the letter-to-negation rewrite, proved with the boolean
-tools of the negation system, and the proof is pushed forward again by
-eliminating the negation axioms against the companion pairs.  A
-constant-free goal is pulled back through the letter-to-constant rewrite
-the same way, with the bound axioms replaced by absorption derivations.
+The cross-system strategies walk the reduction chain of `transform`
+backwards.  `k-oracle` proves a dagger image with the K prover of `gk`.
+`unneg` and `unsection` are both `_pull_back`: a goal of the ddagger or
+section image system is mapped back one stage, proved there by a
+recursive call, and the proof is transported forward again.
 """
 
 from __future__ import annotations
@@ -144,91 +142,79 @@ def try_congruence(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
     return fwd if got == c2 else None
 
 
+def _read_modal(f: sx.LFormula) -> Optional[sx.ModalFormula]:
+    # the modal formula f is the dagger image of, if it has at most 40 symbols
+    a = tr.undagger(f)
+    return None if a is None or sx.msize(a) > 40 else a
+
+
 def try_k_oracle(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
     """Goals in the image of the modal translation: decide them with the
     modal sequent prover and translate its proof.  The proof uses bfnl-star
     rules only, so every system with negation admits it."""
     if phi or not (sys.negation and sys.bounded):
         return None
-    ctx = tr.TranslationContext()
+    if goal.ant is not None and not isinstance(goal.ant, sx.SLeaf):
+        return None
+    b = _read_modal(goal.suc)
+    if b is None:
+        return None
     if goal.ant is None:
-        f = tr.undagger(goal.suc)
-        if f is None or sx.msize(f) > 40:
+        return gk.prove_dagger_goal(b)
+    if goal.ant.f == sx.TOP:
+        return gk.prove_dagger_top(b)
+    a = _read_modal(goal.ant.f)
+    return None if a is None else gk.prove_dagger_sequent(a, b)
+
+
+def _flags(sys: SystemSpec) -> tuple:
+    return sys.negation, sys.bounded, sys.exchange, sys.unit, sys.modal
+
+
+def _pull_back(source: str, image: str, inverse, forward, outright, transport) -> Callable:
+    """The strategy that proves a goal of a system with the image system's
+    flags by a recursive call in the source system.  inverse maps a
+    sequent back one stage; the goal and each kept member of phi must come
+    back under forward; a member whose preimage holds outright in the
+    source is dropped; transport(d, phi) pushes the proof forward."""
+    image_flags, target = _flags(get_system(image)), get_system(source)
+
+    def pull_back(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
+        if _flags(sys) != image_flags:
             return None
-        return gk.prove_dagger_goal(f, ctx)
-    if isinstance(goal.ant, sx.SLeaf):
-        fb = tr.undagger(goal.suc)
-        if fb is None or sx.msize(fb) > 40:
-            return None
-        if goal.ant.f == sx.TOP:
-            return gk.prove_dagger_top(fb, ctx)
-        fa = tr.undagger(goal.ant.f)
-        if fa is None or sx.msize(fa) > 40:
-            return None
-        return gk.prove_dagger_sequent(fa, fb, ctx)
-    return None
+        back = inverse(goal)
+        if forward(back) != goal:
+            return None  # e.g. an empty antecedent has no section preimage
+        kept = []
+        for m in phi:
+            bm = inverse(m)
+            if not outright(bm) and forward(bm) == m:
+                kept.append(bm)
+        d = recurse(target, frozenset(kept), back)
+        return None if d is None else transport(d, phi)
+
+    return pull_back
 
 
-def try_unneg(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
-    """Pull a negation-free bounded problem back into the negation system
-    through the letter rewrite, prove it there, and push the proof
-    forward by eliminating the negation axioms."""
-    if sys.negation or not sys.bounded or sys.exchange or sys.unit or sys.modal:
-        return None
-    ng = tr.negrewrite_sequent(goal)
-    if tr.ddagger_sequent(ng) != goal:
-        return None
-    kept = []
-    for m in phi:
-        nm = tr.negrewrite_sequent(m)
-        if tr.neg_axiom(nm) is not None:
-            continue  # companion members hold outright over there
-        if tr.ddagger_sequent(nm) != m:
-            continue  # would not survive the round trip
-        kept.append(nm)
-    d = recurse(get_system("bfnl-star"), frozenset(kept), ng)
-    if d is None:
-        return None
-    return tr.ddagger_derivation(d, phi)
-
-
-def _bound_theorem(s: sx.Sequent) -> Optional[pf.Derivation]:
-    # absorption members whose constant image holds outright
+def _holds_with_bounds(s: sx.Sequent) -> bool:
+    # absorption members whose constant image is a bound axiom, up to a product split
     if s.suc == sx.TOP:
-        return lm.dtop(s.ant)
-    if not isinstance(s.ant, sx.SLeaf):
-        return None
-    f = s.ant.f
-    if f == sx.BOT:
-        return lm.dbot_f(s.suc)
-    if isinstance(f, sx.LProd) and sx.BOT in (f.l, f.r):
-        split = sx.SNode(sx.SLeaf(f.l), sx.SLeaf(f.r))
-        where = (0,) if f.l == sx.BOT else (1,)
-        return lm.dprod_l(lm.dbot(split, where, s.suc), ())
-    return None
+        return True
+    f = s.ant.f if isinstance(s.ant, sx.SLeaf) else None
+    return f == sx.BOT or (isinstance(f, sx.LProd) and sx.BOT in (f.l, f.r))
 
 
-def try_unsection(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
-    """Pull a constant-free problem back into the bounded system through
-    the letter rewrite, prove it there, and push the proof forward by
-    replacing the bound axioms with absorption derivations."""
-    if sys.bounded or sys.exchange or sys.unit or sys.modal:
-        return None
-    si = tr.section_inverse_sequent(goal)
-    if tr.section_sequent(si) != goal:
-        return None  # in particular: empty antecedents have no preimage
-    kept = []
-    for m in phi:
-        sm = tr.section_inverse_sequent(m)
-        if _bound_theorem(sm) is not None:
-            continue  # absorption members hold outright over there
-        if tr.section_sequent(sm) != m:
-            continue
-        kept.append(sm)
-    d = recurse(get_system("bdfnl-star"), frozenset(kept), si)
-    if d is None:
-        return None
-    return tr.section_derivation(d, phi)
+# The transports are looked up at call time, so that a tracer which swaps
+# the transform module's attributes sees every call.
+try_unneg = _pull_back(
+    "bfnl-star", "bdfnl-star", tr.negrewrite_sequent, tr.ddagger_sequent,
+    lambda s: tr.neg_axiom(s) is not None,  # companion members are negation axioms there
+    lambda d, phi: tr.ddagger_derivation(d, phi),
+)
+try_unsection = _pull_back(
+    "bdfnl-star", "dfnl-star", tr.section_inverse_sequent, tr.section_sequent,
+    _holds_with_bounds, lambda d, phi: tr.section_derivation(d, phi),
+)
 
 
 # cheap and shape-specific first, recursive and cross-system last

@@ -1,11 +1,18 @@
-r"""Translations between the modal and substructural sides, and the model
-constructions backing them.
+r"""The reduction chain from modal K to constant-free DFNL, and the model
+constructions backing it.
 
-The formula maps: dagger (modal -> product side), tilde (De Morgan dual
-with generated letters), ddagger (negation elimination), section map
-(constant elimination), composed into the full pipeline.  The model side:
-the two-copy ternary construction, its exchange variant, and the unit
-extension.
+`pipeline_k_to_dfnl` builds each of the three `STAGES`: dagger gives the
+bfnl-star goal  => A-dagger, reading a diamond as a left product with the
+reserved letter `M`; ddagger turns negations into generated letters under
+the companion set Psi (bdfnl-star); the section map turns the constants
+into the letters p_bot and p_top under the absorption set Theta
+(dfnl-star).  `M` is fixed; only `dagger`, whose input comes from
+outside, checks that a source formula leaves it free.  Each stage has a
+sequent inverse (`undagger`, `negrewrite_sequent`,
+`section_inverse_sequent`), and the two lower ones a derivation transport
+(`ddagger_derivation`, `section_derivation`), which `strategy._pull_back`
+uses.  The model side: the two-copy ternary construction, its exchange
+variant, and the unit extension.
 
 One deliberate departure: the companion sequents for a generated letter
 are {A /\ p_A => bot, top => A \/ p_A}.  A "=> top"-oriented second
@@ -17,7 +24,6 @@ eligible formula) is unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import lemmas as lm
@@ -27,59 +33,52 @@ from . import syntax as sx
 from .errors import LemmaError, ValidationError
 from .systems import allowed_rules, get_system
 
-
-@dataclass(frozen=True)
-class TranslationContext:
-    m_letter: str = "m"
-    base: frozenset = frozenset()  # the set T the tilde map is indexed by
-
-    def check_source(self, a: sx.ModalFormula):
-        if self.m_letter in sx.matoms(a):
-            raise ValidationError(f"source formula uses the reserved letter {self.m_letter!r}")
+M = "m"  # the reserved letter: dagger reads a diamond as a left product with it
 
 
 # ---------------------------------------------------------------------------
 # dagger
 
 
-def dagger(a: sx.ModalFormula, ctx: TranslationContext = TranslationContext()) -> sx.LFormula:
-    ctx.check_source(a)
-    return _dag(a, ctx.m_letter)
+def dagger(a: sx.ModalFormula) -> sx.LFormula:
+    if M in sx.matoms(a):
+        raise ValidationError(f"source formula uses the reserved letter {M!r}")
+    return _dag(a)
 
 
-def _dag(a: sx.ModalFormula, m: str) -> sx.LFormula:
+def _dag(a: sx.ModalFormula) -> sx.LFormula:
     if isinstance(a, sx.MAtom):
         return sx.LAtom(a.name)
     if isinstance(a, sx.MBot):
         return sx.BOT
     if isinstance(a, sx.MAnd):
-        return sx.LAnd(_dag(a.l, m), _dag(a.r, m))
+        return sx.LAnd(_dag(a.l), _dag(a.r))
     if isinstance(a, sx.MOr):
-        return sx.LOr(_dag(a.l, m), _dag(a.r, m))
+        return sx.LOr(_dag(a.l), _dag(a.r))
     if isinstance(a, sx.MImp):
-        return sx.LOr(sx.LNot(_dag(a.l, m)), _dag(a.r, m))
+        return sx.LOr(sx.LNot(_dag(a.l)), _dag(a.r))
     if isinstance(a, sx.MNot):
-        return sx.LNot(_dag(a.a, m))
-    return sx.LProd(sx.LAtom(m), _dag(a.a, m))
+        return sx.LNot(_dag(a.a))
+    return sx.LProd(sx.LAtom(M), _dag(a.a))
 
 
-def undagger(f: sx.LFormula, m: str = "m") -> Optional[sx.ModalFormula]:
+def undagger(f: sx.LFormula) -> Optional[sx.ModalFormula]:
     """Partial inverse of the modal translation; None when f is not in its
     image.  dagger(undagger(f)) == f whenever this returns a formula."""
     if isinstance(f, sx.LAtom):
-        return None if f.name == m else sx.MAtom(f.name)
+        return None if f.name == M else sx.MAtom(f.name)
     if isinstance(f, sx.LBot):
         return sx.MBot()
     if isinstance(f, (sx.LAnd, sx.LOr)):
-        l, r = undagger(f.l, m), undagger(f.r, m)
+        l, r = undagger(f.l), undagger(f.r)
         if l is None or r is None:
             return None
         return sx.MAnd(l, r) if isinstance(f, sx.LAnd) else sx.MOr(l, r)
     if isinstance(f, sx.LNot):
-        a = undagger(f.a, m)
+        a = undagger(f.a)
         return None if a is None else sx.MNot(a)
-    if isinstance(f, sx.LProd) and f.l == sx.LAtom(m):
-        a = undagger(f.r, m)
+    if isinstance(f, sx.LProd) and f.l == sx.LAtom(M):
+        a = undagger(f.r)
         return None if a is None else sx.MDia(a)
     return None
 
@@ -97,10 +96,10 @@ def copy2(w: str) -> str:
 
 
 def build_ternary_model(
-    m: md.KripkeModel, m_letter: Optional[str] = "m", exchange: bool = False
+    m: md.KripkeModel, letter: Optional[str] = M, exchange: bool = False
 ) -> md.TernaryModel:
     """Double every state; each binary edge becomes one ternary triple
-    (four in the exchange variant).  The designated letter holds
+    (four in the exchange variant).  The designated letter, if any, holds
     everywhere."""
     states = tuple(c(w) for w in m.states for c in (copy1, copy2))
     rel3 = set()
@@ -115,19 +114,15 @@ def build_ternary_model(
         else:
             rel3.add((copy1(v), copy2(v), copy1(u)))
     val = {p: frozenset(c(w) for w in ext for c in (copy1, copy2)) for p, ext in m.val.items()}
-    if m_letter is not None:
-        if m_letter in m.val:
-            raise ValidationError(f"input model already values {m_letter!r}")
-        val[m_letter] = frozenset(states)
+    if letter is not None:
+        if letter in m.val:
+            raise ValidationError(f"input model already values {letter!r}")
+        val[letter] = frozenset(states)
     return md.TernaryModel(states, frozenset(rel3), val)
 
 
-def build_ternary_model_exchange(m: md.KripkeModel, m_letter: Optional[str] = "m") -> md.TernaryModel:
-    return build_ternary_model(m, m_letter, exchange=True)
-
-
 def extend_with_unit(
-    j: md.TernaryModel, source: md.KripkeModel, m_letter: Optional[str] = "m"
+    j: md.TernaryModel, source: md.KripkeModel, letter: Optional[str] = M
 ) -> md.TernaryModel:
     """Adjoin a unit state.  The unit satisfies an atom exactly when the
     atom is global, i.e. held at every source state; the designated letter
@@ -153,7 +148,7 @@ def extend_with_unit(
     everything = frozenset(source.states)
     val = {}
     for k, ext in j.val.items():
-        holds_at_unit = k != m_letter and source.val.get(k, frozenset()) == everything
+        holds_at_unit = k != letter and source.val.get(k, frozenset()) == everything
         val[k] = ext | {unit} if holds_at_unit else ext
     return md.TernaryModel(states, frozenset(rel3), val, unit=unit)
 
@@ -162,16 +157,16 @@ def extend_with_unit(
 # tilde and the companion set
 
 
-def tilde(a: sx.LFormula, ctx: TranslationContext) -> sx.LFormula:
-    """De Morgan dual over the base set: constants flip, /\\ and \\/ swap
-    and recurse, anything else must be a base member and becomes its
+def tilde(a: sx.LFormula, base: frozenset) -> sx.LFormula:
+    """De Morgan dual over the base set T: constants flip, /\\ and \\/
+    swap and recurse, anything else must be a base member and becomes its
     letter."""
-    spec = sx.ClosureSpec(frozenset(ctx.base), "and_or", 0)
+    spec = sx.ClosureSpec(frozenset(base), "and_or", 0)
     if not sx.neg_free(a):
         raise ValidationError("tilde is defined on negation-free formulas")
     if not sx.closure_contains(spec, a):
         raise ValidationError(f"{sx.render_lambek(a)} is outside the closure of the base set")
-    return _tilde(a, frozenset(ctx.base), strict=True)
+    return _tilde(a, frozenset(base), strict=True)
 
 
 def _tilde(a: sx.LFormula, base: frozenset, strict: bool) -> sx.LFormula:
@@ -245,11 +240,11 @@ def ec(t: Iterable[sx.LFormula]) -> frozenset[sx.LFormula]:
 
 def _ddag(a: sx.LFormula) -> sx.LFormula:
     if isinstance(a, sx.LNot):
-        return _tilde(_ddag(a.a), frozenset(), strict=False)
+        return tilde_ext(_ddag(a.a))
     return sx.map_children(a, _ddag)
 
 
-def ddagger(a: sx.LFormula, ctx: Optional[TranslationContext] = None) -> sx.LFormula:
+def ddagger(a: sx.LFormula) -> sx.LFormula:
     """Negation elimination: homomorphic except that a negation becomes
     the dual of its rewritten body.  Output is negation-free."""
     out = _ddag(a)
@@ -257,9 +252,12 @@ def ddagger(a: sx.LFormula, ctx: Optional[TranslationContext] = None) -> sx.LFor
     return out
 
 
+def _map_sequent(s: sx.Sequent, fmap: Callable) -> sx.Sequent:
+    return sx.Sequent(None if s.ant is None else sx.map_tree(s.ant, fmap), fmap(s.suc))
+
+
 def ddagger_sequent(s: sx.Sequent) -> sx.Sequent:
-    ant = None if s.ant is None else sx.map_tree(s.ant, _ddag)
-    return sx.Sequent(ant, _ddag(s.suc))
+    return _map_sequent(s, _ddag)
 
 
 def problem_base(goal: sx.Sequent, phi: Iterable[sx.Sequent] = ()) -> frozenset[sx.LFormula]:
@@ -330,8 +328,8 @@ def section_embed(
 # certified companion pairs
 #
 # The derivations witnessing that a generated letter behaves as the
-# complement of its formula.  Leaves are assumption members; passing the
-# assumption set makes a missing member fail fast instead of at re-check.
+# complement of its formula.  Leaves are members of the assumption set
+# phi; a missing member fails fast instead of at re-check.
 
 
 def tilde_ext(a: sx.LFormula) -> sx.LFormula:
@@ -340,38 +338,31 @@ def tilde_ext(a: sx.LFormula) -> sx.LFormula:
     return _tilde(a, frozenset(), strict=False)
 
 
-def _member(member: sx.Sequent, phi) -> pf.Derivation:
-    if phi is not None and member not in phi:
+def _member(member: sx.Sequent, phi, build=lm.dassume) -> pf.Derivation:
+    # build=lm.dassume_prod opens a product-antecedent member up to its
+    # two-leaf tree form
+    if member not in phi:
         raise LemmaError(f"assumption set lacks {sx.render_sequent(member)}")
-    return lm.dassume(member)
-
-
-def _prod_member(member: sx.Sequent, phi) -> pf.Derivation:
-    # a product-antecedent member, opened up to its two-leaf tree form
-    if phi is not None and member not in phi:
-        raise LemmaError(f"assumption set lacks {sx.render_sequent(member)}")
-    return lm.dassume_prod(member)
+    return build(member)
 
 
 def _companion_bot(g: sx.LFormula, phi) -> pf.Derivation:
     # g /\ g~ => bot for a non-lattice g
     if isinstance(g, sx.LFresh) and g.mark == "neg":
-        x = g.of
-        base = _member(sx.simple(sx.LAnd(x, g), sx.BOT), phi)
-        return lm.le_trans(lm.comm_and(g, x), base)
+        base = _member(sx.simple(sx.LAnd(g.of, g), sx.BOT), phi)
+        return lm.le_trans(lm.comm_and(g, g.of), base)
     return _member(sx.simple(sx.LAnd(g, sx.fresh_for(g)), sx.BOT), phi)
 
 
 def _companion_top(g: sx.LFormula, phi) -> pf.Derivation:
     # top => g \/ g~ for a non-lattice g
     if isinstance(g, sx.LFresh) and g.mark == "neg":
-        x = g.of
-        base = _member(sx.simple(sx.TOP, sx.LOr(x, g)), phi)
-        return lm.le_trans(base, lm.lat_le_strict(sx.LOr(x, g), sx.LOr(g, x)))
+        base = _member(sx.simple(sx.TOP, sx.LOr(g.of, g)), phi)
+        return lm.le_trans(base, lm.lat_le_strict(sx.LOr(g.of, g), sx.LOr(g, g.of)))
     return _member(sx.simple(sx.TOP, sx.LOr(g, sx.fresh_for(g))), phi)
 
 
-def pair_bot(f: sx.LFormula, phi=None) -> pf.Derivation:
+def pair_bot(f: sx.LFormula, phi) -> pf.Derivation:
     """A /\\ A~ => bot, by recursion on the lattice shape of A.
 
     The two lattice cases share one distribution core: the pair for a
@@ -388,7 +379,7 @@ def pair_bot(f: sx.LFormula, phi=None) -> pf.Derivation:
     return _companion_bot(f, phi)
 
 
-def pair_top(f: sx.LFormula, phi=None) -> pf.Derivation:
+def pair_top(f: sx.LFormula, phi) -> pf.Derivation:
     """top => A \\/ A~, dually to pair_bot."""
     t = tilde_ext(f)
     rhs = sx.LOr(f, t)
@@ -409,12 +400,12 @@ def pair_top(f: sx.LFormula, phi=None) -> pf.Derivation:
 # off down to assumption members.
 
 
-def sec_top(f: sx.LFormula, phi=None) -> pf.Derivation:
+def sec_top(f: sx.LFormula, phi) -> pf.Derivation:
     """A => p_top."""
     if f == sx.P_TOP:
         return lm.did(f)
     member = sx.simple(f, sx.P_TOP)
-    if phi is not None and member in phi:
+    if member in phi:
         return lm.dassume(member)
     if isinstance(f, sx.LAnd):
         for idx, sub in ((1, f.l), (2, f.r)):
@@ -428,29 +419,27 @@ def sec_top(f: sx.LFormula, phi=None) -> pf.Derivation:
     if isinstance(f, sx.LProd):
         two = sx.SNode(sx.SLeaf(f.l), sx.SLeaf(f.r))
         return lm.dprod_l(tree_top(two, phi), ())
-    if phi is None:
-        return lm.dassume(member)
     raise LemmaError(f"{sx.render_lambek(f)} does not reach p_top")
 
 
-def tree_top(t: sx.StructTree, phi=None) -> pf.Derivation:
+def tree_top(t: sx.StructTree, phi) -> pf.Derivation:
     """Gamma => p_top for a bracket-free tree: reduce both subtrees to
     p_top, then absorb the pair through the product member."""
     if isinstance(t, sx.SLeaf):
         return sec_top(t.f, phi)
     if isinstance(t, sx.SBracket):
         raise LemmaError("bracket structure does not reach p_top")
-    out = _prod_member(sx.simple(sx.LProd(sx.P_TOP, sx.P_TOP), sx.P_TOP), phi)
+    out = _member(sx.simple(sx.LProd(sx.P_TOP, sx.P_TOP), sx.P_TOP), phi, lm.dassume_prod)
     out = lm.dcut(tree_top(t.r, phi), out, (1,))
     return lm.dcut(tree_top(t.l, phi), out, (0,))
 
 
-def sec_from_pbot(f: sx.LFormula, phi=None) -> pf.Derivation:
+def sec_from_pbot(f: sx.LFormula, phi) -> pf.Derivation:
     """p_bot => A."""
     if f == sx.P_BOT:
         return lm.did(f)
     member = sx.simple(sx.P_BOT, f)
-    if phi is not None and member in phi:
+    if member in phi:
         return lm.dassume(member)
     if isinstance(f, sx.LAnd):
         return lm.dand_r(sec_from_pbot(f.l, phi), sec_from_pbot(f.r, phi))
@@ -461,12 +450,10 @@ def sec_from_pbot(f: sx.LFormula, phi=None) -> pf.Derivation:
             except LemmaError:
                 continue
         raise LemmaError(f"p_bot does not reach {sx.render_lambek(f)}")
-    if phi is None:
-        return lm.dassume(member)
     raise LemmaError(f"p_bot does not reach {sx.render_lambek(f)}")
 
 
-def tree_absorb(t: sx.StructTree, path: pf.Path, phi=None) -> pf.Derivation:
+def tree_absorb(t: sx.StructTree, path: pf.Path, phi) -> pf.Derivation:
     """Gamma[p_bot] => p_bot, the p_bot leaf sitting at the given path."""
     if not path:
         if t != sx.SLeaf(sx.P_BOT):
@@ -475,10 +462,10 @@ def tree_absorb(t: sx.StructTree, path: pf.Path, phi=None) -> pf.Derivation:
     if not isinstance(t, sx.SNode):
         raise LemmaError("absorption path leaves the plain tree structure")
     if path[0] == 0:
-        out = _prod_member(sx.simple(sx.LProd(sx.P_BOT, sx.P_TOP), sx.P_BOT), phi)
+        out = _member(sx.simple(sx.LProd(sx.P_BOT, sx.P_TOP), sx.P_BOT), phi, lm.dassume_prod)
         out = lm.dcut(tree_top(t.r, phi), out, (1,))
         return lm.dcut(tree_absorb(t.l, path[1:], phi), out, (0,))
-    out = _prod_member(sx.simple(sx.LProd(sx.P_TOP, sx.P_BOT), sx.P_BOT), phi)
+    out = _member(sx.simple(sx.LProd(sx.P_TOP, sx.P_BOT), sx.P_BOT), phi, lm.dassume_prod)
     out = lm.dcut(tree_top(t.l, phi), out, (0,))
     return lm.dcut(tree_absorb(t.r, path[1:], phi), out, (1,))
 
@@ -495,8 +482,7 @@ def negrewrite(a: sx.LFormula) -> sx.LFormula:
 
 
 def negrewrite_sequent(s: sx.Sequent) -> sx.Sequent:
-    ant = None if s.ant is None else sx.map_tree(s.ant, negrewrite)
-    return sx.Sequent(ant, negrewrite(s.suc))
+    return _map_sequent(s, negrewrite)
 
 
 def section_inverse(a: sx.LFormula) -> sx.LFormula:
@@ -511,8 +497,7 @@ def section_inverse(a: sx.LFormula) -> sx.LFormula:
 
 
 def section_inverse_sequent(s: sx.Sequent) -> sx.Sequent:
-    ant = None if s.ant is None else sx.map_tree(s.ant, section_inverse)
-    return sx.Sequent(ant, section_inverse(s.suc))
+    return _map_sequent(s, section_inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +534,10 @@ def _map_inst(inst: pf.Inst, fmap, smap) -> pf.Inst:
     )
 
 
-def ddagger_derivation(d: pf.Derivation, phi=None) -> pf.Derivation:
+def ddagger_derivation(d: pf.Derivation, phi) -> pf.Derivation:
     """Negation elimination on a whole derivation: negation axioms become
-    companion-pair derivations, everything else maps homomorphically."""
+    companion-pair derivations over the members of phi, everything else
+    (assumption leaves included) maps homomorphically."""
     target = allowed_rules(get_system("bdfnl-star"))
 
     def step(n: pf.Derivation, prems):
@@ -559,9 +545,6 @@ def ddagger_derivation(d: pf.Derivation, phi=None) -> pf.Derivation:
             return pair_bot(_ddag(n.seq.ant.f.l), phi)
         if n.rule == pf.NEG2:
             return pair_top(_ddag(n.seq.suc.l), phi)
-        if n.rule == pf.ASSUMPTION:
-            member = ddagger_sequent(n.inst.member)
-            return pf.node(member, pf.ASSUMPTION, (), pf.Inst(member=member))
         if n.rule not in target:
             raise LemmaError(f"{n.rule} has no image in the negation-free system")
         return pf.node(ddagger_sequent(n.seq), n.rule, prems,
@@ -600,9 +583,9 @@ def negrewrite_derivation(d: pf.Derivation) -> pf.Derivation:
     return _map_derivation(d, step)
 
 
-def section_derivation(d: pf.Derivation, phi=None) -> pf.Derivation:
+def section_derivation(d: pf.Derivation, phi) -> pf.Derivation:
     """Constant elimination on a whole derivation: bound axioms become
-    absorption derivations over the letter members, and empty antecedents
+    absorption derivations over the letter members of phi, and empty antecedents
     become the top letter throughout (matching section_sequent).  Empty
     residual introductions have no image and fail."""
     target = allowed_rules(get_system("dfnl-star"))
@@ -630,13 +613,22 @@ def section_derivation(d: pf.Derivation, phi=None) -> pf.Derivation:
 # composed pipeline
 
 
-def pipeline_k_to_dfnl(
-    a: sx.ModalFormula, ctx: TranslationContext = TranslationContext()
-) -> tuple[str, sx.Sequent, frozenset[sx.Sequent]]:
-    """Full reduction: modal validity question to a constant-free,
-    negation-free derivability question.  Returns (system name, goal,
+STAGES = ("dagger", "ddagger", "section")
+
+
+def pipeline_k_to_dfnl(a: sx.ModalFormula,
+                       stage: str = "section") -> tuple[str, sx.Sequent, frozenset]:
+    """The reduction of a modal validity question down to the given stage
+    of `STAGES`: the negation goal, the letter-companion problem, or the
+    constant-free, negation-free problem.  Returns (system name, goal,
     assumptions)."""
-    g1 = sx.Sequent(None, dagger(a, ctx))
-    g2, phi2 = ddagger_problem(g1, ())
-    g3, phi3 = section_embed(g2, phi2)
-    return "dfnl-star", g3, phi3
+    if stage not in STAGES:
+        raise ValidationError(f"unknown stage {stage!r}; known: {', '.join(STAGES)}")
+    goal = sx.Sequent(None, dagger(a))
+    if stage == "dagger":
+        return "bfnl-star", goal, frozenset()
+    goal, phi = ddagger_problem(goal, ())
+    if stage == "ddagger":
+        return "bdfnl-star", goal, phi
+    goal, phi = section_embed(goal, phi)
+    return "dfnl-star", goal, phi

@@ -327,7 +327,7 @@ def test_criterion_07_exchange():
     violations = 0
     for _ in range(200):
         m = smp.sample_kripke(rng, 4, ("p", "q"))
-        j = tr.build_ternary_model_exchange(m)
+        j = tr.build_ternary_model(m, exchange=True)
         for _ in range(4):
             a = sample_lambek(rng, rng.randint(1, 4), kinds, atoms)
             b = sample_lambek(rng, rng.randint(0, 3), kinds, atoms)

@@ -180,6 +180,22 @@ def test_modelcheck_rejects_malformed_json(capsys, tmp_path):
     assert code == 1 and "not valid JSON" in err
 
 
+@pytest.mark.parametrize("model", [
+    [1, 2],
+    {"states": ["a"], "rel": [1], "val": {}},
+    {"states": ["a"], "rel": [], "val": {}, "dia": [["a"]]},
+    {"states": [["a"]], "rel": [], "val": {}},
+    {"states": ["a"], "rel": [], "val": []},
+    {"states": ["a", "b"], "rel": [], "val": {"p": "ab"}},
+])
+def test_modelcheck_rejects_malformed_models(capsys, tmp_path, model):
+    mfile = tmp_path / "model.json"
+    mfile.write_text(json.dumps(model))
+    code, out, err = run(capsys, "modelcheck", str(mfile), "p")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # countermodel
 
@@ -198,6 +214,12 @@ def test_countermodel_modal_goal(capsys):
     assert code == 0 and payload["found"] is True
     model = md.kripke_from_json(payload["model"])
     assert not md.eval_modal(model, payload["state"], sx.parse_modal("[]p -> p"))
+
+
+def test_countermodel_reports_valid_modal_goals(capsys):
+    code, payload = run_json(capsys, "countermodel", "[](p -> q) -> ([]p -> []q)", "--modal")
+    assert code == 2
+    assert payload == {"found": False, "report": "valid in K"}
 
 
 def test_countermodel_respects_assumptions(capsys, tmp_path):
@@ -290,6 +312,17 @@ def test_pipeline_end_to_end(capsys):
 def test_pipeline_without_prover_just_translates(capsys):
     code, payload = run_json(capsys, "pipeline", "<>p")
     assert code == 0 and "verdict" not in payload
+
+
+@pytest.mark.parametrize("argv", [
+    ("translate", "k", "~" * 40000 + "p"),
+    ("prove", "--system", "bfnl-star", "=> " + "~" * 40000 + "p"),
+    ("pipeline", "~" * 40000 + "p"),
+])
+def test_deep_inputs_fail_cleanly(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: input nests too deeply\n"
 
 
 # ---------------------------------------------------------------------------

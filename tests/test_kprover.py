@@ -226,37 +226,33 @@ def test_modus_ponens_closure():
 
 
 def test_prove_dagger_goal_for_the_k_axioms():
-    ctx = tr.TranslationContext()
     for text in VALID:
         a = m(text)
-        d = gk.prove_dagger_goal(a, ctx)
+        d = gk.prove_dagger_goal(a)
         assert d is not None, text
-        assert d.seq == sx.Sequent(None, tr.dagger(a, ctx))
+        assert d.seq == sx.Sequent(None, tr.dagger(a))
         assert ck.check_derivation(BF, (), d), text
 
 
 def test_prove_dagger_goal_refuses_invalid_input():
-    ctx = tr.TranslationContext()
     for text in INVALID:
-        assert gk.prove_dagger_goal(m(text), ctx) is None, text
+        assert gk.prove_dagger_goal(m(text)) is None, text
 
 
 def test_prove_dagger_top_starts_from_top():
-    ctx = tr.TranslationContext()
-    d = gk.prove_dagger_top(m("p -> p"), ctx)
+    d = gk.prove_dagger_top(m("p -> p"))
     assert d is not None
-    assert d.seq == sx.Sequent(sx.SLeaf(sx.TOP), tr.dagger(m("p -> p"), ctx))
+    assert d.seq == sx.Sequent(sx.SLeaf(sx.TOP), tr.dagger(m("p -> p")))
     assert ck.check_derivation(BF, (), d)
 
 
 def test_prove_dagger_sequent_between_formulas():
-    ctx = tr.TranslationContext()
     a, b = m("<>(p \\/ q)"), m("<>p \\/ <>q")
-    d = gk.prove_dagger_sequent(a, b, ctx)
+    d = gk.prove_dagger_sequent(a, b)
     assert d is not None
-    assert d.seq == sx.Sequent(sx.SLeaf(tr.dagger(a, ctx)), tr.dagger(b, ctx))
+    assert d.seq == sx.Sequent(sx.SLeaf(tr.dagger(a)), tr.dagger(b))
     assert ck.check_derivation(BF, (), d)
-    assert gk.prove_dagger_sequent(m("[]p"), m("p"), ctx) is None
+    assert gk.prove_dagger_sequent(m("[]p"), m("p")) is None
 
 
 def test_variant_systems_inherit_the_k_oracle():

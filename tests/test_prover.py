@@ -1,21 +1,29 @@
 """Three-valued proof search: verdicts, budgets, and the calculus-level
 invariants (checker agreement, monotonicity, discipline, soundness)."""
 
+import importlib
+import importlib.util
+import pkgutil
 import random
+import sys as _sys
+import types
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import fnlkit
 from fnlkit import checker as ck
 from fnlkit import lemmas as lm
 from fnlkit import models as md
 from fnlkit import proofs as pf
 from fnlkit import prover as pv
 from fnlkit import sampling
+from fnlkit import strategy
 from fnlkit import syntax as sx
 from fnlkit import transform as tr
 from fnlkit.errors import ValidationError
-from fnlkit.systems import get_system
+from fnlkit.systems import SYSTEMS, get_system
 
 BF = get_system("bfnl-star")
 BFE = get_system("bfnl-e-star")
@@ -339,3 +347,57 @@ def test_sampled_goals_agree_with_checker_and_semantics():
             assert not md.sequent_true(r.model, r.state, goal)
     # the stream must actually exercise both definite verdicts
     assert verdicts[pv.PROVED] >= 10 and verdicts[pv.REFUTED] >= 10
+
+
+# ---------------------------------------------------------------------------
+# the pull-back strategies and the trace hooks
+
+
+def test_pull_back_strategies_guard_and_filter():
+    calls = []
+
+    def recurse(sys, phi, goal):
+        calls.append((sys.name, phi, goal))
+        return None
+
+    goal = seq("p => p")
+    for name, sys in SYSTEMS.items():
+        for strat, source, images in ((strategy.try_unneg, "bfnl-star", {"bdfnl-star"}),
+                                      (strategy.try_unsection, "bdfnl-star",
+                                       {"dfnl-star", "dfnl"})):
+            calls.clear()
+            assert strat(sys, frozenset(), goal, recurse) is None
+            assert calls == ([(source, frozenset(), goal)] if name in images else []), name
+    # a companion member and a member that fails the round trip are dropped
+    calls.clear()
+    phi = frozenset(map(seq, ("p /\\ p{p} => bot", "r => ~p", "q => p{p}")))
+    strategy.try_unneg(BD, phi, goal, recurse)
+    assert calls == [("bfnl-star", frozenset([seq("q => ~p")]), goal)]
+    # so are an absorption member and a letter whose payload does not survive
+    calls.clear()
+    phi = frozenset(map(seq, ("p_bot => q", "q => p{p_bot}", "p => q")))
+    strategy.try_unsection(DF, phi, goal, recurse)
+    assert calls == [("bdfnl-star", frozenset([seq("p => q")]), goal)]
+
+
+def test_trace_hooks_find_their_targets(monkeypatch):
+    # the benchmark's tracer patches fnlkit attributes by name; a rename
+    # must not leave a hook silently unattached
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(_sys.modules, spec.name, spans)  # dataclasses look it up
+    spec.loader.exec_module(spans)
+    fk = types.SimpleNamespace(**{
+        mod.name: importlib.import_module(f"fnlkit.{mod.name}")
+        for mod in pkgutil.iter_modules(fnlkit.__path__)
+    })
+    installed = spans.install(spans.Tracer(), fk)
+    try:
+        assert installed.patches
+        # the checker's validator factory is gone; its hook is a known orphan
+        assert set(installed.missing) <= {"fnlkit.checker.sequent_validator"}
+    finally:
+        installed.uninstall()
+    assert not hasattr(pv.derive, "__wrapped__")
+    assert not hasattr(fk.strategy.STRATEGIES[0][1], "__wrapped__")

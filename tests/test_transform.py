@@ -74,7 +74,7 @@ def test_build_ternary_model_shape():
 
 def test_build_exchange_shape():
     m = md.KripkeModel(("w", "u"), frozenset([("w", "u")]), {})
-    j = tr.build_ternary_model_exchange(m)
+    j = tr.build_ternary_model(m, exchange=True)
     assert j.rel3 == {
         ("w1", "u1", "u2"),
         ("w1", "u2", "u1"),
@@ -103,7 +103,7 @@ def test_copy_agreement_on_exchange_models(a):
         return
     rng = random.Random(17)
     m = smp.sample_kripke(rng, 4, ("p", "q", "r", "s_1"))
-    j = tr.build_ternary_model_exchange(m)
+    j = tr.build_ternary_model(m, exchange=True)
     f = tr.dagger(a)
     for w in m.states:
         assert md.eval_lambek(j, tr.copy1(w), f) == md.eval_lambek(j, tr.copy2(w), f)
@@ -115,7 +115,7 @@ def test_exchange_models_commute_products():
     rng = random.Random(5)
     for _ in range(30):
         m = smp.sample_kripke(rng, 4, ("p", "q"))
-        j = tr.build_ternary_model_exchange(m)
+        j = tr.build_ternary_model(m, exchange=True)
         for a, b in [(p, q), (sx.LProd(sx.LAtom("m"), p), q), (sx.LNot(p), sx.LOr(p, q))]:
             for u in j.states:
                 ab = md.eval_lambek(j, u, sx.LProd(a, b))
@@ -146,14 +146,14 @@ def test_extend_with_unit():
 
 
 def test_tilde_clauses():
-    ctx = tr.TranslationContext(base=frozenset([p, q, sx.TOP, sx.BOT]))
-    assert tr.tilde(sx.TOP, ctx) == sx.BOT
-    assert tr.tilde(sx.LAnd(p, q), ctx) == sx.LOr(sx.fresh_for(p), sx.fresh_for(q))
-    assert tr.tilde(sx.LOr(p, sx.BOT), ctx) == sx.LAnd(sx.fresh_for(p), sx.TOP)
+    base = frozenset([p, q, sx.TOP, sx.BOT])
+    assert tr.tilde(sx.TOP, base) == sx.BOT
+    assert tr.tilde(sx.LAnd(p, q), base) == sx.LOr(sx.fresh_for(p), sx.fresh_for(q))
+    assert tr.tilde(sx.LOr(p, sx.BOT), base) == sx.LAnd(sx.fresh_for(p), sx.TOP)
     with pytest.raises(ValidationError):
-        tr.tilde(sx.LNot(p), ctx)
+        tr.tilde(sx.LNot(p), base)
     with pytest.raises(ValidationError):
-        tr.tilde(sx.LProd(p, q), ctx)  # not in the lattice closure of the base
+        tr.tilde(sx.LProd(p, q), base)  # not in the lattice closure of the base
 
 
 def test_psi_set():
@@ -262,9 +262,6 @@ def test_pair_builders_fail_fast_without_members():
         tr.pair_bot(p, frozenset())
     with pytest.raises(LemmaError):
         tr.pair_top(sx.LOr(p, q), frozenset())
-    # with no gate at all, the builders lean on open assumption leaves
-    d = tr.pair_top(p, None)
-    assert pf.assumptions_of(d) == frozenset([sx.parse_sequent("top => p \\/ p{p}")])
 
 
 def test_pair_builders_handle_generated_letters():
