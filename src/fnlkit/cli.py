@@ -23,7 +23,7 @@ from . import prover as pv
 from . import sampling
 from . import syntax as sx
 from . import transform as tr
-from .errors import FnlError, ModelError, ParseError
+from .errors import FnlError, ModelError, ParseError, ValidationError
 from .systems import get_system
 
 
@@ -205,23 +205,27 @@ def cmd_modelcheck(args):
     return payload, "true" if value else "false", 0
 
 
+# the sampler's options; a modal goal is decided by the K tableau and takes none
+_SAMPLER_OPTIONS = ("seed", "samples", "max_states", "symmetric", "with_unit", "with_dia")
+
+
 def cmd_countermodel(args):
-    phi = _load_assumptions(args.assumptions)
-    goal = sx.parse_modal(args.goal) if args.modal else sx.parse_sequent(args.goal)
-    budget = sampling.SampleBudget(
-        seed=args.seed or 0,
-        max_states=args.max_states,
-        samples=args.samples,
-        symmetric=args.symmetric,
-        with_unit=args.with_unit,
-        with_dia=args.with_dia,
-    )
-    hit = sampling.find_countermodel(
-        goal, tuple(sorted(phi, key=sx.render_sequent)), budget
-    )
-    if hit is None:
-        report = "valid in K" if args.modal else f"no countermodel in {args.samples} samples"
-        return {"found": False, "report": report}, "no countermodel found", 2
+    phi = tuple(sorted(_load_assumptions(args.assumptions), key=sx.render_sequent))
+    # unset options are None, so the budget's defaults apply
+    given = {k: getattr(args, k) for k in _SAMPLER_OPTIONS if getattr(args, k) is not None}
+    if args.modal:
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise ValidationError(f"--modal decides the goal exactly and takes no {flags}")
+        hit = sampling.find_countermodel(sx.parse_modal(args.goal), phi)
+        if hit is None:
+            return {"found": False, "report": "valid in K"}, "valid in K", 0
+    else:
+        budget = sampling.SampleBudget(**given)
+        hit = sampling.find_countermodel(sx.parse_sequent(args.goal), phi, budget)
+        if hit is None:
+            report = f"no countermodel in {budget.samples} samples"
+            return {"found": False, "report": report}, "no countermodel found", 2
     m, state = hit
     payload = {"found": True, "state": state, "model": _model_to_json(m)}
     text = f"countermodel falsifying the goal at {state}:\n{_model_text(m)}"
@@ -318,12 +322,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--modal", action="store_true",
                    help="goal is a modal formula, decided by the K tableau")
     p.add_argument("--assumptions", help="file with one sequent per line")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1500)
-    p.add_argument("--max-states", type=int, default=4)
-    p.add_argument("--symmetric", action="store_true", help="commutative frames only")
-    p.add_argument("--with-unit", action="store_true", help="unital frames")
-    p.add_argument("--with-dia", action="store_true", help="frames with a binary accessibility")
+    p.add_argument("--seed", type=int, help="sampler seed (default 0)")
+    p.add_argument("--samples", type=int, help="models to sample (default 1500)")
+    p.add_argument("--max-states", type=int, help="states per sampled model (default 4)")
+    # unset sampler options stay None, so --modal can tell which were given
+    p.add_argument("--symmetric", action="store_true", default=None,
+                   help="commutative frames only")
+    p.add_argument("--with-unit", action="store_true", default=None, help="unital frames")
+    p.add_argument("--with-dia", action="store_true", default=None,
+                   help="frames with a binary accessibility")
     p.set_defaults(budget=None)
 
     p = add("pipeline", cmd_pipeline, "full modal-to-constant-free reduction")

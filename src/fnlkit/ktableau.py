@@ -200,17 +200,6 @@ def k_decide(a: sx.ModalFormula) -> TableauVerdict:
     return TableauVerdict(False, model=model, root=root)
 
 
-def k_satisfiable(a: sx.ModalFormula) -> Optional[tuple[md.KripkeModel, str]]:
-    """A model and state satisfying the formula, or None."""
-    hit = _sat(frozenset({_nnf(a, True)}), {})
-    if hit is None:
-        return None
-    model, root = _to_kripke(hit, sx.matoms(a))
-    if not md.eval_modal(model, root, a):  # pragma: no cover
-        raise AssertionError("open branch failed to satisfy the input")
-    return model, root
-
-
 def _describe(a: sx.ModalFormula) -> str:
     text = sx.render_modal(a)
     return text if len(text) <= 60 else text[:57] + "..."

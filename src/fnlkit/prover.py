@@ -3,8 +3,10 @@ search with analytic cut, and gated semantic refutation.
 
 `derive` tries the closed-form strategies first.  Then, on the
 fragments where the semantics is known to match the calculus, it looks
-for a countermodel among the exhaustively enumerated small models, which
-is cheap and often decides a non-theorem outright.  Then comes deepening
+for a countermodel without sampling: the exhaustively enumerated small
+models, and the K countermodel pushed down the reduction chain, which
+refutes the chain's own non-theorems.  Both are cheap and often decide a
+non-theorem outright.  Then comes deepening
 depth-first search over the rule moves with cut formulas drawn from a
 bounded closure of the problem's subformulas, and finally, on the same
 fragments, the full countermodel search with seeded sampling.  Proofs
@@ -200,10 +202,11 @@ def derive(sys: SystemSpec, phi: Iterable[sx.Sequent], goal: sx.Sequent,
     Refuted with a re-verified countermodel, or Unknown.
 
     Phases, in order: the strategy chain; where `_refutation_ok` holds,
-    the exhaustive small-model stage of the countermodel search; backward
-    search; where `_refutation_ok` holds, the full countermodel search
-    (which repeats the exhaustive stage, then samples).  The first phase
-    that decides ends the call."""
+    the countermodel search without samples (the exhaustive small models,
+    then the transferred K countermodel); backward search; where
+    `_refutation_ok` holds, the full countermodel search (which repeats
+    the first two stages, then samples).  The first phase that decides
+    ends the call."""
     budget = budget or SearchBudget()
     phi = frozenset(phi)
     validate_sequent(sys, goal)
@@ -232,8 +235,8 @@ def derive(sys: SystemSpec, phi: Iterable[sx.Sequent], goal: sx.Sequent,
             with_unit=sys.unit,
         )
         ordered = tuple(sorted(phi, key=sx.render_sequent))
-        # the exhaustive small models first: a hit here is the first hit of
-        # the full call below, and costs far less than the search
+        # the small models and the transfer first: a hit here is the first
+        # hit of the full call below, and costs far less than the search
         hit = sampling.find_countermodel(goal, ordered, replace(sb, samples=0))
         if hit is not None:
             return ProofResult(REFUTED, model=hit[0], state=hit[1])

@@ -4,6 +4,16 @@ Exhaustive enumeration is capped hard (3 states binary, 2 states ternary
 -- the next size is 2^27 relations); beyond the caps everything is seeded
 pseudo-random, so equal seeds give equal streams.
 
+For a goal in the plain vocabulary the countermodel search tries, in
+order: the exhaustive 1- and 2-state ternary models, the transferred K
+countermodel, then the seeded samples.  The transfer reads the goal
+back up the reduction chain of `transform` to a modal formula, decides
+it with the K tableau, and pushes an invalid formula's Kripke
+countermodel down again as a two-copy ternary model with the chain's
+generated letters valued (`_transfer_ternary`).  On the chain's own
+problems this finds the countermodel that sampling, facing the many
+companion and absorption assumptions, rarely draws.
+
 The exhaustive ternary stage of the countermodel search does not build
 the models of `all_ternary` one by one.  A bit-parallel kernel evaluates
 the goal and the assumptions in all of them at once: bit m of an int is
@@ -108,12 +118,6 @@ def sample_ternary(
     # valuations cover unit state too, chosen after any extension
     val = {a: _rand_subset(rng, ws, 0.5) for a in atoms}
     return md.TernaryModel(ws, frozenset(rel), val, unit, dia)
-
-
-def ternary_stream(seed: int, max_states: int, atoms: tuple[str, ...], **kw) -> Iterator[md.TernaryModel]:
-    rng = random.Random(seed)
-    while True:
-        yield sample_ternary(rng, max_states, atoms, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +256,59 @@ def _join(masks) -> int:
     return functools.reduce(int.__or__, masks, 0)
 
 
+def _neg_depth(f: sx.LFormula, depth: dict) -> int:
+    # the nesting depth of the generated letters in f, recording each
+    # letter's own depth (one more than the deepest letter in its payload)
+    out = 0
+    for g in sx.walk(f):
+        if isinstance(g, sx.LFresh) and g.mark == "neg":
+            if g not in depth:
+                depth[g] = 1 + _neg_depth(g.of, depth)
+            out = max(out, depth[g])
+    return out
+
+
+def _transfer_ternary(goal: sx.Sequent, phi, symmetric: bool) -> Optional[md.TernaryModel]:
+    """The K countermodel of the modal formula the goal pulls back to,
+    pushed down the reduction chain; None when the goal does not pull back
+    to a K formula or that formula is valid.
+
+    The goal is read back through the section and letter inverses to
+    `=> A` or `top => A` and A through `undagger`.  The Kripke
+    countermodel `k_decide` gives is doubled (with four triples per edge
+    if symmetric), p_top holds everywhere and p_bot nowhere, and each
+    generated letter of the problem holds exactly where its payload
+    fails.  Payloads are read innermost first, so every letter a payload
+    mentions is valued before it is read."""
+    back = tr.negrewrite_sequent(tr.section_inverse_sequent(goal))
+    if back.ant not in (None, sx.SLeaf(sx.TOP)):
+        return None
+    a = tr.undagger(back.suc)
+    if a is None:
+        return None
+    verdict = k_decide(a)
+    if verdict.valid:
+        return None
+    j = tr.build_ternary_model(verdict.model, exchange=symmetric)
+    depth: dict = {}
+    for s in (goal, *phi):
+        for f in sx.sequent_formulas(s):
+            _neg_depth(f, depth)
+    if any(sx.vocab(f.of) & (sx.V_UNIT | sx.V_MODAL) for f in depth):
+        return None
+    val = dict(j.val)
+    val[sx.render_lambek(sx.P_TOP)] = frozenset(j.states)
+    val[sx.render_lambek(sx.P_BOT)] = frozenset()
+    for level in sorted(set(depth.values())):
+        # a fresh model per level: a satisfaction memo filled under the
+        # valuation so far would misread the letters valued next
+        k = md.TernaryModel(j.states, j.rel3, dict(val))
+        for f in (f for f, d in depth.items() if d == level):
+            val[sx.render_lambek(f)] = frozenset(
+                u for u in j.states if not md.eval_lambek(k, u, f.of))
+    return md.TernaryModel(j.states, j.rel3, val)
+
+
 def _candidate_ternary(goal: sx.Sequent, phi, atoms, budget: SampleBudget) -> Iterator[md.TernaryModel]:
     plain = not (budget.with_unit or budget.with_dia)
     if plain:
@@ -259,6 +316,9 @@ def _candidate_ternary(goal: sx.Sequent, phi, atoms, budget: SampleBudget) -> It
             yield from _exhaustive_ternary(1, atoms, goal, phi, budget.symmetric)
         if len(atoms) <= 3:
             yield from _exhaustive_ternary(2, atoms, goal, phi, budget.symmetric)
+        moved = _transfer_ternary(goal, phi, budget.symmetric)
+        if moved is not None:
+            yield moved
     rng = random.Random(budget.seed)
     kw = dict(
         symmetric=budget.symmetric,
@@ -284,9 +344,13 @@ def find_countermodel(
 
     Returns (model, state) or None.  A modal goal is decided by the K
     tableau, so it gets a Kripke countermodel exactly when it is invalid
-    in K.  For a sequent goal None is *not* a validity certificate, and
-    every hit is re-verified on a fresh copy of the model before
-    returning.
+    in K.  A sequent goal tries the exhaustive small models, then the
+    transferred K countermodel, then `budget.samples` samples (the first
+    two only without unit and dia, so a smallest model wins).  Every
+    candidate only filters: each must satisfy phi and falsify the goal at
+    some state, and every hit is re-verified on a fresh copy of the model
+    before returning.  For a sequent goal None is *not* a validity
+    certificate.
     A goal or assumption with a bracketed antecedent, which the models
     cannot read, `one` without `budget.with_unit`, or a modal operator
     without `budget.with_dia` raises the evaluator's ModelError before any

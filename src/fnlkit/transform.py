@@ -12,7 +12,12 @@ sequent inverse (`undagger`, `negrewrite_sequent`,
 `section_inverse_sequent`), and the two lower ones a derivation transport
 (`ddagger_derivation`, `section_derivation`), which `strategy._pull_back`
 uses.  The model side: the two-copy ternary construction, its exchange
-variant, and the unit extension.
+variant, and the unit extension.  Run the other way, the chain carries a
+countermodel down: `sampling` reads a goal back through the three
+inverses to a modal formula, and doubles that formula's K countermodel
+with `build_ternary_model`, M valued everywhere; p_top then holds
+everywhere, p_bot nowhere, and each generated letter exactly where its
+payload fails, which satisfies the companion and absorption sets.
 
 One deliberate departure: the companion sequents for a generated letter
 are {A /\ p_A => bot, top => A \/ p_A}.  A "=> top"-oriented second

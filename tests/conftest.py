@@ -1,8 +1,14 @@
-"""Shared hypothesis strategies for formula/tree/sequent generation."""
+"""Shared hypothesis strategies for formula/tree/sequent generation, and
+model helpers that only tests use."""
+
+import random
 
 import hypothesis.strategies as st
 from hypothesis import settings
 
+from fnlkit import ktableau as kt
+from fnlkit import models as md
+from fnlkit import sampling as smp
 from fnlkit import syntax as sx
 
 # several property tests drive search or cold caches; wall-clock deadlines
@@ -55,3 +61,20 @@ struct_trees = st.recursive(
 sequents = st.builds(
     sx.Sequent, st.one_of(st.none(), struct_trees), lambek_formulas
 )
+
+
+def ternary_stream(seed: int, max_states: int, atoms: tuple[str, ...], **kw):
+    """Endless seeded ternary samples; equal seeds give equal streams."""
+    rng = random.Random(seed)
+    while True:
+        yield smp.sample_ternary(rng, max_states, atoms, **kw)
+
+
+def k_satisfiable(a: sx.ModalFormula):
+    """A Kripke model and state satisfying the formula, or None."""
+    hit = kt._sat(frozenset({kt._nnf(a, True)}), {})
+    if hit is None:
+        return None
+    model, root = kt._to_kripke(hit, sx.matoms(a))
+    assert md.eval_modal(model, root, a), "open branch failed to satisfy the input"
+    return model, root

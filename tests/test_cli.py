@@ -217,9 +217,21 @@ def test_countermodel_modal_goal(capsys):
 
 
 def test_countermodel_reports_valid_modal_goals(capsys):
+    # "valid in K" is a decided answer, not an Unknown
     code, payload = run_json(capsys, "countermodel", "[](p -> q) -> ([]p -> []q)", "--modal")
-    assert code == 2
+    assert code == 0
     assert payload == {"found": False, "report": "valid in K"}
+
+
+@pytest.mark.parametrize("flags", [
+    ("--samples", "0"), ("--seed", "0"), ("--max-states", "3"), ("--symmetric",),
+    ("--with-unit",), ("--with-dia",), ("--seed", "2", "--with-dia"),
+])
+def test_countermodel_modal_rejects_sampler_options(capsys, flags):
+    code, out, err = run(capsys, "countermodel", "[]p -> p", "--modal", *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert all(f in err for f in flags if f.startswith("--"))
 
 
 def test_countermodel_respects_assumptions(capsys, tmp_path):

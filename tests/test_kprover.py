@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from conftest import k_satisfiable
 from fnlkit import checker as ck
 from fnlkit import gk
 from fnlkit import ktableau as kt
@@ -114,11 +115,11 @@ def test_tableau_models_are_trees_of_bounded_depth():
 
 
 def test_satisfiability_companion():
-    hit = kt.k_satisfiable(m("<>p /\\ []q"))
+    hit = k_satisfiable(m("<>p /\\ []q"))
     assert hit is not None
     model, w = hit
     assert md.eval_modal(model, w, m("<>p /\\ []q"))
-    assert kt.k_satisfiable(m("p /\\ ~p")) is None
+    assert k_satisfiable(m("p /\\ ~p")) is None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lambek_formulas, modal_formulas, sequents
+from conftest import lambek_formulas, modal_formulas, sequents, ternary_stream
 from fnlkit import models as md
 from fnlkit import sampling as smp
 from fnlkit import syntax as sx
@@ -156,10 +156,10 @@ def test_exhaustive_ternary_count():
 
 
 def test_streams_deterministic():
-    a = list(itertools.islice(smp.ternary_stream(7, 4, ("p",)), 25))
-    b = list(itertools.islice(smp.ternary_stream(7, 4, ("p",)), 25))
+    a = list(itertools.islice(ternary_stream(7, 4, ("p",)), 25))
+    b = list(itertools.islice(ternary_stream(7, 4, ("p",)), 25))
     assert [md.ternary_to_json(x) for x in a] == [md.ternary_to_json(x) for x in b]
-    c = list(itertools.islice(smp.ternary_stream(8, 4, ("p",)), 25))
+    c = list(itertools.islice(ternary_stream(8, 4, ("p",)), 25))
     assert [md.ternary_to_json(x) for x in a] != [md.ternary_to_json(x) for x in c]
 
 

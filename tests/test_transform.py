@@ -9,12 +9,14 @@ from fnlkit import checker as ck
 from fnlkit import lemmas as lm
 from fnlkit import models as md
 from fnlkit import proofs as pf
+from fnlkit import prover as pv
 from fnlkit import sampling as smp
 from fnlkit import syntax as sx
 from fnlkit import transform as tr
 from fnlkit.errors import LemmaError, ValidationError
 from fnlkit.prover import SearchBudget, derive
 from fnlkit.systems import get_system
+from test_acceptance import corpus
 
 p, q = sx.LAtom("p"), sx.LAtom("q")
 mp, mq = sx.MAtom("p"), sx.MAtom("q")
@@ -459,3 +461,90 @@ def test_sequent_level_inverses():
     u = tr.section_sequent(sx.parse_sequent("=> p"))
     assert u.ant == sx.SLeaf(sx.P_TOP)
     assert tr.section_inverse_sequent(u) == sx.parse_sequent("top => p")
+
+
+# ---------------------------------------------------------------------------
+# the K countermodel pushed down the chain
+
+
+def _problem(a: sx.ModalFormula, stage: str):
+    system, goal, phi = tr.pipeline_k_to_dfnl(a, stage)
+    return get_system(system), goal, tuple(sorted(phi, key=sx.render_sequent))
+
+
+@pytest.fixture
+def transfer_only(monkeypatch):
+    # no small models and no samples: a countermodel can come only from
+    # the transferred K countermodel
+    monkeypatch.setattr(smp, "_exhaustive_ternary", lambda *args: iter(()))
+    return smp.SampleBudget(samples=0)
+
+
+def test_the_k_countermodel_refutes_every_stage(transfer_only):
+    theorems, non_theorems = corpus()
+    missed = []
+    for a in non_theorems:
+        for stage in tr.STAGES:
+            _, goal, phi = _problem(a, stage)
+            hit = smp.find_countermodel(goal, phi, transfer_only)
+            if hit is None:
+                missed.append((a, stage))
+            else:
+                assert smp._verify_ternary(hit[0], hit[1], goal, phi)
+    # undagger cannot read the pulled-back ~(m * top) of []bot
+    assert missed == [(sx.parse_modal("[]bot"), "ddagger"), (sx.parse_modal("[]bot"), "section")]
+    for a in theorems:
+        for stage in tr.STAGES:
+            _, goal, phi = _problem(a, stage)
+            assert smp._transfer_ternary(goal, phi, symmetric=False) is None
+
+
+class _SearchReached(Exception):
+    pass
+
+
+def test_derive_transfers_before_searching(transfer_only, monkeypatch):
+    search = pv._search
+
+    def no_top_level_search(sys, phi, goal, budget, deadline):
+        # the pull-back strategies' recursive calls may still search
+        if sys.name == "dfnl-star":
+            raise _SearchReached
+        return search(sys, phi, goal, budget, deadline)
+
+    monkeypatch.setattr(pv, "_search", no_top_level_search)
+    budget = SearchBudget(max_goals=150, samples=0)
+    _, non_theorems = corpus()
+    for a in non_theorems:
+        sys, goal, phi = _problem(a, "section")
+        if a == sx.parse_modal("[]bot"):
+            with pytest.raises(_SearchReached):
+                derive(sys, phi, goal, budget)
+            continue
+        r = derive(sys, phi, goal, budget)
+        assert r.verdict == pv.REFUTED, sx.render_modal(a)
+        assert smp._verify_ternary(r.model, r.state, goal, phi)
+
+
+def test_exchange_variant_gets_the_exchange_model(transfer_only, monkeypatch):
+    def no_search(*args):
+        raise _SearchReached
+
+    monkeypatch.setattr(pv, "_search", no_search)
+    exchange = get_system("bfnl-e-star")
+    _, non_theorems = corpus()
+    for a in non_theorems:
+        goal = sx.Sequent(None, tr.dagger(a))
+        r = derive(exchange, (), goal, SearchBudget(samples=0))
+        assert r.verdict == pv.REFUTED, sx.render_modal(a)
+        assert all((u, w, v) in r.model.rel3 for (u, v, w) in r.model.rel3)
+        assert smp._verify_ternary(r.model, r.state, goal, ())
+
+
+def test_transfer_declines_letters_it_cannot_value():
+    # a letter's payload counts in no vocabulary mask, so a modal payload
+    # gets past the plain-vocabulary check; the transfer declines instead
+    # of raising, and the other candidates still run
+    goal, phi = sx.parse_sequent("=> p"), (sx.parse_sequent("p{<>q} => q"),)
+    assert smp._transfer_ternary(goal, phi, symmetric=False) is None
+    assert smp.find_countermodel(goal, phi, smp.SampleBudget(samples=0)) is not None
