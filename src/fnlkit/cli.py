@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys as _sys
 from dataclasses import replace
 from typing import Optional
@@ -361,8 +362,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(e.code or 0)
     try:
         payload, text, code = args.fn(args)
+        print(json.dumps(payload, indent=2) if args.format == "json" else text)
+        _sys.stdout.flush()
     except FnlError as e:
         print(f"error: {e}", file=_sys.stderr)
+        return 1
+    except BrokenPipeError as e:
+        # send what is still buffered to devnull, or the flush at exit fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        print(f"error: standard output closed: {e}", file=_sys.stderr)
         return 1
     except OSError as e:
         print(f"error: {e}", file=_sys.stderr)
@@ -370,7 +378,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RecursionError:
         print("error: input nests too deeply", file=_sys.stderr)
         return 1
-    print(json.dumps(payload, indent=2) if args.format == "json" else text)
     return code
 
 

@@ -1,18 +1,18 @@
 """Model enumeration, seeded sampling, and countermodel search.
 
-Exhaustive enumeration is capped hard (3 states binary, 2 states ternary
--- the next size is 2^27 relations); beyond the caps everything is seeded
-pseudo-random, so equal seeds give equal streams.
+Exhaustive ternary enumeration is capped hard at 2 states (the next size
+is 2^27 relations); beyond the cap everything is seeded pseudo-random, so
+equal seeds give equal streams.
 
 For a goal in the plain vocabulary the countermodel search tries, in
 order: the exhaustive 1- and 2-state ternary models, the transferred K
-countermodel, then the seeded samples.  The transfer reads the goal
-back up the reduction chain of `transform` to a modal formula, decides
-it with the K tableau, and pushes an invalid formula's Kripke
-countermodel down again as a two-copy ternary model with the chain's
-generated letters valued (`_transfer_ternary`).  On the chain's own
-problems this finds the countermodel that sampling, facing the many
-companion and absorption assumptions, rarely draws.
+countermodel, then the seeded ternary samples.  The transfer reads the
+goal back up the reduction chain with the K reader `transform.read_k`
+(top as ~bot), decides it with the K tableau, and pushes an invalid
+formula's Kripke countermodel down again as a two-copy ternary model
+with the chain's generated letters valued (`_transfer_ternary`).  So
+every non-theorem of the chain is refuted without the samples, which,
+facing its many companion and absorption assumptions, rarely draw one.
 
 The exhaustive ternary stage of the countermodel search does not build
 the models of `all_ternary` one by one.  A bit-parallel kernel evaluates
@@ -40,7 +40,6 @@ from . import transform as tr
 from .errors import ModelError
 from .ktableau import k_decide
 
-KRIPKE_EXHAUSTIVE_CAP = 3
 TERNARY_EXHAUSTIVE_CAP = 2
 STATE_CAP = 6
 
@@ -52,17 +51,6 @@ def _names(n: int) -> tuple[str, ...]:
 def _subsets(xs: tuple):
     for k in range(len(xs) + 1):
         yield from itertools.combinations(xs, k)
-
-
-def all_kripke(n_states: int, atoms: tuple[str, ...]) -> Iterator[md.KripkeModel]:
-    if n_states > KRIPKE_EXHAUSTIVE_CAP:
-        raise ModelError(f"exhaustive cap is {KRIPKE_EXHAUSTIVE_CAP} states")
-    ws = _names(n_states)
-    pairs = tuple(itertools.product(ws, ws))
-    for rel in _subsets(pairs):
-        for vals in itertools.product(*(_subsets(ws) for _ in atoms)):
-            val = {a: frozenset(v) for a, v in zip(atoms, vals)}
-            yield md.KripkeModel(ws, frozenset(rel), val)
 
 
 def all_ternary(n_states: int, atoms: tuple[str, ...]) -> Iterator[md.TernaryModel]:
@@ -78,15 +66,6 @@ def all_ternary(n_states: int, atoms: tuple[str, ...]) -> Iterator[md.TernaryMod
 
 def _rand_subset(rng: random.Random, xs: tuple, p: float) -> frozenset:
     return frozenset(x for x in xs if rng.random() < p)
-
-
-def sample_kripke(rng: random.Random, max_states: int, atoms: tuple[str, ...]) -> md.KripkeModel:
-    n = rng.randint(1, max_states)
-    ws = _names(n)
-    p = rng.choice([0.15, 0.3, 0.5, 0.8])
-    rel = _rand_subset(rng, tuple(itertools.product(ws, ws)), p)
-    val = {a: _rand_subset(rng, ws, 0.5) for a in atoms}
-    return md.KripkeModel(ws, rel, val)
 
 
 def sample_ternary(
@@ -274,7 +253,7 @@ def _transfer_ternary(goal: sx.Sequent, phi, symmetric: bool) -> Optional[md.Ter
     to a K formula or that formula is valid.
 
     The goal is read back through the section and letter inverses to
-    `=> A` or `top => A` and A through `undagger`.  The Kripke
+    `=> A` or `top => A` and A through `read_k`.  The Kripke
     countermodel `k_decide` gives is doubled (with four triples per edge
     if symmetric), p_top holds everywhere and p_bot nowhere, and each
     generated letter of the problem holds exactly where its payload
@@ -283,7 +262,7 @@ def _transfer_ternary(goal: sx.Sequent, phi, symmetric: bool) -> Optional[md.Ter
     back = tr.negrewrite_sequent(tr.section_inverse_sequent(goal))
     if back.ant not in (None, sx.SLeaf(sx.TOP)):
         return None
-    a = tr.undagger(back.suc)
+    a = tr.read_k(back.suc)
     if a is None:
         return None
     verdict = k_decide(a)
@@ -320,19 +299,9 @@ def _candidate_ternary(goal: sx.Sequent, phi, atoms, budget: SampleBudget) -> It
         if moved is not None:
             yield moved
     rng = random.Random(budget.seed)
-    kw = dict(
-        symmetric=budget.symmetric,
-        with_unit=budget.with_unit,
-        with_dia=budget.with_dia,
-    )
-    for i in range(budget.samples):
-        if plain and i % 5 == 4:
-            base = tuple(a for a in atoms if a != tr.M)[:3] or ("p",)
-            km = sample_kripke(rng, 3, base)
-            yield tr.build_ternary_model(km, tr.M if tr.M in atoms else None,
-                                         exchange=budget.symmetric)
-        else:
-            yield sample_ternary(rng, budget.max_states, atoms, **kw)
+    for _ in range(budget.samples):
+        yield sample_ternary(rng, budget.max_states, atoms, budget.symmetric,
+                             budget.with_unit, budget.with_dia)
 
 
 def find_countermodel(
@@ -344,12 +313,12 @@ def find_countermodel(
 
     Returns (model, state) or None.  A modal goal is decided by the K
     tableau, so it gets a Kripke countermodel exactly when it is invalid
-    in K.  A sequent goal tries the exhaustive small models, then the
-    transferred K countermodel, then `budget.samples` samples (the first
-    two only without unit and dia, so a smallest model wins).  Every
-    candidate only filters: each must satisfy phi and falsify the goal at
-    some state, and every hit is re-verified on a fresh copy of the model
-    before returning.  For a sequent goal None is *not* a validity
+    in K.  A sequent goal tries the exhaustive 1- and 2-state ternary
+    models, then the transferred K countermodel (which reads top as ~bot),
+    then `budget.samples` ternary samples (the first two only without unit
+    and dia, so a smallest model wins).  Every candidate only filters:
+    each must satisfy phi and falsify the goal at some state, and every
+    hit is re-verified on a fresh copy of the model before returning.  For a sequent goal None is *not* a validity
     certificate.
     A goal or assumption with a bracketed antecedent, which the models
     cannot read, `one` without `budget.with_unit`, or a modal operator

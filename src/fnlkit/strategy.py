@@ -9,7 +9,8 @@ derivation costs a check, never soundness.  A strategy declines by
 returning None or by raising LemmaError, which the driver catches.
 
 The cross-system strategies walk the reduction chain of `transform`
-backwards.  `k-oracle` proves a dagger image with the K prover of `gk`.
+backwards.  `k-oracle` proves a goal that `transform.read_k` reads back
+to K with the K prover of `gk`.
 `unneg` and `unsection` are both `_pull_back`: a goal of the ddagger or
 section image system is mapped back one stage, proved there by a
 recursive call, and the proof is transported forward again.
@@ -143,15 +144,22 @@ def try_congruence(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
 
 
 def _read_modal(f: sx.LFormula) -> Optional[sx.ModalFormula]:
-    # the modal formula f is the dagger image of, if it has at most 40 symbols
-    a = tr.undagger(f)
+    # the modal formula f reads back to, if it has at most 40 symbols
+    a = tr.read_k(f)
     return None if a is None or sx.msize(a) > 40 else a
 
 
+def _top_for_negbot(f: sx.LFormula):
+    # (f with every ~bot written top, f => that, that => f)
+    nb = sx.LNot(sx.BOT)
+    return lm.cong_replace(f, nb, sx.TOP, lm.dtop(sx.SLeaf(nb)), lm.dtop_negbot())
+
+
 def try_k_oracle(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
-    """Goals in the image of the modal translation: decide them with the
-    modal sequent prover and translate its proof.  The proof uses bfnl-star
-    rules only, so every system with negation admits it."""
+    """Goals that read back to K: decide them with the modal sequent
+    prover, translate its proof, and cut in a replacement of every ~bot by
+    top where the goal writes top.  The proof uses bfnl-star rules only,
+    so every system with negation admits it."""
     if phi or not (sys.negation and sys.bounded):
         return None
     if goal.ant is not None and not isinstance(goal.ant, sx.SLeaf):
@@ -160,11 +168,19 @@ def try_k_oracle(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
     if b is None:
         return None
     if goal.ant is None:
-        return gk.prove_dagger_goal(b)
-    if goal.ant.f == sx.TOP:
-        return gk.prove_dagger_top(b)
-    a = _read_modal(goal.ant.f)
-    return None if a is None else gk.prove_dagger_sequent(a, b)
+        d = gk.prove_dagger_goal(b)
+    elif goal.ant.f == sx.TOP:
+        d = gk.prove_dagger_top(b)
+    else:
+        a = _read_modal(goal.ant.f)
+        d = None if a is None else gk.prove_dagger_sequent(a, b)
+    if d is not None and d.seq.suc != goal.suc:
+        got, fwd, _ = _top_for_negbot(d.seq.suc)
+        d = lm.dcut(d, fwd, ()) if got == goal.suc else None
+    if d is not None and d.seq.ant != goal.ant:
+        got, _, bwd = _top_for_negbot(d.seq.ant.f)
+        d = lm.dcut(bwd, d, ()) if got == goal.ant.f else None
+    return d
 
 
 def _flags(sys: SystemSpec) -> tuple:

@@ -7,17 +7,18 @@ reserved letter `M`; ddagger turns negations into generated letters under
 the companion set Psi (bdfnl-star); the section map turns the constants
 into the letters p_bot and p_top under the absorption set Theta
 (dfnl-star).  `M` is fixed; only `dagger`, whose input comes from
-outside, checks that a source formula leaves it free.  Each stage has a
-sequent inverse (`undagger`, `negrewrite_sequent`,
-`section_inverse_sequent`), and the two lower ones a derivation transport
-(`ddagger_derivation`, `section_derivation`), which `strategy._pull_back`
-uses.  The model side: the two-copy ternary construction, its exchange
-variant, and the unit extension.  Run the other way, the chain carries a
-countermodel down: `sampling` reads a goal back through the three
-inverses to a modal formula, and doubles that formula's K countermodel
-with `build_ternary_model`, M valued everywhere; p_top then holds
-everywhere, p_bot nowhere, and each generated letter exactly where its
-payload fails, which satisfies the companion and absorption sets.
+outside, checks that a source formula leaves it free.  The two lower
+stages have a sequent inverse (`negrewrite_sequent`,
+`section_inverse_sequent`) and a derivation transport
+(`ddagger_derivation`, `section_derivation`) for `strategy._pull_back`.
+The one K reader, `read_k`, reads a formula back to K, top as ~bot, for
+`strategy.try_k_oracle` and for `sampling`, which runs the chain the
+other way: it reads a goal back through the two inverses and `read_k`,
+and doubles the modal formula's K countermodel with
+`build_ternary_model`, M valued everywhere; p_top then holds everywhere,
+p_bot nowhere, and each generated letter exactly where its payload
+fails, which satisfies the companion and absorption sets.  The model
+side also has the exchange variant and the unit extension.
 
 One deliberate departure: the companion sequents for a generated letter
 are {A /\ p_A => bot, top => A \/ p_A}.  A "=> top"-oriented second
@@ -67,23 +68,26 @@ def _dag(a: sx.ModalFormula) -> sx.LFormula:
     return sx.LProd(sx.LAtom(M), _dag(a.a))
 
 
-def undagger(f: sx.LFormula) -> Optional[sx.ModalFormula]:
-    """Partial inverse of the modal translation; None when f is not in its
-    image.  dagger(undagger(f)) == f whenever this returns a formula."""
+def read_k(f: sx.LFormula) -> Optional[sx.ModalFormula]:
+    """The modal formula f reads back to, or None: atoms other than M,
+    bot, /\\, \\/ and ~ read as themselves, M * A as a diamond, and top as
+    ~bot.  dagger(read_k(f)) is f with every top written ~bot."""
     if isinstance(f, sx.LAtom):
         return None if f.name == M else sx.MAtom(f.name)
     if isinstance(f, sx.LBot):
         return sx.MBot()
+    if isinstance(f, sx.LTop):
+        return sx.MNot(sx.MBot())
     if isinstance(f, (sx.LAnd, sx.LOr)):
-        l, r = undagger(f.l), undagger(f.r)
+        l, r = read_k(f.l), read_k(f.r)
         if l is None or r is None:
             return None
         return sx.MAnd(l, r) if isinstance(f, sx.LAnd) else sx.MOr(l, r)
     if isinstance(f, sx.LNot):
-        a = undagger(f.a)
+        a = read_k(f.a)
         return None if a is None else sx.MNot(a)
     if isinstance(f, sx.LProd) and f.l == sx.LAtom(M):
-        a = undagger(f.r)
+        a = read_k(f.r)
         return None if a is None else sx.MDia(a)
     return None
 

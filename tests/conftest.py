@@ -1,6 +1,7 @@
 """Shared hypothesis strategies for formula/tree/sequent generation, and
 model helpers that only tests use."""
 
+import itertools
 import random
 
 import hypothesis.strategies as st
@@ -10,6 +11,7 @@ from fnlkit import ktableau as kt
 from fnlkit import models as md
 from fnlkit import sampling as smp
 from fnlkit import syntax as sx
+from fnlkit.errors import ModelError
 
 # several property tests drive search or cold caches; wall-clock deadlines
 # would only add flakiness
@@ -68,6 +70,31 @@ def ternary_stream(seed: int, max_states: int, atoms: tuple[str, ...], **kw):
     rng = random.Random(seed)
     while True:
         yield smp.sample_ternary(rng, max_states, atoms, **kw)
+
+
+KRIPKE_EXHAUSTIVE_CAP = 3
+
+
+def all_kripke(n_states: int, atoms: tuple[str, ...]):
+    """Every Kripke model on n_states states over the atoms."""
+    if n_states > KRIPKE_EXHAUSTIVE_CAP:
+        raise ModelError(f"exhaustive cap is {KRIPKE_EXHAUSTIVE_CAP} states")
+    ws = smp._names(n_states)
+    pairs = tuple(itertools.product(ws, ws))
+    for rel in smp._subsets(pairs):
+        for vals in itertools.product(*(smp._subsets(ws) for _ in atoms)):
+            val = {a: frozenset(v) for a, v in zip(atoms, vals)}
+            yield md.KripkeModel(ws, frozenset(rel), val)
+
+
+def sample_kripke(rng: random.Random, max_states: int, atoms: tuple[str, ...]) -> md.KripkeModel:
+    """One seeded Kripke model of 1 to max_states states."""
+    n = rng.randint(1, max_states)
+    ws = smp._names(n)
+    p = rng.choice([0.15, 0.3, 0.5, 0.8])
+    rel = smp._rand_subset(rng, tuple(itertools.product(ws, ws)), p)
+    val = {a: smp._rand_subset(rng, ws, 0.5) for a in atoms}
+    return md.KripkeModel(ws, rel, val)
 
 
 def k_satisfiable(a: sx.ModalFormula):

@@ -8,6 +8,7 @@ final assertion so a failing criterion still reports itself.
 import json
 import random
 
+from conftest import sample_kripke
 from fnlkit import checker as ck
 from fnlkit import ktableau as kt
 from fnlkit import lemmas as lm
@@ -83,7 +84,7 @@ def test_criterion_01_truth_lemma():
     rng = random.Random(101)
     bad = 0
     for _ in range(1000):
-        m = smp.sample_kripke(rng, 4, ("p", "q"))
+        m = sample_kripke(rng, 4, ("p", "q"))
         w = rng.choice(m.states)
         a = sample_modal(rng, rng.randint(1, 7))
         j = tr.build_ternary_model(m)
@@ -326,7 +327,7 @@ def test_criterion_07_exchange():
     kinds = "and or not prod under over"
     violations = 0
     for _ in range(200):
-        m = smp.sample_kripke(rng, 4, ("p", "q"))
+        m = sample_kripke(rng, 4, ("p", "q"))
         j = tr.build_ternary_model(m, exchange=True)
         for _ in range(4):
             a = sample_lambek(rng, rng.randint(1, 4), kinds, atoms)
@@ -419,7 +420,7 @@ def test_criterion_09_unit():
     classical_mismatches = []
     law_violations = 0
     for _ in range(50):
-        m = smp.sample_kripke(rng, 3, ("p", "q"))
+        m = sample_kripke(rng, 3, ("p", "q"))
         ju = tr.extend_with_unit(tr.build_ternary_model(m), m)
         for _ in range(8):
             a = sample_lambek(rng, rng.randint(1, 5), kinds, atoms)

@@ -2,6 +2,9 @@
 inputs, and the printed-evidence round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -377,3 +380,23 @@ def test_text_format_renders_derivations_and_models(capsys):
     code, out, err = run(capsys, "countermodel", "p => q", "--format", "text",
                          "--samples", "100")
     assert "countermodel falsifying the goal" in out
+
+
+def test_closed_stdout_ends_in_one_error_line():
+    # the read end is closed before the command starts, so its first write
+    # meets a broken pipe
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fnlkit", "translate", "k", "[](p -> q) -> ([]p -> []q)",
+             "--stage", "section"],
+            stdout=w, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr

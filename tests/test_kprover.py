@@ -8,12 +8,11 @@ import random
 
 import pytest
 
-from conftest import k_satisfiable
+from conftest import all_kripke, k_satisfiable
 from fnlkit import checker as ck
 from fnlkit import gk
 from fnlkit import ktableau as kt
 from fnlkit import models as md
-from fnlkit import sampling
 from fnlkit import syntax as sx
 from fnlkit import transform as tr
 from fnlkit.prover import SearchBudget, derive
@@ -160,7 +159,7 @@ def test_enumerated_countermodels_force_invalid_verdicts():
     # any <=2-state Kripke countermodel found by brute force must be matched
     # by an Invalid verdict (and the tableau's own witness must falsify)
     formulas = _formulas_up_to(2, ("p",))
-    models = list(sampling.all_kripke(2, ("p",)))
+    models = list(all_kripke(2, ("p",)))
     for f in formulas:
         falsified = any(
             not md.eval_modal(km, w, f) for km in models for w in km.states

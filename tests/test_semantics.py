@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lambek_formulas, modal_formulas, sequents, ternary_stream
+from conftest import (all_kripke, lambek_formulas, modal_formulas, sample_kripke, sequents,
+                      ternary_stream)
 from fnlkit import models as md
 from fnlkit import sampling as smp
 from fnlkit import syntax as sx
@@ -143,7 +144,7 @@ def test_unit_laws_on_unital_models():
 
 
 def test_exhaustive_kripke_count():
-    ms = list(smp.all_kripke(1, ("p",)))
+    ms = list(all_kripke(1, ("p",)))
     assert len(ms) == 4  # 2 relations x 2 valuations
     assert len({(m.rel, m.val["p"]) for m in ms}) == 4
 
@@ -350,6 +351,6 @@ def test_model_validation():
 @settings(max_examples=25)
 @given(modal_formulas)
 def test_modal_eval_total_on_samples(f):
-    m = smp.sample_kripke(random.Random(1), 3, ("p", "q", "r", "s_1"))
+    m = sample_kripke(random.Random(1), 3, ("p", "q", "r", "s_1"))
     for w in m.states:
         assert md.eval_modal(m, w, f) in (True, False)

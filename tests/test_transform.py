@@ -4,13 +4,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import atom_names, modal_formulas
+from conftest import atom_names, modal_formulas, sample_kripke
 from fnlkit import checker as ck
 from fnlkit import lemmas as lm
 from fnlkit import models as md
 from fnlkit import proofs as pf
 from fnlkit import prover as pv
 from fnlkit import sampling as smp
+from fnlkit import strategy as strat
 from fnlkit import syntax as sx
 from fnlkit import transform as tr
 from fnlkit.errors import LemmaError, ValidationError
@@ -92,7 +93,7 @@ def test_truth_lemma_on_samples(a):
     if "m" in sx.matoms(a):
         return
     rng = random.Random(sx.msize(a))
-    m = smp.sample_kripke(rng, 4, ("p", "q", "r", "s_1"))
+    m = sample_kripke(rng, 4, ("p", "q", "r", "s_1"))
     j = tr.build_ternary_model(m)
     for w in m.states:
         assert md.eval_modal(m, w, a) == md.eval_lambek(j, tr.copy1(w), tr.dagger(a))
@@ -104,7 +105,7 @@ def test_copy_agreement_on_exchange_models(a):
     if "m" in sx.matoms(a):
         return
     rng = random.Random(17)
-    m = smp.sample_kripke(rng, 4, ("p", "q", "r", "s_1"))
+    m = sample_kripke(rng, 4, ("p", "q", "r", "s_1"))
     j = tr.build_ternary_model(m, exchange=True)
     f = tr.dagger(a)
     for w in m.states:
@@ -116,7 +117,7 @@ def test_copy_agreement_on_exchange_models(a):
 def test_exchange_models_commute_products():
     rng = random.Random(5)
     for _ in range(30):
-        m = smp.sample_kripke(rng, 4, ("p", "q"))
+        m = sample_kripke(rng, 4, ("p", "q"))
         j = tr.build_ternary_model(m, exchange=True)
         for a, b in [(p, q), (sx.LProd(sx.LAtom("m"), p), q), (sx.LNot(p), sx.LOr(p, q))]:
             for u in j.states:
@@ -491,8 +492,7 @@ def test_the_k_countermodel_refutes_every_stage(transfer_only):
                 missed.append((a, stage))
             else:
                 assert smp._verify_ternary(hit[0], hit[1], goal, phi)
-    # undagger cannot read the pulled-back ~(m * top) of []bot
-    assert missed == [(sx.parse_modal("[]bot"), "ddagger"), (sx.parse_modal("[]bot"), "section")]
+    assert missed == []
     for a in theorems:
         for stage in tr.STAGES:
             _, goal, phi = _problem(a, stage)
@@ -517,13 +517,41 @@ def test_derive_transfers_before_searching(transfer_only, monkeypatch):
     _, non_theorems = corpus()
     for a in non_theorems:
         sys, goal, phi = _problem(a, "section")
-        if a == sx.parse_modal("[]bot"):
-            with pytest.raises(_SearchReached):
-                derive(sys, phi, goal, budget)
-            continue
         r = derive(sys, phi, goal, budget)
         assert r.verdict == pv.REFUTED, sx.render_modal(a)
         assert smp._verify_ternary(r.model, r.state, goal, phi)
+
+
+def test_every_stage_is_decided_without_samples():
+    # every goal of the chain reads back to K, so neither a theorem nor a
+    # non-theorem is left to the sampler
+    budget = SearchBudget(max_goals=150, samples=0)
+    theorems, non_theorems = corpus()
+    for want, formulas in ((pv.PROVED, theorems), (pv.REFUTED, non_theorems)):
+        for a in formulas:
+            for stage in tr.STAGES:
+                sys, goal, phi = _problem(a, stage)
+                r = derive(sys, phi, goal, budget)
+                assert r.verdict == want, (sx.render_modal(a), stage)
+
+
+def test_k_oracle_bridges_top_to_negbot():
+    # gk's proofs end in dagger images, which write ~bot where these goals
+    # write top; a cut with the replacement of every ~bot by top closes the gap
+    sys = get_system("bfnl-star")
+    goal = sx.parse_sequent("=> ~(m * top) \\/ m * top")
+    d = strat.try_k_oracle(sys, (), goal, None)
+    assert d.seq == goal and ck.check_derivation(sys, (), d)
+    # the unneg pull-back of [](bot -> p) -> ([]bot -> []p), and a top in an antecedent
+    for text in ("=> m * (bot /\\ ~p) \\/ m * top \\/ ~(m * ~p)",
+                 "~(m * ~p) /\\ top => ~(m * (~p /\\ top))"):
+        goal = sx.parse_sequent(text)
+        r = derive(sys, (), goal, SearchBudget(samples=0))
+        assert (r.verdict, r.strategy) == (pv.PROVED, "k-oracle"), text
+        assert r.derivation.seq == goal and ck.check_derivation(sys, (), r.derivation)
+    # a goal that writes both ~bot and top is not met by replacing every ~bot
+    mixed = sx.parse_sequent("=> ~(m * top) \\/ m * ~bot")
+    assert strat.try_k_oracle(sys, (), mixed, None) is None
 
 
 def test_exchange_variant_gets_the_exchange_model(transfer_only, monkeypatch):
