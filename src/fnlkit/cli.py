@@ -5,6 +5,11 @@ output by default; ``--format text`` renders derivations and models for
 reading.  Exit codes: 0 = the command completed (whatever the verdict
 says), 1 = usage or input error, 2 = the command ended in an Unknown
 verdict (proof search exhausted, or no countermodel found).
+
+A call builds only its own command's argument parser, from the COMMANDS
+table; the whole command tree is built only for the top-level help, a
+missing or unknown command, and arguments the command does not know, so
+that those messages are argparse's own.
 """
 
 from __future__ import annotations
@@ -279,37 +284,32 @@ def cmd_buildmodel(args):
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# argument wiring; each command's arguments are declared once, in its adder
 
 
-def _build_parser() -> _Parser:
-    top = _Parser(prog="fnlkit", description=__doc__.splitlines()[0])
-    sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _args_budget(p) -> None:
+    p.add_argument("--budget", help="depth:N,goals:N,cutsize:N,ms:N,seed:N,samples:N")
+    p.add_argument("--seed", type=int, help="overrides the budget's seed")
 
-    def add(name, fn, helptext):
-        p = sub.add_parser(name, help=helptext)
-        p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=("json", "text"), default="json",
-                       help="output rendering (default json)")
-        return p
 
-    p = add("translate", cmd_translate, "map a modal formula down the reduction chain")
+def _args_translate(p) -> None:
     p.add_argument("source", choices=("k",), help="source logic")
     p.add_argument("formula", help="modal formula in the concrete grammar")
     p.add_argument("--stage", choices=tr.STAGES, default="dagger",
                    help="dagger: negation goal; ddagger: letter-companion "
                         "problem; section: constant-free problem")
 
-    p = add("prove", cmd_prove, "run the three-valued prover on a sequent")
+
+def _args_prove(p) -> None:
     p.add_argument("goal", help="sequent in the concrete grammar")
     p.add_argument("--system", required=True, help="system name, e.g. bfnl-star")
     p.add_argument("--assumptions", help="file with one sequent per line")
-    p.add_argument("--budget", help="depth:N,goals:N,cutsize:N,ms:N,seed:N,samples:N")
-    p.add_argument("--seed", type=int, help="overrides the budget's seed")
+    _args_budget(p)
     p.add_argument("--recheck", action="store_true",
                    help="round-trip the evidence through JSON and re-verify")
 
-    p = add("modelcheck", cmd_modelcheck, "evaluate a formula or sequent in a model file")
+
+def _args_modelcheck(p) -> None:
     p.add_argument("model", help="model JSON file (binary or ternary)")
     p.add_argument("text", help="formula, or sequent containing '=>'")
     p.add_argument("--state", help="state to evaluate at (default: first state; "
@@ -318,7 +318,8 @@ def _build_parser() -> _Parser:
                    help="force the model reading (auto guesses from the "
                         "relation arity, which misreads edgeless binary models)")
 
-    p = add("countermodel", cmd_countermodel, "sample models hunting for a falsifier")
+
+def _args_countermodel(p) -> None:
     p.add_argument("goal", help="sequent (or modal formula with --modal)")
     p.add_argument("--modal", action="store_true",
                    help="goal is a modal formula, decided by the K tableau")
@@ -332,32 +333,76 @@ def _build_parser() -> _Parser:
     p.add_argument("--with-unit", action="store_true", default=None, help="unital frames")
     p.add_argument("--with-dia", action="store_true", default=None,
                    help="frames with a binary accessibility")
-    p.set_defaults(budget=None)
 
-    p = add("pipeline", cmd_pipeline, "full modal-to-constant-free reduction")
+
+def _args_pipeline(p) -> None:
     p.add_argument("formula", help="modal formula in the concrete grammar")
     p.add_argument("--run-prover", action="store_true",
                    help="also run the prover on the reduced problem")
-    p.add_argument("--budget", help="depth:N,goals:N,cutsize:N,ms:N,seed:N,samples:N")
-    p.add_argument("--seed", type=int, help="overrides the budget's seed")
+    _args_budget(p)
 
-    p = add("kdecide", cmd_kdecide, "decide modal validity by tableau")
+
+def _args_kdecide(p) -> None:
     p.add_argument("formula", help="modal formula in the concrete grammar")
 
-    p = add("buildmodel", cmd_buildmodel, "turn a binary model file into a ternary one")
+
+def _args_buildmodel(p) -> None:
     p.add_argument("kripke", help="binary model JSON file")
     p.add_argument("--variant", choices=("plain", "exchange", "unit"), default="plain")
     p.add_argument("--letter", default=tr.M,
                    help="designated letter valued everywhere ('' for none)")
 
+
+# name -> (handler, help line in the command list, argument adder)
+COMMANDS = {
+    "translate": (cmd_translate, "map a modal formula down the reduction chain",
+                  _args_translate),
+    "prove": (cmd_prove, "run the three-valued prover on a sequent", _args_prove),
+    "modelcheck": (cmd_modelcheck, "evaluate a formula or sequent in a model file",
+                   _args_modelcheck),
+    "countermodel": (cmd_countermodel, "sample models hunting for a falsifier",
+                     _args_countermodel),
+    "pipeline": (cmd_pipeline, "full modal-to-constant-free reduction", _args_pipeline),
+    "kdecide": (cmd_kdecide, "decide modal validity by tableau", _args_kdecide),
+    "buildmodel": (cmd_buildmodel, "turn a binary model file into a ternary one",
+                   _args_buildmodel),
+}
+
+
+def _fill(p: _Parser, name: str) -> _Parser:
+    fn, _, add_args = COMMANDS[name]
+    p.set_defaults(fn=fn)
+    p.add_argument("--format", choices=("json", "text"), default="json",
+                   help="output rendering (default json)")
+    add_args(p)
+    return p
+
+
+def _build_parser() -> _Parser:
+    """The whole command tree, for the top-level help and usage errors."""
+    top = _Parser(prog="fnlkit", description=__doc__.splitlines()[0])
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (_, helptext, _) in COMMANDS.items():
+        _fill(sub.add_parser(name, help=helptext), name)
     return top
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named command's parser alone, which prints the same
+    help and errors as the tree's subparser; anything else, and arguments
+    the command does not know (the tree reports those), goes to the tree."""
+    if argv and argv[0] in COMMANDS:
+        p = _fill(_Parser(prog=f"fnlkit {argv[0]}"), argv[0])
+        args, extra = p.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     _sys.setrecursionlimit(30000)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(_sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -154,20 +154,6 @@ def size(d: Derivation) -> int:
     return sum(1 for _ in iter_nodes(d))
 
 
-def formulas_of(d: Derivation) -> frozenset[sx.LFormula]:
-    out: set[sx.LFormula] = set()
-    for n in iter_nodes(d):
-        out.update(sx.sequent_formulas(n.seq))
-    return frozenset(out)
-
-
-def assumptions_of(d: Derivation) -> frozenset[sx.Sequent]:
-    """The assumption members a derivation actually leans on."""
-    return frozenset(
-        n.inst.member for n in iter_nodes(d) if n.rule == ASSUMPTION
-    )
-
-
 # ---------------------------------------------------------------------------
 # serialization (iterative: derivations can be thousands of nodes deep)
 

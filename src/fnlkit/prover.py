@@ -256,60 +256,3 @@ def derive(sys: SystemSpec, phi: Iterable[sx.Sequent], goal: sx.Sequent,
         + ("" if budget.refute else " (refutation off)")
     )
     return ProofResult(UNKNOWN, report=report)
-
-
-# ---------------------------------------------------------------------------
-# regression corpus
-
-
-@dataclass(frozen=True)
-class Fact:
-    """One corpus entry: derive the premises first, then the conclusion."""
-
-    label: str
-    conclusion: sx.Sequent
-    premises: tuple[sx.Sequent, ...] = ()
-
-
-def facts_corpus() -> tuple[Fact, ...]:
-    s = sx.parse_sequent
-    cond = ("p /\\ q => p \\/ q",)
-    pair8 = ("p => ~~p", "~~p => p")
-    return (
-        Fact("bounds-swap-a", s("~bot => top")),
-        Fact("bounds-swap-b", s("top => ~bot")),
-        Fact("bounds-swap-c", s("~top => bot")),
-        Fact("bounds-swap-d", s("bot => ~top")),
-        Fact("double-negation-a", s("p => ~~p")),
-        Fact("double-negation-b", s("~~p => p")),
-        Fact("de-morgan-and-a", s("~(p /\\ q) => ~p \\/ ~q")),
-        Fact("de-morgan-and-b", s("~p \\/ ~q => ~(p /\\ q)")),
-        Fact("de-morgan-or-a", s("~(p \\/ q) => ~p /\\ ~q")),
-        Fact("de-morgan-or-b", s("~p /\\ ~q => ~(p \\/ q)")),
-        Fact("distribute-and-a", s("p /\\ (q \\/ r) => (p /\\ q) \\/ (p /\\ r)")),
-        Fact("distribute-and-b", s("(p /\\ q) \\/ (p /\\ r) => p /\\ (q \\/ r)")),
-        Fact("distribute-or-a", s("p \\/ (q /\\ r) => (p \\/ q) /\\ (p \\/ r)")),
-        Fact("distribute-or-b", s("(p \\/ q) /\\ (p \\/ r) => p \\/ (q /\\ r)")),
-        Fact("distribute-prod-a", s("m * (p \\/ q) => (m * p) \\/ (m * q)")),
-        Fact("distribute-prod-b", s("(m * p) \\/ (m * q) => m * (p \\/ q)")),
-        Fact(
-            "negation-antitone",
-            s("~(p \\/ q) => ~(p /\\ q)"),
-            tuple(s(t) for t in cond),
-        ),
-        Fact(
-            "entails-as-theorem",
-            s("=> ~(p /\\ q) \\/ (p \\/ q)"),
-            tuple(s(t) for t in cond),
-        ),
-        Fact(
-            "congruence-a",
-            s("~(p * (p \\ q)) => ~(~~p * (~~p \\ q))"),
-            tuple(s(t) for t in pair8),
-        ),
-        Fact(
-            "congruence-b",
-            s("~(~~p * (~~p \\ q)) => ~(p * (p \\ q))"),
-            tuple(s(t) for t in pair8),
-        ),
-    )

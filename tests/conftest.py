@@ -1,14 +1,17 @@
 """Shared hypothesis strategies for formula/tree/sequent generation, and
-model helpers that only tests use."""
+the model helpers, derivation readers and regression corpus that only
+tests use."""
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import hypothesis.strategies as st
 from hypothesis import settings
 
 from fnlkit import ktableau as kt
 from fnlkit import models as md
+from fnlkit import proofs as pf
 from fnlkit import sampling as smp
 from fnlkit import syntax as sx
 from fnlkit.errors import ModelError
@@ -105,3 +108,70 @@ def k_satisfiable(a: sx.ModalFormula):
     model, root = kt._to_kripke(hit, sx.matoms(a))
     assert md.eval_modal(model, root, a), "open branch failed to satisfy the input"
     return model, root
+
+
+def formulas_of(d: pf.Derivation) -> frozenset[sx.LFormula]:
+    out: set[sx.LFormula] = set()
+    for n in pf.iter_nodes(d):
+        out.update(sx.sequent_formulas(n.seq))
+    return frozenset(out)
+
+
+def assumptions_of(d: pf.Derivation) -> frozenset[sx.Sequent]:
+    """The assumption members a derivation actually leans on."""
+    return frozenset(
+        n.inst.member for n in pf.iter_nodes(d) if n.rule == pf.ASSUMPTION
+    )
+
+
+@dataclass(frozen=True)
+class Fact:
+    """One corpus entry: derive the premises first, then the conclusion."""
+
+    label: str
+    conclusion: sx.Sequent
+    premises: tuple[sx.Sequent, ...] = ()
+
+
+def facts_corpus() -> tuple[Fact, ...]:
+    s = sx.parse_sequent
+    cond = ("p /\\ q => p \\/ q",)
+    pair8 = ("p => ~~p", "~~p => p")
+    return (
+        Fact("bounds-swap-a", s("~bot => top")),
+        Fact("bounds-swap-b", s("top => ~bot")),
+        Fact("bounds-swap-c", s("~top => bot")),
+        Fact("bounds-swap-d", s("bot => ~top")),
+        Fact("double-negation-a", s("p => ~~p")),
+        Fact("double-negation-b", s("~~p => p")),
+        Fact("de-morgan-and-a", s("~(p /\\ q) => ~p \\/ ~q")),
+        Fact("de-morgan-and-b", s("~p \\/ ~q => ~(p /\\ q)")),
+        Fact("de-morgan-or-a", s("~(p \\/ q) => ~p /\\ ~q")),
+        Fact("de-morgan-or-b", s("~p /\\ ~q => ~(p \\/ q)")),
+        Fact("distribute-and-a", s("p /\\ (q \\/ r) => (p /\\ q) \\/ (p /\\ r)")),
+        Fact("distribute-and-b", s("(p /\\ q) \\/ (p /\\ r) => p /\\ (q \\/ r)")),
+        Fact("distribute-or-a", s("p \\/ (q /\\ r) => (p \\/ q) /\\ (p \\/ r)")),
+        Fact("distribute-or-b", s("(p \\/ q) /\\ (p \\/ r) => p \\/ (q /\\ r)")),
+        Fact("distribute-prod-a", s("m * (p \\/ q) => (m * p) \\/ (m * q)")),
+        Fact("distribute-prod-b", s("(m * p) \\/ (m * q) => m * (p \\/ q)")),
+        Fact(
+            "negation-antitone",
+            s("~(p \\/ q) => ~(p /\\ q)"),
+            tuple(s(t) for t in cond),
+        ),
+        Fact(
+            "entails-as-theorem",
+            s("=> ~(p /\\ q) \\/ (p \\/ q)"),
+            tuple(s(t) for t in cond),
+        ),
+        Fact(
+            "congruence-a",
+            s("~(p * (p \\ q)) => ~(~~p * (~~p \\ q))"),
+            tuple(s(t) for t in pair8),
+        ),
+        Fact(
+            "congruence-b",
+            s("~(~~p * (~~p \\ q)) => ~(p * (p \\ q))"),
+            tuple(s(t) for t in pair8),
+        ),
+    )

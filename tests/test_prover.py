@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import fnlkit
+from conftest import assumptions_of, facts_corpus, formulas_of
 from fnlkit import checker as ck
 from fnlkit import lemmas as lm
 from fnlkit import models as md
@@ -73,7 +74,7 @@ def test_companion_pair_goal_is_an_assumption_axiom():
 
 
 def test_facts_corpus_all_proved():
-    for fact in pv.facts_corpus():
+    for fact in facts_corpus():
         phi = frozenset(fact.premises)
         r = pv.derive(BF, phi, fact.conclusion, pv.SearchBudget())
         assert r.verdict == pv.PROVED, (fact.label, r.report)
@@ -81,7 +82,7 @@ def test_facts_corpus_all_proved():
 
 
 def test_facts_corpus_shape():
-    corpus = pv.facts_corpus()
+    corpus = facts_corpus()
     labels = [fact.label for fact in corpus]
     assert len(labels) == len(set(labels)) == 20
     conditionals = [fact for fact in corpus if fact.premises]
@@ -182,7 +183,7 @@ def test_search_proves_residuation_laws():
 def test_assumptions_enable_cut_through_members():
     phi = frozenset([seq("p => q")])
     r = proved(BF, phi, "r * p => r * q")
-    assert pf.assumptions_of(r.derivation) <= phi
+    assert assumptions_of(r.derivation) <= phi
 
 
 def test_subformula_discipline_of_search_derivations():
@@ -196,7 +197,7 @@ def test_subformula_discipline_of_search_derivations():
             continue
         base = frozenset(sx.subformulas_of_problem(goal, ())) | {sx.TOP, sx.BOT}
         spec = sx.ClosureSpec(base, "and_or_not", 0)
-        for g in pf.formulas_of(r.derivation):
+        for g in formulas_of(r.derivation):
             assert sx.closure_contains(spec, g), sx.render_lambek(g)
 
 

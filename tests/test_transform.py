@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import atom_names, modal_formulas, sample_kripke
+from conftest import assumptions_of, atom_names, modal_formulas, sample_kripke
 from fnlkit import checker as ck
 from fnlkit import lemmas as lm
 from fnlkit import models as md
@@ -384,7 +384,7 @@ def test_negrewrite_inverts_the_transport():
     assert back.seq == sx.parse_sequent("~p \\/ ~q => ~p \\/ ~q")
     assert tr.ddagger_sequent(back.seq) == there.seq
     # companion members rewrite into negation axioms, so nothing remains open
-    assert pf.assumptions_of(back) == frozenset()
+    assert assumptions_of(back) == frozenset()
     assert ck.check_derivation(get_system("bfnl-star"), (), back)
 
 
