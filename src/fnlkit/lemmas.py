@@ -68,27 +68,6 @@ def dneg2(a: sx.LFormula) -> pf.Derivation:
     return pf.node(_ls(sx.TOP, sx.LOr(a, sx.LNot(a))), pf.NEG2, [], pf.Inst())
 
 
-def done_r() -> pf.Derivation:
-    """=> one."""
-    return pf.node(sx.Sequent(None, sx.ONE), pf.ONE_R, [], pf.Inst())
-
-
-def dax_t(a: sx.LFormula) -> pf.Derivation:
-    """A => <>A."""
-    return pf.node(_ls(a, sx.LDia(a)), pf.AX_T, [], pf.Inst())
-
-
-def dax_4(a: sx.LFormula) -> pf.Derivation:
-    """<><>A => <>A."""
-    return pf.node(_ls(sx.LDia(sx.LDia(a)), sx.LDia(a)), pf.AX_4, [], pf.Inst())
-
-
-def dax_5(a: sx.LFormula) -> pf.Derivation:
-    """<>A => ~<>~<>A."""
-    seq = _ls(sx.LDia(a), sx.LNot(sx.LDia(sx.LNot(sx.LDia(a)))))
-    return pf.node(seq, pf.AX_5, [], pf.Inst())
-
-
 def dassume(seq: sx.Sequent) -> pf.Derivation:
     """A member of the assumption set, verbatim."""
     return pf.node(seq, pf.ASSUMPTION, [], pf.Inst(member=seq))
@@ -248,37 +227,6 @@ def dboxdown_r(d: pf.Derivation) -> pf.Derivation:
     return pf.node(sx.Sequent(d.seq.ant.a, main), pf.BOXDOWN_R, [d], pf.Inst(main=main))
 
 
-def dboxdown_l(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
-    """From G[A] => B conclude G[< []vA >] => B."""
-    ant = d.seq.ant
-    x = pf.tree_at(ant, path) if ant is not None else None
-    _fit(isinstance(x, sx.SLeaf), "no leaf at path")
-    main = sx.LBoxDown(x.f)
-    new = pf.tree_replace(ant, path, sx.SBracket(sx.SLeaf(main)))
-    return pf.node(sx.Sequent(new, d.seq.suc), pf.BOXDOWN_L, [d], pf.Inst(path=path, main=main))
-
-
-def dexch(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
-    """From G[D2 o D1] => A conclude G[D1 o D2] => A."""
-    ant = d.seq.ant
-    x = pf.tree_at(ant, path) if ant is not None else None
-    _fit(isinstance(x, sx.SNode), "no node at path")
-    new = pf.tree_replace(ant, path, sx.SNode(x.r, x.l))
-    return pf.node(sx.Sequent(new, d.seq.suc), pf.EXCH, [d], pf.Inst(path=path))
-
-
-def done_l(d: pf.Derivation, path: pf.Path = (), side: str = "l") -> pf.Derivation:
-    """From G[D] => A conclude G[one o D] => A (side "l") or G[D o one] => A."""
-    ant = d.seq.ant
-    _fit(ant is not None, "empty antecedent")
-    sub = pf.tree_at(ant, path)
-    unit = sx.SLeaf(sx.ONE)
-    new_sub = sx.SNode(unit, sub) if side == "l" else sx.SNode(sub, unit)
-    rule = pf.ONE_L_LEFT if side == "l" else pf.ONE_L_RIGHT
-    seq = sx.Sequent(pf.tree_replace(ant, path, new_sub), d.seq.suc)
-    return pf.node(seq, rule, [d], pf.Inst(path=path))
-
-
 def dassume_prod(member: sx.Sequent) -> pf.Derivation:
     """From assumption A * B => C conclude A o B => C."""
     f = member.ant.f if isinstance(member.ant, sx.SLeaf) else None
@@ -378,16 +326,6 @@ def neg_anti(d: pf.Derivation) -> pf.Derivation:
     nb = sx.LNot(b)
     refute = le_trans(and_mono(did(nb), d), comm_and(nb, b), dneg1(b))
     return neg_intro(refute)
-
-
-def fact7(d: pf.Derivation) -> pf.Derivation:
-    """From A => B conclude => ~A \\/ B."""
-    a = d.seq.ant.f if isinstance(d.seq.ant, sx.SLeaf) else None
-    _fit(a is not None, "needs a simple premise")
-    na = sx.LNot(a)
-    out = sx.LOr(na, d.seq.suc)
-    branch = dor_l(dor_r(d, out, 2), dor_r(did(na), out, 1), sx.LOr(a, na))
-    return le_trans(dtop(None), dneg2(a), branch)
 
 
 def cong_replace(
@@ -502,22 +440,6 @@ def dm_or_bwd(a: sx.LFormula, b: sx.LFormula) -> pf.Derivation:
     core = lat_le_strict(sx.LAnd(x, ab), pairs)
     refute = le_trans(core, dor_l(dneg1(a), dneg1(b), pairs))
     return neg_intro(refute)
-
-
-def dist_prod_or(m: sx.LFormula, x: sx.LFormula, y: sx.LFormula) -> pf.Derivation:
-    """M * (X \\/ Y) => (M * X) \\/ (M * Y)."""
-    out = sx.LOr(sx.LProd(m, x), sx.LProd(m, y))
-    left = dor_r(dprod_r(did(m), did(x)), out, 1)
-    right = dor_r(dprod_r(did(m), did(y)), out, 2)
-    return dprod_l(dor_l(left, right, sx.LOr(x, y), path=(1,)))
-
-
-def undist_prod_or(m: sx.LFormula, x: sx.LFormula, y: sx.LFormula) -> pf.Derivation:
-    """(M * X) \\/ (M * Y) => M * (X \\/ Y)."""
-    xy = sx.LOr(x, y)
-    left = prod_mono(did(m), dor_r(did(x), xy, 1))
-    right = prod_mono(did(m), dor_r(did(y), xy, 2))
-    return dor_l(left, right, sx.LOr(sx.LProd(m, x), sx.LProd(m, y)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Budgeted proof search: strategy chain, iterative-deepening backward
 search with analytic cut, and gated semantic refutation.
 
-`derive` tries the closed-form strategies first.  Then, on the
-fragments where the semantics is known to match the calculus, it looks
-for a countermodel without sampling: the exhaustively enumerated small
-models, and the K countermodel pushed down the reduction chain, which
-refutes the chain's own non-theorems.  Both are cheap and often decide a
-non-theorem outright.  Then comes deepening
-depth-first search over the rule moves with cut formulas drawn from a
-bounded closure of the problem's subformulas, and finally, on the same
-fragments, the full countermodel search with seeded sampling.  Proofs
-are re-validated by the independent checker before they are returned;
-countermodels are re-evaluated on a fresh copy.  Unknown is an honest
-first-class outcome."""
+On the fragments where the semantics is known to match the calculus,
+`derive` first reads the goal back up the reduction chain to a K
+formula, once, and decides that with the K tableau.  A goal that reads
+back to a K non-theorem goes straight to the countermodel search
+without sampling: the exhaustively enumerated small models, then the K
+countermodel pushed down the chain, which refutes it.  Every other goal
+tries the closed-form strategies first and that search second.  Then
+comes deepening depth-first search over the rule moves with cut
+formulas drawn from a bounded closure of the problem's subformulas, and
+finally, on the same fragments, the full countermodel search with
+seeded sampling.  Proofs are re-validated by the independent checker
+before they are returned; countermodels are re-evaluated on a fresh
+copy.  Unknown is an honest first-class outcome."""
 
 from __future__ import annotations
 
@@ -201,12 +202,18 @@ def derive(sys: SystemSpec, phi: Iterable[sx.Sequent], goal: sx.Sequent,
     """Three-valued derivability: Proved with a checked derivation,
     Refuted with a re-verified countermodel, or Unknown.
 
-    Phases, in order: the strategy chain; where `_refutation_ok` holds,
-    the countermodel search without samples (the exhaustive small models,
+    Where `_refutation_ok` holds (and refutation is on), the goal is
+    first read back to K and decided once (`sampling.chain_verdict`);
+    every countermodel search of the call reuses that verdict.  Phases,
+    in order: the strategy chain; where `_refutation_ok` holds, the
+    countermodel search without samples (the exhaustive small models,
     then the transferred K countermodel); backward search; where
     `_refutation_ok` holds, the full countermodel search (which repeats
-    the first two stages, then samples).  The first phase that decides
-    ends the call."""
+    the first two stages, then samples).  For a goal that reads back to a
+    K non-theorem the search without samples comes first, before the
+    strategy chain, which cannot prove it.  The first phase that decides
+    ends the call.  Recursive calls from the strategies run with
+    refutation off, so they read nothing back."""
     budget = budget or SearchBudget()
     phi = frozenset(phi)
     validate_sequent(sys, goal)
@@ -218,6 +225,26 @@ def derive(sys: SystemSpec, phi: Iterable[sx.Sequent], goal: sx.Sequent,
         sub = derive(sys2, phi2, goal2, replace(budget, refute=False, time_cap_ms=left))
         return sub.derivation if sub.verdict == PROVED else None
 
+    refute = budget.refute and _refutation_ok(sys, phi, goal)
+    verdict = sampling.chain_verdict(goal) if refute else None
+
+    def countermodel(samples: int) -> Optional[ProofResult]:
+        sb = sampling.SampleBudget(seed=budget.seed, samples=samples,
+                                   symmetric=sys.exchange, with_unit=sys.unit)
+        ordered = tuple(sorted(phi, key=sx.render_sequent))
+        hit = sampling.find_countermodel(goal, ordered, sb, verdict)
+        return None if hit is None else ProofResult(REFUTED, model=hit[0], state=hit[1])
+
+    # the small models and the transfer (samples=0): a hit there is the
+    # first hit of the full call, and costs far less than the search; for
+    # a goal that reads back to a K non-theorem it comes before the
+    # strategies, which cannot prove it
+    early = verdict is not None and not verdict.valid
+    if early:
+        r = countermodel(0)
+        if r is not None:
+            return r
+
     for name, fn in st.STRATEGIES:
         try:
             d = fn(sys, phi, goal, recurse)
@@ -226,29 +253,19 @@ def derive(sys: SystemSpec, phi: Iterable[sx.Sequent], goal: sx.Sequent,
         if d is not None and d.seq == goal and ck.check_derivation(sys, phi, d):
             return ProofResult(PROVED, derivation=d, strategy=name)
 
-    refute = budget.refute and _refutation_ok(sys, phi, goal)
-    if refute:
-        sb = sampling.SampleBudget(
-            seed=budget.seed,
-            samples=budget.samples,
-            symmetric=sys.exchange,
-            with_unit=sys.unit,
-        )
-        ordered = tuple(sorted(phi, key=sx.render_sequent))
-        # the small models and the transfer first: a hit here is the first
-        # hit of the full call below, and costs far less than the search
-        hit = sampling.find_countermodel(goal, ordered, replace(sb, samples=0))
-        if hit is not None:
-            return ProofResult(REFUTED, model=hit[0], state=hit[1])
+    if refute and not early:
+        r = countermodel(0)
+        if r is not None:
+            return r
 
     d = _search(sys, phi, goal, budget, deadline)
     if d is not None and ck.check_derivation(sys, phi, d):
         return ProofResult(PROVED, derivation=d, strategy="search")
 
     if refute:
-        hit = sampling.find_countermodel(goal, ordered, sb)
-        if hit is not None:
-            return ProofResult(REFUTED, model=hit[0], state=hit[1])
+        r = countermodel(budget.samples)
+        if r is not None:
+            return r
 
     report = (
         f"no proof within depth {budget.max_depth}, {budget.max_goals} goals, "

@@ -6,11 +6,13 @@ equal seeds give equal streams.
 
 For a goal in the plain vocabulary the countermodel search tries, in
 order: the exhaustive 1- and 2-state ternary models, the transferred K
-countermodel, then the seeded ternary samples.  The transfer reads the
-goal back up the reduction chain with the K reader `transform.read_k`
-(top as ~bot), decides it with the K tableau, and pushes an invalid
-formula's Kripke countermodel down again as a two-copy ternary model
-with the chain's generated letters valued (`_transfer_ternary`).  So
+countermodel, then the seeded ternary samples.  The transfer takes
+`chain_verdict`, which reads the goal back up the reduction chain with
+the K reader `transform.read_k` (top as ~bot) and decides it with the K
+tableau, and pushes an invalid formula's Kripke countermodel down again
+as a two-copy ternary model with the chain's generated letters valued
+(`_transfer_ternary`).  `prover.derive` finds that verdict once per call
+and hands it to every countermodel search it makes.  So
 every non-theorem of the chain is refuted without the samples, which,
 facing its many companion and absorption assumptions, rarely draw one.
 
@@ -38,7 +40,7 @@ from . import models as md
 from . import syntax as sx
 from . import transform as tr
 from .errors import ModelError
-from .ktableau import k_decide
+from .ktableau import TableauVerdict, k_decide
 
 TERNARY_EXHAUSTIVE_CAP = 2
 STATE_CAP = 6
@@ -247,26 +249,37 @@ def _neg_depth(f: sx.LFormula, depth: dict) -> int:
     return out
 
 
-def _transfer_ternary(goal: sx.Sequent, phi, symmetric: bool) -> Optional[md.TernaryModel]:
+_TOP_LEAVES = (sx.SLeaf(sx.TOP), sx.SLeaf(sx.P_TOP))
+
+
+def chain_verdict(goal: sx.Sequent) -> Optional[TableauVerdict]:
+    """The K tableau's verdict on the modal formula the goal reads back to
+    up the reduction chain, or None when it reads back to none.
+
+    The antecedent must be empty or a top or p_top leaf; this is checked
+    before anything is mapped.  The succedent is read back through the
+    section and letter inverses, then through `read_k`."""
+    if goal.ant is not None and goal.ant not in _TOP_LEAVES:
+        return None
+    a = tr.read_k(tr.negrewrite(tr.section_inverse(goal.suc)))
+    return None if a is None else k_decide(a)
+
+
+def _transfer_ternary(goal: sx.Sequent, phi, symmetric: bool,
+                      verdict: Optional[TableauVerdict] = None) -> Optional[md.TernaryModel]:
     """The K countermodel of the modal formula the goal pulls back to,
     pushed down the reduction chain; None when the goal does not pull back
     to a K formula or that formula is valid.
 
-    The goal is read back through the section and letter inverses to
-    `=> A` or `top => A` and A through `read_k`.  The Kripke
-    countermodel `k_decide` gives is doubled (with four triples per edge
-    if symmetric), p_top holds everywhere and p_bot nowhere, and each
+    verdict is `chain_verdict(goal)`, found here if not given.  Its
+    Kripke countermodel is doubled (with four triples per edge if
+    symmetric), p_top holds everywhere and p_bot nowhere, and each
     generated letter of the problem holds exactly where its payload
     fails.  Payloads are read innermost first, so every letter a payload
     mentions is valued before it is read."""
-    back = tr.negrewrite_sequent(tr.section_inverse_sequent(goal))
-    if back.ant not in (None, sx.SLeaf(sx.TOP)):
-        return None
-    a = tr.read_k(back.suc)
-    if a is None:
-        return None
-    verdict = k_decide(a)
-    if verdict.valid:
+    if verdict is None:
+        verdict = chain_verdict(goal)
+    if verdict is None or verdict.valid:
         return None
     j = tr.build_ternary_model(verdict.model, exchange=symmetric)
     depth: dict = {}
@@ -288,14 +301,15 @@ def _transfer_ternary(goal: sx.Sequent, phi, symmetric: bool) -> Optional[md.Ter
     return md.TernaryModel(j.states, j.rel3, val)
 
 
-def _candidate_ternary(goal: sx.Sequent, phi, atoms, budget: SampleBudget) -> Iterator[md.TernaryModel]:
+def _candidate_ternary(goal: sx.Sequent, phi, atoms, budget: SampleBudget,
+                       verdict: Optional[TableauVerdict]) -> Iterator[md.TernaryModel]:
     plain = not (budget.with_unit or budget.with_dia)
     if plain:
         if len(atoms) <= 4:
             yield from _exhaustive_ternary(1, atoms, goal, phi, budget.symmetric)
         if len(atoms) <= 3:
             yield from _exhaustive_ternary(2, atoms, goal, phi, budget.symmetric)
-        moved = _transfer_ternary(goal, phi, budget.symmetric)
+        moved = _transfer_ternary(goal, phi, budget.symmetric, verdict)
         if moved is not None:
             yield moved
     rng = random.Random(budget.seed)
@@ -308,14 +322,16 @@ def find_countermodel(
     goal: Union[sx.Sequent, sx.ModalFormula],
     phi: tuple[sx.Sequent, ...] = (),
     budget: Optional[SampleBudget] = None,
+    verdict: Optional[TableauVerdict] = None,
 ):
     """Search for a model of phi falsifying the goal somewhere.
 
     Returns (model, state) or None.  A modal goal is decided by the K
     tableau, so it gets a Kripke countermodel exactly when it is invalid
     in K.  A sequent goal tries the exhaustive 1- and 2-state ternary
-    models, then the transferred K countermodel (which reads top as ~bot),
-    then `budget.samples` ternary samples (the first two only without unit
+    models, then the transferred K countermodel (which reads top as ~bot;
+    verdict is the goal's `chain_verdict` if the caller has it), then
+    `budget.samples` ternary samples (the first two only without unit
     and dia, so a smallest model wins).  Every candidate only filters:
     each must satisfy phi and falsify the goal at some state, and every
     hit is re-verified on a fresh copy of the model before returning.  For a sequent goal None is *not* a validity
@@ -341,7 +357,7 @@ def find_countermodel(
     forms = [f for s in (goal, *phi) for f in sx.sequent_formulas(s)]
     keys = set().union(*map(sx.atom_keys, forms))
     atoms = tuple(sorted(keys)) or ("p",)
-    for j in _candidate_ternary(goal, phi, atoms, budget):
+    for j in _candidate_ternary(goal, phi, atoms, budget, verdict):
         if not md.satisfies_assumptions(j, phi):
             continue
         for u in j.states:

@@ -13,7 +13,8 @@ backwards.  `k-oracle` proves a goal that `transform.read_k` reads back
 to K with the K prover of `gk`.
 `unneg` and `unsection` are both `_pull_back`: a goal of the ddagger or
 section image system is mapped back one stage, proved there by a
-recursive call, and the proof is transported forward again.
+recursive call, and the proof is transported forward again, all over one
+memo of the chain maps that lives for that call (see `transform`).
 """
 
 from __future__ import annotations
@@ -189,25 +190,28 @@ def _flags(sys: SystemSpec) -> tuple:
 
 def _pull_back(source: str, image: str, inverse, forward, outright, transport) -> Callable:
     """The strategy that proves a goal of a system with the image system's
-    flags by a recursive call in the source system.  inverse maps a
-    sequent back one stage; the goal and each kept member of phi must come
-    back under forward; a member whose preimage holds outright in the
-    source is dropped; transport(d, phi) pushes the proof forward."""
+    flags by a recursive call in the source system.  inverse(s, memo) maps
+    a sequent back one stage; the goal and each kept member of phi must
+    come back under forward(s, memo); a member whose preimage holds
+    outright in the source is dropped; transport(d, phi, memo) pushes the
+    proof forward.  One memo, made per call and dropped when it returns,
+    serves all three, so each chain map meets a distinct term once."""
     image_flags, target = _flags(get_system(image)), get_system(source)
 
     def pull_back(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
         if _flags(sys) != image_flags:
             return None
-        back = inverse(goal)
-        if forward(back) != goal:
+        memo: dict = {}
+        back = inverse(goal, memo)
+        if forward(back, memo) != goal:
             return None  # e.g. an empty antecedent has no section preimage
         kept = []
         for m in phi:
-            bm = inverse(m)
-            if not outright(bm) and forward(bm) == m:
+            bm = inverse(m, memo)
+            if not outright(bm) and forward(bm, memo) == m:
                 kept.append(bm)
         d = recurse(target, frozenset(kept), back)
-        return None if d is None else transport(d, phi)
+        return None if d is None else transport(d, phi, memo)
 
     return pull_back
 
@@ -225,11 +229,11 @@ def _holds_with_bounds(s: sx.Sequent) -> bool:
 try_unneg = _pull_back(
     "bfnl-star", "bdfnl-star", tr.negrewrite_sequent, tr.ddagger_sequent,
     lambda s: tr.neg_axiom(s) is not None,  # companion members are negation axioms there
-    lambda d, phi: tr.ddagger_derivation(d, phi),
+    lambda d, phi, memo: tr.ddagger_derivation(d, phi, memo),
 )
 try_unsection = _pull_back(
     "bdfnl-star", "dfnl-star", tr.section_inverse_sequent, tr.section_sequent,
-    _holds_with_bounds, lambda d, phi: tr.section_derivation(d, phi),
+    _holds_with_bounds, lambda d, phi, memo: tr.section_derivation(d, phi, memo),
 )
 
 

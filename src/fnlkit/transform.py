@@ -11,10 +11,21 @@ outside, checks that a source formula leaves it free.  The two lower
 stages have a sequent inverse (`negrewrite_sequent`,
 `section_inverse_sequent`) and a derivation transport
 (`ddagger_derivation`, `section_derivation`) for `strategy._pull_back`.
+
+The chain maps (`_ddag`, `tilde_ext`, `section_map`, `section_inverse`,
+`negrewrite` and the `_sequent` forms) are `_memoized`: each takes an
+optional memo, a plain dict, and maps a distinct term of it once, so
+equal terms get one image object.  `strategy._pull_back` makes one memo
+per call; it serves the goal's and the members' images and the
+transport of the proof (with the pair builders it calls), and is
+dropped when the call returns.  Without a memo a map runs over a fresh
+dict; nothing is cached across calls.
+
 The one K reader, `read_k`, reads a formula back to K, top as ~bot, for
 `strategy.try_k_oracle` and for `sampling`, which runs the chain the
-other way: it reads a goal back through the two inverses and `read_k`,
-and doubles the modal formula's K countermodel with
+other way: `sampling.chain_verdict` reads a goal back through the two
+inverses and `read_k` and decides it, once per `prover.derive`, and the
+transfer doubles an invalid formula's K countermodel with
 `build_ternary_model`, M valued everywhere; p_top then holds everywhere,
 p_bot nowhere, and each generated letter exactly where its payload
 fails, which satisfies the companion and absorption sets.  The model
@@ -40,6 +51,29 @@ from .errors import LemmaError, ValidationError
 from .systems import allowed_rules, get_system
 
 M = "m"  # the reserved letter: dagger reads a diamond as a left product with it
+
+
+def _memoized(step: Callable) -> Callable:
+    """The chain map defined by step(a, memo), which builds the image of a
+    and maps a's subterms through the maps with the same memo.  The memo
+    is a dict from map to {term: image}, so each map's step runs at most
+    once per distinct term of one memo and equal terms get one image
+    object.  Called without a memo, the map runs over a fresh dict."""
+
+    def run(a, memo: Optional[dict] = None):
+        if memo is None:
+            memo = {}
+        table = memo.get(run)
+        if table is None:
+            table = memo[run] = {}
+        out = table.get(a)
+        if out is None:
+            out = table[a] = run.step(a, memo)
+        return out
+
+    run.step = step
+    run.__name__, run.__qualname__, run.__doc__ = step.__name__, step.__qualname__, step.__doc__
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -175,26 +209,20 @@ def tilde(a: sx.LFormula, base: frozenset) -> sx.LFormula:
         raise ValidationError("tilde is defined on negation-free formulas")
     if not sx.closure_contains(spec, a):
         raise ValidationError(f"{sx.render_lambek(a)} is outside the closure of the base set")
-    return _tilde(a, frozenset(base), strict=True)
+    return _tilde(a, frozenset(base))
 
 
-def _tilde(a: sx.LFormula, base: frozenset, strict: bool) -> sx.LFormula:
+def _tilde(a: sx.LFormula, base: frozenset) -> sx.LFormula:
     if isinstance(a, sx.LTop):
         return sx.BOT
     if isinstance(a, sx.LBot):
         return sx.TOP
     if isinstance(a, sx.LAnd):
-        return sx.LOr(_tilde(a.l, base, strict), _tilde(a.r, base, strict))
+        return sx.LOr(_tilde(a.l, base), _tilde(a.r, base))
     if isinstance(a, sx.LOr):
-        return sx.LAnd(_tilde(a.l, base, strict), _tilde(a.r, base, strict))
-    if strict:
-        if a not in base:
-            raise ValidationError(f"{sx.render_lambek(a)} is not a base member")
-        return sx.fresh_for(a)
-    # extended form: letters resolve back to their formulas, so the map is
-    # an involution on the letter level; everything else gets a letter
-    if isinstance(a, sx.LFresh) and a.mark == "neg":
-        return a.of
+        return sx.LAnd(_tilde(a.l, base), _tilde(a.r, base))
+    if a not in base:
+        raise ValidationError(f"{sx.render_lambek(a)} is not a base member")
     return sx.fresh_for(a)
 
 
@@ -234,23 +262,26 @@ def exn_star(t: Iterable[sx.LFormula]) -> frozenset[sx.LFormula]:
     letter inside a product that no companion pair governs.  So collect
     the lattice-leaves of every rewritten member as well."""
     out = set(exn(t))
+    memo: dict = {}
     for a in t:
-        _ddag_leaves(_ddag(a), out)
+        _ddag_leaves(_ddag(a, memo), out)
     return frozenset(out)
 
 
 def ec(t: Iterable[sx.LFormula]) -> frozenset[sx.LFormula]:
-    return frozenset(section_map(a) for a in t)
+    memo: dict = {}
+    return frozenset(section_map(a, memo) for a in t)
 
 
 # ---------------------------------------------------------------------------
 # ddagger
 
 
-def _ddag(a: sx.LFormula) -> sx.LFormula:
+@_memoized
+def _ddag(a: sx.LFormula, memo: dict) -> sx.LFormula:
     if isinstance(a, sx.LNot):
-        return tilde_ext(_ddag(a.a))
-    return sx.map_children(a, _ddag)
+        return tilde_ext(_ddag(a.a, memo), memo)
+    return sx.map_children(a, lambda c: _ddag(c, memo))
 
 
 def ddagger(a: sx.LFormula) -> sx.LFormula:
@@ -261,12 +292,16 @@ def ddagger(a: sx.LFormula) -> sx.LFormula:
     return out
 
 
-def _map_sequent(s: sx.Sequent, fmap: Callable) -> sx.Sequent:
-    return sx.Sequent(None if s.ant is None else sx.map_tree(s.ant, fmap), fmap(s.suc))
+def _map_sequent(s: sx.Sequent, fmap: Callable, memo: dict) -> sx.Sequent:
+    def f(a):
+        return fmap(a, memo)
+
+    return sx.Sequent(None if s.ant is None else sx.map_tree(s.ant, f), f(s.suc))
 
 
-def ddagger_sequent(s: sx.Sequent) -> sx.Sequent:
-    return _map_sequent(s, _ddag)
+@_memoized
+def ddagger_sequent(s: sx.Sequent, memo: dict) -> sx.Sequent:
+    return _map_sequent(s, _ddag, memo)
 
 
 def problem_base(goal: sx.Sequent, phi: Iterable[sx.Sequent] = ()) -> frozenset[sx.LFormula]:
@@ -279,8 +314,9 @@ def ddagger_problem(
     goal: sx.Sequent, phi: Iterable[sx.Sequent] = ()
 ) -> tuple[sx.Sequent, frozenset[sx.Sequent]]:
     t = problem_base(goal, phi)
-    out_goal = ddagger_sequent(goal)
-    assumptions = psi_set(exn_star(t)) | frozenset(ddagger_sequent(s) for s in phi)
+    memo: dict = {}
+    out_goal = ddagger_sequent(goal, memo)
+    assumptions = psi_set(exn_star(t)) | frozenset(ddagger_sequent(s, memo) for s in phi)
     return out_goal, assumptions
 
 
@@ -288,7 +324,8 @@ def ddagger_problem(
 # section map and absorption set
 
 
-def section_map(a: sx.LFormula) -> sx.LFormula:
+@_memoized
+def section_map(a: sx.LFormula, memo: dict) -> sx.LFormula:
     """Constant elimination: bot and top become their letters, everything
     else is homomorphic.  Negations are out of scope here."""
     if isinstance(a, sx.LBot):
@@ -297,16 +334,18 @@ def section_map(a: sx.LFormula) -> sx.LFormula:
         return sx.P_TOP
     if isinstance(a, sx.LNot):
         raise ValidationError("the constant-elimination map expects negation-free input")
-    return sx.map_children(a, section_map)
+    return sx.map_children(a, lambda c: section_map(c, memo))
 
 
-def section_sequent(s: sx.Sequent) -> sx.Sequent:
+@_memoized
+def section_sequent(s: sx.Sequent, memo: dict) -> sx.Sequent:
     """An empty antecedent becomes the top letter.  The target system keeps
     no empty-antecedent axioms (the top axiom is gone), so a literally
     empty image would be underivable even for trivially valid inputs;
     cutting with the absorbed antecedent inverts the change."""
-    ant = sx.SLeaf(sx.P_TOP) if s.ant is None else sx.map_tree(s.ant, section_map)
-    return sx.Sequent(ant, section_map(s.suc))
+    if s.ant is None:
+        return sx.Sequent(sx.SLeaf(sx.P_TOP), section_map(s.suc, memo))
+    return _map_sequent(s, section_map, memo)
 
 
 def theta_set(t: Iterable[sx.LFormula]) -> frozenset[sx.Sequent]:
@@ -328,8 +367,9 @@ def section_embed(
     goal: sx.Sequent, phi: Iterable[sx.Sequent] = ()
 ) -> tuple[sx.Sequent, frozenset[sx.Sequent]]:
     t = problem_base(goal, phi)
-    out_goal = section_sequent(goal)
-    assumptions = frozenset(section_sequent(s) for s in phi) | theta_set(ec(t))
+    memo: dict = {}
+    out_goal = section_sequent(goal, memo)
+    assumptions = frozenset(section_sequent(s, memo) for s in phi) | theta_set(ec(t))
     return out_goal, assumptions
 
 
@@ -341,10 +381,23 @@ def section_embed(
 # phi; a missing member fails fast instead of at re-check.
 
 
-def tilde_ext(a: sx.LFormula) -> sx.LFormula:
+@_memoized
+def tilde_ext(a: sx.LFormula, memo: dict) -> sx.LFormula:
     """The dual map with generated letters resolving back to their
-    payloads (so it is an involution on the letter level)."""
-    return _tilde(a, frozenset(), strict=False)
+    payloads (so it is an involution on the letter level): constants
+    flip, /\\ and \\/ swap and recurse, a letter becomes its payload and
+    anything else gets a letter."""
+    if isinstance(a, sx.LTop):
+        return sx.BOT
+    if isinstance(a, sx.LBot):
+        return sx.TOP
+    if isinstance(a, sx.LAnd):
+        return sx.LOr(tilde_ext(a.l, memo), tilde_ext(a.r, memo))
+    if isinstance(a, sx.LOr):
+        return sx.LAnd(tilde_ext(a.l, memo), tilde_ext(a.r, memo))
+    if isinstance(a, sx.LFresh) and a.mark == "neg":
+        return a.of
+    return sx.fresh_for(a)
 
 
 def _member(member: sx.Sequent, phi, build=lm.dassume) -> pf.Derivation:
@@ -371,32 +424,34 @@ def _companion_top(g: sx.LFormula, phi) -> pf.Derivation:
     return _member(sx.simple(sx.TOP, sx.LOr(g, sx.fresh_for(g))), phi)
 
 
-def pair_bot(f: sx.LFormula, phi) -> pf.Derivation:
-    """A /\\ A~ => bot, by recursion on the lattice shape of A.
+def pair_bot(f: sx.LFormula, phi, memo: Optional[dict] = None) -> pf.Derivation:
+    """A /\\ A~ => bot, by recursion on the lattice shape of A, with
+    tilde_ext over the given memo (a fresh one if none).
 
     The two lattice cases share one distribution core: the pair for a
     conjunction or disjunction reduces freely to the disjunction of the
     pairs for the sides."""
-    t = tilde_ext(f)
-    lhs = sx.LAnd(f, t)
+    memo = {} if memo is None else memo
+    lhs = sx.LAnd(f, tilde_ext(f, memo))
     if isinstance(f, (sx.LTop, sx.LBot)):
         return lm.lat_le_strict(lhs, sx.BOT)
     if isinstance(f, (sx.LAnd, sx.LOr)):
-        mid = sx.LOr(sx.LAnd(f.l, tilde_ext(f.l)), sx.LAnd(f.r, tilde_ext(f.r)))
+        mid = sx.LOr(sx.LAnd(f.l, tilde_ext(f.l, memo)), sx.LAnd(f.r, tilde_ext(f.r, memo)))
         core = lm.lat_le_strict(lhs, mid)
-        return lm.le_trans(core, lm.dor_l(pair_bot(f.l, phi), pair_bot(f.r, phi), mid))
+        sides = lm.dor_l(pair_bot(f.l, phi, memo), pair_bot(f.r, phi, memo), mid)
+        return lm.le_trans(core, sides)
     return _companion_bot(f, phi)
 
 
-def pair_top(f: sx.LFormula, phi) -> pf.Derivation:
+def pair_top(f: sx.LFormula, phi, memo: Optional[dict] = None) -> pf.Derivation:
     """top => A \\/ A~, dually to pair_bot."""
-    t = tilde_ext(f)
-    rhs = sx.LOr(f, t)
+    memo = {} if memo is None else memo
+    rhs = sx.LOr(f, tilde_ext(f, memo))
     if isinstance(f, (sx.LTop, sx.LBot)):
         return lm.lat_le_strict(sx.TOP, rhs)
     if isinstance(f, (sx.LAnd, sx.LOr)):
-        mid = sx.LAnd(sx.LOr(f.l, tilde_ext(f.l)), sx.LOr(f.r, tilde_ext(f.r)))
-        both = lm.dand_r(pair_top(f.l, phi), pair_top(f.r, phi))
+        mid = sx.LAnd(sx.LOr(f.l, tilde_ext(f.l, memo)), sx.LOr(f.r, tilde_ext(f.r, memo)))
+        both = lm.dand_r(pair_top(f.l, phi, memo), pair_top(f.r, phi, memo))
         return lm.le_trans(both, lm.lat_le_strict(mid, rhs))
     return _companion_top(f, phi)
 
@@ -483,30 +538,34 @@ def tree_absorb(t: sx.StructTree, path: pf.Path, phi) -> pf.Derivation:
 # letter inverses
 
 
-def negrewrite(a: sx.LFormula) -> sx.LFormula:
+@_memoized
+def negrewrite(a: sx.LFormula, memo: dict) -> sx.LFormula:
     """Read every generated letter as the negation of its payload."""
     if isinstance(a, sx.LFresh) and a.mark == "neg":
-        return sx.LNot(negrewrite(a.of))
-    return sx.map_children(a, negrewrite)
+        return sx.LNot(negrewrite(a.of, memo))
+    return sx.map_children(a, lambda c: negrewrite(c, memo))
 
 
-def negrewrite_sequent(s: sx.Sequent) -> sx.Sequent:
-    return _map_sequent(s, negrewrite)
+@_memoized
+def negrewrite_sequent(s: sx.Sequent, memo: dict) -> sx.Sequent:
+    return _map_sequent(s, negrewrite, memo)
 
 
-def section_inverse(a: sx.LFormula) -> sx.LFormula:
+@_memoized
+def section_inverse(a: sx.LFormula, memo: dict) -> sx.LFormula:
     """The constant letters back to the constants."""
     if a == sx.P_BOT:
         return sx.BOT
     if a == sx.P_TOP:
         return sx.TOP
     if isinstance(a, sx.LFresh) and a.mark == "neg":
-        return sx.fresh_for(section_inverse(a.of))
-    return sx.map_children(a, section_inverse)
+        return sx.fresh_for(section_inverse(a.of, memo))
+    return sx.map_children(a, lambda c: section_inverse(c, memo))
 
 
-def section_inverse_sequent(s: sx.Sequent) -> sx.Sequent:
-    return _map_sequent(s, section_inverse)
+@_memoized
+def section_inverse_sequent(s: sx.Sequent, memo: dict) -> sx.Sequent:
+    return _map_sequent(s, section_inverse, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -519,45 +578,47 @@ def section_inverse_sequent(s: sx.Sequent) -> sx.Sequent:
 
 
 def _map_derivation(d: pf.Derivation, step: Callable) -> pf.Derivation:
-    memo: dict[int, pf.Derivation] = {}
+    done: dict[int, pf.Derivation] = {}
     stack: list[tuple[pf.Derivation, bool]] = [(d, False)]
     while stack:
         n, ready = stack.pop()
-        if id(n) in memo:
+        if id(n) in done:
             continue
         if not ready:
             stack.append((n, True))
-            stack.extend((p, False) for p in n.premises if id(p) not in memo)
+            stack.extend((p, False) for p in n.premises if id(p) not in done)
         else:
-            memo[id(n)] = step(n, tuple(memo[id(p)] for p in n.premises))
-    return memo[id(d)]
+            done[id(n)] = step(n, tuple(done[id(p)] for p in n.premises))
+    return done[id(d)]
 
 
-def _map_inst(inst: pf.Inst, fmap, smap) -> pf.Inst:
+def _map_inst(inst: pf.Inst, fmap, smap, memo: dict) -> pf.Inst:
     return pf.Inst(
         path=inst.path,
-        main=None if inst.main is None else fmap(inst.main),
-        side=None if inst.side is None else fmap(inst.side),
+        main=None if inst.main is None else fmap(inst.main, memo),
+        side=None if inst.side is None else fmap(inst.side, memo),
         idx=inst.idx,
-        member=None if inst.member is None else smap(inst.member),
+        member=None if inst.member is None else smap(inst.member, memo),
     )
 
 
-def ddagger_derivation(d: pf.Derivation, phi) -> pf.Derivation:
+def ddagger_derivation(d: pf.Derivation, phi, memo: Optional[dict] = None) -> pf.Derivation:
     """Negation elimination on a whole derivation: negation axioms become
     companion-pair derivations over the members of phi, everything else
-    (assumption leaves included) maps homomorphically."""
+    (assumption leaves included) maps homomorphically.  The maps run over
+    the given memo, or a fresh one."""
     target = allowed_rules(get_system("bdfnl-star"))
+    memo = {} if memo is None else memo
 
     def step(n: pf.Derivation, prems):
         if n.rule == pf.NEG1:
-            return pair_bot(_ddag(n.seq.ant.f.l), phi)
+            return pair_bot(_ddag(n.seq.ant.f.l, memo), phi, memo)
         if n.rule == pf.NEG2:
-            return pair_top(_ddag(n.seq.suc.l), phi)
+            return pair_top(_ddag(n.seq.suc.l, memo), phi, memo)
         if n.rule not in target:
             raise LemmaError(f"{n.rule} has no image in the negation-free system")
-        return pf.node(ddagger_sequent(n.seq), n.rule, prems,
-                       _map_inst(n.inst, _ddag, ddagger_sequent))
+        return pf.node(ddagger_sequent(n.seq, memo), n.rule, prems,
+                       _map_inst(n.inst, _ddag, ddagger_sequent, memo))
 
     return _map_derivation(d, step)
 
@@ -574,46 +635,30 @@ def neg_axiom(s: sx.Sequent) -> Optional[pf.Derivation]:
     return None
 
 
-def negrewrite_derivation(d: pf.Derivation) -> pf.Derivation:
-    """The mechanical letter-to-negation rewrite of a whole derivation.
-    Assumptions whose rewrite is a negation axiom instance become that
-    axiom, so companion members disappear from the assumption footprint."""
-
-    def step(n: pf.Derivation, prems):
-        if n.rule == pf.ASSUMPTION:
-            member = negrewrite_sequent(n.inst.member)
-            ax = neg_axiom(member)
-            if ax is not None:
-                return ax
-            return pf.node(member, pf.ASSUMPTION, (), pf.Inst(member=member))
-        return pf.node(negrewrite_sequent(n.seq), n.rule, prems,
-                       _map_inst(n.inst, negrewrite, negrewrite_sequent))
-
-    return _map_derivation(d, step)
-
-
-def section_derivation(d: pf.Derivation, phi) -> pf.Derivation:
+def section_derivation(d: pf.Derivation, phi, memo: Optional[dict] = None) -> pf.Derivation:
     """Constant elimination on a whole derivation: bound axioms become
     absorption derivations over the letter members of phi, and empty antecedents
     become the top letter throughout (matching section_sequent).  Empty
-    residual introductions have no image and fail."""
+    residual introductions have no image and fail.  The maps run over the
+    given memo, or a fresh one."""
     target = allowed_rules(get_system("dfnl-star"))
+    memo = {} if memo is None else memo
 
     def step(n: pf.Derivation, prems):
         if n.rule == pf.TOP_AX:
-            return tree_top(section_sequent(n.seq).ant, phi)
+            return tree_top(section_sequent(n.seq, memo).ant, phi)
         if n.rule == pf.BOT_AX:
-            out = tree_absorb(sx.map_tree(n.seq.ant, section_map), n.inst.path, phi)
-            suc = section_map(n.seq.suc)
-            if suc != sx.P_BOT:
-                out = lm.le_trans(out, sec_from_pbot(suc, phi))
+            img = section_sequent(n.seq, memo)
+            out = tree_absorb(img.ant, n.inst.path, phi)
+            if img.suc != sx.P_BOT:
+                out = lm.le_trans(out, sec_from_pbot(img.suc, phi))
             return out
         if n.rule not in target:
             raise LemmaError(f"{n.rule} has no image in the constant-free system")
         if n.rule in (pf.UNDER_R, pf.OVER_R) and n.seq.ant is None:
             raise LemmaError("empty residual introduction has no constant-free image")
-        return pf.node(section_sequent(n.seq), n.rule, prems,
-                       _map_inst(n.inst, section_map, section_sequent))
+        return pf.node(section_sequent(n.seq, memo), n.rule, prems,
+                       _map_inst(n.inst, section_map, section_sequent, memo))
 
     return _map_derivation(d, step)
 

@@ -1,6 +1,6 @@
 """Shared hypothesis strategies for formula/tree/sequent generation, and
-the model helpers, derivation readers and regression corpus that only
-tests use."""
+the model helpers, derivation builders and readers and regression corpus
+that only tests use."""
 
 import itertools
 import random
@@ -10,10 +10,12 @@ import hypothesis.strategies as st
 from hypothesis import settings
 
 from fnlkit import ktableau as kt
+from fnlkit import lemmas as lm
 from fnlkit import models as md
 from fnlkit import proofs as pf
 from fnlkit import sampling as smp
 from fnlkit import syntax as sx
+from fnlkit import transform as tr
 from fnlkit.errors import ModelError
 
 # several property tests drive search or cold caches; wall-clock deadlines
@@ -122,6 +124,107 @@ def assumptions_of(d: pf.Derivation) -> frozenset[sx.Sequent]:
     return frozenset(
         n.inst.member for n in pf.iter_nodes(d) if n.rule == pf.ASSUMPTION
     )
+
+
+# ---------------------------------------------------------------------------
+# derivation builders the program does not call
+
+
+def done_r() -> pf.Derivation:
+    """=> one."""
+    return pf.node(sx.Sequent(None, sx.ONE), pf.ONE_R, [], pf.Inst())
+
+
+def dax_t(a: sx.LFormula) -> pf.Derivation:
+    """A => <>A."""
+    return pf.node(sx.simple(a, sx.LDia(a)), pf.AX_T, [], pf.Inst())
+
+
+def dax_4(a: sx.LFormula) -> pf.Derivation:
+    """<><>A => <>A."""
+    return pf.node(sx.simple(sx.LDia(sx.LDia(a)), sx.LDia(a)), pf.AX_4, [], pf.Inst())
+
+
+def dax_5(a: sx.LFormula) -> pf.Derivation:
+    """<>A => ~<>~<>A."""
+    seq = sx.simple(sx.LDia(a), sx.LNot(sx.LDia(sx.LNot(sx.LDia(a)))))
+    return pf.node(seq, pf.AX_5, [], pf.Inst())
+
+
+def dboxdown_l(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
+    """From G[A] => B conclude G[< []vA >] => B."""
+    ant = d.seq.ant
+    x = pf.tree_at(ant, path) if ant is not None else None
+    lm._fit(isinstance(x, sx.SLeaf), "no leaf at path")
+    main = sx.LBoxDown(x.f)
+    new = pf.tree_replace(ant, path, sx.SBracket(sx.SLeaf(main)))
+    return pf.node(sx.Sequent(new, d.seq.suc), pf.BOXDOWN_L, [d], pf.Inst(path=path, main=main))
+
+
+def dexch(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
+    """From G[D2 o D1] => A conclude G[D1 o D2] => A."""
+    ant = d.seq.ant
+    x = pf.tree_at(ant, path) if ant is not None else None
+    lm._fit(isinstance(x, sx.SNode), "no node at path")
+    new = pf.tree_replace(ant, path, sx.SNode(x.r, x.l))
+    return pf.node(sx.Sequent(new, d.seq.suc), pf.EXCH, [d], pf.Inst(path=path))
+
+
+def done_l(d: pf.Derivation, path: pf.Path = (), side: str = "l") -> pf.Derivation:
+    """From G[D] => A conclude G[one o D] => A (side "l") or G[D o one] => A."""
+    ant = d.seq.ant
+    lm._fit(ant is not None, "empty antecedent")
+    sub = pf.tree_at(ant, path)
+    unit = sx.SLeaf(sx.ONE)
+    new_sub = sx.SNode(unit, sub) if side == "l" else sx.SNode(sub, unit)
+    rule = pf.ONE_L_LEFT if side == "l" else pf.ONE_L_RIGHT
+    seq = sx.Sequent(pf.tree_replace(ant, path, new_sub), d.seq.suc)
+    return pf.node(seq, rule, [d], pf.Inst(path=path))
+
+
+def fact7(d: pf.Derivation) -> pf.Derivation:
+    """From A => B conclude => ~A \\/ B."""
+    a = d.seq.ant.f if isinstance(d.seq.ant, sx.SLeaf) else None
+    lm._fit(a is not None, "needs a simple premise")
+    na = sx.LNot(a)
+    out = sx.LOr(na, d.seq.suc)
+    branch = lm.dor_l(lm.dor_r(d, out, 2), lm.dor_r(lm.did(na), out, 1), sx.LOr(a, na))
+    return lm.le_trans(lm.dtop(None), lm.dneg2(a), branch)
+
+
+def dist_prod_or(m: sx.LFormula, x: sx.LFormula, y: sx.LFormula) -> pf.Derivation:
+    """M * (X \\/ Y) => (M * X) \\/ (M * Y)."""
+    out = sx.LOr(sx.LProd(m, x), sx.LProd(m, y))
+    left = lm.dor_r(lm.dprod_r(lm.did(m), lm.did(x)), out, 1)
+    right = lm.dor_r(lm.dprod_r(lm.did(m), lm.did(y)), out, 2)
+    return lm.dprod_l(lm.dor_l(left, right, sx.LOr(x, y), path=(1,)))
+
+
+def undist_prod_or(m: sx.LFormula, x: sx.LFormula, y: sx.LFormula) -> pf.Derivation:
+    """(M * X) \\/ (M * Y) => M * (X \\/ Y)."""
+    xy = sx.LOr(x, y)
+    left = lm.prod_mono(lm.did(m), lm.dor_r(lm.did(x), xy, 1))
+    right = lm.prod_mono(lm.did(m), lm.dor_r(lm.did(y), xy, 2))
+    return lm.dor_l(left, right, sx.LOr(sx.LProd(m, x), sx.LProd(m, y)))
+
+
+def negrewrite_derivation(d: pf.Derivation) -> pf.Derivation:
+    """The mechanical letter-to-negation rewrite of a whole derivation.
+    Assumptions whose rewrite is a negation axiom instance become that
+    axiom, so companion members disappear from the assumption footprint."""
+    memo: dict = {}
+
+    def step(n: pf.Derivation, prems):
+        if n.rule == pf.ASSUMPTION:
+            member = tr.negrewrite_sequent(n.inst.member, memo)
+            ax = tr.neg_axiom(member)
+            if ax is not None:
+                return ax
+            return pf.node(member, pf.ASSUMPTION, (), pf.Inst(member=member))
+        return pf.node(tr.negrewrite_sequent(n.seq, memo), n.rule, prems,
+                       tr._map_inst(n.inst, tr.negrewrite, tr.negrewrite_sequent, memo))
+
+    return tr._map_derivation(d, step)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ final assertion so a failing criterion still reports itself.
 import json
 import random
 
-from conftest import facts_corpus, sample_kripke
+from conftest import facts_corpus, negrewrite_derivation, sample_kripke
 from fnlkit import checker as ck
 from fnlkit import ktableau as kt
 from fnlkit import lemmas as lm
@@ -308,7 +308,7 @@ def test_criterion_06_embedding_chain():
         g3, phi3 = tr.section_embed(g2, psi2)
         if derive(DFNL, phi3, g3, budget).verdict != "proved":
             failures.append(("constant-free image", goal))
-        back = tr.negrewrite_derivation(r2.derivation)
+        back = negrewrite_derivation(r2.derivation)
         phi_back = frozenset(tr.negrewrite_sequent(s) for s in psi2)
         if not ck.check_derivation(BFNL, phi_back, back):
             failures.append(("letter rewrite rejected", goal))

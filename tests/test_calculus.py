@@ -7,7 +7,8 @@ import json
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import assumptions_of, lambek_formulas, sequents
+from conftest import (assumptions_of, dax_4, dax_5, dax_t, dboxdown_l, dexch, dist_prod_or, done_l,
+                      done_r, fact7, lambek_formulas, sequents, undist_prod_or)
 from fnlkit import checker as ck
 from fnlkit import lemmas as lm
 from fnlkit import proofs as pf
@@ -230,20 +231,20 @@ RULE_CASES = {
     pf.TOP_AX: (lm.dtop(sx.parse_tree("p o q")), "p o q => p", "succedent must be top"),
     pf.NEG1: (lm.dneg1(p), "p /\\ ~q => bot", "A /\\ ~A => bot"),
     pf.NEG2: (lm.dneg2(p), "top => p \\/ ~q", "top => A \\/ ~A"),
-    pf.AX_T: (lm.dax_t(p), "p => <>q", "A => <>A"),
-    pf.AX_4: (lm.dax_4(p), "<><>p => <>q", "<><>A => <>A"),
-    pf.AX_5: (lm.dax_5(p), "<>p => ~<>~<>q", "<>A => ~<>~<>A"),
-    pf.ONE_R: (lm.done_r(), "p => one", "empty-antecedent unit sequent"),
+    pf.AX_T: (dax_t(p), "p => <>q", "A => <>A"),
+    pf.AX_4: (dax_4(p), "<><>p => <>q", "<><>A => <>A"),
+    pf.AX_5: (dax_5(p), "<>p => ~<>~<>q", "<>A => ~<>~<>A"),
+    pf.ONE_R: (done_r(), "p => one", "empty-antecedent unit sequent"),
     pf.ASSUMPTION: (lm.dassume(_MEMBER), "p => r", "not among the assumptions"),
     pf.PROD_L: lm.dprod_l(lm.dprod_r(lm.did(p), lm.did(q))),
     pf.PROD_R: lm.dprod_r(lm.did(p), lm.did(q)),
     pf.DIA_L: lm.ddia_l(lm.ddia_r(lm.did(p))),
     pf.DIA_R: lm.ddia_r(lm.did(p)),
-    pf.BOXDOWN_L: lm.dboxdown_l(lm.did(p)),
-    pf.BOXDOWN_R: lm.dboxdown_r(lm.dboxdown_l(lm.did(p))),
-    pf.ONE_L_LEFT: lm.done_l(lm.did(p), side="l"),
-    pf.ONE_L_RIGHT: lm.done_l(lm.did(p), side="r"),
-    pf.EXCH: lm.dexch(lm.dprod_r(lm.did(q), lm.did(p))),
+    pf.BOXDOWN_L: dboxdown_l(lm.did(p)),
+    pf.BOXDOWN_R: lm.dboxdown_r(dboxdown_l(lm.did(p))),
+    pf.ONE_L_LEFT: done_l(lm.did(p), side="l"),
+    pf.ONE_L_RIGHT: done_l(lm.did(p), side="r"),
+    pf.EXCH: dexch(lm.dprod_r(lm.did(q), lm.did(p))),
     pf.AND_L: lm.dand_l(lm.did(q), _PQ_AND, 2),
     pf.AND_R: lm.comm_and(p, q),
     pf.OR_L: lm.dor_l(lm.dor_r(lm.did(p), _PQ_OR, 1), lm.dor_r(lm.did(q), _PQ_OR, 2), _PQ_OR),
@@ -291,10 +292,10 @@ def test_axiom_builders_check():
     checked(BF, lm.dD(p, q, r))
     checked(BF, lm.dneg1(p))
     checked(BF, lm.dneg2(p))
-    checked(B1, lm.done_r())
-    checked(BFT, lm.dax_t(p))
-    checked(get_system("bfnl-star-k4"), lm.dax_4(p))
-    checked(get_system("bfnl-star-s5"), lm.dax_5(p))
+    checked(B1, done_r())
+    checked(BFT, dax_t(p))
+    checked(get_system("bfnl-star-k4"), dax_4(p))
+    checked(get_system("bfnl-star-s5"), dax_5(p))
     member = seq("p => q")
     checked(BF, lm.dassume(member), [member])
 
@@ -340,11 +341,11 @@ def test_product_and_slash_builders():
 def test_modal_and_unit_builders():
     sysk = get_system("bfnl-star-k")
     checked(sysk, lm.ddia_l(lm.ddia_r(lm.did(p)), ()))
-    checked(sysk, lm.dboxdown_r(lm.dboxdown_l(lm.did(p), ())))
-    d = lm.dexch(lm.dprod_r(lm.did(q), lm.did(p)), ())
+    checked(sysk, lm.dboxdown_r(dboxdown_l(lm.did(p), ())))
+    d = dexch(lm.dprod_r(lm.did(q), lm.did(p)), ())
     assert d.seq == seq("(p o q) => q * p")
     checked(BFE, d)
-    d1 = lm.done_l(lm.did(p), (), side="l")
+    d1 = done_l(lm.did(p), (), side="l")
     assert d1.seq == seq("(one o p) => p")
     checked(B1, d1)
 
@@ -377,9 +378,9 @@ def test_double_negation_and_de_morgan_builders():
     checked(BF, lm.dm_and_bwd(p, q))
     checked(BF, lm.dm_or_fwd(p, q))
     checked(BF, lm.dm_or_bwd(p, q))
-    checked(BF, lm.dist_prod_or(f("m"), p, q))
-    checked(BF, lm.undist_prod_or(f("m"), p, q))
-    checked(BF, lm.fact7(lm.did(p)))
+    checked(BF, dist_prod_or(f("m"), p, q))
+    checked(BF, undist_prod_or(f("m"), p, q))
+    checked(BF, fact7(lm.did(p)))
     checked(BF, lm.comm_and(p, q))
 
 

@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import assumptions_of, atom_names, modal_formulas, sample_kripke
+from conftest import (assumptions_of, atom_names, modal_formulas, negrewrite_derivation,
+                      sample_kripke)
 from fnlkit import checker as ck
+from fnlkit import ktableau as kt
 from fnlkit import lemmas as lm
 from fnlkit import models as md
 from fnlkit import proofs as pf
@@ -378,7 +381,7 @@ def test_negrewrite_inverts_the_transport():
     assert r.verdict == "proved"
     _, psi = tr.ddagger_problem(goal, ())
     there = tr.ddagger_derivation(r.derivation, psi)
-    back = tr.negrewrite_derivation(there)
+    back = negrewrite_derivation(there)
     # the rewrite lands on the dual-normal spelling of the goal, and
     # re-eliminating negations recovers the transported sequent exactly
     assert back.seq == sx.parse_sequent("~p \\/ ~q => ~p \\/ ~q")
@@ -393,7 +396,7 @@ def test_negrewrite_round_trip_is_exact_off_lattice_negations():
     goal = sx.parse_sequent("=> ~p \\/ p")
     r = derive(get_system("bfnl-star"), (), goal, SearchBudget(time_cap_ms=8000))
     _, psi = tr.ddagger_problem(goal, ())
-    back = tr.negrewrite_derivation(tr.ddagger_derivation(r.derivation, psi))
+    back = negrewrite_derivation(tr.ddagger_derivation(r.derivation, psi))
     assert back.seq == goal
     assert ck.check_derivation(get_system("bfnl-star"), (), back)
 
@@ -465,6 +468,174 @@ def test_sequent_level_inverses():
 
 
 # ---------------------------------------------------------------------------
+# one memo per pull-back
+#
+# Plain recursive references for the memoized chain maps.
+
+
+def _ref_tilde(a):
+    if isinstance(a, sx.LTop):
+        return sx.BOT
+    if isinstance(a, sx.LBot):
+        return sx.TOP
+    if isinstance(a, sx.LAnd):
+        return sx.LOr(_ref_tilde(a.l), _ref_tilde(a.r))
+    if isinstance(a, sx.LOr):
+        return sx.LAnd(_ref_tilde(a.l), _ref_tilde(a.r))
+    if isinstance(a, sx.LFresh) and a.mark == "neg":
+        return a.of
+    return sx.fresh_for(a)
+
+
+def _ref_ddag(a):
+    if isinstance(a, sx.LNot):
+        return _ref_tilde(_ref_ddag(a.a))
+    return sx.map_children(a, _ref_ddag)
+
+
+def _ref_section(a):
+    if isinstance(a, sx.LBot):
+        return sx.P_BOT
+    if isinstance(a, sx.LTop):
+        return sx.P_TOP
+    if isinstance(a, sx.LNot):
+        raise ValidationError("negation")
+    return sx.map_children(a, _ref_section)
+
+
+def _ref_section_inverse(a):
+    if a == sx.P_BOT:
+        return sx.BOT
+    if a == sx.P_TOP:
+        return sx.TOP
+    if isinstance(a, sx.LFresh) and a.mark == "neg":
+        return sx.fresh_for(_ref_section_inverse(a.of))
+    return sx.map_children(a, _ref_section_inverse)
+
+
+def _ref_negrewrite(a):
+    if isinstance(a, sx.LFresh) and a.mark == "neg":
+        return sx.LNot(_ref_negrewrite(a.of))
+    return sx.map_children(a, _ref_negrewrite)
+
+
+def _ref_sequent(fmap, s):
+    ant = None if s.ant is None else sx.map_tree(s.ant, fmap)
+    return sx.Sequent(ant, fmap(s.suc))
+
+
+def _ref_section_sequent(s):
+    if s.ant is None:
+        return sx.Sequent(sx.SLeaf(sx.P_TOP), _ref_section(s.suc))
+    return _ref_sequent(_ref_section, s)
+
+
+FORMULA_MAPS = (
+    (tr._ddag, _ref_ddag),
+    (tr.tilde_ext, _ref_tilde),
+    (tr.section_map, _ref_section),
+    (tr.section_inverse, _ref_section_inverse),
+    (tr.negrewrite, _ref_negrewrite),
+)
+SEQUENT_MAPS = (
+    (tr.ddagger_sequent, lambda s: _ref_sequent(_ref_ddag, s)),
+    (tr.section_sequent, _ref_section_sequent),
+    (tr.section_inverse_sequent, lambda s: _ref_sequent(_ref_section_inverse, s)),
+    (tr.negrewrite_sequent, lambda s: _ref_sequent(_ref_negrewrite, s)),
+)
+MEMOIZED = tuple(m for m, _ in FORMULA_MAPS + SEQUENT_MAPS)
+
+
+def _image(fmap, x, *memo):
+    try:
+        return fmap(x, *memo)
+    except ValidationError:
+        return ValidationError  # section_map is undefined on negations
+
+
+def test_memoized_maps_agree_with_plain_recursion():
+    # one memo per problem, as a pull-back shares one over the goal and phi;
+    # the maps must also give the same images without a memo
+    theorems, non_theorems = corpus()
+    for a in theorems + non_theorems:
+        for stage in tr.STAGES:
+            _, goal, phi = _problem(a, stage)
+            memo: dict = {}
+            for s in (goal, *phi):
+                for fmap, ref in SEQUENT_MAPS:
+                    want = _image(ref, s)
+                    assert _image(fmap, s, memo) == want == _image(fmap, s), (stage, s)
+                for f in sx.sequent_formulas(s):
+                    for fmap, ref in FORMULA_MAPS:
+                        want = _image(ref, f)
+                        assert _image(fmap, f, memo) == want == _image(fmap, f), (stage, f)
+    # equal terms share one image object within a memo
+    memo = {}
+    f = sx.parse_lambek("~(p /\\ top) \\/ ~(p /\\ top)")
+    img = tr._ddag(f, memo)
+    assert img.l is img.r
+
+
+@pytest.fixture
+def counted_steps(monkeypatch):
+    """Counts each step call by (memo, map, term); memos are kept alive so
+    that no id is reused while counting."""
+    calls: Counter = Counter()
+    memos: dict = {}
+    for fmap in MEMOIZED:
+        def step(a, memo, _step=fmap.step, _map=fmap):
+            memos[id(memo)] = memo
+            calls[id(memo), _map, a] += 1
+            return _step(a, memo)
+
+        monkeypatch.setattr(fmap, "step", step)
+    return calls
+
+
+def test_one_transport_maps_each_term_once(counted_steps):
+    budget = SearchBudget(max_goals=150, samples=0)
+    theorems, _ = corpus()
+    used = set()
+    for a in theorems:
+        sys, goal, phi = _problem(a, "section")
+        counted_steps.clear()
+        r = derive(sys, phi, goal, budget)
+        assert (r.verdict, r.strategy) == (pv.PROVED, "unsection"), sx.render_modal(a)
+        assert max(counted_steps.values()) == 1, sx.render_modal(a)
+        # each pull-back's forward map and transport share its one memo
+        for forward in (tr.section_sequent, tr.ddagger_sequent):
+            assert len({memo for memo, m, _ in counted_steps if m is forward}) <= 1
+        used |= {m for _, m, _ in counted_steps}
+    # the inverse, forward and transport maps of both pull-backs ran (some
+    # ddagger-stage goals are companion pairs, proved without unneg)
+    assert used == set(MEMOIZED)
+    # one transport called on its own makes one memo, and maps each term once
+    sys, goal, phi = _problem(theorems[0], "ddagger")
+    d = derive(get_system("bfnl-star"), (), sx.Sequent(None, tr.dagger(theorems[0])),
+               budget).derivation
+    counted_steps.clear()
+    there = tr.ddagger_derivation(d, phi)
+    assert ck.check_derivation(sys, phi, there)
+    assert len({memo for memo, _, _ in counted_steps}) == 1
+    assert max(counted_steps.values()) == 1
+
+
+def test_the_chain_holds_no_cache_across_calls():
+    # a memo lives for one call: no functools cache, and no table left on a
+    # module or on a map once a pull-back returns
+    sys, goal, phi = _problem(corpus()[0][0], "section")
+    assert derive(sys, phi, goal, SearchBudget(max_goals=150, samples=0)).verdict == pv.PROVED
+    for mod in (tr, strat):
+        for name, value in vars(mod).items():
+            if name.startswith("__"):
+                continue
+            assert not hasattr(value, "cache_clear"), f"{mod.__name__}.{name}"
+            assert not (isinstance(value, dict) and value), f"{mod.__name__}.{name}"
+    for fmap in MEMOIZED:
+        assert not any(isinstance(v, dict) for v in vars(fmap).values()), fmap.__name__
+
+
+# ---------------------------------------------------------------------------
 # the K countermodel pushed down the chain
 
 
@@ -520,6 +691,50 @@ def test_derive_transfers_before_searching(transfer_only, monkeypatch):
         r = derive(sys, phi, goal, budget)
         assert r.verdict == pv.REFUTED, sx.render_modal(a)
         assert smp._verify_ternary(r.model, r.state, goal, phi)
+
+
+def test_a_chain_non_theorem_is_refuted_before_the_strategies(monkeypatch):
+    budget = SearchBudget(max_goals=150, samples=0)
+    theorems, non_theorems = corpus()
+    problems = [_problem(a, "section") for a in non_theorems]
+    plain = [derive(sys, phi, goal, budget) for sys, goal, phi in problems]
+    decided = []
+
+    def k_decide(a):
+        decided.append(a)
+        return kt.k_decide(a)
+
+    monkeypatch.setattr(smp, "k_decide", k_decide)
+    chain = strat.STRATEGIES
+
+    def refuse(*args):
+        raise AssertionError("a strategy ran")
+
+    monkeypatch.setattr(strat, "STRATEGIES", tuple((name, refuse) for name, _ in chain))
+    for (sys, goal, phi), want in zip(problems, plain):
+        decided.clear()
+        r = derive(sys, phi, goal, budget)
+        assert r.verdict == pv.REFUTED
+        assert (r.model, r.state) == (want.model, want.state)
+        assert len(decided) == 1
+        # the model the countermodel search without samples finds first
+        assert smp.find_countermodel(goal, phi, smp.SampleBudget(samples=0)) == (r.model, r.state)
+    # a theorem's goal reads back once too, then reaches the strategies
+    reached = []
+
+    def record(name, fn):
+        def run(*args):
+            reached.append(name)
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(strat, "STRATEGIES", tuple((name, record(name, fn)) for name, fn in chain))
+    sys, goal, phi = _problem(theorems[0], "section")
+    decided.clear()
+    r = derive(sys, phi, goal, budget)
+    assert (r.verdict, r.strategy) == (pv.PROVED, "unsection")
+    assert reached[0] == "axiom" and "unsection" in reached
+    assert len(decided) == 1
 
 
 def test_every_stage_is_decided_without_samples():
