@@ -216,19 +216,24 @@ _SAMPLER_OPTIONS = ("seed", "samples", "max_states", "symmetric", "with_unit", "
 
 
 def cmd_countermodel(args):
-    phi = tuple(sorted(_load_assumptions(args.assumptions), key=sx.render_sequent))
+    phi = _load_assumptions(args.assumptions)
     # unset options are None, so the budget's defaults apply
     given = {k: getattr(args, k) for k in _SAMPLER_OPTIONS if getattr(args, k) is not None}
     if args.modal:
         if given:
             flags = ", ".join("--" + k.replace("_", "-") for k in given)
             raise ValidationError(f"--modal decides the goal exactly and takes no {flags}")
-        hit = sampling.find_countermodel(sx.parse_modal(args.goal), phi)
-        if hit is None:
+        a = sx.parse_modal(args.goal)
+        if phi:
+            raise ModelError("assumptions are sequent-side only")
+        v = kt.k_decide(a)
+        if v.valid:
             return {"found": False, "report": "valid in K"}, "valid in K", 0
+        hit = v.model, v.root
     else:
         budget = sampling.SampleBudget(**given)
-        hit = sampling.find_countermodel(sx.parse_sequent(args.goal), phi, budget)
+        goal = sx.parse_sequent(args.goal)
+        hit = sampling.find_countermodel(goal, phi, budget, sampling.chain_verdict(goal))
         if hit is None:
             report = f"no countermodel in {budget.samples} samples"
             return {"found": False, "report": report}, "no countermodel found", 2

@@ -150,6 +150,23 @@ def iter_nodes(d: Derivation) -> Iterator[Derivation]:
         stack.extend(x.premises)
 
 
+def post_order(d: Derivation) -> Iterator[Derivation]:
+    """Every node once, shared subtrees deduplicated by identity, each
+    after its premises, which come left to right; the root comes last."""
+    seen: set[int] = set()
+    stack: list[tuple[Derivation, bool]] = [(d, False)]
+    while stack:
+        n, ready = stack.pop()
+        if id(n) in seen:
+            continue
+        if ready:
+            seen.add(id(n))
+            yield n
+        else:
+            stack.append((n, True))
+            stack.extend((p, False) for p in reversed(n.premises))
+
+
 def size(d: Derivation) -> int:
     return sum(1 for _ in iter_nodes(d))
 
@@ -245,15 +262,7 @@ def to_json(d: Derivation) -> dict:
         return i
 
     n_at: dict[int, int] = {}
-    stack: list[tuple[Derivation, bool]] = [(d, False)]
-    while stack:
-        n, ready = stack.pop()
-        if id(n) in n_at:
-            continue
-        if not ready:
-            stack.append((n, True))
-            stack.extend((p, False) for p in reversed(n.premises))
-            continue
+    for n in post_order(d):
         j = {
             "rule": n.rule,
             "seq": sequent(n.seq),

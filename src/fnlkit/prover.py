@@ -204,7 +204,8 @@ def derive(sys: SystemSpec, phi: Iterable[sx.Sequent], goal: sx.Sequent,
 
     Where `_refutation_ok` holds (and refutation is on), the goal is
     first read back to K and decided once (`sampling.chain_verdict`);
-    every countermodel search of the call reuses that verdict.  Phases,
+    every countermodel search of the call is handed that verdict, and
+    one that reads back to nothing gets no transfer.  Phases,
     in order: the strategy chain; where `_refutation_ok` holds, the
     countermodel search without samples (the exhaustive small models,
     then the transferred K countermodel); backward search; where
@@ -231,8 +232,7 @@ def derive(sys: SystemSpec, phi: Iterable[sx.Sequent], goal: sx.Sequent,
     def countermodel(samples: int) -> Optional[ProofResult]:
         sb = sampling.SampleBudget(seed=budget.seed, samples=samples,
                                    symmetric=sys.exchange, with_unit=sys.unit)
-        ordered = tuple(sorted(phi, key=sx.render_sequent))
-        hit = sampling.find_countermodel(goal, ordered, sb, verdict)
+        hit = sampling.find_countermodel(goal, phi, sb, verdict)
         return None if hit is None else ProofResult(REFUTED, model=hit[0], state=hit[1])
 
     # the small models and the transfer (samples=0): a hit there is the

@@ -4,16 +4,18 @@ Exhaustive ternary enumeration is capped hard at 2 states (the next size
 is 2^27 relations); beyond the cap everything is seeded pseudo-random, so
 equal seeds give equal streams.
 
-For a goal in the plain vocabulary the countermodel search tries, in
-order: the exhaustive 1- and 2-state ternary models, the transferred K
-countermodel, then the seeded ternary samples.  The transfer takes
-`chain_verdict`, which reads the goal back up the reduction chain with
-the K reader `transform.read_k` (top as ~bot) and decides it with the K
-tableau, and pushes an invalid formula's Kripke countermodel down again
-as a two-copy ternary model with the chain's generated letters valued
-(`_transfer_ternary`).  `prover.derive` finds that verdict once per call
-and hands it to every countermodel search it makes.  So
-every non-theorem of the chain is refuted without the samples, which,
+The countermodel search takes sequent goals only; a modal formula is
+decided by `ktableau.k_decide` itself.  For a goal in the plain
+vocabulary it tries, in order: the exhaustive 1- and 2-state ternary
+models, the transferred K countermodel, then the seeded ternary samples.
+The transfer takes the verdict of `chain_verdict`, which reads the goal
+back up the reduction chain with the K reader `transform.read_k` (top as
+~bot) and decides it with the K tableau, and pushes an invalid formula's
+Kripke countermodel down again as a two-copy ternary model with the
+chain's generated letters valued (`_transfer_ternary`).  The caller
+finds that verdict, once: `prover.derive` per call, for every
+countermodel search it makes, and the `countermodel` command per goal.
+So every non-theorem of the chain is refuted without the samples, which,
 facing its many companion and absorption assumptions, rarely draw one.
 
 The exhaustive ternary stage of the countermodel search does not build
@@ -34,7 +36,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Collection, Iterator, Optional
 
 from . import models as md
 from . import syntax as sx
@@ -266,19 +268,16 @@ def chain_verdict(goal: sx.Sequent) -> Optional[TableauVerdict]:
 
 
 def _transfer_ternary(goal: sx.Sequent, phi, symmetric: bool,
-                      verdict: Optional[TableauVerdict] = None) -> Optional[md.TernaryModel]:
+                      verdict: Optional[TableauVerdict]) -> Optional[md.TernaryModel]:
     """The K countermodel of the modal formula the goal pulls back to,
-    pushed down the reduction chain; None when the goal does not pull back
-    to a K formula or that formula is valid.
+    pushed down the reduction chain; None when verdict, the goal's
+    `chain_verdict`, is None (no transfer) or valid.
 
-    verdict is `chain_verdict(goal)`, found here if not given.  Its
-    Kripke countermodel is doubled (with four triples per edge if
-    symmetric), p_top holds everywhere and p_bot nowhere, and each
+    The verdict's Kripke countermodel is doubled (with four triples per
+    edge if symmetric), p_top holds everywhere and p_bot nowhere, and each
     generated letter of the problem holds exactly where its payload
     fails.  Payloads are read innermost first, so every letter a payload
     mentions is valued before it is read."""
-    if verdict is None:
-        verdict = chain_verdict(goal)
     if verdict is None or verdict.valid:
         return None
     j = tr.build_ternary_model(verdict.model, exchange=symmetric)
@@ -319,34 +318,29 @@ def _candidate_ternary(goal: sx.Sequent, phi, atoms, budget: SampleBudget,
 
 
 def find_countermodel(
-    goal: Union[sx.Sequent, sx.ModalFormula],
-    phi: tuple[sx.Sequent, ...] = (),
+    goal: sx.Sequent,
+    phi: Collection[sx.Sequent] = (),
     budget: Optional[SampleBudget] = None,
     verdict: Optional[TableauVerdict] = None,
 ):
-    """Search for a model of phi falsifying the goal somewhere.
+    """Search for a ternary model of phi falsifying the sequent goal
+    somewhere.
 
-    Returns (model, state) or None.  A modal goal is decided by the K
-    tableau, so it gets a Kripke countermodel exactly when it is invalid
-    in K.  A sequent goal tries the exhaustive 1- and 2-state ternary
-    models, then the transferred K countermodel (which reads top as ~bot;
-    verdict is the goal's `chain_verdict` if the caller has it), then
-    `budget.samples` ternary samples (the first two only without unit
-    and dia, so a smallest model wins).  Every candidate only filters:
-    each must satisfy phi and falsify the goal at some state, and every
-    hit is re-verified on a fresh copy of the model before returning.  For a sequent goal None is *not* a validity
-    certificate.
+    Returns (model, state) or None.  The search tries the exhaustive 1-
+    and 2-state ternary models, then the transferred K countermodel of
+    verdict, the goal's `chain_verdict` (which reads top as ~bot; None
+    skips the transfer), then `budget.samples` ternary samples (the first
+    two only without unit and dia, so a smallest model wins).  The order
+    of phi changes no result.  Every candidate only filters: each must
+    satisfy phi and falsify the goal at some state, and every hit is
+    re-verified on a fresh copy of the model before returning.  None is
+    *not* a validity certificate.
     A goal or assumption with a bracketed antecedent, which the models
     cannot read, `one` without `budget.with_unit`, or a modal operator
     without `budget.with_dia` raises the evaluator's ModelError before any
     model is tried, naming the first of these three it uses.
     """
     budget = budget or SampleBudget()
-    if isinstance(goal, sx.ModalFormula):
-        if phi:
-            raise ModelError("assumptions are sequent-side only")
-        verdict = k_decide(goal)
-        return None if verdict.valid else (verdict.model, verdict.root)
     v = sx.vocab(goal, *phi)
     if v & sx.V_BRACKET:
         raise ModelError(md.NO_BRACKET)

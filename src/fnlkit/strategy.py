@@ -15,6 +15,10 @@ to K with the K prover of `gk`.
 section image system is mapped back one stage, proved there by a
 recursive call, and the proof is transported forward again, all over one
 memo of the chain maps that lives for that call (see `transform`).
+`unsection` is also the one route for the absorption goals of the
+section image, Gamma => p_top and Gamma[p_bot] => A: they pull back to
+bound axioms, which `transform.section_derivation` rebuilds with the
+certified absorption builders.
 """
 
 from __future__ import annotations
@@ -88,22 +92,6 @@ def try_pairs(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
         if tr.tilde_ext(r) == l:
             swap = lm.lat_le_strict(sx.LOr(r, l), sx.LOr(l, r))
             return lm.le_trans(tr.pair_top(r, phi), swap)
-    return None
-
-
-def try_absorb(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
-    """Absorption goals: anything => p_top, and contexts holding the
-    bottom letter entail whatever the members can reach from it."""
-    if not phi or goal.ant is None:
-        return None
-    if goal.suc == sx.P_TOP:
-        return tr.tree_top(goal.ant, phi)
-    for path, x in pf.positions(goal.ant):
-        if x == sx.SLeaf(sx.P_BOT):
-            d = tr.tree_absorb(goal.ant, path, phi)
-            if goal.suc != sx.P_BOT:
-                d = lm.le_trans(d, tr.sec_from_pbot(goal.suc, phi))
-            return d
     return None
 
 
@@ -242,7 +230,6 @@ STRATEGIES: tuple[tuple[str, Callable], ...] = (
     ("axiom", try_axioms),
     ("lattice", try_lat),
     ("pairs", try_pairs),
-    ("absorb", try_absorb),
     ("boolean", try_bool),
     ("k-oracle", try_k_oracle),
     ("congruence", try_congruence),

@@ -24,11 +24,12 @@ dict; nothing is cached across calls.
 The one K reader, `read_k`, reads a formula back to K, top as ~bot, for
 `strategy.try_k_oracle` and for `sampling`, which runs the chain the
 other way: `sampling.chain_verdict` reads a goal back through the two
-inverses and `read_k` and decides it, once per `prover.derive`, and the
-transfer doubles an invalid formula's K countermodel with
-`build_ternary_model`, M valued everywhere; p_top then holds everywhere,
-p_bot nowhere, and each generated letter exactly where its payload
-fails, which satisfies the companion and absorption sets.  The model
+inverses and `read_k` and decides it, once per `prover.derive` or
+`countermodel` command, and the transfer doubles an invalid formula's
+K countermodel with `build_ternary_model`, M valued everywhere; p_top
+then holds everywhere, p_bot nowhere, and each generated letter exactly
+where its payload fails, which satisfies the companion and absorption
+sets.  The model
 side also has the exchange variant and the unit extension.
 
 One deliberate departure: the companion sequents for a generated letter
@@ -197,33 +198,7 @@ def extend_with_unit(
 
 
 # ---------------------------------------------------------------------------
-# tilde and the companion set
-
-
-def tilde(a: sx.LFormula, base: frozenset) -> sx.LFormula:
-    """De Morgan dual over the base set T: constants flip, /\\ and \\/
-    swap and recurse, anything else must be a base member and becomes its
-    letter."""
-    spec = sx.ClosureSpec(frozenset(base), "and_or", 0)
-    if not sx.neg_free(a):
-        raise ValidationError("tilde is defined on negation-free formulas")
-    if not sx.closure_contains(spec, a):
-        raise ValidationError(f"{sx.render_lambek(a)} is outside the closure of the base set")
-    return _tilde(a, frozenset(base))
-
-
-def _tilde(a: sx.LFormula, base: frozenset) -> sx.LFormula:
-    if isinstance(a, sx.LTop):
-        return sx.BOT
-    if isinstance(a, sx.LBot):
-        return sx.TOP
-    if isinstance(a, sx.LAnd):
-        return sx.LOr(_tilde(a.l, base), _tilde(a.r, base))
-    if isinstance(a, sx.LOr):
-        return sx.LAnd(_tilde(a.l, base), _tilde(a.r, base))
-    if a not in base:
-        raise ValidationError(f"{sx.render_lambek(a)} is not a base member")
-    return sx.fresh_for(a)
+# the companion set
 
 
 def psi_set(t: Iterable[sx.LFormula]) -> frozenset[sx.Sequent]:
@@ -571,24 +546,21 @@ def section_inverse_sequent(s: sx.Sequent, memo: dict) -> sx.Sequent:
 # ---------------------------------------------------------------------------
 # derivation transports
 #
-# Each transport rebuilds a derivation bottom-up along a formula map.
-# Homomorphic rules keep their shape; the axioms that mention eliminated
-# vocabulary get replaced by the certified builders above.  Outputs are
-# meant to be gated by the checker against the target assumption set.
+# Each transport rebuilds a derivation bottom-up along a formula map, in
+# the post-order of `proofs.post_order` that `proofs.to_json` writes, so
+# a shared subproof is mapped once.  Homomorphic rules keep their shape;
+# the axioms that mention eliminated vocabulary get replaced by the
+# certified builders above: a negation axiom by a companion pair, a top
+# axiom by `tree_top`, a bot axiom by `tree_absorb` (then `sec_from_pbot`
+# unless the succedent is p_bot), which is how `strategy.try_unsection`
+# proves the absorption goals.  Outputs are meant to be gated by the
+# checker against the target assumption set.
 
 
 def _map_derivation(d: pf.Derivation, step: Callable) -> pf.Derivation:
     done: dict[int, pf.Derivation] = {}
-    stack: list[tuple[pf.Derivation, bool]] = [(d, False)]
-    while stack:
-        n, ready = stack.pop()
-        if id(n) in done:
-            continue
-        if not ready:
-            stack.append((n, True))
-            stack.extend((p, False) for p in n.premises if id(p) not in done)
-        else:
-            done[id(n)] = step(n, tuple(done[id(p)] for p in n.premises))
+    for n in pf.post_order(d):
+        done[id(n)] = step(n, tuple(done[id(p)] for p in n.premises))
     return done[id(d)]
 
 

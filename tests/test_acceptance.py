@@ -579,7 +579,8 @@ def test_criterion_10_prover_integrity():
             rejected += 1
             continue
         survivors += 1
-        hit = smp.find_countermodel(mutated.seq, tuple(phi), sample_budget)
+        hit = smp.find_countermodel(mutated.seq, tuple(phi), sample_budget,
+                                    smp.chain_verdict(mutated.seq))
         if hit is not None:
             unsound_survivors += 1
 

@@ -213,17 +213,22 @@ def test_countermodel_found_and_not_found(capsys):
 
 
 def test_countermodel_modal_goal(capsys):
-    code, payload = run_json(capsys, "countermodel", "[]p -> p", "--modal")
-    assert code == 0 and payload["found"] is True
-    model = md.kripke_from_json(payload["model"])
-    assert not md.eval_modal(model, payload["state"], sx.parse_modal("[]p -> p"))
+    # the second is falsified only three states deep, past any two-state
+    # enumeration
+    for text, states in (("[]p -> p", 1), ("~(<>p /\\ <>q /\\ ~<>(p /\\ q) /\\ ~(p \\/ q))", 3)):
+        code, payload = run_json(capsys, "countermodel", text, "--modal")
+        assert code == 0 and payload["found"] is True
+        model = md.kripke_from_json(payload["model"])
+        assert len(model.states) >= states
+        assert not md.eval_modal(model, payload["state"], sx.parse_modal(text))
 
 
 def test_countermodel_reports_valid_modal_goals(capsys):
     # "valid in K" is a decided answer, not an Unknown
-    code, payload = run_json(capsys, "countermodel", "[](p -> q) -> ([]p -> []q)", "--modal")
-    assert code == 0
-    assert payload == {"found": False, "report": "valid in K"}
+    for text in ("[](p -> q) -> ([]p -> []q)", "p -> p"):
+        code, payload = run_json(capsys, "countermodel", text, "--modal")
+        assert code == 0
+        assert payload == {"found": False, "report": "valid in K"}
 
 
 @pytest.mark.parametrize("flags", [
@@ -235,6 +240,15 @@ def test_countermodel_modal_rejects_sampler_options(capsys, flags):
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert all(f in err for f in flags if f.startswith("--"))
+
+
+def test_countermodel_modal_rejects_assumptions(capsys, tmp_path):
+    phi = tmp_path / "phi.txt"
+    phi.write_text("p => q\n")
+    code, out, err = run(capsys, "countermodel", "[]p -> p", "--modal",
+                         "--assumptions", str(phi))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: assumptions are sequent-side only"]
 
 
 def test_countermodel_respects_assumptions(capsys, tmp_path):

@@ -85,6 +85,15 @@ def test_tableau_separates_k_from_t():
     assert not md.eval_modal(v.model, v.root, m("p"))
 
 
+def test_tableau_goes_past_two_states():
+    # falsified only where a state with neither letter sees a p-state and
+    # a different q-state: three states, past any two-state enumeration
+    goal = m("~(<>p /\\ <>q /\\ ~<>(p /\\ q) /\\ ~(p \\/ q))")
+    v = kt.k_decide(goal)
+    assert not v.valid
+    assert len(v.model.states) >= 3 and not md.eval_modal(v.model, v.root, goal)
+
+
 def test_tableau_models_are_trees_of_bounded_depth():
     for text in INVALID:
         f = m(text)

@@ -5,6 +5,8 @@ import importlib
 import importlib.util
 import pkgutil
 import random
+import shutil
+import subprocess
 import sys as _sys
 import types
 from dataclasses import replace
@@ -402,3 +404,18 @@ def test_trace_hooks_find_their_targets(monkeypatch):
         installed.uninstall()
     assert not hasattr(pv.derive, "__wrapped__")
     assert not hasattr(fk.strategy.STRATEGIES[0][1], "__wrapped__")
+
+
+def test_the_benchmark_harness_runs_on_this_tree(tmp_path):
+    # the harness imports fnlkit modules and attributes by name; a rename in
+    # src/ must fail here too, not only when the benchmark runs.  It runs on
+    # a copy, so that its run directory stays out of the checkout
+    root = Path(__file__).resolve().parents[1]
+    for part in ("src", "bench"):
+        shutil.copytree(root / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run([_sys.executable, "bench/selftest.py"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "selftest: ok"

@@ -202,27 +202,6 @@ def test_find_countermodel_none_for_valid():
     assert smp.find_countermodel(sx.parse_sequent("p /\\ (q \\/ p) => p"), (), budget) is None
 
 
-def test_find_countermodel_modal():
-    hit = smp.find_countermodel(sx.parse_modal("[]p -> p"))
-    assert hit is not None
-    m, w = hit
-    assert not md.eval_modal(m, w, sx.parse_modal("[]p -> p"))
-    assert smp.find_countermodel(sx.parse_modal("p -> p")) is None
-
-
-def test_find_countermodel_decides_modal_goals_exactly():
-    # falsified only where a state with neither letter sees a p-state and
-    # a different q-state: three states, past the two-state enumeration,
-    # found with no samples at all
-    goal = sx.parse_modal("~(<>p /\\ <>q /\\ ~<>(p /\\ q) /\\ ~(p \\/ q))")
-    hit = smp.find_countermodel(goal, (), smp.SampleBudget(samples=0))
-    assert hit is not None
-    m, w = hit
-    assert len(m.states) >= 3 and not md.eval_modal(m, w, goal)
-    assert smp.find_countermodel(sx.parse_modal("[](p -> q) -> ([]p -> []q)"), (),
-                                 smp.SampleBudget(samples=0)) is None
-
-
 def test_find_countermodel_rejects_vocabulary_the_models_lack():
     # raised up front, so a short-circuit that never reads the operator
     # cannot hide it

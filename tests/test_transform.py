@@ -148,18 +148,7 @@ def test_extend_with_unit():
 
 
 # ---------------------------------------------------------------------------
-# tilde / companion sequents
-
-
-def test_tilde_clauses():
-    base = frozenset([p, q, sx.TOP, sx.BOT])
-    assert tr.tilde(sx.TOP, base) == sx.BOT
-    assert tr.tilde(sx.LAnd(p, q), base) == sx.LOr(sx.fresh_for(p), sx.fresh_for(q))
-    assert tr.tilde(sx.LOr(p, sx.BOT), base) == sx.LAnd(sx.fresh_for(p), sx.TOP)
-    with pytest.raises(ValidationError):
-        tr.tilde(sx.LNot(p), base)
-    with pytest.raises(ValidationError):
-        tr.tilde(sx.LProd(p, q), base)  # not in the lattice closure of the base
+# companion sequents
 
 
 def test_psi_set():
@@ -658,7 +647,7 @@ def test_the_k_countermodel_refutes_every_stage(transfer_only):
     for a in non_theorems:
         for stage in tr.STAGES:
             _, goal, phi = _problem(a, stage)
-            hit = smp.find_countermodel(goal, phi, transfer_only)
+            hit = smp.find_countermodel(goal, phi, transfer_only, smp.chain_verdict(goal))
             if hit is None:
                 missed.append((a, stage))
             else:
@@ -667,7 +656,7 @@ def test_the_k_countermodel_refutes_every_stage(transfer_only):
     for a in theorems:
         for stage in tr.STAGES:
             _, goal, phi = _problem(a, stage)
-            assert smp._transfer_ternary(goal, phi, symmetric=False) is None
+            assert smp._transfer_ternary(goal, phi, False, smp.chain_verdict(goal)) is None
 
 
 class _SearchReached(Exception):
@@ -718,7 +707,8 @@ def test_a_chain_non_theorem_is_refuted_before_the_strategies(monkeypatch):
         assert (r.model, r.state) == (want.model, want.state)
         assert len(decided) == 1
         # the model the countermodel search without samples finds first
-        assert smp.find_countermodel(goal, phi, smp.SampleBudget(samples=0)) == (r.model, r.state)
+        assert (smp.find_countermodel(goal, phi, smp.SampleBudget(samples=0),
+                                      smp.chain_verdict(goal)) == (r.model, r.state))
     # a theorem's goal reads back once too, then reaches the strategies
     reached = []
 
@@ -789,5 +779,78 @@ def test_transfer_declines_letters_it_cannot_value():
     # gets past the plain-vocabulary check; the transfer declines instead
     # of raising, and the other candidates still run
     goal, phi = sx.parse_sequent("=> p"), (sx.parse_sequent("p{<>q} => q"),)
-    assert smp._transfer_ternary(goal, phi, symmetric=False) is None
-    assert smp.find_countermodel(goal, phi, smp.SampleBudget(samples=0)) is not None
+    verdict = smp.chain_verdict(goal)
+    assert not verdict.valid
+    assert smp._transfer_ternary(goal, phi, False, verdict) is None
+    assert smp.find_countermodel(goal, phi, smp.SampleBudget(samples=0), verdict) is not None
+
+
+def test_a_derive_reads_its_goal_back_at_most_once(monkeypatch):
+    # goals that pass the shape check but read back to no K formula: the
+    # None that derive's own read finds means no transfer, so no
+    # countermodel search of the call reads the goal back again
+    calls = []
+    read = smp.chain_verdict
+
+    def counted(goal):
+        calls.append(goal)
+        return read(goal)
+
+    monkeypatch.setattr(smp, "chain_verdict", counted)
+    bfnl = get_system("bfnl-star")
+    for text in ("top => q * p", "top => q * p \\ top", "top => (q * p) \\/ p5 \\/ p4 \\/ p3"):
+        calls.clear()
+        derive(bfnl, (), sx.parse_sequent(text), SearchBudget(samples=40))
+        assert len(calls) <= 1, text
+
+
+def _hit_key(hit):
+    return None if hit is None else (md.ternary_to_json(hit[0]), hit[1])
+
+
+@settings(max_examples=20)
+@given(modal_formulas, st.sampled_from(("ddagger", "section")), st.data())
+def test_the_order_of_phi_changes_no_countermodel(a, stage, data):
+    _, goal, phi = tr.pipeline_k_to_dfnl(a, stage)
+    ordered = tuple(sorted(phi, key=sx.render_sequent))
+    shuffled = tuple(data.draw(st.permutations(ordered)))
+    budget, verdict = smp.SampleBudget(samples=20), smp.chain_verdict(goal)
+    want = smp.find_countermodel(goal, ordered, budget, verdict)
+    assert _hit_key(smp.find_countermodel(goal, shuffled, budget, verdict)) == _hit_key(want)
+
+
+# ---------------------------------------------------------------------------
+# absorption goals go through the section pull-back
+
+
+def test_unsection_proves_the_absorption_goals():
+    # criterion 05's generator, on contexts of two or more leaves, where
+    # no assumption matches outright
+    t = frozenset([p, q, sx.TOP, sx.BOT])
+    members = [tr.section_map(f)
+               for f in sx.enumerate_closure(sx.ClosureSpec(t, "and_or", 3))]
+    theta = tr.theta_set(tr.ec(t))
+    dfnl = get_system("dfnl-star")
+    rng = random.Random(105)
+    budget = SearchBudget(max_depth=6, time_cap_ms=4000, samples=0, refute=False)
+
+    def grow(leaves):
+        if leaves <= 1:
+            return sx.SLeaf(rng.choice(members))
+        cut = rng.randint(1, leaves - 1)
+        return sx.SNode(grow(cut), grow(leaves - cut))
+
+    for _ in range(12):
+        tree = grow(rng.randint(2, 4))
+        leaf_paths = [at for at, x in pf.positions(tree) if isinstance(x, sx.SLeaf)]
+        spot = rng.choice(leaf_paths)
+        planted = pf.tree_replace(tree, spot, sx.SLeaf(sx.P_BOT))
+        suc = rng.choice([m for m in members if m != sx.P_TOP])
+        absorbed = tr.tree_absorb(planted, spot, theta)
+        if suc != sx.P_BOT:
+            absorbed = lm.le_trans(absorbed, tr.sec_from_pbot(suc, theta))
+        for goal, want in ((sx.Sequent(tree, sx.P_TOP), tr.tree_top(tree, theta)),
+                           (sx.Sequent(planted, suc), absorbed)):
+            r = derive(dfnl, theta, goal, budget)
+            assert (r.verdict, r.strategy) == (pv.PROVED, "unsection"), sx.render_sequent(goal)
+            assert pf.to_json(r.derivation) == pf.to_json(want)
