@@ -19,6 +19,7 @@ import json
 import os
 import sys as _sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii as _esc
 from typing import Optional
 
 from . import checker as ck
@@ -70,6 +71,55 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
         except ValueError as e:
             raise ModelError(f"{path}: not valid JSON: {e}") from None
+
+
+def _dumps(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2)``, byte for byte, for what a
+    payload holds: dicts with str keys, lists, str, int, bool and None; any
+    other type raises TypeError.  ``indent`` puts json.dumps on its
+    pure-Python encoder, so this writes the pieces into one list, with the
+    C string escaper."""
+    out: list[str] = []
+    _put(obj, "\n", out)
+    return "".join(out)
+
+
+def _put(x, pad: str, out: list) -> None:
+    t = type(x)
+    if t is str:
+        out.append(_esc(x))
+    elif t is int:
+        out.append(int.__repr__(x))
+    elif x is None:
+        out.append("null")
+    elif t is bool:
+        out.append("true" if x else "false")
+    elif t is list:
+        if not x:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _put(v, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif t is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for k, v in x.items():
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out.append(sep + _esc(k) + ": ")
+            _put(v, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    else:
+        raise TypeError(f"{t.__name__} is not a payload type")
 
 
 def _budget(args) -> pv.SearchBudget:
@@ -130,10 +180,11 @@ def _recheck(r: pv.ProofResult, payload: dict, system, phi, goal: sx.Sequent) ->
             raise FnlError("recheck failed: reloaded derivation rejected")
         return "derivation reloaded and accepted"
     if r.verdict == pv.REFUTED:
-        again = md.ternary_from_json(json.loads(json.dumps(md.ternary_to_json(r.model))))
+        doc = json.loads(json.dumps({"model": payload["model"], "state": payload["state"]}))
+        again = md.ternary_from_json(doc["model"])
         if not md.satisfies_assumptions(again, phi):
             raise FnlError("recheck failed: countermodel loses the assumptions")
-        if md.sequent_true(again, r.state, goal):
+        if md.sequent_true(again, doc["state"], goal):
             raise FnlError("recheck failed: countermodel no longer falsifies")
         return "countermodel reloaded and still falsifies"
     return "nothing to recheck"
@@ -412,7 +463,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(e.code or 0)
     try:
         payload, text, code = args.fn(args)
-        print(json.dumps(payload, indent=2) if args.format == "json" else text)
+        print(_dumps(payload) if args.format == "json" else text)
         _sys.stdout.flush()
     except FnlError as e:
         print(f"error: {e}", file=_sys.stderr)

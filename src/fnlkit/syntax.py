@@ -826,17 +826,6 @@ class ClosureSpec:
     size_bound: int
 
 
-def closure_contains(spec: ClosureSpec, f: LFormula) -> bool:
-    """Membership test; the closure itself is infinite, so no enumeration."""
-    if f in spec.base:
-        return True
-    if isinstance(f, (LAnd, LOr)):
-        return closure_contains(spec, f.l) and closure_contains(spec, f.r)
-    if isinstance(f, LNot) and spec.mode == "and_or_not":
-        return closure_contains(spec, f.a)
-    return False
-
-
 @lru_cache(maxsize=64)
 def enumerate_closure(spec: ClosureSpec) -> tuple[LFormula, ...]:
     """All members with size <= bound, sorted by (size, rendered text).

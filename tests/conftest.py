@@ -112,6 +112,17 @@ def k_satisfiable(a: sx.ModalFormula):
     return model, root
 
 
+def closure_contains(spec: sx.ClosureSpec, f: sx.LFormula) -> bool:
+    """Membership test; the closure itself is infinite, so no enumeration."""
+    if f in spec.base:
+        return True
+    if isinstance(f, (sx.LAnd, sx.LOr)):
+        return closure_contains(spec, f.l) and closure_contains(spec, f.r)
+    if isinstance(f, sx.LNot) and spec.mode == "and_or_not":
+        return closure_contains(spec, f.a)
+    return False
+
+
 def formulas_of(d: pf.Derivation) -> frozenset[sx.LFormula]:
     out: set[sx.LFormula] = set()
     for n in pf.iter_nodes(d):

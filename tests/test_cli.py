@@ -6,12 +6,15 @@ import os
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from fnlkit import checker as ck
 from fnlkit import cli
 from fnlkit import models as md
 from fnlkit import proofs as pf
+from fnlkit import prover as pv
 from fnlkit import syntax as sx
 from fnlkit.systems import get_system
 
@@ -87,6 +90,23 @@ def test_prove_refuted_countermodel_payload(capsys):
     assert payload["verdict"] == "refuted"
     model = md.ternary_from_json(payload["model"])
     assert not md.sequent_true(model, payload["state"], sx.parse_sequent("p => q"))
+
+
+def test_recheck_reads_the_printed_countermodel(capsys, monkeypatch):
+    # the payload carries a model in which q holds everywhere, so p => q is
+    # not falsified by what would be printed
+    to_json = pv.result_to_json
+
+    def tampered(r):
+        out = to_json(r)
+        out["model"]["val"]["q"] = list(out["model"]["states"])
+        return out
+
+    monkeypatch.setattr(pv, "result_to_json", tampered)
+    code, out, err = run(capsys, "prove", "--system", "bfnl-star",
+                         "p => q", "--recheck", "--seed", "3")
+    assert code == 1 and out == ""
+    assert err == "error: recheck failed: countermodel no longer falsifies\n"
 
 
 def test_prove_unknown_exits_two(capsys):
@@ -394,6 +414,71 @@ def test_text_format_renders_derivations_and_models(capsys):
     code, out, err = run(capsys, "countermodel", "p => q", "--format", "text",
                          "--samples", "100")
     assert "countermodel falsifying the goal" in out
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer and the printed format
+
+
+_texts = st.text() | st.text(alphabet='a"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600 ')
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | _texts,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_texts, kids, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(json_values)
+def test_dumps_prints_what_json_dumps_prints(x):
+    assert cli._dumps(x) == json.dumps(x, indent=2)
+
+
+def test_dumps_prints_deep_nesting():
+    x = []
+    for _ in range(2000):
+        x = [x]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(30000)  # as cli.main sets it
+    try:
+        assert cli._dumps(x) == json.dumps(x, indent=2)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("x", [1.5, (1, 2), {"a"}, {1: "a"}, {"a": [0.5]}])
+def test_dumps_rejects_what_payloads_do_not_hold(x):
+    with pytest.raises(TypeError):
+        cli._dumps(x)
+
+
+@pytest.fixture
+def model_files(tmp_path):
+    kfile = tmp_path / "k.json"
+    kfile.write_text(json.dumps({"states": ["w", "u"], "rel": [["w", "u"]],
+                                 "val": {"p": ["u"]}}))
+    tfile = tmp_path / "t.json"
+    tfile.write_text(json.dumps({"states": ["u", "v"], "rel": [["u", "u", "v"]],
+                                 "val": {"p": ["u"], "q": ["u", "v"]}}))
+    return str(kfile), str(tfile)
+
+
+@pytest.mark.parametrize("argv", [
+    ("translate", "k", "[](p -> q) -> ([]p -> []q)", "--stage", "section"),
+    ("prove", "--system", "bfnl-star", "p /\\ q => q", "--recheck"),
+    ("prove", "--system", "bfnl-star", "p => q", "--seed", "3"),
+    ("pipeline", "[](p -> q) -> ([]p -> []q)", "--run-prover"),
+    ("countermodel", "p => q", "--samples", "100"),
+    ("kdecide", "[](p -> q) -> ([]p -> []q)"),
+    ("kdecide", "<>p"),
+    ("modelcheck", "{t}", "p => q"),
+    ("buildmodel", "{k}", "--variant", "unit"),
+])
+def test_json_output_is_indent_two(capsys, model_files, argv):
+    kfile, tfile = model_files
+    argv = [a.format(k=kfile, t=tfile) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def src_env() -> dict:

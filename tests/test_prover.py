@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import fnlkit
-from conftest import assumptions_of, facts_corpus, formulas_of
+from conftest import assumptions_of, closure_contains, facts_corpus, formulas_of
 from fnlkit import checker as ck
 from fnlkit import lemmas as lm
 from fnlkit import models as md
@@ -200,7 +200,7 @@ def test_subformula_discipline_of_search_derivations():
         base = frozenset(sx.subformulas_of_problem(goal, ())) | {sx.TOP, sx.BOT}
         spec = sx.ClosureSpec(base, "and_or_not", 0)
         for g in formulas_of(r.derivation):
-            assert sx.closure_contains(spec, g), sx.render_lambek(g)
+            assert closure_contains(spec, g), sx.render_lambek(g)
 
 
 # ---------------------------------------------------------------------------
