@@ -286,7 +286,7 @@ def check_derivation(sys: SystemSpec, phi, d: pf.Derivation, trail=None) -> bool
             trail.append(f"{node.rule} at {sx.render_sequent(node.seq)}: {msg}")
         return False
 
-    for node in pf.iter_nodes(d):
+    for node in pf.post_order(d):
         c, inst, prems = node.seq, node.inst, node.premises
         if node.rule not in allowed:
             return fail(node, "rule not available in this system")

@@ -137,38 +137,25 @@ def node(seq: sx.Sequent, rule: str, premises=(), inst: Inst = Inst()) -> Deriva
     return Derivation(seq, rule, tuple(premises), inst)
 
 
-def iter_nodes(d: Derivation) -> Iterator[Derivation]:
-    """Every node once, shared subtrees deduplicated by identity."""
-    seen: set[int] = set()
-    stack = [d]
-    while stack:
-        x = stack.pop()
-        if id(x) in seen:
-            continue
-        seen.add(id(x))
-        yield x
-        stack.extend(x.premises)
-
-
 def post_order(d: Derivation) -> Iterator[Derivation]:
     """Every node once, shared subtrees deduplicated by identity, each
     after its premises, which come left to right; the root comes last."""
-    seen: set[int] = set()
-    stack: list[tuple[Derivation, bool]] = [(d, False)]
+    seen = {id(d)}
+    stack = [(d, iter(d.premises))]
     while stack:
-        n, ready = stack.pop()
-        if id(n) in seen:
-            continue
-        if ready:
-            seen.add(id(n))
-            yield n
+        n, todo = stack[-1]
+        for p in todo:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append((p, iter(p.premises)))
+                break
         else:
-            stack.append((n, True))
-            stack.extend((p, False) for p in reversed(n.premises))
+            stack.pop()
+            yield n
 
 
 def size(d: Derivation) -> int:
-    return sum(1 for _ in iter_nodes(d))
+    return sum(1 for _ in post_order(d))
 
 
 # ---------------------------------------------------------------------------

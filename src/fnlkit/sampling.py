@@ -11,23 +11,25 @@ models, the transferred K countermodel, then the seeded ternary samples.
 The transfer takes the verdict of `chain_verdict`, which reads the goal
 back up the reduction chain with the K reader `transform.read_k` (top as
 ~bot) and decides it with the K tableau, and pushes an invalid formula's
-Kripke countermodel down again as a two-copy ternary model with the
-chain's generated letters valued (`_transfer_ternary`).  The caller
-finds that verdict, once: `prover.derive` per call, for every
+Kripke countermodel down again as a two-copy ternary model
+(`_transfer_ternary`).  There every generated letter is read back the way
+the chain reads it: p_A holds exactly where the read-back of A, with its
+letters as negations and p_bot, p_top as the constants, fails.  The
+caller finds the verdict, once: `prover.derive` per call, for every
 countermodel search it makes, and the `countermodel` command per goal.
 So every non-theorem of the chain is refuted without the samples, which,
 facing its many companion and absorption assumptions, rarely draw one.
 
-The exhaustive ternary stage of the countermodel search does not build
-the models of `all_ternary` one by one.  A bit-parallel kernel evaluates
-the goal and the assumptions in all of them at once: bit m of an int is
-the truth at one state in the m-th model, the lattice connectives become
-`& | ^`, and the product and residuals combine per-triple relation
-masks.  The kernel only filters: it yields, in enumeration order, the
-models that satisfy the assumptions and falsify the goal at some state,
-and `find_countermodel` re-evaluates each one with the reference
-evaluator in `models` before it returns it.  `all_ternary` stays as the
-reference enumeration.
+The exhaustive ternary stage does not build its models one by one.  A
+bit-parallel kernel evaluates the goal and the assumptions in every
+ternary model of 1 or 2 states at once: bit m of an int is the truth at
+one state in the m-th model, the lattice connectives become `& | ^`, and
+the product and residuals combine per-triple relation masks.
+
+Every source of models only proposes candidates.  `find_countermodel`
+takes a candidate's first state that falsifies the goal and returns the
+model only when `_verify_ternary`, on a fresh copy read back from its
+JSON, finds phi true and the goal false there.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from . import transform as tr
 from .errors import ModelError
 from .ktableau import TableauVerdict, k_decide
 
-TERNARY_EXHAUSTIVE_CAP = 2
 STATE_CAP = 6
 
 
@@ -55,17 +56,6 @@ def _names(n: int) -> tuple[str, ...]:
 def _subsets(xs: tuple):
     for k in range(len(xs) + 1):
         yield from itertools.combinations(xs, k)
-
-
-def all_ternary(n_states: int, atoms: tuple[str, ...]) -> Iterator[md.TernaryModel]:
-    if n_states > TERNARY_EXHAUSTIVE_CAP:
-        raise ModelError(f"exhaustive cap is {TERNARY_EXHAUSTIVE_CAP} states")
-    ws = _names(n_states)
-    triples = tuple(itertools.product(ws, ws, ws))
-    for rel in _subsets(triples):
-        for vals in itertools.product(*(_subsets(ws) for _ in atoms)):
-            val = {a: frozenset(v) for a, v in zip(atoms, vals)}
-            yield md.TernaryModel(ws, frozenset(rel), val)
 
 
 def _rand_subset(rng: random.Random, xs: tuple, p: float) -> frozenset:
@@ -130,15 +120,18 @@ def _verify_ternary(j: md.TernaryModel, u: str, goal: sx.Sequent, phi) -> bool:
     return md.satisfies_assumptions(j2, phi) and not md.sequent_true(j2, u, goal)
 
 
-# Model m of all_ternary(n, atoms) has relation m // V and valuation m % V,
-# for V valuations per relation; bit m of every mask below is about model m.
+# The exhaustive models are enumerated relation-major: the relations are
+# the subsets of the triples in `_subsets` order, and under each one the
+# valuations are the product of the letters' `_subsets` of the states.
+# Model m has relation m // V and valuation m % V, for V valuations per
+# relation; bit m of every mask below is about model m.
 
 
 @functools.lru_cache(maxsize=None)
 def _frame_masks(n_states: int, n_atoms: int):
-    """The models of all_ternary(n_states, <n_atoms letters>) as masks:
-    relations (as triples of state indices) and valuations in enumeration
-    order, one mask per triple, per-state masks per letter, the
+    """Every ternary model on n_states states over n_atoms letters as
+    masks: relations (as triples of state indices) and valuations in
+    enumeration order, one mask per triple, per-state masks per letter, the
     symmetric-relation mask and the all-models mask."""
     ws = _names(n_states)
     triples = tuple(itertools.product(range(n_states), repeat=3))
@@ -170,8 +163,8 @@ def _frame_masks(n_states: int, n_atoms: int):
 
 def _exhaustive_ternary(n_states: int, atoms: tuple[str, ...], goal: sx.Sequent,
                         phi, symmetric: bool) -> Iterator[md.TernaryModel]:
-    """The models of all_ternary(n_states, atoms), symmetric ones only if
-    asked, that satisfy phi and falsify the goal at some state, in
+    """The ternary models on n_states states over the atoms, symmetric ones
+    only if asked, that satisfy phi and falsify the goal at some state, in
     enumeration order.  Formulas must lie in the plain vocabulary: no unit,
     no modal operators."""
     ws, rels, vals, rel, letters, sym, full = _frame_masks(n_states, len(atoms))
@@ -239,18 +232,6 @@ def _join(masks) -> int:
     return functools.reduce(int.__or__, masks, 0)
 
 
-def _neg_depth(f: sx.LFormula, depth: dict) -> int:
-    # the nesting depth of the generated letters in f, recording each
-    # letter's own depth (one more than the deepest letter in its payload)
-    out = 0
-    for g in sx.walk(f):
-        if isinstance(g, sx.LFresh) and g.mark == "neg":
-            if g not in depth:
-                depth[g] = 1 + _neg_depth(g.of, depth)
-            out = max(out, depth[g])
-    return out
-
-
 _TOP_LEAVES = (sx.SLeaf(sx.TOP), sx.SLeaf(sx.P_TOP))
 
 
@@ -275,28 +256,31 @@ def _transfer_ternary(goal: sx.Sequent, phi, symmetric: bool,
 
     The verdict's Kripke countermodel is doubled (with four triples per
     edge if symmetric), p_top holds everywhere and p_bot nowhere, and each
-    generated letter of the problem holds exactly where its payload
-    fails.  Payloads are read innermost first, so every letter a payload
-    mentions is valued before it is read."""
+    generated letter reachable from the problem, through payloads too,
+    holds exactly where its payload fails.  The payload is read back as
+    the chain reads it, `negrewrite(section_inverse(payload))` over one
+    memo, which leaves no letter to value first, and evaluated in the one
+    doubled model."""
     if verdict is None or verdict.valid:
         return None
-    j = tr.build_ternary_model(verdict.model, exchange=symmetric)
-    depth: dict = {}
-    for s in (goal, *phi):
-        for f in sx.sequent_formulas(s):
-            _neg_depth(f, depth)
-    if any(sx.vocab(f.of) & (sx.V_UNIT | sx.V_MODAL) for f in depth):
+    letters: set = set()
+    todo = [f for s in (goal, *phi) for f in sx.sequent_formulas(s)]
+    while todo:
+        for g in sx.walk(todo.pop()):
+            if isinstance(g, sx.LFresh) and g.mark == "neg" and g not in letters:
+                letters.add(g)
+                todo.append(g.of)
+    if any(sx.vocab(f.of) & (sx.V_UNIT | sx.V_MODAL) for f in letters):
         return None
+    j = tr.build_ternary_model(verdict.model, exchange=symmetric)
     val = dict(j.val)
     val[sx.render_lambek(sx.P_TOP)] = frozenset(j.states)
     val[sx.render_lambek(sx.P_BOT)] = frozenset()
-    for level in sorted(set(depth.values())):
-        # a fresh model per level: a satisfaction memo filled under the
-        # valuation so far would misread the letters valued next
-        k = md.TernaryModel(j.states, j.rel3, dict(val))
-        for f in (f for f, d in depth.items() if d == level):
-            val[sx.render_lambek(f)] = frozenset(
-                u for u in j.states if not md.eval_lambek(k, u, f.of))
+    memo: dict = {}
+    for f in letters:
+        back = tr.negrewrite(tr.section_inverse(f.of, memo), memo)
+        val[sx.render_lambek(f)] = frozenset(
+            u for u in j.states if not md.eval_lambek(j, u, back))
     return md.TernaryModel(j.states, j.rel3, val)
 
 
@@ -331,10 +315,10 @@ def find_countermodel(
     verdict, the goal's `chain_verdict` (which reads top as ~bot; None
     skips the transfer), then `budget.samples` ternary samples (the first
     two only without unit and dia, so a smallest model wins).  The order
-    of phi changes no result.  Every candidate only filters: each must
-    satisfy phi and falsify the goal at some state, and every hit is
-    re-verified on a fresh copy of the model before returning.  None is
-    *not* a validity certificate.
+    of phi changes no result.  Every candidate only proposes: its first
+    state that falsifies the goal is checked by `_verify_ternary`, phi and
+    the goal both, on a fresh copy of the model, and the first candidate
+    that passes is returned.  None is *not* a validity certificate.
     A goal or assumption with a bracketed antecedent, which the models
     cannot read, `one` without `budget.with_unit`, or a modal operator
     without `budget.with_dia` raises the evaluator's ModelError before any
@@ -352,10 +336,7 @@ def find_countermodel(
     keys = set().union(*map(sx.atom_keys, forms))
     atoms = tuple(sorted(keys)) or ("p",)
     for j in _candidate_ternary(goal, phi, atoms, budget, verdict):
-        if not md.satisfies_assumptions(j, phi):
-            continue
-        for u in j.states:
-            if not md.sequent_true(j, u, goal):
-                if _verify_ternary(j, u, goal, phi):
-                    return j, u
+        u = next((u for u in j.states if not md.sequent_true(j, u, goal)), None)
+        if u is not None and _verify_ternary(j, u, goal, phi):
+            return j, u
     return None

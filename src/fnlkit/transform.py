@@ -1,16 +1,27 @@
 r"""The reduction chain from modal K to constant-free DFNL, and the model
 constructions backing it.
 
-`pipeline_k_to_dfnl` builds each of the three `STAGES`: dagger gives the
-bfnl-star goal  => A-dagger, reading a diamond as a left product with the
-reserved letter `M`; ddagger turns negations into generated letters under
-the companion set Psi (bdfnl-star); the section map turns the constants
-into the letters p_bot and p_top under the absorption set Theta
-(dfnl-star).  `M` is fixed; only `dagger`, whose input comes from
-outside, checks that a source formula leaves it free.  The two lower
-stages have a sequent inverse (`negrewrite_sequent`,
-`section_inverse_sequent`) and a derivation transport
-(`ddagger_derivation`, `section_derivation`) for `strategy._pull_back`.
+`pipeline_k_to_dfnl` builds each of the three `STAGES`, and each stage
+realizes one step of the source paper's reductions:
+
+- dagger, the polynomial reduction of K into BFNL* behind its
+  PSPACE-hardness: A is valid in K iff the bfnl-star goal  => A-dagger is
+  provable, reading a diamond as a left product with the reserved
+  letter `M`;
+- ddagger, the first half of the reduction of BFNL* to the consequence
+  relation of DFNL: negations become generated letters under the
+  companion set Psi (bdfnl-star);
+- section, the second half: the constants become the letters p_bot and
+  p_top under the absorption set Theta.  The stage is labelled
+  dfnl-star, but an empty antecedent becomes the p_top leaf, so no goal
+  or assumption of its image has an empty antecedent: it is a
+  consequence problem of DFNL itself.
+
+`M` is fixed; only `dagger`, whose input comes from outside, checks that
+a source formula leaves it free.  The two lower stages have a sequent
+inverse (`negrewrite_sequent`, `section_inverse_sequent`) and a
+derivation transport (`ddagger_derivation`, `section_derivation`) for
+`strategy._pull_back`.
 
 The chain maps (`_ddag`, `tilde_ext`, `section_map`, `section_inverse`,
 `negrewrite` and the `_sequent` forms) are `_memoized`: each takes an
@@ -26,11 +37,13 @@ The one K reader, `read_k`, reads a formula back to K, top as ~bot, for
 other way: `sampling.chain_verdict` reads a goal back through the two
 inverses and `read_k` and decides it, once per `prover.derive` or
 `countermodel` command, and the transfer doubles an invalid formula's
-K countermodel with `build_ternary_model`, M valued everywhere; p_top
-then holds everywhere, p_bot nowhere, and each generated letter exactly
-where its payload fails, which satisfies the companion and absorption
-sets.  The model
-side also has the exchange variant and the unit extension.
+K countermodel with `build_ternary_model`, M valued everywhere.  It
+reads the letters back the same way: p_top holds everywhere, p_bot
+nowhere, and each generated letter p_A exactly where the read-back of
+A, `negrewrite(section_inverse(A))`, fails, so p_A is the complement of
+A, as in the paper's two-copy model; that satisfies the companion and
+absorption sets.  The model side also has the exchange variant and the
+unit extension.
 
 One deliberate departure: the companion sequents for a generated letter
 are {A /\ p_A => bot, top => A \/ p_A}.  A "=> top"-oriented second

@@ -77,7 +77,22 @@ def ternary_stream(seed: int, max_states: int, atoms: tuple[str, ...], **kw):
         yield smp.sample_ternary(rng, max_states, atoms, **kw)
 
 
+TERNARY_EXHAUSTIVE_CAP = 2
 KRIPKE_EXHAUSTIVE_CAP = 3
+
+
+def all_ternary(n_states: int, atoms: tuple[str, ...]):
+    """Every ternary model on n_states states over the atoms, one by one,
+    in the order of the bit-parallel kernel in `sampling`, which it is the
+    reference for."""
+    if n_states > TERNARY_EXHAUSTIVE_CAP:
+        raise ModelError(f"exhaustive cap is {TERNARY_EXHAUSTIVE_CAP} states")
+    ws = smp._names(n_states)
+    triples = tuple(itertools.product(ws, ws, ws))
+    for rel in smp._subsets(triples):
+        for vals in itertools.product(*(smp._subsets(ws) for _ in atoms)):
+            val = {a: frozenset(v) for a, v in zip(atoms, vals)}
+            yield md.TernaryModel(ws, frozenset(rel), val)
 
 
 def all_kripke(n_states: int, atoms: tuple[str, ...]):
@@ -123,9 +138,27 @@ def closure_contains(spec: sx.ClosureSpec, f: sx.LFormula) -> bool:
     return False
 
 
+def post_order_reference(d: pf.Derivation) -> list[pf.Derivation]:
+    """Every node of d once, by identity, each after its premises, left to
+    right: the recursive definition that `proofs.post_order` walks with a
+    stack."""
+    out: list[pf.Derivation] = []
+    seen: set[int] = set()
+
+    def visit(n: pf.Derivation):
+        if id(n) not in seen:
+            seen.add(id(n))
+            for x in n.premises:
+                visit(x)
+            out.append(n)
+
+    visit(d)
+    return out
+
+
 def formulas_of(d: pf.Derivation) -> frozenset[sx.LFormula]:
     out: set[sx.LFormula] = set()
-    for n in pf.iter_nodes(d):
+    for n in pf.post_order(d):
         out.update(sx.sequent_formulas(n.seq))
     return frozenset(out)
 
@@ -133,7 +166,7 @@ def formulas_of(d: pf.Derivation) -> frozenset[sx.LFormula]:
 def assumptions_of(d: pf.Derivation) -> frozenset[sx.Sequent]:
     """The assumption members a derivation actually leans on."""
     return frozenset(
-        n.inst.member for n in pf.iter_nodes(d) if n.rule == pf.ASSUMPTION
+        n.inst.member for n in pf.post_order(d) if n.rule == pf.ASSUMPTION
     )
 
 

@@ -6,16 +6,18 @@ import json
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (assumptions_of, dax_4, dax_5, dax_t, dboxdown_l, dexch, dist_prod_or, done_l,
-                      done_r, fact7, lambek_formulas, sequents, undist_prod_or)
+                      done_r, fact7, lambek_formulas, post_order_reference, sequents,
+                      undist_prod_or)
 from fnlkit import checker as ck
 from fnlkit import lemmas as lm
 from fnlkit import proofs as pf
 from fnlkit import rules
 from fnlkit import syntax as sx
 from fnlkit.errors import FnlError, LemmaError, ValidationError
-from fnlkit.systems import SYSTEMS, allowed_rules, get_system
+from fnlkit.systems import SYSTEMS, allowed_rules, get_system, validate_sequent
 
 BF = get_system("bfnl-star")
 BFT = get_system("bfnl-star-t")
@@ -192,8 +194,19 @@ def test_checker_rejects_sequents_the_system_disallows():
         checked(good, d, phi)
         trail = []
         assert not ck.check_derivation(bad, phi, d, trail)
-        assert trail[0].startswith(f"{d.rule} at ")  # the root is rejected first
+        # the checker walks in post-order, so the first ill-formed node of
+        # that walk is the one rejected
+        first = next(n for n in pf.post_order(d) if not _well_formed(bad, n.seq))
+        assert trail[0].startswith(f"{first.rule} at {sx.render_sequent(first.seq)}: ")
         assert f"ill-formed sequent ({bad.name} has {reason})" in trail[0]
+
+
+def _well_formed(sys, s):
+    try:
+        validate_sequent(sys, s)
+    except ValidationError:
+        return False
+    return True
 
 
 def _reinst(d, **fields):
@@ -506,6 +519,32 @@ def test_table_round_trip_keeps_shared_subproofs(a, b):
     d2 = pf.from_json(json.loads(json.dumps(j)))
     assert d2.seq == d.seq and pf.size(d2) == pf.size(d)
     checked(get_system("bfnl1-s5"), d2)
+
+
+@st.composite
+def shared_derivations(draw):
+    # node k takes its premises from nodes 0..k-1, repeats allowed, so
+    # subproofs are shared at random; the last node is the root
+    made: list = []
+    for k in range(draw(st.integers(1, 25))):
+        picks = draw(st.lists(st.integers(0, k - 1), max_size=3)) if k else []
+        made.append(pf.node(sx.simple(p, q), pf.ID, [made[i] for i in picks]))
+    return made[-1]
+
+
+@given(shared_derivations())
+@settings(max_examples=200)
+def test_post_order_visits_each_node_once_after_its_premises(d):
+    got = list(pf.post_order(d))
+    want = post_order_reference(d)
+    assert [id(n) for n in got] == [id(n) for n in want]
+    at = {id(n): k for k, n in enumerate(got)}
+    assert len(at) == len(got) == pf.size(d)
+    assert all(at[id(x)] < at[id(n)] for n in got for x in n.premises)
+    assert got[-1] is d
+    # the table lists the nodes in that order, premises by position in it
+    nodes = pf.to_json(d)["nodes"]
+    assert [n["premises"] for n in nodes] == [[at[id(x)] for x in n.premises] for n in got]
 
 
 def _edit(path, value):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (all_kripke, lambek_formulas, modal_formulas, sample_kripke, sequents,
-                      ternary_stream)
+from conftest import (all_kripke, all_ternary, lambek_formulas, modal_formulas, sample_kripke,
+                      sequents, ternary_stream)
 from fnlkit import models as md
 from fnlkit import sampling as smp
 from fnlkit import syntax as sx
@@ -150,10 +150,10 @@ def test_exhaustive_kripke_count():
 
 
 def test_exhaustive_ternary_count():
-    js = list(smp.all_ternary(2, ()))
+    js = list(all_ternary(2, ()))
     assert len(js) == 2 ** 8  # relation choices per valuation
     with pytest.raises(ModelError):
-        next(smp.all_ternary(3, ()))
+        next(all_ternary(3, ()))
 
 
 def test_streams_deterministic():
@@ -278,6 +278,12 @@ def _plain_sequent(s, letters):
     return sx.Sequent(None if s.ant is None else t(s.ant), f(s.suc))
 
 
+def _atoms(goal, phi):
+    # the letters find_countermodel values, in its order
+    keys = set().union(*(sx.atom_keys(f) for s in (goal, *phi) for f in sx.sequent_formulas(s)))
+    return tuple(sorted(keys)) or ("p",)
+
+
 # n = 2 stays at two letters: the reference then walks 4096 models
 _KERNEL_LETTERS = {1: (p, q, sx.fresh_for(p), sx.P_TOP), 2: (p, sx.fresh_for(q))}
 
@@ -288,16 +294,36 @@ _KERNEL_LETTERS = {1: (p, q, sx.fresh_for(p), sx.P_TOP), 2: (p, sx.fresh_for(q))
 def test_kernel_keeps_exactly_the_reference_candidates(n, goal, assumption, symmetric):
     goal = _plain_sequent(goal, _KERNEL_LETTERS[n])
     phi = () if assumption is None else (_plain_sequent(assumption, _KERNEL_LETTERS[n]),)
-    keys = set().union(*(sx.atom_keys(f) for s in (goal, *phi) for f in sx.sequent_formulas(s)))
-    atoms = tuple(sorted(keys)) or ("p",)
+    atoms = _atoms(goal, phi)
     expected = [
-        j for j in smp.all_ternary(n, atoms)
+        j for j in all_ternary(n, atoms)
         if not (symmetric and any((u, w, v) not in j.rel3 for (u, v, w) in j.rel3))
         and md.satisfies_assumptions(j, phi)
         and any(not md.sequent_true(j, u, goal) for u in j.states)
     ]
     got = list(smp._exhaustive_ternary(n, atoms, goal, phi, symmetric))
     assert [md.ternary_to_json(j) for j in got] == [md.ternary_to_json(j) for j in expected]
+
+
+@settings(max_examples=60)
+@given(goal=sequents, assumption=sequents, with_dia=st.booleans(), seed=st.integers(0, 99))
+def test_find_countermodel_returns_the_first_candidate_that_holds(goal, assumption, with_dia,
+                                                                   seed):
+    # with dia set the candidates are the samples alone, so the one member
+    # of phi is what turns most of them away
+    goal = _plain_sequent(goal, (p, q))
+    phi = (_plain_sequent(assumption, (p, q)),)
+    budget = smp.SampleBudget(seed=seed, samples=30, with_dia=with_dia)
+    verdict = smp.chain_verdict(goal)
+    atoms = _atoms(goal, phi)
+    want = None
+    for j in smp._candidate_ternary(goal, phi, atoms, budget, verdict):
+        falsified = [u for u in j.states if not md.sequent_true(j, u, goal)]
+        if falsified and md.satisfies_assumptions(j, phi):
+            want = (md.ternary_to_json(j), falsified[0])
+            break
+    hit = smp.find_countermodel(goal, phi, budget, verdict)
+    assert (None if hit is None else (md.ternary_to_json(hit[0]), hit[1])) == want
 
 
 # ---------------------------------------------------------------------------

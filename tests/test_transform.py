@@ -354,7 +354,7 @@ def test_ddagger_derivation_transport():
     d2 = tr.ddagger_derivation(r.derivation, psi)
     assert d2.seq == g2 == sx.parse_sequent("=> p{p} \\/ p")
     assert ck.check_derivation(get_system("bdfnl-star"), psi, d2)
-    rules = {n.rule for n in pf.iter_nodes(d2)}
+    rules = {n.rule for n in pf.post_order(d2)}
     assert pf.NEG1 not in rules and pf.NEG2 not in rules
 
 
@@ -783,6 +783,77 @@ def test_transfer_declines_letters_it_cannot_value():
     assert not verdict.valid
     assert smp._transfer_ternary(goal, phi, False, verdict) is None
     assert smp.find_countermodel(goal, phi, smp.SampleBudget(samples=0), verdict) is not None
+
+
+def _letters_through_payloads(goal, phi):
+    # the generated letters of the problem, and of their payloads in turn
+    out = set()
+
+    def visit(f):
+        for g in sx.walk(f):
+            if isinstance(g, sx.LFresh) and g.mark == "neg" and g not in out:
+                out.add(g)
+                visit(g.of)
+
+    for s in (goal, *phi):
+        for f in sx.sequent_formulas(s):
+            visit(f)
+    return out
+
+
+def _check_transfer(goal, phi, symmetric):
+    # the transferred model values exactly the letters reachable through
+    # payloads, each where its payload fails in that very model
+    verdict = smp.chain_verdict(goal)
+    assert verdict is not None and not verdict.valid
+    j = smp._transfer_ternary(goal, phi, symmetric, verdict)
+    letters = _letters_through_payloads(goal, phi)
+    fixed = set(verdict.model.val) | {tr.M, sx.render_lambek(sx.P_TOP), sx.render_lambek(sx.P_BOT)}
+    assert set(j.val) - fixed == {sx.render_lambek(f) for f in letters}
+    for f in letters:
+        assert j.val[sx.render_lambek(f)] == {
+            u for u in j.states if not md.eval_lambek(j, u, f.of)}
+    return letters
+
+
+def _box(a):
+    return sx.MNot(sx.MDia(sx.MNot(a)))
+
+
+# boxes over implications: the chain's letters then nest, and countermodels
+# have edges, so an inner letter's value decides an outer one's
+modal_towers = st.recursive(
+    st.sampled_from("pq").map(sx.MAtom),
+    lambda kids: st.one_of(st.builds(sx.MImp, kids, kids), st.builds(_box, kids),
+                           st.builds(sx.MDia, kids)),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=40)
+@given(st.one_of(modal_formulas, modal_towers), st.sampled_from(("ddagger", "section")),
+       st.booleans())
+def test_transfer_values_each_letter_where_its_payload_fails(a, stage, symmetric):
+    if kt.k_decide(a).valid:
+        return
+    _, goal, phi = tr.pipeline_k_to_dfnl(a, stage)
+    _check_transfer(goal, phi, symmetric)
+
+
+def test_transfer_values_the_letters_inside_payloads():
+    # <>p -> []p: the box's letter p{m * p{p}} carries p{p}, and the two
+    # successors of the countermodel's root make the inner letter matter
+    for stage in ("ddagger", "section"):
+        for symmetric in (False, True):
+            _, goal, phi = tr.pipeline_k_to_dfnl(sx.parse_modal("<>p -> []p"), stage)
+            letters = _check_transfer(goal, phi, symmetric)
+            assert any(isinstance(g, sx.LFresh) and g.mark == "neg"
+                       for f in letters for g in sx.walk(f.of))
+    # p{q} occurs only inside a payload, and is valued all the same; p_top
+    # inside a payload reads as top
+    goal = sx.Sequent(None, tr.dagger(sx.parse_modal("[]q \\/ []~q")))
+    phi = (sx.parse_sequent("p{m * p{q}} => p{p_top /\\ q}"),)
+    assert sx.fresh_for(q) in _check_transfer(goal, phi, False)
 
 
 def test_a_derive_reads_its_goal_back_at_most_once(monkeypatch):
