@@ -89,10 +89,14 @@ def dcut(minor: pf.Derivation, major: pf.Derivation, path: pf.Path = ()) -> pf.D
 
 
 def le_trans(*ds: pf.Derivation) -> pf.Derivation:
-    """Chain G => A1, A1 => A2, ..., An-1 => An into G => An."""
+    """Chain G => A1, A1 => A2, ..., An-1 => An into G => An.  Identity
+    links are dropped by rule name, unchecked (comparing near-equal deep
+    sequents costs their size), so no cut has an identity premise; an
+    all-identity chain is its first link."""
     _fit(len(ds) >= 1, "empty chain")
-    out = ds[0]
-    for d in ds[1:]:
+    links = [d for d in ds if d.rule != pf.ID] or ds[:1]
+    out = links[0]
+    for d in links[1:]:
         out = dcut(out, d, ())
     return out
 
@@ -481,31 +485,23 @@ def _has_or(f: sx.LFormula) -> bool:
 
 
 def _hoist(f: sx.LAnd) -> tuple[pf.Derivation, sx.LFormula, sx.LFormula]:
-    """For a conjunction containing a buried disjunction, certify
-    f => f[u] \\/ f[v] where u \\/ v is the hoisted member."""
+    """For a conjunction containing a buried disjunction u \\/ v, certify
+    f => f_u \\/ f_v: f with u, and with v, in its place, where a left
+    conjunct holding u \\/ v moves right, as `dD` leaves it.  `_lat` and
+    `_blat` take either conjunct order, so nothing commutes them back."""
     l, r = f.l, f.r
     if isinstance(r, sx.LOr):
         return dD(l, r.l, r.r), sx.LAnd(l, r.l), sx.LAnd(l, r.r)
     if isinstance(l, sx.LOr):
         u, v = l.l, l.r
-        d = le_trans(
-            comm_and(l, r),
-            dD(r, u, v),
-            or_mono(comm_and(r, u), comm_and(r, v)),
-        )
-        return d, sx.LAnd(u, r), sx.LAnd(v, r)
+        return le_trans(comm_and(l, r), dD(r, u, v)), sx.LAnd(r, u), sx.LAnd(r, v)
     if _has_or(r):
         dh, ru, rv = _hoist(r)
         d = le_trans(and_mono(did(l), dh), dD(l, ru, rv))
         return d, sx.LAnd(l, ru), sx.LAnd(l, rv)
     dh, lu, lv = _hoist(l)
-    d = le_trans(
-        and_mono(dh, did(r)),
-        comm_and(sx.LOr(lu, lv), r),
-        dD(r, lu, lv),
-        or_mono(comm_and(r, lu), comm_and(r, lv)),
-    )
-    return d, sx.LAnd(lu, r), sx.LAnd(lv, r)
+    d = le_trans(and_mono(dh, did(r)), comm_and(sx.LOr(lu, lv), r), dD(r, lu, lv))
+    return d, sx.LAnd(r, lu), sx.LAnd(r, lv)
 
 
 @lru_cache(maxsize=131072)

@@ -220,7 +220,7 @@ try_unneg = _pull_back(
     lambda d, phi, memo: tr.ddagger_derivation(d, phi, memo),
 )
 try_unsection = _pull_back(
-    "bdfnl-star", "dfnl-star", tr.section_inverse_sequent, tr.section_sequent,
+    "bdfnl-star", "dfnl", tr.section_inverse_sequent, tr.section_sequent,
     _holds_with_bounds, lambda d, phi, memo: tr.section_derivation(d, phi, memo),
 )
 

@@ -12,10 +12,10 @@ realizes one step of the source paper's reductions:
   relation of DFNL: negations become generated letters under the
   companion set Psi (bdfnl-star);
 - section, the second half: the constants become the letters p_bot and
-  p_top under the absorption set Theta.  The stage is labelled
-  dfnl-star, but an empty antecedent becomes the p_top leaf, so no goal
-  or assumption of its image has an empty antecedent: it is a
-  consequence problem of DFNL itself.
+  p_top under the absorption set Theta, and an empty antecedent becomes
+  the p_top leaf, so no goal or assumption of its image has an empty
+  antecedent: the stage is a consequence problem of DFNL itself, and is
+  labelled dfnl.
 
 `M` is fixed; only `dagger`, whose input comes from outside, checks that
 a source formula leaves it free.  The two lower stages have a sequent
@@ -626,7 +626,7 @@ def section_derivation(d: pf.Derivation, phi, memo: Optional[dict] = None) -> pf
     become the top letter throughout (matching section_sequent).  Empty
     residual introductions have no image and fail.  The maps run over the
     given memo, or a fresh one."""
-    target = allowed_rules(get_system("dfnl-star"))
+    target = allowed_rules(get_system("dfnl"))
     memo = {} if memo is None else memo
 
     def step(n: pf.Derivation, prems):
@@ -670,4 +670,4 @@ def pipeline_k_to_dfnl(a: sx.ModalFormula,
     if stage == "ddagger":
         return "bdfnl-star", goal, phi
     goal, phi = section_embed(goal, phi)
-    return "dfnl-star", goal, phi
+    return "dfnl", goal, phi

@@ -428,6 +428,16 @@ def test_lat_le_distributivity_both_ways():
     assert lm.lat_le(p, q) is None
 
 
+def test_hoist_keeps_the_disjuncts_in_the_order_dD_leaves_them():
+    d, fu, fv = lm._hoist(f("(p \\/ q) /\\ r"))
+    assert (fu, fv) == (f("r /\\ p"), f("r /\\ q"))
+    assert not any(n.rule == pf.OR_L for n in pf.post_order(d))
+    wide = lm.lat_le_strict(f("((p \\/ q) /\\ (r \\/ s)) /\\ (t \\/ u)"), f("p \\/ q"))
+    assert pf.size(checked(DF, wide)) <= 109
+    spread = lm.lat_le_strict(f("(p \\/ q) /\\ r"), f("(r /\\ p) \\/ (r /\\ q)"))
+    assert pf.size(checked(DF, spread)) <= 13
+
+
 def test_lat_le_treats_non_lattice_formulas_as_opaque():
     a = f("(p * q) /\\ r")
     checked(DF, lm.lat_le_strict(a, f("p * q")))
@@ -494,6 +504,51 @@ def test_mono_combinators_always_check(a, b):
     for d in (lm.and_mono(da, db), lm.or_mono(da, db), lm.prod_mono(da, db),
               lm.under_mono(da, db), lm.over_mono(da, db), lm.neg_anti(da)):
         assert ck.check_derivation(sys, (), d)
+
+
+@st.composite
+def chains_with_identities(draw):
+    # links a_i => a_i+1 that widen a_i by a disjunct or double it by a
+    # conjunction, and the same chain with A => A links spliced in
+    a = draw(lambek_formulas)
+    links, spliced = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            spliced.append(lm.did(a))
+        kind = draw(st.sampled_from(("left", "right", "both")))
+        if kind == "both":
+            link = lm.dand_r(lm.did(a), lm.did(a))
+        else:
+            x = draw(lambek_formulas)
+            b = sx.LOr(a, x) if kind == "left" else sx.LOr(x, a)
+            link = lm.dor_r(lm.did(a), b, 1 if kind == "left" else 2)
+        links.append(link)
+        spliced.append(link)
+        a = link.seq.suc
+    if draw(st.booleans()):
+        spliced.append(lm.did(a))
+    return links, spliced
+
+
+@given(chains_with_identities())
+@settings(max_examples=60)
+def test_le_trans_drops_identity_links(chain):
+    links, spliced = chain
+    want, got = lm.le_trans(*links), lm.le_trans(*spliced)
+    assert got.seq == want.seq
+    assert pf.size(got) == pf.size(want)
+    for n in pf.post_order(got):
+        if n.rule == pf.CUT:
+            assert pf.ID not in (n.premises[0].rule, n.premises[1].rule)
+    checked(B1, got)
+
+
+def test_an_all_identity_chain_is_its_first_link():
+    first = lm.did(p)
+    assert lm.le_trans(first, lm.did(p), lm.did(p)) is first
+    # a single cut stays one node, identities or not
+    d = lm.dcut(first, lm.did(p), ())
+    assert d.rule == pf.CUT and len(d.premises) == 2 and pf.size(d) == 3
 
 
 def test_serialization_round_trip_preserves_checkability():

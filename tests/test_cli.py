@@ -335,7 +335,7 @@ def test_translate_stages_line_up(capsys):
     assert stage2["goal"] == "=> m * p"
     assert len(stage2["assumptions"]) == 6
     code, stage3 = run_json(capsys, "translate", "k", "<>p", "--stage", "section")
-    assert stage3["system"] == "dfnl-star"
+    assert stage3["system"] == "dfnl"
     assert stage3["goal"].startswith("p_top =>")
     assert all("top" not in line or "p_top" in line for line in stage3["assumptions"])
 
@@ -349,13 +349,13 @@ def test_pipeline_end_to_end(capsys):
     code, payload = run_json(capsys, "pipeline", "[](p -> q) -> ([]p -> []q)",
                              "--run-prover")
     assert code == 0
-    assert payload["system"] == "dfnl-star"
+    assert payload["system"] == "dfnl"
     assert payload["verdict"] == "proved"
     d = pf.from_json(payload["derivation"])
     goal = sx.parse_sequent(payload["goal"])
     phi = frozenset(sx.parse_sequent(s) for s in payload["assumptions"])
     assert d.seq == goal
-    assert ck.check_derivation(get_system("dfnl-star"), phi, d)
+    assert ck.check_derivation(get_system(payload["system"]), phi, d)
 
 
 def test_pipeline_without_prover_just_translates(capsys):

@@ -19,7 +19,7 @@ from fnlkit import syntax as sx
 from fnlkit import transform as tr
 from fnlkit.errors import LemmaError, ValidationError
 from fnlkit.prover import SearchBudget, derive
-from fnlkit.systems import get_system
+from fnlkit.systems import get_system, validate_assumptions, validate_sequent
 from test_acceptance import corpus
 
 p, q = sx.LAtom("p"), sx.LAtom("q")
@@ -222,7 +222,7 @@ def test_section_embed():
 
 def test_pipeline_shape():
     name, goal, phi = tr.pipeline_k_to_dfnl(sx.parse_modal("p -> p"))
-    assert name == "dfnl-star"
+    assert name == "dfnl"
     banned = (sx.LNot, sx.LTop, sx.LBot)
     for s in [goal, *phi]:
         for f in sx.sequent_formulas(s):
@@ -232,6 +232,18 @@ def test_pipeline_shape():
     # the empty antecedent lands as the top letter: the constant-free
     # system has no empty-antecedent axioms left to discharge it
     assert goal2.ant == sx.SLeaf(sx.P_TOP) and len(phi2) > 6
+
+
+@settings(max_examples=25)
+@given(modal_formulas)
+def test_the_section_stage_is_a_dfnl_problem_with_the_k_verdict(a):
+    name, goal, phi = tr.pipeline_k_to_dfnl(a)
+    dfnl = get_system(name)
+    assert name == "dfnl"
+    validate_sequent(dfnl, goal)
+    validate_assumptions(dfnl, phi)
+    r = derive(dfnl, phi, goal, SearchBudget(max_goals=150, samples=0))
+    assert r.verdict == (pv.PROVED if kt.k_decide(a).valid else pv.REFUTED)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +261,14 @@ def test_pair_builders_cover_a_small_closure():
             assert ck.check_derivation(sys_b, psi, d), sx.render_lambek(f)
     d = tr.pair_bot(sx.LAnd(p, q), psi)
     assert d.seq == sx.parse_sequent("(p /\\ q) /\\ (p{p} \\/ p{q}) => bot")
+
+
+def test_pair_bot_of_a_distributed_conjunction_stays_small():
+    g = sx.parse_lambek("((p \\/ q) /\\ (p \\/ bot)) /\\ (q \\/ top)")
+    psi = tr.psi_set(tr.exn_star(tr.problem_base(sx.simple(g, sx.BOT))))
+    d = tr.pair_bot(g, psi)
+    assert ck.check_derivation(get_system("bdfnl-star"), psi, d)
+    assert pf.size(d) <= 714
 
 
 def test_pair_builders_fail_fast_without_members():
@@ -665,18 +685,19 @@ class _SearchReached(Exception):
 
 def test_derive_transfers_before_searching(transfer_only, monkeypatch):
     search = pv._search
+    _, non_theorems = corpus()
+    problems = [_problem(a, "section") for a in non_theorems]
+    top = {sys.name for sys, _, _ in problems}
 
     def no_top_level_search(sys, phi, goal, budget, deadline):
         # the pull-back strategies' recursive calls may still search
-        if sys.name == "dfnl-star":
+        if sys.name in top:
             raise _SearchReached
         return search(sys, phi, goal, budget, deadline)
 
     monkeypatch.setattr(pv, "_search", no_top_level_search)
     budget = SearchBudget(max_goals=150, samples=0)
-    _, non_theorems = corpus()
-    for a in non_theorems:
-        sys, goal, phi = _problem(a, "section")
+    for a, (sys, goal, phi) in zip(non_theorems, problems):
         r = derive(sys, phi, goal, budget)
         assert r.verdict == pv.REFUTED, sx.render_modal(a)
         assert smp._verify_ternary(r.model, r.state, goal, phi)
@@ -880,7 +901,7 @@ def _hit_key(hit):
 
 
 @settings(max_examples=20)
-@given(modal_formulas, st.sampled_from(("ddagger", "section")), st.data())
+@given(st.one_of(modal_formulas, modal_towers), st.sampled_from(("ddagger", "section")), st.data())
 def test_the_order_of_phi_changes_no_countermodel(a, stage, data):
     _, goal, phi = tr.pipeline_k_to_dfnl(a, stage)
     ordered = tuple(sorted(phi, key=sx.render_sequent))
