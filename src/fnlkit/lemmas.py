@@ -88,12 +88,27 @@ def dcut(minor: pf.Derivation, major: pf.Derivation, path: pf.Path = ()) -> pf.D
     return pf.node(seq, pf.CUT, [minor, major], pf.Inst(path=path, side=a))
 
 
+def _same(a: sx.LFormula, b: sx.LFormula) -> bool:
+    # by identity first: comparing near-equal deep formulas costs their size
+    return a is b or a == b
+
+
 def le_trans(*ds: pf.Derivation) -> pf.Derivation:
     """Chain G => A1, A1 => A2, ..., An-1 => An into G => An.  Identity
-    links are dropped by rule name, unchecked (comparing near-equal deep
-    sequents costs their size), so no cut has an identity premise; an
-    all-identity chain is its first link."""
+    links are dropped, so no cut has an identity premise; an all-identity
+    chain is its first link.  A dropped link must fit the previous link's
+    succedent or, when it leads, the next link's antecedent."""
     _fit(len(ds) >= 1, "empty chain")
+    for i, d in enumerate(ds):
+        if d.rule != pf.ID:
+            continue
+        if i:
+            _fit(_same(ds[i - 1].seq.suc, d.seq.suc),
+                 "identity link does not fit the previous link")
+        elif len(ds) > 1:
+            ant = ds[1].seq.ant
+            _fit(isinstance(ant, sx.SLeaf) and _same(ant.f, d.seq.suc),
+                 "leading identity link does not fit the next link")
     links = [d for d in ds if d.rule != pf.ID] or ds[:1]
     out = links[0]
     for d in links[1:]:
@@ -565,33 +580,33 @@ def lat_le_strict(a: sx.LFormula, b: sx.LFormula) -> pf.Derivation:
 
 
 @lru_cache(maxsize=65536)
-def _nnf(f: sx.LFormula) -> tuple[sx.LFormula, pf.Derivation, pf.Derivation]:
-    """Negation-normal form with certificates both ways: (nf, f=>nf, nf=>f)."""
+def _nnf(f: sx.LFormula, to: bool) -> tuple[sx.LFormula, pf.Derivation]:
+    """Negation-normal form with a certificate one way: (nf, f => nf) when
+    `to`, else (nf, nf => f)."""
     if isinstance(f, sx.LAnd):
-        nl, tl, fl = _nnf(f.l)
-        nr, tr, fr = _nnf(f.r)
-        return sx.LAnd(nl, nr), and_mono(tl, tr), and_mono(fl, fr)
+        (nl, dl), (nr, dr) = _nnf(f.l, to), _nnf(f.r, to)
+        return sx.LAnd(nl, nr), and_mono(dl, dr)
     if isinstance(f, sx.LOr):
-        nl, tl, fl = _nnf(f.l)
-        nr, tr, fr = _nnf(f.r)
-        return sx.LOr(nl, nr), or_mono(tl, tr), or_mono(fl, fr)
+        (nl, dl), (nr, dr) = _nnf(f.l, to), _nnf(f.r, to)
+        return sx.LOr(nl, nr), or_mono(dl, dr)
     if isinstance(f, sx.LNot):
         g = f.a
         if g == sx.TOP:
-            return sx.BOT, dneg_top(), dbot_f(f)
+            return sx.BOT, dneg_top() if to else dbot_f(f)
         if g == sx.BOT:
-            return sx.TOP, dtop(sx.SLeaf(f)), dtop_negbot()
+            return sx.TOP, dtop(sx.SLeaf(f)) if to else dtop_negbot()
         if isinstance(g, sx.LNot):
-            nf, to, frm = _nnf(g.a)
-            return nf, le_trans(dnn_elim(g.a), to), le_trans(frm, dnn_intro(g.a))
+            nf, d = _nnf(g.a, to)
+            return nf, le_trans(dnn_elim(g.a), d) if to else le_trans(d, dnn_intro(g.a))
         if isinstance(g, sx.LAnd):
-            nf, to, frm = _nnf(sx.LOr(sx.LNot(g.l), sx.LNot(g.r)))
-            return nf, le_trans(dm_and_fwd(g.l, g.r), to), le_trans(frm, dm_and_bwd(g.l, g.r))
+            nf, d = _nnf(sx.LOr(sx.LNot(g.l), sx.LNot(g.r)), to)
+            return nf, (le_trans(dm_and_fwd(g.l, g.r), d) if to
+                        else le_trans(d, dm_and_bwd(g.l, g.r)))
         if isinstance(g, sx.LOr):
-            nf, to, frm = _nnf(sx.LAnd(sx.LNot(g.l), sx.LNot(g.r)))
-            return nf, le_trans(dm_or_fwd(g.l, g.r), to), le_trans(frm, dm_or_bwd(g.l, g.r))
-        return f, did(f), did(f)
-    return f, did(f), did(f)
+            nf, d = _nnf(sx.LAnd(sx.LNot(g.l), sx.LNot(g.r)), to)
+            return nf, (le_trans(dm_or_fwd(g.l, g.r), d) if to
+                        else le_trans(d, dm_or_bwd(g.l, g.r)))
+    return f, did(f)
 
 
 def _bool_gens(f: sx.LFormula, acc: set) -> None:
@@ -683,8 +698,8 @@ def bool_le(x: sx.LFormula, y: sx.LFormula) -> Optional[pf.Derivation]:
         mu = {g: bool(bits >> i & 1) for i, g in enumerate(gens_t)}
         if _bool_eval(x, mu) and not _bool_eval(y, mu):
             return None
-    nx, tox, _ = _nnf(x)
-    ny, _, fromy = _nnf(y)
+    nx, tox = _nnf(x, True)
+    ny, fromy = _nnf(y, False)
     core = _blat(nx, ny)
     if core is None:
         return None

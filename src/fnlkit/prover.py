@@ -18,7 +18,7 @@ copy.  Unknown is an honest first-class outcome."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import checker as ck
@@ -44,7 +44,6 @@ class SearchBudget:
     time_cap_ms: int = 15000
     seed: int = 0
     samples: int = 600  # countermodel attempts
-    refute: bool = True
 
     def __post_init__(self):
         if self.max_depth < 0 or self.max_goals <= 0 or self.time_cap_ms <= 0:
@@ -197,24 +196,38 @@ def _refutation_ok(sys: SystemSpec, phi, goal: sx.Sequent) -> bool:
 # driver
 
 
+def _strategies(sys: SystemSpec, phi, goal: sx.Sequent, recurse: st.Recurse):
+    """Each strategy's derivation of goal, in `STRATEGIES` order, with its
+    name; unchecked.  A strategy that raises LemmaError declines."""
+    for name, fn in st.STRATEGIES:
+        try:
+            d = fn(sys, phi, goal, recurse)
+        except LemmaError:
+            d = None
+        if d is not None and d.seq == goal:
+            yield name, d
+
+
 def derive(sys: SystemSpec, phi: Iterable[sx.Sequent], goal: sx.Sequent,
            budget: Optional[SearchBudget] = None) -> ProofResult:
     """Three-valued derivability: Proved with a checked derivation,
     Refuted with a re-verified countermodel, or Unknown.
 
-    Where `_refutation_ok` holds (and refutation is on), the goal is
-    first read back to K and decided once (`sampling.chain_verdict`);
-    every countermodel search of the call is handed that verdict, and
-    one that reads back to nothing gets no transfer.  Phases,
-    in order: the strategy chain; where `_refutation_ok` holds, the
-    countermodel search without samples (the exhaustive small models,
-    then the transferred K countermodel); backward search; where
-    `_refutation_ok` holds, the full countermodel search (which repeats
-    the first two stages, then samples).  For a goal that reads back to a
-    K non-theorem the search without samples comes first, before the
-    strategy chain, which cannot prove it.  The first phase that decides
-    ends the call.  Recursive calls from the strategies run with
-    refutation off, so they read nothing back."""
+    Where `_refutation_ok` holds, the goal is first read back to K and
+    decided once (`sampling.chain_verdict`); every countermodel search of
+    the call is handed that verdict, and one that reads back to nothing
+    gets no transfer.  Phases, in order: the strategy chain; where
+    `_refutation_ok` holds, the countermodel search without samples (the
+    exhaustive small models, then the transferred K countermodel);
+    backward search; where `_refutation_ok` holds, the full countermodel
+    search (which repeats the first two stages, then samples).  For a
+    goal that reads back to a K non-theorem the search without samples
+    comes first, before the strategy chain, which cannot prove it.  The
+    first phase that decides ends the call.  A strategy's recursive call
+    runs the strategy chain and then backward search on the sub-goal,
+    under this call's budget and deadline, and returns its first
+    derivation unchecked: the goal and phi are validated once, here, and
+    the checker sees only the derivation this call returns."""
     budget = budget or SearchBudget()
     phi = frozenset(phi)
     validate_sequent(sys, goal)
@@ -222,11 +235,11 @@ def derive(sys: SystemSpec, phi: Iterable[sx.Sequent], goal: sx.Sequent,
     deadline = time.monotonic() + budget.time_cap_ms / 1000.0
 
     def recurse(sys2, phi2, goal2):
-        left = max(1, int((deadline - time.monotonic()) * 1000))
-        sub = derive(sys2, phi2, goal2, replace(budget, refute=False, time_cap_ms=left))
-        return sub.derivation if sub.verdict == PROVED else None
+        for _, d in _strategies(sys2, phi2, goal2, recurse):
+            return d
+        return _search(sys2, phi2, goal2, budget, deadline)
 
-    refute = budget.refute and _refutation_ok(sys, phi, goal)
+    refute = _refutation_ok(sys, phi, goal)
     verdict = sampling.chain_verdict(goal) if refute else None
 
     def countermodel(samples: int) -> Optional[ProofResult]:
@@ -245,12 +258,8 @@ def derive(sys: SystemSpec, phi: Iterable[sx.Sequent], goal: sx.Sequent,
         if r is not None:
             return r
 
-    for name, fn in st.STRATEGIES:
-        try:
-            d = fn(sys, phi, goal, recurse)
-        except LemmaError:
-            d = None
-        if d is not None and d.seq == goal and ck.check_derivation(sys, phi, d):
+    for name, d in _strategies(sys, phi, goal, recurse):
+        if ck.check_derivation(sys, phi, d):
             return ProofResult(PROVED, derivation=d, strategy=name)
 
     if refute and not early:
@@ -270,6 +279,5 @@ def derive(sys: SystemSpec, phi: Iterable[sx.Sequent], goal: sx.Sequent,
     report = (
         f"no proof within depth {budget.max_depth}, {budget.max_goals} goals, "
         f"{budget.time_cap_ms}ms; no countermodel"
-        + ("" if budget.refute else " (refutation off)")
     )
     return ProofResult(UNKNOWN, report=report)

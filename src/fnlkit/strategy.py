@@ -3,10 +3,12 @@
 Each strategy inspects the goal's shape and either builds a candidate
 derivation outright or maps the problem into a neighbouring system where
 a recursive call has better tools, transporting the proof back.  A
-strategy may be optimistic: the driver re-validates every candidate with
-the independent checker before accepting it, so returning a wrong
-derivation costs a check, never soundness.  A strategy declines by
-returning None or by raising LemmaError, which the driver catches.
+recursive call runs the strategy chain and then backward search on the
+sub-goal and returns an unchecked derivation.  A strategy may be
+optimistic: the driver checks the derivation it returns with the
+independent checker before accepting it, so returning a wrong derivation
+costs a check, never soundness.  A strategy declines by returning None or
+by raising LemmaError, which the driver catches.
 
 The cross-system strategies walk the reduction chain of `transform`
 backwards.  `k-oracle` proves a goal that `transform.read_k` reads back
@@ -33,7 +35,8 @@ from . import syntax as sx
 from . import transform as tr
 from .systems import SystemSpec, get_system
 
-# recurse(sys, phi, goal) -> derivation or None; supplied by the driver
+# recurse(sys, phi, goal) -> derivation or None; supplied by the driver.
+# The derivation is unchecked; the driver checks the one it returns.
 Recurse = Callable[[SystemSpec, frozenset, sx.Sequent], Optional[pf.Derivation]]
 
 

@@ -551,6 +551,18 @@ def test_an_all_identity_chain_is_its_first_link():
     assert d.rule == pf.CUT and len(d.premises) == 2 and pf.size(d) == 3
 
 
+def test_a_misfitting_identity_link_raises():
+    d = lm.dor_r(lm.did(p), f("p \\/ q"), 1)  # p => p \/ q
+    with pytest.raises(LemmaError):
+        lm.le_trans(d, lm.did(q))
+    with pytest.raises(LemmaError):
+        lm.le_trans(lm.did(q), d)
+    with pytest.raises(LemmaError):
+        lm.le_trans(d, lm.did(f("p \\/ q")), lm.did(p))
+    # equal by value but not by identity still fits
+    assert lm.le_trans(lm.did(f("p")), d, lm.did(f("p \\/ q"))) is d
+
+
 def test_serialization_round_trip_preserves_checkability():
     d = lm.dm_and_fwd(f("p * q"), f("q \\ r"))
     j = pf.to_json(d)

@@ -270,7 +270,7 @@ def test_variant_systems_inherit_the_k_oracle():
     theorems, _ = corpus()
     variants = [s for s in SYSTEMS.values() if s.negation]
     assert len(theorems) == 29 and len(variants) == 22
-    budget = SearchBudget(max_goals=2000, samples=0, refute=False)
+    budget = SearchBudget(max_goals=2000, samples=0)
     for sys in variants:
         for a in theorems:
             r = derive(sys, (), sx.Sequent(None, tr.dagger(a)), budget)

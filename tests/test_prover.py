@@ -264,8 +264,6 @@ def test_exhaustive_refutation_comes_before_search(monkeypatch):
     assert (md.ternary_to_json(r.model), r.state) == (md.ternary_to_json(hit[0]), hit[1])
     # where the refutation gate is shut, search still comes first
     with pytest.raises(_SearchReached):
-        pv.derive(BF, frozenset(), goal, replace(b, refute=False))
-    with pytest.raises(_SearchReached):
         pv.derive(get_system("bfnl-star-k"), frozenset(), seq("<>q => p"), b)
 
 

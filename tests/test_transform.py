@@ -20,7 +20,7 @@ from fnlkit import transform as tr
 from fnlkit.errors import LemmaError, ValidationError
 from fnlkit.prover import SearchBudget, derive
 from fnlkit.systems import get_system, validate_assumptions, validate_sequent
-from test_acceptance import corpus
+from test_acceptance import CONSERVATIVITY_SYSTEMS, conservativity_goals, corpus
 
 p, q = sx.LAtom("p"), sx.LAtom("q")
 mp, mq = sx.MAtom("p"), sx.MAtom("q")
@@ -761,6 +761,60 @@ def test_every_stage_is_decided_without_samples():
                 assert r.verdict == want, (sx.render_modal(a), stage)
 
 
+@pytest.fixture
+def counted_checks(monkeypatch):
+    """Every result of the checker, in call order."""
+    results = []
+    check = ck.check_derivation
+
+    def counted(*args):
+        results.append(check(*args))
+        return results[-1]
+
+    monkeypatch.setattr(ck, "check_derivation", counted)
+    return results
+
+
+def test_a_pulled_back_theorem_is_derived_and_checked_once(monkeypatch, counted_checks):
+    # the pull-backs recurse into the strategy chain and search, not into
+    # derive, so only the derivation derive returns is checked
+    entered = []
+    run = pv.derive
+
+    def counted(*args):
+        entered.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(pv, "derive", counted)
+    budget = SearchBudget(max_goals=150, samples=0)
+    theorems, _ = corpus()
+    for a in theorems:
+        sys, goal, phi = _problem(a, "section")
+        entered.clear()
+        counted_checks.clear()
+        r = pv.derive(sys, phi, goal, budget)
+        assert (r.verdict, r.strategy) == (pv.PROVED, "unsection"), sx.render_modal(a)
+        assert (len(entered), counted_checks) == (1, [True]), sx.render_modal(a)
+
+
+def test_the_checker_rejects_no_candidate(counted_checks):
+    # derive checks only what it returns, and moves to the next candidate
+    # when the checker rejects one; no candidate of these corpora is rejected
+    budget = SearchBudget(max_depth=6, max_goals=2000, samples=0)
+    systems = [get_system(s) for s in CONSERVATIVITY_SYSTEMS]
+    for g in conservativity_goals(100):
+        for s in systems:
+            derive(s, (), g, budget)
+    theorems, non_theorems = corpus()
+    budget = SearchBudget(max_goals=150, samples=0)
+    for a in theorems + non_theorems:
+        for stage in tr.STAGES:
+            sys, goal, phi = _problem(a, stage)
+            derive(sys, phi, goal, budget)
+    assert len(counted_checks) > 100
+    assert all(counted_checks)
+
+
 def test_k_oracle_bridges_top_to_negbot():
     # gk's proofs end in dagger images, which write ~bot where these goals
     # write top; a cut with the replacement of every ~bot by top closes the gap
@@ -924,7 +978,7 @@ def test_unsection_proves_the_absorption_goals():
     theta = tr.theta_set(tr.ec(t))
     dfnl = get_system("dfnl-star")
     rng = random.Random(105)
-    budget = SearchBudget(max_depth=6, time_cap_ms=4000, samples=0, refute=False)
+    budget = SearchBudget(max_depth=6, time_cap_ms=4000, samples=0)
 
     def grow(leaves):
         if leaves <= 1:

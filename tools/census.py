@@ -1,6 +1,6 @@
 """Census of the benchmark workloads: every command's verdict, strategy,
-exit code, printed bytes and derivation nodes, for one or two source
-trees.
+exit code, printed bytes, derivation nodes and checker work, for one or
+two source trees.
 
     python3 tools/census.py --seed 1 TREE [OTHER]
 
@@ -10,13 +10,16 @@ lives in, so both trees run the same command lists; nothing under
 `bench/` is written.  Each tree runs in a child process of its own, with
 `PYTHONHASHSEED` fixed as `bench/run.py` fixes it, and drives every
 command in-process through `fnlkit.cli.main`, clearing every fnlkit
-`functools` cache before each command, as the benchmark does.
+`functools` cache before each command, as the benchmark does, and
+counting the calls of `fnlkit.checker.check_derivation` and the nodes
+they were handed.
 
 Per workload it prints the verdict digest (the benchmark's), the verdict
-counts, the printed bytes and the derivation nodes.  Given two trees it
-then lists every command whose verdict, strategy or exit code differs,
-or that prints more bytes under OTHER than under TREE, and exits 1 if
-there is one.
+counts, the proved commands by strategy, the printed bytes, the
+derivation nodes, and the checker calls and the nodes they checked.
+Given two trees it then lists every command whose verdict, strategy or
+exit code differs, or that prints more bytes under OTHER than under
+TREE, and exits 1 if there is one.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
@@ -45,6 +49,14 @@ def census(tree: str, seed: int, names: list[str]) -> dict:
     sys.path.insert(0, src)
     fk = bench.import_fnlkit(src)
     caches = bench.program_caches(fk)
+    check, checked = fk.checker.check_derivation, [0, 0]
+
+    def counted_check(sys_, phi, d, *rest, **kw):
+        checked[0] += 1
+        checked[1] += fk.proofs.size(d)
+        return check(sys_, phi, d, *rest, **kw)
+
+    fk.checker.check_derivation = counted_check
     out: dict = {}
     for name in names:
         rows = []
@@ -53,6 +65,7 @@ def census(tree: str, seed: int, names: list[str]) -> dict:
             for cmd in work.commands:
                 for c in caches:
                     c.cache_clear()
+                checked[:] = [0, 0]
                 text = io.StringIO()
                 with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
                     try:
@@ -72,6 +85,8 @@ def census(tree: str, seed: int, names: list[str]) -> dict:
                     "strategy": payload.get("strategy"),
                     "bytes": len(printed.encode("utf-8")),
                     "nodes": len(derivation.get("nodes", ())),
+                    "checks": checked[0],
+                    "checked_nodes": checked[1],
                 })
         out[name] = rows
     return out
@@ -79,13 +94,17 @@ def census(tree: str, seed: int, names: list[str]) -> dict:
 
 def summary(rows: list[dict]) -> dict:
     verdicts = [r["verdict"] for r in rows]
+    by_strategy = Counter(r["strategy"] for r in rows if r["verdict"] == "proved")
     return {
         "commands": len(rows),
         "digest": hashlib.sha1("\n".join(map(str, verdicts)).encode()).hexdigest()[:16],
         "proved/refuted/unknown": "/".join(
             str(verdicts.count(v)) for v in ("proved", "refuted", "unknown")),
+        "proved by": " ".join(f"{k}:{n}" for k, n in sorted(by_strategy.items())) or "-",
         "bytes": sum(r["bytes"] for r in rows),
         "nodes": sum(r["nodes"] for r in rows),
+        "checks": sum(r["checks"] for r in rows),
+        "checked nodes": sum(r["checked_nodes"] for r in rows),
     }
 
 
