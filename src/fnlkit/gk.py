@@ -3,10 +3,12 @@ translation of its proofs into the negation system's sequent calculus.
 
 Sequents here are pairs of formula tuples (L, R) read as "the conjunction
 of L entails the disjunction of R".  Both sides are kept deduplicated and
-sorted, so search is deterministic and memoizable.  A proof translates,
-rule by rule, into a derivation of  /\\L-image => \\/R-image  where
-diamonds become left products with the designated marker atom; all the
-regrouping between steps is discharged by the certified lattice and
+sorted, so search is deterministic and memoizable.  The rules are ax,
+botl, andl, orl, negl, andr, orr, negr and k; `KProver.prove` rewrites
+A -> B as ~A \\/ B on entry, which has the same dagger image.  A proof
+translates, rule by rule, into a derivation of  /\\L-image => \\/R-image
+where diamonds become left products with the designated marker atom; all
+the regrouping between steps is discharged by the certified lattice and
 boolean entailment engines."""
 
 from __future__ import annotations
@@ -41,6 +43,16 @@ class GKProof:
     principal: Optional[sx.ModalFormula] = None
 
 
+def _unimp(f: sx.ModalFormula) -> sx.ModalFormula:
+    # A -> B as ~A \/ B at every depth; dagger maps both to one image
+    if isinstance(f, (sx.MAtom, sx.MBot)):
+        return f
+    if isinstance(f, (sx.MNot, sx.MDia)):
+        return type(f)(_unimp(f.a))
+    l, r = _unimp(f.l), _unimp(f.r)
+    return sx.MOr(sx.MNot(l), r) if isinstance(f, sx.MImp) else type(f)(l, r)
+
+
 def _without(side: Side, f: sx.ModalFormula) -> tuple[sx.ModalFormula, ...]:
     return tuple(g for g in side if g != f)
 
@@ -54,10 +66,10 @@ class KProver:
         self._memo: dict = {}
 
     def prove(self, left, right) -> Optional[GKProof]:
-        return self._prove(canon(left), canon(right))
+        return self._prove(canon(map(_unimp, left)), canon(map(_unimp, right)))
 
     def prove_formula(self, a: sx.ModalFormula) -> Optional[GKProof]:
-        return self._prove((), (a,))
+        return self.prove((), (a,))
 
     def _prove(self, left: Side, right: Side) -> Optional[GKProof]:
         key = (left, right)
@@ -88,10 +100,6 @@ class KProver:
             if isinstance(f, sx.MNot):
                 p = self._prove(canon(rest), canon(right + (f.a,)))
                 return GKProof(left, right, "negl", (p,), f) if p else None
-            if isinstance(f, sx.MImp):
-                p1 = self._prove(canon(rest), canon(right + (f.l,)))
-                p2 = self._prove(canon(rest + (f.r,)), right) if p1 else None
-                return GKProof(left, right, "impl", (p1, p2), f) if p1 and p2 else None
             raise AssertionError(f"unhandled connective {f!r}")
         for f in right:
             if _is_passive(f) or f == sx.MBot():
@@ -107,12 +115,6 @@ class KProver:
             if isinstance(f, sx.MNot):
                 p = self._prove(canon(left + (f.a,)), canon(rest))
                 return GKProof(left, right, "negr", (p,), f) if p else None
-            if isinstance(f, sx.MImp):
-                p = self._prove(canon(left + (f.l,)), canon(rest + (f.r,)))
-                return GKProof(left, right, "impr", (p,), f) if p else None
-        if sx.MBot() in right:
-            p = self._prove(left, _without(right, sx.MBot()))
-            return GKProof(left, right, "botr", (p,), sx.MBot()) if p else None
         witnesses = canon(g.a for g in right if isinstance(g, sx.MDia))
         for f in left:
             if isinstance(f, sx.MDia):
@@ -193,9 +195,6 @@ def to_derivation(proof: GKProof) -> pf.Derivation:
     r = proof.rule
     if r in ("ax", "botl"):
         return _glue(c, d)
-    if r == "botr":
-        sub = to_derivation(proof.premises[0])
-        return lm.le_trans(sub, _glue(sub.seq.suc, d))
     if r in ("andl", "orr"):
         return _via(c, proof.premises[0], d)
     if r == "andr":
@@ -203,20 +202,12 @@ def to_derivation(proof: GKProof) -> pf.Derivation:
         d2 = to_derivation(proof.premises[1])
         both = lm.dand_r(d1, d2)
         return lm.le_trans(both, _glue(both.seq.suc, d))
-    if r in ("orl", "impl"):
-        g1 = dagger(proof.principal.l) if r == "orl" else sx.LNot(dagger(proof.principal.l))
-        g2 = dagger(proof.principal.r)
+    if r == "orl":
         rest = _conj(canon(_without(proof.left, proof.principal)))
-        case1, case2 = sx.LAnd(rest, g1), sx.LAnd(rest, g2)
+        case1 = sx.LAnd(rest, dagger(proof.principal.l))
+        case2 = sx.LAnd(rest, dagger(proof.principal.r))
         split = _glue(c, sx.LOr(case1, case2))
-        if r == "orl":
-            b1 = _via(case1, proof.premises[0], d)
-        else:
-            sub1 = to_derivation(proof.premises[0])
-            mono = lm.and_mono(
-                lm.le_trans(_glue(rest, _conj(proof.premises[0].left)), sub1), lm.did(g1)
-            )
-            b1 = lm.le_trans(mono, _glue(mono.seq.suc, d))
+        b1 = _via(case1, proof.premises[0], d)
         b2 = _via(case2, proof.premises[1], d)
         return lm.le_trans(split, lm.dor_l(b1, b2, sx.LOr(case1, case2)))
     if r == "negl":
@@ -226,9 +217,8 @@ def to_derivation(proof: GKProof) -> pf.Derivation:
         mono = lm.and_mono(sub, lm.did(g))
         start = _glue(c, sx.LAnd(prem_c, g))
         return lm.le_trans(start, mono, _glue(mono.seq.suc, d))
-    if r in ("negr", "impr"):
-        x = proof.principal.a if r == "negr" else proof.principal.l
-        gx = dagger(x)
+    if r == "negr":
+        gx = dagger(proof.principal.a)
         split = lm.expand_by_cases(lm.did(c), gx)
         left = _via(sx.LAnd(c, gx), proof.premises[0], d)
         right = lm.le_trans(_glue(sx.LAnd(c, sx.LNot(gx)), sx.LNot(gx)),

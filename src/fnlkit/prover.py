@@ -123,52 +123,40 @@ def _search(sys: SystemSpec, phi, goal: sx.Sequent, budget: SearchBudget,
             deadline: float) -> Optional[pf.Derivation]:
     pool = _cut_pool(sys, phi, goal, budget)
     proved: dict[sx.Sequent, pf.Derivation] = {}
-    failed: dict[sx.Sequent, int] = {}
     goals = 0
 
-    def dfs(g: sx.Sequent, depth: int, path: frozenset):
-        # returns (derivation or None, clean); a failure is clean when no
-        # branch was pruned by the cycle check, so it may be memoized
+    def dfs(g: sx.Sequent, depth: int, path: frozenset) -> Optional[pf.Derivation]:
         nonlocal goals
         if g in proved:
-            return proved[g], True
+            return proved[g]
         if g in path:
-            return None, False
-        if failed.get(g, -1) >= depth:
-            return None, True
+            return None
         goals += 1
         if goals > budget.max_goals:
             raise _Exhausted
         if goals % 256 == 0 and time.monotonic() > deadline:
             raise _Exhausted
         path2 = path | {g}
-        clean = True
         for rule, prems, inst in rules.rule_instances(sys, g, phi, pool):
             if prems and depth == 0:
                 # deeper iterations will retry this move; no later move can
                 # close g here, since every zero-premise move comes first
-                clean = False
                 break
             ds = []
-            ok = True
             for p in prems:
-                d, cl = dfs(p, depth - 1, path2)
+                d = dfs(p, depth - 1, path2)
                 if d is None:
-                    ok = False
-                    clean = clean and cl
                     break
                 ds.append(d)
-            if ok:
+            else:
                 out = pf.node(g, rule, ds, inst)
                 proved[g] = out
-                return out, True
-        if clean and failed.get(g, -1) < depth:
-            failed[g] = depth
-        return None, clean
+                return out
+        return None
 
     for depth in range(budget.max_depth + 1):
         try:
-            d, _ = dfs(goal, depth, frozenset())
+            d = dfs(goal, depth, frozenset())
         except _Exhausted:
             return None
         if d is not None:

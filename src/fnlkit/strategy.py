@@ -46,31 +46,25 @@ def try_axioms(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
     return None
 
 
-def _close_empty(d: pf.Derivation) -> pf.Derivation:
-    # turn  top => A  into  => A  by cutting with the empty top axiom
-    return lm.dcut(lm.dtop(None), d, ())
+def _simple(goal: sx.Sequent, le) -> Optional[pf.Derivation]:
+    # le applied to A => B; an empty antecedent reads as top, and the
+    # top => B derivation is closed by a cut with the empty top axiom
+    if goal.ant is None:
+        d = le(sx.TOP, goal.suc)
+        return None if d is None else lm.dcut(lm.dtop(None), d, ())
+    if isinstance(goal.ant, sx.SLeaf):
+        return le(goal.ant.f, goal.suc)
+    return None
 
 
 def try_lat(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
-    if goal.ant is None:
-        if not sys.bounded:
-            return None
-        d = lm.lat_le(sx.TOP, goal.suc)
-        return None if d is None else _close_empty(d)
-    if isinstance(goal.ant, sx.SLeaf):
-        return lm.lat_le(goal.ant.f, goal.suc)
-    return None
+    if goal.ant is None and not sys.bounded:
+        return None
+    return _simple(goal, lm.lat_le)
 
 
 def try_bool(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
-    if not sys.negation:
-        return None
-    if goal.ant is None:
-        d = lm.bool_le(sx.TOP, goal.suc)
-        return None if d is None else _close_empty(d)
-    if isinstance(goal.ant, sx.SLeaf):
-        return lm.bool_le(goal.ant.f, goal.suc)
-    return None
+    return _simple(goal, lm.bool_le) if sys.negation else None
 
 
 def try_pairs(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):

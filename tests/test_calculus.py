@@ -292,6 +292,40 @@ def test_checker_rejects_a_misfit_of_each_rule(rule):
     assert trail[0].startswith(f"{rule} at ") and reason in trail[0], trail
 
 
+# a sound one-step instance and a corruption of its recorded position, its
+# conclusion or its recorded cut formula, with the reason the checker gives
+_DIA_IN_BRACKET = lm.ddia_l(lm.ddia_r(lm.ddia_r(lm.did(p))), (2,))
+
+
+@pytest.mark.parametrize("good, change, reason", [
+    pytest.param(_DIA_IN_BRACKET, {"path": ()}, "does not hold a diamond leaf", id="dia-l"),
+    pytest.param(dboxdown_l(lm.did(p)), {"path": (2,)}, "not a bracketed box-down leaf",
+                 id="boxdown-l"),
+    pytest.param(done_l(lm.did(p), side="l"), {"path": (1,)}, "with unit on the left",
+                 id="one-l-left"),
+    pytest.param(done_l(lm.did(p), side="r"), {"path": (0,)}, "with unit on the right",
+                 id="one-l-right"),
+    pytest.param(dexch(lm.dprod_r(lm.did(q), lm.did(p))), {"path": (0,)},
+                 "recorded position is not a node", id="exch"),
+    pytest.param(lm.dover_l(lm.did(q), lm.did(p)), {"path": (0,)},
+                 "right-residual leaf on the left", id="over-l"),
+    pytest.param(lm.ddia_r(lm.did(p)), "p => <>p", "bracketed antecedent and diamond succedent",
+                 id="dia-r"),
+    pytest.param(lm.dboxdown_r(dboxdown_l(lm.did(p))), "=> [v]p",
+                 "nonempty antecedent and box-down succedent", id="boxdown-r"),
+    pytest.param(RULE_CASES[pf.CUT], {"side": q}, "cut formula disagrees", id="cut-side"),
+])
+def test_checker_rejects_a_malformed_position_or_shape(good, change, reason):
+    checked(E5, good)
+    if isinstance(change, str):
+        bad = pf.node(seq(change), good.rule, good.premises, good.inst)
+    else:
+        bad = _reinst(good, **change)
+    trail = []
+    assert not ck.check_derivation(E5, (), bad, trail)
+    assert trail[0].startswith(f"{good.rule} at ") and reason in trail[0], trail
+
+
 # ---------------------------------------------------------------------------
 # certified builders: zero-premise schemas
 
@@ -569,6 +603,15 @@ def test_serialization_round_trip_preserves_checkability():
     d2 = pf.from_json(j)
     assert d2.seq == d.seq and pf.size(d2) == pf.size(d)
     checked(BF, d2)
+
+
+def test_table_round_trip_keeps_brackets():
+    d = _DIA_IN_BRACKET
+    j = json.loads(json.dumps(pf.to_json(d)))
+    assert {"b": {"b": 0}} in [ant for ant, _ in j["sequents"]]
+    d2 = pf.from_json(j)
+    assert [n.seq for n in pf.post_order(d2)] == [n.seq for n in pf.post_order(d)]
+    checked(get_system("bfnl-star-k"), d2)
 
 
 def _tree_count(d):

@@ -51,6 +51,14 @@ def test_prove_recheck_round_trip(capsys):
     assert payload["recheck"] == "derivation reloaded and accepted"
 
 
+def test_prove_recheck_reads_bracketed_antecedents(capsys):
+    code, payload = run_json(capsys, "prove", "--recheck", "<>(p /\\ q) => <>p",
+                             "--system", "bfnl-star-k")
+    assert code == 0
+    assert any(type(ant) is dict for ant, _ in payload["derivation"]["sequents"])
+    assert payload["recheck"] == "derivation reloaded and accepted"
+
+
 def test_prove_text_recheck_prints_tree_and_recheck(capsys):
     code, out, err = run(capsys, "prove", "--system", "bfnl-star", "p /\\ q => q",
                          "--recheck", "--format", "text")

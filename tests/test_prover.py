@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sys as _sys
+import textwrap
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -73,6 +74,19 @@ def test_companion_pair_goal_is_an_assumption_axiom():
     phi = tr.psi_set([sx.LAtom("p"), sx.TOP, sx.BOT])
     r = proved(BD, phi, "p /\\ p{p} => bot")
     assert r.derivation.rule == pf.ASSUMPTION
+
+
+@pytest.mark.parametrize("goal", [
+    "((p /\\ q) \\/ s) /\\ (p{p /\\ q} /\\ p{s}) => bot",
+    "top => ((p /\\ q) \\/ s) \\/ (p{p /\\ q} /\\ p{s})",
+])
+def test_companion_pairs_in_swapped_order_are_proved_by_pairs(goal):
+    # tilde_ext of the lattice half splits p /\ q into p{p} \/ p{q}, so only
+    # the swapped branch (tilde_ext of the letter half) matches; unneg
+    # cannot pull back a letter whose payload is a lattice formula
+    phi = tr.psi_set([sx.parse_lambek(t) for t in ("p", "q", "s", "p /\\ q")])
+    r = proved(BD, phi, goal)
+    assert r.strategy == "pairs"
 
 
 def test_facts_corpus_all_proved():
@@ -299,6 +313,48 @@ def test_exchange_rule_stays_out_of_plain_systems():
 
 
 # ---------------------------------------------------------------------------
+# rules that only some systems have, each in a goal that needs it
+
+SHORT = pv.SearchBudget(max_depth=6, max_goals=3000, time_cap_ms=3000, samples=0)
+
+
+@pytest.mark.parametrize("system, goal, rule", [
+    ("bfnl-star", "p /\\ ~p => bot", pf.NEG1),
+    ("bfnl-star", "top => p \\/ ~p", pf.NEG2),
+    ("bfnl1-k", "=> one", pf.ONE_R),
+    ("bfnl1-k", "one o p => p", pf.ONE_L_LEFT),
+    ("bfnl1-k", "p o one => p", pf.ONE_L_RIGHT),
+])
+def test_negation_and_unit_rules_prove_their_goals(system, goal, rule):
+    r = proved(get_system(system), frozenset(), goal)
+    assert rule in {n.rule for n in pf.post_order(r.derivation)}
+
+
+@pytest.mark.parametrize("goal, rule, systems", [
+    ("<><>p => <>p", pf.AX_4, ("bfnl-star-k4", "bfnl-star-s4", "bfnl-star-s5")),
+    ("<>p => ~<>~<>p", pf.AX_5, ("bfnl-star-s5",)),
+])
+def test_modal_axioms_prove_only_in_their_systems(goal, rule, systems):
+    for name in ("bfnl-star-k", "bfnl-star-t", "bfnl-star-k4", "bfnl-star-s4", "bfnl-star-s5"):
+        if name in systems:
+            r = proved(get_system(name), frozenset(), goal)
+            assert r.derivation.rule == rule
+        else:
+            assert pv.derive(get_system(name), frozenset(), seq(goal), SHORT).verdict != pv.PROVED
+
+
+@pytest.mark.parametrize("system, goal, rules", [
+    ("bfnl-star", "~~p / q => p / q", {pf.OVER_L, pf.OVER_R}),
+    ("bfnl-star-k", "<>~~p => <>p", {pf.DIA_L, pf.DIA_R}),
+    ("bfnl-star-k", "[v]~~p => [v]p", {pf.BOXDOWN_L, pf.BOXDOWN_R}),
+])
+def test_congruence_lifts_through_residuals_and_modalities(system, goal, rules):
+    r = proved(get_system(system), frozenset(), goal)
+    assert r.strategy == "congruence"
+    assert rules <= {n.rule for n in pf.post_order(r.derivation)}
+
+
+# ---------------------------------------------------------------------------
 # conservativity of the modal extensions on the modal-free fragment
 
 
@@ -417,3 +473,32 @@ def test_the_benchmark_harness_runs_on_this_tree(tmp_path):
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "selftest: ok"
+
+
+def test_census_lists_the_function_statements_that_did_not_run(tmp_path):
+    # a statement runs when one of its own lines does; module-level lines,
+    # def/class lines and statements that compile to no code are not listed
+    path = Path(__file__).resolve().parents[1] / "tools" / "census.py"
+    spec = importlib.util.spec_from_file_location("census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    (tmp_path / "m.py").write_text(textwrap.dedent('''\
+        X = 1
+        def f(a):
+            """doc"""
+            global X
+            if a:
+                return 1
+            try:
+                b = (a +
+                     2)
+            except ValueError:
+                pass
+            return b
+        class C:
+            Y = 2
+            def g(self):
+                return 3
+    '''))
+    ran = {(str(tmp_path / "m.py"), k) for k in (5, 9, 12)}
+    assert census.unrun_statements(str(tmp_path), ran) == ["m.py:6", "m.py:11", "m.py:16"]

@@ -20,11 +20,24 @@ derivation nodes, and the checker calls and the nodes they checked.
 Given two trees it then lists every command whose verdict, strategy or
 exit code differs, or that prints more bytes under OTHER than under
 TREE, and exits 1 if there is one.
+
+    python3 tools/census.py --unrun --seed 1 TREE
+
+With `--unrun` each child runs the commands under a `sys.settrace` that
+traces only the frames of the tree's `src/fnlkit`, and the census then
+lists, per tree, every statement inside a function body that no command
+ran, as `module.py:line`.  Module-level statements and `def`/`class`
+lines are not listed, nor are docstrings and other constant expression
+statements, `try:` lines and `global`/`nonlocal` declarations, which
+compile to no code of their own.  A
+statement spread over several lines counts as run when any of its own
+lines ran (for a compound statement: its header, not its body).
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -39,8 +52,49 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
 
 
-def census(tree: str, seed: int, names: list[str]) -> dict:
-    """One record per command of each named workload, run on tree."""
+def _own_lines(stmt: ast.stmt) -> range:
+    # a compound statement's header lines, or all of a simple statement's
+    block = getattr(stmt, "body", None) or getattr(stmt, "cases", None)
+    end = block[0].lineno - 1 if block else stmt.end_lineno
+    return range(stmt.lineno, max(stmt.lineno, end) + 1)
+
+
+_NO_CODE = (ast.Try, ast.Global, ast.Nonlocal)
+
+
+def _function_statements(node, inside: bool, out: list) -> None:
+    # the statements under node that lie in a function body, at any block
+    # depth, less those that compile to no code of their own
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            _function_statements(child, not isinstance(child, ast.ClassDef), out)
+            continue
+        if inside and isinstance(child, ast.stmt) and not isinstance(child, _NO_CODE) \
+                and not (isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant)):
+            out.append(child)
+        _function_statements(child, inside, out)
+
+
+def unrun_statements(pkg: str, ran: set) -> list[str]:
+    """Each statement of a function body under pkg with no line in ran."""
+    out = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(pkg, name)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        stmts: list = []
+        _function_statements(tree, False, stmts)
+        for stmt in sorted(stmts, key=lambda s: s.lineno):
+            if not any((path, k) in ran for k in _own_lines(stmt)):
+                out.append(f"{name}:{stmt.lineno}")
+    return out
+
+
+def census(tree: str, seed: int, names: list[str], unrun: bool = False) -> dict:
+    """One record per command of each named workload, run on tree, and with
+    unrun the statements of fnlkit's function bodies that no command ran."""
     import run as bench  # bench/run.py: the import and the cache list
 
     import workloads as wl
@@ -57,6 +111,17 @@ def census(tree: str, seed: int, names: list[str]) -> dict:
         return check(sys_, phi, d, *rest, **kw)
 
     fk.checker.check_derivation = counted_check
+    pkg = os.path.join(src, "fnlkit")
+    ran: set = set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename.startswith(pkg + os.sep) else None
+
     out: dict = {}
     for name in names:
         rows = []
@@ -68,10 +133,13 @@ def census(tree: str, seed: int, names: list[str]) -> dict:
                 checked[:] = [0, 0]
                 text = io.StringIO()
                 with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
+                    sys.settrace(call if unrun else None)
                     try:
                         code = fk.cli.main(list(cmd.argv))
                     except Exception as e:  # noqa: BLE001 - a crash is a result too
                         code = f"raised {type(e).__name__}"
+                    finally:
+                        sys.settrace(None)
                 printed = text.getvalue()
                 try:
                     payload = json.loads(printed)
@@ -89,7 +157,7 @@ def census(tree: str, seed: int, names: list[str]) -> dict:
                     "checked_nodes": checked[1],
                 })
         out[name] = rows
-    return out
+    return {"rows": out, "unrun": unrun_statements(pkg, ran) if unrun else None}
 
 
 def summary(rows: list[dict]) -> dict:
@@ -123,9 +191,11 @@ def differences(base: dict, other: dict) -> list[str]:
     return out
 
 
-def run_child(tree: str, seed: int, names: list[str]) -> dict:
+def run_child(tree: str, seed: int, names: list[str], unrun: bool) -> dict:
     env = dict(os.environ, PYTHONHASHSEED="0")
     argv = [sys.executable, os.path.abspath(__file__), "--seed", str(seed), "--child", tree]
+    if unrun:
+        argv.append("--unrun")
     for name in names:
         argv += ["--workload", name]
     done = subprocess.run(argv, env=env, stdout=subprocess.PIPE, check=True, text=True)
@@ -138,6 +208,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--workload", action="append", dest="names",
                     help="a workload to run (repeatable; default: all four)")
+    ap.add_argument("--unrun", action="store_true",
+                    help="trace fnlkit and list the function-body statements no command ran")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     sys.path.insert(0, BENCH)
@@ -145,15 +217,21 @@ def main(argv=None) -> int:
 
     names = args.names or list(wl.WORKLOADS)
     if args.child:
-        json.dump(census(args.trees[0], args.seed, names), sys.stdout)
+        json.dump(census(args.trees[0], args.seed, names, args.unrun), sys.stdout)
         return 0
     if len(args.trees) > 2:
         ap.error("give one or two trees")
-    results = [run_child(t, args.seed, names) for t in args.trees]
+    children = [run_child(t, args.seed, names, args.unrun) for t in args.trees]
+    results = [c["rows"] for c in children]
     for name in names:
         for tree, res in zip(args.trees, results):
             s = summary(res[name])
             print(f"{name:18} {tree}: " + ", ".join(f"{k} {v}" for k, v in s.items()))
+    for tree, child in zip(args.trees, children):
+        if child["unrun"] is not None:
+            print(f"unrun {tree}: {len(child['unrun'])} statement(s)")
+            for where in child["unrun"]:
+                print(f"  {where}")
     if len(results) == 1:
         return 0
     diffs = differences(*results)
