@@ -6,10 +6,12 @@ reading.  Exit codes: 0 = the command completed (whatever the verdict
 says), 1 = usage or input error, 2 = the command ended in an Unknown
 verdict (proof search exhausted, or no countermodel found).
 
-A call builds only its own command's argument parser, from the COMMANDS
-table; the whole command tree is built only for the top-level help, a
-missing or unknown command, and arguments the command does not know, so
-that those messages are argparse's own.
+Each command declares its arguments once, as rows of the COMMANDS table.
+The plain form of a command's argv (exact option names, each given once,
+with separate values) is read straight from those rows.  An argparse
+parser, the whole command tree built from the same rows, runs only for
+help, usage errors and every other spelling, so those messages are
+argparse's own.
 """
 
 from __future__ import annotations
@@ -154,7 +156,9 @@ def _model_text(m) -> str:
 
 
 def _phi_lines(phi) -> list[str]:
-    return sorted(sx.render_sequent(s) for s in phi)
+    # fresh letters' payloads nest, so the sequents share one rendering memo
+    memo: dict = {}
+    return sorted(sx.render_sequent(s, memo) for s in phi)
 
 
 def _result_text(r: pv.ProofResult) -> str:
@@ -340,102 +344,90 @@ def cmd_buildmodel(args):
 
 
 # ---------------------------------------------------------------------------
-# argument wiring; each command's arguments are declared once, in its adder
+# argument wiring; each command's arguments are declared once, as
+# (names, add_argument keywords) rows of its COMMANDS entry.  Every option
+# has one long name.
 
+_FORMAT = (("--format",), dict(choices=("json", "text"), default="json",
+                               help="output rendering (default json)"))
 
-def _args_budget(p) -> None:
-    p.add_argument("--budget", help="depth:N,goals:N,cutsize:N,ms:N,seed:N,samples:N")
-    p.add_argument("--seed", type=int, help="overrides the budget's seed")
+_BUDGET = (
+    (("--budget",), dict(help="depth:N,goals:N,cutsize:N,ms:N,seed:N,samples:N")),
+    (("--seed",), dict(type=int, help="overrides the budget's seed")),
+)
 
+_ASSUMPTIONS = (("--assumptions",), dict(help="file with one sequent per line"))
 
-def _args_translate(p) -> None:
-    p.add_argument("source", choices=("k",), help="source logic")
-    p.add_argument("formula", help="modal formula in the concrete grammar")
-    p.add_argument("--stage", choices=tr.STAGES, default="dagger",
-                   help="dagger: negation goal; ddagger: letter-companion "
-                        "problem; section: constant-free problem")
+_FORMULA = (("formula",), dict(help="modal formula in the concrete grammar"))
 
-
-def _args_prove(p) -> None:
-    p.add_argument("goal", help="sequent in the concrete grammar")
-    p.add_argument("--system", required=True, help="system name, e.g. bfnl-star")
-    p.add_argument("--assumptions", help="file with one sequent per line")
-    _args_budget(p)
-    p.add_argument("--recheck", action="store_true",
-                   help="round-trip the evidence through JSON and re-verify")
-
-
-def _args_modelcheck(p) -> None:
-    p.add_argument("model", help="model JSON file (binary or ternary)")
-    p.add_argument("text", help="formula, or sequent containing '=>'")
-    p.add_argument("--state", help="state to evaluate at (default: first state; "
-                                   "omitting it checks sequents at every state)")
-    p.add_argument("--kind", choices=("auto", "kripke", "ternary"), default="auto",
-                   help="force the model reading (auto guesses from the "
-                        "relation arity, which misreads edgeless binary models)")
-
-
-def _args_countermodel(p) -> None:
-    p.add_argument("goal", help="sequent (or modal formula with --modal)")
-    p.add_argument("--modal", action="store_true",
-                   help="goal is a modal formula, decided by the K tableau")
-    p.add_argument("--assumptions", help="file with one sequent per line")
-    p.add_argument("--seed", type=int, help="sampler seed (default 0)")
-    p.add_argument("--samples", type=int, help="models to sample (default 1500)")
-    p.add_argument("--max-states", type=int, help="states per sampled model (default 4)")
-    # unset sampler options stay None, so --modal can tell which were given
-    p.add_argument("--symmetric", action="store_true", default=None,
-                   help="commutative frames only")
-    p.add_argument("--with-unit", action="store_true", default=None, help="unital frames")
-    p.add_argument("--with-dia", action="store_true", default=None,
-                   help="frames with a binary accessibility")
-
-
-def _args_pipeline(p) -> None:
-    p.add_argument("formula", help="modal formula in the concrete grammar")
-    p.add_argument("--run-prover", action="store_true",
-                   help="also run the prover on the reduced problem")
-    _args_budget(p)
-
-
-def _args_kdecide(p) -> None:
-    p.add_argument("formula", help="modal formula in the concrete grammar")
-
-
-def _args_buildmodel(p) -> None:
-    p.add_argument("kripke", help="binary model JSON file")
-    p.add_argument("--variant", choices=("plain", "exchange", "unit"), default="plain")
-    p.add_argument("--letter", default=tr.M,
-                   help="designated letter valued everywhere ('' for none)")
-
-
-# name -> (handler, help line in the command list, argument adder)
+# name -> (handler, help line in the command list, argument rows)
 COMMANDS = {
-    "translate": (cmd_translate, "map a modal formula down the reduction chain",
-                  _args_translate),
-    "prove": (cmd_prove, "run the three-valued prover on a sequent", _args_prove),
-    "modelcheck": (cmd_modelcheck, "evaluate a formula or sequent in a model file",
-                   _args_modelcheck),
-    "countermodel": (cmd_countermodel, "sample models hunting for a falsifier",
-                     _args_countermodel),
-    "pipeline": (cmd_pipeline, "full modal-to-constant-free reduction", _args_pipeline),
-    "kdecide": (cmd_kdecide, "decide modal validity by tableau", _args_kdecide),
-    "buildmodel": (cmd_buildmodel, "turn a binary model file into a ternary one",
-                   _args_buildmodel),
+    "translate": (cmd_translate, "map a modal formula down the reduction chain", (
+        (("source",), dict(choices=("k",), help="source logic")),
+        _FORMULA,
+        (("--stage",), dict(choices=tr.STAGES, default="dagger",
+                            help="dagger: negation goal; ddagger: letter-companion "
+                                 "problem; section: constant-free problem")),
+    )),
+    "prove": (cmd_prove, "run the three-valued prover on a sequent", (
+        (("goal",), dict(help="sequent in the concrete grammar")),
+        (("--system",), dict(required=True, help="system name, e.g. bfnl-star")),
+        _ASSUMPTIONS,
+        *_BUDGET,
+        (("--recheck",), dict(action="store_true",
+                              help="round-trip the evidence through JSON and re-verify")),
+    )),
+    "modelcheck": (cmd_modelcheck, "evaluate a formula or sequent in a model file", (
+        (("model",), dict(help="model JSON file (binary or ternary)")),
+        (("text",), dict(help="formula, or sequent containing '=>'")),
+        (("--state",), dict(help="state to evaluate at (default: first state; "
+                                 "omitting it checks sequents at every state)")),
+        (("--kind",), dict(choices=("auto", "kripke", "ternary"), default="auto",
+                           help="force the model reading (auto guesses from the "
+                                "relation arity, which misreads edgeless binary models)")),
+    )),
+    "countermodel": (cmd_countermodel, "sample models hunting for a falsifier", (
+        (("goal",), dict(help="sequent (or modal formula with --modal)")),
+        (("--modal",), dict(action="store_true",
+                            help="goal is a modal formula, decided by the K tableau")),
+        _ASSUMPTIONS,
+        (("--seed",), dict(type=int, help="sampler seed (default 0)")),
+        (("--samples",), dict(type=int, help="models to sample (default 1500)")),
+        (("--max-states",), dict(type=int, help="states per sampled model (default 4)")),
+        # unset sampler options stay None, so --modal can tell which were given
+        (("--symmetric",), dict(action="store_true", default=None,
+                                help="commutative frames only")),
+        (("--with-unit",), dict(action="store_true", default=None, help="unital frames")),
+        (("--with-dia",), dict(action="store_true", default=None,
+                               help="frames with a binary accessibility")),
+    )),
+    "pipeline": (cmd_pipeline, "full modal-to-constant-free reduction", (
+        _FORMULA,
+        (("--run-prover",), dict(action="store_true",
+                                 help="also run the prover on the reduced problem")),
+        *_BUDGET,
+    )),
+    "kdecide": (cmd_kdecide, "decide modal validity by tableau", (_FORMULA,)),
+    "buildmodel": (cmd_buildmodel, "turn a binary model file into a ternary one", (
+        (("kripke",), dict(help="binary model JSON file")),
+        (("--variant",), dict(choices=("plain", "exchange", "unit"), default="plain")),
+        (("--letter",), dict(default=tr.M,
+                             help="designated letter valued everywhere ('' for none)")),
+    )),
 }
 
 
 def _fill(p: _Parser, name: str) -> _Parser:
-    fn, _, add_args = COMMANDS[name]
+    fn, _, rows = COMMANDS[name]
     p.set_defaults(fn=fn)
-    p.add_argument("--format", choices=("json", "text"), default="json",
-                   help="output rendering (default json)")
-    add_args(p)
+    for names, kwargs in (_FORMAT, *rows):
+        p.add_argument(*names, **kwargs)
     return p
 
 
 def _build_parser() -> _Parser:
-    """The whole command tree, for the top-level help and usage errors."""
+    """The whole command tree, for help, usage errors and the spellings
+    `_read_plain` declines."""
     top = _Parser(prog="fnlkit", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (_, helptext, _) in COMMANDS.items():
@@ -443,14 +435,73 @@ def _build_parser() -> _Parser:
     return top
 
 
+def _value(kwargs: dict, text: str):
+    """text as the row converts and admits it, or None."""
+    if kwargs.get("type") is int:
+        try:
+            v = int(text)
+        except ValueError:
+            return None
+    else:
+        v = text
+    choices = kwargs.get("choices")
+    return v if choices is None or v in choices else None
+
+
+def _read_plain(name: str, argv: list[str]) -> Optional[argparse.Namespace]:
+    """The Namespace the command's parser gives for argv, read straight from
+    its rows, or None when argv holds anything but the plain form: exact
+    option names, each at most once, each value a separate token not
+    starting with '-', every required option, and exactly the declared
+    positionals.  None leaves the argv to argparse, which prints the help
+    and the errors."""
+    fn, _, rows = COMMANDS[name]
+    ns = {"fn": fn}
+    options, positionals, required = {}, [], set()
+    for names, kwargs in (_FORMAT, *rows):
+        if names[0][0] != "-":
+            positionals.append((names[0], kwargs))
+            continue
+        flag = kwargs.get("action") == "store_true"
+        dest = names[0][2:].replace("-", "_")
+        options[names[0]] = (dest, kwargs, flag)
+        ns[dest] = kwargs.get("default", False if flag else None)
+        if kwargs.get("required"):
+            required.add(names[0])
+    given, texts = set(), []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok[:1] != "-":
+            texts.append(tok)
+            continue
+        if tok not in options or tok in given:
+            return None
+        given.add(tok)
+        dest, kwargs, flag = options[tok]
+        if flag:
+            ns[dest] = True
+            continue
+        text = next(tokens, None)
+        if text is None or text[:1] == "-":
+            return None
+        ns[dest] = _value(kwargs, text)
+        if ns[dest] is None:
+            return None
+    if len(texts) != len(positionals) or not required <= given:
+        return None
+    for (dest, kwargs), text in zip(positionals, texts):
+        ns[dest] = _value(kwargs, text)
+        if ns[dest] is None:
+            return None
+    return argparse.Namespace(**ns)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with the named command's parser alone, which prints the same
-    help and errors as the tree's subparser; anything else, and arguments
-    the command does not know (the tree reports those), goes to the tree."""
+    """The plain form of a command's argv is read from its rows; help,
+    usage errors and every other spelling go to the whole tree."""
     if argv and argv[0] in COMMANDS:
-        p = _fill(_Parser(prog=f"fnlkit {argv[0]}"), argv[0])
-        args, extra = p.parse_known_args(argv[1:])
-        if not extra:
+        args = _read_plain(argv[0], argv[1:])
+        if args is not None:
             return args
     return _build_parser().parse_args(argv)
 

@@ -454,55 +454,65 @@ def _lprec(f: LFormula) -> int:
     return _P_ATOM
 
 
-def render_lambek(f: LFormula) -> str:
+def render_lambek(f: LFormula, memo: Optional[dict] = None) -> str:
+    """f in the concrete grammar.  A caller that renders many formulas with
+    common parts may pass one memo, formula -> text, to all its calls."""
     if isinstance(f, LAtom):
         return f.name
+    if memo is not None:
+        out = memo.get(f)
+        if out is not None:
+            return out
     if isinstance(f, LFresh):
         if f.mark == "bot":
             return "p_bot"
         if f.mark == "top":
             return "p_top"
-        return "p{" + render_lambek(f.of) + "}"
-    if isinstance(f, LBot):
+        out = "p{" + render_lambek(f.of, memo) + "}"
+    elif isinstance(f, LBot):
         return "bot"
-    if isinstance(f, LTop):
+    elif isinstance(f, LTop):
         return "top"
-    if isinstance(f, LOne):
+    elif isinstance(f, LOne):
         return "one"
-    if isinstance(f, LNot):
-        return "~" + _wrap(render_lambek(f.a), _lprec(f.a) < _P_UNARY)
-    if isinstance(f, LDia):
-        return "<>" + _wrap(render_lambek(f.a), _lprec(f.a) < _P_UNARY)
-    if isinstance(f, LBoxDown):
-        return "[v]" + _wrap(render_lambek(f.a), _lprec(f.a) < _P_UNARY)
-    lvl = _lprec(f)
-    op = {"LAnd": "/\\", "LOr": "\\/", "LProd": "*", "LUnder": "\\", "LOver": "/"}[
-        type(f).__name__
-    ]
-    if lvl == _P_SLASH:
-        # slashes do not chain; parenthesize same-level children on both sides
-        left = _wrap(render_lambek(f.l), _lprec(f.l) <= lvl)
-        right = _wrap(render_lambek(f.r), _lprec(f.r) <= lvl)
+    elif isinstance(f, LNot):
+        out = "~" + _wrap(render_lambek(f.a, memo), _lprec(f.a) < _P_UNARY)
+    elif isinstance(f, LDia):
+        out = "<>" + _wrap(render_lambek(f.a, memo), _lprec(f.a) < _P_UNARY)
+    elif isinstance(f, LBoxDown):
+        out = "[v]" + _wrap(render_lambek(f.a, memo), _lprec(f.a) < _P_UNARY)
     else:
-        left = _wrap(render_lambek(f.l), _lprec(f.l) <= lvl)
-        right = _wrap(render_lambek(f.r), _lprec(f.r) < lvl)
-    return f"{left} {op} {right}"
+        lvl = _lprec(f)
+        op = {"LAnd": "/\\", "LOr": "\\/", "LProd": "*", "LUnder": "\\", "LOver": "/"}[
+            type(f).__name__
+        ]
+        left = _wrap(render_lambek(f.l, memo), _lprec(f.l) <= lvl)
+        if lvl == _P_SLASH:
+            # slashes do not chain; parenthesize same-level children on both sides
+            right = _wrap(render_lambek(f.r, memo), _lprec(f.r) <= lvl)
+        else:
+            right = _wrap(render_lambek(f.r, memo), _lprec(f.r) < lvl)
+        out = f"{left} {op} {right}"
+    if memo is not None:
+        memo[f] = out
+    return out
 
 
-def render_tree(t: StructTree) -> str:
+def render_tree(t: StructTree, memo: Optional[dict] = None) -> str:
     if isinstance(t, SLeaf):
-        return render_lambek(t.f)
+        return render_lambek(t.f, memo)
     if isinstance(t, SBracket):
-        return "< " + render_tree(t.a) + " >"
-    left = _wrap(render_tree(t.l), isinstance(t.l, SNode))
-    right = _wrap(render_tree(t.r), isinstance(t.r, SNode))
+        return "< " + render_tree(t.a, memo) + " >"
+    left = _wrap(render_tree(t.l, memo), isinstance(t.l, SNode))
+    right = _wrap(render_tree(t.r, memo), isinstance(t.r, SNode))
     return f"{left} o {right}"
 
 
-def render_sequent(s: Sequent) -> str:
+def render_sequent(s: Sequent, memo: Optional[dict] = None) -> str:
+    """s in the concrete grammar; memo as in `render_lambek`."""
     if s.ant is None:
-        return "=> " + render_lambek(s.suc)
-    return render_tree(s.ant) + " => " + render_lambek(s.suc)
+        return "=> " + render_lambek(s.suc, memo)
+    return render_tree(s.ant, memo) + " => " + render_lambek(s.suc, memo)
 
 
 # connective spellings in sort keys and derivation tables; the order they

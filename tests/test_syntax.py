@@ -214,6 +214,27 @@ def test_deep_negation_tower_validates_in_constant_stack():
         sys.setrecursionlimit(old)
 
 
+@pytest.mark.parametrize("memo", [None, {}])
+def test_rendering_takes_one_frame_per_connective(memo):
+    # the parser reads towers almost as deep as the recursion limit, so the
+    # renderer, memo or not, must not need more than one frame per level
+    f = p
+    for _ in range(2000):
+        f = sx.LNot(f)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(30000)  # as cli.main sets it
+        hash(f)  # hashing has its own recursion; a frozenset of sequents has paid it
+        sys.setrecursionlimit(depth + 2050)
+        text = sx.render_sequent(sx.Sequent(None, f), memo)
+    finally:
+        sys.setrecursionlimit(old)
+    assert text == "=> " + "~" * 2000 + "p"
+
+
 def test_phi_of_tree():
     assert sx.phi_of_tree(sx.SLeaf(p)) == p
     t = sx.SNode(sx.SLeaf(p), sx.SNode(sx.SLeaf(q), sx.SLeaf(r)))
