@@ -120,45 +120,56 @@ def _verify_ternary(j: md.TernaryModel, u: str, goal: sx.Sequent, phi) -> bool:
     return md.satisfies_assumptions(j2, phi) and not md.sequent_true(j2, u, goal)
 
 
-# The exhaustive models are enumerated relation-major: the relations are
-# the subsets of the triples in `_subsets` order, and under each one the
-# valuations are the product of the letters' `_subsets` of the states.
-# Model m has relation m // V and valuation m % V, for V valuations per
-# relation; bit m of every mask below is about model m.
+# The exhaustive models are numbered one bit per choice.  Over n states and
+# k letters, the low n*k bits of a model's number m are its valuation, with
+# letter i true at state w on bit (k-1-i)*n + w, and the high n^3 bits are
+# its relation, with bit t for the t-th triple of
+# `itertools.product(range(n), repeat=3)`.  Bit m of every mask below is
+# about model m, so the mask of one choice (one triple, or one letter at one
+# state) is periodic: the high h bits of every 2h-bit block, where h = 2^b
+# for the choice's bit b of m.
+#
+# The models still come out in `_subsets` order, the order of the
+# reference enumeration: the relations as `_subsets` of the triples (fewest
+# triples first), and under each relation its valuations in ascending
+# number.  For n <= 2 the `_subsets` of the states, read as bits, are
+# 0, 1, 2, 3 in order, so ascending valuation numbers are the product of
+# the letters' `_subsets` of the states, first letter outermost.
+
+
+def _periodic(h: int, width: int) -> int:
+    """The width-bit mask whose set bits are the high h bits of every 2h-bit
+    block, h a power of 2 below width, built from a repeated byte pattern."""
+    if h >= 8:
+        unit = bytes(h // 8) + b"\xff" * (h // 8)
+    else:
+        unit = bytes(((0xAA, 0xCC, 0xF0)[h.bit_length() - 1],))
+    copies = max(1, width // (8 * len(unit)))
+    return int.from_bytes(unit * copies, "little") & ((1 << width) - 1)
 
 
 @functools.lru_cache(maxsize=None)
 def _frame_masks(n_states: int, n_atoms: int):
-    """Every ternary model on n_states states over n_atoms letters as
-    masks: relations (as triples of state indices) and valuations in
-    enumeration order, one mask per triple, per-state masks per letter, the
-    symmetric-relation mask and the all-models mask."""
-    ws = _names(n_states)
-    triples = tuple(itertools.product(range(n_states), repeat=3))
-    rels = tuple(_subsets(triples))
-    vals = tuple(itertools.product(*(_subsets(ws) for _ in range(n_atoms))))
-    by_triple = dict.fromkeys(triples, 0)
-    for i, r in enumerate(rels):
-        for t in r:
-            by_triple[t] |= 1 << i
-    # symmetric: each (u, v, w) present exactly when (u, w, v) is
-    by_sym = (1 << len(rels)) - 1
-    for (u, v, w), bits in by_triple.items():
-        by_sym &= ~(bits ^ by_triple[u, w, v])
-    # a relation's bit i becomes bits i*V .. i*V+V-1, one per valuation
-    blocks = str.maketrans({"0": "0" * len(vals), "1": "1" * len(vals)})
-
-    def spread(bits: int) -> int:
-        return int(format(bits, f"0{len(rels)}b").translate(blocks), 2)
-
-    full = (1 << (len(rels) * len(vals))) - 1
-    every_relation = full // ((1 << len(vals)) - 1)
+    """Every ternary model on n_states states over n_atoms letters as masks,
+    in the numbering above: one mask per triple of state indices, per-state
+    masks per letter, the symmetric-relation mask and the all-models
+    mask."""
+    low = n_states * n_atoms
+    width = 1 << (low + n_states ** 3)
+    triples = itertools.product(range(n_states), repeat=3)
+    rel = {t: _periodic(1 << (low + i), width) for i, t in enumerate(triples)}
     letters = tuple(
-        tuple(every_relation * sum(1 << k for k, vs in enumerate(vals) if w in vs[i]) for w in ws)
+        tuple(_periodic(1 << ((n_atoms - 1 - i) * n_states + w), width)
+              for w in range(n_states))
         for i in range(n_atoms)
     )
-    rel = {t: spread(bits) for t, bits in by_triple.items()}
-    return ws, rels, vals, rel, letters, spread(by_sym), full
+    full = (1 << width) - 1
+    # symmetric: each (u, v, w) present exactly when (u, w, v) is
+    sym = full
+    for (u, v, w), bits in rel.items():
+        if v < w:
+            sym &= full ^ bits ^ rel[u, w, v]
+    return rel, letters, sym, full
 
 
 def _exhaustive_ternary(n_states: int, atoms: tuple[str, ...], goal: sx.Sequent,
@@ -167,7 +178,7 @@ def _exhaustive_ternary(n_states: int, atoms: tuple[str, ...], goal: sx.Sequent,
     only if asked, that satisfy phi and falsify the goal at some state, in
     enumeration order.  Formulas must lie in the plain vocabulary: no unit,
     no modal operators."""
-    ws, rels, vals, rel, letters, sym, full = _frame_masks(n_states, len(atoms))
+    rel, letters, sym, full = _frame_masks(n_states, len(atoms))
     span = range(n_states)
     pairs = tuple(itertools.product(span, span))
     keyed = dict(zip(atoms, letters))
@@ -220,12 +231,24 @@ def _exhaustive_ternary(n_states: int, atoms: tuple[str, ...], goal: sx.Sequent,
         keep &= functools.reduce(int.__and__, holds(s))
     if keep:
         keep &= full ^ functools.reduce(int.__and__, holds(goal))
-    while keep:
-        low = keep & -keep
-        keep ^= low
-        r, v = divmod(low.bit_length() - 1, len(vals))
-        rel3 = frozenset((ws[a], ws[b], ws[c]) for a, b, c in rels[r])
-        yield md.TernaryModel(ws, rel3, {a: frozenset(x) for a, x in zip(atoms, vals[v])})
+    if not keep:
+        return
+    ws = _names(n_states)
+    triples = tuple(itertools.product(ws, ws, ws))
+    low = n_states * len(atoms)
+    every_valuation = (1 << (1 << low)) - 1
+    shifts = tuple(((len(atoms) - 1 - i) * n_states, a) for i, a in enumerate(atoms))
+    for r in _subsets(tuple(range(n_states ** 3))):
+        # the models with relation r, one bit per valuation
+        block = (keep >> (sum(1 << t for t in r) << low)) & every_valuation
+        if not block:
+            continue
+        rel3 = frozenset(triples[t] for t in r)
+        while block:
+            v = (block & -block).bit_length() - 1
+            block &= block - 1
+            yield md.TernaryModel(ws, rel3, {
+                a: frozenset(ws[w] for w in span if v >> (at + w) & 1) for at, a in shifts})
 
 
 def _join(masks) -> int:

@@ -238,8 +238,14 @@ def lsize(f: LFormula) -> int:
 
 
 def subformulas(f: LFormula) -> frozenset[LFormula]:
+    return subformulas_many((f,))
+
+
+def subformulas_many(fs: Iterable[LFormula]) -> frozenset[LFormula]:
+    # one walk with one seen set over all the roots: a subformula shared by
+    # several roots is expanded once
     out: set[LFormula] = set()
-    stack = [f]
+    stack = list(fs)
     while stack:
         g = stack.pop()
         if g in out:
@@ -251,13 +257,6 @@ def subformulas(f: LFormula) -> frozenset[LFormula]:
             stack.append(g.l)
             stack.append(g.r)
     return frozenset(out)
-
-
-def subformulas_many(fs: Iterable[LFormula]) -> frozenset[LFormula]:
-    out: frozenset[LFormula] = frozenset()
-    for f in fs:
-        out |= subformulas(f)
-    return out
 
 
 def walk(f: LFormula) -> Iterator[LFormula]:

@@ -1,6 +1,7 @@
 """Three-valued proof search: verdicts, budgets, and the calculus-level
 invariants (checker agreement, monotonicity, discipline, soundness)."""
 
+import hashlib
 import importlib
 import importlib.util
 import pkgutil
@@ -502,3 +503,21 @@ def test_census_lists_the_function_statements_that_did_not_run(tmp_path):
     '''))
     ran = {(str(tmp_path / "m.py"), k) for k in (5, 9, 12)}
     assert census.unrun_statements(str(tmp_path), ran) == ["m.py:6", "m.py:11", "m.py:16"]
+
+
+def test_census_lists_a_same_length_text_change_apart_from_the_exit_rule():
+    path = Path(__file__).resolve().parents[1] / "tools" / "census.py"
+    spec = importlib.util.spec_from_file_location("census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+
+    def row(text, verdict="proved"):
+        return {"argv": ["prove", "p => p"], "verdict": verdict, "strategy": None, "code": 0,
+                "bytes": len(text), "sha1": hashlib.sha1(text.encode()).hexdigest()}
+
+    base = {"w": [row("abc"), row("xyz"), row("uvw")]}
+    other = {"w": [row("abc"), row("xya"), row("uvw", "refuted")]}
+    diffs, texts = census.differences(base, other)
+    assert diffs == ["w: prove p => p: verdict"]
+    assert len(texts) == 1 and texts[0].startswith("w: prove p => p: sha1 ")
+    assert texts[0].endswith("bytes 3 -> 3")

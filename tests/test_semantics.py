@@ -305,6 +305,44 @@ def test_kernel_keeps_exactly_the_reference_candidates(n, goal, assumption, symm
     assert [md.ternary_to_json(j) for j in got] == [md.ternary_to_json(j) for j in expected]
 
 
+# the 2-state cap is 3 letters, and only the letter bits of a model's
+# number depend on the letters; the reference walks 16384 models per example
+_CAP_LETTERS = (p, q, sx.fresh_for(p))
+
+
+@settings(max_examples=4)
+@given(goal=sequents, assumption=st.one_of(st.none(), sequents), symmetric=st.booleans())
+def test_kernel_keeps_exactly_the_reference_candidates_at_the_letter_cap(goal, assumption,
+                                                                        symmetric):
+    goal = _plain_sequent(goal, _CAP_LETTERS)
+    phi = () if assumption is None else (_plain_sequent(assumption, _CAP_LETTERS),)
+    atoms = tuple(sorted(set().union(*map(sx.atom_keys, _CAP_LETTERS))))
+    expected = [
+        j for j in all_ternary(2, atoms)
+        if not (symmetric and any((u, w, v) not in j.rel3 for (u, v, w) in j.rel3))
+        and md.satisfies_assumptions(j, phi)
+        and any(not md.sequent_true(j, u, goal) for u in j.states)
+    ]
+    got = list(smp._exhaustive_ternary(2, atoms, goal, phi, symmetric))
+    assert [md.ternary_to_json(j) for j in got] == [md.ternary_to_json(j) for j in expected]
+
+
+@pytest.mark.parametrize("n, relations", [(1, 2), (2, 64)])
+def test_symmetric_mask_keeps_exactly_the_symmetric_models(n, relations):
+    atoms = ("p", "q")
+    valuations = 2 ** (n * len(atoms))
+    symmetric = [
+        md.ternary_to_json(j) for j in all_ternary(n, atoms)
+        if all((u, w, v) in j.rel3 for (u, v, w) in j.rel3)
+    ]
+    assert len(symmetric) == relations * valuations
+    _, _, sym, _ = smp._frame_masks(n, len(atoms))
+    assert bin(sym).count("1") == relations * valuations
+    # bot fails at every state, so the kernel keeps every model it admits
+    got = smp._exhaustive_ternary(n, atoms, sx.Sequent(None, sx.BOT), (), True)
+    assert [md.ternary_to_json(j) for j in got] == symmetric
+
+
 @settings(max_examples=60)
 @given(goal=sequents, assumption=sequents, with_dia=st.booleans(), seed=st.integers(0, 99))
 def test_find_countermodel_returns_the_first_candidate_that_holds(goal, assumption, with_dia,

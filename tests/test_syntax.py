@@ -1,5 +1,6 @@
 import sys
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -126,6 +127,15 @@ def test_subformulas_idempotent(f):
     subs = sx.subformulas(f)
     for g in subs:
         assert sx.subformulas(g) <= subs
+
+
+@given(sequents, st.lists(sequents, max_size=4))
+def test_problem_subformulas_are_the_union_over_its_formulas(goal, phi):
+    roots = [f for s in (goal, *phi) for f in sx.sequent_formulas(s)]
+    got = sx.subformulas_of_problem(goal, phi)
+    assert isinstance(got, frozenset)
+    assert got == frozenset().union(*map(sx.subformulas, roots))
+    assert got == {g for f in roots for g in sx.walk(f)}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ counts, the proved commands by strategy, the printed bytes, the
 derivation nodes, and the checker calls and the nodes they checked.
 Given two trees it then lists every command whose verdict, strategy or
 exit code differs, or that prints more bytes under OTHER than under
-TREE, and exits 1 if there is one.
+TREE, and exits 1 if there is one.  Under a heading of their own it
+lists every command whose printed text differs, by a sha1 of the text,
+whatever its length; these alone do not change the exit status.
 
     python3 tools/census.py --unrun --seed 1 TREE
 
@@ -152,6 +154,7 @@ def census(tree: str, seed: int, names: list[str], unrun: bool = False) -> dict:
                     "verdict": payload.get("verdict"),
                     "strategy": payload.get("strategy"),
                     "bytes": len(printed.encode("utf-8")),
+                    "sha1": hashlib.sha1(printed.encode("utf-8")).hexdigest(),
                     "nodes": len(derivation.get("nodes", ())),
                     "checks": checked[0],
                     "checked_nodes": checked[1],
@@ -176,8 +179,11 @@ def summary(rows: list[dict]) -> dict:
     }
 
 
-def differences(base: dict, other: dict) -> list[str]:
-    out = []
+def differences(base: dict, other: dict) -> tuple[list[str], list[str]]:
+    """The commands whose verdict, strategy or exit code differs or whose
+    printed bytes grow, and apart from those the commands whose printed
+    text differs."""
+    out, texts = [], []
     for name, rows in base.items():
         if len(rows) != len(other[name]):
             out.append(f"{name}: {len(rows)} commands against {len(other[name])}")
@@ -186,9 +192,13 @@ def differences(base: dict, other: dict) -> list[str]:
             what = [k for k in ("argv", "verdict", "strategy", "code") if a[k] != b[k]]
             if b["bytes"] > a["bytes"]:
                 what.append(f"bytes {a['bytes']} -> {b['bytes']}")
+            head = f"{name}: {' '.join(a['argv'][:2])}"
             if what:
-                out.append(f"{name}: {' '.join(a['argv'][:2])}: {', '.join(what)}")
-    return out
+                out.append(f"{head}: {', '.join(what)}")
+            if a["sha1"] != b["sha1"]:
+                texts.append(f"{head}: sha1 {a['sha1'][:12]} -> {b['sha1'][:12]}, "
+                             f"bytes {a['bytes']} -> {b['bytes']}")
+    return out, texts
 
 
 def run_child(tree: str, seed: int, names: list[str], unrun: bool) -> dict:
@@ -234,10 +244,14 @@ def main(argv=None) -> int:
                 print(f"  {where}")
     if len(results) == 1:
         return 0
-    diffs = differences(*results)
+    diffs, texts = differences(*results)
     for line in diffs:
         print(line)
     print(f"{len(diffs)} command(s) differ or print more bytes")
+    print("printed text:")
+    for line in texts:
+        print(f"  {line}")
+    print(f"{len(texts)} command(s) print different text")
     return 1 if diffs else 0
 
 
