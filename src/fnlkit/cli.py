@@ -77,10 +77,12 @@ def _load_json(path: str) -> dict:
 
 def _dumps(obj) -> str:
     """The text of ``json.dumps(obj, indent=2)``, byte for byte, for what a
-    payload holds: dicts with str keys, lists, str, int, bool and None; any
-    other type raises TypeError.  ``indent`` puts json.dumps on its
-    pure-Python encoder, so this writes the pieces into one list, with the
-    C string escaper."""
+    payload holds: dicts with str keys, lists, str, int, bool and None, and
+    `proofs.TableText`, JSON text already written at depth 0, which stands
+    for the value it parses to and is written indented to its depth; any
+    other type, another str subclass included, raises TypeError.
+    ``indent`` puts json.dumps on its pure-Python encoder, so this writes
+    the pieces into one list, with the C string escaper."""
     out: list[str] = []
     _put(obj, "\n", out)
     return "".join(out)
@@ -120,6 +122,9 @@ def _put(x, pad: str, out: list) -> None:
             _put(v, inner, out)
             sep = "," + inner
         out.append(pad + "}")
+    elif t is pf.TableText:
+        # ensure_ascii JSON holds no raw newline inside a string
+        out.append(x.replace("\n", pad))
     else:
         raise TypeError(f"{t.__name__} is not a payload type")
 
@@ -176,10 +181,12 @@ def _result_text(r: pv.ProofResult) -> str:
 
 
 def _recheck(r: pv.ProofResult, payload: dict, system, phi, goal: sx.Sequent) -> str:
-    """Round-trip the verdict's evidence, as the payload carries it, through
-    JSON text and the independent checkers; any failure is a hard error."""
+    """Reload the verdict's evidence from the JSON text that is printed and
+    re-verify it with the independent checkers; any failure is a hard
+    error.  A derivation is parsed from the payload's table text itself; a
+    countermodel is round-tripped through json.dumps."""
     if r.verdict == pv.PROVED:
-        again = pf.from_json(json.loads(json.dumps(payload["derivation"])))
+        again = pf.from_json(json.loads(payload["derivation"]))
         if again.seq != goal or not ck.check_derivation(system, phi, again):
             raise FnlError("recheck failed: reloaded derivation rejected")
         return "derivation reloaded and accepted"

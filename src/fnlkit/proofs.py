@@ -26,14 +26,20 @@ proof:
   and ``side``, and sequent index ``member``.
 
 Shared subproofs stay shared: one node entry per distinct node object.
-Reading builds the terms straight from the table, without the parser,
-and rejects a malformed table with ParseError.
+`table_text` writes the table as the text ``json.dumps(table, indent=2)``
+prints, in one pass over the nodes: each entry is written as text when it
+is first indexed, and the three lists are joined once at the end.
+`to_json` is that text parsed.  Reading builds the terms straight from
+the table, without the parser, and rejects a malformed table with
+ParseError.
 """
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii as _esc
 from typing import Iterator, Optional
 
 from . import syntax as sx
@@ -159,7 +165,8 @@ def size(d: Derivation) -> int:
 
 
 # ---------------------------------------------------------------------------
-# serialization (iterative: derivations can be thousands of nodes deep)
+# serialization (iterative over nodes and formulas: derivations can be
+# thousands of nodes deep)
 
 FORMAT = 2
 
@@ -173,105 +180,167 @@ _NODE_KEYS = frozenset(("rule", "seq", "premises", "inst"))
 _INST_KEYS = frozenset(f.name for f in fields(Inst))
 
 
-def _split(f: sx.LFormula) -> tuple[list, tuple]:
-    """The entry of f without its children's indices, and its children."""
-    cls = type(f)
-    if cls in _CHILDREN:
-        return [sx.L_TAGS[cls]], tuple(getattr(f, k) for k in _CHILDREN[cls])
-    if cls is sx.LAtom:
-        return ["atom", f.name], ()
-    if cls is sx.LFresh:
-        return ["fresh", f.mark], () if f.of is None else (f.of,)
-    return ["const", _CONST_NAMES[cls]], ()
+class TableText(str):
+    """The text ``json.dumps(value, indent=2)`` prints for a value at depth
+    0.  A result's payload carries its derivation's table as one, and
+    `cli._dumps` writes it indented to the depth where it sits."""
 
 
-def to_json(d: Derivation) -> dict:
-    """The format-2 table of d; see the module docstring."""
-    formulas: list = []
-    sequents: list = []
-    nodes: list = []
-    # entries are found by object identity first, then by the entry itself,
-    # which names children by index, so no term is hashed or compared deeply
+# a newline and the indent of depth k
+_PAD = ["\n" + "  " * k for k in range(5)]
+
+
+def _rows(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """The text of a list (or, with brackets "{}", an object) whose items
+    are already written, opening on the line that pad, a newline and an
+    indent, begins."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
+# each connective's entry, with %d for its children's indices, as written
+# at depth 2 of the table; a unary connective's child is .a, else .l and .r
+_ENTRIES = {cls: _rows([_esc(tag)] + ["%d"] * len(_CHILDREN[cls]), _PAD[2])
+            for cls, tag in sx.L_TAGS.items()}
+_UNARY = frozenset(cls for cls in sx.L_TAGS if _CHILDREN[cls] == ("a",))
+_CONST_ENTRIES = {cls: _rows(['"const"', _esc(name)], _PAD[2])
+                  for cls, name in _CONST_NAMES.items()}
+_SEQUENT = _rows(["%s", "%d"], _PAD[2])
+_NODE = _rows(['"rule": %s', '"seq": %d', '"premises": %s%s'], _PAD[2], "{}")
+_INST = "," + _PAD[3] + '"inst": '
+_TABLE = _rows(['"format": %d', '"formulas": %s', '"sequents": %s', '"nodes": %s'], _PAD[0], "{}")
+
+
+def _ant_text(k, pad: str) -> str:
+    # an antecedent from its key: a formula index, (l, r), or (a,) for <a>
+    if type(k) is int:
+        return int.__repr__(k)
+    inner = pad + "  "
+    if len(k) == 1:
+        return "{" + inner + '"b": ' + _ant_text(k[0], inner) + pad + "}"
+    return "[" + inner + _ant_text(k[0], inner) + "," + inner + _ant_text(k[1], inner) + pad + "]"
+
+
+def table_text(d: Derivation) -> TableText:
+    """The text ``json.dumps(table, indent=2)`` prints for the format-2
+    table of d, written in one pass over post_order(d): each entry is
+    written when it is first indexed."""
+    formulas: list[str] = []
+    sequents: list[str] = []
+    nodes: list[str] = []
+    # entries are found by object identity first, then by a key naming the
+    # children by index, so no term is hashed or compared deeply
     f_at: dict[int, int] = {}
-    f_key: dict[tuple, int] = {}
-    t_at: dict[int, tuple] = {}
+    f_key: dict = {}
+    t_at: dict[int, object] = {}
     s_at: dict[int, int] = {}
     s_key: dict[tuple, int] = {}
 
     def formula(f: sx.LFormula) -> int:
+        i = f_at.get(id(f))
+        if i is not None:
+            return i
         stack = [f]
         while stack:
+            # a leaf's entry is its own key; a compound's key is its entry's
+            # format and its children's indices, once they are indexed.  A
+            # formula pushed twice is keyed twice, to the same index.
             g = stack[-1]
-            if id(g) in f_at:
-                stack.pop()
-                continue
-            head, kids = _split(g)
-            todo = [k for k in kids if id(k) not in f_at]
-            if todo:
-                stack.extend(todo)
-                continue
+            cls = type(g)
+            text = _ENTRIES.get(cls)
+            if text is not None:
+                if cls in _UNARY:
+                    a = g.a
+                    ia = f_at.get(id(a))
+                    if ia is None:
+                        stack.append(a)
+                        continue
+                    key = (text, ia)
+                else:
+                    l, r = g.l, g.r
+                    il, ir = f_at.get(id(l)), f_at.get(id(r))
+                    if il is None or ir is None:
+                        if il is None:
+                            stack.append(l)
+                        if ir is None:
+                            stack.append(r)
+                        continue
+                    key = (text, il, ir)
+            elif cls is sx.LAtom:
+                key = _rows(['"atom"', _esc(g.name)], _PAD[2])
+            elif cls is sx.LFresh and g.of is not None:
+                a = g.of
+                ia = f_at.get(id(a))
+                if ia is None:
+                    stack.append(a)
+                    continue
+                key = (_rows(['"fresh"', _esc(g.mark), "%d"], _PAD[2]), ia)
+            elif cls is sx.LFresh:
+                key = _rows(['"fresh"', _esc(g.mark)], _PAD[2])
+            else:
+                key = _CONST_ENTRIES[cls]
             stack.pop()
-            entry = head + [f_at[id(k)] for k in kids]
-            key = tuple(entry)
             i = f_key.get(key)
             if i is None:
                 i = f_key[key] = len(formulas)
-                formulas.append(entry)
+                formulas.append(key[0] % key[1:] if type(key) is tuple else key)
             f_at[id(g)] = i
         return f_at[id(f)]
 
-    def tree(t: sx.StructTree) -> tuple:
-        # (JSON form, hashable key) of an antecedent
-        hit = t_at.get(id(t))
-        if hit is None:
+    def tree(t: sx.StructTree):
+        # the key of an antecedent, for _ant_text
+        k = t_at.get(id(t))
+        if k is None:
             if isinstance(t, sx.SLeaf):
-                i = formula(t.f)
-                hit = (i, i)
+                k = formula(t.f)
             elif isinstance(t, sx.SNode):
-                (jl, kl), (jr, kr) = tree(t.l), tree(t.r)
-                hit = ([jl, jr], (kl, kr))
+                k = (tree(t.l), tree(t.r))
             else:
-                ja, ka = tree(t.a)
-                hit = ({"b": ja}, ("b", ka))
-            t_at[id(t)] = hit
-        return hit
+                k = (tree(t.a),)
+            t_at[id(t)] = k
+        return k
 
     def sequent(s: sx.Sequent) -> int:
         i = s_at.get(id(s))
         if i is None:
-            ant, key = (None, None) if s.ant is None else tree(s.ant)
+            key = None if s.ant is None else tree(s.ant)
             suc = formula(s.suc)
             i = s_key.get((key, suc))
             if i is None:
                 i = s_key[(key, suc)] = len(sequents)
-                sequents.append([ant, suc])
+                ant = "null" if key is None else _ant_text(key, _PAD[3])
+                sequents.append(_SEQUENT % (ant, suc))
             s_at[id(s)] = i
         return i
 
     n_at: dict[int, int] = {}
     for n in post_order(d):
-        j = {
-            "rule": n.rule,
-            "seq": sequent(n.seq),
-            "premises": [n_at[id(p)] for p in n.premises],
-        }
+        seq = sequent(n.seq)
+        premises = _rows([int.__repr__(n_at[id(p)]) for p in n.premises], _PAD[3])
         i = n.inst
-        inst = {}
+        inst = []
         if i.path is not None:
-            inst["path"] = list(i.path)
+            inst.append('"path": ' + _rows([int.__repr__(x) for x in i.path], _PAD[4]))
         if i.main is not None:
-            inst["main"] = formula(i.main)
+            inst.append('"main": %d' % formula(i.main))
         if i.side is not None:
-            inst["side"] = formula(i.side)
+            inst.append('"side": %d' % formula(i.side))
         if i.idx is not None:
-            inst["idx"] = i.idx
+            inst.append('"idx": %d' % i.idx)
         if i.member is not None:
-            inst["member"] = sequent(i.member)
-        if inst:
-            j["inst"] = inst
+            inst.append('"member": %d' % sequent(i.member))
+        more = _INST + _rows(inst, _PAD[3], "{}") if inst else ""
         n_at[id(n)] = len(nodes)
-        nodes.append(j)
-    return {"format": FORMAT, "formulas": formulas, "sequents": sequents, "nodes": nodes}
+        nodes.append(_NODE % (_esc(n.rule), seq, premises, more))
+    return TableText(_TABLE % (
+        FORMAT, _rows(formulas, _PAD[1]), _rows(sequents, _PAD[1]), _rows(nodes, _PAD[1])))
+
+
+def to_json(d: Derivation) -> dict:
+    """The format-2 table of d, parsed from table_text(d)."""
+    return json.loads(table_text(d))
 
 
 def _ref(x, below: int, what: str) -> int:

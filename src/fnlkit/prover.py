@@ -90,7 +90,7 @@ class ProofResult:
 def result_to_json(r: ProofResult) -> dict:
     out: dict = {"verdict": r.verdict}
     if r.derivation is not None:
-        out["derivation"] = pf.to_json(r.derivation)
+        out["derivation"] = pf.table_text(r.derivation)
     if r.model is not None:
         out["model"] = md.ternary_to_json(r.model)
         out["state"] = r.state

@@ -560,7 +560,7 @@ def section_inverse_sequent(s: sx.Sequent, memo: dict) -> sx.Sequent:
 # derivation transports
 #
 # Each transport rebuilds a derivation bottom-up along a formula map, in
-# the post-order of `proofs.post_order` that `proofs.to_json` writes, so
+# the post-order of `proofs.post_order` that `proofs.table_text` writes, so
 # a shared subproof is mapped once.  Homomorphic rules keep their shape;
 # the axioms that mention eliminated vocabulary get replaced by the
 # certified builders above: a negation axiom by a companion pair, a top

@@ -170,6 +170,109 @@ def assumptions_of(d: pf.Derivation) -> frozenset[sx.Sequent]:
     )
 
 
+def _table_split(f: sx.LFormula) -> tuple[list, tuple]:
+    """The entry of f without its children's indices, and its children."""
+    cls = type(f)
+    if cls in pf._CHILDREN:
+        return [sx.L_TAGS[cls]], tuple(getattr(f, k) for k in pf._CHILDREN[cls])
+    if cls is sx.LAtom:
+        return ["atom", f.name], ()
+    if cls is sx.LFresh:
+        return ["fresh", f.mark], () if f.of is None else (f.of,)
+    return ["const", pf._CONST_NAMES[cls]], ()
+
+
+def reference_table(d: pf.Derivation) -> dict:
+    """The format-2 table of d as lists and dicts, built entry by entry:
+    the reference for `proofs.table_text`, which writes its text in one
+    pass."""
+    formulas: list = []
+    sequents: list = []
+    nodes: list = []
+    # entries are found by object identity first, then by the entry itself,
+    # which names children by index, so no term is hashed or compared deeply
+    f_at: dict[int, int] = {}
+    f_key: dict[tuple, int] = {}
+    t_at: dict[int, tuple] = {}
+    s_at: dict[int, int] = {}
+    s_key: dict[tuple, int] = {}
+
+    def formula(f: sx.LFormula) -> int:
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            if id(g) in f_at:
+                stack.pop()
+                continue
+            head, kids = _table_split(g)
+            todo = [k for k in kids if id(k) not in f_at]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            entry = head + [f_at[id(k)] for k in kids]
+            key = tuple(entry)
+            i = f_key.get(key)
+            if i is None:
+                i = f_key[key] = len(formulas)
+                formulas.append(entry)
+            f_at[id(g)] = i
+        return f_at[id(f)]
+
+    def tree(t: sx.StructTree) -> tuple:
+        # (JSON form, hashable key) of an antecedent
+        hit = t_at.get(id(t))
+        if hit is None:
+            if isinstance(t, sx.SLeaf):
+                i = formula(t.f)
+                hit = (i, i)
+            elif isinstance(t, sx.SNode):
+                (jl, kl), (jr, kr) = tree(t.l), tree(t.r)
+                hit = ([jl, jr], (kl, kr))
+            else:
+                ja, ka = tree(t.a)
+                hit = ({"b": ja}, ("b", ka))
+            t_at[id(t)] = hit
+        return hit
+
+    def sequent(s: sx.Sequent) -> int:
+        i = s_at.get(id(s))
+        if i is None:
+            ant, key = (None, None) if s.ant is None else tree(s.ant)
+            suc = formula(s.suc)
+            i = s_key.get((key, suc))
+            if i is None:
+                i = s_key[(key, suc)] = len(sequents)
+                sequents.append([ant, suc])
+            s_at[id(s)] = i
+        return i
+
+    n_at: dict[int, int] = {}
+    for n in pf.post_order(d):
+        j = {
+            "rule": n.rule,
+            "seq": sequent(n.seq),
+            "premises": [n_at[id(p)] for p in n.premises],
+        }
+        i = n.inst
+        inst = {}
+        if i.path is not None:
+            inst["path"] = list(i.path)
+        if i.main is not None:
+            inst["main"] = formula(i.main)
+        if i.side is not None:
+            inst["side"] = formula(i.side)
+        if i.idx is not None:
+            inst["idx"] = i.idx
+        if i.member is not None:
+            inst["member"] = sequent(i.member)
+        if inst:
+            j["inst"] = inst
+        n_at[id(n)] = len(nodes)
+        nodes.append(j)
+    return {"format": pf.FORMAT, "formulas": formulas, "sequents": sequents, "nodes": nodes}
+
+
 # ---------------------------------------------------------------------------
 # derivation builders the program does not call
 

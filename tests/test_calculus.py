@@ -5,18 +5,22 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (assumptions_of, dax_4, dax_5, dax_t, dboxdown_l, dexch, dist_prod_or, done_l,
-                      done_r, fact7, lambek_formulas, post_order_reference, sequents,
-                      undist_prod_or)
+                      done_r, fact7, lambek_formulas, modal_formulas, post_order_reference,
+                      reference_table, sequents, undist_prod_or)
+from test_acceptance import conservativity_goals
 from fnlkit import checker as ck
+from fnlkit import ktableau as kt
 from fnlkit import lemmas as lm
 from fnlkit import proofs as pf
 from fnlkit import rules
 from fnlkit import syntax as sx
+from fnlkit import transform as tr
 from fnlkit.errors import FnlError, LemmaError, ValidationError
+from fnlkit.prover import SearchBudget, derive
 from fnlkit.systems import SYSTEMS, allowed_rules, get_system, validate_sequent
 
 BF = get_system("bfnl-star")
@@ -629,6 +633,81 @@ def test_table_round_trip_keeps_shared_subproofs(a, b):
     d2 = pf.from_json(json.loads(json.dumps(j)))
     assert d2.seq == d.seq and pf.size(d2) == pf.size(d)
     checked(get_system("bfnl1-s5"), d2)
+
+
+# the table's text, written in one pass, against the reference builder
+
+_WRITER_SYSTEMS = ("bfnl-star", "bfnl-star-k", "bfnl-e-star", "bfnl1-k")
+_WRITER_BUDGET = SearchBudget(max_depth=6, max_goals=2000, time_cap_ms=300, samples=0)
+
+
+def written_as_the_reference(d):
+    assert pf.table_text(d) == json.dumps(reference_table(d), indent=2)
+
+
+@given(st.sampled_from(conservativity_goals(100)), st.sampled_from(_WRITER_SYSTEMS))
+@settings(max_examples=60)
+def test_table_text_dumps_the_reference_table(goal, system):
+    r = derive(get_system(system), (), goal, _WRITER_BUDGET)
+    assume(r.derivation is not None)
+    written_as_the_reference(r.derivation)
+
+
+@given(modal_formulas)
+@settings(max_examples=25)
+def test_table_text_dumps_the_reference_table_of_section_stage_proofs(a):
+    # a non-theorem is traded for a theorem built from it, so every draw proves
+    name, goal, phi = tr.pipeline_k_to_dfnl(a if kt.k_decide(a).valid else sx.MImp(a, a))
+    r = derive(get_system(name), phi, goal, SearchBudget(max_goals=150, samples=0))
+    assert r.derivation is not None
+    written_as_the_reference(r.derivation)
+
+
+def _antecedent_shapes(t, out: set) -> set:
+    if t is None or type(t) is int:
+        out.add("null" if t is None else "leaf")
+    elif type(t) is list:
+        out.add("pair")
+        for x in t:
+            _antecedent_shapes(x, out)
+    else:
+        out.add("b")
+        _antecedent_shapes(t["b"], out)
+    return out
+
+
+def test_table_text_writes_every_entry_shape():
+    every = sx.LAnd(
+        sx.LOr(sx.LProd(sx.LUnder(p, q), sx.LOver(sx.LDia(p), sx.LBoxDown(sx.LNot(q)))),
+               sx.LAnd(sx.BOT, sx.TOP)),
+        sx.LOr(sx.ONE, sx.LAnd(sx.P_BOT, sx.LOr(sx.P_TOP, sx.fresh_for(p)))))
+    name, goal, phi = tr.pipeline_k_to_dfnl(sx.parse_modal("[](p -> q) -> ([]p -> []q)"))
+    examples = [
+        lm.did(every),
+        lm.dcut(lm.dassume(seq("p => q")), lm.did(q), ()),
+        derive(BF, (), seq("=> ~p \\/ p"), _WRITER_BUDGET).derivation,
+        derive(BF, (), seq("p /\\ q => q"), _WRITER_BUDGET).derivation,
+        _DIA_IN_BRACKET,
+        lm.dprod_l(lm.dprod_r(lm.did(p), lm.did(q))),
+        derive(get_system(name), phi, goal, SearchBudget()).derivation,
+    ]
+    shapes, fields, kinds, empty_path = set(), set(), set(), False
+    for d in examples:
+        written_as_the_reference(d)
+        table = reference_table(d)
+        kinds.update(e[0] if e[0] in sx.L_TAGS.values() else tuple(e[:2])
+                     for e in table["formulas"])
+        for ant, _ in table["sequents"]:
+            _antecedent_shapes(ant, shapes)
+        for n in table["nodes"]:
+            fields.update(n.get("inst", {}))
+            empty_path = empty_path or n.get("inst", {}).get("path") == []
+    assert shapes == {"null", "leaf", "pair", "b"}
+    assert fields == {f.name for f in dataclasses.fields(pf.Inst)}
+    assert empty_path
+    assert kinds == {*sx.L_TAGS.values(), ("atom", "p"), ("atom", "q"), ("atom", "m"),
+                     ("const", "bot"), ("const", "top"), ("const", "one"),
+                     ("fresh", "bot"), ("fresh", "top"), ("fresh", "neg")}
 
 
 @st.composite

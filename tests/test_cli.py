@@ -13,11 +13,12 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 from conftest import modal_formulas
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import fnlkit
 from fnlkit import checker as ck
 from fnlkit import cli
+from fnlkit import lemmas as lm
 from fnlkit import models as md
 from fnlkit import proofs as pf
 from fnlkit import prover as pv
@@ -122,6 +123,28 @@ def test_recheck_reads_the_printed_countermodel(capsys, monkeypatch):
                          "p => q", "--recheck", "--seed", "3")
     assert code == 1 and out == ""
     assert err == "error: recheck failed: countermodel no longer falsifies\n"
+
+
+@pytest.mark.parametrize("printed, tampered", [
+    ('"rule": "AndL"', '"rule": "AndR"'),
+    ('"seq": 1', '"seq": 0'),
+], ids=["rule", "sequent"])
+def test_recheck_reads_the_printed_derivation(capsys, monkeypatch, printed, tampered):
+    argv = ("prove", "--system", "bfnl-star", "p /\\ q => q", "--recheck")
+    code, payload = run_json(capsys, *argv)
+    assert code == 0 and payload["recheck"] == "derivation reloaded and accepted"
+    to_json = pv.result_to_json
+
+    def tamper(r):
+        out = to_json(r)
+        assert out["derivation"].count(printed) == 1
+        out["derivation"] = pf.TableText(out["derivation"].replace(printed, tampered))
+        return out
+
+    monkeypatch.setattr(pv, "result_to_json", tamper)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: recheck failed: reloaded derivation rejected\n"
 
 
 def test_prove_unknown_exits_two(capsys):
@@ -457,6 +480,31 @@ def test_dumps_prints_what_json_dumps_prints(x):
     assert cli._dumps(x) == json.dumps(x, indent=2)
 
 
+_TABLE = pf.table_text(lm.dcut(lm.dassume(sx.parse_sequent("p => q")), lm.did(sx.LAtom("q")), ()))
+
+
+@given(st.lists(st.tuples(st.booleans(), json_values), max_size=3))
+@example([])
+@example([(True, "x"), (False, None), (True, [1, {"a": 2}])])
+def test_dumps_writes_a_table_text_at_its_depth(wraps):
+    # the table nested 0 to 3 deep, in dicts and lists, beside other values
+    got, want = _TABLE, json.loads(_TABLE)
+    for in_dict, other in wraps:
+        if in_dict:
+            got, want = {"other": other, "derivation": got}, {"other": other, "derivation": want}
+        else:
+            got, want = [other, got], [other, want]
+    assert cli._dumps(got) == json.dumps(want, indent=2)
+
+
+def test_dumps_rejects_other_str_subclasses():
+    class Text(str):
+        pass
+
+    with pytest.raises(TypeError):
+        cli._dumps({"derivation": Text("{}")})
+
+
 def test_dumps_prints_deep_nesting():
     x = []
     for _ in range(2000):
@@ -643,6 +691,25 @@ def test_every_benchmark_command_is_read_plain(monkeypatch, tmp_path):
         for cmd in build(fnlkit, 1, str(tmp_path), small=True).commands:
             args = cli._read_plain(cmd.argv[0], list(cmd.argv[1:]))
             assert args is not None, (name, cmd.argv)
+
+
+def test_benchmark_commands_print_canonical_json(capsys, monkeypatch, tmp_path):
+    # what the CLI prints, derivation tables written as text included, is
+    # what json.dumps prints for the same payload
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    seen = set()
+    for name, build in workloads.WORKLOADS.items():
+        for cmd in build(fnlkit, 1, str(tmp_path), small=True).commands:
+            code, out, err = run(capsys, *cmd.argv)
+            assert code in (0, 2), (cmd.argv, err)
+            payload = json.loads(out)
+            assert out == json.dumps(payload, indent=2) + "\n", cmd.argv
+            seen.add((cmd.argv[0], "--recheck" in cmd.argv, "derivation" in payload))
+    assert {("prove", False, True), ("prove", True, True), ("pipeline", False, True)} <= seen
 
 
 _words = st.text(alphabet="pq=> -~k1", max_size=6)
