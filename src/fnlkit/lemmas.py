@@ -6,7 +6,16 @@ than producing a bad proof.  On top of the one-node-per-rule
 constructors sit the algebraic workhorses: transitivity chains,
 monotonicity in every connective, the double-negation and De Morgan
 conversions, and `lat_le`/`bool_le`, which decide (and certify) lattice
-and boolean entailments between formulas built from opaque generators."""
+and boolean entailments between formulas built from opaque generators.
+
+Both provers share one truth-vector kernel: a formula's vector holds its
+value under every 0/1 valuation of its generators as the bits of one int,
+top all ones, bot 0, /\\ as &, \\/ as |, and ~ as the complement in the
+boolean prover (a generator in the lattice one).  Since a lattice or
+boolean law holds iff it holds in the two-element lattice or algebra, the
+vectors decide an entailment without a proof search.  The provers use them
+only to decline attempts that would fail, so a certificate depends on the
+search order alone, which `lat_le` states."""
 
 from __future__ import annotations
 
@@ -467,6 +476,82 @@ def dm_or_bwd(a: sx.LFormula, b: sx.LFormula) -> pf.Derivation:
 _LATTICE = (sx.LAnd, sx.LOr)
 
 
+# truth vectors
+#
+# A truth vector packs a formula's values under all 0/1 valuations of k
+# generators into one 2^k-bit int: bit v is the value under valuation v, in
+# which generator i is true exactly when bit i of v is set.  A law of
+# bounded distributive lattices holds iff it holds in the two-element
+# lattice, and a boolean law iff it holds in the two-element algebra, so the
+# vectors of A and B decide A => B: it fails iff A's has a bit B's lacks.
+TV_GENS = 12
+_TV_FULL = (1 << (1 << TV_GENS)) - 1
+# generator i: the high 2^i bits of every 2^(i+1)-bit block
+_TV_GEN = tuple(
+    _TV_FULL // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+    for i in range(TV_GENS)
+)
+
+
+def generators(f: sx.LFormula, boolean: bool, acc: dict) -> dict:
+    """Add f's generators to acc in the order first met: its subformulas
+    that are not /\\, \\/, top, bot or, when `boolean`, ~."""
+    if isinstance(f, _LATTICE):
+        generators(f.l, boolean, acc)
+        generators(f.r, boolean, acc)
+    elif boolean and isinstance(f, sx.LNot):
+        generators(f.a, boolean, acc)
+    elif f != sx.TOP and f != sx.BOT:
+        acc.setdefault(f, None)
+    return acc
+
+
+def frame(gens) -> Optional[dict]:
+    """The vectors of gens, numbered in order, over all their valuations,
+    as {generator: vector}, with top (all ones) and bot (0) among them;
+    None for more than TV_GENS generators."""
+    gens = tuple(gens)
+    if len(gens) > TV_GENS:
+        return None
+    full = (1 << (1 << len(gens))) - 1
+    slots = {g: v & full for g, v in zip(gens, _TV_GEN)}
+    slots[sx.TOP], slots[sx.BOT] = full, 0
+    return slots
+
+
+def truth_vector(f: sx.LFormula, slots: dict, boolean: bool) -> int:
+    """f's truth vector in the frame slots: /\\ is &, \\/ is |, with
+    `boolean` ~ is the complement, and a generator outside slots is true
+    in every valuation."""
+    if isinstance(f, sx.LAnd):
+        return truth_vector(f.l, slots, boolean) & truth_vector(f.r, slots, boolean)
+    if isinstance(f, sx.LOr):
+        return truth_vector(f.l, slots, boolean) | truth_vector(f.r, slots, boolean)
+    if boolean and isinstance(f, sx.LNot):
+        return slots[sx.TOP] ^ truth_vector(f.a, slots, boolean)
+    v = slots.get(f)
+    return slots[sx.TOP] if v is None else v
+
+
+def _falsified(a: sx.LFormula, b: sx.LFormula, boolean: bool) -> Optional[bool]:
+    """Whether some valuation makes a true and b false; None when there are
+    more than TV_GENS generators to value."""
+    if boolean:
+        slots = frame(generators(b, True, generators(a, True, {})))
+        return None if slots is None else \
+            truth_vector(a, slots, True) & ~truth_vector(b, slots, True) != 0
+    below = _lattice_frame(b)
+    return None if below is None else truth_vector(a, below[0], False) & ~below[1] != 0
+
+
+@lru_cache(maxsize=65536)
+def _lattice_frame(b: sx.LFormula) -> Optional[tuple[dict, int]]:
+    # b's generators alone decide a lattice pair a => b: a is monotone in
+    # the generators that b lacks, so all of them may be taken true
+    slots = frame(generators(b, False, {}))
+    return None if slots is None else (slots, truth_vector(b, slots, False))
+
+
 def members(f: sx.LFormula) -> tuple[sx.LFormula, ...]:
     """The conjunct leaves of a /\\-tree (f itself if not a conjunction)."""
     if isinstance(f, sx.LAnd):
@@ -528,41 +613,50 @@ def _lat(a: sx.LFormula, b: sx.LFormula) -> Optional[pf.Derivation]:
     if a == sx.BOT:
         return dbot_f(b)
     if isinstance(a, sx.LOr):
-        d1, d2 = _lat(a.l, b), _lat(a.r, b)
-        if d1 is not None and d2 is not None:
-            return dor_l(d1, d2, a)
-        return None
-    if isinstance(a, sx.LAnd) and _has_or(a):
-        dh, fu, fv = _hoist(a)
-        d1, d2 = _lat(fu, b), _lat(fv, b)
-        if d1 is not None and d2 is not None:
-            return le_trans(dh, dor_l(d1, d2, sx.LOr(fu, fv)))
-        return None
-    if isinstance(b, sx.LAnd):
-        d1, d2 = _lat(a, b.l), _lat(a, b.r)
-        if d1 is not None and d2 is not None:
-            return dand_r(d1, d2)
-        return None
+        d1 = _lat(a.l, b)
+        d2 = None if d1 is None else _lat(a.r, b)
+        return None if d2 is None else dor_l(d1, d2, a)
+    hoist = isinstance(a, sx.LAnd) and _has_or(a)
+    if isinstance(b, sx.LAnd) and not hoist:
+        d1 = _lat(a, b.l)
+        d2 = None if d1 is None else _lat(a, b.r)
+        return None if d2 is None else dand_r(d1, d2)
+    # one-premise attempts: each conjunct of a (AndL), then, unless a is
+    # distributed, each disjunct of b (OrR); a pair that some valuation
+    # falsifies is declined before its second attempt
+    alts = []
     if isinstance(a, sx.LAnd):
-        d = _lat(a.l, b)
+        alts += [(dand_l, a, 1, a.l, b), (dand_l, a, 2, a.r, b)]
+    if isinstance(b, sx.LOr) and not hoist:
+        alts += [(dor_r, b, 1, a, b.l), (dor_r, b, 2, a, b.r)]
+    for n, (rule, main, idx, x, y) in enumerate(alts):
+        if n == 1 and _falsified(a, b, False):
+            return None
+        d = _lat(x, y)
         if d is not None:
-            return dand_l(d, a, 1)
-        d = _lat(a.r, b)
-        if d is not None:
-            return dand_l(d, a, 2)
-    if isinstance(b, sx.LOr):
-        d = _lat(a, b.l)
-        if d is not None:
-            return dor_r(d, b, 1)
-        d = _lat(a, b.r)
-        if d is not None:
-            return dor_r(d, b, 2)
-    return None
+            return rule(d, main, idx)
+    if not hoist:
+        return None
+    dh, fu, fv = _hoist(a)
+    d1 = _lat(fu, b)
+    d2 = None if d1 is None else _lat(fv, b)
+    return None if d2 is None else le_trans(dh, dor_l(d1, d2, sx.LOr(fu, fv)))
 
 
 def lat_le(a: sx.LFormula, b: sx.LFormula) -> Optional[pf.Derivation]:
     """Certify A => B when it holds in every bounded distributive lattice,
-    treating non-lattice subformulas as opaque generators; None otherwise."""
+    treating non-lattice subformulas as opaque generators; None otherwise.
+
+    The search splits a disjunction on the left into both halves, then,
+    unless the left is a conjunction holding a disjunction, a conjunction
+    on the right.  Otherwise it tries one premise at a time: each conjunct
+    A1, A2 of a conjunction on the left alone (AndL), then, if that
+    conjunction holds a disjunction, its distribution (`_hoist`), else each
+    disjunct on the right (OrR).  Before the second of these attempts the
+    truth vectors of the pair decide whether it holds in the two-element
+    lattice, and a pair that fails there is declined at once.  They only
+    skip attempts that would fail, so the certificate depends on the search
+    order alone."""
     return _lat(a, b)
 
 
@@ -609,46 +703,20 @@ def _nnf(f: sx.LFormula, to: bool) -> tuple[sx.LFormula, pf.Derivation]:
     return f, did(f)
 
 
-def _bool_gens(f: sx.LFormula, acc: set) -> None:
-    if isinstance(f, (sx.LAnd, sx.LOr)):
-        _bool_gens(f.l, acc)
-        _bool_gens(f.r, acc)
-    elif isinstance(f, sx.LNot):
-        _bool_gens(f.a, acc)
-    elif f not in (sx.TOP, sx.BOT):
-        acc.add(f)
-
-
-def _bool_eval(f: sx.LFormula, mu: dict) -> bool:
-    if isinstance(f, sx.LAnd):
-        return _bool_eval(f.l, mu) and _bool_eval(f.r, mu)
-    if isinstance(f, sx.LOr):
-        return _bool_eval(f.l, mu) or _bool_eval(f.r, mu)
-    if isinstance(f, sx.LNot):
-        return not _bool_eval(f.a, mu)
-    if f == sx.TOP:
-        return True
-    if f == sx.BOT:
-        return False
-    return mu[f]
-
-
 @lru_cache(maxsize=65536)
 def _blat(x: sx.LFormula, y: sx.LFormula) -> Optional[pf.Derivation]:
     d = _lat(x, y)
     if d is not None:
         return d
     if isinstance(x, sx.LOr):
-        d1, d2 = _blat(x.l, y), _blat(x.r, y)
-        if d1 is not None and d2 is not None:
-            return dor_l(d1, d2, x)
-        return None
+        d1 = _blat(x.l, y)
+        d2 = None if d1 is None else _blat(x.r, y)
+        return None if d2 is None else dor_l(d1, d2, x)
     if isinstance(x, sx.LAnd) and _has_or(x):
         dh, fu, fv = _hoist(x)
-        d1, d2 = _blat(fu, y), _blat(fv, y)
-        if d1 is not None and d2 is not None:
-            return le_trans(dh, dor_l(d1, d2, sx.LOr(fu, fv)))
-        return None
+        d1 = _blat(fu, y)
+        d2 = None if d1 is None else _blat(fv, y)
+        return None if d2 is None else le_trans(dh, dor_l(d1, d2, sx.LOr(fu, fv)))
     mems = members(x)
     memset = set(mems)
     for m in mems:
@@ -658,46 +726,41 @@ def _blat(x: sx.LFormula, y: sx.LFormula) -> Optional[pf.Derivation]:
             )
             return clash
     if isinstance(y, sx.LAnd):
-        d1, d2 = _blat(x, y.l), _blat(x, y.r)
-        if d1 is not None and d2 is not None:
-            return dand_r(d1, d2)
-        return None
+        d1 = _blat(x, y.l)
+        d2 = None if d1 is None else _blat(x, y.r)
+        return None if d2 is None else dand_r(d1, d2)
     if isinstance(y, sx.LOr):
-        d = _blat(x, y.l)
-        if d is not None:
-            return dor_r(d, y, 1)
-        d = _blat(x, y.r)
-        if d is not None:
-            return dor_r(d, y, 2)
-    gens: set = set()
-    _bool_gens(y, gens)
+        for idx, part in ((1, y.l), (2, y.r)):
+            d = None if _falsified(x, part, True) else _blat(x, part)
+            if d is not None:
+                return dor_r(d, y, idx)
     undecided = [
-        g for g in sorted(gens, key=sx.sort_key) if g not in memset and sx.LNot(g) not in memset
+        g for g in sorted(generators(y, True, {}), key=sx.sort_key)
+        if g not in memset and sx.LNot(g) not in memset
     ]
     if not undecided:
         return None
     g = undecided[0]
     split = expand_by_cases(did(x), g)
     xg, xng = sx.LAnd(x, g), sx.LAnd(x, sx.LNot(g))
-    d1, d2 = _blat(xg, y), _blat(xng, y)
-    if d1 is not None and d2 is not None:
-        return le_trans(split, dor_l(d1, d2, sx.LOr(xg, xng)))
-    return None
+    d1 = _blat(xg, y)
+    d2 = None if d1 is None else _blat(xng, y)
+    return None if d2 is None else le_trans(split, dor_l(d1, d2, sx.LOr(xg, xng)))
 
 
 def bool_le(x: sx.LFormula, y: sx.LFormula) -> Optional[pf.Derivation]:
     """Certify X => Y when it is a boolean-algebra entailment over opaque
-    generators (negation classical, /\\ \\/ top bot as usual)."""
-    gens: set = set()
-    _bool_gens(x, gens)
-    _bool_gens(y, gens)
-    gens_t = sorted(gens, key=sx.sort_key)
-    if len(gens_t) > 12:
+    generators (negation classical, /\\ \\/ top bot as usual).
+
+    One evaluation of each side's truth vector, ~ as the complement,
+    decides the entailment first; over more than TV_GENS generators, or
+    when it fails, the answer is None.  The certificate is then built on
+    the negation-normal forms: `lat_le` where it holds, else the same
+    splits as `lat_le` and cases on a generator (A => (A /\\ g) \\/
+    (A /\\ ~g)), where a disjunct on the right that the vectors falsify is
+    not tried."""
+    if _falsified(x, y, True) is not False:
         return None
-    for bits in range(1 << len(gens_t)):
-        mu = {g: bool(bits >> i & 1) for i, g in enumerate(gens_t)}
-        if _bool_eval(x, mu) and not _bool_eval(y, mu):
-            return None
     nx, tox = _nnf(x, True)
     ny, fromy = _nnf(y, False)
     core = _blat(nx, ny)

@@ -90,6 +90,8 @@ def validate_sequent(sys: SystemSpec, s: sx.Sequent):
     if s.ant is None and not sys.allow_empty_antecedent:
         raise ValidationError(f"{sys.name} does not allow empty antecedents")
     bad = sx.vocab(s) & ~sys.vocab
+    if not bad:
+        return
     for bit, what in _MISFITS:
         if bad & bit:
             raise ValidationError(f"{sys.name} has no {what}")

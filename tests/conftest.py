@@ -2,9 +2,11 @@
 the model helpers, derivation builders and readers and regression corpus
 that only tests use."""
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 import hypothesis.strategies as st
 from hypothesis import settings
@@ -271,6 +273,90 @@ def reference_table(d: pf.Derivation) -> dict:
         n_at[id(n)] = len(nodes)
         nodes.append(j)
     return {"format": pf.FORMAT, "formulas": formulas, "sequents": sequents, "nodes": nodes}
+
+
+# ---------------------------------------------------------------------------
+# references for the lattice and boolean provers
+
+
+@functools.lru_cache(maxsize=None)
+def lat_le_reference(a: sx.LFormula, b: sx.LFormula) -> Optional[pf.Derivation]:
+    """`lemmas._lat` as it was before it tried a conjunct ahead of
+    distributing and declined pairs by truth vector: the size reference for
+    `lat_le`'s certificates."""
+    if a == b:
+        return lm.did(a)
+    if b == sx.TOP:
+        return lm.dtop(sx.SLeaf(a))
+    if a == sx.BOT:
+        return lm.dbot_f(b)
+    if isinstance(a, sx.LOr):
+        d1, d2 = lat_le_reference(a.l, b), lat_le_reference(a.r, b)
+        if d1 is not None and d2 is not None:
+            return lm.dor_l(d1, d2, a)
+        return None
+    if isinstance(a, sx.LAnd) and lm._has_or(a):
+        dh, fu, fv = lm._hoist(a)
+        d1, d2 = lat_le_reference(fu, b), lat_le_reference(fv, b)
+        if d1 is not None and d2 is not None:
+            return lm.le_trans(dh, lm.dor_l(d1, d2, sx.LOr(fu, fv)))
+        return None
+    if isinstance(b, sx.LAnd):
+        d1, d2 = lat_le_reference(a, b.l), lat_le_reference(a, b.r)
+        if d1 is not None and d2 is not None:
+            return lm.dand_r(d1, d2)
+        return None
+    if isinstance(a, sx.LAnd):
+        for idx, part in ((1, a.l), (2, a.r)):
+            d = lat_le_reference(part, b)
+            if d is not None:
+                return lm.dand_l(d, a, idx)
+    if isinstance(b, sx.LOr):
+        for idx, part in ((1, b.l), (2, b.r)):
+            d = lat_le_reference(a, part)
+            if d is not None:
+                return lm.dor_r(d, b, idx)
+    return None
+
+
+def _valuation_value(f: sx.LFormula, mu: dict, boolean: bool) -> bool:
+    if isinstance(f, sx.LAnd):
+        return _valuation_value(f.l, mu, boolean) and _valuation_value(f.r, mu, boolean)
+    if isinstance(f, sx.LOr):
+        return _valuation_value(f.l, mu, boolean) or _valuation_value(f.r, mu, boolean)
+    if boolean and isinstance(f, sx.LNot):
+        return not _valuation_value(f.a, mu, boolean)
+    if f == sx.TOP:
+        return True
+    if f == sx.BOT:
+        return False
+    return mu[f]
+
+
+def valuations_le(x: sx.LFormula, y: sx.LFormula, boolean: bool) -> Optional[bool]:
+    """Whether every 0/1 valuation of the generators of x and y that makes
+    x true makes y true, by a loop over one dict per valuation; with
+    `boolean` ~ is classical, without it every ~A is a generator.  None over
+    more than `lemmas.TV_GENS` generators: the reference for the truth
+    vectors."""
+    gens = sorted(lm.generators(y, boolean, lm.generators(x, boolean, {})), key=sx.sort_key)
+    if len(gens) > lm.TV_GENS:
+        return None
+    for bits in range(1 << len(gens)):
+        mu = {g: bool(bits >> i & 1) for i, g in enumerate(gens)}
+        if _valuation_value(x, mu, boolean) and not _valuation_value(y, mu, boolean):
+            return False
+    return True
+
+
+def random_lattice_formula(rng: random.Random, leaves: int, gens) -> sx.LFormula:
+    """A /\\-\\/ formula over `leaves` leaves drawn from gens, its shape
+    split at random."""
+    if leaves == 1:
+        return rng.choice(gens)
+    k = rng.randrange(1, leaves)
+    op = rng.choice((sx.LAnd, sx.LOr))
+    return op(random_lattice_formula(rng, k, gens), random_lattice_formula(rng, leaves - k, gens))
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,18 @@
 builders."""
 
 import dataclasses
+import functools
 import json
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (assumptions_of, dax_4, dax_5, dax_t, dboxdown_l, dexch, dist_prod_or, done_l,
-                      done_r, fact7, lambek_formulas, modal_formulas, post_order_reference,
-                      reference_table, sequents, undist_prod_or)
+                      done_r, fact7, lambek_formulas, lat_le_reference, modal_formulas,
+                      post_order_reference, random_lattice_formula, reference_table, sequents,
+                      undist_prod_or, valuations_le)
 from test_acceptance import conservativity_goals
 from fnlkit import checker as ck
 from fnlkit import ktableau as kt
@@ -470,8 +473,9 @@ def test_hoist_keeps_the_disjuncts_in_the_order_dD_leaves_them():
     d, fu, fv = lm._hoist(f("(p \\/ q) /\\ r"))
     assert (fu, fv) == (f("r /\\ p"), f("r /\\ q"))
     assert not any(n.rule == pf.OR_L for n in pf.post_order(d))
+    # a conjunct that entails the goal alone is taken before distributing
     wide = lm.lat_le_strict(f("((p \\/ q) /\\ (r \\/ s)) /\\ (t \\/ u)"), f("p \\/ q"))
-    assert pf.size(checked(DF, wide)) <= 109
+    assert pf.size(checked(DF, wide)) <= 3
     spread = lm.lat_le_strict(f("(p \\/ q) /\\ r"), f("(r /\\ p) \\/ (r /\\ q)"))
     assert pf.size(checked(DF, spread)) <= 13
 
@@ -508,6 +512,82 @@ def test_bool_le_opaque_generators():
     d = lm.bool_le(f("(p * q) /\\ ~(p * q)"), sx.BOT)
     assert d is not None
     checked(BF, d)
+
+
+LATTICE_GENS = tuple(f(t) for t in ("p", "q", "r", "~p", "p{q}", "p * q", "top", "bot"))
+
+
+def lattice_pairs(seed: int, count: int):
+    rng = random.Random(seed)
+    return [tuple(random_lattice_formula(rng, rng.randint(1, 8), LATTICE_GENS) for _ in "ab")
+            for _ in range(count)]
+
+
+def test_lat_le_decides_the_two_element_lattice():
+    # a lattice law holds iff it holds under every 0/1 valuation of the
+    # generators (~p, p{q} and p * q opaque), and the truth vectors decide
+    # exactly that; certificates are no larger in all than the reference's
+    valid = nodes = reference_nodes = 0
+    for a, b in lattice_pairs(23, 2000):
+        holds = valuations_le(a, b, False)
+        assert lm._falsified(a, b, False) is (not holds), (a, b)
+        d = lm.lat_le(a, b)
+        assert (d is not None) == holds, (sx.render_lambek(a), sx.render_lambek(b))
+        if d is not None:
+            assert d.seq == sx.Sequent(sx.SLeaf(a), b)
+            checked(BF, d)
+            valid += 1
+            nodes += pf.size(d)
+            reference_nodes += pf.size(lat_le_reference(a, b))
+    assert valid >= 500
+    assert nodes <= reference_nodes
+
+
+def test_bool_le_precheck_matches_the_valuation_loop():
+    rng = random.Random(5)
+    gens = LATTICE_GENS + tuple(f(t) for t in ("~q", "~(p /\\ r)", "~~r", "~top"))
+    decided = 0
+    for _ in range(600):
+        x, y = (random_lattice_formula(rng, rng.randint(1, 5), gens) for _ in "xy")
+        holds = valuations_le(x, y, True)
+        assert lm._falsified(x, y, True) is (not holds), (x, y)
+        d = lm.bool_le(x, y)
+        assert (d is not None) == holds, (sx.render_lambek(x), sx.render_lambek(y))
+        if d is not None:
+            checked(BF, d)
+            decided += 1
+    assert decided >= 100
+    wide = functools.reduce(sx.LOr, (sx.LAtom(f"w{i}") for i in range(lm.TV_GENS + 1)))
+    assert valuations_le(wide, wide, True) is None and lm._falsified(wide, wide, True) is None
+    assert lm.bool_le(wide, wide) is None  # over TV_GENS generators bool_le declines
+
+
+def _clear_lemma_caches():
+    for cached in (lm._lat, lm._blat, lm._nnf, lm._lattice_frame):
+        cached.cache_clear()
+
+
+def test_truth_vectors_change_no_certificate(monkeypatch):
+    # the vectors only decline attempts that fail anyway: with vectors that
+    # say nothing (all ones), every certificate prints the same
+    phi = tr.psi_set(frozenset([p, q, sx.TOP, sx.BOT]))
+    member = f("((p /\\ (q \\/ bot)) /\\ top)")
+    goal = sx.simple(sx.LAnd(member, tr.tilde_ext(member)), sx.BOT)
+    bool_pairs = [("~(p /\\ q)", "~p \\/ ~q"), ("p /\\ (q \\/ r)", "(p /\\ q) \\/ r"),
+                  ("~(p \\/ ~q) \\/ r", "(~p /\\ q) \\/ (r /\\ top)"), ("p \\/ q", "p /\\ q")]
+
+    def certificates():
+        _clear_lemma_caches()
+        out = [lm.lat_le(a, b) for a, b in lattice_pairs(7, 300)]
+        out += [lm.bool_le(f(x), f(y)) for x, y in bool_pairs]
+        out.append(derive(BD, phi, goal, SearchBudget(samples=0)).derivation)
+        _clear_lemma_caches()
+        return [None if d is None else pf.table_text(d) for d in out]
+
+    with_vectors = certificates()
+    monkeypatch.setattr(lm, "truth_vector", lambda f, slots, boolean: -1)
+    assert certificates() == with_vectors
+    assert sum(text is not None for text in with_vectors) >= 100
 
 
 def test_expand_by_cases():
