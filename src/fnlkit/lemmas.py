@@ -713,6 +713,11 @@ def _blat(x: sx.LFormula, y: sx.LFormula) -> Optional[pf.Derivation]:
         d2 = None if d1 is None else _blat(x.r, y)
         return None if d2 is None else dor_l(d1, d2, x)
     if isinstance(x, sx.LAnd) and _has_or(x):
+        # each conjunct alone (AndL) before the distribution, as in `_lat`
+        for idx, part in ((1, x.l), (2, x.r)):
+            d = None if _falsified(part, y, True) else _blat(part, y)
+            if d is not None:
+                return dand_l(d, x, idx)
         dh, fu, fv = _hoist(x)
         d1 = _blat(fu, y)
         d2 = None if d1 is None else _blat(fv, y)

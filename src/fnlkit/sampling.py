@@ -271,6 +271,19 @@ def chain_verdict(goal: sx.Sequent) -> Optional[TableauVerdict]:
     return None if a is None else k_decide(a)
 
 
+def _generated_letters(goal: sx.Sequent, phi) -> set:
+    """The generated letters of the problem, and of their payloads in turn:
+    one walk of the problem's distinct subformulas, then one walk of the
+    distinct subformulas of the new letters' payloads, until none is new."""
+    letters: set = set()
+    fs = sx.subformulas_of_problem(goal, phi)
+    while fs:
+        new = {g for g in fs if isinstance(g, sx.LFresh) and g.mark == "neg"} - letters
+        letters |= new
+        fs = sx.subformulas_many(g.of for g in new)
+    return letters
+
+
 def _transfer_ternary(goal: sx.Sequent, phi, symmetric: bool,
                       verdict: Optional[TableauVerdict]) -> Optional[md.TernaryModel]:
     """The K countermodel of the modal formula the goal pulls back to,
@@ -279,20 +292,15 @@ def _transfer_ternary(goal: sx.Sequent, phi, symmetric: bool,
 
     The verdict's Kripke countermodel is doubled (with four triples per
     edge if symmetric), p_top holds everywhere and p_bot nowhere, and each
-    generated letter reachable from the problem, through payloads too,
+    generated letter reachable from the problem, through payloads too
+    (`_generated_letters`, over distinct subformulas, not per member),
     holds exactly where its payload fails.  The payload is read back as
     the chain reads it, `negrewrite(section_inverse(payload))` over one
     memo, which leaves no letter to value first, and evaluated in the one
     doubled model."""
     if verdict is None or verdict.valid:
         return None
-    letters: set = set()
-    todo = [f for s in (goal, *phi) for f in sx.sequent_formulas(s)]
-    while todo:
-        for g in sx.walk(todo.pop()):
-            if isinstance(g, sx.LFresh) and g.mark == "neg" and g not in letters:
-                letters.add(g)
-                todo.append(g.of)
+    letters = _generated_letters(goal, phi)
     if any(sx.vocab(f.of) & (sx.V_UNIT | sx.V_MODAL) for f in letters):
         return None
     j = tr.build_ternary_model(verdict.model, exchange=symmetric)
@@ -300,9 +308,10 @@ def _transfer_ternary(goal: sx.Sequent, phi, symmetric: bool,
     val[sx.render_lambek(sx.P_TOP)] = frozenset(j.states)
     val[sx.render_lambek(sx.P_BOT)] = frozenset()
     memo: dict = {}
+    names: dict = {}
     for f in letters:
         back = tr.negrewrite(tr.section_inverse(f.of, memo), memo)
-        val[sx.render_lambek(f)] = frozenset(
+        val[sx.render_lambek(f, names)] = frozenset(
             u for u in j.states if not md.eval_lambek(j, u, back))
     return md.TernaryModel(j.states, j.rel3, val)
 
@@ -333,8 +342,11 @@ def find_countermodel(
     """Search for a ternary model of phi falsifying the sequent goal
     somewhere.
 
-    Returns (model, state) or None.  The search tries the exhaustive 1-
-    and 2-state ternary models, then the transferred K countermodel of
+    Returns (model, state) or None.  The models value the problem's
+    letters, collected by one `sx.atom_keys` walk over the goal and phi
+    together, which enters each subformula once and renders each fresh
+    letter once.  The search tries the exhaustive 1- and 2-state ternary models
+    (at most 4 and 3 letters), then the transferred K countermodel of
     verdict, the goal's `chain_verdict` (which reads top as ~bot; None
     skips the transfer), then `budget.samples` ternary samples (the first
     two only without unit and dia, so a smallest model wins).  The order
@@ -355,8 +367,7 @@ def find_countermodel(
         raise ModelError(md.NO_UNIT)
     if v & sx.V_MODAL and not budget.with_dia:
         raise ModelError(md.NO_DIA)
-    forms = [f for s in (goal, *phi) for f in sx.sequent_formulas(s)]
-    keys = set().union(*map(sx.atom_keys, forms))
+    keys = sx.atom_keys(*(f for s in (goal, *phi) for f in sx.sequent_formulas(s)))
     atoms = tuple(sorted(keys)) or ("p",)
     for j in _candidate_ternary(goal, phi, atoms, budget, verdict):
         u = next((u for u in j.states if not md.sequent_true(j, u, goal)), None)

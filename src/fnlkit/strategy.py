@@ -17,6 +17,11 @@ to K with the K prover of `gk`.
 section image system is mapped back one stage, proved there by a
 recursive call, and the proof is transported forward again, all over one
 memo of the chain maps that lives for that call (see `transform`).
+A member of phi whose preimage would hold outright in the source is
+dropped before it is mapped back, by a test on the member itself: for
+`unsection` its shape (a p_top succedent, or a p_bot leaf or product
+factor: the absorption set's members), for `unneg` whether it rewrites to
+a negation axiom (the companion members).
 `unsection` is also the one route for the absorption goals of the
 section image, Gamma => p_top and Gamma[p_bot] => A: they pull back to
 bound axioms, which `transform.section_derivation` rebuilds with the
@@ -177,10 +182,12 @@ def _pull_back(source: str, image: str, inverse, forward, outright, transport) -
     """The strategy that proves a goal of a system with the image system's
     flags by a recursive call in the source system.  inverse(s, memo) maps
     a sequent back one stage; the goal and each kept member of phi must
-    come back under forward(s, memo); a member whose preimage holds
-    outright in the source is dropped; transport(d, phi, memo) pushes the
-    proof forward.  One memo, made per call and dropped when it returns,
-    serves all three, so each chain map meets a distinct term once."""
+    come back under forward(s, memo); a member m for which outright(m, memo)
+    holds, read on the image member itself, is dropped before it is mapped
+    back, because its preimage holds outright in the source;
+    transport(d, phi, memo) pushes the proof forward.  One memo, made per
+    call and dropped when it returns, serves all four, so each chain map
+    meets a distinct term once."""
     image_flags, target = _flags(get_system(image)), get_system(source)
 
     def pull_back(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
@@ -192,8 +199,10 @@ def _pull_back(source: str, image: str, inverse, forward, outright, transport) -
             return None  # e.g. an empty antecedent has no section preimage
         kept = []
         for m in phi:
+            if outright(m, memo):
+                continue
             bm = inverse(m, memo)
-            if not outright(bm) and forward(bm, memo) == m:
+            if forward(bm, memo) == m:
                 kept.append(bm)
         d = recurse(target, frozenset(kept), back)
         return None if d is None else transport(d, phi, memo)
@@ -201,19 +210,29 @@ def _pull_back(source: str, image: str, inverse, forward, outright, transport) -
     return pull_back
 
 
-def _holds_with_bounds(s: sx.Sequent) -> bool:
-    # absorption members whose constant image is a bound axiom, up to a product split
-    if s.suc == sx.TOP:
+_TOPS, _BOTS = (sx.TOP, sx.P_TOP), (sx.BOT, sx.P_BOT)
+
+
+def _holds_with_bounds(s: sx.Sequent, memo: dict) -> bool:
+    # the absorption members, read on the section image: section_inverse
+    # sends p_top and p_bot (and the constants) to top and bot and nothing
+    # else to a constant, so these are the members whose preimage is a
+    # bound axiom, up to a product split
+    if s.suc in _TOPS:
         return True
     f = s.ant.f if isinstance(s.ant, sx.SLeaf) else None
-    return f == sx.BOT or (isinstance(f, sx.LProd) and sx.BOT in (f.l, f.r))
+    return f in _BOTS or (isinstance(f, sx.LProd) and (f.l in _BOTS or f.r in _BOTS))
+
+
+def _companion(s: sx.Sequent, memo: dict) -> bool:
+    # the companion members, which are negation axioms once rewritten
+    return tr.neg_axiom(tr.negrewrite_sequent(s, memo)) is not None
 
 
 # The transports are looked up at call time, so that a tracer which swaps
 # the transform module's attributes sees every call.
 try_unneg = _pull_back(
-    "bfnl-star", "bdfnl-star", tr.negrewrite_sequent, tr.ddagger_sequent,
-    lambda s: tr.neg_axiom(s) is not None,  # companion members are negation axioms there
+    "bfnl-star", "bdfnl-star", tr.negrewrite_sequent, tr.ddagger_sequent, _companion,
     lambda d, phi, memo: tr.ddagger_derivation(d, phi, memo),
 )
 try_unsection = _pull_back(

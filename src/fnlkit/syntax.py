@@ -259,31 +259,36 @@ def subformulas_many(fs: Iterable[LFormula]) -> frozenset[LFormula]:
     return frozenset(out)
 
 
-def walk(f: LFormula) -> Iterator[LFormula]:
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        if isinstance(g, _Unary):
-            stack.append(g.a)
-        elif isinstance(g, _Binary):
-            stack.append(g.l)
-            stack.append(g.r)
-
-
 def neg_free(f: LFormula) -> bool:
     return not f._vocab & V_NEG
 
 
-def atom_keys(f: LFormula) -> frozenset[str]:
-    """Names of the atomic letters of f, fresh letters included under their
-    rendered form (which is what valuations key on)."""
-    out = set()
-    for g in walk(f):
-        if isinstance(g, LAtom):
+def atom_keys(*fs: LFormula) -> frozenset[str]:
+    """Names of the atomic letters of the formulas fs, fresh letters
+    included under their rendered form (which is what valuations key on).
+    One walk over all of them enters each subformula object once and
+    renders each fresh letter once, over one memo.  Objects are told apart
+    by identity, which costs no formula hash on small inputs; the chain
+    maps give equal terms one object, so a large chain problem is still
+    walked once per distinct subformula."""
+    out: set[str] = set()
+    seen: set[int] = set()
+    memo: dict = {}
+    stack = list(fs)
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        if isinstance(g, _Binary):
+            stack.append(g.l)
+            stack.append(g.r)
+        elif isinstance(g, _Unary):
+            stack.append(g.a)
+        elif isinstance(g, LAtom):
             out.add(g.name)
         elif isinstance(g, LFresh):
-            out.add(render_lambek(g))
+            out.add(render_lambek(g, memo))
     return frozenset(out)
 
 

@@ -39,6 +39,36 @@ modal_formulas = st.recursive(
     max_leaves=12,
 )
 
+
+
+def _wrap_box(a: sx.ModalFormula, b: sx.ModalFormula) -> sx.ModalFormula:
+    return sx.MImp(sx.mbox(a), b)
+
+
+def _wrap_dia(a: sx.ModalFormula, b: sx.ModalFormula) -> sx.ModalFormula:
+    return sx.MDia(sx.MAnd(a, b))
+
+
+_small_modal = modal_formulas.filter(lambda f: sx.msize(f) <= 25)
+# each join adds at most 4 symbols (a box is 3: ~<>~)
+_joins = st.sampled_from([sx.MAnd, sx.MOr, sx.MImp, _wrap_box, _wrap_dia])
+
+
+@st.composite
+def large_modal_formulas(draw) -> sx.ModalFormula:
+    """Modal formulas of 30 to 60 symbols (`sx.msize`), where the median
+    `modal_formulas` draw has 3: small draws joined by connectives, some
+    under a box or a diamond, until the size reaches a drawn target.
+    Their chain problems have hundreds of assumptions."""
+    target, f = draw(st.integers(30, 60)), draw(_small_modal)
+    while sx.msize(f) < target:
+        g = draw(_small_modal)
+        if sx.msize(f) + sx.msize(g) + 4 > 60:
+            g = sx.MAtom(draw(atom_names))
+        f = draw(_joins)(f, g)
+    return f
+
+
 _l_leaves = st.one_of(
     atom_names.map(sx.LAtom),
     st.sampled_from([sx.BOT, sx.TOP, sx.ONE, sx.P_BOT, sx.P_TOP]),
@@ -170,6 +200,35 @@ def assumptions_of(d: pf.Derivation) -> frozenset[sx.Sequent]:
     return frozenset(
         n.inst.member for n in pf.post_order(d) if n.rule == pf.ASSUMPTION
     )
+
+
+def walk(f: sx.LFormula):
+    """Every subformula occurrence of f, repeats and all, payloads not
+    entered: the plain walk the one-walk collectors in `syntax` are checked
+    against."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, sx._Unary):
+            stack.append(g.a)
+        elif isinstance(g, sx._Binary):
+            stack.append(g.l)
+            stack.append(g.r)
+
+
+def letters_through_payloads(goal: sx.Sequent, phi) -> set:
+    """The generated letters of a problem, and of their payloads in turn,
+    by a walk of every formula of every member, repeats and all: the
+    reference for `sampling._generated_letters`."""
+    letters: set = set()
+    todo = [f for s in (goal, *phi) for f in sx.sequent_formulas(s)]
+    while todo:
+        for g in walk(todo.pop()):
+            if isinstance(g, sx.LFresh) and g.mark == "neg" and g not in letters:
+                letters.add(g)
+                todo.append(g.of)
+    return letters
 
 
 def _table_split(f: sx.LFormula) -> tuple[list, tuple]:

@@ -8,7 +8,7 @@ final assertion so a failing criterion still reports itself.
 import json
 import random
 
-from conftest import facts_corpus, negrewrite_derivation, sample_kripke
+from conftest import facts_corpus, negrewrite_derivation, sample_kripke, walk
 from fnlkit import checker as ck
 from fnlkit import ktableau as kt
 from fnlkit import lemmas as lm
@@ -607,7 +607,7 @@ def test_criterion_10_prover_integrity():
     fragment = [(r.derivation.seq, phi) for r, phi in pool
                 if all(isinstance(g, fragment_ok)
                        for f in sx.sequent_formulas(r.derivation.seq)
-                       for g in sx.walk(f))]
+                       for g in walk(f))]
     mrng = random.Random(1011)
     soundness_bad = 0
     for _ in range(200):

@@ -514,6 +514,15 @@ def test_bool_le_opaque_generators():
     checked(BF, d)
 
 
+def test_bool_le_tries_a_conjunct_alone_before_distributing():
+    # r /\ ~r clashes alone, so the disjunction beside it is not distributed
+    # (which took 27 core nodes instead of 4)
+    x, y = f("(p \\/ q) /\\ (r /\\ ~r)"), f("s")
+    core = lm._blat(x, y)
+    assert core.rule == pf.AND_L and pf.size(core) == 4
+    checked(BF, lm.bool_le(x, y))
+
+
 LATTICE_GENS = tuple(f(t) for t in ("p", "q", "r", "~p", "p{q}", "p * q", "top", "bot"))
 
 

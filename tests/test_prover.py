@@ -431,11 +431,26 @@ def test_pull_back_strategies_guard_and_filter():
     phi = frozenset(map(seq, ("p /\\ p{p} => bot", "r => ~p", "q => p{p}")))
     strategy.try_unneg(BD, phi, goal, recurse)
     assert calls == [("bfnl-star", frozenset([seq("q => ~p")]), goal)]
-    # so are an absorption member and a letter whose payload does not survive
+    # so are the absorption members and a letter whose payload does not survive
     calls.clear()
-    phi = frozenset(map(seq, ("p_bot => q", "q => p{p_bot}", "p => q")))
+    absorbing = ("p_bot => q", "q => p_top", "p_bot * q => p_bot", "q => top")
+    phi = frozenset(map(seq, absorbing + ("q => p{p_bot}", "p => q")))
     strategy.try_unsection(DF, phi, goal, recurse)
     assert calls == [("bdfnl-star", frozenset([seq("p => q")]), goal)]
+    # an absorption member is dropped by its image: it is never mapped back
+    mapped = []
+
+    def inverse(s, memo):
+        mapped.append(s)
+        return tr.section_inverse_sequent(s, memo)
+
+    probe = strategy._pull_back("bdfnl-star", "dfnl", inverse, tr.section_sequent,
+                                strategy._holds_with_bounds, lambda d, phi, memo: d)
+    calls.clear()
+    probe(DF, phi, goal, recurse)
+    assert calls == [("bdfnl-star", frozenset([seq("p => q")]), goal)]
+    assert sorted(mapped, key=sx.render_sequent) == sorted(
+        [goal, seq("q => p{p_bot}"), seq("p => q")], key=sx.render_sequent)
 
 
 def test_trace_hooks_find_their_targets(monkeypatch):

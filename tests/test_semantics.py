@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (all_kripke, all_ternary, lambek_formulas, modal_formulas, sample_kripke,
-                      sequents, ternary_stream)
+                      sequents, ternary_stream, walk)
 from fnlkit import models as md
 from fnlkit import sampling as smp
 from fnlkit import syntax as sx
@@ -101,7 +101,7 @@ def _random_ternary(seed, **kw):
 @settings(max_examples=40)
 @given(lambek_formulas)
 def test_negation_is_complementation(a):
-    if any(isinstance(g, (sx.LOne, sx.LDia, sx.LBoxDown)) for g in sx.walk(a)):
+    if any(isinstance(g, (sx.LOne, sx.LDia, sx.LBoxDown)) for g in walk(a)):
         return
     j = _random_ternary(11)
     for u in j.states:

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import closure_contains, lambek_formulas, modal_formulas, sequents, struct_trees
+from conftest import closure_contains, lambek_formulas, modal_formulas, sequents, struct_trees, walk
 from fnlkit import syntax as sx
 from fnlkit.errors import ParseError, ValidationError
 from fnlkit.systems import SYSTEMS, validate_sequent
@@ -135,7 +135,24 @@ def test_problem_subformulas_are_the_union_over_its_formulas(goal, phi):
     got = sx.subformulas_of_problem(goal, phi)
     assert isinstance(got, frozenset)
     assert got == frozenset().union(*map(sx.subformulas, roots))
-    assert got == {g for f in roots for g in sx.walk(f)}
+    assert got == {g for f in roots for g in walk(f)}
+
+
+@given(st.lists(lambek_formulas, max_size=6))
+def test_atom_keys_of_many_roots_are_the_union_of_each(fs):
+    got = sx.atom_keys(*fs)
+    assert isinstance(got, frozenset)
+    assert got == frozenset().union(*(sx.atom_keys(f) for f in fs))
+    # reference: a plain walk of each root, each letter rendered afresh
+    assert got == {g.name if isinstance(g, sx.LAtom) else sx.render_lambek(g)
+                   for f in fs for g in walk(f) if isinstance(g, (sx.LAtom, sx.LFresh))}
+
+
+def test_atom_keys_read_a_fresh_letter_whole():
+    # a letter is keyed by its rendering; its payload's letters are not its own
+    f = sx.LProd(sx.fresh_for(sx.LAnd(p, sx.P_BOT)), sx.P_TOP)
+    assert sx.atom_keys(f, q) == {"p{p /\\ p_bot}", "p_top", "q"}
+    assert sx.atom_keys() == frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +171,7 @@ _REF_KINDS = [
 
 def _ref_vocab(f):
     return sum(bit for _, bit, kinds in _REF_KINDS
-               if any(isinstance(g, kinds) for g in sx.walk(f)))
+               if any(isinstance(g, kinds) for g in walk(f)))
 
 
 def _ref_bracket(t):

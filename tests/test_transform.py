@@ -5,8 +5,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import (assumptions_of, atom_names, modal_formulas, negrewrite_derivation,
-                      sample_kripke)
+from conftest import (assumptions_of, atom_names, lambek_formulas, large_modal_formulas,
+                      letters_through_payloads, modal_formulas, negrewrite_derivation,
+                      sample_kripke, struct_trees, walk)
 from fnlkit import checker as ck
 from fnlkit import ktableau as kt
 from fnlkit import lemmas as lm
@@ -59,7 +60,7 @@ def test_dagger_size_linear_and_fragment(a):
         return
     out = tr.dagger(a)
     assert sx.lsize(out) <= 2 * sx.msize(a) + 1
-    for g in sx.walk(out):
+    for g in walk(out):
         assert not isinstance(g, (sx.LTop, sx.LOne, sx.LDia, sx.LBoxDown, sx.LUnder, sx.LOver, sx.LFresh))
 
 
@@ -217,7 +218,7 @@ def test_section_embed():
     assert phi == tr.theta_set(tr.ec(t))
     for s in phi:
         for f in sx.sequent_formulas(s):
-            assert not any(isinstance(g, (sx.LTop, sx.LBot)) for g in sx.walk(f))
+            assert not any(isinstance(g, (sx.LTop, sx.LBot)) for g in walk(f))
 
 
 def test_pipeline_shape():
@@ -226,7 +227,7 @@ def test_pipeline_shape():
     banned = (sx.LNot, sx.LTop, sx.LBot)
     for s in [goal, *phi]:
         for f in sx.sequent_formulas(s):
-            assert not any(isinstance(g, banned) for g in sx.walk(f))
+            assert not any(isinstance(g, banned) for g in walk(f))
     # a letter's payload may mention constants; live structure may not
     name2, goal2, phi2 = tr.pipeline_k_to_dfnl(sx.parse_modal("[](p -> q) -> ([]p -> []q)"))
     # the empty antecedent lands as the top letter: the constant-free
@@ -460,7 +461,7 @@ def test_section_inverse_on_images(f):
         return
     img = tr.section_map(f)
     assert tr.section_inverse(img) == f
-    for g in sx.walk(img):
+    for g in walk(img):
         assert not isinstance(g, (sx.LTop, sx.LBot))
 
 
@@ -860,29 +861,13 @@ def test_transfer_declines_letters_it_cannot_value():
     assert smp.find_countermodel(goal, phi, smp.SampleBudget(samples=0), verdict) is not None
 
 
-def _letters_through_payloads(goal, phi):
-    # the generated letters of the problem, and of their payloads in turn
-    out = set()
-
-    def visit(f):
-        for g in sx.walk(f):
-            if isinstance(g, sx.LFresh) and g.mark == "neg" and g not in out:
-                out.add(g)
-                visit(g.of)
-
-    for s in (goal, *phi):
-        for f in sx.sequent_formulas(s):
-            visit(f)
-    return out
-
-
 def _check_transfer(goal, phi, symmetric):
     # the transferred model values exactly the letters reachable through
     # payloads, each where its payload fails in that very model
     verdict = smp.chain_verdict(goal)
     assert verdict is not None and not verdict.valid
     j = smp._transfer_ternary(goal, phi, symmetric, verdict)
-    letters = _letters_through_payloads(goal, phi)
+    letters = letters_through_payloads(goal, phi)
     fixed = set(verdict.model.val) | {tr.M, sx.render_lambek(sx.P_TOP), sx.render_lambek(sx.P_BOT)}
     assert set(j.val) - fixed == {sx.render_lambek(f) for f in letters}
     for f in letters:
@@ -915,6 +900,24 @@ def test_transfer_values_each_letter_where_its_payload_fails(a, stage, symmetric
     _check_transfer(goal, phi, symmetric)
 
 
+@settings(max_examples=40)
+@given(st.one_of(modal_formulas, modal_towers, large_modal_formulas()),
+       st.sampled_from(("ddagger", "section")))
+def test_generated_letters_are_those_of_the_per_member_walk(a, stage):
+    # the large formulas give chain problems of hundreds of members
+    _, goal, phi = tr.pipeline_k_to_dfnl(a, stage)
+    assert smp._generated_letters(goal, phi) == letters_through_payloads(goal, phi)
+
+
+def test_generated_letters_close_over_payloads():
+    # p{p{q} * p{r}} is the only letter of the problem; two more sit in its payload
+    inner = sx.LProd(sx.fresh_for(q), sx.fresh_for(sx.LAtom("r")))
+    goal, phi = sx.Sequent(None, sx.fresh_for(inner)), (sx.parse_sequent("p_top => p"),)
+    assert smp._generated_letters(goal, phi) == {
+        sx.fresh_for(inner), sx.fresh_for(q), sx.fresh_for(sx.LAtom("r"))}
+    assert smp._generated_letters(goal, phi) == letters_through_payloads(goal, phi)
+
+
 def test_transfer_values_the_letters_inside_payloads():
     # <>p -> []p: the box's letter p{m * p{p}} carries p{p}, and the two
     # successors of the countermodel's root make the inner letter matter
@@ -923,7 +926,7 @@ def test_transfer_values_the_letters_inside_payloads():
             _, goal, phi = tr.pipeline_k_to_dfnl(sx.parse_modal("<>p -> []p"), stage)
             letters = _check_transfer(goal, phi, symmetric)
             assert any(isinstance(g, sx.LFresh) and g.mark == "neg"
-                       for f in letters for g in sx.walk(f.of))
+                       for f in letters for g in walk(f.of))
     # p{q} occurs only inside a payload, and is valued all the same; p_top
     # inside a payload reads as top
     goal = sx.Sequent(None, tr.dagger(sx.parse_modal("[]q \\/ []~q")))
@@ -1000,3 +1003,91 @@ def test_unsection_proves_the_absorption_goals():
             r = derive(dfnl, theta, goal, budget)
             assert (r.verdict, r.strategy) == (pv.PROVED, "unsection"), sx.render_sequent(goal)
             assert pf.to_json(r.derivation) == pf.to_json(want)
+
+
+# ---------------------------------------------------------------------------
+# the pull-backs drop a member by a test on the member itself
+
+
+def _preimage_holds_with_bounds(s):
+    # the section pull-back's test as it was, read on a member's preimage
+    if s.suc == sx.TOP:
+        return True
+    f = s.ant.f if isinstance(s.ant, sx.SLeaf) else None
+    return f == sx.BOT or (isinstance(f, sx.LProd) and sx.BOT in (f.l, f.r))
+
+
+# (stage, image system, strategy, its test on the image, the reference test
+# on the preimage, inverse, forward)
+_PULL_BACKS = (
+    ("section", "dfnl", strat.try_unsection, strat._holds_with_bounds,
+     _preimage_holds_with_bounds, tr.section_inverse_sequent, tr.section_sequent),
+    ("ddagger", "bdfnl-star", strat.try_unneg, strat._companion,
+     lambda s: tr.neg_axiom(s) is not None, tr.negrewrite_sequent, tr.ddagger_sequent),
+)
+
+
+def _kept_by_the_preimage_test(phi, preimage_outright, inverse, forward):
+    memo, kept = {}, set()
+    for m in phi:
+        bm = inverse(m, memo)
+        if not preimage_outright(bm) and forward(bm, memo) == m:
+            kept.add(bm)
+    return kept
+
+
+def _check_image_outright(row, goal, phi):
+    # each member's image test agrees with the reference on its preimage,
+    # and the recursive call gets exactly the members the reference kept
+    _, image, pull_back, outright, reference, inverse, forward = row
+    for m in phi:
+        assert outright(m, {}) == reference(inverse(m, {})), sx.render_sequent(m)
+    handed = []
+    pull_back(get_system(image), frozenset(phi), goal, lambda sys, kept, g: handed.append(kept))
+    assert handed == [_kept_by_the_preimage_test(phi, reference, inverse, forward)]
+
+
+def test_image_outright_keeps_what_the_preimage_test_kept_on_the_corpus():
+    theorems, non_theorems = corpus()
+    for a in theorems + non_theorems:
+        for row in _PULL_BACKS:
+            system, goal, phi = tr.pipeline_k_to_dfnl(a, row[0])
+            assert system == row[1]
+            _check_image_outright(row, goal, phi)
+
+
+_constants = st.sampled_from([sx.BOT, sx.TOP, sx.P_BOT, sx.P_TOP])
+_constant_factor = st.builds(lambda c, f, right: sx.LProd(f, c) if right else sx.LProd(c, f),
+                             _constants, lambek_formulas, st.booleans())
+
+
+def _companion_shape(a, b, same, top):
+    # a companion member of a's letter, or of some other formula's
+    letter = sx.fresh_for(a if same else b)
+    if top:
+        return sx.Sequent(sx.SLeaf(sx.TOP), sx.LOr(a, letter))
+    return sx.Sequent(sx.SLeaf(sx.LAnd(a, letter)), sx.BOT)
+
+
+_drawn_members = st.one_of(
+    st.builds(
+        sx.Sequent,
+        st.one_of(st.none(), struct_trees,
+                  st.one_of(_constants, _constant_factor, _constants.map(sx.fresh_for),
+                            lambek_formulas).map(sx.SLeaf)),
+        st.one_of(_constants, _constants.map(sx.fresh_for), lambek_formulas),
+    ),
+    st.builds(_companion_shape, lambek_formulas, lambek_formulas, st.booleans(), st.booleans()),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(_drawn_members, max_size=6))
+def test_image_outright_keeps_what_the_preimage_test_kept_on_drawn_members(phi):
+    # literal constants, constant product factors, letters with constant
+    # payloads, companion shapes, and ~ in bdfnl-star input (the section
+    # map takes no ~)
+    goal = sx.parse_sequent("p => p")
+    section, ddagger = _PULL_BACKS
+    _check_image_outright(section, goal, [m for m in phi if not sx.vocab(m) & sx.V_NEG])
+    _check_image_outright(ddagger, goal, phi)
