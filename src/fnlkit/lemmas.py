@@ -42,12 +42,12 @@ def _ls(a: sx.LFormula, b: sx.LFormula) -> sx.Sequent:
 
 def did(a: sx.LFormula) -> pf.Derivation:
     """A => A."""
-    return pf.node(_ls(a, a), pf.ID, [], pf.Inst())
+    return pf.node(_ls(a, a), pf.ID, [], pf.NO_INST)
 
 
 def dtop(ant: Optional[sx.StructTree] = None) -> pf.Derivation:
     """G => top."""
-    return pf.node(sx.Sequent(ant, sx.TOP), pf.TOP_AX, [], pf.Inst())
+    return pf.node(sx.Sequent(ant, sx.TOP), pf.TOP_AX, [], pf.NO_INST)
 
 
 def dbot(ant: sx.StructTree, path: pf.Path, suc: sx.LFormula) -> pf.Derivation:
@@ -64,17 +64,17 @@ def dbot_f(suc: sx.LFormula) -> pf.Derivation:
 def dD(a: sx.LFormula, b: sx.LFormula, c: sx.LFormula) -> pf.Derivation:
     """A /\\ (B \\/ C) => (A /\\ B) \\/ (A /\\ C)."""
     seq = _ls(sx.LAnd(a, sx.LOr(b, c)), sx.LOr(sx.LAnd(a, b), sx.LAnd(a, c)))
-    return pf.node(seq, pf.DIST, [], pf.Inst())
+    return pf.node(seq, pf.DIST, [], pf.NO_INST)
 
 
 def dneg1(a: sx.LFormula) -> pf.Derivation:
     """A /\\ ~A => bot."""
-    return pf.node(_ls(sx.LAnd(a, sx.LNot(a)), sx.BOT), pf.NEG1, [], pf.Inst())
+    return pf.node(_ls(sx.LAnd(a, sx.LNot(a)), sx.BOT), pf.NEG1, [], pf.NO_INST)
 
 
 def dneg2(a: sx.LFormula) -> pf.Derivation:
     """top => A \\/ ~A."""
-    return pf.node(_ls(sx.TOP, sx.LOr(a, sx.LNot(a))), pf.NEG2, [], pf.Inst())
+    return pf.node(_ls(sx.TOP, sx.LOr(a, sx.LNot(a))), pf.NEG2, [], pf.NO_INST)
 
 
 def dassume(seq: sx.Sequent) -> pf.Derivation:

@@ -3,7 +3,10 @@
 A derivation node carries its conclusion, a rule name, premise subtrees,
 and the instantiation data (hole path, principal formulas) the checker
 needs to re-validate the step without search.  Nodes hash by identity so
-large proofs can share subtrees freely.
+large proofs can share subtrees freely.  A node that records nothing
+carries the one empty instantiation `NO_INST` (any all-None `Inst` means
+the same), so the checker and the writer skip its field tests on an
+identity test.
 
 Derivations serialize to JSON as one table, format 2, in which every
 distinct formula, sequent and node is written once and later entries
@@ -31,7 +34,14 @@ prints, in one pass over the nodes: each entry is written as text when it
 is first indexed, and the three lists are joined once at the end.
 `to_json` is that text parsed.  Reading builds the terms straight from
 the table, without the parser, and rejects a malformed table with
-ParseError.
+ParseError.  Every index is tested where it is read: an int (not a bool
+or a float) below the number of entries it may refer to, which for a
+formula's child or a node's premise is the number of entries before it.
+The error message is formatted only when that test fails.  A node with
+no ``inst`` reads as `NO_INST`.  Of a node's fields, only ``path`` and
+``idx`` may be ``null``, meaning not recorded; a ``null`` ``inst``,
+``main``, ``side``, ``member``, ``seq``, ``premises`` or ``rule`` is
+malformed, not omitted.
 """
 
 from __future__ import annotations
@@ -131,15 +141,20 @@ class Inst:
     member: Optional[sx.Sequent] = None  # the assumption used
 
 
+# the one empty instantiation: every node that records nothing carries it,
+# so the checker and the writer skip the field tests on an identity test
+NO_INST = Inst()
+
+
 @dataclass(frozen=True, eq=False)
 class Derivation:
     seq: sx.Sequent
     rule: str
     premises: tuple["Derivation", ...] = ()
-    inst: Inst = Inst()
+    inst: Inst = NO_INST
 
 
-def node(seq: sx.Sequent, rule: str, premises=(), inst: Inst = Inst()) -> Derivation:
+def node(seq: sx.Sequent, rule: str, premises=(), inst: Inst = NO_INST) -> Derivation:
     return Derivation(seq, rule, tuple(premises), inst)
 
 
@@ -208,7 +223,16 @@ _UNARY = frozenset(cls for cls in sx.L_TAGS if _CHILDREN[cls] == ("a",))
 _CONST_ENTRIES = {cls: _rows(['"const"', _esc(name)], _PAD[2])
                   for cls, name in _CONST_NAMES.items()}
 _SEQUENT = _rows(["%s", "%d"], _PAD[2])
-_NODE = _rows(['"rule": %s', '"seq": %d', '"premises": %s%s'], _PAD[2], "{}")
+
+
+def _node_entry(k: int) -> str:
+    # a node's entry with k premises, taking its rule's text, its sequent's
+    # index, its premises' indices and its instantiation's text
+    return _rows(['"rule": %s', '"seq": %d', '"premises": ' + _rows(["%d"] * k, _PAD[3]) + "%s"],
+                 _PAD[2], "{}")
+
+
+_NODES = tuple(_node_entry(k) for k in range(3))
 _INST = "," + _PAD[3] + '"inst": '
 _TABLE = _rows(['"format": %d', '"formulas": %s', '"sequents": %s', '"nodes": %s'], _PAD[0], "{}")
 
@@ -293,8 +317,10 @@ def table_text(d: Derivation) -> TableText:
         # the key of an antecedent, for _ant_text
         k = t_at.get(id(t))
         if k is None:
-            if isinstance(t, sx.SLeaf):
-                k = formula(t.f)
+            if type(t) is sx.SLeaf:
+                k = f_at.get(id(t.f))
+                if k is None:
+                    k = formula(t.f)
             elif isinstance(t, sx.SNode):
                 k = (tree(t.l), tree(t.r))
             else:
@@ -306,7 +332,9 @@ def table_text(d: Derivation) -> TableText:
         i = s_at.get(id(s))
         if i is None:
             key = None if s.ant is None else tree(s.ant)
-            suc = formula(s.suc)
+            suc = f_at.get(id(s.suc))
+            if suc is None:
+                suc = formula(s.suc)
             i = s_key.get((key, suc))
             if i is None:
                 i = s_key[(key, suc)] = len(sequents)
@@ -315,25 +343,42 @@ def table_text(d: Derivation) -> TableText:
             s_at[id(s)] = i
         return i
 
+    # per-call memos: a rule's text and a path's text are written once
+    rule_at: dict[str, str] = {}
+    path_at: dict[Path, str] = {}
     n_at: dict[int, int] = {}
     for n in post_order(d):
-        seq = sequent(n.seq)
-        premises = _rows([int.__repr__(n_at[id(p)]) for p in n.premises], _PAD[3])
+        s = n.seq
+        seq = s_at.get(id(s))
+        if seq is None:
+            seq = sequent(s)
+        rule = rule_at.get(n.rule)
+        if rule is None:
+            rule = rule_at[n.rule] = _esc(n.rule)
         i = n.inst
-        inst = []
-        if i.path is not None:
-            inst.append('"path": ' + _rows([int.__repr__(x) for x in i.path], _PAD[4]))
-        if i.main is not None:
-            inst.append('"main": %d' % formula(i.main))
-        if i.side is not None:
-            inst.append('"side": %d' % formula(i.side))
-        if i.idx is not None:
-            inst.append('"idx": %d' % i.idx)
-        if i.member is not None:
-            inst.append('"member": %d' % sequent(i.member))
-        more = _INST + _rows(inst, _PAD[3], "{}") if inst else ""
+        more = ""
+        if i is not NO_INST:
+            inst = []
+            if i.path is not None:
+                path = path_at.get(i.path)
+                if path is None:
+                    path = path_at[i.path] = '"path": ' + _rows(
+                        [int.__repr__(x) for x in i.path], _PAD[4])
+                inst.append(path)
+            if i.main is not None:
+                inst.append('"main": %d' % formula(i.main))
+            if i.side is not None:
+                inst.append('"side": %d' % formula(i.side))
+            if i.idx is not None:
+                inst.append('"idx": %d' % i.idx)
+            if i.member is not None:
+                inst.append('"member": %d' % sequent(i.member))
+            if inst:
+                more = _INST + _rows(inst, _PAD[3], "{}")
+        ps = n.premises
+        entry = _NODES[len(ps)] if len(ps) < 3 else _node_entry(len(ps))
         n_at[id(n)] = len(nodes)
-        nodes.append(_NODE % (_esc(n.rule), seq, premises, more))
+        nodes.append(entry % (rule, seq, *[n_at[id(p)] for p in ps], more))
     return TableText(_TABLE % (
         FORMAT, _rows(formulas, _PAD[1]), _rows(sequents, _PAD[1]), _rows(nodes, _PAD[1])))
 
@@ -343,20 +388,22 @@ def to_json(d: Derivation) -> dict:
     return json.loads(table_text(d))
 
 
-def _ref(x, below: int, what: str) -> int:
-    if type(x) is not int or not 0 <= x < below:
-        raise ParseError(f"{what} {x!r} is not an index below {below}")
-    return x
+def _at(rows: list, x, what: str, k: int = 0):
+    """rows[x] for an index x below len(rows); else ParseError names what,
+    formatted with k, and x."""
+    if type(x) is int and 0 <= x < len(rows):
+        return rows[x]
+    raise ParseError(f"{what.format(k)} {x!r} is not an index below {len(rows)}")
 
 
 def _read_formulas(rows: list) -> list[sx.LFormula]:
     out: list[sx.LFormula] = []
     for k, e in enumerate(rows):
-        what = f"formula {k}: child"
+        # out holds exactly the k formulas a child may refer to
         tag, args = e[0], e[1:]
         cls = _CONNECTIVES.get(tag)
         if cls is not None and len(args) == len(_CHILDREN[cls]):
-            f = cls(*(out[_ref(i, k, what)] for i in args))
+            f = cls(*[_at(out, i, "formula {}: child", k) for i in args])
         elif tag == "atom" and len(args) == 1 and sx.is_atom_name(args[0]):
             f = sx.LAtom(args[0])
         elif tag == "const" and len(args) == 1 and args[0] in _CONSTS:
@@ -364,7 +411,7 @@ def _read_formulas(rows: list) -> list[sx.LFormula]:
         elif tag == "fresh" and len(args) == 1 and args[0] in _FRESH_CONSTS:
             f = _FRESH_CONSTS[args[0]]
         elif tag == "fresh" and len(args) == 2 and args[0] == "neg":
-            f = sx.fresh_for(out[_ref(args[1], k, what)])
+            f = sx.fresh_for(_at(out, args[1], "formula {}: child", k))
         else:
             raise ParseError(f"formula {k}: unknown entry {e!r}")
         out.append(f)
@@ -378,7 +425,7 @@ def _read_sequents(rows: list, fs: list[sx.LFormula]) -> list[sx.Sequent]:
         if type(x) is int:
             leaf = leaves.get(x)
             if leaf is None:
-                leaf = leaves[x] = sx.SLeaf(fs[_ref(x, len(fs), "leaf formula")])
+                leaf = leaves[x] = sx.SLeaf(_at(fs, x, "leaf formula"))
             return leaf
         if type(x) is list and len(x) == 2:
             return sx.SNode(tree(x[0]), tree(x[1]))
@@ -391,7 +438,7 @@ def _read_sequents(rows: list, fs: list[sx.LFormula]) -> list[sx.Sequent]:
         if type(e) is not list or len(e) != 2:
             raise ParseError(f"malformed sequent {e!r}")
         ant = None if e[0] is None else tree(e[0])
-        out.append(sx.Sequent(ant, fs[_ref(e[1], len(fs), "succedent formula")]))
+        out.append(sx.Sequent(ant, _at(fs, e[1], "succedent formula")))
     return out
 
 
@@ -408,10 +455,10 @@ def _read_inst(d: dict, fs: list[sx.LFormula], ss: list[sx.Sequent]) -> Inst:
         raise ParseError(f"malformed idx {idx!r}")
     return Inst(
         path=path,
-        main=fs[_ref(d["main"], len(fs), "main formula")] if "main" in d else None,
-        side=fs[_ref(d["side"], len(fs), "side formula")] if "side" in d else None,
+        main=_at(fs, d["main"], "main formula") if "main" in d else None,
+        side=_at(fs, d["side"], "side formula") if "side" in d else None,
         idx=idx,
-        member=ss[_ref(d["member"], len(ss), "member sequent")] if "member" in d else None,
+        member=_at(ss, d["member"], "member sequent") if "member" in d else None,
     )
 
 
@@ -429,12 +476,11 @@ def from_json(j: dict) -> Derivation:
         for k, n in enumerate(j["nodes"]):
             if not n.keys() <= _NODE_KEYS or type(n["rule"]) is not str:
                 raise ParseError(f"node {k}: malformed entry")
-            done.append(Derivation(
-                ss[_ref(n["seq"], len(ss), f"node {k}: sequent")],
-                n["rule"],
-                tuple(done[_ref(p, k, f"node {k}: premise")] for p in n["premises"]),
-                _read_inst(n.get("inst", {}), fs, ss),
-            ))
+            s = _at(ss, n["seq"], "node {}: sequent", k)
+            # done holds exactly the k nodes a premise may refer to
+            ps = [_at(done, p, "node {}: premise", k) for p in n["premises"]]
+            done.append(Derivation(s, n["rule"], tuple(ps),
+                                   _read_inst(n["inst"], fs, ss) if "inst" in n else NO_INST))
     except (KeyError, IndexError, TypeError, AttributeError, RecursionError) as e:
         raise ParseError(f"malformed derivation table ({type(e).__name__}: {e})") from None
     if not done:

@@ -34,7 +34,7 @@ def axioms(sys: SystemSpec, goal: sx.Sequent, phi) -> Iterator[Move]:
     ant, suc = goal.ant, goal.suc
     leaf = ant.f if isinstance(ant, sx.SLeaf) else None
     if leaf is not None and leaf == suc:
-        yield pf.ID, [], pf.Inst()
+        yield pf.ID, [], pf.NO_INST
     if goal in phi:
         yield pf.ASSUMPTION, [], pf.Inst(member=goal)
     if (
@@ -42,10 +42,10 @@ def axioms(sys: SystemSpec, goal: sx.Sequent, phi) -> Iterator[Move]:
         and isinstance(leaf.r, sx.LOr)
         and suc == sx.LOr(sx.LAnd(leaf.l, leaf.r.l), sx.LAnd(leaf.l, leaf.r.r))
     ):
-        yield pf.DIST, [], pf.Inst()
+        yield pf.DIST, [], pf.NO_INST
     if sys.bounded:
         if suc == sx.TOP:
-            yield pf.TOP_AX, [], pf.Inst()
+            yield pf.TOP_AX, [], pf.NO_INST
         if ant is not None:
             for path, x in pf.positions(ant):
                 if isinstance(x, sx.SLeaf) and x.f == sx.BOT:
@@ -58,32 +58,32 @@ def axioms(sys: SystemSpec, goal: sx.Sequent, phi) -> Iterator[Move]:
             and leaf.l == leaf.r.a
             and suc == sx.BOT
         ):
-            yield pf.NEG1, [], pf.Inst()
+            yield pf.NEG1, [], pf.NO_INST
         if (
             leaf == sx.TOP
             and isinstance(suc, sx.LOr)
             and isinstance(suc.r, sx.LNot)
             and suc.l == suc.r.a
         ):
-            yield pf.NEG2, [], pf.Inst()
+            yield pf.NEG2, [], pf.NO_INST
     if sys.unit and ant is None and suc == sx.ONE:
-        yield pf.ONE_R, [], pf.Inst()
+        yield pf.ONE_R, [], pf.NO_INST
     if sys.modal is not None:
         extra = MODAL_AXIOMS[sys.modal]
         if pf.AX_T in extra and leaf is not None and suc == sx.LDia(leaf):
-            yield pf.AX_T, [], pf.Inst()
+            yield pf.AX_T, [], pf.NO_INST
         if (
             pf.AX_4 in extra
             and isinstance(suc, sx.LDia)
             and leaf == sx.LDia(sx.LDia(suc.a))
         ):
-            yield pf.AX_4, [], pf.Inst()
+            yield pf.AX_4, [], pf.NO_INST
         if (
             pf.AX_5 in extra
             and isinstance(leaf, sx.LDia)
             and suc == sx.LNot(sx.LDia(sx.LNot(sx.LDia(leaf.a))))
         ):
-            yield pf.AX_5, [], pf.Inst()
+            yield pf.AX_5, [], pf.NO_INST
 
 
 def rule_instances(

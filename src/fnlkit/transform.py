@@ -578,6 +578,8 @@ def _map_derivation(d: pf.Derivation, step: Callable) -> pf.Derivation:
 
 
 def _map_inst(inst: pf.Inst, fmap, smap, memo: dict) -> pf.Inst:
+    if inst is pf.NO_INST:
+        return inst
     return pf.Inst(
         path=inst.path,
         main=None if inst.main is None else fmap(inst.main, memo),

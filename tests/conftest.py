@@ -11,6 +11,7 @@ from typing import Optional
 import hypothesis.strategies as st
 from hypothesis import settings
 
+from fnlkit import checker as ck
 from fnlkit import ktableau as kt
 from fnlkit import lemmas as lm
 from fnlkit import models as md
@@ -18,7 +19,8 @@ from fnlkit import proofs as pf
 from fnlkit import sampling as smp
 from fnlkit import syntax as sx
 from fnlkit import transform as tr
-from fnlkit.errors import ModelError
+from fnlkit.errors import ModelError, ValidationError
+from fnlkit.systems import allowed_rules, validate_sequent
 
 # several property tests drive search or cold caches; wall-clock deadlines
 # would only add flakiness
@@ -186,6 +188,48 @@ def post_order_reference(d: pf.Derivation) -> list[pf.Derivation]:
 
     visit(d)
     return out
+
+
+def check_reference(sys, phi, d: pf.Derivation, trail: list) -> bool:
+    """checker.check_derivation without its leaf-mask and NO_INST
+    shortcuts: validate_sequent on every node, and every field the rule
+    does not read looked up, whatever the node's Inst."""
+    phi = frozenset(phi)
+
+    def fail(node, msg):
+        trail.append(f"{node.rule} at {sx.render_sequent(node.seq)}: {msg}")
+        return False
+
+    for node in pf.post_order(d):
+        c, inst, prems = node.seq, node.inst, node.premises
+        if node.rule not in allowed_rules(sys):
+            return fail(node, "rule not available in this system")
+        try:
+            validate_sequent(sys, c)
+        except ValidationError as e:
+            return fail(node, f"ill-formed sequent ({e})")
+        arity, unread, premises_of = ck._RULES[node.rule]
+        if len(prems) != arity:
+            return fail(node, "wrong number of premises")
+        for k in unread:
+            if getattr(inst, k) is not None:
+                return fail(node, f"records {k}, which the rule does not read")
+        x = None
+        if inst.path is not None:
+            try:
+                x = pf.tree_at(c.ant, inst.path)
+            except (TypeError, ValueError):
+                pass
+        got = premises_of(c, inst, x, prems, phi)
+        if isinstance(got, str):
+            return fail(node, got)
+        want, principal = got
+        for k, w in enumerate(want):
+            if prems[k].seq != w:
+                return fail(node, f"premise {k + 1} is not {sx.render_sequent(w)}")
+        if inst.main is not None and inst.main != principal:
+            return fail(node, "recorded principal formula is not the one the rule acts on")
+    return True
 
 
 def formulas_of(d: pf.Derivation) -> frozenset[sx.LFormula]:
@@ -424,23 +468,23 @@ def random_lattice_formula(rng: random.Random, leaves: int, gens) -> sx.LFormula
 
 def done_r() -> pf.Derivation:
     """=> one."""
-    return pf.node(sx.Sequent(None, sx.ONE), pf.ONE_R, [], pf.Inst())
+    return pf.node(sx.Sequent(None, sx.ONE), pf.ONE_R, [], pf.NO_INST)
 
 
 def dax_t(a: sx.LFormula) -> pf.Derivation:
     """A => <>A."""
-    return pf.node(sx.simple(a, sx.LDia(a)), pf.AX_T, [], pf.Inst())
+    return pf.node(sx.simple(a, sx.LDia(a)), pf.AX_T, [], pf.NO_INST)
 
 
 def dax_4(a: sx.LFormula) -> pf.Derivation:
     """<><>A => <>A."""
-    return pf.node(sx.simple(sx.LDia(sx.LDia(a)), sx.LDia(a)), pf.AX_4, [], pf.Inst())
+    return pf.node(sx.simple(sx.LDia(sx.LDia(a)), sx.LDia(a)), pf.AX_4, [], pf.NO_INST)
 
 
 def dax_5(a: sx.LFormula) -> pf.Derivation:
     """<>A => ~<>~<>A."""
     seq = sx.simple(sx.LDia(a), sx.LNot(sx.LDia(sx.LNot(sx.LDia(a)))))
-    return pf.node(seq, pf.AX_5, [], pf.Inst())
+    return pf.node(seq, pf.AX_5, [], pf.NO_INST)
 
 
 def dboxdown_l(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:

@@ -5,15 +5,16 @@ import dataclasses
 import functools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (assumptions_of, dax_4, dax_5, dax_t, dboxdown_l, dexch, dist_prod_or, done_l,
-                      done_r, fact7, lambek_formulas, lat_le_reference, modal_formulas,
-                      post_order_reference, random_lattice_formula, reference_table, sequents,
-                      undist_prod_or, valuations_le)
+from conftest import (assumptions_of, check_reference, dax_4, dax_5, dax_t, dboxdown_l, dexch,
+                      dist_prod_or, done_l, done_r, fact7, lambek_formulas, lat_le_reference,
+                      modal_formulas, post_order_reference, random_lattice_formula,
+                      reference_table, sequents, struct_trees, undist_prod_or, valuations_le)
 from test_acceptance import conservativity_goals
 from fnlkit import checker as ck
 from fnlkit import ktableau as kt
@@ -222,6 +223,8 @@ def _reinst(d, **fields):
 
 @pytest.mark.parametrize("good, fields, phi, reason", [
     pytest.param(lm.did(p), {"path": ()}, (), "records path", id="id-with-path"),
+    pytest.param(lm.did(p), {"idx": 1}, (), "records idx, which the rule does not read",
+                 id="id-with-idx"),
     pytest.param(lm.dand_r(lm.did(p), lm.did(p)), {"idx": 1}, (), "records idx",
                  id="and-r-with-idx"),
     pytest.param(lm.dassume(seq("p => q")), {"member": seq("p => r")},
@@ -297,6 +300,28 @@ def test_checker_rejects_a_misfit_of_each_rule(rule):
     trail = []
     assert not ck.check_derivation(E5, phi, bad, trail)
     assert trail[0].startswith(f"{rule} at ") and reason in trail[0], trail
+
+
+_antecedents = st.one_of(
+    st.none(),
+    lambek_formulas.map(sx.SLeaf),
+    st.builds(sx.SNode, struct_trees, struct_trees),
+    st.builds(sx.SBracket, struct_trees),
+)
+
+
+@given(st.sampled_from(sorted(SYSTEMS)), st.builds(sx.Sequent, _antecedents, lambek_formulas),
+       st.sampled_from(sorted(ck._RULES)), st.booleans())
+@settings(max_examples=400)
+def test_one_node_checks_as_the_reference_that_validates_every_node(name, s, rule, member):
+    # the leaf-mask test decides exactly as validate_sequent; an all-None
+    # Inst that is not NO_INST checks as NO_INST does
+    sys, phi = SYSTEMS[name], (s,) if member else ()
+    inst = pf.Inst(member=s) if rule == pf.ASSUMPTION else pf.NO_INST
+    for d in (pf.node(s, rule, (), inst), pf.node(s, rule, (), dataclasses.replace(inst))):
+        got, want = [], []
+        assert ck.check_derivation(sys, phi, d, got) == check_reference(sys, phi, d, want)
+        assert got == want
 
 
 # a sound one-step instance and a corruption of its recorded position, its
@@ -799,6 +824,21 @@ def test_table_text_writes_every_entry_shape():
                      ("fresh", "bot"), ("fresh", "top"), ("fresh", "neg")}
 
 
+def test_table_text_round_trips_the_shapes_the_templates_skip():
+    # three premises, every Inst field, an all-None Inst that is not
+    # NO_INST, and paths of length 0 and 4: reloading reprints the same text
+    leaf = lm.did(p)
+    empty = pf.node(seq("q => q"), pf.ID, (), pf.Inst())
+    assert empty.inst is not pf.NO_INST
+    rooted = pf.node(seq("=> p"), pf.CUT, [leaf], pf.Inst(path=()))
+    every = pf.Inst(path=(0, 2, 1, 0), main=p, side=f("p /\\ q"), idx=2,
+                    member=seq("p o <q o r> => r"))
+    d = pf.node(seq("p o <(p o q) o r> => q"), pf.OR_L, [leaf, empty, rooted], every)
+    text = pf.table_text(d)
+    assert pf.table_text(pf.from_json(json.loads(text))) == text
+    written_as_the_reference(d)
+
+
 @st.composite
 def shared_derivations(draw):
     # node k takes its premises from nodes 0..k-1, repeats allowed, so
@@ -851,10 +891,24 @@ def _edit(path, value):
     (_edit(["nodes", -1, "inst", "mian"], 0), "unknown"),
     (_edit(["nodes", -1, "premises"], None), "malformed"),
     (lambda t: t["nodes"].clear(), "no nodes"),
+    # a null is no omitted field, and no bool or float is an index; the
+    # table has 3 formulas, 5 sequents and 5 nodes, the last an AndR
+    (_edit(["nodes", -1, "inst"], None), "^%s$" % re.escape(
+        "malformed derivation table (AttributeError: 'NoneType' object has no attribute 'keys')")),
+    (_edit(["nodes", -1, "inst", "main"], None), "^main formula None is not an index below 3$"),
+    (_edit(["nodes", -1, "inst", "side"], None), "^side formula None is not an index below 3$"),
+    (_edit(["nodes", -1, "inst", "member"], None),
+     "^member sequent None is not an index below 5$"),
+    (_edit(["nodes", -1, "premises", 0], True), "^node 4: premise True is not an index below 4$"),
+    (_edit(["nodes", -1, "seq"], 1.0), r"^node 4: sequent 1\.0 is not an index below 5$"),
+    (_edit(["nodes", 1, "inst", "idx"], "1"), "^malformed idx '1'$"),
+    (_edit(["nodes", 1, "inst", "path"], ["0"]), r"^malformed path \['0'\]$"),
 ], ids=["no-format", "format-1", "unknown-tag", "keyword-atom", "formula-self",
         "formula-negative", "succedent-range", "leaf-range", "node-sequent-range",
         "premise-range", "premise-self", "premise-later", "main-range",
-        "unknown-inst-field", "premises-not-a-list", "empty"])
+        "unknown-inst-field", "premises-not-a-list", "empty", "inst-null", "main-null",
+        "side-null", "member-null", "premise-true", "sequent-float", "idx-string",
+        "path-string-step"])
 def test_from_json_rejects_malformed_tables(edit, why):
     d = lm.and_mono(lm.did(p), lm.did(q))
     table = json.loads(json.dumps(pf.to_json(d)))

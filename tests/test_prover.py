@@ -27,7 +27,7 @@ from fnlkit import sampling
 from fnlkit import strategy
 from fnlkit import syntax as sx
 from fnlkit import transform as tr
-from fnlkit.errors import ValidationError
+from fnlkit.errors import ParseError, ValidationError
 from fnlkit.systems import SYSTEMS, get_system
 
 BF = get_system("bfnl-star")
@@ -536,3 +536,35 @@ def test_census_lists_a_same_length_text_change_apart_from_the_exit_rule():
     assert diffs == ["w: prove p => p: verdict"]
     assert len(texts) == 1 and texts[0].startswith("w: prove p => p: sha1 ")
     assert texts[0].endswith("bytes 3 -> 3")
+
+
+def test_census_recheck_reloads_a_printed_table_under_its_accepting_call():
+    path = Path(__file__).resolve().parents[1] / "tools" / "census.py"
+    spec = importlib.util.spec_from_file_location("census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    fk = types.SimpleNamespace(proofs=pf)
+    bf, member = get_system("bfnl-star"), sx.parse_sequent("p => q")
+    d = lm.dcut(lm.dassume(member), lm.did(sx.LAtom("q")), ())
+    accepted = [(bf, (), lm.did(sx.LAtom("p"))), (bf, (member,), d)]
+    table = pf.to_json(d)
+    assert census.recheck_table(fk, table, accepted, ck.check_derivation) == "ok"
+    # the assumptions are the accepting call's: without them the leaf fails
+    assert census.recheck_table(fk, table, accepted[:1] + [(bf, (), d)], ck.check_derivation) \
+        .startswith("reloaded derivation rejected: Assumption at p => q: ")
+    assert census.recheck_table(fk, table, accepted[:1], ck.check_derivation) \
+        == "no accepting checker call wrote this table"
+    # a reader that loses a premise, or raises, is reported
+    lossy = types.SimpleNamespace(to_json=pf.to_json, from_json=lambda t: pf.node(
+        d.seq, d.rule, d.premises[:1], d.inst))
+    assert census.recheck_table(types.SimpleNamespace(proofs=lossy), table, accepted,
+                                ck.check_derivation) \
+        == "reloaded derivation rejected: Cut at p => q: wrong number of premises"
+
+    def refuse(t):
+        raise ParseError("derivation table has no nodes")
+
+    refusing = types.SimpleNamespace(to_json=pf.to_json, from_json=refuse)
+    assert census.recheck_table(types.SimpleNamespace(proofs=refusing), table, accepted,
+                                ck.check_derivation) \
+        == "reload raised ParseError: derivation table has no nodes"

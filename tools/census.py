@@ -34,6 +34,15 @@ statements, `try:` lines and `global`/`nonlocal` declarations, which
 compile to no code of their own.  A
 statement spread over several lines counts as run when any of its own
 lines ran (for a compound statement: its header, not its body).
+
+    python3 tools/census.py --recheck --seed 1 TREE [OTHER]
+
+With `--recheck` each child also reloads every printed derivation table
+(`json.loads`, then `fnlkit.proofs.from_json`) and checks it with
+`fnlkit.checker.check_derivation` under the system and assumptions of
+the derive-time call that accepted the derivation the table was written
+from.  The census prints, per tree and workload, how many tables were
+reloaded and accepted and each that was not, and exits 1 if one was not.
 """
 
 from __future__ import annotations
@@ -94,9 +103,31 @@ def unrun_statements(pkg: str, ran: set) -> list[str]:
     return out
 
 
-def census(tree: str, seed: int, names: list[str], unrun: bool = False) -> dict:
+def recheck_table(fk, table: dict, accepted: list, check) -> str:
+    """"ok" when a printed derivation table reloads and is accepted under the
+    system and assumptions of the first accepting checker call, of those in
+    accepted, whose derivation the table was written from; else why not."""
+    for sys_, phi, d in accepted:
+        if fk.proofs.to_json(d) == table:
+            break
+    else:
+        return "no accepting checker call wrote this table"
+    try:
+        again = fk.proofs.from_json(table)
+    except Exception as e:  # noqa: BLE001 - a crash is a result too
+        return f"reload raised {type(e).__name__}: {e}"
+    trail: list = []
+    if not check(sys_, phi, again, trail):
+        return "reloaded derivation rejected: " + "; ".join(trail)
+    return "ok"
+
+
+def census(tree: str, seed: int, names: list[str], unrun: bool = False,
+           recheck: bool = False) -> dict:
     """One record per command of each named workload, run on tree, and with
-    unrun the statements of fnlkit's function bodies that no command ran."""
+    unrun the statements of fnlkit's function bodies that no command ran.
+    With recheck each record says whether the printed derivation table, if
+    any, reloads and passes the checker (see recheck_table)."""
     import run as bench  # bench/run.py: the import and the cache list
 
     import workloads as wl
@@ -106,11 +137,15 @@ def census(tree: str, seed: int, names: list[str], unrun: bool = False) -> dict:
     fk = bench.import_fnlkit(src)
     caches = bench.program_caches(fk)
     check, checked = fk.checker.check_derivation, [0, 0]
+    accepted: list = []  # (system, assumptions, derivation) of accepting calls
 
     def counted_check(sys_, phi, d, *rest, **kw):
         checked[0] += 1
         checked[1] += fk.proofs.size(d)
-        return check(sys_, phi, d, *rest, **kw)
+        ok = check(sys_, phi, d, *rest, **kw)
+        if ok and recheck:
+            accepted.append((sys_, phi, d))
+        return ok
 
     fk.checker.check_derivation = counted_check
     pkg = os.path.join(src, "fnlkit")
@@ -133,6 +168,7 @@ def census(tree: str, seed: int, names: list[str], unrun: bool = False) -> dict:
                 for c in caches:
                     c.cache_clear()
                 checked[:] = [0, 0]
+                accepted.clear()
                 text = io.StringIO()
                 with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
                     sys.settrace(call if unrun else None)
@@ -148,6 +184,9 @@ def census(tree: str, seed: int, names: list[str], unrun: bool = False) -> dict:
                 except ValueError:
                     payload = {}
                 derivation = payload.get("derivation") or {}
+                reloaded = None
+                if recheck and derivation:
+                    reloaded = recheck_table(fk, derivation, accepted, check)
                 rows.append({
                     "argv": [a.replace(workdir, "<workdir>") for a in cmd.argv],
                     "code": code,
@@ -158,6 +197,7 @@ def census(tree: str, seed: int, names: list[str], unrun: bool = False) -> dict:
                     "nodes": len(derivation.get("nodes", ())),
                     "checks": checked[0],
                     "checked_nodes": checked[1],
+                    "recheck": reloaded,
                 })
         out[name] = rows
     return {"rows": out, "unrun": unrun_statements(pkg, ran) if unrun else None}
@@ -201,11 +241,13 @@ def differences(base: dict, other: dict) -> tuple[list[str], list[str]]:
     return out, texts
 
 
-def run_child(tree: str, seed: int, names: list[str], unrun: bool) -> dict:
+def run_child(tree: str, seed: int, names: list[str], unrun: bool, recheck: bool) -> dict:
     env = dict(os.environ, PYTHONHASHSEED="0")
     argv = [sys.executable, os.path.abspath(__file__), "--seed", str(seed), "--child", tree]
     if unrun:
         argv.append("--unrun")
+    if recheck:
+        argv.append("--recheck")
     for name in names:
         argv += ["--workload", name]
     done = subprocess.run(argv, env=env, stdout=subprocess.PIPE, check=True, text=True)
@@ -220,6 +262,8 @@ def main(argv=None) -> int:
                     help="a workload to run (repeatable; default: all four)")
     ap.add_argument("--unrun", action="store_true",
                     help="trace fnlkit and list the function-body statements no command ran")
+    ap.add_argument("--recheck", action="store_true",
+                    help="reload every printed derivation table and check it again")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     sys.path.insert(0, BENCH)
@@ -227,11 +271,11 @@ def main(argv=None) -> int:
 
     names = args.names or list(wl.WORKLOADS)
     if args.child:
-        json.dump(census(args.trees[0], args.seed, names, args.unrun), sys.stdout)
+        json.dump(census(args.trees[0], args.seed, names, args.unrun, args.recheck), sys.stdout)
         return 0
     if len(args.trees) > 2:
         ap.error("give one or two trees")
-    children = [run_child(t, args.seed, names, args.unrun) for t in args.trees]
+    children = [run_child(t, args.seed, names, args.unrun, args.recheck) for t in args.trees]
     results = [c["rows"] for c in children]
     for name in names:
         for tree, res in zip(args.trees, results):
@@ -242,8 +286,19 @@ def main(argv=None) -> int:
             print(f"unrun {tree}: {len(child['unrun'])} statement(s)")
             for where in child["unrun"]:
                 print(f"  {where}")
+    rejected = 0
+    if args.recheck:
+        for tree, res in zip(args.trees, results):
+            for name in names:
+                done = [r for r in res[name] if r["recheck"] is not None]
+                bad = [r for r in done if r["recheck"] != "ok"]
+                rejected += len(bad)
+                print(f"recheck {name:18} {tree}: {len(done) - len(bad)} of {len(done)} "
+                      f"printed tables reloaded and accepted")
+                for r in bad:
+                    print(f"  {' '.join(r['argv'][:2])}: {r['recheck']}")
     if len(results) == 1:
-        return 0
+        return 1 if rejected else 0
     diffs, texts = differences(*results)
     for line in diffs:
         print(line)
@@ -252,7 +307,7 @@ def main(argv=None) -> int:
     for line in texts:
         print(f"  {line}")
     print(f"{len(texts)} command(s) print different text")
-    return 1 if diffs else 0
+    return 1 if diffs or rejected else 0
 
 
 if __name__ == "__main__":
