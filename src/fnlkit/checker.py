@@ -279,13 +279,10 @@ def check_derivation(sys: SystemSpec, phi, d: pf.Derivation, trail=None) -> bool
     leaves drawn literally from phi.  On failure, appends a human-readable
     diagnostic to trail (a list) when one is supplied.
 
-    A sequent whose antecedent is one leaf is well formed when neither its
-    leaf's nor its succedent's vocabulary mask has a bit sys lacks, so
-    those two masks decide it; every other sequent goes through
-    `systems.validate_sequent`, which also words the rejection."""
+    Every node's conclusion goes through `systems.validate_sequent`, which
+    decides the common one-leaf sequent from two vocabulary masks."""
     phi = frozenset(phi)
     allowed = allowed_rules(sys)
-    misfit = ~sys.vocab
 
     def fail(node, msg):
         if trail is not None:
@@ -296,12 +293,10 @@ def check_derivation(sys: SystemSpec, phi, d: pf.Derivation, trail=None) -> bool
         c, inst, prems = node.seq, node.inst, node.premises
         if node.rule not in allowed:
             return fail(node, "rule not available in this system")
-        ant = c.ant
-        if type(ant) is not sx.SLeaf or (ant.f._vocab | c.suc._vocab) & misfit:
-            try:
-                validate_sequent(sys, c)
-            except Exception as e:  # noqa: BLE001 - report, never raise
-                return fail(node, f"ill-formed sequent ({e})")
+        try:
+            validate_sequent(sys, c)
+        except Exception as e:  # noqa: BLE001 - report, never raise
+            return fail(node, f"ill-formed sequent ({e})")
         arity, unread, premises_of = _RULES[node.rule]
         if len(prems) != arity:
             return fail(node, "wrong number of premises")

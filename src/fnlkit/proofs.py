@@ -223,16 +223,7 @@ _UNARY = frozenset(cls for cls in sx.L_TAGS if _CHILDREN[cls] == ("a",))
 _CONST_ENTRIES = {cls: _rows(['"const"', _esc(name)], _PAD[2])
                   for cls, name in _CONST_NAMES.items()}
 _SEQUENT = _rows(["%s", "%d"], _PAD[2])
-
-
-def _node_entry(k: int) -> str:
-    # a node's entry with k premises, taking its rule's text, its sequent's
-    # index, its premises' indices and its instantiation's text
-    return _rows(['"rule": %s', '"seq": %d', '"premises": ' + _rows(["%d"] * k, _PAD[3]) + "%s"],
-                 _PAD[2], "{}")
-
-
-_NODES = tuple(_node_entry(k) for k in range(3))
+_NODE = _rows(['"rule": %s', '"seq": %d', '"premises": %s%s'], _PAD[2], "{}")
 _INST = "," + _PAD[3] + '"inst": '
 _TABLE = _rows(['"format": %d', '"formulas": %s', '"sequents": %s', '"nodes": %s'], _PAD[0], "{}")
 
@@ -317,10 +308,8 @@ def table_text(d: Derivation) -> TableText:
         # the key of an antecedent, for _ant_text
         k = t_at.get(id(t))
         if k is None:
-            if type(t) is sx.SLeaf:
-                k = f_at.get(id(t.f))
-                if k is None:
-                    k = formula(t.f)
+            if isinstance(t, sx.SLeaf):
+                k = formula(t.f)
             elif isinstance(t, sx.SNode):
                 k = (tree(t.l), tree(t.r))
             else:
@@ -332,9 +321,7 @@ def table_text(d: Derivation) -> TableText:
         i = s_at.get(id(s))
         if i is None:
             key = None if s.ant is None else tree(s.ant)
-            suc = f_at.get(id(s.suc))
-            if suc is None:
-                suc = formula(s.suc)
+            suc = formula(s.suc)
             i = s_key.get((key, suc))
             if i is None:
                 i = s_key[(key, suc)] = len(sequents)
@@ -343,28 +330,15 @@ def table_text(d: Derivation) -> TableText:
             s_at[id(s)] = i
         return i
 
-    # per-call memos: a rule's text and a path's text are written once
-    rule_at: dict[str, str] = {}
-    path_at: dict[Path, str] = {}
     n_at: dict[int, int] = {}
     for n in post_order(d):
-        s = n.seq
-        seq = s_at.get(id(s))
-        if seq is None:
-            seq = sequent(s)
-        rule = rule_at.get(n.rule)
-        if rule is None:
-            rule = rule_at[n.rule] = _esc(n.rule)
+        seq = sequent(n.seq)
+        premises = _rows([int.__repr__(n_at[id(p)]) for p in n.premises], _PAD[3])
         i = n.inst
-        more = ""
+        inst = []
         if i is not NO_INST:
-            inst = []
             if i.path is not None:
-                path = path_at.get(i.path)
-                if path is None:
-                    path = path_at[i.path] = '"path": ' + _rows(
-                        [int.__repr__(x) for x in i.path], _PAD[4])
-                inst.append(path)
+                inst.append('"path": ' + _rows([int.__repr__(x) for x in i.path], _PAD[4]))
             if i.main is not None:
                 inst.append('"main": %d' % formula(i.main))
             if i.side is not None:
@@ -373,12 +347,9 @@ def table_text(d: Derivation) -> TableText:
                 inst.append('"idx": %d' % i.idx)
             if i.member is not None:
                 inst.append('"member": %d' % sequent(i.member))
-            if inst:
-                more = _INST + _rows(inst, _PAD[3], "{}")
-        ps = n.premises
-        entry = _NODES[len(ps)] if len(ps) < 3 else _node_entry(len(ps))
+        more = _INST + _rows(inst, _PAD[3], "{}") if inst else ""
         n_at[id(n)] = len(nodes)
-        nodes.append(entry % (rule, seq, *[n_at[id(p)] for p in ps], more))
+        nodes.append(_NODE % (_esc(n.rule), seq, premises, more))
     return TableText(_TABLE % (
         FORMAT, _rows(formulas, _PAD[1]), _rows(sequents, _PAD[1]), _rows(nodes, _PAD[1])))
 

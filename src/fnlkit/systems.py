@@ -86,8 +86,14 @@ def validate_sequent(sys: SystemSpec, s: sx.Sequent):
     """Raises ValidationError if s uses an empty antecedent, a connective or
     bracket structure that sys lacks.  Of several vocabulary misfits, the
     first in the order negation, bounds, unit, modalities, bracket
-    structure is reported, wherever each occurs in s."""
-    if s.ant is None and not sys.allow_empty_antecedent:
+    structure is reported, wherever each occurs in s.
+
+    A one-leaf antecedent (the common case in a derivation) is decided from
+    the leaf's and the succedent's vocabulary masks, without a walk."""
+    ant = s.ant
+    if type(ant) is sx.SLeaf and not (ant.f._vocab | s.suc._vocab) & ~sys.vocab:
+        return
+    if ant is None and not sys.allow_empty_antecedent:
         raise ValidationError(f"{sys.name} does not allow empty antecedents")
     bad = sx.vocab(s) & ~sys.vocab
     if not bad:

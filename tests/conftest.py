@@ -20,7 +20,8 @@ from fnlkit import sampling as smp
 from fnlkit import syntax as sx
 from fnlkit import transform as tr
 from fnlkit.errors import ModelError, ValidationError
-from fnlkit.systems import allowed_rules, validate_sequent
+from fnlkit import systems as sy
+from fnlkit.systems import allowed_rules
 
 # several property tests drive search or cold caches; wall-clock deadlines
 # would only add flakiness
@@ -190,9 +191,20 @@ def post_order_reference(d: pf.Derivation) -> list[pf.Derivation]:
     return out
 
 
+def validate_reference(sys, s: sx.Sequent):
+    """systems.validate_sequent without its one-leaf shortcut: the whole
+    sequent's vocabulary is collected by a walk."""
+    if s.ant is None and not sys.allow_empty_antecedent:
+        raise ValidationError(f"{sys.name} does not allow empty antecedents")
+    bad = sx.vocab(s) & ~sys.vocab
+    for bit, what in sy._MISFITS:
+        if bad & bit:
+            raise ValidationError(f"{sys.name} has no {what}")
+
+
 def check_reference(sys, phi, d: pf.Derivation, trail: list) -> bool:
     """checker.check_derivation without its leaf-mask and NO_INST
-    shortcuts: validate_sequent on every node, and every field the rule
+    shortcuts: validate_reference on every node, and every field the rule
     does not read looked up, whatever the node's Inst."""
     phi = frozenset(phi)
 
@@ -205,7 +217,7 @@ def check_reference(sys, phi, d: pf.Derivation, trail: list) -> bool:
         if node.rule not in allowed_rules(sys):
             return fail(node, "rule not available in this system")
         try:
-            validate_sequent(sys, c)
+            validate_reference(sys, c)
         except ValidationError as e:
             return fail(node, f"ill-formed sequent ({e})")
         arity, unread, premises_of = ck._RULES[node.rule]

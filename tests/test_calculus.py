@@ -314,8 +314,8 @@ _antecedents = st.one_of(
        st.sampled_from(sorted(ck._RULES)), st.booleans())
 @settings(max_examples=400)
 def test_one_node_checks_as_the_reference_that_validates_every_node(name, s, rule, member):
-    # the leaf-mask test decides exactly as validate_sequent; an all-None
-    # Inst that is not NO_INST checks as NO_INST does
+    # validate_sequent's leaf-mask test decides exactly as the walk does; an
+    # all-None Inst that is not NO_INST checks as NO_INST does
     sys, phi = SYSTEMS[name], (s,) if member else ()
     inst = pf.Inst(member=s) if rule == pf.ASSUMPTION else pf.NO_INST
     for d in (pf.node(s, rule, (), inst), pf.node(s, rule, (), dataclasses.replace(inst))):
@@ -824,9 +824,10 @@ def test_table_text_writes_every_entry_shape():
                      ("fresh", "bot"), ("fresh", "top"), ("fresh", "neg")}
 
 
-def test_table_text_round_trips_the_shapes_the_templates_skip():
+def test_table_text_round_trips_three_premises_every_inst_field_and_any_path():
     # three premises, every Inst field, an all-None Inst that is not
-    # NO_INST, and paths of length 0 and 4: reloading reprints the same text
+    # NO_INST (written field by field), and paths of length 0 and 4:
+    # reloading reprints the same text
     leaf = lm.did(p)
     empty = pf.node(seq("q => q"), pf.ID, (), pf.Inst())
     assert empty.inst is not pf.NO_INST

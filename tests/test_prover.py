@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import pkgutil
 import random
+import re
 import shutil
 import subprocess
 import sys as _sys
@@ -536,6 +537,35 @@ def test_census_lists_a_same_length_text_change_apart_from_the_exit_rule():
     assert diffs == ["w: prove p => p: verdict"]
     assert len(texts) == 1 and texts[0].startswith("w: prove p => p: sha1 ")
     assert texts[0].endswith("bytes 3 -> 3")
+
+
+def test_census_rechecks_every_printed_table_and_exits_1_on_a_lossy_reader(tmp_path):
+    # a whole census of one tree and one workload: every printed table is
+    # reloaded and accepted; a copy whose reader drops the root's premises
+    # fails each table whose root has some, and the census exits 1
+    root = Path(__file__).resolve().parents[1]
+    census = [_sys.executable, str(root / "tools" / "census.py"), "--seed", "1",
+              "--workload", "lattice-mix"]
+    done = subprocess.run(census + [str(root)], stdout=subprocess.PIPE, text=True)
+    assert done.returncode == 0, done.stdout
+    ok, of = map(int, re.search(r"recheck lattice-mix .*: (\d+) of (\d+) printed", done.stdout)
+                 .groups())
+    assert ok == of > 0
+    shutil.copytree(root / "src" / "fnlkit", tmp_path / "src" / "fnlkit")
+    with open(tmp_path / "src" / "fnlkit" / "proofs.py", "a") as f:
+        f.write(textwrap.dedent("""
+            _read = from_json
+
+
+            def from_json(j):
+                d = _read(j)
+                return node(d.seq, d.rule, (), d.inst)
+        """))
+    done = subprocess.run(census + [str(tmp_path)], stdout=subprocess.PIPE, text=True)
+    assert done.returncode == 1, done.stdout
+    assert "wrong number of premises" in done.stdout
+    assert f"recheck lattice-mix        {tmp_path}: " in done.stdout
+    assert f" of {of} printed" in done.stdout and f"{of} of {of}" not in done.stdout
 
 
 def test_census_recheck_reloads_a_printed_table_under_its_accepting_call():

@@ -35,10 +35,8 @@ compile to no code of their own.  A
 statement spread over several lines counts as run when any of its own
 lines ran (for a compound statement: its header, not its body).
 
-    python3 tools/census.py --recheck --seed 1 TREE [OTHER]
-
-With `--recheck` each child also reloads every printed derivation table
-(`json.loads`, then `fnlkit.proofs.from_json`) and checks it with
+Each child also reloads every printed derivation table (`json.loads`,
+then `fnlkit.proofs.from_json`) and checks it with
 `fnlkit.checker.check_derivation` under the system and assumptions of
 the derive-time call that accepted the derivation the table was written
 from.  The census prints, per tree and workload, how many tables were
@@ -122,12 +120,11 @@ def recheck_table(fk, table: dict, accepted: list, check) -> str:
     return "ok"
 
 
-def census(tree: str, seed: int, names: list[str], unrun: bool = False,
-           recheck: bool = False) -> dict:
+def census(tree: str, seed: int, names: list[str], unrun: bool = False) -> dict:
     """One record per command of each named workload, run on tree, and with
     unrun the statements of fnlkit's function bodies that no command ran.
-    With recheck each record says whether the printed derivation table, if
-    any, reloads and passes the checker (see recheck_table)."""
+    Each record says whether the printed derivation table, if any, reloads
+    and passes the checker (see recheck_table)."""
     import run as bench  # bench/run.py: the import and the cache list
 
     import workloads as wl
@@ -143,7 +140,7 @@ def census(tree: str, seed: int, names: list[str], unrun: bool = False,
         checked[0] += 1
         checked[1] += fk.proofs.size(d)
         ok = check(sys_, phi, d, *rest, **kw)
-        if ok and recheck:
+        if ok:
             accepted.append((sys_, phi, d))
         return ok
 
@@ -184,9 +181,7 @@ def census(tree: str, seed: int, names: list[str], unrun: bool = False,
                 except ValueError:
                     payload = {}
                 derivation = payload.get("derivation") or {}
-                reloaded = None
-                if recheck and derivation:
-                    reloaded = recheck_table(fk, derivation, accepted, check)
+                reloaded = recheck_table(fk, derivation, accepted, check) if derivation else None
                 rows.append({
                     "argv": [a.replace(workdir, "<workdir>") for a in cmd.argv],
                     "code": code,
@@ -241,13 +236,11 @@ def differences(base: dict, other: dict) -> tuple[list[str], list[str]]:
     return out, texts
 
 
-def run_child(tree: str, seed: int, names: list[str], unrun: bool, recheck: bool) -> dict:
+def run_child(tree: str, seed: int, names: list[str], unrun: bool) -> dict:
     env = dict(os.environ, PYTHONHASHSEED="0")
     argv = [sys.executable, os.path.abspath(__file__), "--seed", str(seed), "--child", tree]
     if unrun:
         argv.append("--unrun")
-    if recheck:
-        argv.append("--recheck")
     for name in names:
         argv += ["--workload", name]
     done = subprocess.run(argv, env=env, stdout=subprocess.PIPE, check=True, text=True)
@@ -262,8 +255,6 @@ def main(argv=None) -> int:
                     help="a workload to run (repeatable; default: all four)")
     ap.add_argument("--unrun", action="store_true",
                     help="trace fnlkit and list the function-body statements no command ran")
-    ap.add_argument("--recheck", action="store_true",
-                    help="reload every printed derivation table and check it again")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     sys.path.insert(0, BENCH)
@@ -271,11 +262,11 @@ def main(argv=None) -> int:
 
     names = args.names or list(wl.WORKLOADS)
     if args.child:
-        json.dump(census(args.trees[0], args.seed, names, args.unrun, args.recheck), sys.stdout)
+        json.dump(census(args.trees[0], args.seed, names, args.unrun), sys.stdout)
         return 0
     if len(args.trees) > 2:
         ap.error("give one or two trees")
-    children = [run_child(t, args.seed, names, args.unrun, args.recheck) for t in args.trees]
+    children = [run_child(t, args.seed, names, args.unrun) for t in args.trees]
     results = [c["rows"] for c in children]
     for name in names:
         for tree, res in zip(args.trees, results):
@@ -287,16 +278,15 @@ def main(argv=None) -> int:
             for where in child["unrun"]:
                 print(f"  {where}")
     rejected = 0
-    if args.recheck:
-        for tree, res in zip(args.trees, results):
-            for name in names:
-                done = [r for r in res[name] if r["recheck"] is not None]
-                bad = [r for r in done if r["recheck"] != "ok"]
-                rejected += len(bad)
-                print(f"recheck {name:18} {tree}: {len(done) - len(bad)} of {len(done)} "
-                      f"printed tables reloaded and accepted")
-                for r in bad:
-                    print(f"  {' '.join(r['argv'][:2])}: {r['recheck']}")
+    for tree, res in zip(args.trees, results):
+        for name in names:
+            done = [r for r in res[name] if r["recheck"] is not None]
+            bad = [r for r in done if r["recheck"] != "ok"]
+            rejected += len(bad)
+            print(f"recheck {name:18} {tree}: {len(done) - len(bad)} of {len(done)} "
+                  f"printed tables reloaded and accepted")
+            for r in bad:
+                print(f"  {' '.join(r['argv'][:2])}: {r['recheck']}")
     if len(results) == 1:
         return 1 if rejected else 0
     diffs, texts = differences(*results)
