@@ -187,7 +187,7 @@ FORMAT = 2
 
 # connective classes by table tag, and the fields that hold their children
 _CONNECTIVES = {tag: cls for cls, tag in sx.L_TAGS.items()}
-_CHILDREN = {cls: tuple(f.name for f in fields(cls)) for cls in sx.L_TAGS}
+_CHILDREN = {cls: cls.__match_args__ for cls in sx.L_TAGS}
 _CONSTS = {"bot": sx.BOT, "top": sx.TOP, "one": sx.ONE}
 _CONST_NAMES = {type(c): name for name, c in _CONSTS.items()}
 _FRESH_CONSTS = {"bot": sx.P_BOT, "top": sx.P_TOP}
@@ -416,14 +416,16 @@ def _read_sequents(rows: list, fs: list[sx.LFormula]) -> list[sx.Sequent]:
 def _read_inst(d: dict, fs: list[sx.LFormula], ss: list[sx.Sequent]) -> Inst:
     if not d.keys() <= _INST_KEYS:
         raise ParseError(f"unknown instantiation fields {sorted(d.keys() - _INST_KEYS)}")
-    path = d.get("path")
-    if path is not None:
-        path = tuple(path)
-        if not all(type(x) is int for x in path):
+    # an omitted field is not recorded; a null one is malformed
+    path = idx = None
+    if "path" in d:
+        if d["path"] is None or not all(type(x) is int for x in d["path"]):
             raise ParseError(f"malformed path {d['path']!r}")
-    idx = d.get("idx")
-    if idx is not None and type(idx) is not int:
-        raise ParseError(f"malformed idx {idx!r}")
+        path = tuple(d["path"])
+    if "idx" in d:
+        idx = d["idx"]
+        if type(idx) is not int:
+            raise ParseError(f"malformed idx {idx!r}")
     return Inst(
         path=path,
         main=_at(fs, d["main"], "main formula") if "main" in d else None,

@@ -5,39 +5,147 @@ Two formula languages live here: the modal language (atoms, bot, /\\, \\/,
 /, [v], and generated fresh atoms).  Plus structure trees, sequents, and
 the closure machinery shared by search and the translations.
 
-Each substructural formula stores its vocabulary mask, built once at
-construction from its children's (`V_NEG` ... `V_RESID`, one bit per
-connective family); a fresh letter is atomic, so its payload does not
-count.  `vocab` reads it, ORs the masks of a tree's or sequent's leaves
-and adds `V_BRACKET` for a bracket; trees store nothing (rebuilt per rule).
+Every term (formula, structure tree, sequent) is an immutable slotted
+object that sets its fields and its hash once, in its constructor.  The
+hash is the one a frozen dataclass gives, `hash` of the tuple of field
+values, taken over the children's stored hashes, so hashing a term of
+any depth costs one slot read.
+
+Each formula also stores its vocabulary mask, built at construction from
+its children's (`V_NEG` ... `V_RESID`, one bit per substructural
+connective family; a modal formula's is 0); a fresh letter is atomic, so
+its payload does not count.  `vocab` reads it, ORs the masks of a tree's
+or sequent's leaves and adds `V_BRACKET` for a bracket; trees and
+sequents store no mask, since the rules rebuild them at every step.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ParseError
 
 
-def _node(cls):
-    # frozen dataclass with a lazily cached hash; formula trees are hashed
-    # constantly by memo tables, so recomputing the tuple hash per lookup
-    # would dominate search time.
-    cls = dataclass(frozen=True)(cls)
-    base_hash = cls.__hash__
+# ---------------------------------------------------------------------------
+# terms
+#
+# Each shape (nullary, named, unary, binary; fresh, leaf, node, bracket and
+# sequent below) names its fields in `__match_args__` and writes its own
+# constructor and equality.  `__setattr__` refuses every assignment, so a
+# constructor fills the slots through their descriptors (`_set_*`).
+# Equality tests identity, then the class, then the stored hash, then the
+# fields, each child by identity before value.  A class body that defines
+# `__eq__` must name `__hash__` again, or Python drops it.
+
+
+class _Term:
+    __slots__ = ("_h",)
+    __match_args__: tuple[str, ...] = ()
 
     def __hash__(self):
-        h = self.__dict__.get("_hash_")
-        if h is None:
-            h = base_hash(self)
-            object.__setattr__(self, "_hash_", h)
-        return h
+        return self._h
 
-    cls.__hash__ = __hash__
-    return cls
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__qualname__}({args})"
+
+
+_set_h = _Term._h.__set__
+
+
+class _Formula(_Term):
+    # _bit is the class's own vocabulary bit; _vocab ORs it with the
+    # children's masks
+    __slots__ = ("_vocab",)
+    _bit = 0
+
+
+_set_vocab = _Formula._vocab.__set__
+_EMPTY_HASH = hash(())
+
+
+class _Nullary(_Formula):
+    __slots__ = ()
+
+    def __init__(self):
+        _set_h(self, _EMPTY_HASH)
+        _set_vocab(self, self._bit)
+
+    def __eq__(self, other):
+        return self is other or other.__class__ is self.__class__
+
+    __hash__ = _Term.__hash__
+
+
+class _Named(_Formula):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_name(self, name)
+        _set_h(self, hash((name,)))
+        _set_vocab(self, 0)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return (other.__class__ is self.__class__ and self._h == other._h
+                and self.name == other.name)
+
+    __hash__ = _Term.__hash__
+
+
+_set_name = _Named.name.__set__
+
+
+class _Unary(_Formula):
+    __slots__ = __match_args__ = ("a",)
+
+    def __init__(self, a):
+        _set_a(self, a)
+        _set_h(self, hash((a,)))
+        _set_vocab(self, self._bit | a._vocab)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return (other.__class__ is self.__class__ and self._h == other._h
+                and (self.a is other.a or self.a == other.a))
+
+    __hash__ = _Term.__hash__
+
+
+_set_a = _Unary.a.__set__
+
+
+class _Binary(_Formula):
+    __slots__ = __match_args__ = ("l", "r")
+
+    def __init__(self, l, r):
+        _set_l(self, l)
+        _set_r(self, r)
+        _set_h(self, hash((l, r)))
+        _set_vocab(self, self._bit | l._vocab | r._vocab)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return (other.__class__ is self.__class__ and self._h == other._h
+                and (self.l is other.l or self.l == other.l)
+                and (self.r is other.r or self.r == other.r))
+
+    __hash__ = _Term.__hash__
+
+
+_set_l, _set_r = _Binary.l.__set__, _Binary.r.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -48,42 +156,32 @@ class ModalFormula:
     __slots__ = ()
 
 
-@_node
-class MAtom(ModalFormula):
-    name: str
+class MAtom(_Named, ModalFormula):
+    __slots__ = ()
 
 
-@_node
-class MBot(ModalFormula):
-    pass
+class MBot(_Nullary, ModalFormula):
+    __slots__ = ()
 
 
-@_node
-class MAnd(ModalFormula):
-    l: ModalFormula
-    r: ModalFormula
+class MAnd(_Binary, ModalFormula):
+    __slots__ = ()
 
 
-@_node
-class MOr(ModalFormula):
-    l: ModalFormula
-    r: ModalFormula
+class MOr(_Binary, ModalFormula):
+    __slots__ = ()
 
 
-@_node
-class MImp(ModalFormula):
-    l: ModalFormula
-    r: ModalFormula
+class MImp(_Binary, ModalFormula):
+    __slots__ = ()
 
 
-@_node
-class MNot(ModalFormula):
-    a: ModalFormula
+class MNot(_Unary, ModalFormula):
+    __slots__ = ()
 
 
-@_node
-class MDia(ModalFormula):
-    a: ModalFormula
+class MDia(_Unary, ModalFormula):
+    __slots__ = ()
 
 
 def mbox(a: ModalFormula) -> ModalFormula:
@@ -117,103 +215,92 @@ V_NEG, V_BOUNDS, V_UNIT, V_MODAL, V_RESID, V_BRACKET = 1, 2, 4, 8, 16, 32
 
 
 class LFormula:
-    # _vocab is the class's own vocabulary bit; a compound node shadows it
-    # at construction with that bit ORed with its children's masks
     __slots__ = ()
-    _vocab = 0
 
 
-class _Unary(LFormula):
-    def __post_init__(self):
-        self.__dict__["_vocab"] = self._vocab | self.a._vocab
+class LAtom(_Named, LFormula):
+    __slots__ = ()
 
 
-class _Binary(LFormula):
-    def __post_init__(self):
-        self.__dict__["_vocab"] = self._vocab | self.l._vocab | self.r._vocab
-
-
-@_node
-class LAtom(LFormula):
-    name: str
-
-
-@_node
-class LFresh(LFormula):
+class LFresh(_Formula, LFormula):
     """Generated letter: mark "neg" carries the formula it stands against,
     marks "bot"/"top" are the two constant surrogates."""
 
-    mark: str
-    of: Optional[LFormula] = None
+    __slots__ = __match_args__ = ("mark", "of")
+
+    def __init__(self, mark: str, of: Optional[LFormula] = None):
+        _set_mark(self, mark)
+        _set_of(self, of)
+        _set_h(self, hash((mark, of)))
+        _set_vocab(self, 0)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return (other.__class__ is self.__class__ and self._h == other._h
+                and self.mark == other.mark
+                and (self.of is other.of or self.of == other.of))
+
+    __hash__ = _Term.__hash__
 
 
-@_node
-class LBot(LFormula):
-    _vocab = V_BOUNDS
+_set_mark, _set_of = LFresh.mark.__set__, LFresh.of.__set__
 
 
-@_node
-class LTop(LFormula):
-    _vocab = V_BOUNDS
+class LBot(_Nullary, LFormula):
+    __slots__ = ()
+    _bit = V_BOUNDS
 
 
-@_node
-class LOne(LFormula):
-    _vocab = V_UNIT
+class LTop(_Nullary, LFormula):
+    __slots__ = ()
+    _bit = V_BOUNDS
 
 
-@_node
-class LAnd(_Binary):
-    l: LFormula
-    r: LFormula
+class LOne(_Nullary, LFormula):
+    __slots__ = ()
+    _bit = V_UNIT
 
 
-@_node
-class LOr(_Binary):
-    l: LFormula
-    r: LFormula
+class LAnd(_Binary, LFormula):
+    __slots__ = ()
 
 
-@_node
-class LNot(_Unary):
-    _vocab = V_NEG
-    a: LFormula
+class LOr(_Binary, LFormula):
+    __slots__ = ()
 
 
-@_node
-class LProd(_Binary):
-    l: LFormula
-    r: LFormula
+class LNot(_Unary, LFormula):
+    __slots__ = ()
+    _bit = V_NEG
 
 
-@_node
-class LUnder(_Binary):
+class LProd(_Binary, LFormula):
+    __slots__ = ()
+
+
+class LUnder(_Binary, LFormula):
     """Left residual: LUnder(a, b) is a\\b."""
 
-    _vocab = V_RESID
-    l: LFormula
-    r: LFormula
+    __slots__ = ()
+    _bit = V_RESID
 
 
-@_node
-class LOver(_Binary):
+class LOver(_Binary, LFormula):
     """Right residual: LOver(a, b) is a/b."""
 
-    _vocab = V_RESID
-    l: LFormula
-    r: LFormula
+    __slots__ = ()
+    _bit = V_RESID
 
 
-@_node
-class LDia(_Unary):
-    _vocab = V_MODAL
-    a: LFormula
+class LDia(_Unary, LFormula):
+    __slots__ = ()
+    _bit = V_MODAL
 
 
-@_node
-class LBoxDown(_Unary):
-    _vocab = V_MODAL
-    a: LFormula
+class LBoxDown(_Unary, LFormula):
+    __slots__ = ()
+    _bit = V_MODAL
 
 
 BOT = LBot()
@@ -300,26 +387,73 @@ class StructTree:
     __slots__ = ()
 
 
-@_node
-class SLeaf(StructTree):
-    f: LFormula
+class SLeaf(_Term, StructTree):
+    __slots__ = __match_args__ = ("f",)
+
+    def __init__(self, f: LFormula):
+        _set_f(self, f)
+        _set_h(self, hash((f,)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return (other.__class__ is self.__class__ and self._h == other._h
+                and (self.f is other.f or self.f == other.f))
+
+    __hash__ = _Term.__hash__
 
 
-@_node
-class SNode(StructTree):
-    l: StructTree
-    r: StructTree
+_set_f = SLeaf.f.__set__
 
 
-@_node
-class SBracket(StructTree):
-    a: StructTree
+class SNode(_Term, StructTree):
+    __slots__ = __match_args__ = ("l", "r")
+
+    def __init__(self, l: StructTree, r: StructTree):
+        _set_node_l(self, l)
+        _set_node_r(self, r)
+        _set_h(self, hash((l, r)))
+
+    __eq__ = _Binary.__eq__
+    __hash__ = _Term.__hash__
 
 
-@_node
-class Sequent:
-    ant: Optional[StructTree]
-    suc: LFormula
+_set_node_l, _set_node_r = SNode.l.__set__, SNode.r.__set__
+
+
+class SBracket(_Term, StructTree):
+    __slots__ = __match_args__ = ("a",)
+
+    def __init__(self, a: StructTree):
+        _set_bracket_a(self, a)
+        _set_h(self, hash((a,)))
+
+    __eq__ = _Unary.__eq__
+    __hash__ = _Term.__hash__
+
+
+_set_bracket_a = SBracket.a.__set__
+
+
+class Sequent(_Term):
+    __slots__ = __match_args__ = ("ant", "suc")
+
+    def __init__(self, ant: Optional[StructTree], suc: LFormula):
+        _set_ant(self, ant)
+        _set_suc(self, suc)
+        _set_h(self, hash((ant, suc)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return (other.__class__ is self.__class__ and self._h == other._h
+                and (self.ant is other.ant or self.ant == other.ant)
+                and (self.suc is other.suc or self.suc == other.suc))
+
+    __hash__ = _Term.__hash__
+
+
+_set_ant, _set_suc = Sequent.ant.__set__, Sequent.suc.__set__
 
 
 def simple(a: LFormula, b: LFormula) -> Sequent:
@@ -833,7 +967,7 @@ def parse_sequent(text: str) -> Sequent:
 # closures
 
 
-@_node
+@dataclass(frozen=True)
 class ClosureSpec:
     base: frozenset[LFormula]
     mode: str  # "and_or" for c(T), "and_or_not" for c'(T)

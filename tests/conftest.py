@@ -273,6 +273,49 @@ def walk(f: sx.LFormula):
             stack.append(g.r)
 
 
+# every term class and its fields in declaration order, spelled out here
+# rather than read from the classes: the reference for `syntax`'s terms,
+# which must hash, compare and print as frozen dataclasses of these fields
+TERM_FIELDS = {
+    **dict.fromkeys((sx.MAtom, sx.LAtom), ("name",)),
+    **dict.fromkeys((sx.MBot, sx.LBot, sx.LTop, sx.LOne), ()),
+    **dict.fromkeys((sx.MNot, sx.MDia, sx.LNot, sx.LDia, sx.LBoxDown, sx.SBracket), ("a",)),
+    **dict.fromkeys((sx.MAnd, sx.MOr, sx.MImp, sx.LAnd, sx.LOr, sx.LProd, sx.LUnder,
+                     sx.LOver, sx.SNode), ("l", "r")),
+    sx.LFresh: ("mark", "of"),
+    sx.SLeaf: ("f",),
+    sx.Sequent: ("ant", "suc"),
+}
+
+
+def term_values(x) -> tuple:
+    """The field values of term x, in declaration order."""
+    return tuple(getattr(x, n) for n in TERM_FIELDS[type(x)])
+
+
+def terms_equal(x, y) -> bool:
+    """Structural equality by a walk: the same class at every position,
+    and equal names and marks."""
+    stack = [(x, y)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if type(a) in TERM_FIELDS:
+            stack.extend(zip(term_values(a), term_values(b)))
+        elif a != b:
+            return False
+    return True
+
+
+def term_repr(x) -> str:
+    """What a frozen dataclass's repr prints for term x."""
+    if type(x) not in TERM_FIELDS:
+        return repr(x)
+    args = (f"{n}={term_repr(v)}" for n, v in zip(TERM_FIELDS[type(x)], term_values(x)))
+    return f"{type(x).__name__}({', '.join(args)})"
+
+
 def letters_through_payloads(goal: sx.Sequent, phi) -> set:
     """The generated letters of a problem, and of their payloads in turn,
     by a walk of every formula of every member, repeats and all: the

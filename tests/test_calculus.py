@@ -904,12 +904,14 @@ def _edit(path, value):
     (_edit(["nodes", -1, "seq"], 1.0), r"^node 4: sequent 1\.0 is not an index below 5$"),
     (_edit(["nodes", 1, "inst", "idx"], "1"), "^malformed idx '1'$"),
     (_edit(["nodes", 1, "inst", "path"], ["0"]), r"^malformed path \['0'\]$"),
+    (_edit(["nodes", 1, "inst", "idx"], None), "^malformed idx None$"),
+    (_edit(["nodes", 1, "inst", "path"], None), "^malformed path None$"),
 ], ids=["no-format", "format-1", "unknown-tag", "keyword-atom", "formula-self",
         "formula-negative", "succedent-range", "leaf-range", "node-sequent-range",
         "premise-range", "premise-self", "premise-later", "main-range",
         "unknown-inst-field", "premises-not-a-list", "empty", "inst-null", "main-null",
         "side-null", "member-null", "premise-true", "sequent-float", "idx-string",
-        "path-string-step"])
+        "path-string-step", "idx-null", "path-null"])
 def test_from_json_rejects_malformed_tables(edit, why):
     d = lm.and_mono(lm.did(p), lm.did(q))
     table = json.loads(json.dumps(pf.to_json(d)))

@@ -1,10 +1,12 @@
 import sys
+from dataclasses import FrozenInstanceError
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import closure_contains, lambek_formulas, modal_formulas, sequents, struct_trees, walk
+from conftest import (TERM_FIELDS, closure_contains, lambek_formulas, modal_formulas, sequents,
+                      struct_trees, term_repr, term_values, terms_equal, walk)
 from fnlkit import syntax as sx
 from fnlkit.errors import ParseError, ValidationError
 from fnlkit.systems import SYSTEMS, validate_sequent
@@ -241,6 +243,66 @@ def test_deep_negation_tower_validates_in_constant_stack():
         sys.setrecursionlimit(old)
 
 
+def test_deep_tower_hashes_keys_and_compares_in_constant_stack():
+    # each term's hash is set from its children's when it is built, so a
+    # tower built by a loop hashes without recursion
+    f, g = p, q
+    for _ in range(5000):
+        f, g = sx.LNot(f), sx.LNot(g)
+    s = sx.simple(f, p)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert hash(f) == hash((f.a,))
+        assert {f: 1}[f] == 1 and f in {f} and s in {s: 1} and s in {s}
+        # unequal towers differ in their stored hash, so no walk is needed
+        assert f != g and not f == g
+        assert f != sx.LNot(f) and f != f.a
+    finally:
+        sys.setrecursionlimit(old)
+
+
+_TERMS = st.one_of(modal_formulas, lambek_formulas, struct_trees, sequents)
+_FAMILIES = (sx.ModalFormula, sx.LFormula, sx.StructTree, sx.Sequent)
+
+
+def _rebuilt(x):
+    """A copy of term x that shares no term object with it."""
+    if type(x) not in TERM_FIELDS:
+        return x
+    return type(x)(*(_rebuilt(v) for v in term_values(x)))
+
+
+def _twins(x):
+    """x's fields under every other class of its language with the same
+    fields: LOr for LAnd, LTop for LBot, and so on."""
+    family = next(b for b in _FAMILIES if isinstance(x, b))
+    return [cls(*term_values(x)) for cls, names in TERM_FIELDS.items()
+            if cls is not type(x) and issubclass(cls, family)
+            and names == TERM_FIELDS[type(x)]]
+
+
+@settings(max_examples=300)
+@given(_TERMS, _TERMS)
+def test_terms_hash_compare_and_print_as_frozen_dataclasses(x, y):
+    copy = _rebuilt(x)
+    assert copy is not x
+    assert hash(x) == hash(term_values(x)) == hash(copy)
+    assert x == copy and not x != copy
+    assert (x == y) == (y == x) == terms_equal(x, y)
+    assert (x != y) == (not terms_equal(x, y))
+    for twin in _twins(x):
+        assert x != twin and not x == twin and not terms_equal(x, twin)
+    assert repr(x) == term_repr(x)
+    assert not hasattr(x, "__dict__")
+    for name in TERM_FIELDS[type(x)] + ("_h", "extra"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(x, name)
+    assert x == copy and hash(x) == hash(copy)
+
+
 @pytest.mark.parametrize("memo", [None, {}])
 def test_rendering_takes_one_frame_per_connective(memo):
     # the parser reads towers almost as deep as the recursion limit, so the
@@ -253,8 +315,6 @@ def test_rendering_takes_one_frame_per_connective(memo):
         depth, frame = depth + 1, frame.f_back
     old = sys.getrecursionlimit()
     try:
-        sys.setrecursionlimit(30000)  # as cli.main sets it
-        hash(f)  # hashing has its own recursion; a frozenset of sequents has paid it
         sys.setrecursionlimit(depth + 2050)
         text = sx.render_sequent(sx.Sequent(None, f), memo)
     finally:
