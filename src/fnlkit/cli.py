@@ -193,9 +193,10 @@ def _recheck(r: pv.ProofResult, payload: dict, system, phi, goal: sx.Sequent) ->
     if r.verdict == pv.REFUTED:
         doc = json.loads(json.dumps({"model": payload["model"], "state": payload["state"]}))
         again = md.ternary_from_json(doc["model"])
-        if not md.satisfies_assumptions(again, phi):
+        memo: dict = {}
+        if not md.satisfies_assumptions(again, phi, memo):
             raise FnlError("recheck failed: countermodel loses the assumptions")
-        if md.sequent_true(again, doc["state"], goal):
+        if md.sequent_true(again, doc["state"], goal, memo):
             raise FnlError("recheck failed: countermodel no longer falsifies")
         return "countermodel reloaded and still falsifies"
     return "nothing to recheck"

@@ -4,11 +4,24 @@ Ternary triples are read product-first: (u, v, w) in rel3 means u splits
 into a left part v and a right part w.  The optional binary `dia` relation
 backs the two modal operators on the substructural side; constructed
 models never need it, it exists so the evaluator is total.
+
+Satisfaction is computed by extension: `extension(j, f, memo)` is the
+set of states of j where f holds, as an int whose bit i is j.states[i],
+computed once per distinct subformula over the caller's memo for j.
+`/\\`, `\\/` and `~` become `& | ^`, and `*`, `\\`, `/`, `<>` and `[v]`
+each make one pass over rel3 or dia.  `eval_lambek`, `sequent_true`,
+`sequent_true_everywhere` and `satisfies_assumptions` are bit tests on
+those extensions, and `modal_extension` and `eval_modal` do the same for
+Kripke models.  A formula the model cannot read (`one` without a unit, a
+modal operator without dia, a bracketed antecedent) raises its
+ModelError before anything is evaluated, decided from the vocabulary
+mask (`sx.vocab`), so at every state alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional
 
 from . import syntax as sx
@@ -22,7 +35,7 @@ class KripkeModel:
     val: dict[str, frozenset[str]]
 
     def __post_init__(self):
-        validate_kripke(self)
+        self._frame = validate_kripke(self)
 
 
 @dataclass
@@ -32,37 +45,50 @@ class TernaryModel:
     val: dict[str, frozenset[str]]
     unit: Optional[str] = None
     dia: Optional[frozenset[tuple[str, str]]] = None
-    # satisfaction cache; models are immutable by convention
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        validate_ternary(self)
+        self._frame = validate_ternary(self)
 
 
-def validate_kripke(m: KripkeModel):
-    w = set(m.states)
-    if not w:
+# Validation numbers a model's states, bit i for states[i], and returns the
+# model's frame over those bits, which the constructor keeps and every
+# evaluation reads: (all states, state -> bit, relation, dia), where the
+# relation is rel3 as bit triples (a Kripke model's rel as bit pairs) and
+# dia is a ternary model's dia as bit pairs.  Models are immutable by
+# convention.
+
+
+def _bits(states: tuple[str, ...]) -> dict[str, int]:
+    bit = {s: 1 << i for i, s in enumerate(states)}
+    if not bit:
         raise ModelError("empty state set")
-    if len(w) != len(m.states):
+    if len(bit) != len(states):
         raise ModelError("duplicate state names")
-    if any(a not in w or b not in w for a, b in m.rel):
-        raise ModelError("relation mentions unknown states")
+    return bit
+
+
+def validate_kripke(m: KripkeModel) -> tuple:
+    bit = _bits(m.states)
+    try:
+        rel = [(bit[a], bit[b]) for a, b in m.rel]
+    except KeyError:
+        raise ModelError("relation mentions unknown states") from None
+    w = bit.keys()
     for name, ext in m.val.items():
-        if not ext <= w:
+        if not w >= ext:
             raise ModelError(f"valuation of {name!r} leaves the state set")
+    return (1 << len(bit)) - 1, bit, rel, ()
 
 
-def validate_ternary(j: TernaryModel):
-    w = set(j.states)
-    if not w:
-        raise ModelError("empty state set")
-    if len(w) != len(j.states):
-        raise ModelError("duplicate state names")
-    for t in j.rel3:
-        if len(t) != 3 or any(x not in w for x in t):
-            raise ModelError("rel3 mentions unknown states")
+def validate_ternary(j: TernaryModel) -> tuple:
+    bit = _bits(j.states)
+    try:
+        rel = [(bit[x], bit[v], bit[w]) for x, v, w in j.rel3] if j.rel3 else []
+    except (KeyError, ValueError):
+        raise ModelError("rel3 mentions unknown states") from None
+    w = bit.keys()
     for name, ext in j.val.items():
-        if not ext <= w:
+        if not w >= ext:
             raise ModelError(f"valuation of {name!r} leaves the state set")
     if j.unit is not None:
         if j.unit not in w:
@@ -70,114 +96,238 @@ def validate_ternary(j: TernaryModel):
         for u in j.states:
             if (u, j.unit, u) not in j.rel3 or (u, u, j.unit) not in j.rel3:
                 raise ModelError("unit lacks its triples")
-    if j.dia is not None and any(a not in w or b not in w for a, b in j.dia):
-        raise ModelError("dia relation mentions unknown states")
+    dia = ()
+    if j.dia is not None:
+        try:
+            dia = [(bit[a], bit[b]) for a, b in j.dia]
+        except KeyError:
+            raise ModelError("dia relation mentions unknown states") from None
+    return (1 << len(bit)) - 1, bit, rel, dia
 
 
 # ---------------------------------------------------------------------------
-# satisfaction
+# satisfaction, by extension
+#
+# The extension of a formula in a model is the set of states where it
+# holds, as an int: bit i is states[i].  It is computed once per distinct
+# subformula over one memo, a dict from formulas to extensions that the
+# caller keeps for one model.  The lattice connectives become `& | ^`, and
+# a product, residual or modal operator makes one pass over the relation.
+# The relations are read from the model's frame (above).  Under the key
+# _NAMES the memo also keeps the render memo that names fresh letters'
+# valuation keys.
 
 NO_UNIT = "unit constant on a model without a unit"
 NO_DIA = "modal operator on a model without a dia relation"
 NO_BRACKET = "bracketed antecedent, which has no formula to evaluate"
 
-
-def eval_modal(m: KripkeModel, w: str, a: sx.ModalFormula) -> bool:
-    if w not in m.states:
-        raise ModelError(f"unknown state {w!r}")
-    if isinstance(a, sx.MAtom):
-        return w in m.val.get(a.name, frozenset())
-    if isinstance(a, sx.MBot):
-        return False
-    if isinstance(a, sx.MAnd):
-        return eval_modal(m, w, a.l) and eval_modal(m, w, a.r)
-    if isinstance(a, sx.MOr):
-        return eval_modal(m, w, a.l) or eval_modal(m, w, a.r)
-    if isinstance(a, sx.MImp):
-        return (not eval_modal(m, w, a.l)) or eval_modal(m, w, a.r)
-    if isinstance(a, sx.MNot):
-        return not eval_modal(m, w, a.a)
-    # diamond: some successor satisfies the body
-    return any(eval_modal(m, u, a.a) for (x, u) in m.rel if x == w)
+_NAMES = object()
+# the vocabulary a model may lack; a bracket is caught where an
+# antecedent is read
+_OPTIONAL = sx.V_UNIT | sx.V_MODAL
 
 
-def eval_lambek(j: TernaryModel, u: str, a: sx.LFormula) -> bool:
-    if u not in j.states:
+def check_vocab(v: int, unit: bool, dia: bool) -> None:
+    """Raise the ModelError of the first of a bracket, `one` without a
+    unit and a modal operator without dia that the vocabulary mask v
+    (`sx.vocab`) has."""
+    if v & sx.V_BRACKET:
+        raise ModelError(NO_BRACKET)
+    if v & sx.V_UNIT and not unit:
+        raise ModelError(NO_UNIT)
+    if v & sx.V_MODAL and not dia:
+        raise ModelError(NO_DIA)
+
+
+def _state_bit(m, u: str) -> int:
+    bit = m._frame[1].get(u)
+    if bit is None:
         raise ModelError(f"unknown state {u!r}")
-    key = (u, a)
-    hit = j._memo.get(key)
-    if hit is not None:
-        return hit
-    out = _eval_l(j, u, a)
-    j._memo[key] = out
+    return bit
+
+
+def modal_extension(m: KripkeModel, a: sx.ModalFormula, memo: dict) -> int:
+    """The states of m where a holds, as a bitset (bit i is m.states[i]);
+    memo is kept for m."""
+    out = memo.get(a)
+    if out is not None:
+        return out
+    t = a.__class__
+    if t is sx.MAtom:
+        out, bit = 0, m._frame[1]
+        for s in m.val.get(a.name, ()):
+            out |= bit[s]
+    elif t is sx.MBot:
+        out = 0
+    elif t is sx.MAnd:
+        out = modal_extension(m, a.l, memo) & modal_extension(m, a.r, memo)
+    elif t is sx.MOr:
+        out = modal_extension(m, a.l, memo) | modal_extension(m, a.r, memo)
+    elif t is sx.MImp:
+        l, r = modal_extension(m, a.l, memo), modal_extension(m, a.r, memo)
+        out = (m._frame[0] ^ l) | r
+    elif t is sx.MNot:
+        out = m._frame[0] ^ modal_extension(m, a.a, memo)
+    else:
+        # diamond: some successor satisfies the body
+        body, out = modal_extension(m, a.a, memo), 0
+        for x, u in m._frame[2]:
+            if body & u:
+                out |= x
+    memo[a] = out
     return out
 
 
-def _eval_l(j: TernaryModel, u: str, a: sx.LFormula) -> bool:
-    if isinstance(a, sx.LAtom):
-        return u in j.val.get(a.name, frozenset())
-    if isinstance(a, sx.LFresh):
-        return u in j.val.get(sx.render_lambek(a), frozenset())
-    if isinstance(a, sx.LBot):
-        return False
-    if isinstance(a, sx.LTop):
-        return True
-    if isinstance(a, sx.LOne):
-        if j.unit is None:
-            raise ModelError(NO_UNIT)
-        return u == j.unit
-    if isinstance(a, sx.LAnd):
-        return eval_lambek(j, u, a.l) and eval_lambek(j, u, a.r)
-    if isinstance(a, sx.LOr):
-        return eval_lambek(j, u, a.l) or eval_lambek(j, u, a.r)
-    if isinstance(a, sx.LNot):
-        return not eval_lambek(j, u, a.a)
-    if isinstance(a, sx.LProd):
-        return any(
-            eval_lambek(j, v, a.l) and eval_lambek(j, w, a.r)
-            for (x, v, w) in j.rel3
-            if x == u
-        )
-    if isinstance(a, sx.LUnder):
+def eval_modal(m: KripkeModel, w: str, a: sx.ModalFormula) -> bool:
+    bit = _state_bit(m, w)
+    return bool(modal_extension(m, a, {}) & bit)
+
+
+def extension(j: TernaryModel, f: sx.LFormula, memo: dict) -> int:
+    """The states of j where f holds, as a bitset (bit i is j.states[i]);
+    memo is kept for j.  A formula j cannot read (`one` without a unit, a
+    modal operator without dia) raises its ModelError first."""
+    if f._vocab & _OPTIONAL:
+        check_vocab(f._vocab, j.unit is not None, j.dia is not None)
+    return _extension(j, f, memo)
+
+
+def _extension(j: TernaryModel, a: sx.LFormula, memo: dict) -> int:
+    out = memo.get(a)
+    if out is not None:
+        return out
+    t = a.__class__
+    if t is sx.LAtom:
+        out, bit = 0, j._frame[1]
+        for s in j.val.get(a.name, ()):
+            out |= bit[s]
+    elif t is sx.LAnd:
+        out = _extension(j, a.l, memo) & _extension(j, a.r, memo)
+    elif t is sx.LOr:
+        out = _extension(j, a.l, memo) | _extension(j, a.r, memo)
+    elif t is sx.LNot:
+        out = j._frame[0] ^ _extension(j, a.a, memo)
+    elif t is sx.LFresh:
+        names = memo.get(_NAMES)
+        if names is None:
+            names = memo[_NAMES] = {}
+        out, bit = 0, j._frame[1]
+        for s in j.val.get(sx.render_lambek(a, names), ()):
+            out |= bit[s]
+    elif t is sx.LProd:
+        # some (u, v, w) with l at v and r at w
+        l, r, out = _extension(j, a.l, memo), _extension(j, a.r, memo), 0
+        for u, v, w in j._frame[2]:
+            if l & v and r & w:
+                out |= u
+    elif t is sx.LUnder:
         # a.l \ a.r at u: whenever u is the right part, l at the left part
-        # forces r at the product
-        return all(
-            (not eval_lambek(j, w, a.l)) or eval_lambek(j, v, a.r)
-            for (v, w, x) in j.rel3
-            if x == u
-        )
-    if isinstance(a, sx.LOver):
+        # forces r at the product; no (v, w, u) with l at w and r false at v
+        l, r, bad = _extension(j, a.l, memo), _extension(j, a.r, memo), 0
+        full, _, rel, _ = j._frame
+        for v, w, u in rel:
+            if l & w and not r & v:
+                bad |= u
+        out = full ^ bad
+    elif t is sx.LOver:
         # a.l / a.r at u: whenever u is the left part, r at the right part
-        # forces l at the product
-        return all(
-            (not eval_lambek(j, v, a.r)) or eval_lambek(j, w, a.l)
-            for (w, x, v) in j.rel3
-            if x == u
-        )
-    if j.dia is None:
-        raise ModelError(NO_DIA)
-    if isinstance(a, sx.LDia):
-        return any(eval_lambek(j, v, a.a) for (x, v) in j.dia if x == u)
-    if isinstance(a, sx.LBoxDown):
-        return all(eval_lambek(j, v, a.a) for (v, x) in j.dia if x == u)
-    raise ModelError(f"unknown formula {a!r}")
+        # forces l at the product; no (w, u, v) with r at v and l false at w
+        l, r, bad = _extension(j, a.l, memo), _extension(j, a.r, memo), 0
+        full, _, rel, _ = j._frame
+        for w, u, v in rel:
+            if r & v and not l & w:
+                bad |= u
+        out = full ^ bad
+    elif t is sx.LTop:
+        out = j._frame[0]
+    elif t is sx.LBot:
+        out = 0
+    elif t is sx.LOne:
+        out = j._frame[1][j.unit]
+    elif t is sx.LDia:
+        body, out = _extension(j, a.a, memo), 0
+        for u, v in j._frame[3]:
+            if body & v:
+                out |= u
+    elif t is sx.LBoxDown:
+        # every v with (v, u) in dia satisfies the body
+        body, bad = _extension(j, a.a, memo), 0
+        full, _, _, dia = j._frame
+        for v, u in dia:
+            if not body & v:
+                bad |= u
+        out = full ^ bad
+    else:
+        raise ModelError(f"unknown formula {a!r}")
+    memo[a] = out
+    return out
 
 
-def sequent_true(j: TernaryModel, u: str, s: sx.Sequent) -> bool:
-    """Empty antecedents read as plain truth of the succedent."""
-    if s.ant is None:
-        return eval_lambek(j, u, s.suc)
-    if not eval_lambek(j, u, sx.phi_of_tree(s.ant)):
-        return True
-    return eval_lambek(j, u, s.suc)
+def _antecedent(s: sx.Sequent) -> Optional[sx.LFormula]:
+    """The formula of s's antecedent, None when it is empty; a bracket,
+    which has none, raises."""
+    t = s.ant
+    if t is None:
+        return None
+    if t.__class__ is sx.SLeaf:
+        return t.f
+    try:
+        return sx.phi_of_tree(t)
+    except ValueError:
+        raise ModelError(NO_BRACKET) from None
+
+
+def sequent_extension(j: TernaryModel, s: sx.Sequent, memo: dict) -> int:
+    """The states of j where s holds, as a bitset; an empty antecedent
+    reads as plain truth of the succedent.  A sequent j cannot read (a
+    bracket, or a formula as in `extension`) raises first."""
+    a = _antecedent(s)
+    v = s.suc._vocab if a is None else s.suc._vocab | a._vocab
+    if v & _OPTIONAL:
+        check_vocab(v, j.unit is not None, j.dia is not None)
+    return _sequent_extension(j, a, s.suc, memo)
+
+
+def _sequent_extension(j: TernaryModel, a: Optional[sx.LFormula], b: sx.LFormula,
+                       memo: dict) -> int:
+    if a is None:
+        return _extension(j, b, memo)
+    ant = _extension(j, a, memo)
+    # an antecedent that holds nowhere makes the sequent hold everywhere
+    return (j._frame[0] ^ ant) | _extension(j, b, memo) if ant else j._frame[0]
+
+
+def eval_lambek(j: TernaryModel, u: str, a: sx.LFormula) -> bool:
+    bit = _state_bit(j, u)
+    return bool(extension(j, a, {}) & bit)
+
+
+def sequent_true(j: TernaryModel, u: str, s: sx.Sequent, memo: Optional[dict] = None) -> bool:
+    bit = _state_bit(j, u)
+    return bool(sequent_extension(j, s, {} if memo is None else memo) & bit)
 
 
 def sequent_true_everywhere(j: TernaryModel, s: sx.Sequent) -> bool:
-    return all(sequent_true(j, u, s) for u in j.states)
+    return sequent_extension(j, s, {}) == j._frame[0]
 
 
-def satisfies_assumptions(j: TernaryModel, phi: Iterable[sx.Sequent]) -> bool:
-    return all(sequent_true_everywhere(j, s) for s in phi)
+def satisfies_assumptions(j: TernaryModel, phi: Iterable[sx.Sequent],
+                          memo: Optional[dict] = None) -> bool:
+    """Every member of phi holds at every state of j.  Every member is
+    read before any is evaluated, so an error (as in `sequent_extension`)
+    does not depend on which member fails."""
+    read = [(_antecedent(s), s.suc) for s in phi]
+    v = 0
+    for a, b in read:
+        v |= b._vocab if a is None else b._vocab | a._vocab
+    if v & _OPTIONAL:
+        check_vocab(v, j.unit is not None, j.dia is not None)
+    memo = {} if memo is None else memo
+    full = j._frame[0]
+    for a, b in read:
+        if _sequent_extension(j, a, b, memo) != full:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +342,12 @@ def kripke_to_json(m: KripkeModel) -> dict:
     }
 
 
+def _is_names(x) -> bool:
+    return isinstance(x, list) and all(map(isinstance, x, repeat(str)))
+
+
 def _names(x, what: str) -> tuple[str, ...]:
-    if not isinstance(x, list) or not all(isinstance(w, str) for w in x):
+    if not _is_names(x):
         raise ModelError(f"{what} must be a list of state names")
     return tuple(x)
 
@@ -201,16 +355,23 @@ def _names(x, what: str) -> tuple[str, ...]:
 def _tuples(x, arity: int, what: str) -> frozenset[tuple[str, ...]]:
     if not isinstance(x, list) or not all(isinstance(t, list) and len(t) == arity for t in x):
         raise ModelError(f"{what} must be a list of {arity}-element lists")
-    return frozenset(_names(t, f"each entry of {what}") for t in x)
+    if not all(map(_is_names, x)):
+        raise ModelError(f"each entry of {what} must be a list of state names")
+    return frozenset(map(tuple, x))
 
 
 def _fields(d, arity: int) -> tuple:
-    # states, relation and valuation of a model object, every shape checked
+    # states, relation and valuation of a model object, every shape checked;
+    # an error message is formatted only when it is raised
     if not isinstance(d, dict) or not {"states", "rel", "val"} <= d.keys():
         raise ModelError("a model must be a JSON object with states, rel and val")
     if not isinstance(d["val"], dict):
         raise ModelError("val must map each letter to a list of state names")
-    val = {k: frozenset(_names(v, f"the valuation of {k!r}")) for k, v in d["val"].items()}
+    val = {}
+    for k, v in d["val"].items():
+        if not _is_names(v):
+            raise ModelError(f"the valuation of {k!r} must be a list of state names")
+        val[k] = frozenset(v)
     return _names(d["states"], "states"), _tuples(d["rel"], arity, "rel"), val
 
 

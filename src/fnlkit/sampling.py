@@ -26,10 +26,15 @@ ternary model of 1 or 2 states at once: bit m of an int is the truth at
 one state in the m-th model, the lattice connectives become `& | ^`, and
 the product and residuals combine per-triple relation masks.
 
-Every source of models only proposes candidates.  `find_countermodel`
-takes a candidate's first state that falsifies the goal and returns the
-model only when `_verify_ternary`, on a fresh copy read back from its
-JSON, finds phi true and the goal false there.
+Every source of models only proposes candidates that falsify the goal
+somewhere: the kernel and the sampler check the goal themselves, the
+transfer by construction.  `find_countermodel` returns a candidate only
+when `_verify_ternary`, on a fresh copy read back from its JSON, finds
+phi true at every state, and it takes the first state where the goal
+fails there, the lowest bit outside the goal's extension
+(`models.sequent_extension`), with one extension memo for the copy.  The
+transfer values its generated letters by extension too, with one memo
+for the whole doubled model.
 """
 
 from __future__ import annotations
@@ -113,11 +118,17 @@ class SampleBudget:
             raise ModelError("samples must be at least 0")
 
 
-def _verify_ternary(j: md.TernaryModel, u: str, goal: sx.Sequent, phi) -> bool:
-    # round-trip through the serialized form so a caching bug cannot
-    # smuggle a bogus countermodel out
+def _verify_ternary(j: md.TernaryModel, goal: sx.Sequent, phi) -> Optional[str]:
+    """The first state of j where the goal fails, the lowest bit outside
+    its extension, when phi holds at every state of j; else None.  Read on
+    a fresh copy of j from its JSON, so a caching bug cannot smuggle a
+    bogus countermodel out; the goal and phi share one extension memo."""
     j2 = md.ternary_from_json(md.ternary_to_json(j))
-    return md.satisfies_assumptions(j2, phi) and not md.sequent_true(j2, u, goal)
+    memo: dict = {}
+    bad = ((1 << len(j2.states)) - 1) & ~md.sequent_extension(j2, goal, memo)
+    if not bad or not md.satisfies_assumptions(j2, phi, memo):
+        return None
+    return j2.states[(bad & -bad).bit_length() - 1]
 
 
 # The exhaustive models are numbered one bit per choice.  Over n states and
@@ -271,24 +282,25 @@ def chain_verdict(goal: sx.Sequent) -> Optional[TableauVerdict]:
     return None if a is None else k_decide(a)
 
 
-def _generated_letters(goal: sx.Sequent, phi) -> set:
-    """The generated letters of the problem, and of their payloads in turn:
-    one walk of the problem's distinct subformulas, then one walk of the
-    distinct subformulas of the new letters' payloads, until none is new."""
-    letters: set = set()
-    fs = sx.subformulas_of_problem(goal, phi)
-    while fs:
-        new = {g for g in fs if isinstance(g, sx.LFresh) and g.mark == "neg"} - letters
-        letters |= new
+def _generated_letters(letters) -> set:
+    """The generated letters of a problem, given as letters, and of their
+    payloads in turn: one walk of the distinct subformulas of the new
+    letters' payloads at a time, until none is new."""
+    out = set(letters)
+    new = out
+    while new:
         fs = sx.subformulas_many(g.of for g in new)
-    return letters
+        new = {g for g in fs if isinstance(g, sx.LFresh) and g.mark == "neg"} - out
+        out |= new
+    return out
 
 
-def _transfer_ternary(goal: sx.Sequent, phi, symmetric: bool,
+def _transfer_ternary(fresh, symmetric: bool,
                       verdict: Optional[TableauVerdict]) -> Optional[md.TernaryModel]:
     """The K countermodel of the modal formula the goal pulls back to,
     pushed down the reduction chain; None when verdict, the goal's
-    `chain_verdict`, is None (no transfer) or valid.
+    `chain_verdict`, is None (no transfer) or valid.  fresh holds the
+    generated letters of the problem (`_letters`).
 
     The verdict's Kripke countermodel is doubled (with four triples per
     edge if symmetric), p_top holds everywhere and p_bot nowhere, and each
@@ -296,11 +308,11 @@ def _transfer_ternary(goal: sx.Sequent, phi, symmetric: bool,
     (`_generated_letters`, over distinct subformulas, not per member),
     holds exactly where its payload fails.  The payload is read back as
     the chain reads it, `negrewrite(section_inverse(payload))` over one
-    memo, which leaves no letter to value first, and evaluated in the one
-    doubled model."""
+    memo, which leaves no letter to value first, and its extension in the
+    one doubled model is taken over one memo too."""
     if verdict is None or verdict.valid:
         return None
-    letters = _generated_letters(goal, phi)
+    letters = _generated_letters(fresh)
     if any(sx.vocab(f.of) & (sx.V_UNIT | sx.V_MODAL) for f in letters):
         return None
     j = tr.build_ternary_model(verdict.model, exchange=symmetric)
@@ -309,14 +321,15 @@ def _transfer_ternary(goal: sx.Sequent, phi, symmetric: bool,
     val[sx.render_lambek(sx.P_BOT)] = frozenset()
     memo: dict = {}
     names: dict = {}
+    extents: dict = {}
     for f in letters:
-        back = tr.negrewrite(tr.section_inverse(f.of, memo), memo)
+        holds = md.extension(j, tr.negrewrite(tr.section_inverse(f.of, memo), memo), extents)
         val[sx.render_lambek(f, names)] = frozenset(
-            u for u in j.states if not md.eval_lambek(j, u, back))
+            u for i, u in enumerate(j.states) if not holds >> i & 1)
     return md.TernaryModel(j.states, j.rel3, val)
 
 
-def _candidate_ternary(goal: sx.Sequent, phi, atoms, budget: SampleBudget,
+def _candidate_ternary(goal: sx.Sequent, phi, atoms, fresh, budget: SampleBudget,
                        verdict: Optional[TableauVerdict]) -> Iterator[md.TernaryModel]:
     plain = not (budget.with_unit or budget.with_dia)
     if plain:
@@ -324,13 +337,25 @@ def _candidate_ternary(goal: sx.Sequent, phi, atoms, budget: SampleBudget,
             yield from _exhaustive_ternary(1, atoms, goal, phi, budget.symmetric)
         if len(atoms) <= 3:
             yield from _exhaustive_ternary(2, atoms, goal, phi, budget.symmetric)
-        moved = _transfer_ternary(goal, phi, budget.symmetric, verdict)
+        moved = _transfer_ternary(fresh, budget.symmetric, verdict)
         if moved is not None:
             yield moved
     rng = random.Random(budget.seed)
     for _ in range(budget.samples):
-        yield sample_ternary(rng, budget.max_states, atoms, budget.symmetric,
-                             budget.with_unit, budget.with_dia)
+        j = sample_ternary(rng, budget.max_states, atoms, budget.symmetric,
+                           budget.with_unit, budget.with_dia)
+        if not md.sequent_true_everywhere(j, goal):
+            yield j
+
+
+def _letters(goal: sx.Sequent, phi) -> tuple[tuple[str, ...], set]:
+    """The letters the models value, sorted (p alone when there is none),
+    and the problem's generated letters, from one `sx.atom_keys` walk over
+    the goal and phi together."""
+    fresh: set = set()
+    keys = sx.atom_keys(*(f for s in (goal, *phi) for f in sx.sequent_formulas(s)),
+                        fresh=fresh)
+    return tuple(sorted(keys)) or ("p",), fresh
 
 
 def find_countermodel(
@@ -344,33 +369,30 @@ def find_countermodel(
 
     Returns (model, state) or None.  The models value the problem's
     letters, collected by one `sx.atom_keys` walk over the goal and phi
-    together, which enters each subformula once and renders each fresh
-    letter once.  The search tries the exhaustive 1- and 2-state ternary models
+    together (`_letters`), which enters each subformula once, renders each
+    fresh letter once and also gathers the generated letters the transfer
+    values.  The search tries the exhaustive 1- and 2-state ternary models
     (at most 4 and 3 letters), then the transferred K countermodel of
     verdict, the goal's `chain_verdict` (which reads top as ~bot; None
     skips the transfer), then `budget.samples` ternary samples (the first
     two only without unit and dia, so a smallest model wins).  The order
-    of phi changes no result.  Every candidate only proposes: its first
-    state that falsifies the goal is checked by `_verify_ternary`, phi and
-    the goal both, on a fresh copy of the model, and the first candidate
-    that passes is returned.  None is *not* a validity certificate.
-    A goal or assumption with a bracketed antecedent, which the models
-    cannot read, `one` without `budget.with_unit`, or a modal operator
-    without `budget.with_dia` raises the evaluator's ModelError before any
-    model is tried, naming the first of these three it uses.
+    of phi changes no result.  Every candidate only proposes: the first
+    candidate that `_verify_ternary` accepts, phi and the goal both, on a
+    fresh copy of the model, is returned with the first state where the
+    goal fails, the lowest bit outside the goal's extension.  None is
+    *not* a validity certificate.
+
+    Errors come from the vocabulary of the goal and phi, before any model
+    is tried: a bracketed antecedent, which the models cannot read, `one`
+    without `budget.with_unit`, or a modal operator without
+    `budget.with_dia` raises the ModelError of the first of these three
+    (`md.check_vocab`).
     """
     budget = budget or SampleBudget()
-    v = sx.vocab(goal, *phi)
-    if v & sx.V_BRACKET:
-        raise ModelError(md.NO_BRACKET)
-    if v & sx.V_UNIT and not budget.with_unit:
-        raise ModelError(md.NO_UNIT)
-    if v & sx.V_MODAL and not budget.with_dia:
-        raise ModelError(md.NO_DIA)
-    keys = sx.atom_keys(*(f for s in (goal, *phi) for f in sx.sequent_formulas(s)))
-    atoms = tuple(sorted(keys)) or ("p",)
-    for j in _candidate_ternary(goal, phi, atoms, budget, verdict):
-        u = next((u for u in j.states if not md.sequent_true(j, u, goal)), None)
-        if u is not None and _verify_ternary(j, u, goal, phi):
+    md.check_vocab(sx.vocab(goal, *phi), budget.with_unit, budget.with_dia)
+    atoms, fresh = _letters(goal, phi)
+    for j in _candidate_ternary(goal, phi, atoms, fresh, budget, verdict):
+        u = _verify_ternary(j, goal, phi)
+        if u is not None:
             return j, u
     return None

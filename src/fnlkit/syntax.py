@@ -9,7 +9,8 @@ Every term (formula, structure tree, sequent) is an immutable slotted
 object that sets its fields and its hash once, in its constructor.  The
 hash is the one a frozen dataclass gives, `hash` of the tuple of field
 values, taken over the children's stored hashes, so hashing a term of
-any depth costs one slot read.
+any depth costs one slot read.  An absent child (None) counts as the
+constant `NONE_HASH`, so equal terms hash alike in every process.
 
 Each formula also stores its vocabulary mask, built at construction from
 its children's (`V_NEG` ... `V_RESID`, one bit per substructural
@@ -71,6 +72,10 @@ class _Formula(_Term):
 
 _set_vocab = _Formula._vocab.__set__
 _EMPTY_HASH = hash(())
+# an absent child (a fresh constant's payload, an empty antecedent) hashes
+# as this constant: hash(None) is address-based before Python 3.12, so it
+# would differ in every process, PYTHONHASHSEED or not
+NONE_HASH = 0x6E6F6E65
 
 
 class _Nullary(_Formula):
@@ -231,7 +236,7 @@ class LFresh(_Formula, LFormula):
     def __init__(self, mark: str, of: Optional[LFormula] = None):
         _set_mark(self, mark)
         _set_of(self, of)
-        _set_h(self, hash((mark, of)))
+        _set_h(self, hash((mark, NONE_HASH if of is None else of)))
         _set_vocab(self, 0)
 
     def __eq__(self, other):
@@ -350,14 +355,16 @@ def neg_free(f: LFormula) -> bool:
     return not f._vocab & V_NEG
 
 
-def atom_keys(*fs: LFormula) -> frozenset[str]:
+def atom_keys(*fs: LFormula, fresh: Optional[set] = None) -> frozenset[str]:
     """Names of the atomic letters of the formulas fs, fresh letters
     included under their rendered form (which is what valuations key on).
     One walk over all of them enters each subformula object once and
     renders each fresh letter once, over one memo.  Objects are told apart
     by identity, which costs no formula hash on small inputs; the chain
     maps give equal terms one object, so a large chain problem is still
-    walked once per distinct subformula."""
+    walked once per distinct subformula.  Given a set fresh, the walk also
+    adds to it each generated letter (mark "neg") it meets; it does not
+    enter their payloads."""
     out: set[str] = set()
     seen: set[int] = set()
     memo: dict = {}
@@ -376,6 +383,8 @@ def atom_keys(*fs: LFormula) -> frozenset[str]:
             out.add(g.name)
         elif isinstance(g, LFresh):
             out.add(render_lambek(g, memo))
+            if fresh is not None and g.mark == "neg":
+                fresh.add(g)
     return frozenset(out)
 
 
@@ -441,7 +450,7 @@ class Sequent(_Term):
     def __init__(self, ant: Optional[StructTree], suc: LFormula):
         _set_ant(self, ant)
         _set_suc(self, suc)
-        _set_h(self, hash((ant, suc)))
+        _set_h(self, hash((NONE_HASH if ant is None else ant, suc)))
 
     def __eq__(self, other):
         if self is other:

@@ -152,6 +152,70 @@ def sample_kripke(rng: random.Random, max_states: int, atoms: tuple[str, ...]) -
     return md.KripkeModel(ws, rel, val)
 
 
+def eval_lambek_reference(j: md.TernaryModel, u: str, a: sx.LFormula) -> bool:
+    """Truth of a at state u of j, one state at a time and with no memo:
+    the reference for `models.extension`.  `one` without a unit and a
+    modal operator without dia raise only when reached."""
+    ev = functools.partial(eval_lambek_reference, j)
+    if isinstance(a, sx.LAtom):
+        return u in j.val.get(a.name, frozenset())
+    if isinstance(a, sx.LFresh):
+        return u in j.val.get(sx.render_lambek(a), frozenset())
+    if isinstance(a, sx.LBot):
+        return False
+    if isinstance(a, sx.LTop):
+        return True
+    if isinstance(a, sx.LOne):
+        if j.unit is None:
+            raise ModelError(md.NO_UNIT)
+        return u == j.unit
+    if isinstance(a, sx.LAnd):
+        return ev(u, a.l) and ev(u, a.r)
+    if isinstance(a, sx.LOr):
+        return ev(u, a.l) or ev(u, a.r)
+    if isinstance(a, sx.LNot):
+        return not ev(u, a.a)
+    if isinstance(a, sx.LProd):
+        return any(ev(v, a.l) and ev(w, a.r) for (x, v, w) in j.rel3 if x == u)
+    if isinstance(a, sx.LUnder):
+        # whenever u is the right part, l at the left part forces r at the product
+        return all((not ev(w, a.l)) or ev(v, a.r) for (v, w, x) in j.rel3 if x == u)
+    if isinstance(a, sx.LOver):
+        # whenever u is the left part, r at the right part forces l at the product
+        return all((not ev(v, a.r)) or ev(w, a.l) for (w, x, v) in j.rel3 if x == u)
+    if j.dia is None:
+        raise ModelError(md.NO_DIA)
+    if isinstance(a, sx.LDia):
+        return any(ev(v, a.a) for (x, v) in j.dia if x == u)
+    return all(ev(v, a.a) for (v, x) in j.dia if x == u)
+
+
+def sequent_true_reference(j: md.TernaryModel, u: str, s: sx.Sequent) -> bool:
+    """The reference for `models.sequent_true`: an empty antecedent reads
+    as plain truth of the succedent."""
+    if s.ant is not None and not eval_lambek_reference(j, u, sx.phi_of_tree(s.ant)):
+        return True
+    return eval_lambek_reference(j, u, s.suc)
+
+
+def eval_modal_reference(m: md.KripkeModel, w: str, a: sx.ModalFormula) -> bool:
+    """Truth of a at state w of m, one state at a time and with no memo:
+    the reference for `models.modal_extension`."""
+    if isinstance(a, sx.MAtom):
+        return w in m.val.get(a.name, frozenset())
+    if isinstance(a, sx.MBot):
+        return False
+    if isinstance(a, sx.MAnd):
+        return eval_modal_reference(m, w, a.l) and eval_modal_reference(m, w, a.r)
+    if isinstance(a, sx.MOr):
+        return eval_modal_reference(m, w, a.l) or eval_modal_reference(m, w, a.r)
+    if isinstance(a, sx.MImp):
+        return (not eval_modal_reference(m, w, a.l)) or eval_modal_reference(m, w, a.r)
+    if isinstance(a, sx.MNot):
+        return not eval_modal_reference(m, w, a.a)
+    return any(eval_modal_reference(m, u, a.a) for (x, u) in m.rel if x == w)
+
+
 def k_satisfiable(a: sx.ModalFormula):
     """A Kripke model and state satisfying the formula, or None."""
     hit = kt._sat(frozenset({kt._nnf(a, True)}), {})
@@ -291,6 +355,12 @@ TERM_FIELDS = {
 def term_values(x) -> tuple:
     """The field values of term x, in declaration order."""
     return tuple(getattr(x, n) for n in TERM_FIELDS[type(x)])
+
+
+def term_hash(x) -> int:
+    """The hash term x must have: the hash of its field values, an absent
+    child (None) counted as `sx.NONE_HASH`."""
+    return hash(tuple(sx.NONE_HASH if v is None else v for v in term_values(x)))
 
 
 def terms_equal(x, y) -> bool:

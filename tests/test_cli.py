@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -223,6 +224,31 @@ def test_modelcheck_ternary_sequent_and_formula(capsys, tmp_path):
     assert payload["value"] is True
     code, out, err = run(capsys, "modelcheck", str(mfile), "p => q", "--state", "w")
     assert code == 1 and "not in the model" in err
+
+
+def test_modelcheck_errors_come_from_the_vocabulary_not_the_state(capsys, tmp_path):
+    # a formula the model cannot read is an error at every state, also
+    # where the other conjunct already fails; a bracket is an error too
+    mfile = tmp_path / "ternary.json"
+    mfile.write_text(json.dumps({"states": ["u", "v"], "rel": [], "val": {"p": ["u"]}}))
+    for text, message in (("p /\\ one", "without a unit"), ("p => p /\\ <>p", "without a dia"),
+                          ("<p> => p", "bracketed antecedent")):
+        for state in (("--state", "u"), ("--state", "v"), ()):
+            code, out, err = run(capsys, "modelcheck", str(mfile), text, *state)
+            assert code == 1 and out == "" and message in err, (text, state)
+
+
+def test_modelcheck_nested_diamonds_take_linear_time(capsys, tmp_path):
+    # on the complete 3-state frame with p false everywhere, a per-state
+    # evaluator without a memo visits 3^40 paths
+    states = ["a", "b", "c"]
+    mfile = tmp_path / "k.json"
+    mfile.write_text(json.dumps({"states": states, "rel": [[x, y] for x in states for y in states],
+                                 "val": {"p": []}}))
+    started = time.perf_counter()
+    code, payload = run_json(capsys, "modelcheck", str(mfile), "<>" * 40 + "p", "--kind", "kripke")
+    assert time.perf_counter() - started < 1.0
+    assert code == 0 and payload["value"] is False
 
 
 def test_modelcheck_rejects_sequents_against_kripke_models(capsys, tmp_path):

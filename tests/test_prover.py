@@ -539,6 +539,23 @@ def test_census_lists_a_same_length_text_change_apart_from_the_exit_rule():
     assert texts[0].endswith("bytes 3 -> 3")
 
 
+def test_census_lists_every_refuted_command_whose_countermodel_stage_changed():
+    path = Path(__file__).resolve().parents[1] / "tools" / "census.py"
+    spec = importlib.util.spec_from_file_location("census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+
+    def row(stage, system="bfnl-star"):
+        return {"argv": ["prove", "p => q", "--system", system], "stage": stage}
+
+    base = {"w": [row("kernel"), row("transfer"), row(None), row("kernel", "dfnl")]}
+    other = {"w": [row("kernel"), row("sampler"), row("kernel"), row("kernel", "dfnl")]}
+    assert census.stage_changes(base, other) == [
+        "w: prove p => q (bfnl-star): transfer -> sampler",
+        "w: prove p => q (bfnl-star): None -> kernel"]
+    assert census.stage_changes(base, base) == []
+
+
 def test_census_rechecks_every_printed_table_and_exits_1_on_a_lossy_reader(tmp_path):
     # a whole census of one tree and one workload: every printed table is
     # reloaded and accepted; a copy whose reader drops the root's premises

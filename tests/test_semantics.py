@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (all_kripke, all_ternary, lambek_formulas, modal_formulas, sample_kripke,
+from conftest import (all_kripke, all_ternary, eval_lambek_reference, eval_modal_reference,
+                      lambek_formulas, modal_formulas, sample_kripke, sequent_true_reference,
                       sequents, ternary_stream, walk)
 from fnlkit import models as md
 from fnlkit import sampling as smp
@@ -87,6 +88,95 @@ def test_modal_operators_on_ternary_models():
     jfree = T3(["a"], [], {})
     with pytest.raises(ModelError):
         md.eval_lambek(jfree, "a", sx.LDia(p))
+
+
+def test_extension_is_a_bitset_over_the_state_order():
+    j = T3(["a", "b", "c"], [("a", "b", "c")], {"p": ["b"], "q": ["c"]})
+    memo: dict = {}
+    assert md.extension(j, p, memo) == 0b010 and md.extension(j, q, memo) == 0b100
+    assert md.extension(j, sx.LProd(p, q), memo) == 0b001
+    assert md.extension(j, sx.LNot(sx.LProd(p, q)), memo) == 0b110
+    assert md.sequent_extension(j, sx.parse_sequent("p => q"), memo) == 0b101
+    assert md.sequent_extension(j, sx.parse_sequent("=> top"), memo) == 0b111
+
+
+def test_unreadable_vocabulary_raises_whatever_the_state():
+    # p fails at b, so a per-state evaluator that short-circuits would
+    # never reach `one` or the diamond there
+    j = T3(["a", "b"], [], {"p": ["a"]})
+    for f, message in ((sx.LAnd(p, sx.ONE), "without a unit"), (sx.LAnd(p, sx.LDia(q)), "dia")):
+        for u in j.states:
+            with pytest.raises(ModelError, match=message):
+                md.eval_lambek(j, u, f)
+    with pytest.raises(ModelError, match="bracketed antecedent"):
+        md.sequent_true(j, "a", sx.parse_sequent("<p> => q"))
+    with pytest.raises(ModelError, match="without a unit"):
+        # the first member fails, and the second is still read
+        md.satisfies_assumptions(j, [sx.parse_sequent("=> p"), sx.parse_sequent("=> one")])
+
+
+def _unreadable(j: md.TernaryModel, v: int) -> bool:
+    return bool(v & sx.V_BRACKET or v & sx.V_UNIT and j.unit is None
+                or v & sx.V_MODAL and j.dia is None)
+
+
+def _fit(a: sx.LFormula, j: md.TernaryModel) -> sx.LFormula:
+    # a as j can read it: `one` as top without a unit, no modal operators
+    # without dia
+    if isinstance(a, sx.LOne) and j.unit is None:
+        return sx.TOP
+    if isinstance(a, (sx.LDia, sx.LBoxDown)) and j.dia is None:
+        return _fit(a.a, j)
+    return sx.map_children(a, lambda b: _fit(b, j))
+
+
+def _fit_tree(t: sx.StructTree, j: md.TernaryModel) -> sx.StructTree:
+    if isinstance(t, sx.SBracket):
+        return _fit_tree(t.a, j)
+    if isinstance(t, sx.SNode):
+        return sx.SNode(_fit_tree(t.l, j), _fit_tree(t.r, j))
+    return sx.SLeaf(_fit(t.f, j))
+
+
+@settings(max_examples=200)
+@given(a=lambek_formulas, s=sequents, seed=st.integers(0, 10 ** 6), unit=st.booleans(),
+       symmetric=st.booleans(), dia=st.booleans())
+def test_extension_matches_the_per_state_reference(a, s, seed, unit, symmetric, dia):
+    # a seeded sample values every letter of a and s, one of them left out
+    keys = sorted(sx.atom_keys(a, *sx.sequent_formulas(s)))[1:]
+    j = smp.sample_ternary(random.Random(seed), 4, tuple(keys), symmetric, unit, dia)
+    if _unreadable(j, a._vocab):
+        with pytest.raises(ModelError):
+            md.extension(j, a, {})
+    if _unreadable(j, sx.vocab(s)):
+        with pytest.raises(ModelError):
+            md.sequent_extension(j, s, {})
+        with pytest.raises(ModelError):
+            md.satisfies_assumptions(j, [s])
+    a = _fit(a, j)
+    s = sx.Sequent(None if s.ant is None else _fit_tree(s.ant, j), _fit(s.suc, j))
+    memo: dict = {}
+    ext = md.extension(j, a, memo)
+    for i, u in enumerate(j.states):
+        want = eval_lambek_reference(j, u, a)
+        assert bool(ext >> i & 1) == want
+        assert md.eval_lambek(j, u, a) == want
+    want = [sequent_true_reference(j, u, s) for u in j.states]
+    assert [md.sequent_true(j, u, s, memo) for u in j.states] == want
+    assert [md.sequent_true(j, u, s) for u in j.states] == want
+    assert md.sequent_true_everywhere(j, s) == md.satisfies_assumptions(j, [s], memo) == all(want)
+
+
+@settings(max_examples=150)
+@given(f=modal_formulas, seed=st.integers(0, 10 ** 6))
+def test_modal_extension_matches_the_per_state_reference(f, seed):
+    m = sample_kripke(random.Random(seed), 4, ("p", "q", "r", "s_1"))
+    memo: dict = {}
+    ext = md.modal_extension(m, f, memo)
+    for i, w in enumerate(m.states):
+        want = eval_modal_reference(m, w, f)
+        assert bool(ext >> i & 1) == want
+        assert md.eval_modal(m, w, f) == want
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +444,9 @@ def test_find_countermodel_returns_the_first_candidate_that_holds(goal, assumpti
     budget = smp.SampleBudget(seed=seed, samples=30, with_dia=with_dia)
     verdict = smp.chain_verdict(goal)
     atoms = _atoms(goal, phi)
+    assert smp._letters(goal, phi)[0] == atoms
     want = None
-    for j in smp._candidate_ternary(goal, phi, atoms, budget, verdict):
+    for j in smp._candidate_ternary(goal, phi, atoms, smp._letters(goal, phi)[1], budget, verdict):
         falsified = [u for u in j.states if not md.sequent_true(j, u, goal)]
         if falsified and md.satisfies_assumptions(j, phi):
             want = (md.ternary_to_json(j), falsified[0])

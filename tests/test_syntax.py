@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from dataclasses import FrozenInstanceError
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (TERM_FIELDS, closure_contains, lambek_formulas, modal_formulas, sequents,
-                      struct_trees, term_repr, term_values, terms_equal, walk)
+                      struct_trees, term_hash, term_repr, term_values, terms_equal, walk)
 from fnlkit import syntax as sx
 from fnlkit.errors import ParseError, ValidationError
 from fnlkit.systems import SYSTEMS, validate_sequent
@@ -287,7 +289,7 @@ def _twins(x):
 def test_terms_hash_compare_and_print_as_frozen_dataclasses(x, y):
     copy = _rebuilt(x)
     assert copy is not x
-    assert hash(x) == hash(term_values(x)) == hash(copy)
+    assert hash(x) == term_hash(x) == hash(copy)
     assert x == copy and not x != copy
     assert (x == y) == (y == x) == terms_equal(x, y)
     assert (x != y) == (not terms_equal(x, y))
@@ -301,6 +303,24 @@ def test_terms_hash_compare_and_print_as_frozen_dataclasses(x, y):
         with pytest.raises(FrozenInstanceError):
             delattr(x, name)
     assert x == copy and hash(x) == hash(copy)
+
+
+_PRINT_HASHES = """
+from fnlkit import syntax as sx
+print(hash(sx.parse_sequent("=> p")), hash(sx.P_BOT), hash(sx.P_TOP),
+      hash(sx.parse_lambek("p_bot * p_top \\\\/ bot")))
+"""
+
+
+def test_terms_with_an_absent_child_hash_alike_in_every_process():
+    # hash(None) is address-based before Python 3.12, so a term holding
+    # None must not hash it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONHASHSEED": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    runs = [subprocess.run([sys.executable, "-c", _PRINT_HASHES], capture_output=True, env=env,
+                           text=True, timeout=120, check=True).stdout for _ in range(2)]
+    assert runs[0] == runs[1] and len(runs[0].split()) == 4
 
 
 @pytest.mark.parametrize("memo", [None, {}])

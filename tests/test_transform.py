@@ -654,6 +654,11 @@ def _problem(a: sx.ModalFormula, stage: str):
     return get_system(system), goal, tuple(sorted(phi, key=sx.render_sequent))
 
 
+def _fresh(goal, phi):
+    # the problem's generated letters, as find_countermodel collects them
+    return smp._letters(goal, phi)[1]
+
+
 @pytest.fixture
 def transfer_only(monkeypatch):
     # no small models and no samples: a countermodel can come only from
@@ -672,12 +677,12 @@ def test_the_k_countermodel_refutes_every_stage(transfer_only):
             if hit is None:
                 missed.append((a, stage))
             else:
-                assert smp._verify_ternary(hit[0], hit[1], goal, phi)
+                assert smp._verify_ternary(hit[0], goal, phi) == hit[1]
     assert missed == []
     for a in theorems:
         for stage in tr.STAGES:
             _, goal, phi = _problem(a, stage)
-            assert smp._transfer_ternary(goal, phi, False, smp.chain_verdict(goal)) is None
+            assert smp._transfer_ternary(_fresh(goal, phi), False, smp.chain_verdict(goal)) is None
 
 
 class _SearchReached(Exception):
@@ -701,7 +706,7 @@ def test_derive_transfers_before_searching(transfer_only, monkeypatch):
     for a, (sys, goal, phi) in zip(non_theorems, problems):
         r = derive(sys, phi, goal, budget)
         assert r.verdict == pv.REFUTED, sx.render_modal(a)
-        assert smp._verify_ternary(r.model, r.state, goal, phi)
+        assert smp._verify_ternary(r.model, goal, phi) == r.state
 
 
 def test_a_chain_non_theorem_is_refuted_before_the_strategies(monkeypatch):
@@ -847,7 +852,7 @@ def test_exchange_variant_gets_the_exchange_model(transfer_only, monkeypatch):
         r = derive(exchange, (), goal, SearchBudget(samples=0))
         assert r.verdict == pv.REFUTED, sx.render_modal(a)
         assert all((u, w, v) in r.model.rel3 for (u, v, w) in r.model.rel3)
-        assert smp._verify_ternary(r.model, r.state, goal, ())
+        assert smp._verify_ternary(r.model, goal, ()) == r.state
 
 
 def test_transfer_declines_letters_it_cannot_value():
@@ -857,7 +862,7 @@ def test_transfer_declines_letters_it_cannot_value():
     goal, phi = sx.parse_sequent("=> p"), (sx.parse_sequent("p{<>q} => q"),)
     verdict = smp.chain_verdict(goal)
     assert not verdict.valid
-    assert smp._transfer_ternary(goal, phi, False, verdict) is None
+    assert smp._transfer_ternary(_fresh(goal, phi), False, verdict) is None
     assert smp.find_countermodel(goal, phi, smp.SampleBudget(samples=0), verdict) is not None
 
 
@@ -866,7 +871,7 @@ def _check_transfer(goal, phi, symmetric):
     # payloads, each where its payload fails in that very model
     verdict = smp.chain_verdict(goal)
     assert verdict is not None and not verdict.valid
-    j = smp._transfer_ternary(goal, phi, symmetric, verdict)
+    j = smp._transfer_ternary(_fresh(goal, phi), symmetric, verdict)
     letters = letters_through_payloads(goal, phi)
     fixed = set(verdict.model.val) | {tr.M, sx.render_lambek(sx.P_TOP), sx.render_lambek(sx.P_BOT)}
     assert set(j.val) - fixed == {sx.render_lambek(f) for f in letters}
@@ -906,16 +911,16 @@ def test_transfer_values_each_letter_where_its_payload_fails(a, stage, symmetric
 def test_generated_letters_are_those_of_the_per_member_walk(a, stage):
     # the large formulas give chain problems of hundreds of members
     _, goal, phi = tr.pipeline_k_to_dfnl(a, stage)
-    assert smp._generated_letters(goal, phi) == letters_through_payloads(goal, phi)
+    assert smp._generated_letters(_fresh(goal, phi)) == letters_through_payloads(goal, phi)
 
 
 def test_generated_letters_close_over_payloads():
     # p{p{q} * p{r}} is the only letter of the problem; two more sit in its payload
     inner = sx.LProd(sx.fresh_for(q), sx.fresh_for(sx.LAtom("r")))
     goal, phi = sx.Sequent(None, sx.fresh_for(inner)), (sx.parse_sequent("p_top => p"),)
-    assert smp._generated_letters(goal, phi) == {
+    assert smp._generated_letters(_fresh(goal, phi)) == {
         sx.fresh_for(inner), sx.fresh_for(q), sx.fresh_for(sx.LAtom("r"))}
-    assert smp._generated_letters(goal, phi) == letters_through_payloads(goal, phi)
+    assert smp._generated_letters(_fresh(goal, phi)) == letters_through_payloads(goal, phi)
 
 
 def test_transfer_values_the_letters_inside_payloads():

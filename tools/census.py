@@ -16,12 +16,18 @@ they were handed.
 
 Per workload it prints the verdict digest (the benchmark's), the verdict
 counts, the proved commands by strategy, the printed bytes, the
-derivation nodes, and the checker calls and the nodes they checked.
-Given two trees it then lists every command whose verdict, strategy or
-exit code differs, or that prints more bytes under OTHER than under
-TREE, and exits 1 if there is one.  Under a heading of their own it
-lists every command whose printed text differs, by a sha1 of the text,
-whatever its length; these alone do not change the exit status.
+derivation nodes, the checker calls and the nodes they checked, and the
+refuted commands by the stage of `fnlkit.sampling.find_countermodel`
+that proposed their countermodel: `kernel` (the exhaustive 1- and
+2-state models), `transfer` (the K countermodel pushed down the chain) or
+`sampler` (the seeded samples).  It then lists each refuted command with
+that stage, per tree.  Given two trees, it lists every command whose
+verdict, strategy or exit code differs, or that prints more bytes under
+OTHER than under TREE, and exits 1 if there is one.  Under headings of
+their own it lists every command whose printed text differs, by a sha1
+of the text, whatever its length, and every refuted command whose
+countermodel came from another stage; these alone do not change the
+exit status.
 
     python3 tools/census.py --unrun --seed 1 TREE
 
@@ -145,6 +151,28 @@ def census(tree: str, seed: int, names: list[str], unrun: bool = False) -> dict:
         return ok
 
     fk.checker.check_derivation = counted_check
+    smp = fk.sampling
+    proposed: dict = {}  # id(model) -> (model, stage) of this command's candidates
+    hits: list = []  # the stage of each model find_countermodel returned
+
+    def tag(j, stage):
+        if j is not None:
+            proposed[id(j)] = (j, stage)
+        return j
+
+    kernel, transfer, sampler = smp._exhaustive_ternary, smp._transfer_ternary, smp.sample_ternary
+    smp._exhaustive_ternary = lambda *a, **kw: (tag(j, "kernel") for j in kernel(*a, **kw))
+    smp._transfer_ternary = lambda *a, **kw: tag(transfer(*a, **kw), "transfer")
+    smp.sample_ternary = lambda *a, **kw: tag(sampler(*a, **kw), "sampler")
+    find = smp.find_countermodel
+
+    def staged_find(*a, **kw):
+        hit = find(*a, **kw)
+        if hit is not None:
+            hits.append(proposed.get(id(hit[0]), (None, "unknown"))[1])
+        return hit
+
+    smp.find_countermodel = staged_find
     pkg = os.path.join(src, "fnlkit")
     ran: set = set()
 
@@ -166,6 +194,8 @@ def census(tree: str, seed: int, names: list[str], unrun: bool = False) -> dict:
                     c.cache_clear()
                 checked[:] = [0, 0]
                 accepted.clear()
+                proposed.clear()
+                hits.clear()
                 text = io.StringIO()
                 with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
                     sys.settrace(call if unrun else None)
@@ -193,6 +223,7 @@ def census(tree: str, seed: int, names: list[str], unrun: bool = False) -> dict:
                     "checks": checked[0],
                     "checked_nodes": checked[1],
                     "recheck": reloaded,
+                    "stage": "+".join(hits) if payload.get("verdict") == "refuted" else None,
                 })
         out[name] = rows
     return {"rows": out, "unrun": unrun_statements(pkg, ran) if unrun else None}
@@ -201,6 +232,7 @@ def census(tree: str, seed: int, names: list[str], unrun: bool = False) -> dict:
 def summary(rows: list[dict]) -> dict:
     verdicts = [r["verdict"] for r in rows]
     by_strategy = Counter(r["strategy"] for r in rows if r["verdict"] == "proved")
+    stages = Counter(r["stage"] for r in rows if r["stage"] is not None)
     return {
         "commands": len(rows),
         "digest": hashlib.sha1("\n".join(map(str, verdicts)).encode()).hexdigest()[:16],
@@ -211,7 +243,15 @@ def summary(rows: list[dict]) -> dict:
         "nodes": sum(r["nodes"] for r in rows),
         "checks": sum(r["checks"] for r in rows),
         "checked nodes": sum(r["checked_nodes"] for r in rows),
+        "stages": " ".join(f"{k}:{n}" for k, n in sorted(stages.items())) or "-",
     }
+
+
+def label(row: dict) -> str:
+    """A command's name and first argument, and its system if it names one."""
+    argv = row["argv"]
+    head = " ".join(argv[:2])
+    return f"{head} ({argv[argv.index('--system') + 1]})" if "--system" in argv else head
 
 
 def differences(base: dict, other: dict) -> tuple[list[str], list[str]]:
@@ -234,6 +274,14 @@ def differences(base: dict, other: dict) -> tuple[list[str], list[str]]:
                 texts.append(f"{head}: sha1 {a['sha1'][:12]} -> {b['sha1'][:12]}, "
                              f"bytes {a['bytes']} -> {b['bytes']}")
     return out, texts
+
+
+def stage_changes(base: dict, other: dict) -> list[str]:
+    """The commands whose countermodel came from another stage (or that
+    one tree refutes and the other does not)."""
+    return [f"{name}: {label(a)}: {a['stage']} -> {b['stage']}"
+            for name, rows in base.items() if len(rows) == len(other[name])
+            for a, b in zip(rows, other[name]) if a["stage"] != b["stage"]]
 
 
 def run_child(tree: str, seed: int, names: list[str], unrun: bool) -> dict:
@@ -287,9 +335,16 @@ def main(argv=None) -> int:
                   f"printed tables reloaded and accepted")
             for r in bad:
                 print(f"  {' '.join(r['argv'][:2])}: {r['recheck']}")
+    for tree, res in zip(args.trees, results):
+        print(f"countermodel stages {tree}:")
+        for name in names:
+            for r in res[name]:
+                if r["stage"] is not None:
+                    print(f"  {name}: {label(r)}: {r['stage']}")
     if len(results) == 1:
         return 1 if rejected else 0
     diffs, texts = differences(*results)
+    stages = stage_changes(*results)
     for line in diffs:
         print(line)
     print(f"{len(diffs)} command(s) differ or print more bytes")
@@ -297,6 +352,10 @@ def main(argv=None) -> int:
     for line in texts:
         print(f"  {line}")
     print(f"{len(texts)} command(s) print different text")
+    print("countermodel stage:")
+    for line in stages:
+        print(f"  {line}")
+    print(f"{len(stages)} refuted command(s) take their countermodel from another stage")
     return 1 if diffs or rejected else 0
 
 
