@@ -1,16 +1,18 @@
 """Independent structural proof checker.
 
 One table, `_RULES`, gives each rule its arity, the `Inst` fields it
-reads, and a premise function.  From the conclusion, the recorded
-instantiation and the subtree at the recorded position alone, that
-function computes the premises the rule demands and the principal formula
-it acts on, or says why the conclusion does not fit the rule.
+reads, and a premise function.  A node records only what its conclusion
+and premises do not show: the hole path and a pick-one rule's side.  From
+the conclusion, that instantiation and the subtree at the recorded
+position (and, for cut, the minor premise's succedent, the cut formula),
+the function computes the premises the rule demands, or says why the
+conclusion does not fit the rule; the principal formula, the cut formula
+and the assumption used are read off, never recorded.
 `check_derivation` then checks each node once for each of: the system has
 the rule, the sequent is well formed there, the arity, no field the rule
-does not read is recorded, the premises are the demanded ones, and a
-recorded principal formula is the one the rule acts on.  So malformed
-evidence fails even where it is sound.  Nothing here calls the search
-code, so a prover bug cannot vouch for itself."""
+does not read is recorded, and the premises are the demanded ones.  So
+malformed evidence fails even where it is sound.  Nothing here calls the
+search code, so a prover bug cannot vouch for itself."""
 
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .systems import SystemSpec, allowed_rules, validate_sequent
 # rule -> (arity, the Inst fields it does not read, premise function), filled
 # by @_rule from the fields each rule reads.  A premise function maps
 # (conclusion, inst, subtree at inst.path or None, recorded premises, phi)
-# to (premise sequents, principal formula) or to the reason it does not fit.
+# to the premise sequents or to the reason it does not fit.
 _RULES: dict = {}
 
 
@@ -52,7 +54,7 @@ def _plug(c, inst, t) -> sx.Sequent:
 
 
 def _fits(ok, reason):
-    return ((), None) if ok else reason
+    return () if ok else reason
 
 
 @_rule(pf.ID, 0)
@@ -117,161 +119,157 @@ def _one_r(c, inst, x, prems, phi):
     return _fits(c.ant is None and c.suc == sx.ONE, "not the empty-antecedent unit sequent")
 
 
-@_rule(pf.ASSUMPTION, 0, ("member",))
+@_rule(pf.ASSUMPTION, 0)
 def _assumption(c, inst, x, prems, phi):
-    if c not in phi:
-        return "sequent is not among the assumptions"
-    return _fits(inst.member == c, "recorded member is not the conclusion")
+    return _fits(c in phi, "sequent is not among the assumptions")
 
 
 # ---------------------------------------------------------------------------
 # left rules: act on the subtree at the recorded position
 
 
-@_rule(pf.PROD_L, 1, ("path", "main"))
+@_rule(pf.PROD_L, 1, ("path",))
 def _prod_l(c, inst, x, prems, phi):
     f = _leaf(x)
     if not isinstance(f, sx.LProd):
         return "recorded position does not hold a product leaf"
-    return (_plug(c, inst, sx.SNode(sx.SLeaf(f.l), sx.SLeaf(f.r))),), f
+    return (_plug(c, inst, sx.SNode(sx.SLeaf(f.l), sx.SLeaf(f.r))),)
 
 
-@_rule(pf.DIA_L, 1, ("path", "main"))
+@_rule(pf.DIA_L, 1, ("path",))
 def _dia_l(c, inst, x, prems, phi):
     f = _leaf(x)
     if not isinstance(f, sx.LDia):
         return "recorded position does not hold a diamond leaf"
-    return (_plug(c, inst, sx.SBracket(sx.SLeaf(f.a))),), f
+    return (_plug(c, inst, sx.SBracket(sx.SLeaf(f.a))),)
 
 
-@_rule(pf.BOXDOWN_L, 1, ("path", "main"))
+@_rule(pf.BOXDOWN_L, 1, ("path",))
 def _boxdown_l(c, inst, x, prems, phi):
     f = _leaf(x.a) if isinstance(x, sx.SBracket) else None
     if not isinstance(f, sx.LBoxDown):
         return "recorded position is not a bracketed box-down leaf"
-    return (_plug(c, inst, sx.SLeaf(f.a)),), f
+    return (_plug(c, inst, sx.SLeaf(f.a)),)
 
 
 @_rule(pf.ONE_L_LEFT, 1, ("path",))
 def _one_l_left(c, inst, x, prems, phi):
     if not (isinstance(x, sx.SNode) and x.l == sx.SLeaf(sx.ONE)):
         return "recorded position is not a node with unit on the left"
-    return (_plug(c, inst, x.r),), None
+    return (_plug(c, inst, x.r),)
 
 
 @_rule(pf.ONE_L_RIGHT, 1, ("path",))
 def _one_l_right(c, inst, x, prems, phi):
     if not (isinstance(x, sx.SNode) and x.r == sx.SLeaf(sx.ONE)):
         return "recorded position is not a node with unit on the right"
-    return (_plug(c, inst, x.l),), None
+    return (_plug(c, inst, x.l),)
 
 
 @_rule(pf.EXCH, 1, ("path",))
 def _exch(c, inst, x, prems, phi):
     if not isinstance(x, sx.SNode):
         return "recorded position is not a node"
-    return (_plug(c, inst, sx.SNode(x.r, x.l)),), None
+    return (_plug(c, inst, sx.SNode(x.r, x.l)),)
 
 
-@_rule(pf.AND_L, 1, ("path", "main", "idx"))
+@_rule(pf.AND_L, 1, ("path", "idx"))
 def _and_l(c, inst, x, prems, phi):
     f = _leaf(x)
     if not isinstance(f, sx.LAnd) or inst.idx not in (1, 2):
         return "recorded position does not hold a conjunction leaf"
-    return (_plug(c, inst, sx.SLeaf(f.l if inst.idx == 1 else f.r)),), f
+    return (_plug(c, inst, sx.SLeaf(f.l if inst.idx == 1 else f.r)),)
 
 
-@_rule(pf.OR_L, 2, ("path", "main"))
+@_rule(pf.OR_L, 2, ("path",))
 def _or_l(c, inst, x, prems, phi):
     f = _leaf(x)
     if not isinstance(f, sx.LOr):
         return "recorded position does not hold a disjunction leaf"
-    return (_plug(c, inst, sx.SLeaf(f.l)), _plug(c, inst, sx.SLeaf(f.r))), f
+    return (_plug(c, inst, sx.SLeaf(f.l)), _plug(c, inst, sx.SLeaf(f.r)))
 
 
-@_rule(pf.UNDER_L, 2, ("path", "main"))
+@_rule(pf.UNDER_L, 2, ("path",))
 def _under_l(c, inst, x, prems, phi):
     f = _leaf(x.r) if isinstance(x, sx.SNode) else None
     if not isinstance(f, sx.LUnder):
         return "recorded position is not a node with a left-residual leaf on the right"
-    return (sx.Sequent(x.l, f.l), _plug(c, inst, sx.SLeaf(f.r))), f
+    return (sx.Sequent(x.l, f.l), _plug(c, inst, sx.SLeaf(f.r)))
 
 
-@_rule(pf.OVER_L, 2, ("path", "main"))
+@_rule(pf.OVER_L, 2, ("path",))
 def _over_l(c, inst, x, prems, phi):
     f = _leaf(x.l) if isinstance(x, sx.SNode) else None
     if not isinstance(f, sx.LOver):
         return "recorded position is not a node with a right-residual leaf on the left"
-    return (_plug(c, inst, sx.SLeaf(f.l)), sx.Sequent(x.r, f.r)), f
+    return (_plug(c, inst, sx.SLeaf(f.l)), sx.Sequent(x.r, f.r))
 
 
 # ---------------------------------------------------------------------------
 # right rules act on the succedent; cut plugs its formula in at the position
 
 
-@_rule(pf.AND_R, 2, ("main",))
+@_rule(pf.AND_R, 2)
 def _and_r(c, inst, x, prems, phi):
     if not isinstance(c.suc, sx.LAnd):
         return "succedent is not a conjunction"
-    return (sx.Sequent(c.ant, c.suc.l), sx.Sequent(c.ant, c.suc.r)), c.suc
+    return (sx.Sequent(c.ant, c.suc.l), sx.Sequent(c.ant, c.suc.r))
 
 
-@_rule(pf.OR_R, 1, ("main", "idx"))
+@_rule(pf.OR_R, 1, ("idx",))
 def _or_r(c, inst, x, prems, phi):
     if not isinstance(c.suc, sx.LOr) or inst.idx not in (1, 2):
         return "succedent is not a disjunction"
-    return (sx.Sequent(c.ant, c.suc.l if inst.idx == 1 else c.suc.r),), c.suc
+    return (sx.Sequent(c.ant, c.suc.l if inst.idx == 1 else c.suc.r),)
 
 
-@_rule(pf.UNDER_R, 1, ("main",))
+@_rule(pf.UNDER_R, 1)
 def _under_r(c, inst, x, prems, phi):
     if not isinstance(c.suc, sx.LUnder):
         return "succedent is not a left residual"
     arg = sx.SLeaf(c.suc.l)
-    return (sx.Sequent(arg if c.ant is None else sx.SNode(arg, c.ant), c.suc.r),), c.suc
+    return (sx.Sequent(arg if c.ant is None else sx.SNode(arg, c.ant), c.suc.r),)
 
 
-@_rule(pf.OVER_R, 1, ("main",))
+@_rule(pf.OVER_R, 1)
 def _over_r(c, inst, x, prems, phi):
     if not isinstance(c.suc, sx.LOver):
         return "succedent is not a right residual"
     arg = sx.SLeaf(c.suc.r)
-    return (sx.Sequent(arg if c.ant is None else sx.SNode(c.ant, arg), c.suc.l),), c.suc
+    return (sx.Sequent(arg if c.ant is None else sx.SNode(c.ant, arg), c.suc.l),)
 
 
-@_rule(pf.DIA_R, 1, ("main",))
+@_rule(pf.DIA_R, 1)
 def _dia_r(c, inst, x, prems, phi):
     if not (isinstance(c.suc, sx.LDia) and isinstance(c.ant, sx.SBracket)):
         return "needs a bracketed antecedent and diamond succedent"
-    return (sx.Sequent(c.ant.a, c.suc.a),), c.suc
+    return (sx.Sequent(c.ant.a, c.suc.a),)
 
 
-@_rule(pf.BOXDOWN_R, 1, ("main",))
+@_rule(pf.BOXDOWN_R, 1)
 def _boxdown_r(c, inst, x, prems, phi):
     if not isinstance(c.suc, sx.LBoxDown) or c.ant is None:
         return "needs a nonempty antecedent and box-down succedent"
-    return (sx.Sequent(sx.SBracket(c.ant), c.suc.a),), c.suc
+    return (sx.Sequent(sx.SBracket(c.ant), c.suc.a),)
 
 
-@_rule(pf.PROD_R, 2, ("main",))
+@_rule(pf.PROD_R, 2)
 def _prod_r(c, inst, x, prems, phi):
     if not (isinstance(c.suc, sx.LProd) and isinstance(c.ant, sx.SNode)):
         return "needs a node antecedent and product succedent"
-    return (sx.Sequent(c.ant.l, c.suc.l), sx.Sequent(c.ant.r, c.suc.r)), c.suc
+    return (sx.Sequent(c.ant.l, c.suc.l), sx.Sequent(c.ant.r, c.suc.r))
 
 
-@_rule(pf.CUT, 2, ("path", "side"))
+@_rule(pf.CUT, 2, ("path",))
 def _cut(c, inst, x, prems, phi):
     a = prems[0].seq.suc  # the cut formula: the conclusion does not show it
-    if inst.side is not None and inst.side != a:
-        return "recorded cut formula disagrees with the minor premise"
     if c.ant is None:
         if inst.path != ():
             return "empty-antecedent cut must record the root position"
-        return (sx.Sequent(None, a), sx.Sequent(sx.SLeaf(a), c.suc)), None
+        return (sx.Sequent(None, a), sx.Sequent(sx.SLeaf(a), c.suc))
     if x is None:
         return "cut needs a recorded position in the antecedent"
-    return (sx.Sequent(x, a), _plug(c, inst, sx.SLeaf(a))), None
+    return (sx.Sequent(x, a), _plug(c, inst, sx.SLeaf(a)))
 
 
 def check_derivation(sys: SystemSpec, phi, d: pf.Derivation, trail=None) -> bool:
@@ -310,13 +308,10 @@ def check_derivation(sys: SystemSpec, phi, d: pf.Derivation, trail=None) -> bool
                 x = pf.tree_at(c.ant, inst.path)
             except (TypeError, ValueError):
                 pass  # the position is outside the antecedent
-        got = premises_of(c, inst, x, prems, phi)
-        if isinstance(got, str):
-            return fail(node, got)
-        want, principal = got
+        want = premises_of(c, inst, x, prems, phi)
+        if isinstance(want, str):
+            return fail(node, want)
         for k, w in enumerate(want):
             if prems[k].seq != w:
                 return fail(node, f"premise {k + 1} is not {sx.render_sequent(w)}")
-        if inst.main is not None and inst.main != principal:
-            return fail(node, "recorded principal formula is not the one the rule acts on")
     return True

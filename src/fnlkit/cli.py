@@ -54,7 +54,10 @@ def _load_assumptions(path: Optional[str]) -> frozenset[sx.Sequent]:
     if path is None:
         return frozenset()
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text: {e}") from None
     out = set()
     for no, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()

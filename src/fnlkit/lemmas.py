@@ -79,7 +79,7 @@ def dneg2(a: sx.LFormula) -> pf.Derivation:
 
 def dassume(seq: sx.Sequent) -> pf.Derivation:
     """A member of the assumption set, verbatim."""
-    return pf.node(seq, pf.ASSUMPTION, [], pf.Inst(member=seq))
+    return pf.node(seq, pf.ASSUMPTION, [], pf.NO_INST)
 
 
 def dcut(minor: pf.Derivation, major: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
@@ -94,7 +94,7 @@ def dcut(minor: pf.Derivation, major: pf.Derivation, path: pf.Path = ()) -> pf.D
     else:
         new_ant = pf.tree_replace(m_ant, path, minor.seq.ant)
     seq = sx.Sequent(new_ant, major.seq.suc)
-    return pf.node(seq, pf.CUT, [minor, major], pf.Inst(path=path, side=a))
+    return pf.node(seq, pf.CUT, [minor, major], pf.Inst(path=path))
 
 
 def _same(a: sx.LFormula, b: sx.LFormula) -> bool:
@@ -129,7 +129,7 @@ def dand_r(d1: pf.Derivation, d2: pf.Derivation) -> pf.Derivation:
     """From G => A and G => B conclude G => A /\\ B."""
     _fit(d1.seq.ant == d2.seq.ant, "conjunction premises differ in antecedent")
     seq = sx.Sequent(d1.seq.ant, sx.LAnd(d1.seq.suc, d2.seq.suc))
-    return pf.node(seq, pf.AND_R, [d1, d2], pf.Inst(main=seq.suc))
+    return pf.node(seq, pf.AND_R, [d1, d2], pf.NO_INST)
 
 
 def dand_l(d: pf.Derivation, main: sx.LAnd, idx: int, path: pf.Path = ()) -> pf.Derivation:
@@ -138,14 +138,14 @@ def dand_l(d: pf.Derivation, main: sx.LAnd, idx: int, path: pf.Path = ()) -> pf.
     ant = d.seq.ant
     _fit(ant is not None and pf.tree_at(ant, path) == sx.SLeaf(sub), "premise lacks the conjunct")
     seq = sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(main)), d.seq.suc)
-    return pf.node(seq, pf.AND_L, [d], pf.Inst(path=path, main=main, idx=idx))
+    return pf.node(seq, pf.AND_L, [d], pf.Inst(path=path, idx=idx))
 
 
 def dor_r(d: pf.Derivation, main: sx.LOr, idx: int) -> pf.Derivation:
     """From G => A_idx conclude G => A1 \\/ A2."""
     sub = main.l if idx == 1 else main.r
     _fit(d.seq.suc == sub, "premise does not prove the chosen disjunct")
-    return pf.node(sx.Sequent(d.seq.ant, main), pf.OR_R, [d], pf.Inst(main=main, idx=idx))
+    return pf.node(sx.Sequent(d.seq.ant, main), pf.OR_R, [d], pf.Inst(idx=idx))
 
 
 def dor_l(d1: pf.Derivation, d2: pf.Derivation, main: sx.LOr, path: pf.Path = ()) -> pf.Derivation:
@@ -157,14 +157,14 @@ def dor_l(d1: pf.Derivation, d2: pf.Derivation, main: sx.LOr, path: pf.Path = ()
         "right premise mismatch",
     )
     seq = sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(main)), d1.seq.suc)
-    return pf.node(seq, pf.OR_L, [d1, d2], pf.Inst(path=path, main=main))
+    return pf.node(seq, pf.OR_L, [d1, d2], pf.Inst(path=path))
 
 
 def dprod_r(d1: pf.Derivation, d2: pf.Derivation) -> pf.Derivation:
     """From G => A and D => B conclude G o D => A * B."""
     _fit(d1.seq.ant is not None and d2.seq.ant is not None, "product needs nonempty sides")
     seq = sx.Sequent(sx.SNode(d1.seq.ant, d2.seq.ant), sx.LProd(d1.seq.suc, d2.seq.suc))
-    return pf.node(seq, pf.PROD_R, [d1, d2], pf.Inst(main=seq.suc))
+    return pf.node(seq, pf.PROD_R, [d1, d2], pf.NO_INST)
 
 
 def dprod_l(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
@@ -178,7 +178,7 @@ def dprod_l(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
     )
     main = sx.LProd(x.l.f, x.r.f)
     seq = sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(main)), d.seq.suc)
-    return pf.node(seq, pf.PROD_L, [d], pf.Inst(path=path, main=main))
+    return pf.node(seq, pf.PROD_L, [d], pf.Inst(path=path))
 
 
 def dunder_r(d: pf.Derivation, a: sx.LFormula) -> pf.Derivation:
@@ -190,7 +190,7 @@ def dunder_r(d: pf.Derivation, a: sx.LFormula) -> pf.Derivation:
         _fit(isinstance(ant, sx.SNode) and ant.l == sx.SLeaf(a), "antecedent does not start with A")
         rest = ant.r
     main = sx.LUnder(a, d.seq.suc)
-    return pf.node(sx.Sequent(rest, main), pf.UNDER_R, [d], pf.Inst(main=main))
+    return pf.node(sx.Sequent(rest, main), pf.UNDER_R, [d], pf.NO_INST)
 
 
 def dover_r(d: pf.Derivation, b: sx.LFormula) -> pf.Derivation:
@@ -202,7 +202,7 @@ def dover_r(d: pf.Derivation, b: sx.LFormula) -> pf.Derivation:
         _fit(isinstance(ant, sx.SNode) and ant.r == sx.SLeaf(b), "antecedent does not end with B")
         rest = ant.l
     main = sx.LOver(d.seq.suc, b)
-    return pf.node(sx.Sequent(rest, main), pf.OVER_R, [d], pf.Inst(main=main))
+    return pf.node(sx.Sequent(rest, main), pf.OVER_R, [d], pf.NO_INST)
 
 
 def dunder_l(minor: pf.Derivation, major: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
@@ -215,7 +215,7 @@ def dunder_l(minor: pf.Derivation, major: pf.Derivation, path: pf.Path = ()) -> 
     main = sx.LUnder(minor.seq.suc, hole.f)
     new = pf.tree_replace(m_ant, path, sx.SNode(minor.seq.ant, sx.SLeaf(main)))
     seq = sx.Sequent(new, major.seq.suc)
-    return pf.node(seq, pf.UNDER_L, [minor, major], pf.Inst(path=path, main=main))
+    return pf.node(seq, pf.UNDER_L, [minor, major], pf.Inst(path=path))
 
 
 def dover_l(major: pf.Derivation, minor: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
@@ -228,14 +228,14 @@ def dover_l(major: pf.Derivation, minor: pf.Derivation, path: pf.Path = ()) -> p
     main = sx.LOver(hole.f, minor.seq.suc)
     new = pf.tree_replace(m_ant, path, sx.SNode(sx.SLeaf(main), minor.seq.ant))
     seq = sx.Sequent(new, major.seq.suc)
-    return pf.node(seq, pf.OVER_L, [major, minor], pf.Inst(path=path, main=main))
+    return pf.node(seq, pf.OVER_L, [major, minor], pf.Inst(path=path))
 
 
 def ddia_r(d: pf.Derivation) -> pf.Derivation:
     """From G => A conclude < G > => <>A."""
     _fit(d.seq.ant is not None, "empty antecedent cannot be bracketed")
     main = sx.LDia(d.seq.suc)
-    return pf.node(sx.Sequent(sx.SBracket(d.seq.ant), main), pf.DIA_R, [d], pf.Inst(main=main))
+    return pf.node(sx.Sequent(sx.SBracket(d.seq.ant), main), pf.DIA_R, [d], pf.NO_INST)
 
 
 def ddia_l(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
@@ -245,14 +245,14 @@ def ddia_l(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
     _fit(isinstance(x, sx.SBracket) and isinstance(x.a, sx.SLeaf), "no bracketed leaf at path")
     main = sx.LDia(x.a.f)
     seq = sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(main)), d.seq.suc)
-    return pf.node(seq, pf.DIA_L, [d], pf.Inst(path=path, main=main))
+    return pf.node(seq, pf.DIA_L, [d], pf.Inst(path=path))
 
 
 def dboxdown_r(d: pf.Derivation) -> pf.Derivation:
     """From < G > => A conclude G => []vA."""
     _fit(isinstance(d.seq.ant, sx.SBracket), "antecedent is not bracketed")
     main = sx.LBoxDown(d.seq.suc)
-    return pf.node(sx.Sequent(d.seq.ant.a, main), pf.BOXDOWN_R, [d], pf.Inst(main=main))
+    return pf.node(sx.Sequent(d.seq.ant.a, main), pf.BOXDOWN_R, [d], pf.NO_INST)
 
 
 def dassume_prod(member: sx.Sequent) -> pf.Derivation:
@@ -322,7 +322,7 @@ def boxdown_mono(d: pf.Derivation) -> pf.Derivation:
         sx.Sequent(sx.SBracket(sx.SLeaf(sx.LBoxDown(a))), d.seq.suc),
         pf.BOXDOWN_L,
         [d],
-        pf.Inst(path=(), main=sx.LBoxDown(a)),
+        pf.Inst(path=()),
     )
     return dboxdown_r(inner)
 

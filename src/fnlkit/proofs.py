@@ -1,19 +1,21 @@
 """Derivation trees, rule names, context paths, and serialization.
 
 A derivation node carries its conclusion, a rule name, premise subtrees,
-and the instantiation data (hole path, principal formulas) the checker
-needs to re-validate the step without search.  Nodes hash by identity so
-large proofs can share subtrees freely.  A node that records nothing
-carries the one empty instantiation `NO_INST` (any all-None `Inst` means
-the same), so the checker and the writer skip its field tests on an
-identity test.
+and the instantiation data the checker cannot rebuild from those: the
+hole path and, for a pick-one rule, which side was picked.  Everything
+else a step acts on (its principal formula, a cut formula, the assumption
+used) the checker reads off the conclusion, the subtree at the path and
+the premises.  Nodes hash by identity so large proofs can share subtrees
+freely.  A node that records nothing carries the one empty instantiation
+`NO_INST` (any all-None `Inst` means the same), so the checker and the
+writer skip its field tests on an identity test.
 
-Derivations serialize to JSON as one table, format 2, in which every
+Derivations serialize to JSON as one table, format 3, in which every
 distinct formula, sequent and node is written once and later entries
 refer to earlier ones by index, so the text grows linearly with the
 proof:
 
-    {"format": 2, "formulas": [...], "sequents": [...], "nodes": [...]}
+    {"format": 3, "formulas": [...], "sequents": [...], "nodes": [...]}
 
 - ``formulas``: ``["atom", name]``, ``["const", "bot" | "top" | "one"]``,
   ``["fresh", "bot" | "top"]``, ``["fresh", "neg", i]`` for the letter
@@ -25,8 +27,7 @@ proof:
 - ``nodes``: in post-order, the root last.  Each is
   ``{"rule": name, "seq": s, "premises": [n, ...], "inst": {...}}``;
   premises are earlier nodes, and ``inst``, omitted when nothing is
-  recorded, holds ``path`` (a list), ``idx``, formula indices ``main``
-  and ``side``, and sequent index ``member``.
+  recorded, holds ``path`` (a list) and ``idx`` only.
 
 Shared subproofs stay shared: one node entry per distinct node object.
 `table_text` writes the table as the text ``json.dumps(table, indent=2)``
@@ -38,10 +39,8 @@ ParseError.  Every index is tested where it is read: an int (not a bool
 or a float) below the number of entries it may refer to, which for a
 formula's child or a node's premise is the number of entries before it.
 The error message is formatted only when that test fails.  A node with
-no ``inst`` reads as `NO_INST`.  Of a node's fields, only ``path`` and
-``idx`` may be ``null``, meaning not recorded; a ``null`` ``inst``,
-``main``, ``side``, ``member``, ``seq``, ``premises`` or ``rule`` is
-malformed, not omitted.
+no ``inst`` reads as `NO_INST`.  A ``null`` ``inst``, ``path``, ``idx``,
+``seq``, ``premises`` or ``rule`` is malformed, not omitted.
 """
 
 from __future__ import annotations
@@ -131,14 +130,12 @@ def positions(t: sx.StructTree) -> Iterator[tuple[Path, sx.StructTree]]:
 
 @dataclass(frozen=True)
 class Inst:
-    """Re-check data for one step: where the action happened and with
-    what."""
+    """Re-check data for one step that its conclusion and premises do not
+    show: where in the antecedent the rule acted, and which side a
+    pick-one rule took."""
 
     path: Optional[Path] = None
-    main: Optional[sx.LFormula] = None  # principal formula
-    side: Optional[sx.LFormula] = None  # cut formula / residual partner
     idx: Optional[int] = None  # 1 or 2 for the pick-one rules
-    member: Optional[sx.Sequent] = None  # the assumption used
 
 
 # the one empty instantiation: every node that records nothing carries it,
@@ -183,7 +180,7 @@ def size(d: Derivation) -> int:
 # serialization (iterative over nodes and formulas: derivations can be
 # thousands of nodes deep)
 
-FORMAT = 2
+FORMAT = 3
 
 # connective classes by table tag, and the fields that hold their children
 _CONNECTIVES = {tag: cls for cls, tag in sx.L_TAGS.items()}
@@ -239,7 +236,7 @@ def _ant_text(k, pad: str) -> str:
 
 
 def table_text(d: Derivation) -> TableText:
-    """The text ``json.dumps(table, indent=2)`` prints for the format-2
+    """The text ``json.dumps(table, indent=2)`` prints for the format-3
     table of d, written in one pass over post_order(d): each entry is
     written when it is first indexed."""
     formulas: list[str] = []
@@ -339,14 +336,8 @@ def table_text(d: Derivation) -> TableText:
         if i is not NO_INST:
             if i.path is not None:
                 inst.append('"path": ' + _rows([int.__repr__(x) for x in i.path], _PAD[4]))
-            if i.main is not None:
-                inst.append('"main": %d' % formula(i.main))
-            if i.side is not None:
-                inst.append('"side": %d' % formula(i.side))
             if i.idx is not None:
                 inst.append('"idx": %d' % i.idx)
-            if i.member is not None:
-                inst.append('"member": %d' % sequent(i.member))
         more = _INST + _rows(inst, _PAD[3], "{}") if inst else ""
         n_at[id(n)] = len(nodes)
         nodes.append(_NODE % (_esc(n.rule), seq, premises, more))
@@ -355,7 +346,7 @@ def table_text(d: Derivation) -> TableText:
 
 
 def to_json(d: Derivation) -> dict:
-    """The format-2 table of d, parsed from table_text(d)."""
+    """The format-3 table of d, parsed from table_text(d)."""
     return json.loads(table_text(d))
 
 
@@ -413,7 +404,7 @@ def _read_sequents(rows: list, fs: list[sx.LFormula]) -> list[sx.Sequent]:
     return out
 
 
-def _read_inst(d: dict, fs: list[sx.LFormula], ss: list[sx.Sequent]) -> Inst:
+def _read_inst(d: dict) -> Inst:
     if not d.keys() <= _INST_KEYS:
         raise ParseError(f"unknown instantiation fields {sorted(d.keys() - _INST_KEYS)}")
     # an omitted field is not recorded; a null one is malformed
@@ -426,17 +417,11 @@ def _read_inst(d: dict, fs: list[sx.LFormula], ss: list[sx.Sequent]) -> Inst:
         idx = d["idx"]
         if type(idx) is not int:
             raise ParseError(f"malformed idx {idx!r}")
-    return Inst(
-        path=path,
-        main=_at(fs, d["main"], "main formula") if "main" in d else None,
-        side=_at(fs, d["side"], "side formula") if "side" in d else None,
-        idx=idx,
-        member=_at(ss, d["member"], "member sequent") if "member" in d else None,
-    )
+    return Inst(path, idx)
 
 
 def from_json(j: dict) -> Derivation:
-    """The derivation a format-2 table describes, its root the last node.
+    """The derivation a format-3 table describes, its root the last node.
     Terms are built from the table directly; a malformed table raises
     ParseError."""
     fmt = j.get("format") if isinstance(j, dict) else None
@@ -453,7 +438,7 @@ def from_json(j: dict) -> Derivation:
             # done holds exactly the k nodes a premise may refer to
             ps = [_at(done, p, "node {}: premise", k) for p in n["premises"]]
             done.append(Derivation(s, n["rule"], tuple(ps),
-                                   _read_inst(n["inst"], fs, ss) if "inst" in n else NO_INST))
+                                   _read_inst(n["inst"]) if "inst" in n else NO_INST))
     except (KeyError, IndexError, TypeError, AttributeError, RecursionError) as e:
         raise ParseError(f"malformed derivation table ({type(e).__name__}: {e})") from None
     if not done:

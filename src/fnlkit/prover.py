@@ -46,19 +46,19 @@ class SearchBudget:
     samples: int = 600  # countermodel attempts
 
     def __post_init__(self):
-        if self.max_depth < 0 or self.max_goals <= 0 or self.time_cap_ms <= 0:
-            raise ValidationError("budget limits must be positive")
-        if self.cut_size < 0 or self.samples < 0:
-            raise ValidationError("budget limits must be positive")
+        for key, (name, least) in _BUDGET_KEYS.items():
+            if least is not None and getattr(self, name) < least:
+                raise ValidationError(f"{key} must be at least {least}")
 
 
+# budget string key -> (SearchBudget field, its least value or None)
 _BUDGET_KEYS = {
-    "depth": "max_depth",
-    "goals": "max_goals",
-    "cutsize": "cut_size",
-    "ms": "time_cap_ms",
-    "seed": "seed",
-    "samples": "samples",
+    "depth": ("max_depth", 0),
+    "goals": ("max_goals", 1),
+    "cutsize": ("cut_size", 0),
+    "ms": ("time_cap_ms", 1),
+    "seed": ("seed", None),
+    "samples": ("samples", 0),
 }
 
 
@@ -71,7 +71,7 @@ def parse_budget(text: str) -> SearchBudget:
         if key not in _BUDGET_KEYS:
             raise ValidationError(f"unknown budget key {key!r}; known: {sorted(_BUDGET_KEYS)}")
         try:
-            kw[_BUDGET_KEYS[key]] = int(val)
+            kw[_BUDGET_KEYS[key][0]] = int(val)
         except ValueError:
             raise ValidationError(f"budget value for {key!r} must be an integer") from None
     return SearchBudget(**kw)

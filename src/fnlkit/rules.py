@@ -36,7 +36,7 @@ def axioms(sys: SystemSpec, goal: sx.Sequent, phi) -> Iterator[Move]:
     if leaf is not None and leaf == suc:
         yield pf.ID, [], pf.NO_INST
     if goal in phi:
-        yield pf.ASSUMPTION, [], pf.Inst(member=goal)
+        yield pf.ASSUMPTION, [], pf.NO_INST
     if (
         isinstance(leaf, sx.LAnd)
         and isinstance(leaf.r, sx.LOr)
@@ -100,18 +100,18 @@ def rule_instances(
     for path, x in spots:
         if isinstance(x, sx.SLeaf) and isinstance(x.f, sx.LProd):
             prem = pf.tree_replace(ant, path, sx.SNode(sx.SLeaf(x.f.l), sx.SLeaf(x.f.r)))
-            yield pf.PROD_L, [sx.Sequent(prem, suc)], pf.Inst(path=path, main=x.f)
+            yield pf.PROD_L, [sx.Sequent(prem, suc)], pf.Inst(path=path)
         if sys.modal is not None:
             if isinstance(x, sx.SLeaf) and isinstance(x.f, sx.LDia):
                 prem = pf.tree_replace(ant, path, sx.SBracket(sx.SLeaf(x.f.a)))
-                yield pf.DIA_L, [sx.Sequent(prem, suc)], pf.Inst(path=path, main=x.f)
+                yield pf.DIA_L, [sx.Sequent(prem, suc)], pf.Inst(path=path)
             if (
                 isinstance(x, sx.SBracket)
                 and isinstance(x.a, sx.SLeaf)
                 and isinstance(x.a.f, sx.LBoxDown)
             ):
                 prem = pf.tree_replace(ant, path, sx.SLeaf(x.a.f.a))
-                yield pf.BOXDOWN_L, [sx.Sequent(prem, suc)], pf.Inst(path=path, main=x.a.f)
+                yield pf.BOXDOWN_L, [sx.Sequent(prem, suc)], pf.Inst(path=path)
         if sys.unit and isinstance(x, sx.SNode):
             if x.l == sx.SLeaf(sx.ONE):
                 prem = pf.tree_replace(ant, path, x.r)
@@ -122,39 +122,39 @@ def rule_instances(
 
     # invertible branching
     if isinstance(suc, sx.LAnd):
-        yield pf.AND_R, [sx.Sequent(ant, suc.l), sx.Sequent(ant, suc.r)], pf.Inst(main=suc)
+        yield pf.AND_R, [sx.Sequent(ant, suc.l), sx.Sequent(ant, suc.r)], pf.NO_INST
     for path, x in spots:
         if isinstance(x, sx.SLeaf) and isinstance(x.f, sx.LOr):
             p1 = pf.tree_replace(ant, path, sx.SLeaf(x.f.l))
             p2 = pf.tree_replace(ant, path, sx.SLeaf(x.f.r))
-            yield pf.OR_L, [sx.Sequent(p1, suc), sx.Sequent(p2, suc)], pf.Inst(path=path, main=x.f)
+            yield pf.OR_L, [sx.Sequent(p1, suc), sx.Sequent(p2, suc)], pf.Inst(path=path)
 
     # right slash/modal introductions
     if isinstance(suc, sx.LUnder):
         prem_ant = sx.SLeaf(suc.l) if ant is None else sx.SNode(sx.SLeaf(suc.l), ant)
-        yield pf.UNDER_R, [sx.Sequent(prem_ant, suc.r)], pf.Inst(main=suc)
+        yield pf.UNDER_R, [sx.Sequent(prem_ant, suc.r)], pf.NO_INST
     if isinstance(suc, sx.LOver):
         prem_ant = sx.SLeaf(suc.r) if ant is None else sx.SNode(ant, sx.SLeaf(suc.r))
-        yield pf.OVER_R, [sx.Sequent(prem_ant, suc.l)], pf.Inst(main=suc)
+        yield pf.OVER_R, [sx.Sequent(prem_ant, suc.l)], pf.NO_INST
     if sys.modal is not None:
         if isinstance(suc, sx.LDia) and isinstance(ant, sx.SBracket):
-            yield pf.DIA_R, [sx.Sequent(ant.a, suc.a)], pf.Inst(main=suc)
+            yield pf.DIA_R, [sx.Sequent(ant.a, suc.a)], pf.NO_INST
         if isinstance(suc, sx.LBoxDown) and ant is not None:
-            yield pf.BOXDOWN_R, [sx.Sequent(sx.SBracket(ant), suc.a)], pf.Inst(main=suc)
+            yield pf.BOXDOWN_R, [sx.Sequent(sx.SBracket(ant), suc.a)], pf.NO_INST
 
     # product right needs the antecedent split at the root
     if isinstance(suc, sx.LProd) and isinstance(ant, sx.SNode):
-        yield pf.PROD_R, [sx.Sequent(ant.l, suc.l), sx.Sequent(ant.r, suc.r)], pf.Inst(main=suc)
+        yield pf.PROD_R, [sx.Sequent(ant.l, suc.l), sx.Sequent(ant.r, suc.r)], pf.NO_INST
 
     # pick-one rules
     for path, x in spots:
         if isinstance(x, sx.SLeaf) and isinstance(x.f, sx.LAnd):
             for idx, sub in ((1, x.f.l), (2, x.f.r)):
                 prem = pf.tree_replace(ant, path, sx.SLeaf(sub))
-                yield pf.AND_L, [sx.Sequent(prem, suc)], pf.Inst(path=path, main=x.f, idx=idx)
+                yield pf.AND_L, [sx.Sequent(prem, suc)], pf.Inst(path=path, idx=idx)
     if isinstance(suc, sx.LOr):
         for idx, sub in ((1, suc.l), (2, suc.r)):
-            yield pf.OR_R, [sx.Sequent(ant, sub)], pf.Inst(main=suc, idx=idx)
+            yield pf.OR_R, [sx.Sequent(ant, sub)], pf.Inst(idx=idx)
 
     # slash left rules: the slash leaf must sit beside its argument tree
     for path, x in spots:
@@ -164,12 +164,12 @@ def rule_instances(
             f = x.r.f
             minor = sx.Sequent(x.l, f.l)
             major = sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(f.r)), suc)
-            yield pf.UNDER_L, [minor, major], pf.Inst(path=path, main=f)
+            yield pf.UNDER_L, [minor, major], pf.Inst(path=path)
         if isinstance(x.l, sx.SLeaf) and isinstance(x.l.f, sx.LOver):
             f = x.l.f
             major = sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(f.l)), suc)
             minor = sx.Sequent(x.r, f.r)
-            yield pf.OVER_L, [major, minor], pf.Inst(path=path, main=f)
+            yield pf.OVER_L, [major, minor], pf.Inst(path=path)
 
     # exchange: one swap per node
     if sys.exchange:
@@ -183,12 +183,12 @@ def rule_instances(
         if ant is None:
             if c != suc:
                 prems = [sx.Sequent(None, c), sx.Sequent(sx.SLeaf(c), suc)]
-                yield pf.CUT, prems, pf.Inst(path=(), side=c)
+                yield pf.CUT, prems, pf.Inst(path=())
             continue
         for path, x in spots:
             if x == sx.SLeaf(c):
                 continue  # replacing c by itself loops
             minor = sx.Sequent(x, c)
             major = sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(c)), suc)
-            yield pf.CUT, [minor, major], pf.Inst(path=path, side=c)
+            yield pf.CUT, [minor, major], pf.Inst(path=path)
 

@@ -743,15 +743,17 @@ class _Tok:
     pos: int
 
 
-def _tokenize(text: str) -> list[_Tok]:
+def _tokenize(text: str, i: int = 0, n: Optional[int] = None) -> list[_Tok]:
+    """The tokens of text[i:n], each at its offset into text.  A fresh
+    letter's token holds the text between its braces, unparsed."""
     toks = []
-    i, n = 0, len(text)
+    n = len(text) if n is None else n
     while i < n:
         c = text[i]
         if c.isspace():
             i += 1
             continue
-        m = _ATOM_RE.match(text, i)
+        m = _ATOM_RE.match(text, i, n)
         if m:
             name = m.group(0)
             j = m.end()
@@ -774,7 +776,7 @@ def _tokenize(text: str) -> list[_Tok]:
             i = j
             continue
         for sym, kind in _SYMBOLS:
-            if text.startswith(sym, i):
+            if text.startswith(sym, i, n):
                 toks.append(_Tok(kind, sym, i))
                 i += len(sym)
                 break
@@ -788,7 +790,8 @@ class _Parser:
     """Recursive descent over the token list.  `lang` switches the accepted
     token set: "modal" or "lambek"."""
 
-    def __init__(self, toks: list[_Tok], lang: str):
+    def __init__(self, text: str, toks: list[_Tok], lang: str):
+        self.text = text
         self.toks = toks
         self.pos = 0
         self.lang = lang
@@ -899,7 +902,10 @@ class _Parser:
             if t.kind == "PTOP":
                 return P_TOP
             if t.kind == "FRESH":
-                return LFresh("neg", parse_lambek(t.text))
+                # the contents start after "p{", so offsets stay the input's
+                start = t.pos + 2
+                return LFresh("neg", _parse(self.text, "lambek", "formula",
+                                            start, start + len(t.text)))
         if t.kind == "LP":
             f = self.formula()
             self.expect("RP")
@@ -948,8 +954,9 @@ class _Parser:
         return Sequent(ant, self.formula())
 
 
-def _parse(text: str, lang: str, goal: str):
-    p = _Parser(_tokenize(text), lang)
+def _parse(text: str, lang: str, goal: str, i: int = 0, n: Optional[int] = None):
+    # parse text[i:n]; every error offset is one into text
+    p = _Parser(text, _tokenize(text, i, n), lang)
     out = getattr(p, goal)()
     if p.peek().kind != "EOF":
         raise ParseError(f"trailing input {p.peek().text!r}", p.peek().pos)

@@ -561,8 +561,10 @@ def section_inverse_sequent(s: sx.Sequent, memo: dict) -> sx.Sequent:
 #
 # Each transport rebuilds a derivation bottom-up along a formula map, in
 # the post-order of `proofs.post_order` that `proofs.table_text` writes, so
-# a shared subproof is mapped once.  Homomorphic rules keep their shape;
-# the axioms that mention eliminated vocabulary get replaced by the
+# a shared subproof is mapped once.  Homomorphic rules keep their shape
+# and their instantiation as it stands: a formula map keeps every tree's
+# shape, so a hole path and a picked side mean the same in the image; the
+# axioms that mention eliminated vocabulary get replaced by the
 # certified builders above: a negation axiom by a companion pair, a top
 # axiom by `tree_top`, a bot axiom by `tree_absorb` (then `sec_from_pbot`
 # unless the succedent is p_bot), which is how `strategy.try_unsection`
@@ -575,18 +577,6 @@ def _map_derivation(d: pf.Derivation, step: Callable) -> pf.Derivation:
     for n in pf.post_order(d):
         done[id(n)] = step(n, tuple(done[id(p)] for p in n.premises))
     return done[id(d)]
-
-
-def _map_inst(inst: pf.Inst, fmap, smap, memo: dict) -> pf.Inst:
-    if inst is pf.NO_INST:
-        return inst
-    return pf.Inst(
-        path=inst.path,
-        main=None if inst.main is None else fmap(inst.main, memo),
-        side=None if inst.side is None else fmap(inst.side, memo),
-        idx=inst.idx,
-        member=None if inst.member is None else smap(inst.member, memo),
-    )
 
 
 def ddagger_derivation(d: pf.Derivation, phi, memo: Optional[dict] = None) -> pf.Derivation:
@@ -604,8 +594,7 @@ def ddagger_derivation(d: pf.Derivation, phi, memo: Optional[dict] = None) -> pf
             return pair_top(_ddag(n.seq.suc.l, memo), phi, memo)
         if n.rule not in target:
             raise LemmaError(f"{n.rule} has no image in the negation-free system")
-        return pf.node(ddagger_sequent(n.seq, memo), n.rule, prems,
-                       _map_inst(n.inst, _ddag, ddagger_sequent, memo))
+        return pf.node(ddagger_sequent(n.seq, memo), n.rule, prems, n.inst)
 
     return _map_derivation(d, step)
 
@@ -644,8 +633,7 @@ def section_derivation(d: pf.Derivation, phi, memo: Optional[dict] = None) -> pf
             raise LemmaError(f"{n.rule} has no image in the constant-free system")
         if n.rule in (pf.UNDER_R, pf.OVER_R) and n.seq.ant is None:
             raise LemmaError("empty residual introduction has no constant-free image")
-        return pf.node(section_sequent(n.seq, memo), n.rule, prems,
-                       _map_inst(n.inst, section_map, section_sequent, memo))
+        return pf.node(section_sequent(n.seq, memo), n.rule, prems, n.inst)
 
     return _map_derivation(d, step)
 

@@ -296,15 +296,12 @@ def check_reference(sys, phi, d: pf.Derivation, trail: list) -> bool:
                 x = pf.tree_at(c.ant, inst.path)
             except (TypeError, ValueError):
                 pass
-        got = premises_of(c, inst, x, prems, phi)
-        if isinstance(got, str):
-            return fail(node, got)
-        want, principal = got
+        want = premises_of(c, inst, x, prems, phi)
+        if isinstance(want, str):
+            return fail(node, want)
         for k, w in enumerate(want):
             if prems[k].seq != w:
                 return fail(node, f"premise {k + 1} is not {sx.render_sequent(w)}")
-        if inst.main is not None and inst.main != principal:
-            return fail(node, "recorded principal formula is not the one the rule acts on")
     return True
 
 
@@ -317,9 +314,7 @@ def formulas_of(d: pf.Derivation) -> frozenset[sx.LFormula]:
 
 def assumptions_of(d: pf.Derivation) -> frozenset[sx.Sequent]:
     """The assumption members a derivation actually leans on."""
-    return frozenset(
-        n.inst.member for n in pf.post_order(d) if n.rule == pf.ASSUMPTION
-    )
+    return frozenset(n.seq for n in pf.post_order(d) if n.rule == pf.ASSUMPTION)
 
 
 def walk(f: sx.LFormula):
@@ -413,7 +408,7 @@ def _table_split(f: sx.LFormula) -> tuple[list, tuple]:
 
 
 def reference_table(d: pf.Derivation) -> dict:
-    """The format-2 table of d as lists and dicts, built entry by entry:
+    """The format-3 table of d as lists and dicts, built entry by entry:
     the reference for `proofs.table_text`, which writes its text in one
     pass."""
     formulas: list = []
@@ -488,14 +483,8 @@ def reference_table(d: pf.Derivation) -> dict:
         inst = {}
         if i.path is not None:
             inst["path"] = list(i.path)
-        if i.main is not None:
-            inst["main"] = formula(i.main)
-        if i.side is not None:
-            inst["side"] = formula(i.side)
         if i.idx is not None:
             inst["idx"] = i.idx
-        if i.member is not None:
-            inst["member"] = sequent(i.member)
         if inst:
             j["inst"] = inst
         n_at[id(n)] = len(nodes)
@@ -619,7 +608,7 @@ def dboxdown_l(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
     lm._fit(isinstance(x, sx.SLeaf), "no leaf at path")
     main = sx.LBoxDown(x.f)
     new = pf.tree_replace(ant, path, sx.SBracket(sx.SLeaf(main)))
-    return pf.node(sx.Sequent(new, d.seq.suc), pf.BOXDOWN_L, [d], pf.Inst(path=path, main=main))
+    return pf.node(sx.Sequent(new, d.seq.suc), pf.BOXDOWN_L, [d], pf.Inst(path=path))
 
 
 def dexch(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
@@ -676,14 +665,12 @@ def negrewrite_derivation(d: pf.Derivation) -> pf.Derivation:
     memo: dict = {}
 
     def step(n: pf.Derivation, prems):
+        s = tr.negrewrite_sequent(n.seq, memo)
         if n.rule == pf.ASSUMPTION:
-            member = tr.negrewrite_sequent(n.inst.member, memo)
-            ax = tr.neg_axiom(member)
+            ax = tr.neg_axiom(s)
             if ax is not None:
                 return ax
-            return pf.node(member, pf.ASSUMPTION, (), pf.Inst(member=member))
-        return pf.node(tr.negrewrite_sequent(n.seq, memo), n.rule, prems,
-                       tr._map_inst(n.inst, tr.negrewrite, tr.negrewrite_sequent, memo))
+        return pf.node(s, n.rule, prems, n.inst)
 
     return tr._map_derivation(d, step)
 

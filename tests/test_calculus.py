@@ -89,8 +89,9 @@ def test_rule_instances_assumption_and_cut_pool():
     names = [m[0] for m in moves]
     assert pf.ASSUMPTION in names
     cuts = [m for m in moves if m[0] == pf.CUT]
-    # analytic cut instantiates only over the pool
-    assert all(m[2].side == r for m in cuts)
+    # analytic cut instantiates only over the pool: the minor premise
+    # proves the cut formula
+    assert all(m[1][0].suc == r for m in cuts)
     assert any(m[1] == [seq("p => r"), seq("r => q")] for m in cuts)
 
 
@@ -170,7 +171,7 @@ def test_checker_rejects_wrong_arity_and_bad_premise():
 
 def test_checker_assumption_literal_membership():
     member = seq("p => q")
-    d = pf.node(member, pf.ASSUMPTION, inst=pf.Inst(member=member))
+    d = pf.node(member, pf.ASSUMPTION)
     assert ck.check_derivation(BF, [member], d)
     assert not ck.check_derivation(BF, (), d)
     # near-miss member is rejected
@@ -227,12 +228,8 @@ def _reinst(d, **fields):
                  id="id-with-idx"),
     pytest.param(lm.dand_r(lm.did(p), lm.did(p)), {"idx": 1}, (), "records idx",
                  id="and-r-with-idx"),
-    pytest.param(lm.dassume(seq("p => q")), {"member": seq("p => r")},
-                 (seq("p => q"), seq("p => r")), "member", id="assumption-member"),
     pytest.param(lm.dcut(lm.dtop(None), lm.did(sx.TOP)), {"path": (0,)}, (),
                  "root position", id="empty-cut-path"),
-    pytest.param(lm.dprod_l(lm.dprod_r(lm.did(p), lm.did(q))), {"main": f("q * p")}, (),
-                 "principal formula", id="prod-l-main"),
 ])
 def test_checker_validates_every_recorded_field(good, fields, phi, reason):
     # the sound original passes; the same step with one field altered does not
@@ -295,8 +292,7 @@ def test_checker_rejects_a_misfit_of_each_rule(rule):
         reason = f"premise {k} is not {sx.render_sequent(want)}"
     else:
         _, conclusion, reason = case
-        inst = pf.Inst(member=seq(conclusion)) if rule == pf.ASSUMPTION else good.inst
-        bad = pf.node(seq(conclusion), rule, (), inst)
+        bad = pf.node(seq(conclusion), rule, (), good.inst)
     trail = []
     assert not ck.check_derivation(E5, phi, bad, trail)
     assert trail[0].startswith(f"{rule} at ") and reason in trail[0], trail
@@ -317,15 +313,14 @@ def test_one_node_checks_as_the_reference_that_validates_every_node(name, s, rul
     # validate_sequent's leaf-mask test decides exactly as the walk does; an
     # all-None Inst that is not NO_INST checks as NO_INST does
     sys, phi = SYSTEMS[name], (s,) if member else ()
-    inst = pf.Inst(member=s) if rule == pf.ASSUMPTION else pf.NO_INST
-    for d in (pf.node(s, rule, (), inst), pf.node(s, rule, (), dataclasses.replace(inst))):
+    for d in (pf.node(s, rule, (), pf.NO_INST), pf.node(s, rule, (), pf.Inst())):
         got, want = [], []
         assert ck.check_derivation(sys, phi, d, got) == check_reference(sys, phi, d, want)
         assert got == want
 
 
-# a sound one-step instance and a corruption of its recorded position, its
-# conclusion or its recorded cut formula, with the reason the checker gives
+# a sound one-step instance and a corruption of its recorded position or its
+# conclusion, with the reason the checker gives
 _DIA_IN_BRACKET = lm.ddia_l(lm.ddia_r(lm.ddia_r(lm.did(p))), (2,))
 
 
@@ -345,7 +340,6 @@ _DIA_IN_BRACKET = lm.ddia_l(lm.ddia_r(lm.ddia_r(lm.did(p))), (2,))
                  id="dia-r"),
     pytest.param(lm.dboxdown_r(dboxdown_l(lm.did(p))), "=> [v]p",
                  "nonempty antecedent and box-down succedent", id="boxdown-r"),
-    pytest.param(RULE_CASES[pf.CUT], {"side": q}, "cut formula disagrees", id="cut-side"),
 ])
 def test_checker_rejects_a_malformed_position_or_shape(good, change, reason):
     checked(E5, good)
@@ -832,8 +826,7 @@ def test_table_text_round_trips_three_premises_every_inst_field_and_any_path():
     empty = pf.node(seq("q => q"), pf.ID, (), pf.Inst())
     assert empty.inst is not pf.NO_INST
     rooted = pf.node(seq("=> p"), pf.CUT, [leaf], pf.Inst(path=()))
-    every = pf.Inst(path=(0, 2, 1, 0), main=p, side=f("p /\\ q"), idx=2,
-                    member=seq("p o <q o r> => r"))
+    every = pf.Inst(path=(0, 2, 1, 0), idx=2)
     d = pf.node(seq("p o <(p o q) o r> => q"), pf.OR_L, [leaf, empty, rooted], every)
     text = pf.table_text(d)
     assert pf.table_text(pf.from_json(json.loads(text))) == text
@@ -878,6 +871,7 @@ def _edit(path, value):
 @pytest.mark.parametrize("edit, why", [
     (lambda t: t.pop("format"), "format"),
     (_edit(["format"], 1), "format"),
+    (_edit(["format"], 2), "^derivation format 2, expected 3$"),
     (lambda t: t["formulas"].append(["xor", 0, 0]), "unknown entry"),
     (lambda t: t["formulas"].append(["atom", "bot"]), "unknown entry"),
     (lambda t: t["formulas"].append(["not", len(t["formulas"])]), "not an index below"),
@@ -888,27 +882,28 @@ def _edit(path, value):
     (_edit(["nodes", -1, "premises", 0], 999), "not an index below"),
     (_edit(["nodes", 0, "premises"], [0]), "not an index below"),
     (lambda t: t["nodes"][0].update(premises=[len(t["nodes"]) - 1]), "not an index below"),
-    (_edit(["nodes", -1, "inst", "main"], 999), "not an index below"),
-    (_edit(["nodes", -1, "inst", "mian"], 0), "unknown"),
+    (_edit(["nodes", 1, "inst", "mian"], 0), "unknown"),
     (_edit(["nodes", -1, "premises"], None), "malformed"),
     (lambda t: t["nodes"].clear(), "no nodes"),
     # a null is no omitted field, and no bool or float is an index; the
-    # table has 3 formulas, 5 sequents and 5 nodes, the last an AndR
+    # table has 3 formulas, 5 sequents and 5 nodes, the last an AndR, and
+    # node 1 an AndL.  An inst holding main, side or member is refused
+    # whatever the value: format 3 records none of them
     (_edit(["nodes", -1, "inst"], None), "^%s$" % re.escape(
         "malformed derivation table (AttributeError: 'NoneType' object has no attribute 'keys')")),
-    (_edit(["nodes", -1, "inst", "main"], None), "^main formula None is not an index below 3$"),
-    (_edit(["nodes", -1, "inst", "side"], None), "^side formula None is not an index below 3$"),
-    (_edit(["nodes", -1, "inst", "member"], None),
-     "^member sequent None is not an index below 5$"),
+    (_edit(["nodes", 1, "inst", "main"], None), r"^unknown instantiation fields \['main'\]$"),
+    (_edit(["nodes", 1, "inst", "side"], None), r"^unknown instantiation fields \['side'\]$"),
+    (_edit(["nodes", 1, "inst", "member"], None),
+     r"^unknown instantiation fields \['member'\]$"),
     (_edit(["nodes", -1, "premises", 0], True), "^node 4: premise True is not an index below 4$"),
     (_edit(["nodes", -1, "seq"], 1.0), r"^node 4: sequent 1\.0 is not an index below 5$"),
     (_edit(["nodes", 1, "inst", "idx"], "1"), "^malformed idx '1'$"),
     (_edit(["nodes", 1, "inst", "path"], ["0"]), r"^malformed path \['0'\]$"),
     (_edit(["nodes", 1, "inst", "idx"], None), "^malformed idx None$"),
     (_edit(["nodes", 1, "inst", "path"], None), "^malformed path None$"),
-], ids=["no-format", "format-1", "unknown-tag", "keyword-atom", "formula-self",
+], ids=["no-format", "format-1", "format-2", "unknown-tag", "keyword-atom", "formula-self",
         "formula-negative", "succedent-range", "leaf-range", "node-sequent-range",
-        "premise-range", "premise-self", "premise-later", "main-range",
+        "premise-range", "premise-self", "premise-later",
         "unknown-inst-field", "premises-not-a-list", "empty", "inst-null", "main-null",
         "side-null", "member-null", "premise-true", "sequent-float", "idx-string",
         "path-string-step", "idx-null", "path-null"])

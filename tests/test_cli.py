@@ -183,6 +183,18 @@ def test_prove_reads_assumption_files(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", [["prove", "--system", "bfnl-star"], ["countermodel"]],
+                         ids=["prove", "countermodel"])
+def test_an_undecodable_assumption_file_is_one_error_line(capsys, tmp_path, command):
+    phi = tmp_path / "phi.txt"
+    phi.write_bytes(b"\xff")
+    code, out, err = run(capsys, *command, "p => r", "--assumptions", str(phi))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: {phi}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte"]
+
+
 # ---------------------------------------------------------------------------
 # kdecide and the countermodel round trip
 

@@ -152,6 +152,15 @@ def test_budget_limits_must_be_positive():
         pv.SearchBudget(samples=-2)
 
 
+@pytest.mark.parametrize("key, least", [
+    ("depth", 0), ("goals", 1), ("cutsize", 0), ("ms", 1), ("samples", 0)])
+def test_budget_messages_name_the_key_and_its_least_value(key, least):
+    # the least value is accepted; one below it is rejected by the key typed
+    pv.parse_budget(f"{key}:{least}")
+    with pytest.raises(ValidationError, match=f"^{key} must be at least {least}$"):
+        pv.parse_budget(f"{key}:{least - 1}")
+
+
 def test_unknown_is_an_honest_verdict():
     # valid, so refutation finds nothing; depth 0 cannot prove it
     b = pv.SearchBudget(max_depth=0, time_cap_ms=3000, samples=40)
@@ -537,6 +546,23 @@ def test_census_lists_a_same_length_text_change_apart_from_the_exit_rule():
     assert diffs == ["w: prove p => p: verdict"]
     assert len(texts) == 1 and texts[0].startswith("w: prove p => p: sha1 ")
     assert texts[0].endswith("bytes 3 -> 3")
+
+
+def test_census_sums_the_commands_that_print_different_text_per_workload():
+    path = Path(__file__).resolve().parents[1] / "tools" / "census.py"
+    spec = importlib.util.spec_from_file_location("census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+
+    def row(sha1, size):
+        return {"sha1": sha1, "bytes": size}
+
+    base = {"w": [row("a", 1000), row("b", 20), row("c", 5)], "v": [row("d", 7)],
+            "u": [row("e", 1)]}
+    other = {"w": [row("a", 1000), row("x", 18), row("y", 6)], "v": [row("d", 7)],
+             "u": [row("e", 1), row("f", 2)]}
+    assert census.text_totals(base, other) == ["w: 2 command(s), bytes 25 -> 24"]
+    assert census.text_totals(base, base) == []
 
 
 def test_census_lists_every_refuted_command_whose_countermodel_stage_changed():

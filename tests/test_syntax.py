@@ -87,6 +87,20 @@ def test_parse_errors():
         sx.parse_lambek("p -> q")
 
 
+@pytest.mark.parametrize("text, pos", [
+    ("qqqqqqqqqq => p{r * }", 20),
+    ("p{} => p", 2),
+    ("p{p{q *}} => q", 7),  # nested: an offset into the whole input
+    ("q * p{p{r} & s} => q", 11),
+    ("p{q} => p{r }} ", 13),
+])
+def test_parse_error_offsets_inside_fresh_letters_are_into_the_input(text, pos):
+    with pytest.raises(ParseError) as e:
+        sx.parse_sequent(text)
+    assert e.value.pos == pos
+    assert str(e.value).endswith(f"(at offset {pos})")
+
+
 @given(modal_formulas)
 def test_modal_render_roundtrip(f):
     assert sx.parse_modal(sx.render_modal(f)) == f

@@ -25,9 +25,10 @@ that stage, per tree.  Given two trees, it lists every command whose
 verdict, strategy or exit code differs, or that prints more bytes under
 OTHER than under TREE, and exits 1 if there is one.  Under headings of
 their own it lists every command whose printed text differs, by a sha1
-of the text, whatever its length, and every refuted command whose
-countermodel came from another stage; these alone do not change the
-exit status.
+of the text, whatever its length, then one line per workload with how
+many commands print different text and their printed bytes under TREE
+and under OTHER, and every refuted command whose countermodel came from
+another stage; these alone do not change the exit status.
 
     python3 tools/census.py --unrun --seed 1 TREE
 
@@ -276,6 +277,22 @@ def differences(base: dict, other: dict) -> tuple[list[str], list[str]]:
     return out, texts
 
 
+def text_totals(base: dict, other: dict) -> list[str]:
+    """Per workload with a command whose printed text differs: how many
+    such commands there are and their printed bytes, summed, before and
+    after."""
+    out = []
+    for name, rows in base.items():
+        if len(rows) != len(other[name]):
+            continue
+        pairs = [(a, b) for a, b in zip(rows, other[name]) if a["sha1"] != b["sha1"]]
+        if pairs:
+            before = sum(a["bytes"] for a, _ in pairs)
+            after = sum(b["bytes"] for _, b in pairs)
+            out.append(f"{name}: {len(pairs)} command(s), bytes {before:,} -> {after:,}")
+    return out
+
+
 def stage_changes(base: dict, other: dict) -> list[str]:
     """The commands whose countermodel came from another stage (or that
     one tree refutes and the other does not)."""
@@ -352,6 +369,8 @@ def main(argv=None) -> int:
     for line in texts:
         print(f"  {line}")
     print(f"{len(texts)} command(s) print different text")
+    for line in text_totals(*results):
+        print(f"  {line}")
     print("countermodel stage:")
     for line in stages:
         print(f"  {line}")
