@@ -115,8 +115,10 @@ def _cut_pool(sys: SystemSpec, phi, goal: sx.Sequent, budget: SearchBudget):
         base |= {sx.TOP, sx.BOT}
     mode = "and_or_not" if sys.negation else "and_or"
     spec = sx.ClosureSpec(frozenset(base), mode, budget.cut_size)
-    pool = set(spec.base) | set(sx.enumerate_closure(spec))
-    return tuple(sorted(pool, key=sx.sort_key))
+    # the closure is in `sort_key` order and holds every base member within
+    # the bound; the rest are larger, so they sort after all of it
+    above = [f for f in spec.base if sx.lsize(f) > budget.cut_size]
+    return sx.enumerate_closure(spec) + tuple(sorted(above, key=sx.sort_key))
 
 
 def _search(sys: SystemSpec, phi, goal: sx.Sequent, budget: SearchBudget,

@@ -7,10 +7,13 @@ the closure machinery shared by search and the translations.
 
 Every term (formula, structure tree, sequent) is an immutable slotted
 object that sets its fields and its hash once, in its constructor.  The
-hash is the one a frozen dataclass gives, `hash` of the tuple of field
-values, taken over the children's stored hashes, so hashing a term of
-any depth costs one slot read.  An absent child (None) counts as the
-constant `NONE_HASH`, so equal terms hash alike in every process.
+hash is `hash` of the tuple of its class's tag, a fixed integer, and its
+field values, taken over the children's stored hashes, so hashing a term
+of any depth costs one slot read.  The tag keeps apart terms of distinct
+classes over the same fields (p /\\ q and p \\/ q, ~p and <>p, bot and
+top), which would otherwise collide, as would every labelling of one
+skeleton by /\\ and \\/.  An absent child (None) counts as the constant
+`NONE_HASH`, so equal terms hash alike in every process.
 
 Each formula also stores its vocabulary mask, built at construction from
 its children's (`V_NEG` ... `V_RESID`, one bit per substructural
@@ -25,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ParseError
@@ -36,7 +40,14 @@ from .errors import ParseError
 # Each shape (nullary, named, unary, binary; fresh, leaf, node, bracket and
 # sequent below) names its fields in `__match_args__` and writes its own
 # constructor and equality.  `__setattr__` refuses every assignment, so a
-# constructor fills the slots through their descriptors (`_set_*`).
+# constructor fills the slots through their descriptors (`_set_*`).  The
+# stored hash is hash((tag, *fields)), where the tag is an integer literal
+# of the class, distinct across all 24 classes, so a tag, unlike an `id`
+# or a salted string, is the same in every process.  A class of a shared
+# shape (nullary, named, unary, binary) takes its constructor from that
+# shape's factory, given its tag and its vocabulary bit, so building a
+# term reads neither off the class; a shape of one class writes its tag
+# into its constructor (fresh 9, leaf 21, node 22, bracket 23, sequent 24).
 # Equality tests identity, then the class, then the stored hash, then the
 # fields, each child by identity before value.  A class body that defines
 # `__eq__` must name `__hash__` again, or Python drops it.
@@ -64,14 +75,11 @@ _set_h = _Term._h.__set__
 
 
 class _Formula(_Term):
-    # _bit is the class's own vocabulary bit; _vocab ORs it with the
-    # children's masks
+    # _vocab ORs the class's own vocabulary bit with the children's masks
     __slots__ = ("_vocab",)
-    _bit = 0
 
 
 _set_vocab = _Formula._vocab.__set__
-_EMPTY_HASH = hash(())
 # an absent child (a fresh constant's payload, an empty antecedent) hashes
 # as this constant: hash(None) is address-based before Python 3.12, so it
 # would differ in every process, PYTHONHASHSEED or not
@@ -81,23 +89,21 @@ NONE_HASH = 0x6E6F6E65
 class _Nullary(_Formula):
     __slots__ = ()
 
-    def __init__(self):
-        _set_h(self, _EMPTY_HASH)
-        _set_vocab(self, self._bit)
-
     def __eq__(self, other):
         return self is other or other.__class__ is self.__class__
 
     __hash__ = _Term.__hash__
 
 
+def _nullary(tag: int, bit: int = 0):
+    def __init__(self):
+        _set_h(self, hash((tag,)))
+        _set_vocab(self, bit)
+    return __init__
+
+
 class _Named(_Formula):
     __slots__ = __match_args__ = ("name",)
-
-    def __init__(self, name: str):
-        _set_name(self, name)
-        _set_h(self, hash((name,)))
-        _set_vocab(self, 0)
 
     def __eq__(self, other):
         if self is other:
@@ -111,13 +117,16 @@ class _Named(_Formula):
 _set_name = _Named.name.__set__
 
 
+def _named(tag: int):
+    def __init__(self, name: str):
+        _set_name(self, name)
+        _set_h(self, hash((tag, name)))
+        _set_vocab(self, 0)
+    return __init__
+
+
 class _Unary(_Formula):
     __slots__ = __match_args__ = ("a",)
-
-    def __init__(self, a):
-        _set_a(self, a)
-        _set_h(self, hash((a,)))
-        _set_vocab(self, self._bit | a._vocab)
 
     def __eq__(self, other):
         if self is other:
@@ -131,14 +140,16 @@ class _Unary(_Formula):
 _set_a = _Unary.a.__set__
 
 
+def _unary(tag: int, bit: int = 0):
+    def __init__(self, a):
+        _set_a(self, a)
+        _set_h(self, hash((tag, a)))
+        _set_vocab(self, bit | a._vocab)
+    return __init__
+
+
 class _Binary(_Formula):
     __slots__ = __match_args__ = ("l", "r")
-
-    def __init__(self, l, r):
-        _set_l(self, l)
-        _set_r(self, r)
-        _set_h(self, hash((l, r)))
-        _set_vocab(self, self._bit | l._vocab | r._vocab)
 
     def __eq__(self, other):
         if self is other:
@@ -153,6 +164,15 @@ class _Binary(_Formula):
 _set_l, _set_r = _Binary.l.__set__, _Binary.r.__set__
 
 
+def _binary(tag: int, bit: int = 0):
+    def __init__(self, l, r):
+        _set_l(self, l)
+        _set_r(self, r)
+        _set_h(self, hash((tag, l, r)))
+        _set_vocab(self, bit | l._vocab | r._vocab)
+    return __init__
+
+
 # ---------------------------------------------------------------------------
 # modal formulas
 
@@ -163,30 +183,37 @@ class ModalFormula:
 
 class MAtom(_Named, ModalFormula):
     __slots__ = ()
+    __init__ = _named(1)
 
 
 class MBot(_Nullary, ModalFormula):
     __slots__ = ()
+    __init__ = _nullary(2)
 
 
 class MAnd(_Binary, ModalFormula):
     __slots__ = ()
+    __init__ = _binary(3)
 
 
 class MOr(_Binary, ModalFormula):
     __slots__ = ()
+    __init__ = _binary(4)
 
 
 class MImp(_Binary, ModalFormula):
     __slots__ = ()
+    __init__ = _binary(5)
 
 
 class MNot(_Unary, ModalFormula):
     __slots__ = ()
+    __init__ = _unary(6)
 
 
 class MDia(_Unary, ModalFormula):
     __slots__ = ()
+    __init__ = _unary(7)
 
 
 def mbox(a: ModalFormula) -> ModalFormula:
@@ -225,6 +252,7 @@ class LFormula:
 
 class LAtom(_Named, LFormula):
     __slots__ = ()
+    __init__ = _named(8)
 
 
 class LFresh(_Formula, LFormula):
@@ -236,7 +264,7 @@ class LFresh(_Formula, LFormula):
     def __init__(self, mark: str, of: Optional[LFormula] = None):
         _set_mark(self, mark)
         _set_of(self, of)
-        _set_h(self, hash((mark, NONE_HASH if of is None else of)))
+        _set_h(self, hash((9, mark, NONE_HASH if of is None else of)))
         _set_vocab(self, 0)
 
     def __eq__(self, other):
@@ -254,58 +282,61 @@ _set_mark, _set_of = LFresh.mark.__set__, LFresh.of.__set__
 
 class LBot(_Nullary, LFormula):
     __slots__ = ()
-    _bit = V_BOUNDS
+    __init__ = _nullary(10, V_BOUNDS)
 
 
 class LTop(_Nullary, LFormula):
     __slots__ = ()
-    _bit = V_BOUNDS
+    __init__ = _nullary(11, V_BOUNDS)
 
 
 class LOne(_Nullary, LFormula):
     __slots__ = ()
-    _bit = V_UNIT
+    __init__ = _nullary(12, V_UNIT)
 
 
 class LAnd(_Binary, LFormula):
     __slots__ = ()
+    __init__ = _binary(13)
 
 
 class LOr(_Binary, LFormula):
     __slots__ = ()
+    __init__ = _binary(14)
 
 
 class LNot(_Unary, LFormula):
     __slots__ = ()
-    _bit = V_NEG
+    __init__ = _unary(15, V_NEG)
 
 
 class LProd(_Binary, LFormula):
     __slots__ = ()
+    __init__ = _binary(16)
 
 
 class LUnder(_Binary, LFormula):
     """Left residual: LUnder(a, b) is a\\b."""
 
     __slots__ = ()
-    _bit = V_RESID
+    __init__ = _binary(17, V_RESID)
 
 
 class LOver(_Binary, LFormula):
     """Right residual: LOver(a, b) is a/b."""
 
     __slots__ = ()
-    _bit = V_RESID
+    __init__ = _binary(18, V_RESID)
 
 
 class LDia(_Unary, LFormula):
     __slots__ = ()
-    _bit = V_MODAL
+    __init__ = _unary(19, V_MODAL)
 
 
 class LBoxDown(_Unary, LFormula):
     __slots__ = ()
-    _bit = V_MODAL
+    __init__ = _unary(20, V_MODAL)
 
 
 BOT = LBot()
@@ -401,7 +432,7 @@ class SLeaf(_Term, StructTree):
 
     def __init__(self, f: LFormula):
         _set_f(self, f)
-        _set_h(self, hash((f,)))
+        _set_h(self, hash((21, f)))
 
     def __eq__(self, other):
         if self is other:
@@ -421,7 +452,7 @@ class SNode(_Term, StructTree):
     def __init__(self, l: StructTree, r: StructTree):
         _set_node_l(self, l)
         _set_node_r(self, r)
-        _set_h(self, hash((l, r)))
+        _set_h(self, hash((22, l, r)))
 
     __eq__ = _Binary.__eq__
     __hash__ = _Term.__hash__
@@ -435,7 +466,7 @@ class SBracket(_Term, StructTree):
 
     def __init__(self, a: StructTree):
         _set_bracket_a(self, a)
-        _set_h(self, hash((a,)))
+        _set_h(self, hash((23, a)))
 
     __eq__ = _Unary.__eq__
     __hash__ = _Term.__hash__
@@ -450,7 +481,7 @@ class Sequent(_Term):
     def __init__(self, ant: Optional[StructTree], suc: LFormula):
         _set_ant(self, ant)
         _set_suc(self, suc)
-        _set_h(self, hash((NONE_HASH if ant is None else ant, suc)))
+        _set_h(self, hash((24, NONE_HASH if ant is None else ant, suc)))
 
     def __eq__(self, other):
         if self is other:
@@ -741,47 +772,63 @@ class _Tok:
     kind: str
     text: str
     pos: int
+    end: int = 0  # a fresh letter's: the offset of its closing brace
 
 
-def _tokenize(text: str, i: int = 0, n: Optional[int] = None) -> list[_Tok]:
-    """The tokens of text[i:n], each at its offset into text.  A fresh
-    letter's token holds the text between its braces, unparsed."""
+def _tokenize(text: str) -> list[_Tok]:
+    """The tokens of text, each at its offset into it.  A fresh letter is
+    a FRESH token for its "p{", the tokens of its contents, and an RBRACE
+    token for its "}", which reads as the end of the letter's input.
+
+    A bad character inside a letter is reported only once every letter is
+    closed, and a bare "{" there (None on the stack) counts towards the
+    matching, so an unterminated letter is reported before it."""
     toks = []
-    n = len(text) if n is None else n
+    opened = []  # the FRESH tokens (or bare braces) still open
+    bad = None  # the first bad character inside a letter
+    i, n = 0, len(text)
     while i < n:
         c = text[i]
         if c.isspace():
             i += 1
             continue
-        m = _ATOM_RE.match(text, i, n)
+        m = _ATOM_RE.match(text, i)
         if m:
             name = m.group(0)
             j = m.end()
             if name == "p" and j < n and text[j] == "{":
-                # fresh letter p{...}: find the matching brace
-                depth, k = 1, j + 1
-                while k < n and depth:
-                    if text[k] == "{":
-                        depth += 1
-                    elif text[k] == "}":
-                        depth -= 1
-                    k += 1
-                if depth:
-                    raise ParseError("unterminated fresh letter", i)
-                toks.append(_Tok("FRESH", text[j + 1 : k - 1], i))
-                i = k
+                opened.append(_Tok("FRESH", "p{", i))
+                toks.append(opened[-1])
+                i = j + 1
                 continue
             kind = _RESERVED.get(name, "ATOM")
             toks.append(_Tok(kind, name, i))
             i = j
             continue
+        if c == "}" and opened:
+            t = opened.pop()
+            if t is not None:
+                t.end = i
+                toks.append(_Tok("RBRACE", "", i))
+            i += 1
+            continue
         for sym, kind in _SYMBOLS:
-            if text.startswith(sym, i, n):
+            if text.startswith(sym, i):
                 toks.append(_Tok(kind, sym, i))
                 i += len(sym)
                 break
         else:
-            raise ParseError(f"unexpected character {c!r}", i)
+            if not opened:
+                raise ParseError(f"unexpected character {c!r}", i)
+            if bad is None:
+                bad = ParseError(f"unexpected character {c!r}", i)
+            if c == "{":
+                opened.append(None)
+            i += 1
+    if opened:
+        raise ParseError("unterminated fresh letter", opened[0].pos)
+    if bad:
+        raise bad
     toks.append(_Tok("EOF", "", n))
     return toks
 
@@ -804,11 +851,23 @@ class _Parser:
         self.pos += 1
         return t
 
+    def shown(self, t: _Tok) -> str:
+        # an error quotes a fresh letter by its contents
+        return self.text[t.pos + 2 : t.end] if t.kind == "FRESH" else t.text
+
     def expect(self, kind: str) -> _Tok:
         t = self.peek()
         if t.kind != kind:
-            raise ParseError(f"expected {kind}, found {t.text or 'end of input'!r}", t.pos)
+            raise ParseError(f"expected {kind}, found {self.shown(t) or 'end of input'!r}",
+                             t.pos)
         return self.take()
+
+    def done(self, end: str):
+        # the input, or a fresh letter's contents, ends here
+        t = self.peek()
+        if t.kind != end:
+            raise ParseError(f"trailing input {self.shown(t)!r}", t.pos)
+        self.take()
 
     def fail(self, msg: str):
         raise ParseError(msg, self.peek().pos)
@@ -902,15 +961,14 @@ class _Parser:
             if t.kind == "PTOP":
                 return P_TOP
             if t.kind == "FRESH":
-                # the contents start after "p{", so offsets stay the input's
-                start = t.pos + 2
-                return LFresh("neg", _parse(self.text, "lambek", "formula",
-                                            start, start + len(t.text)))
+                f = self.formula()
+                self.done("RBRACE")
+                return LFresh("neg", f)
         if t.kind == "LP":
             f = self.formula()
             self.expect("RP")
             return f
-        raise ParseError(f"unexpected {t.text or 'end of input'!r}", t.pos)
+        raise ParseError(f"unexpected {self.shown(t) or 'end of input'!r}", t.pos)
 
     # structure trees
 
@@ -954,12 +1012,10 @@ class _Parser:
         return Sequent(ant, self.formula())
 
 
-def _parse(text: str, lang: str, goal: str, i: int = 0, n: Optional[int] = None):
-    # parse text[i:n]; every error offset is one into text
-    p = _Parser(text, _tokenize(text, i, n), lang)
+def _parse(text: str, lang: str, goal: str):
+    p = _Parser(text, _tokenize(text), lang)
     out = getattr(p, goal)()
-    if p.peek().kind != "EOF":
-        raise ParseError(f"trailing input {p.peek().text!r}", p.peek().pos)
+    p.done("EOF")
     return out
 
 
@@ -992,32 +1048,43 @@ class ClosureSpec:
 
 @lru_cache(maxsize=64)
 def enumerate_closure(spec: ClosureSpec) -> tuple[LFormula, ...]:
-    """All members with size <= bound, sorted by (size, rendered text).
+    """All members with size <= bound, in `sort_key` order: by size, then
+    by prefix key.
 
-    Sizes compose additively, so layer k is assembled from base members and
-    smaller layers; results are deduplicated against the base.
+    Sizes compose additively, so layer k is built from pairs of smaller
+    layers.  Distinct (connective, l, r) give distinct formulas, so each is
+    built once and needs checking only against the base members of its
+    size.  Each member's prefix key is made from its children's as it is
+    built, and each layer is sorted once by key.
     """
-    by_size: dict[int, set[LFormula]] = {}
+    bound = spec.size_bound
+    # layers[k]: (prefix key, member) for every member of size k; the keys
+    # are spelled as `_prefix_key` spells them
+    layers: list[list] = [[] for _ in range(bound + 1)]
     for f in spec.base:
-        by_size.setdefault(lsize(f), set()).add(f)
-    seen = set(spec.base)
-    for k in range(spec.size_bound + 1):
-        layer = by_size.setdefault(k, set())
-        if k == 0:
-            continue
+        k = lsize(f)
+        if k <= bound:
+            layers[k].append((_prefix_key(f), f))
+    for k in range(1, bound + 1):
+        layer = layers[k]
+        given = {f for _, f in layer}
         for i in range(k):
-            for l in by_size.get(i, ()):
-                for r in by_size.get(k - 1 - i, ()):
-                    for g in (LAnd(l, r), LOr(l, r)):
-                        if g not in seen:
-                            seen.add(g)
-                            layer.add(g)
+            right = layers[k - 1 - i]
+            for lk, l in layers[i]:
+                for rk, r in right:
+                    g = LAnd(l, r)
+                    if g not in given:
+                        layer.append((f"and({lk},{rk})", g))
+                    g = LOr(l, r)
+                    if g not in given:
+                        layer.append((f"or({lk},{rk})", g))
         if spec.mode == "and_or_not":
-            for a in by_size.get(k - 1, ()):
+            for ak, a in layers[k - 1]:
                 g = LNot(a)
-                if g not in seen:
-                    seen.add(g)
-                    layer.add(g)
-    out = [f for k in range(spec.size_bound + 1) for f in by_size.get(k, ()) if lsize(f) <= spec.size_bound]
-    out.sort(key=sort_key)
+                if g not in given:
+                    layer.append((f"not({ak})", g))
+    out: list[LFormula] = []
+    for layer in layers:
+        layer.sort(key=itemgetter(0))
+        out.extend(f for _, f in layer)
     return tuple(out)

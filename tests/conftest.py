@@ -334,7 +334,7 @@ def walk(f: sx.LFormula):
 
 # every term class and its fields in declaration order, spelled out here
 # rather than read from the classes: the reference for `syntax`'s terms,
-# which must hash, compare and print as frozen dataclasses of these fields
+# which must compare and print as frozen dataclasses of these fields
 TERM_FIELDS = {
     **dict.fromkeys((sx.MAtom, sx.LAtom), ("name",)),
     **dict.fromkeys((sx.MBot, sx.LBot, sx.LTop, sx.LOne), ()),
@@ -352,10 +352,21 @@ def term_values(x) -> tuple:
     return tuple(getattr(x, n) for n in TERM_FIELDS[type(x)])
 
 
+# every term class's tag, spelled out as TERM_FIELDS is: the first item of
+# the tuple a term hashes
+TERM_TAGS = {
+    sx.MAtom: 1, sx.MBot: 2, sx.MAnd: 3, sx.MOr: 4, sx.MImp: 5, sx.MNot: 6, sx.MDia: 7,
+    sx.LAtom: 8, sx.LFresh: 9, sx.LBot: 10, sx.LTop: 11, sx.LOne: 12, sx.LAnd: 13,
+    sx.LOr: 14, sx.LNot: 15, sx.LProd: 16, sx.LUnder: 17, sx.LOver: 18, sx.LDia: 19,
+    sx.LBoxDown: 20, sx.SLeaf: 21, sx.SNode: 22, sx.SBracket: 23, sx.Sequent: 24,
+}
+
+
 def term_hash(x) -> int:
-    """The hash term x must have: the hash of its field values, an absent
-    child (None) counted as `sx.NONE_HASH`."""
-    return hash(tuple(sx.NONE_HASH if v is None else v for v in term_values(x)))
+    """The hash term x must have: the hash of its class's tag followed by
+    its field values, an absent child (None) counted as `sx.NONE_HASH`."""
+    return hash((TERM_TAGS[type(x)],
+                 *(sx.NONE_HASH if v is None else v for v in term_values(x))))
 
 
 def terms_equal(x, y) -> bool:

@@ -228,6 +228,42 @@ def test_subformula_discipline_of_search_derivations():
             assert closure_contains(spec, g), sx.render_lambek(g)
 
 
+def _random_formula(rng: random.Random, size: int) -> sx.LFormula:
+    if size == 0:
+        return rng.choice([sx.LAtom("p"), sx.LAtom("q"), sx.BOT, sx.TOP,
+                           sx.fresh_for(sx.LAtom("p"))])
+    if rng.random() < 0.3:
+        return rng.choice([sx.LNot, sx.LDia])(_random_formula(rng, size - 1))
+    k = rng.randrange(size)
+    cls = rng.choice([sx.LAnd, sx.LOr, sx.LProd, sx.LUnder])
+    return cls(_random_formula(rng, k), _random_formula(rng, size - 1 - k))
+
+
+@pytest.mark.parametrize("sys", [DF, BD, BF], ids=lambda s: s.name)
+def test_cut_pool_is_the_sorted_union_of_base_and_closure(sys, monkeypatch):
+    # the pool is the closure (in `sort_key` order) and then the base
+    # members above the cut size, which is the sorted union of the two;
+    # only those base members are sorted again
+    keyed = []
+    sort_key = sx.sort_key
+    monkeypatch.setattr(sx, "sort_key", lambda f: keyed.append(f) or sort_key(f))
+    rng = random.Random(sys.name)
+    mode = "and_or_not" if sys.negation else "and_or"
+    for _ in range(12):
+        goal = sx.simple(_random_formula(rng, rng.randrange(3)),
+                         _random_formula(rng, rng.randrange(3)))
+        phi = frozenset([sx.simple(_random_formula(rng, rng.randrange(3)), sx.LAtom("q"))])
+        base = set(sx.subformulas_of_problem(goal, phi))
+        if sys.bounded:
+            base |= {sx.TOP, sx.BOT}
+        for cut in range(3):
+            closure = sx.enumerate_closure(sx.ClosureSpec(frozenset(base), mode, cut))
+            want = tuple(sorted(set(base) | set(closure), key=sort_key))
+            keyed.clear()
+            assert pv._cut_pool(sys, phi, goal, pv.SearchBudget(cut_size=cut)) == want
+            assert sorted(keyed, key=sort_key) == [f for f in want if sx.lsize(f) > cut]
+
+
 # ---------------------------------------------------------------------------
 # monotonicity
 

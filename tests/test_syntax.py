@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -7,8 +8,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import (TERM_FIELDS, closure_contains, lambek_formulas, modal_formulas, sequents,
-                      struct_trees, term_hash, term_repr, term_values, terms_equal, walk)
+from conftest import (TERM_FIELDS, TERM_TAGS, closure_contains, lambek_formulas, modal_formulas,
+                      sequents, struct_trees, term_hash, term_repr, term_values, terms_equal,
+                      walk)
 from fnlkit import syntax as sx
 from fnlkit.errors import ParseError, ValidationError
 from fnlkit.systems import SYSTEMS, validate_sequent
@@ -99,6 +101,17 @@ def test_parse_error_offsets_inside_fresh_letters_are_into_the_input(text, pos):
         sx.parse_sequent(text)
     assert e.value.pos == pos
     assert str(e.value).endswith(f"(at offset {pos})")
+
+
+def test_nested_fresh_letters_are_tokenized_once(monkeypatch):
+    # a letter's contents are parsed from the input's one token list, not
+    # tokenized again per nesting level
+    calls = []
+    tokenize = sx._tokenize
+    monkeypatch.setattr(sx, "_tokenize", lambda *a: calls.append(a) or tokenize(*a))
+    letter = sx.fresh_for(sx.fresh_for(sx.fresh_for(q)))
+    assert sx.parse_sequent("p{p{p{q}}} => q") == sx.simple(letter, q)
+    assert len(calls) == 1
 
 
 @given(modal_formulas)
@@ -269,7 +282,7 @@ def test_deep_tower_hashes_keys_and_compares_in_constant_stack():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        assert hash(f) == hash((f.a,))
+        assert hash(f) == hash((TERM_TAGS[sx.LNot], f.a))
         assert {f: 1}[f] == 1 and f in {f} and s in {s: 1} and s in {s}
         # unequal towers differ in their stored hash, so no walk is needed
         assert f != g and not f == g
@@ -317,6 +330,24 @@ def test_terms_hash_compare_and_print_as_frozen_dataclasses(x, y):
         with pytest.raises(FrozenInstanceError):
             delattr(x, name)
     assert x == copy and hash(x) == hash(copy)
+
+
+def test_terms_of_distinct_classes_over_the_same_fields_hash_apart():
+    # the class tag is hashed with the fields, so same-shape terms of
+    # distinct classes do not collide
+    groups = [
+        [cls(p, q) for cls in (sx.MAnd, sx.MOr, sx.MImp, sx.LAnd, sx.LOr, sx.LProd,
+                               sx.LUnder, sx.LOver, sx.SNode)],
+        [cls(p) for cls in (sx.MNot, sx.MDia, sx.LNot, sx.LDia, sx.LBoxDown, sx.SLeaf,
+                            sx.SBracket)],
+        [sx.MBot(), sx.BOT, sx.TOP, sx.ONE],
+        [sx.MAtom("p"), sx.LAtom("p")],
+        # every /\ and \/ labelling of the skeleton (p ? q) ? (q ? r)
+        [c(a(p, q), b(q, r)) for a, b, c in itertools.product((sx.LAnd, sx.LOr), repeat=3)],
+    ]
+    for terms in groups:
+        assert len({hash(t) for t in terms}) == len(terms)
+        assert all(hash(t) == term_hash(t) for t in terms)
 
 
 _PRINT_HASHES = """
@@ -453,6 +484,26 @@ def test_enumerate_matches_oracle(mode, bound):
     # membership test agrees with enumeration on everything enumerated
     for f in got:
         assert closure_contains(spec, f)
+
+
+# a base with a compound member above every bound tried, and one that the
+# layers build from p and q
+_COMPOUND_BASE = frozenset([p, q, sx.TOP, sx.LAnd(p, q), sx.LProd(q, p),
+                            sx.LOr(sx.LAnd(p, q), sx.LNot(sx.LNot(p)))])
+
+
+@pytest.mark.parametrize("mode", ["and_or", "and_or_not"])
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_enumerate_closure_lists_the_closure_in_sort_key_order(mode, bound):
+    spec = sx.ClosureSpec(_COMPOUND_BASE, mode, bound)
+    want = sorted(brute_closure(_COMPOUND_BASE, mode, bound), key=sx.sort_key)
+    assert list(sx.enumerate_closure(spec)) == want
+
+
+def test_closure_sizes_at_three_connectives():
+    base = frozenset([p, q, sx.TOP, sx.BOT])
+    assert len(sx.enumerate_closure(sx.ClosureSpec(base, "and_or", 3))) == 10788
+    assert len(sx.enumerate_closure(sx.ClosureSpec(base, "and_or_not", 3))) == 13648
 
 
 @settings(max_examples=60)
