@@ -397,7 +397,9 @@ COMMANDS = {
                            help="force the model reading (auto guesses from the "
                                 "relation arity, which misreads edgeless binary models)")),
     )),
-    "countermodel": (cmd_countermodel, "sample models hunting for a falsifier", (
+    "countermodel": (cmd_countermodel, "find a falsifying model: the exhaustive 1- and "
+                                        "2-state models, the transferred K countermodel, "
+                                        "then seeded samples", (
         (("goal",), dict(help="sequent (or modal formula with --modal)")),
         (("--modal",), dict(action="store_true",
                             help="goal is a modal formula, decided by the K tableau")),

@@ -21,6 +21,15 @@ connective family; a modal formula's is 0); a fresh letter is atomic, so
 its payload does not count.  `vocab` reads it, ORs the masks of a tree's
 or sequent's leaves and adds `V_BRACKET` for a bracket; trees and
 sequents store no mask, since the rules rebuild them at every step.
+
+The concrete grammar is one operator table, `_OPS`: a row per operator
+gives its token kind, spelling, precedence, `L_TAGS` spelling and its
+class in each language.  The tokenizer's symbols, `L_TAGS`, the parser
+and the renderer read it.  The parser climbs precedences over the rows
+and reads each token once: in a structure tree a parenthesis opens a
+subtree, and a leaf there is a parenthesized formula, which operators
+after the ")" may go on with.  One renderer serves both languages, under
+the names `render_modal` and `render_lambek`.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ import re
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import ParseError
 
@@ -579,101 +588,96 @@ def subformulas_of_problem(goal: Sequent, phi: Iterable[Sequent]) -> frozenset[L
 
 
 # ---------------------------------------------------------------------------
-# rendering
-
-# precedence, loosest to tightest; slashes are non-associative, the rest
-# associate to the right.
-_P_IMP, _P_OR, _P_AND, _P_SLASH, _P_STAR, _P_UNARY, _P_ATOM = 1, 2, 3, 4, 5, 6, 7
-
-
-def _mprec(f: ModalFormula) -> int:
-    if isinstance(f, MImp):
-        return _P_IMP
-    if isinstance(f, MOr):
-        return _P_OR
-    if isinstance(f, MAnd):
-        return _P_AND
-    if isinstance(f, (MNot, MDia)):
-        return _P_UNARY
-    return _P_ATOM
+# the concrete grammar
+#
+# One row per operator: its token kind, its spelling, its precedence (1
+# loosest), its spelling in sort keys and derivation tables (`L_TAGS`), and
+# its class in the modal and in the substructural language (None where the
+# language lacks it).  The tokenizer's symbols, `L_TAGS`, the parser and the
+# renderer all read these rows.  Binary operators associate to the right,
+# except the slashes, which do not chain; prefix operators bind tighter than
+# any binary one, and atoms, constants and fresh letters tightest.
 
 
-def render_modal(f: ModalFormula) -> str:
-    if isinstance(f, MAtom):
-        return f.name
-    if isinstance(f, MBot):
-        return "bot"
-    if isinstance(f, MNot):
-        return "~" + _wrap(render_modal(f.a), _mprec(f.a) < _P_UNARY)
-    if isinstance(f, MDia):
-        return "<>" + _wrap(render_modal(f.a), _mprec(f.a) < _P_UNARY)
-    op = {"MAnd": "/\\", "MOr": "\\/", "MImp": "->"}[type(f).__name__]
-    lvl = _mprec(f)
-    left = _wrap(render_modal(f.l), _mprec(f.l) <= lvl)
-    right = _wrap(render_modal(f.r), _mprec(f.r) < lvl)
-    return f"{left} {op} {right}"
+class _Op(NamedTuple):
+    kind: str
+    text: str
+    prec: int
+    tag: Optional[str]
+    modal: Optional[type]
+    lambek: Optional[type]
 
 
-def _wrap(s: str, yes: bool) -> str:
-    return f"({s})" if yes else s
+_P_SLASH, _P_UNARY, _P_ATOM = 4, 6, 7
+
+_OPS = (
+    _Op("IMP", "->", 1, None, MImp, None),
+    _Op("OR", "\\/", 2, "or", MOr, LOr),
+    _Op("AND", "/\\", 3, "and", MAnd, LAnd),
+    _Op("UNDER", "\\", _P_SLASH, "under", None, LUnder),
+    _Op("OVER", "/", _P_SLASH, "over", None, LOver),
+    _Op("STAR", "*", 5, "prod", None, LProd),
+    _Op("NOT", "~", _P_UNARY, "not", MNot, LNot),
+    _Op("DIA", "<>", _P_UNARY, "dia", MDia, LDia),
+    _Op("BOXDOWN", "[v]", _P_UNARY, "boxdown", None, LBoxDown),
+)
+
+# connective spellings in sort keys and derivation tables; the order they
+# give cut candidates rests on these exact strings
+L_TAGS = {op.lambek: op.tag for op in _OPS if op.lambek is not None}
+# per language, by token kind: (precedence, class) of each binary operator,
+# for the parser's climbing loop, and the class of each prefix one
+_INFIX = {lang: {op.kind: (op.prec, getattr(op, lang)) for op in _OPS
+                 if getattr(op, lang) is not None and op.prec < _P_UNARY}
+          for lang in ("modal", "lambek")}
+_PREFIX = {lang: {op.kind: getattr(op, lang) for op in _OPS
+                  if getattr(op, lang) is not None and op.prec == _P_UNARY}
+           for lang in ("modal", "lambek")}
+# class -> its row, over both languages; every other formula class renders
+# as a word (or a letter) and binds tightest
+_ROW = {cls: op for op in _OPS for cls in (op.modal, op.lambek) if cls is not None}
+_PREC = {cls: op.prec for cls, op in _ROW.items()}
+_WORDS = {MBot: "bot", LBot: "bot", LTop: "top", LOne: "one"}
 
 
-def _lprec(f: LFormula) -> int:
-    if isinstance(f, LOr):
-        return _P_OR
-    if isinstance(f, LAnd):
-        return _P_AND
-    if isinstance(f, (LUnder, LOver)):
-        return _P_SLASH
-    if isinstance(f, LProd):
-        return _P_STAR
-    if isinstance(f, _Unary):
-        return _P_UNARY
-    return _P_ATOM
-
-
-def render_lambek(f: LFormula, memo: Optional[dict] = None) -> str:
-    """f in the concrete grammar.  A caller that renders many formulas with
-    common parts may pass one memo, formula -> text, to all its calls."""
-    if isinstance(f, LAtom):
+def render_lambek(f, memo: Optional[dict] = None) -> str:
+    """f, a formula of either language, in the concrete grammar.  A caller
+    that renders many formulas with common parts may pass one memo,
+    formula -> text, to all its calls."""
+    cls = f.__class__
+    if cls is LAtom or cls is MAtom:
         return f.name
     if memo is not None:
         out = memo.get(f)
         if out is not None:
             return out
-    if isinstance(f, LFresh):
-        if f.mark == "bot":
-            return "p_bot"
-        if f.mark == "top":
-            return "p_top"
+    op = _ROW.get(cls)
+    if op is None:
+        if cls is not LFresh:
+            return _WORDS[cls]
+        if f.of is None:
+            return "p_" + f.mark
         out = "p{" + render_lambek(f.of, memo) + "}"
-    elif isinstance(f, LBot):
-        return "bot"
-    elif isinstance(f, LTop):
-        return "top"
-    elif isinstance(f, LOne):
-        return "one"
-    elif isinstance(f, LNot):
-        out = "~" + _wrap(render_lambek(f.a, memo), _lprec(f.a) < _P_UNARY)
-    elif isinstance(f, LDia):
-        out = "<>" + _wrap(render_lambek(f.a, memo), _lprec(f.a) < _P_UNARY)
-    elif isinstance(f, LBoxDown):
-        out = "[v]" + _wrap(render_lambek(f.a, memo), _lprec(f.a) < _P_UNARY)
+    elif op.prec == _P_UNARY:
+        out = op.text + _wrap(render_lambek(f.a, memo),
+                              _PREC.get(f.a.__class__, _P_ATOM) < _P_UNARY)
     else:
-        lvl = _lprec(f)
-        op = {"LAnd": "/\\", "LOr": "\\/", "LProd": "*", "LUnder": "\\", "LOver": "/"}[
-            type(f).__name__
-        ]
-        left = _wrap(render_lambek(f.l, memo), _lprec(f.l) <= lvl)
-        if lvl == _P_SLASH:
-            # slashes do not chain; parenthesize same-level children on both sides
-            right = _wrap(render_lambek(f.r, memo), _lprec(f.r) <= lvl)
-        else:
-            right = _wrap(render_lambek(f.r, memo), _lprec(f.r) < lvl)
-        out = f"{left} {op} {right}"
+        prec = op.prec
+        left = _wrap(render_lambek(f.l, memo), _PREC.get(f.l.__class__, _P_ATOM) <= prec)
+        # a right child at the same level stays bare, unless slashes meet
+        rprec = _PREC.get(f.r.__class__, _P_ATOM)
+        right = _wrap(render_lambek(f.r, memo), rprec < prec or rprec == prec == _P_SLASH)
+        out = f"{left} {op.text} {right}"
     if memo is not None:
         memo[f] = out
     return out
+
+
+render_modal = render_lambek
+
+
+def _wrap(s: str, yes: bool) -> str:
+    return f"({s})" if yes else s
 
 
 def render_tree(t: StructTree, memo: Optional[dict] = None) -> str:
@@ -693,20 +697,6 @@ def render_sequent(s: Sequent, memo: Optional[dict] = None) -> str:
     return render_tree(s.ant, memo) + " => " + render_lambek(s.suc, memo)
 
 
-# connective spellings in sort keys and derivation tables; the order they
-# give cut candidates rests on these exact strings
-L_TAGS = {
-    LAnd: "and",
-    LOr: "or",
-    LNot: "not",
-    LProd: "prod",
-    LUnder: "under",
-    LOver: "over",
-    LDia: "dia",
-    LBoxDown: "boxdown",
-}
-
-
 def _prefix_key(f: LFormula) -> str:
     # canonical prefix spelling; groups same-size formulas by connective
     # (and(..) before or(..)), then by operands left to right
@@ -717,7 +707,7 @@ def _prefix_key(f: LFormula) -> str:
             return "fresh " + f.mark
         return "fresh neg(" + _prefix_key(f.of) + ")"
     if isinstance(f, (LBot, LTop, LOne)):
-        return "const " + {LBot: "bot", LTop: "top", LOne: "one"}[type(f)]
+        return "const " + _WORDS[type(f)]
     tag = L_TAGS[type(f)]
     if isinstance(f, _Unary):
         return tag + "(" + _prefix_key(f.a) + ")"
@@ -729,7 +719,6 @@ def sort_key(f: LFormula) -> tuple[int, str]:
     return (lsize(f), _prefix_key(f))
 
 
-# ---------------------------------------------------------------------------
 # tokenizer
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
@@ -742,23 +731,12 @@ _RESERVED = {
     "p_top": "PTOP",
 }
 # longest first so /\ beats /, <> beats <, etc.
-_SYMBOLS = [
-    ("/\\", "AND"),
-    ("\\/", "OR"),
-    ("->", "IMP"),
-    ("=>", "SEQ"),
-    ("<>", "DIA"),
-    ("[v]", "BOXDOWN"),
-    ("[]", "BOX"),
-    ("*", "STAR"),
-    ("\\", "UNDER"),
-    ("/", "OVER"),
-    ("~", "NOT"),
-    ("(", "LP"),
-    (")", "RP"),
-    ("<", "LT"),
-    (">", "GT"),
-]
+_SYMBOLS = sorted([(op.text, op.kind) for op in _OPS] + [
+    ("=>", "SEQ"), ("[]", "BOX"), ("(", "LP"), (")", "RP"), ("<", "LT"), (">", "GT"),
+], key=lambda sym: -len(sym[0]))
+# the other atomic tokens of each language
+_CONSTANTS = {"modal": {"BOT": MBot()},
+              "lambek": {"BOT": BOT, "TOP": TOP, "ONE": ONE, "PBOT": P_BOT, "PTOP": P_TOP}}
 
 
 def is_atom_name(name) -> bool:
@@ -834,14 +812,16 @@ def _tokenize(text: str) -> list[_Tok]:
 
 
 class _Parser:
-    """Recursive descent over the token list.  `lang` switches the accepted
-    token set: "modal" or "lambek"."""
+    """Recursive descent over the token list, each token read once.  `lang`
+    switches the accepted token set: "modal" or "lambek"."""
 
     def __init__(self, text: str, toks: list[_Tok], lang: str):
         self.text = text
         self.toks = toks
         self.pos = 0
         self.lang = lang
+        self.infix = _INFIX[lang]
+        self.prefix = _PREFIX[lang]
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -872,98 +852,51 @@ class _Parser:
     def fail(self, msg: str):
         raise ParseError(msg, self.peek().pos)
 
-    # formula levels, loosest first
-
-    def formula(self):
-        if self.lang == "modal":
-            return self.imp()
-        return self.or_()
-
-    def imp(self):
-        left = self.or_()
-        if self.peek().kind == "IMP":
+    def formula(self, floor: int = 1, left=None):
+        """The formula here whose binary operators all bind at floor or
+        tighter, by precedence climbing over the rows; left, if given, is
+        its first operand, already read."""
+        if left is None:
+            left = self.unary()
+        op = self.infix.get(self.peek().kind)
+        while op is not None and op[0] >= floor:
+            prec, cls = op
             self.take()
-            return MImp(left, self.imp())
-        return left
-
-    def or_(self):
-        left = self.and_()
-        if self.peek().kind == "OR":
-            self.take()
-            right = self.or_()
-            return MOr(left, right) if self.lang == "modal" else LOr(left, right)
-        return left
-
-    def and_(self):
-        left = self.slash()
-        if self.peek().kind == "AND":
-            self.take()
-            right = self.and_()
-            return MAnd(left, right) if self.lang == "modal" else LAnd(left, right)
-        return left
-
-    def slash(self):
-        # \ and / are non-associative: a second slash at this level is an error
-        left = self.star()
-        k = self.peek().kind
-        if k in ("UNDER", "OVER") and self.lang == "lambek":
-            self.take()
-            right = self.star()
-            out = LUnder(left, right) if k == "UNDER" else LOver(left, right)
-            nxt = self.peek()
-            if nxt.kind in ("UNDER", "OVER"):
-                raise ParseError("slashes do not chain; parenthesize", nxt.pos)
-            return out
-        return left
-
-    def star(self):
-        left = self.unary()
-        if self.peek().kind == "STAR" and self.lang == "lambek":
-            self.take()
-            return LProd(left, self.star())
+            # a right operand takes its own level, so operators associate
+            # to the right; a slash's takes only tighter ones
+            left = cls(left, self.formula(prec + 1 if prec == _P_SLASH else prec))
+            t = self.peek()
+            op = self.infix.get(t.kind)
+            if prec == _P_SLASH and op is not None and op[0] == _P_SLASH:
+                raise ParseError("slashes do not chain; parenthesize", t.pos)
         return left
 
     def unary(self):
         t = self.peek()
-        if t.kind == "NOT":
+        cls = self.prefix.get(t.kind)
+        if cls is not None:
             self.take()
-            a = self.unary()
-            return MNot(a) if self.lang == "modal" else LNot(a)
-        if t.kind == "DIA":
-            self.take()
-            a = self.unary()
-            return MDia(a) if self.lang == "modal" else LDia(a)
+            return cls(self.unary())
         if t.kind == "BOX":
             if self.lang != "modal":
                 self.fail("[] is modal syntax")
             self.take()
             return mbox(self.unary())
-        if t.kind == "BOXDOWN":
-            if self.lang != "lambek":
-                self.fail("[v] is not modal syntax")
-            self.take()
-            return LBoxDown(self.unary())
+        if t.kind == "BOXDOWN":  # only modal has no prefix row for it
+            self.fail("[v] is not modal syntax")
         return self.atom()
 
     def atom(self):
         t = self.take()
         if t.kind == "ATOM":
             return MAtom(t.text) if self.lang == "modal" else LAtom(t.text)
-        if t.kind == "BOT":
-            return MBot() if self.lang == "modal" else BOT
-        if self.lang == "lambek":
-            if t.kind == "TOP":
-                return TOP
-            if t.kind == "ONE":
-                return ONE
-            if t.kind == "PBOT":
-                return P_BOT
-            if t.kind == "PTOP":
-                return P_TOP
-            if t.kind == "FRESH":
-                f = self.formula()
-                self.done("RBRACE")
-                return LFresh("neg", f)
+        f = _CONSTANTS[self.lang].get(t.kind)
+        if f is not None:
+            return f
+        if t.kind == "FRESH" and self.lang == "lambek":
+            f = self.formula()
+            self.done("RBRACE")
+            return LFresh("neg", f)
         if t.kind == "LP":
             f = self.formula()
             self.expect("RP")
@@ -989,19 +922,16 @@ class _Parser:
             inner = self.tree()
             self.expect("GT")
             return SBracket(inner)
-        if t.kind == "LP":
-            # a parenthesis may open a formula or a subtree; try the formula
-            # reading first and fall back on failure
-            save = self.pos
-            try:
-                return SLeaf(self.formula())
-            except ParseError:
-                self.pos = save
-            self.take()
-            inner = self.tree()
-            self.expect("RP")
-            return inner
-        return SLeaf(self.formula())
+        if t.kind != "LP":
+            return SLeaf(self.formula())
+        # a parenthesis opens a subtree; a leaf there is a parenthesized
+        # formula, which operators after the ")" may go on with
+        self.take()
+        inner = self.tree()
+        self.expect("RP")
+        if isinstance(inner, SLeaf):
+            return SLeaf(self.formula(left=inner.f))
+        return inner
 
     def sequent(self) -> Sequent:
         if self.peek().kind == "SEQ":

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
@@ -112,6 +113,127 @@ def test_nested_fresh_letters_are_tokenized_once(monkeypatch):
     letter = sx.fresh_for(sx.fresh_for(sx.fresh_for(q)))
     assert sx.parse_sequent("p{p{p{q}}} => q") == sx.simple(letter, q)
     assert len(calls) == 1
+
+
+def test_nested_parentheses_read_each_token_once(monkeypatch):
+    # a "(" that opens a subtree is read once, not first as a formula and
+    # then again as a tree, so deep nesting parses in linear time
+    text = "(" * 200 + "p o q" + ")" * 200 + " => q"
+    reads = []
+    take = sx._Parser.take
+    monkeypatch.setattr(sx._Parser, "take", lambda self: reads.append(1) or take(self))
+    assert sx.parse_sequent(text) == sx.Sequent(sx.SNode(sx.SLeaf(p), sx.SLeaf(q)), q)
+    assert len(reads) == len(sx._tokenize(text)) == 406
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("((p /\\ q) /\\ (q *)) => q", 17),
+    ("(p) * => q", 6),
+])
+def test_an_error_inside_a_parenthesis_is_reported_where_it_is(text, pos):
+    with pytest.raises(ParseError) as e:
+        sx.parse_sequent(text)
+    assert e.value.pos == pos
+
+
+M = {name: sx.MAtom(name) for name in "pqr"}
+
+# terms built by their constructors, not parsed, so that a spelling or a
+# precedence that the parser and the renderer share cannot hide
+_PINNED = [
+    (sx.LUnder(sx.LOver(p, q), r), "(p / q) \\ r"),
+    (sx.LUnder(p, sx.LOver(q, r)), "p \\ (q / r)"),
+    (sx.LOver(sx.LUnder(p, q), r), "(p \\ q) / r"),
+    (sx.LUnder(sx.LProd(p, q), r), "p * q \\ r"),
+    (sx.LProd(sx.LUnder(p, q), r), "(p \\ q) * r"),
+    (sx.LProd(sx.LOr(p, q), r), "(p \\/ q) * r"),
+    (sx.LProd(p, sx.LProd(q, r)), "p * q * r"),
+    (sx.LAnd(p, sx.LAnd(q, r)), "p /\\ q /\\ r"),
+    (sx.LAnd(sx.LAnd(p, q), r), "(p /\\ q) /\\ r"),
+    (sx.LOr(sx.LAnd(p, q), sx.LNot(r)), "p /\\ q \\/ ~r"),
+    (sx.LAnd(sx.LOr(p, q), r), "(p \\/ q) /\\ r"),
+    (sx.LNot(sx.LDia(sx.LBoxDown(p))), "~<>[v]p"),
+    (sx.LBoxDown(sx.LProd(p, q)), "[v](p * q)"),
+    (sx.fresh_for(sx.LOr(p, q)), "p{p \\/ q}"),
+    (sx.LAnd(sx.P_BOT, sx.LOr(sx.P_TOP, sx.ONE)), "p_bot /\\ (p_top \\/ one)"),
+    (sx.LNot(sx.LAnd(sx.TOP, sx.BOT)), "~(top /\\ bot)"),
+    (sx.MImp(sx.MImp(M["p"], M["q"]), M["r"]), "(p -> q) -> r"),
+    (sx.MImp(M["p"], sx.MImp(M["q"], M["r"])), "p -> q -> r"),
+    (sx.MOr(sx.MImp(M["p"], M["q"]), M["r"]), "(p -> q) \\/ r"),
+    (sx.mbox(M["p"]), "~<>~p"),
+    (sx.MAnd(sx.MOr(sx.MDia(M["p"]), sx.MBot()), sx.MNot(M["q"])), "(<>p \\/ bot) /\\ ~q"),
+    (sx.MDia(sx.MAnd(M["p"], M["q"])), "<>(p /\\ q)"),
+]
+
+
+@pytest.mark.parametrize("f, text", _PINNED, ids=[text for _, text in _PINNED])
+def test_rendered_text_is_pinned(f, text):
+    if isinstance(f, sx.ModalFormula):
+        assert sx.render_modal(f) == text
+        assert sx.parse_modal(text) == f
+    else:
+        assert sx.render_lambek(f) == text
+        assert sx.parse_lambek(text) == f
+
+
+def test_rendered_trees_and_sequents_are_pinned():
+    leaf = sx.SLeaf(sx.LOr(p, q))
+    t = sx.SNode(sx.SNode(leaf, sx.SBracket(sx.SLeaf(sx.LProd(p, q)))), sx.SLeaf(r))
+    assert sx.render_tree(t) == "(p \\/ q o < p * q >) o r"
+    s = sx.Sequent(sx.SLeaf(sx.LProd(sx.LOr(p, q), r)), sx.LUnder(p, q))
+    assert sx.render_sequent(s) == "(p \\/ q) * r => p \\ q"
+    assert sx.render_sequent(sx.Sequent(None, sx.ONE)) == "=> one"
+
+
+_M_LEAVES = [sx.MAtom("p"), sx.MAtom("q"), sx.MAtom("s_1"), sx.MBot()]
+_L_LEAVES = [p, q, sx.LAtom("s_1"), sx.BOT, sx.TOP, sx.ONE, sx.P_BOT, sx.P_TOP]
+_M_OPS = [sx.MAnd, sx.MOr, sx.MImp, sx.MNot, sx.MDia]
+_L_OPS = [sx.LAnd, sx.LOr, sx.LProd, sx.LUnder, sx.LOver, sx.LNot, sx.LDia, sx.LBoxDown,
+          sx.fresh_for]
+
+
+def _random_formula(rng, depth, leaves, ops):
+    # up to 2^depth leaves, where the hypothesis strategies stop at 10-12
+    if depth == 0 or rng.random() < 0.1:
+        return rng.choice(leaves)
+    op = rng.choice(ops)
+    if op in (sx.MNot, sx.MDia, sx.LNot, sx.LDia, sx.LBoxDown, sx.fresh_for):
+        return op(_random_formula(rng, depth - 1, leaves, ops))
+    return op(_random_formula(rng, depth - 1, leaves, ops),
+              _random_formula(rng, depth - 1, leaves, ops))
+
+
+@pytest.mark.parametrize("leaves, ops, render, parse", [
+    (_M_LEAVES, _M_OPS, sx.render_modal, sx.parse_modal),
+    (_L_LEAVES, _L_OPS, sx.render_lambek, sx.parse_lambek),
+], ids=["modal", "lambek"])
+def test_seeded_render_roundtrip_of_deep_formulas(leaves, ops, render, parse):
+    rng = random.Random(6)
+    for _ in range(2000):
+        f = _random_formula(rng, 6, leaves, ops)
+        assert parse(render(f)) == f
+
+
+def _paren_tree(rng, depth):
+    # trees whose leaves' text opens with "(": a disjunction as the left
+    # operand of any binary connective is parenthesized
+    if depth == 0 or rng.random() < 0.2:
+        left = sx.LOr(*(_random_formula(rng, 2, _L_LEAVES, _L_OPS) for _ in range(2)))
+        op = rng.choice([sx.LAnd, sx.LOr, sx.LProd, sx.LUnder, sx.LOver])
+        return sx.SLeaf(op(left, _random_formula(rng, 2, _L_LEAVES, _L_OPS)))
+    if rng.random() < 0.2:
+        return sx.SBracket(_paren_tree(rng, depth - 1))
+    return sx.SNode(_paren_tree(rng, depth - 1), _paren_tree(rng, depth - 1))
+
+
+def test_seeded_render_roundtrip_of_trees_with_parenthesized_leaves():
+    rng = random.Random(6)
+    for _ in range(500):
+        t = _paren_tree(rng, 4)
+        assert all(sx.render_lambek(f).startswith("(") for f in sx.tree_formulas(t))
+        assert sx.parse_tree(sx.render_tree(t)) == t
+        s = sx.Sequent(t, _random_formula(rng, 3, _L_LEAVES, _L_OPS))
+        assert sx.parse_sequent(sx.render_sequent(s)) == s
 
 
 @given(modal_formulas)
