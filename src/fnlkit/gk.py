@@ -68,6 +68,9 @@ class KProver:
     def prove(self, left, right) -> Optional[GKProof]:
         return self._prove(canon(map(_unimp, left)), canon(map(_unimp, right)))
 
+    def prove_formula(self, a: sx.ModalFormula) -> Optional[GKProof]:
+        return self.prove((), (a,))
+
     def _prove(self, left: Side, right: Side) -> Optional[GKProof]:
         key = (left, right)
         if key in self._memo:
@@ -232,26 +235,24 @@ def to_derivation(proof: GKProof) -> pf.Derivation:
     raise AssertionError(f"unknown rule {r}")
 
 
-def prove_dagger(left: Side, right: Side) -> Optional[pf.Derivation]:
-    """A derivation of  conj(left)-image => disj(right)-image  when left
-    entails right in K, else None.  An empty left side's image is top, and
-    a one-formula side is its own image."""
-    proof = KProver().prove(left, right)
-    return None if proof is None else to_derivation(proof)
-
-
-# The benchmark's tracer hooks these three names; nothing in fnlkit calls
-# them, `strategy.try_k_oracle` calls `prove_dagger`.
-
-
 def prove_dagger_top(b: sx.ModalFormula) -> Optional[pf.Derivation]:
-    return prove_dagger((), (b,))
+    """A derivation of  top => dagger(b)  when b is K-provable, else None.
+    (The raw translation of an empty left side already starts from top.)"""
+    proof = KProver().prove_formula(b)
+    if proof is None:
+        return None
+    return to_derivation(proof)
 
 
 def prove_dagger_goal(a: sx.ModalFormula) -> Optional[pf.Derivation]:
-    d = prove_dagger((), (a,))
+    """A derivation of  => dagger(a)  when a is K-provable, else None: the
+    top-started one, cut against the empty top axiom."""
+    d = prove_dagger_top(a)
     return None if d is None else lm.dcut(lm.dtop(None), d, ())
 
 
 def prove_dagger_sequent(a: sx.ModalFormula, b: sx.ModalFormula) -> Optional[pf.Derivation]:
-    return prove_dagger((a,), (b,))
+    """A derivation of  dagger(a) => dagger(b)  when a entails b in K: the
+    translation itself, since a one-formula side is its own image."""
+    proof = KProver().prove((a,), (b,))
+    return None if proof is None else to_derivation(proof)

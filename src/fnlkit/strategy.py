@@ -158,16 +158,13 @@ def try_k_oracle(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
     b = _read_modal(goal.suc)
     if b is None:
         return None
-    if goal.ant is None or goal.ant.f == sx.TOP:
-        left = ()
+    if goal.ant is None:
+        d = gk.prove_dagger_goal(b)
+    elif goal.ant.f == sx.TOP:
+        d = gk.prove_dagger_top(b)
     else:
         a = _read_modal(goal.ant.f)
-        if a is None:
-            return None
-        left = (a,)
-    d = gk.prove_dagger(left, (b,))
-    if d is not None and goal.ant is None:
-        d = lm.dcut(lm.dtop(None), d, ())
+        d = None if a is None else gk.prove_dagger_sequent(a, b)
     if d is not None and d.seq.suc != goal.suc:
         got, fwd, _ = _top_for_negbot(d.seq.suc)
         d = lm.dcut(d, fwd, ()) if got == goal.suc else None

@@ -22,14 +22,10 @@ its payload does not count.  `vocab` reads it, ORs the masks of a tree's
 or sequent's leaves and adds `V_BRACKET` for a bracket; trees and
 sequents store no mask, since the rules rebuild them at every step.
 
-The concrete grammar is one operator table, `_OPS`: a row per operator
-gives its token kind, spelling, precedence, `L_TAGS` spelling and its
-class in each language.  The tokenizer's symbols, `L_TAGS`, the parser
-and the renderer read it.  The parser climbs precedences over the rows
-and reads each token once: in a structure tree a parenthesis opens a
-subtree, and a leaf there is a parenthesized formula, which operators
-after the ")" may go on with.  One renderer serves both languages, under
-the names `render_modal` and `render_lambek`.
+The concrete grammar is two tables, one row per operator (`_OPS`) and
+one per constant (`_CONSTS`).  The tokenizer, `L_TAGS`, a precedence-
+climbing parser that reads each token once, and one renderer for both
+languages (`render_modal` is `render_lambek`) read them.
 """
 
 from __future__ import annotations
@@ -590,13 +586,10 @@ def subformulas_of_problem(goal: Sequent, phi: Iterable[Sequent]) -> frozenset[L
 # ---------------------------------------------------------------------------
 # the concrete grammar
 #
-# One row per operator: its token kind, its spelling, its precedence (1
-# loosest), its spelling in sort keys and derivation tables (`L_TAGS`), and
-# its class in the modal and in the substructural language (None where the
-# language lacks it).  The tokenizer's symbols, `L_TAGS`, the parser and the
-# renderer all read these rows.  Binary operators associate to the right,
-# except the slashes, which do not chain; prefix operators bind tighter than
-# any binary one, and atoms, constants and fresh letters tightest.
+# An operator row gives its token kind, spelling, precedence, `L_TAGS`
+# spelling, class in each language (None where the language lacks it), and
+# whether it chains: a binary operator that does associates to the right.
+# A constant row gives its word, token kind and term in each language.
 
 
 class _Op(NamedTuple):
@@ -606,38 +599,61 @@ class _Op(NamedTuple):
     tag: Optional[str]
     modal: Optional[type]
     lambek: Optional[type]
+    chains: bool = True
 
 
-_P_SLASH, _P_UNARY, _P_ATOM = 4, 6, 7
+class _Const(NamedTuple):
+    word: str
+    kind: str
+    modal: Optional[ModalFormula]
+    lambek: Optional[LFormula]
+
+
+# precedence levels, loosest first
+_P_IMP, _P_OR, _P_AND, _P_SLASH, _P_STAR, _P_UNARY, _P_ATOM = range(1, 8)
 
 _OPS = (
-    _Op("IMP", "->", 1, None, MImp, None),
-    _Op("OR", "\\/", 2, "or", MOr, LOr),
-    _Op("AND", "/\\", 3, "and", MAnd, LAnd),
-    _Op("UNDER", "\\", _P_SLASH, "under", None, LUnder),
-    _Op("OVER", "/", _P_SLASH, "over", None, LOver),
-    _Op("STAR", "*", 5, "prod", None, LProd),
+    _Op("IMP", "->", _P_IMP, None, MImp, None),
+    _Op("OR", "\\/", _P_OR, "or", MOr, LOr),
+    _Op("AND", "/\\", _P_AND, "and", MAnd, LAnd),
+    _Op("UNDER", "\\", _P_SLASH, "under", None, LUnder, chains=False),
+    _Op("OVER", "/", _P_SLASH, "over", None, LOver, chains=False),
+    _Op("STAR", "*", _P_STAR, "prod", None, LProd),
     _Op("NOT", "~", _P_UNARY, "not", MNot, LNot),
     _Op("DIA", "<>", _P_UNARY, "dia", MDia, LDia),
     _Op("BOXDOWN", "[v]", _P_UNARY, "boxdown", None, LBoxDown),
 )
 
+_CONSTS = (
+    _Const("bot", "BOT", MBot(), BOT),
+    _Const("top", "TOP", None, TOP),
+    _Const("one", "ONE", None, ONE),
+    _Const("p_bot", "PBOT", None, P_BOT),
+    _Const("p_top", "PTOP", None, P_TOP),
+)
+
 # connective spellings in sort keys and derivation tables; the order they
 # give cut candidates rests on these exact strings
 L_TAGS = {op.lambek: op.tag for op in _OPS if op.lambek is not None}
-# per language, by token kind: (precedence, class) of each binary operator,
-# for the parser's climbing loop, and the class of each prefix one
-_INFIX = {lang: {op.kind: (op.prec, getattr(op, lang)) for op in _OPS
+# per language, by token kind: (precedence, chains, class) of each binary
+# operator, for the parser's climbing loop, the class of each prefix one,
+# and the term of each constant
+_INFIX = {lang: {op.kind: (op.prec, op.chains, getattr(op, lang)) for op in _OPS
                  if getattr(op, lang) is not None and op.prec < _P_UNARY}
           for lang in ("modal", "lambek")}
 _PREFIX = {lang: {op.kind: getattr(op, lang) for op in _OPS
                   if getattr(op, lang) is not None and op.prec == _P_UNARY}
            for lang in ("modal", "lambek")}
+_CONSTANTS = {lang: {c.kind: getattr(c, lang) for c in _CONSTS if getattr(c, lang) is not None}
+              for lang in ("modal", "lambek")}
 # class -> its row, over both languages; every other formula class renders
 # as a word (or a letter) and binds tightest
 _ROW = {cls: op for op in _OPS for cls in (op.modal, op.lambek) if cls is not None}
 _PREC = {cls: op.prec for cls, op in _ROW.items()}
-_WORDS = {MBot: "bot", LBot: "bot", LTop: "top", LOne: "one"}
+# class -> word of the constants; a fresh one (p_bot, p_top) renders as
+# "p_" and its mark instead
+_WORDS = {t.__class__: c.word for c in _CONSTS for t in (c.modal, c.lambek)
+          if t is not None and t.__class__ is not LFresh}
 
 
 def render_lambek(f, memo: Optional[dict] = None) -> str:
@@ -664,9 +680,10 @@ def render_lambek(f, memo: Optional[dict] = None) -> str:
     else:
         prec = op.prec
         left = _wrap(render_lambek(f.l, memo), _PREC.get(f.l.__class__, _P_ATOM) <= prec)
-        # a right child at the same level stays bare, unless slashes meet
+        # a right child at the same level stays bare, unless the operator
+        # does not chain
         rprec = _PREC.get(f.r.__class__, _P_ATOM)
-        right = _wrap(render_lambek(f.r, memo), rprec < prec or rprec == prec == _P_SLASH)
+        right = _wrap(render_lambek(f.r, memo), rprec < prec or rprec == prec and not op.chains)
         out = f"{left} {op.text} {right}"
     if memo is not None:
         memo[f] = out
@@ -722,21 +739,11 @@ def sort_key(f: LFormula) -> tuple[int, str]:
 # tokenizer
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
-_RESERVED = {
-    "bot": "BOT",
-    "top": "TOP",
-    "one": "ONE",
-    "o": "O",
-    "p_bot": "PBOT",
-    "p_top": "PTOP",
-}
+_RESERVED = {"o": "O", **{c.word: c.kind for c in _CONSTS}}
 # longest first so /\ beats /, <> beats <, etc.
 _SYMBOLS = sorted([(op.text, op.kind) for op in _OPS] + [
     ("=>", "SEQ"), ("[]", "BOX"), ("(", "LP"), (")", "RP"), ("<", "LT"), (">", "GT"),
 ], key=lambda sym: -len(sym[0]))
-# the other atomic tokens of each language
-_CONSTANTS = {"modal": {"BOT": MBot()},
-              "lambek": {"BOT": BOT, "TOP": TOP, "ONE": ONE, "PBOT": P_BOT, "PTOP": P_TOP}}
 
 
 def is_atom_name(name) -> bool:
@@ -860,14 +867,15 @@ class _Parser:
             left = self.unary()
         op = self.infix.get(self.peek().kind)
         while op is not None and op[0] >= floor:
-            prec, cls = op
+            prec, chains, cls = op
             self.take()
             # a right operand takes its own level, so operators associate
-            # to the right; a slash's takes only tighter ones
-            left = cls(left, self.formula(prec + 1 if prec == _P_SLASH else prec))
+            # to the right; one that does not chain takes only tighter ones
+            left = cls(left, self.formula(prec if chains else prec + 1))
             t = self.peek()
             op = self.infix.get(t.kind)
-            if prec == _P_SLASH and op is not None and op[0] == _P_SLASH:
+            if not chains and op is not None and op[0] == prec:
+                # only the slashes do not chain
                 raise ParseError("slashes do not chain; parenthesize", t.pos)
         return left
 

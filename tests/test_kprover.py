@@ -13,7 +13,6 @@ from fnlkit import checker as ck
 from fnlkit import gk
 from fnlkit import ktableau as kt
 from fnlkit import models as md
-from fnlkit import strategy as strat
 from fnlkit import syntax as sx
 from fnlkit import transform as tr
 from fnlkit.prover import SearchBudget, derive
@@ -161,7 +160,7 @@ def test_exhaustive_tableau_vs_sequent_prover():
     assert len(formulas) > 2000
     prover = gk.KProver()
     for f in formulas:
-        assert kt.k_decide(f).valid == (prover.prove((), (f,)) is not None), \
+        assert kt.k_decide(f).valid == (prover.prove_formula(f) is not None), \
             sx.render_modal(f)
 
 
@@ -187,7 +186,7 @@ def test_random_deep_formulas_agree():
     checked = 0
     for _ in range(150):
         f = _random_modal(rng, rng.randrange(2, 5))
-        assert kt.k_decide(f).valid == (prover.prove((), (f,)) is not None)
+        assert kt.k_decide(f).valid == (prover.prove_formula(f) is not None)
         checked += 1
     assert checked == 150
 
@@ -238,24 +237,19 @@ def test_modus_ponens_closure():
 def test_prove_dagger_goal_for_the_k_axioms():
     for text in VALID:
         a = m(text)
-        d = gk.prove_dagger((), (a,))
+        d = gk.prove_dagger_goal(a)
         assert d is not None, text
-        assert d.seq == sx.Sequent(sx.SLeaf(sx.TOP), tr.dagger(a))
-        assert ck.check_derivation(BF, (), d), text
-        # the K oracle cuts the top away from an empty antecedent
-        goal = sx.Sequent(None, tr.dagger(a))
-        d = strat.try_k_oracle(BF, (), goal, None)
-        assert d is not None and d.seq == goal, text
+        assert d.seq == sx.Sequent(None, tr.dagger(a))
         assert ck.check_derivation(BF, (), d), text
 
 
 def test_prove_dagger_goal_refuses_invalid_input():
     for text in INVALID:
-        assert gk.prove_dagger((), (m(text),)) is None, text
+        assert gk.prove_dagger_goal(m(text)) is None, text
 
 
 def test_prove_dagger_top_starts_from_top():
-    d = gk.prove_dagger((), (m("p -> p"),))
+    d = gk.prove_dagger_top(m("p -> p"))
     assert d is not None
     assert d.seq == sx.Sequent(sx.SLeaf(sx.TOP), tr.dagger(m("p -> p")))
     assert ck.check_derivation(BF, (), d)
@@ -263,11 +257,11 @@ def test_prove_dagger_top_starts_from_top():
 
 def test_prove_dagger_sequent_between_formulas():
     a, b = m("<>(p \\/ q)"), m("<>p \\/ <>q")
-    d = gk.prove_dagger((a,), (b,))
+    d = gk.prove_dagger_sequent(a, b)
     assert d is not None
     assert d.seq == sx.Sequent(sx.SLeaf(tr.dagger(a)), tr.dagger(b))
     assert ck.check_derivation(BF, (), d)
-    assert gk.prove_dagger((m("[]p"),), (m("p"),)) is None
+    assert gk.prove_dagger_sequent(m("[]p"), m("p")) is None
 
 
 def test_variant_systems_inherit_the_k_oracle():
