@@ -447,12 +447,22 @@ def from_json(j: dict) -> Derivation:
 
 
 def pretty(d: Derivation) -> str:
-    """Indented tree, conclusion first."""
+    """Indented tree, conclusion first.  Each node prints once: a node met
+    again (shared by identity, as in `post_order`) prints as its one line
+    marked "(as above)", without its premises.  Every conclusion renders
+    over one memo."""
     lines: list[str] = []
+    memo: dict = {}
+    printed: set[int] = set()
     stack: list[tuple[Derivation, int]] = [(d, 0)]
     while stack:
         n, depth = stack.pop()
-        lines.append("  " * depth + f"{n.rule}: {sx.render_sequent(n.seq)}")
+        line = "  " * depth + f"{n.rule}: {sx.render_sequent(n.seq, memo)}"
+        if id(n) in printed:
+            lines.append(line + "  (as above)")
+            continue
+        printed.add(id(n))
+        lines.append(line)
         for p in reversed(n.premises):
             stack.append((p, depth + 1))
     return "\n".join(lines)

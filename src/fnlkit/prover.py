@@ -117,8 +117,9 @@ def _cut_pool(sys: SystemSpec, phi, goal: sx.Sequent, budget: SearchBudget):
     spec = sx.ClosureSpec(frozenset(base), mode, budget.cut_size)
     # the closure is in `sort_key` order and holds every base member within
     # the bound; the rest are larger, so they sort after all of it
-    above = [f for f in spec.base if sx.lsize(f) > budget.cut_size]
-    return sx.enumerate_closure(spec) + tuple(sorted(above, key=sx.sort_key))
+    closure = sx.enumerate_closure(spec)
+    above = spec.base.difference(closure)
+    return closure + tuple(sx.sorted_by_key(above, sx.lsizes(above)))
 
 
 def _search(sys: SystemSpec, phi, goal: sx.Sequent, budget: SearchBudget,

@@ -23,9 +23,11 @@ or sequent's leaves and adds `V_BRACKET` for a bracket; trees and
 sequents store no mask, since the rules rebuild them at every step.
 
 The concrete grammar is two tables, one row per operator (`_OPS`) and
-one per constant (`_CONSTS`).  The tokenizer, `L_TAGS`, a precedence-
-climbing parser that reads each token once, and one renderer for both
-languages (`render_modal` is `render_lambek`) read them.
+one per constant (`_CONSTS`).  The tokenizer reads the rows through one
+compiled pattern (`_TOKEN`, a named group per token kind), and `L_TAGS`,
+a precedence-climbing parser that reads each token once, and one
+renderer for both languages (`render_modal` is `render_lambek`) read
+them too.
 """
 
 from __future__ import annotations
@@ -363,6 +365,29 @@ def lsize(f: LFormula) -> int:
     if isinstance(f, _Binary):
         return 1 + lsize(f.l) + lsize(f.r)
     return 0
+
+
+def lsizes(fs: Iterable[LFormula]) -> dict[LFormula, int]:
+    """`lsize` of each of fs and of each of their subformulas.  Each
+    distinct subformula is sized once, from its children's sizes, so a
+    tower costs time linear in its depth."""
+    size: dict[LFormula, int] = {}
+
+    def walk(f):
+        n = size.get(f)
+        if n is None:
+            if isinstance(f, _Unary):
+                n = 1 + walk(f.a)
+            elif isinstance(f, _Binary):
+                n = 1 + walk(f.l) + walk(f.r)
+            else:
+                n = 0
+            size[f] = n
+        return n
+
+    for f in fs:
+        walk(f)
+    return size
 
 
 def subformulas(f: LFormula) -> frozenset[LFormula]:
@@ -736,14 +761,35 @@ def sort_key(f: LFormula) -> tuple[int, str]:
     return (lsize(f), _prefix_key(f))
 
 
+def sorted_by_key(fs: Iterable[LFormula], sizes: dict) -> list[LFormula]:
+    """fs in `sort_key` order, given the size of each.  Prefix keys are
+    built only among formulas of equal size, so a tower, whose formulas all
+    differ in size, builds none."""
+    groups: dict[int, list] = {}
+    for f in fs:
+        groups.setdefault(sizes[f], []).append(f)
+    out = []
+    for k in sorted(groups):
+        group = groups[k]
+        if len(group) > 1:
+            group.sort(key=_prefix_key)
+        out += group
+    return out
+
+
 # tokenizer
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 _RESERVED = {"o": "O", **{c.word: c.kind for c in _CONSTS}}
-# longest first so /\ beats /, <> beats <, etc.
-_SYMBOLS = sorted([(op.text, op.kind) for op in _OPS] + [
-    ("=>", "SEQ"), ("[]", "BOX"), ("(", "LP"), (")", "RP"), ("<", "LT"), (">", "GT"),
-], key=lambda sym: -len(sym[0]))
+_PUNCT = (("=>", "SEQ"), ("[]", "BOX"), ("(", "LP"), (")", "RP"), ("<", "LT"), (">", "GT"))
+# one named group per token kind, tried in order: a fresh letter's "p{"
+# before the words, the symbols longest first (so /\ beats /, <> beats
+# <), and any other character last
+_TOKEN = re.compile("|".join(
+    [r"(?P<SKIP>\s+)", r"(?P<FRESH>p\{)", f"(?P<WORD>{_ATOM_RE.pattern})", r"(?P<RBRACE>\})"]
+    + [f"(?P<{kind}>{re.escape(sym)})" for sym, kind in sorted(
+        [(op.text, op.kind) for op in _OPS] + list(_PUNCT), key=lambda row: -len(row[0]))]
+    + [r"(?P<BAD>.)"]), re.DOTALL)
 
 
 def is_atom_name(name) -> bool:
@@ -752,69 +798,45 @@ def is_atom_name(name) -> bool:
             and name not in _RESERVED)
 
 
-@dataclass
-class _Tok:
-    kind: str
-    text: str
-    pos: int
-    end: int = 0  # a fresh letter's: the offset of its closing brace
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    """The tokens of text, each at its offset into it.  A fresh letter is
-    a FRESH token for its "p{", the tokens of its contents, and an RBRACE
-    token for its "}", which reads as the end of the letter's input.
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of text.  A fresh letter is a FRESH
+    token for its "p{", the tokens of its contents, and an RBRACE token for
+    its "}", which reads as the end of the letter's input.
 
     A bad character inside a letter is reported only once every letter is
     closed, and a bare "{" there (None on the stack) counts towards the
     matching, so an unterminated letter is reported before it."""
     toks = []
-    opened = []  # the FRESH tokens (or bare braces) still open
+    opened = []  # the offsets of the letters (None: bare braces) still open
     bad = None  # the first bad character inside a letter
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "SKIP":
             continue
-        m = _ATOM_RE.match(text, i)
-        if m:
-            name = m.group(0)
-            j = m.end()
-            if name == "p" and j < n and text[j] == "{":
-                opened.append(_Tok("FRESH", "p{", i))
-                toks.append(opened[-1])
-                i = j + 1
-                continue
-            kind = _RESERVED.get(name, "ATOM")
-            toks.append(_Tok(kind, name, i))
-            i = j
-            continue
-        if c == "}" and opened:
-            t = opened.pop()
-            if t is not None:
-                t.end = i
-                toks.append(_Tok("RBRACE", "", i))
-            i += 1
-            continue
-        for sym, kind in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(_Tok(kind, sym, i))
-                i += len(sym)
-                break
-        else:
+        pos = m.start()
+        if kind == "WORD":
+            word = m.group()
+            toks.append((_RESERVED.get(word, "ATOM"), word, pos))
+        elif kind == "RBRACE" and opened:
+            if opened.pop() is not None:
+                toks.append(("RBRACE", "", pos))
+        elif kind == "BAD" or kind == "RBRACE":
+            c = m.group()
             if not opened:
-                raise ParseError(f"unexpected character {c!r}", i)
+                raise ParseError(f"unexpected character {c!r}", pos)
             if bad is None:
-                bad = ParseError(f"unexpected character {c!r}", i)
+                bad = ParseError(f"unexpected character {c!r}", pos)
             if c == "{":
                 opened.append(None)
-            i += 1
+        else:
+            if kind == "FRESH":
+                opened.append(pos)
+            toks.append((kind, m.group(), pos))
     if opened:
-        raise ParseError("unterminated fresh letter", opened[0].pos)
+        raise ParseError("unterminated fresh letter", opened[0])
     if bad:
         raise bad
-    toks.append(_Tok("EOF", "", n))
+    toks.append(("EOF", "", len(text)))
     return toks
 
 
@@ -822,7 +844,7 @@ class _Parser:
     """Recursive descent over the token list, each token read once.  `lang`
     switches the accepted token set: "modal" or "lambek"."""
 
-    def __init__(self, text: str, toks: list[_Tok], lang: str):
+    def __init__(self, text: str, toks: list[tuple[str, str, int]], lang: str):
         self.text = text
         self.toks = toks
         self.pos = 0
@@ -830,34 +852,43 @@ class _Parser:
         self.infix = _INFIX[lang]
         self.prefix = _PREFIX[lang]
 
-    def peek(self) -> _Tok:
+    def peek(self) -> tuple[str, str, int]:
         return self.toks[self.pos]
 
-    def take(self) -> _Tok:
+    def take(self) -> tuple[str, str, int]:
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def shown(self, t: _Tok) -> str:
-        # an error quotes a fresh letter by its contents
-        return self.text[t.pos + 2 : t.end] if t.kind == "FRESH" else t.text
+    def quote(self, i: int) -> str:
+        # an error quotes token i by its text, and a fresh letter by its
+        # contents, up to the "}" that closes it: the tokens hold no
+        # contents, which would copy a nest of n letters n times
+        kind, text, start = self.toks[i]
+        if kind != "FRESH":
+            return text
+        depth = 0
+        for kind, _, pos in self.toks[i:]:
+            depth += (kind == "FRESH") - (kind == "RBRACE")
+            if not depth:
+                return self.text[start + 2 : pos]
 
-    def expect(self, kind: str) -> _Tok:
+    def expect(self, kind: str):
         t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind}, found {self.shown(t) or 'end of input'!r}",
-                             t.pos)
-        return self.take()
+        if t[0] != kind:
+            raise ParseError(f"expected {kind}, found {self.quote(self.pos) or 'end of input'!r}",
+                             t[2])
+        self.take()
 
     def done(self, end: str):
         # the input, or a fresh letter's contents, ends here
         t = self.peek()
-        if t.kind != end:
-            raise ParseError(f"trailing input {self.shown(t)!r}", t.pos)
+        if t[0] != end:
+            raise ParseError(f"trailing input {self.quote(self.pos)!r}", t[2])
         self.take()
 
     def fail(self, msg: str):
-        raise ParseError(msg, self.peek().pos)
+        raise ParseError(msg, self.peek()[2])
 
     def formula(self, floor: int = 1, left=None):
         """The formula here whose binary operators all bind at floor or
@@ -865,72 +896,72 @@ class _Parser:
         its first operand, already read."""
         if left is None:
             left = self.unary()
-        op = self.infix.get(self.peek().kind)
+        op = self.infix.get(self.peek()[0])
         while op is not None and op[0] >= floor:
             prec, chains, cls = op
             self.take()
             # a right operand takes its own level, so operators associate
             # to the right; one that does not chain takes only tighter ones
             left = cls(left, self.formula(prec if chains else prec + 1))
-            t = self.peek()
-            op = self.infix.get(t.kind)
+            kind, _, pos = self.peek()
+            op = self.infix.get(kind)
             if not chains and op is not None and op[0] == prec:
                 # only the slashes do not chain
-                raise ParseError("slashes do not chain; parenthesize", t.pos)
+                raise ParseError("slashes do not chain; parenthesize", pos)
         return left
 
     def unary(self):
-        t = self.peek()
-        cls = self.prefix.get(t.kind)
+        kind = self.peek()[0]
+        cls = self.prefix.get(kind)
         if cls is not None:
             self.take()
             return cls(self.unary())
-        if t.kind == "BOX":
+        if kind == "BOX":
             if self.lang != "modal":
                 self.fail("[] is modal syntax")
             self.take()
             return mbox(self.unary())
-        if t.kind == "BOXDOWN":  # only modal has no prefix row for it
+        if kind == "BOXDOWN":  # only modal has no prefix row for it
             self.fail("[v] is not modal syntax")
         return self.atom()
 
     def atom(self):
-        t = self.take()
-        if t.kind == "ATOM":
-            return MAtom(t.text) if self.lang == "modal" else LAtom(t.text)
-        f = _CONSTANTS[self.lang].get(t.kind)
+        kind, text, pos = self.take()
+        if kind == "ATOM":
+            return MAtom(text) if self.lang == "modal" else LAtom(text)
+        f = _CONSTANTS[self.lang].get(kind)
         if f is not None:
             return f
-        if t.kind == "FRESH" and self.lang == "lambek":
+        if kind == "FRESH" and self.lang == "lambek":
             f = self.formula()
             self.done("RBRACE")
             return LFresh("neg", f)
-        if t.kind == "LP":
+        if kind == "LP":
             f = self.formula()
             self.expect("RP")
             return f
-        raise ParseError(f"unexpected {self.shown(t) or 'end of input'!r}", t.pos)
+        raise ParseError(f"unexpected {self.quote(self.pos - 1) or 'end of input'!r}", pos)
 
     # structure trees
 
     def tree(self) -> StructTree:
         left = self.tree_primary()
-        if self.peek().kind == "O":
+        if self.peek()[0] == "O":
             self.take()
             right = self.tree_primary()
-            if self.peek().kind == "O":
+            if self.peek()[0] == "O":
                 self.fail("o does not chain; parenthesize")
             return SNode(left, right)
         return left
 
     def tree_primary(self) -> StructTree:
-        t = self.peek()
-        if t.kind == "LT":
+        kind = self.peek()[0]
+        if kind == "LT":
             self.take()
             inner = self.tree()
             self.expect("GT")
             return SBracket(inner)
-        if t.kind != "LP":
+        if kind != "LP":
             return SLeaf(self.formula())
         # a parenthesis opens a subtree; a leaf there is a parenthesized
         # formula, which operators after the ")" may go on with
@@ -942,7 +973,7 @@ class _Parser:
         return inner
 
     def sequent(self) -> Sequent:
-        if self.peek().kind == "SEQ":
+        if self.peek()[0] == "SEQ":
             self.take()
             return Sequent(None, self.formula())
         ant = self.tree()
@@ -999,8 +1030,9 @@ def enumerate_closure(spec: ClosureSpec) -> tuple[LFormula, ...]:
     # layers[k]: (prefix key, member) for every member of size k; the keys
     # are spelled as `_prefix_key` spells them
     layers: list[list] = [[] for _ in range(bound + 1)]
+    sizes = lsizes(spec.base)
     for f in spec.base:
-        k = lsize(f)
+        k = sizes[f]
         if k <= bound:
             layers[k].append((_prefix_key(f), f))
     for k in range(1, bound + 1):

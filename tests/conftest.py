@@ -19,7 +19,7 @@ from fnlkit import proofs as pf
 from fnlkit import sampling as smp
 from fnlkit import syntax as sx
 from fnlkit import transform as tr
-from fnlkit.errors import ModelError, ValidationError
+from fnlkit.errors import ModelError, ParseError, ValidationError
 from fnlkit import systems as sy
 from fnlkit.systems import allowed_rules
 
@@ -501,6 +501,88 @@ def reference_table(d: pf.Derivation) -> dict:
         n_at[id(n)] = len(nodes)
         nodes.append(j)
     return {"format": pf.FORMAT, "formulas": formulas, "sequents": sequents, "nodes": nodes}
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer's reference
+
+
+@dataclass
+class RefTok:
+    kind: str
+    text: str
+    pos: int
+    end: int = 0  # a fresh letter's: the offset of its closing brace
+
+
+# longest first so /\ beats /, <> beats <, etc.
+_REF_SYMBOLS = sorted([
+    ("->", "IMP"), ("\\/", "OR"), ("/\\", "AND"), ("\\", "UNDER"), ("/", "OVER"),
+    ("*", "STAR"), ("~", "NOT"), ("<>", "DIA"), ("[v]", "BOXDOWN"),
+    ("=>", "SEQ"), ("[]", "BOX"), ("(", "LP"), (")", "RP"), ("<", "LT"), (">", "GT"),
+], key=lambda sym: -len(sym[0]))
+_REF_RESERVED = {"o": "O", "bot": "BOT", "top": "TOP", "one": "ONE", "p_bot": "PBOT",
+                 "p_top": "PTOP"}
+
+
+def tokenize_reference(text: str) -> list[RefTok]:
+    """`syntax._tokenize` as it was before it read the text through one
+    compiled pattern: a walk one character at a time that tries each symbol
+    with `startswith`.  A fresh letter's token records the offset of its
+    closing brace; `shown_reference` gives the text an error quotes."""
+    toks = []
+    opened = []  # the FRESH tokens (or bare braces) still open
+    bad = None  # the first bad character inside a letter
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        m = sx._ATOM_RE.match(text, i)
+        if m:
+            name = m.group(0)
+            j = m.end()
+            if name == "p" and j < n and text[j] == "{":
+                opened.append(RefTok("FRESH", "p{", i))
+                toks.append(opened[-1])
+                i = j + 1
+                continue
+            kind = _REF_RESERVED.get(name, "ATOM")
+            toks.append(RefTok(kind, name, i))
+            i = j
+            continue
+        if c == "}" and opened:
+            t = opened.pop()
+            if t is not None:
+                t.end = i
+                toks.append(RefTok("RBRACE", "", i))
+            i += 1
+            continue
+        for sym, kind in _REF_SYMBOLS:
+            if text.startswith(sym, i):
+                toks.append(RefTok(kind, sym, i))
+                i += len(sym)
+                break
+        else:
+            if not opened:
+                raise ParseError(f"unexpected character {c!r}", i)
+            if bad is None:
+                bad = ParseError(f"unexpected character {c!r}", i)
+            if c == "{":
+                opened.append(None)
+            i += 1
+    if opened:
+        raise ParseError("unterminated fresh letter", opened[0].pos)
+    if bad:
+        raise bad
+    toks.append(RefTok("EOF", "", n))
+    return toks
+
+
+def shown_reference(text: str, t: RefTok) -> str:
+    # an error quotes a fresh letter by its contents
+    return text[t.pos + 2 : t.end] if t.kind == "FRESH" else t.text
 
 
 # ---------------------------------------------------------------------------

@@ -859,6 +859,27 @@ def test_post_order_visits_each_node_once_after_its_premises(d):
     assert [n["premises"] for n in nodes] == [[at[id(x)] for x in n.premises] for n in got]
 
 
+def test_pretty_prints_a_shared_premise_once():
+    # the second use of a shared subproof is its one line, marked, at its
+    # own depth; its premises do not print again
+    shared = lm.dand_l(lm.did(p), sx.LAnd(p, q), 1)
+    assert pf.pretty(lm.dand_r(shared, shared)).splitlines() == [
+        "AndR: p /\\ q => p /\\ p",
+        "  AndL: p /\\ q => p",
+        "    Id: p => p",
+        "  AndL: p /\\ q => p  (as above)",
+    ]
+
+
+@given(shared_derivations())
+@settings(max_examples=200)
+def test_pretty_prints_each_node_once(d):
+    lines = pf.pretty(d).splitlines()
+    assert sum(not line.endswith("  (as above)") for line in lines) == pf.size(d)
+    # the root, then one line per premise of each node printed in full
+    assert len(lines) == 1 + sum(len(n.premises) for n in pf.post_order(d))
+
+
 def _edit(path, value):
     def apply(t):
         *head, last = path

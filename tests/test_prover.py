@@ -243,10 +243,24 @@ def _random_formula(rng: random.Random, size: int) -> sx.LFormula:
 def test_cut_pool_is_the_sorted_union_of_base_and_closure(sys, monkeypatch):
     # the pool is the closure (in `sort_key` order) and then the base
     # members above the cut size, which is the sorted union of the two;
-    # only those base members are sorted again
+    # of those, a prefix key is built only for one whose size another shares
     keyed = []
-    sort_key = sx.sort_key
-    monkeypatch.setattr(sx, "sort_key", lambda f: keyed.append(f) or sort_key(f))
+    depth = 0
+    prefix_key, sort_key = sx._prefix_key, sx.sort_key
+
+    def spy(f):
+        # records the outermost call only: `_prefix_key` recurses through
+        # the module's name, so through this spy
+        nonlocal depth
+        if depth == 0:
+            keyed.append(f)
+        depth += 1
+        try:
+            return prefix_key(f)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(sx, "_prefix_key", spy)
     rng = random.Random(sys.name)
     mode = "and_or_not" if sys.negation else "and_or"
     for _ in range(12):
@@ -261,7 +275,20 @@ def test_cut_pool_is_the_sorted_union_of_base_and_closure(sys, monkeypatch):
             want = tuple(sorted(set(base) | set(closure), key=sort_key))
             keyed.clear()
             assert pv._cut_pool(sys, phi, goal, pv.SearchBudget(cut_size=cut)) == want
-            assert sorted(keyed, key=sort_key) == [f for f in want if sx.lsize(f) > cut]
+            above = [sx.lsize(f) for f in want if sx.lsize(f) > cut]
+            assert sorted(keyed, key=sort_key) == [
+                f for f in want if sx.lsize(f) > cut and above.count(sx.lsize(f)) > 1]
+    # a tower's members all differ in size, so none above the bound is keyed
+    tower = sx.LDia(sx.LAtom("p"))
+    for _ in range(300):
+        tower = sx.LNot(tower)
+    goal = sx.simple(tower, sx.LAtom("q"))
+    for cut in range(3):
+        keyed.clear()
+        pool = pv._cut_pool(sys, frozenset(), goal, pv.SearchBudget(cut_size=cut))
+        assert [f for f in pool if sx.lsize(f) > cut] == sorted(
+            sx.subformulas(tower) - {sx.LAtom("p")}, key=sx.lsize)[cut:]
+        assert not [f for f in keyed if sx.lsize(f) > cut]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (TERM_FIELDS, TERM_TAGS, closure_contains, lambek_formulas, modal_formulas,
-                      sequents, struct_trees, term_hash, term_repr, term_values, terms_equal,
-                      walk)
+                      sequents, shown_reference, struct_trees, term_hash, term_repr, term_values,
+                      terms_equal, tokenize_reference, walk)
 from fnlkit import syntax as sx
 from fnlkit.errors import ParseError, ValidationError
 from fnlkit.systems import SYSTEMS, validate_sequent
@@ -134,6 +134,68 @@ def test_an_error_inside_a_parenthesis_is_reported_where_it_is(text, pos):
     with pytest.raises(ParseError) as e:
         sx.parse_sequent(text)
     assert e.value.pos == pos
+
+
+# every symbol and keyword, letters, bare braces, whitespace that the walk
+# skipped by `str.isspace`, and characters that start no token
+_TOKEN_ALPHABET = [
+    "->", "\\/", "/\\", "\\", "/", "*", "~", "<>", "[v]", "=>", "[]", "(", ")", "<", ">",
+    "o", "bot", "top", "one", "p_bot", "p_top", "p", "q", "r_1", "pq", "p{", "}",
+    " ", "\t", "\n", "\x1c",
+    "{", "&", "P", "é", "-", "=", "[", "]",
+]
+_BAD_CHARS = 8  # the last entries: no token starts with one
+
+
+def _reference_tokens(text: str):
+    try:
+        return [(t.kind, shown_reference(text, t), t.pos) for t in tokenize_reference(text)]
+    except ParseError as e:
+        return str(e), e.pos
+
+
+def _tokens(text: str):
+    # each token with the text an error quotes for it
+    try:
+        toks = sx._tokenize(text)
+    except ParseError as e:
+        return str(e), e.pos
+    quote = sx._Parser(text, toks, "lambek").quote
+    return [(kind, quote(i), pos) for i, (kind, _, pos) in enumerate(toks)]
+
+
+def test_the_tokenizer_matches_the_character_walk():
+    # the compiled pattern gives the reference walk's kinds and offsets,
+    # the parser quotes each token as the walk's tokens were quoted (a
+    # fresh letter by its contents), and the errors agree, message and
+    # offset
+    rng = random.Random(31)
+    good = _TOKEN_ALPHABET[:-_BAD_CHARS]
+    read = 0
+    for _ in range(20000):
+        text = "".join(rng.choice(_TOKEN_ALPHABET if rng.random() < 0.15 else good)
+                       for _ in range(rng.randrange(1, 14)))
+        got = _tokens(text)
+        assert got == _reference_tokens(text), text
+        read += isinstance(got, list)
+    assert 5000 < read < 15000
+
+
+@pytest.mark.parametrize("text, want", [
+    # nested letters, each quoted by its contents
+    ("p{p{q} * r} => q", [
+        ("FRESH", "p{q} * r", 0), ("FRESH", "q", 2), ("ATOM", "q", 4), ("RBRACE", "", 5),
+        ("STAR", "*", 7), ("ATOM", "r", 9), ("RBRACE", "", 10), ("SEQ", "=>", 12),
+        ("ATOM", "q", 15), ("EOF", "", 16)]),
+    # a bad character inside a letter is reported once every letter is
+    # closed, and a bare brace there counts towards the matching
+    ("p{q & {r}} => q", ("unexpected character '&' (at offset 4)", 4)),
+    ("p{q & {r} => q", ("unterminated fresh letter (at offset 0)", 0)),
+    # a closing brace outside any letter is a bad character
+    ("p{q}} => q", ("unexpected character '}' (at offset 4)", 4)),
+])
+def test_pinned_token_lists(text, want):
+    assert _tokens(text) == _reference_tokens(text) == want
 
 
 M = {name: sx.MAtom(name) for name in "pqr"}

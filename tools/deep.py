@@ -1,0 +1,87 @@
+"""Growth of deep inputs: time at n, 2n and 4n, and the ratio per doubling.
+
+    python3 tools/deep.py [TREE]
+
+TREE is the root of an fnlkit checkout (with `src/fnlkit`); it defaults
+to the checkout this script lives in.  Every case runs in-process, with
+every fnlkit `functools` cache cleared and the garbage collector run
+before each run and off during it, as `timeit` does, and reports the
+least time of `REPEAT` runs at each of n = `N`, 2`N` and 4`N`:
+
+  parens  `parse_sequent` of `(`^n `p o q` `)`^n ` => q`
+  fresh   `parse_lambek` of `p{`^n `q` `}`^n
+  pool    `prover._cut_pool` on `~`^n `<>p => q` in `bfnl-star-k`, goals:50
+  derive  `prover.derive` on the same goal and budget (it ends Unknown)
+
+A case that grows linearly reads about 2 per doubling.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import os
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+N = 1000
+REPEAT = 5
+
+
+def _cases(fk):
+    sx, pv = fk.syntax, fk.prover
+    system = fk.systems.SYSTEMS["bfnl-star-k"]
+    budget = pv.parse_budget("goals:50")
+
+    def tower(n):
+        return sx.parse_sequent("~" * n + "<>p => q")
+
+    return {
+        "parens": (lambda n: "(" * n + "p o q" + ")" * n + " => q", sx.parse_sequent),
+        "fresh": (lambda n: "p{" * n + "q" + "}" * n, sx.parse_lambek),
+        "pool": (tower, lambda g: pv._cut_pool(system, frozenset(), g, budget)),
+        "derive": (tower, lambda g: pv.derive(system, frozenset(), g, budget)),
+    }
+
+
+def _clear():
+    for name, mod in list(sys.modules.items()):
+        if name == "fnlkit" or name.startswith("fnlkit."):
+            for obj in list(vars(mod).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("tree", nargs="?", default=ROOT, help="fnlkit checkout to time")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, os.path.join(os.path.abspath(args.tree), "src"))
+    sys.setrecursionlimit(30000)  # as the CLI sets it
+    import fnlkit.cli  # noqa: F401 - loads every module that derive uses
+    import fnlkit as fk
+
+    sizes = (N, 2 * N, 4 * N)
+    print(f"{'case':8}" + "".join(f"{f'n={n} s':>12}" for n in sizes) + "  ratio per doubling")
+    for name, (make, run) in _cases(fk).items():
+        times = []
+        for n in sizes:
+            arg = make(n)
+            best = float("inf")
+            for _ in range(REPEAT):
+                _clear()
+                gc.collect()
+                gc.disable()
+                t0 = time.perf_counter()
+                run(arg)
+                best = min(best, time.perf_counter() - t0)
+                gc.enable()
+            times.append(best)
+        ratios = "  ".join(f"{b / a:.2f}" for a, b in zip(times, times[1:]))
+        print(f"{name:8}" + "".join(f"{t:12.4f}" for t in times) + f"  {ratios}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
