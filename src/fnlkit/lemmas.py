@@ -4,7 +4,8 @@ Every function here returns a Derivation object that the independent
 checker accepts; shape mismatches raise LemmaError immediately rather
 than producing a bad proof.  On top of the one-node-per-rule
 constructors sit the algebraic workhorses: transitivity chains,
-monotonicity in every connective, the double-negation and De Morgan
+monotonicity in every connective, distribution by cases
+(`dist_or_l`, `dist_pairs`), the double-negation and De Morgan
 conversions, and `lat_le`/`bool_le`, which decide (and certify) lattice
 and boolean entailments between formulas built from opaque generators.
 
@@ -272,6 +273,41 @@ def comm_and(a: sx.LFormula, b: sx.LFormula) -> pf.Derivation:
     return dand_r(dand_l(did(b), main, 2), dand_l(did(a), main, 1))
 
 
+def comm_or(a: sx.LFormula, b: sx.LFormula) -> pf.Derivation:
+    """A \\/ B => B \\/ A."""
+    flip = sx.LOr(b, a)
+    return dor_l(dor_r(did(a), flip, 2), dor_r(did(b), flip, 1), sx.LOr(a, b))
+
+
+def dist_or_l(d1: pf.Derivation, d2: pf.Derivation) -> pf.Derivation:
+    """From X /\\ A => C and X /\\ B => C conclude X /\\ (A \\/ B) => C:
+    one distribution and a case split."""
+    xa = d1.seq.ant.f if isinstance(d1.seq.ant, sx.SLeaf) else None
+    xb = d2.seq.ant.f if isinstance(d2.seq.ant, sx.SLeaf) else None
+    _fit(isinstance(xa, sx.LAnd) and isinstance(xb, sx.LAnd) and _same(xa.l, xb.l),
+         "premises are not conjunctions with one left conjunct")
+    return le_trans(dD(xa.l, xa.r, xb.r), dor_l(d1, d2, sx.LOr(xa, xb)))
+
+
+def dist_pairs(x: sx.LAnd, d1: pf.Derivation, d2: pf.Derivation) -> pf.Derivation:
+    """From P1 => C and P2 => C, where Pi conjoins X's i-th conjunct Xi
+    with a formula Ai in either order, conclude X /\\ (A1 \\/ A2) => C: a
+    projection X /\\ Ai => Pi into each premise, then `dist_or_l`.  It adds
+    17 nodes to the premises', whatever the formulas."""
+    cases = []
+    for idx, d in ((1, d1), (2, d2)):
+        pair = d.seq.ant.f if isinstance(d.seq.ant, sx.SLeaf) else None
+        _fit(isinstance(pair, sx.LAnd), "premise is not a conjunction sequent")
+        xi = x.l if idx == 1 else x.r
+        first = _same(pair.l, xi)
+        a = pair.r if first else pair.l
+        main = sx.LAnd(x, a)
+        part = dand_l(dand_l(did(xi), x, idx), main, 1)
+        other = dand_l(did(a), main, 2)
+        cases.append(le_trans(dand_r(part, other) if first else dand_r(other, part), d))
+    return dist_or_l(*cases)
+
+
 def and_mono(d1: pf.Derivation, d2: pf.Derivation) -> pf.Derivation:
     """From A => A' and B => B' conclude A /\\ B => A' /\\ B'."""
     a = d1.seq.ant.f if isinstance(d1.seq.ant, sx.SLeaf) else None
@@ -462,12 +498,8 @@ def dm_or_fwd(a: sx.LFormula, b: sx.LFormula) -> pf.Derivation:
 
 def dm_or_bwd(a: sx.LFormula, b: sx.LFormula) -> pf.Derivation:
     """~A /\\ ~B => ~(A \\/ B)."""
-    ab = sx.LOr(a, b)
     x = sx.LAnd(sx.LNot(a), sx.LNot(b))
-    pairs = sx.LOr(sx.LAnd(a, sx.LNot(a)), sx.LAnd(b, sx.LNot(b)))
-    core = lat_le_strict(sx.LAnd(x, ab), pairs)
-    refute = le_trans(core, dor_l(dneg1(a), dneg1(b), pairs))
-    return neg_intro(refute)
+    return neg_intro(dist_pairs(x, dneg1(a), dneg1(b)))
 
 
 # ---------------------------------------------------------------------------

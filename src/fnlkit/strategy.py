@@ -92,8 +92,7 @@ def try_pairs(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
         if tr.tilde_ext(l) == r:
             return tr.pair_top(l, phi)
         if tr.tilde_ext(r) == l:
-            swap = lm.lat_le_strict(sx.LOr(r, l), sx.LOr(l, r))
-            return lm.le_trans(tr.pair_top(r, phi), swap)
+            return lm.le_trans(tr.pair_top(r, phi), lm.comm_or(r, l))
     return None
 
 

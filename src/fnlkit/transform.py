@@ -408,39 +408,110 @@ def _companion_top(g: sx.LFormula, phi) -> pf.Derivation:
     # top => g \/ g~ for a non-lattice g
     if isinstance(g, sx.LFresh) and g.mark == "neg":
         base = _member(sx.simple(sx.TOP, sx.LOr(g.of, g)), phi)
-        return lm.le_trans(base, lm.lat_le_strict(sx.LOr(g.of, g), sx.LOr(g, g.of)))
+        return lm.le_trans(base, lm.comm_or(g.of, g))
     return _member(sx.simple(sx.TOP, sx.LOr(g, sx.fresh_for(g))), phi)
+
+
+@_memoized
+def _value(a: sx.LFormula, memo: dict) -> sx.LFormula:
+    """top or bot when a lattice formula takes that value whatever its
+    letters: a constant, a conjunction with a side of value bot or both of
+    value top, and dually a disjunction.  Any other formula is its own
+    value."""
+    if isinstance(a, (sx.LAnd, sx.LOr)):
+        l, r = _value(a.l, memo), _value(a.r, memo)
+        zero, unit = (sx.BOT, sx.TOP) if isinstance(a, sx.LAnd) else (sx.TOP, sx.BOT)
+        if l == zero or r == zero:
+            return zero
+        if l == unit and r == unit:
+            return unit
+    return a
+
+
+def _by_value(f: sx.LFormula, memo: dict) -> pf.Derivation:
+    # f => bot for an f of value bot, top => f for one of value top: at
+    # most one node per subformula
+    if not isinstance(f, (sx.LAnd, sx.LOr)):
+        return lm.did(f)
+    v, conj = _value(f, memo), isinstance(f, sx.LAnd)
+    if (v == sx.TOP) == conj:  # both sides carry the value
+        d1, d2 = _by_value(f.l, memo), _by_value(f.r, memo)
+        return lm.dand_r(d1, d2) if conj else lm.dor_l(d1, d2, f)
+    idx, sub = (1, f.l) if _value(f.l, memo) == v else (2, f.r)
+    d = _by_value(sub, memo)
+    return lm.dand_l(d, f, idx) if conj else lm.dor_r(d, f, idx)
+
+
+def _top_core(f: sx.LFormula, t: sx.LFormula, rhs: sx.LOr) -> pf.Derivation:
+    # (B \/ B~) /\ (A \/ A~) => rhs = f \/ t for f = A /\ B or A \/ B and
+    # t = f~.  Of f and t one is a conjunction Z /\ Z' and the other a
+    # disjunction D \/ D', where Z and D are A and A~ in some order, and Z'
+    # and D' are B and B~.  Split on A \/ A~: the D case injects D, and the
+    # Z case splits on B \/ B~, whose Z' case is Z /\ Z' and whose D' case
+    # injects D'.
+    conj, disj = (f, t) if isinstance(f, sx.LAnd) else (t, f)
+    ci, di = (1, 2) if conj is f else (2, 1)
+    y, z = sx.LOr(f.r, t.r), conj.l
+
+    def inject(x, idx):
+        # x /\ D => rhs for idx 1, x /\ D' => rhs for idx 2
+        main = sx.LAnd(x, disj.l if idx == 1 else disj.r)
+        return lm.dand_l(lm.dor_r(lm.dor_r(lm.did(main.r), disj, idx), rhs, di), main, 2)
+
+    whole = lm.dor_r(lm.did(conj), rhs, ci)
+    z_cases = (whole, inject(z, 2)) if conj is f else (inject(z, 2), whole)
+    z_case = lm.le_trans(lm.comm_and(y, z), lm.dist_or_l(*z_cases))
+    return lm.dist_or_l(*((z_case, inject(y, 1)) if conj is f else (inject(y, 1), z_case)))
 
 
 def pair_bot(f: sx.LFormula, phi, memo: Optional[dict] = None) -> pf.Derivation:
     """A /\\ A~ => bot, by recursion on the lattice shape of A, with
     tilde_ext over the given memo (a fresh one if none).
 
-    The two lattice cases share one distribution core: the pair for a
-    conjunction or disjunction reduces freely to the disjunction of the
-    pairs for the sides."""
+    A lattice A whose constants decide its value (`_value`) is closed by
+    that value: the side of value bot is refuted outright (`_by_value`).
+    Otherwise the pair of A = B /\\ C or B \\/ C reduces to the pairs of B
+    and C by a core of fixed shape, `lm.dist_pairs`, after a `comm_and` for
+    a disjunction.  No case searches, and the certificate grows linearly
+    in the size of A."""
     memo = {} if memo is None else memo
-    lhs = sx.LAnd(f, tilde_ext(f, memo))
+    t = tilde_ext(f, memo)
+    lhs = sx.LAnd(f, t)
     if isinstance(f, (sx.LTop, sx.LBot)):
         return lm.lat_le_strict(lhs, sx.BOT)
     if isinstance(f, (sx.LAnd, sx.LOr)):
-        mid = sx.LOr(sx.LAnd(f.l, tilde_ext(f.l, memo)), sx.LAnd(f.r, tilde_ext(f.r, memo)))
-        core = lm.lat_le_strict(lhs, mid)
-        sides = lm.dor_l(pair_bot(f.l, phi, memo), pair_bot(f.r, phi, memo), mid)
-        return lm.le_trans(core, sides)
+        v = _value(f, memo)
+        if v == sx.BOT:
+            return lm.dand_l(_by_value(f, memo), lhs, 1)
+        if v == sx.TOP:
+            return lm.dand_l(_by_value(t, memo), lhs, 2)
+        sides = pair_bot(f.l, phi, memo), pair_bot(f.r, phi, memo)
+        if isinstance(f, sx.LAnd):
+            return lm.dist_pairs(f, *sides)
+        return lm.le_trans(lm.comm_and(f, t), lm.dist_pairs(t, *sides))
     return _companion_bot(f, phi)
 
 
 def pair_top(f: sx.LFormula, phi, memo: Optional[dict] = None) -> pf.Derivation:
-    """top => A \\/ A~, dually to pair_bot."""
+    """top => A \\/ A~, dually to pair_bot: a lattice A whose constants
+    decide its value by that value, and A = B /\\ C or B \\/ C from the
+    pairs of B and C, conjoined as (C \\/ C~) /\\ (B \\/ B~), by a core of
+    fixed shape (`_top_core`: two distributions, one `comm_and` and fixed
+    injections).  No case searches, and the certificate grows linearly in
+    the size of A."""
     memo = {} if memo is None else memo
-    rhs = sx.LOr(f, tilde_ext(f, memo))
+    t = tilde_ext(f, memo)
+    rhs = sx.LOr(f, t)
     if isinstance(f, (sx.LTop, sx.LBot)):
         return lm.lat_le_strict(sx.TOP, rhs)
     if isinstance(f, (sx.LAnd, sx.LOr)):
-        mid = sx.LAnd(sx.LOr(f.l, tilde_ext(f.l, memo)), sx.LOr(f.r, tilde_ext(f.r, memo)))
-        both = lm.dand_r(pair_top(f.l, phi, memo), pair_top(f.r, phi, memo))
-        return lm.le_trans(both, lm.lat_le_strict(mid, rhs))
+        v = _value(f, memo)
+        if v == sx.TOP:
+            return lm.dor_r(_by_value(f, memo), rhs, 1)
+        if v == sx.BOT:
+            return lm.dor_r(_by_value(t, memo), rhs, 2)
+        both = lm.dand_r(pair_top(f.r, phi, memo), pair_top(f.l, phi, memo))
+        return lm.le_trans(both, _top_core(f, t, rhs))
     return _companion_top(f, phi)
 
 

@@ -455,6 +455,7 @@ def test_double_negation_and_de_morgan_builders():
     checked(BF, undist_prod_or(f("m"), p, q))
     checked(BF, fact7(lm.did(p)))
     checked(BF, lm.comm_and(p, q))
+    checked(BF, lm.comm_or(p, q))
 
 
 def test_cong_replace_rebuilds_contexts():
@@ -639,6 +640,27 @@ def test_did_always_checks(a):
 def test_comm_and_always_checks(a, b):
     d = lm.comm_and(a, b)
     assert d.seq == sx.Sequent(sx.SLeaf(sx.LAnd(a, b)), sx.LAnd(b, a))
+    assert ck.check_derivation(get_system("bfnl1-s5"), (), d)
+
+
+@given(lambek_formulas, lambek_formulas)
+@settings(max_examples=40)
+def test_comm_or_always_checks(a, b):
+    d = lm.comm_or(a, b)
+    assert d.seq == sx.Sequent(sx.SLeaf(sx.LOr(a, b)), sx.LOr(b, a))
+    assert pf.size(d) == 5
+    assert ck.check_derivation(get_system("bfnl1-s5"), (), d)
+
+
+@given(lambek_formulas, lambek_formulas)
+@settings(max_examples=40)
+def test_dist_pairs_adds_a_fixed_number_of_nodes(a, b):
+    # ~A /\ ~B /\ (A \/ B) => bot from the two negation axioms, which
+    # conjoin a disjunct with a conjunct in the other order
+    x = sx.LAnd(sx.LNot(a), sx.LNot(b))
+    d = lm.dist_pairs(x, lm.dneg1(a), lm.dneg1(b))
+    assert d.seq == sx.simple(sx.LAnd(x, sx.LOr(a, b)), sx.BOT)
+    assert pf.size(d) == 2 + 17
     assert ck.check_derivation(get_system("bfnl1-s5"), (), d)
 
 

@@ -264,12 +264,96 @@ def test_pair_builders_cover_a_small_closure():
     assert d.seq == sx.parse_sequent("(p /\\ q) /\\ (p{p} \\/ p{q}) => bot")
 
 
+def _pair_psi(f):
+    return tr.psi_set(tr.exn_star(tr.problem_base(sx.simple(f, sx.BOT))))
+
+
 def test_pair_bot_of_a_distributed_conjunction_stays_small():
     g = sx.parse_lambek("((p \\/ q) /\\ (p \\/ bot)) /\\ (q \\/ top)")
-    psi = tr.psi_set(tr.exn_star(tr.problem_base(sx.simple(g, sx.BOT))))
+    psi = _pair_psi(g)
     d = tr.pair_bot(g, psi)
     assert ck.check_derivation(get_system("bdfnl-star"), psi, d)
-    assert pf.size(d) <= 714
+    assert pf.size(d) <= 88
+
+
+def alternating(n: int) -> sx.LFormula:
+    """(((p0 /\\ p1) \\/ p2) /\\ p3) ...: n connectives, /\\ and \\/ in turn,
+    each with a new letter."""
+    f = sx.LAtom("p0")
+    for i in range(1, n + 1):
+        f = (sx.LAnd if i % 2 else sx.LOr)(f, sx.LAtom(f"p{i}"))
+    return f
+
+
+def test_pair_certificates_stay_linear():
+    # a core found by `lat_le` search grows faster than linearly with the
+    # depth of the pair (over 1,000 nodes at n = 6 for pair_bot); a fixed
+    # one adds at most 25 nodes per connective
+    sys_b = get_system("bdfnl-star")
+    for n in [*range(2, 13), 200]:
+        f = alternating(n)
+        psi = _pair_psi(f)
+        for d in (tr.pair_bot(f, psi), tr.pair_top(f, psi)):
+            assert ck.check_derivation(sys_b, psi, d), n
+            assert pf.size(d) <= 26 * n, (n, pf.size(d))
+
+
+lattice_formulas = st.recursive(
+    st.one_of(atom_names.map(sx.LAtom), st.sampled_from([sx.TOP, sx.BOT]),
+              atom_names.map(lambda n: sx.fresh_for(sx.LAtom(n)))),
+    lambda kids: st.one_of(st.builds(sx.LAnd, kids, kids), st.builds(sx.LOr, kids, kids)),
+    max_leaves=12,
+)
+
+
+@given(lattice_formulas)
+@settings(max_examples=80)
+def test_pair_certificates_of_lattice_formulas_check_in_linear_size(f):
+    psi = _pair_psi(f)
+    sys_b = get_system("bdfnl-star")
+    leaves = sx.lsize(f) + 1
+    for d in (tr.pair_bot(f, psi), tr.pair_top(f, psi)):
+        assert ck.check_derivation(sys_b, psi, d)
+        assert pf.size(d) <= 32 * leaves
+
+
+def test_pair_builders_search_only_the_pair_of_a_bare_constant(monkeypatch):
+    # the lattice cases and both swaps build fixed shapes: lat_le runs only
+    # where a bare constant's pair is closed.  A letter whose payload is a
+    # lattice formula takes try_pairs' swaps, since tilde_ext does not map
+    # the payload back to the letter
+    allowed = {(sx.LAnd(c, tr.tilde_ext(c)), sx.BOT) for c in (sx.TOP, sx.BOT)}
+    allowed |= {(sx.TOP, sx.LOr(c, tr.tilde_ext(c))) for c in (sx.TOP, sx.BOT)}
+    seen = []
+    real = lm.lat_le_strict
+    monkeypatch.setattr(lm, "lat_le_strict", lambda a, b: seen.append((a, b)) or real(a, b))
+    monkeypatch.setattr(lm, "lat_le", lambda a, b: pytest.fail("lat_le called"))
+    sys_b = get_system("bdfnl-star")
+    for text in ("((p /\\ top) \\/ q /\\ p{r}) /\\ (bot \\/ p{p})",
+                 "(top /\\ bot) \\/ (p /\\ bot)", "p{q} \\/ (q /\\ top)", "p{p /\\ q}"):
+        f = sx.parse_lambek(text)
+        psi = _pair_psi(f)
+        t = tr.tilde_ext(f)
+        for goal in (sx.simple(sx.LAnd(f, t), sx.BOT), sx.simple(sx.LAnd(t, f), sx.BOT),
+                     sx.simple(sx.TOP, sx.LOr(f, t)), sx.simple(sx.TOP, sx.LOr(t, f))):
+            d = strat.try_pairs(sys_b, psi, goal, None)
+            assert d.seq == goal
+            assert ck.check_derivation(sys_b, psi, d)
+    assert set(seen) <= allowed
+
+
+def test_a_pair_of_constant_value_is_closed_by_that_value():
+    # the side of value bot is refuted outright, whatever letters the
+    # other side holds
+    f = sx.parse_lambek("(top \\/ p) /\\ (q \\/ top)")
+    psi = _pair_psi(f)
+    d = tr.pair_bot(f, psi)
+    assert d.rule == pf.AND_L and d.inst.idx == 2
+    assert assumptions_of(d) == frozenset()
+    assert ck.check_derivation(get_system("bdfnl-star"), psi, d)
+    top = tr.pair_top(f, psi)
+    assert top.rule == pf.OR_R and top.inst.idx == 1
+    assert ck.check_derivation(get_system("bdfnl-star"), psi, top)
 
 
 def test_pair_builders_fail_fast_without_members():

@@ -12,8 +12,14 @@ least time of `REPEAT` runs at each of n = `N`, 2`N` and 4`N`:
   fresh   `parse_lambek` of `p{`^n `q` `}`^n
   pool    `prover._cut_pool` on `~`^n `<>p => q` in `bfnl-star-k`, goals:50
   derive  `prover.derive` on the same goal and budget (it ends Unknown)
+  pairs   `transform.pair_bot` and `pair_top` on `(((p0 /\ p1) \/ p2)
+          /\ p3) ...`, n connectives, /\ and \/ in turn, each with a new
+          letter, under its companion set
 
-A case that grows linearly reads about 2 per doubling.
+A case that grows linearly reads about 2 per doubling.  A tree whose pair
+builders find each pair's core by `lat_le` search does not finish `pairs`:
+its `pair_bot` certificates grow about ninefold or more per doubling of n
+(7,688 nodes at n = 12, 68,237 at 24 and 763,920 at 48).
 """
 
 from __future__ import annotations
@@ -30,18 +36,30 @@ REPEAT = 5
 
 
 def _cases(fk):
-    sx, pv = fk.syntax, fk.prover
+    sx, pv, tr = fk.syntax, fk.prover, fk.transform
     system = fk.systems.SYSTEMS["bfnl-star-k"]
     budget = pv.parse_budget("goals:50")
 
     def tower(n):
         return sx.parse_sequent("~" * n + "<>p => q")
 
+    def alternating(n):
+        f = sx.LAtom("p0")
+        for i in range(1, n + 1):
+            f = (sx.LAnd if i % 2 else sx.LOr)(f, sx.LAtom(f"p{i}"))
+        return f, tr.psi_set(tr.exn_star(tr.problem_base(sx.simple(f, sx.BOT))))
+
+    def pairs(arg):
+        f, psi = arg
+        tr.pair_bot(f, psi)
+        tr.pair_top(f, psi)
+
     return {
         "parens": (lambda n: "(" * n + "p o q" + ")" * n + " => q", sx.parse_sequent),
         "fresh": (lambda n: "p{" * n + "q" + "}" * n, sx.parse_lambek),
         "pool": (tower, lambda g: pv._cut_pool(system, frozenset(), g, budget)),
         "derive": (tower, lambda g: pv.derive(system, frozenset(), g, budget)),
+        "pairs": (alternating, pairs),
     }
 
 
