@@ -37,6 +37,12 @@ def _ls(a: sx.LFormula, b: sx.LFormula) -> sx.Sequent:
     return sx.Sequent(sx.SLeaf(a), b)
 
 
+def _leaf_at(ant: sx.StructTree, path: pf.Path, a: sx.LFormula) -> bool:
+    # whether the subtree of ant at path is a leaf of a, tested in place
+    t = pf.tree_at(ant, path)
+    return type(t) is sx.SLeaf and (t.f is a or t.f == a)
+
+
 # ---------------------------------------------------------------------------
 # one node per rule
 
@@ -53,7 +59,7 @@ def dtop(ant: Optional[sx.StructTree] = None) -> pf.Derivation:
 
 def dbot(ant: sx.StructTree, path: pf.Path, suc: sx.LFormula) -> pf.Derivation:
     """G[bot] => A."""
-    _fit(pf.tree_at(ant, path) == sx.SLeaf(sx.BOT), "no bot leaf at path")
+    _fit(_leaf_at(ant, path, sx.BOT), "no bot leaf at path")
     return pf.node(sx.Sequent(ant, suc), pf.BOT_AX, [], pf.Inst(path=path))
 
 
@@ -88,7 +94,7 @@ def dcut(minor: pf.Derivation, major: pf.Derivation, path: pf.Path = ()) -> pf.D
     a = minor.seq.suc
     m_ant = major.seq.ant
     _fit(m_ant is not None, "cut into an empty antecedent")
-    _fit(pf.tree_at(m_ant, path) == sx.SLeaf(a), "major premise lacks the cut formula at path")
+    _fit(_leaf_at(m_ant, path, a), "major premise lacks the cut formula at path")
     if minor.seq.ant is None:
         _fit(path == (), "an empty minor premise can only cut at the root")
         new_ant = None
@@ -137,7 +143,7 @@ def dand_l(d: pf.Derivation, main: sx.LAnd, idx: int, path: pf.Path = ()) -> pf.
     """From G[A_idx] => C conclude G[A1 /\\ A2] => C."""
     sub = main.l if idx == 1 else main.r
     ant = d.seq.ant
-    _fit(ant is not None and pf.tree_at(ant, path) == sx.SLeaf(sub), "premise lacks the conjunct")
+    _fit(ant is not None and _leaf_at(ant, path, sub), "premise lacks the conjunct")
     seq = sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(main)), d.seq.suc)
     return pf.node(seq, pf.AND_L, [d], pf.Inst(path=path, idx=idx))
 
@@ -152,7 +158,7 @@ def dor_r(d: pf.Derivation, main: sx.LOr, idx: int) -> pf.Derivation:
 def dor_l(d1: pf.Derivation, d2: pf.Derivation, main: sx.LOr, path: pf.Path = ()) -> pf.Derivation:
     """From G[A] => C and G[B] => C conclude G[A \\/ B] => C."""
     ant = d1.seq.ant
-    _fit(ant is not None and pf.tree_at(ant, path) == sx.SLeaf(main.l), "left premise mismatch")
+    _fit(ant is not None and _leaf_at(ant, path, main.l), "left premise mismatch")
     _fit(
         d2.seq == sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(main.r)), d1.seq.suc),
         "right premise mismatch",

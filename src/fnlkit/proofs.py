@@ -38,9 +38,11 @@ the table, without the parser, and rejects a malformed table with
 ParseError.  Every index is tested where it is read: an int (not a bool
 or a float) below the number of entries it may refer to, which for a
 formula's child or a node's premise is the number of entries before it.
-The error message is formatted only when that test fails.  A node with
-no ``inst`` reads as `NO_INST`.  A ``null`` ``inst``, ``path``, ``idx``,
-``seq``, ``premises`` or ``rule`` is malformed, not omitted.
+The error message is formatted only when that test fails.  ``premises``
+and ``path`` must be lists.  A node with no ``inst``, or one that records
+nothing, reads as `NO_INST`, and the nodes of one table that record the
+same share one `Inst`.  A ``null`` ``inst``, ``path``, ``idx``, ``seq``,
+``premises`` or ``rule`` is malformed, not omitted.
 """
 
 from __future__ import annotations
@@ -143,21 +145,33 @@ class Inst:
 NO_INST = Inst()
 
 
-@dataclass(frozen=True, eq=False)
-class Derivation:
-    seq: sx.Sequent
-    rule: str
-    premises: tuple["Derivation", ...] = ()
-    inst: Inst = NO_INST
+class Derivation(sx.Frozen):
+    """One step: its conclusion, its rule, its premise subtrees and what it
+    records for the checker.  Immutable and slotted like the terms: the
+    constructor fills the slots through their descriptors and every
+    assignment raises.  Nodes compare and hash by identity."""
+
+    __slots__ = __match_args__ = ("seq", "rule", "premises", "inst")
+
+    def __init__(self, seq: sx.Sequent, rule: str, premises: tuple = (), inst: Inst = NO_INST):
+        _set_seq(self, seq)
+        _set_rule(self, rule)
+        _set_premises(self, premises)
+        _set_inst(self, inst)
+
+
+_set_seq, _set_rule = Derivation.seq.__set__, Derivation.rule.__set__
+_set_premises, _set_inst = Derivation.premises.__set__, Derivation.inst.__set__
 
 
 def node(seq: sx.Sequent, rule: str, premises=(), inst: Inst = NO_INST) -> Derivation:
     return Derivation(seq, rule, tuple(premises), inst)
 
 
-def post_order(d: Derivation) -> Iterator[Derivation]:
+def post_order(d: Derivation) -> list[Derivation]:
     """Every node once, shared subtrees deduplicated by identity, each
     after its premises, which come left to right; the root comes last."""
+    out = []
     seen = {id(d)}
     stack = [(d, iter(d.premises))]
     while stack:
@@ -165,15 +179,18 @@ def post_order(d: Derivation) -> Iterator[Derivation]:
         for p in todo:
             if id(p) not in seen:
                 seen.add(id(p))
-                stack.append((p, iter(p.premises)))
-                break
+                if p.premises:
+                    stack.append((p, iter(p.premises)))
+                    break
+                out.append(p)  # a leaf comes out as soon as it is met
         else:
             stack.pop()
-            yield n
+            out.append(n)
+    return out
 
 
 def size(d: Derivation) -> int:
-    return sum(1 for _ in post_order(d))
+    return len(post_order(d))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +237,15 @@ _UNARY = frozenset(cls for cls in sx.L_TAGS if _CHILDREN[cls] == ("a",))
 _CONST_ENTRIES = {cls: _rows(['"const"', _esc(name)], _PAD[2])
                   for cls, name in _CONST_NAMES.items()}
 _SEQUENT = _rows(["%s", "%d"], _PAD[2])
-_NODE = _rows(['"rule": %s', '"seq": %d', '"premises": %s%s'], _PAD[2], "{}")
+
+
+def _node_entry(k: int) -> str:
+    """A node's entry with its k premise indices written in (%d each)."""
+    premises = _rows(["%d"] * k, _PAD[3])
+    return _rows(['"rule": %s', '"seq": %d', '"premises": ' + premises + "%s"], _PAD[2], "{}")
+
+
+_NODES = [_node_entry(k) for k in range(3)]  # the rules take at most two premises
 _INST = "," + _PAD[3] + '"inst": '
 _TABLE = _rows(['"format": %d', '"formulas": %s', '"sequents": %s', '"nodes": %s'], _PAD[0], "{}")
 
@@ -328,19 +353,26 @@ def table_text(d: Derivation) -> TableText:
         return i
 
     n_at: dict[int, int] = {}
+    rules: dict[str, str] = {}  # each rule's name, escaped
     for n in post_order(d):
         seq = sequent(n.seq)
-        premises = _rows([int.__repr__(n_at[id(p)]) for p in n.premises], _PAD[3])
+        rule = rules.get(n.rule)
+        if rule is None:
+            rule = rules[n.rule] = _esc(n.rule)
         i = n.inst
-        inst = []
+        more = ""
         if i is not NO_INST:
+            inst = []
             if i.path is not None:
                 inst.append('"path": ' + _rows([int.__repr__(x) for x in i.path], _PAD[4]))
             if i.idx is not None:
                 inst.append('"idx": %d' % i.idx)
-        more = _INST + _rows(inst, _PAD[3], "{}") if inst else ""
+            if inst:
+                more = _INST + _rows(inst, _PAD[3], "{}")
+        ps = n.premises
+        entry = _NODES[len(ps)] if len(ps) < len(_NODES) else _node_entry(len(ps))
         n_at[id(n)] = len(nodes)
-        nodes.append(_NODE % (_esc(n.rule), seq, premises, more))
+        nodes.append(entry % (rule, seq, *[n_at[id(p)] for p in ps], more))
     return TableText(_TABLE % (
         FORMAT, _rows(formulas, _PAD[1]), _rows(sequents, _PAD[1]), _rows(nodes, _PAD[1])))
 
@@ -404,20 +436,26 @@ def _read_sequents(rows: list, fs: list[sx.LFormula]) -> list[sx.Sequent]:
     return out
 
 
-def _read_inst(d: dict) -> Inst:
+def _read_inst(d: dict, insts: dict) -> Inst:
+    """The Inst entry d records, taken from insts, a table's distinct
+    instantiations by (path, idx), and put there when new."""
     if not d.keys() <= _INST_KEYS:
         raise ParseError(f"unknown instantiation fields {sorted(d.keys() - _INST_KEYS)}")
     # an omitted field is not recorded; a null one is malformed
     path = idx = None
     if "path" in d:
-        if d["path"] is None or not all(type(x) is int for x in d["path"]):
-            raise ParseError(f"malformed path {d['path']!r}")
-        path = tuple(d["path"])
+        path = d["path"]
+        if type(path) is not list or not all(type(x) is int for x in path):
+            raise ParseError(f"malformed path {path!r}")
+        path = tuple(path)
     if "idx" in d:
         idx = d["idx"]
         if type(idx) is not int:
             raise ParseError(f"malformed idx {idx!r}")
-    return Inst(path, idx)
+    inst = insts.get((path, idx))
+    if inst is None:
+        inst = insts[(path, idx)] = Inst(path, idx)
+    return inst
 
 
 def from_json(j: dict) -> Derivation:
@@ -431,14 +469,18 @@ def from_json(j: dict) -> Derivation:
         fs = _read_formulas(j["formulas"])
         ss = _read_sequents(j["sequents"], fs)
         done: list[Derivation] = []
+        insts = {(None, None): NO_INST}
         for k, n in enumerate(j["nodes"]):
             if not n.keys() <= _NODE_KEYS or type(n["rule"]) is not str:
                 raise ParseError(f"node {k}: malformed entry")
             s = _at(ss, n["seq"], "node {}: sequent", k)
+            ps = n["premises"]
+            if type(ps) is not list:
+                raise ParseError(f"node {k}: malformed premises {ps!r}")
             # done holds exactly the k nodes a premise may refer to
-            ps = [_at(done, p, "node {}: premise", k) for p in n["premises"]]
-            done.append(Derivation(s, n["rule"], tuple(ps),
-                                   _read_inst(n["inst"]) if "inst" in n else NO_INST))
+            ps = tuple([_at(done, p, "node {}: premise", k) for p in ps])
+            done.append(Derivation(s, n["rule"], ps,
+                                   _read_inst(n["inst"], insts) if "inst" in n else NO_INST))
     except (KeyError, IndexError, TypeError, AttributeError, RecursionError) as e:
         raise ParseError(f"malformed derivation table ({type(e).__name__}: {e})") from None
     if not done:

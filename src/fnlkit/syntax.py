@@ -8,12 +8,13 @@ the closure machinery shared by search and the translations.
 Every term (formula, structure tree, sequent) is an immutable slotted
 object that sets its fields and its hash once, in its constructor.  The
 hash is `hash` of the tuple of its class's tag, a fixed integer, and its
-field values, taken over the children's stored hashes, so hashing a term
-of any depth costs one slot read.  The tag keeps apart terms of distinct
-classes over the same fields (p /\\ q and p \\/ q, ~p and <>p, bot and
-top), which would otherwise collide, as would every labelling of one
-skeleton by /\\ and \\/.  An absent child (None) counts as the constant
-`NONE_HASH`, so equal terms hash alike in every process.
+field values, each child term given by its stored hash (`_h`), so building
+a term makes no `__hash__` call and hashing a term of any depth costs one
+slot read.  The tag keeps apart terms of distinct classes over the same
+fields (p /\\ q and p \\/ q, ~p and <>p, bot and top), which would
+otherwise collide, as would every labelling of one skeleton by /\\ and
+\\/.  An absent child (None) counts as the constant `NONE_HASH`, so equal
+terms hash alike in every process.
 
 Each formula also stores its vocabulary mask, built at construction from
 its children's (`V_NEG` ... `V_RESID`, one bit per substructural
@@ -46,26 +47,31 @@ from .errors import ParseError
 #
 # Each shape (nullary, named, unary, binary; fresh, leaf, node, bracket and
 # sequent below) names its fields in `__match_args__` and writes its own
-# constructor and equality.  `__setattr__` refuses every assignment, so a
-# constructor fills the slots through their descriptors (`_set_*`).  The
-# stored hash is hash((tag, *fields)), where the tag is an integer literal
-# of the class, distinct across all 24 classes, so a tag, unlike an `id`
-# or a salted string, is the same in every process.  A class of a shared
-# shape (nullary, named, unary, binary) takes its constructor from that
-# shape's factory, given its tag and its vocabulary bit, so building a
-# term reads neither off the class; a shape of one class writes its tag
-# into its constructor (fresh 9, leaf 21, node 22, bracket 23, sequent 24).
+# constructor and equality.  `__setattr__` (from `Frozen`, which
+# `proofs.Derivation` shares) refuses every assignment, so a constructor
+# fills the slots through their descriptors (`_set_*`).  The
+# stored hash is hash((tag, *fields)) with each child term in the tuple as
+# its stored hash `_h`, an int, so the tuple hash calls no `__hash__`.  The
+# tag is an integer literal of the class, distinct across all 24 classes,
+# so a tag, unlike an `id` or a salted string, is the same in every
+# process.  A class of a shared shape (nullary, named, unary, binary) takes
+# its constructor from that shape's factory, given its tag and its
+# vocabulary bit, so building a term reads neither off the class; a shape
+# of one class writes its tag into its constructor (fresh 9, leaf 21,
+# node 22, bracket 23, sequent 24).
 # Equality tests identity, then the class, then the stored hash, then the
 # fields, each child by identity before value.  A class body that defines
 # `__eq__` must name `__hash__` again, or Python drops it.
 
 
-class _Term:
-    __slots__ = ("_h",)
-    __match_args__: tuple[str, ...] = ()
+class Frozen:
+    """The immutable base of the terms and of `proofs.Derivation`: every
+    assignment raises, and the repr names the fields of `__match_args__`.
+    It has no slot, so a subclass keeps identity equality and hash unless
+    it defines its own."""
 
-    def __hash__(self):
-        return self._h
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -76,6 +82,13 @@ class _Term:
     def __repr__(self):
         args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
         return f"{type(self).__qualname__}({args})"
+
+
+class _Term(Frozen):
+    __slots__ = ("_h",)
+
+    def __hash__(self):
+        return self._h
 
 
 _set_h = _Term._h.__set__
@@ -150,7 +163,7 @@ _set_a = _Unary.a.__set__
 def _unary(tag: int, bit: int = 0):
     def __init__(self, a):
         _set_a(self, a)
-        _set_h(self, hash((tag, a)))
+        _set_h(self, hash((tag, a._h)))
         _set_vocab(self, bit | a._vocab)
     return __init__
 
@@ -175,7 +188,7 @@ def _binary(tag: int, bit: int = 0):
     def __init__(self, l, r):
         _set_l(self, l)
         _set_r(self, r)
-        _set_h(self, hash((tag, l, r)))
+        _set_h(self, hash((tag, l._h, r._h)))
         _set_vocab(self, bit | l._vocab | r._vocab)
     return __init__
 
@@ -271,7 +284,7 @@ class LFresh(_Formula, LFormula):
     def __init__(self, mark: str, of: Optional[LFormula] = None):
         _set_mark(self, mark)
         _set_of(self, of)
-        _set_h(self, hash((9, mark, NONE_HASH if of is None else of)))
+        _set_h(self, hash((9, mark, NONE_HASH if of is None else of._h)))
         _set_vocab(self, 0)
 
     def __eq__(self, other):
@@ -462,7 +475,7 @@ class SLeaf(_Term, StructTree):
 
     def __init__(self, f: LFormula):
         _set_f(self, f)
-        _set_h(self, hash((21, f)))
+        _set_h(self, hash((21, f._h)))
 
     def __eq__(self, other):
         if self is other:
@@ -482,7 +495,7 @@ class SNode(_Term, StructTree):
     def __init__(self, l: StructTree, r: StructTree):
         _set_node_l(self, l)
         _set_node_r(self, r)
-        _set_h(self, hash((22, l, r)))
+        _set_h(self, hash((22, l._h, r._h)))
 
     __eq__ = _Binary.__eq__
     __hash__ = _Term.__hash__
@@ -496,7 +509,7 @@ class SBracket(_Term, StructTree):
 
     def __init__(self, a: StructTree):
         _set_bracket_a(self, a)
-        _set_h(self, hash((23, a)))
+        _set_h(self, hash((23, a._h)))
 
     __eq__ = _Unary.__eq__
     __hash__ = _Term.__hash__
@@ -511,7 +524,7 @@ class Sequent(_Term):
     def __init__(self, ant: Optional[StructTree], suc: LFormula):
         _set_ant(self, ant)
         _set_suc(self, suc)
-        _set_h(self, hash((24, NONE_HASH if ant is None else ant, suc)))
+        _set_h(self, hash((24, NONE_HASH if ant is None else ant._h, suc._h)))
 
     def __eq__(self, other):
         if self is other:
@@ -783,13 +796,16 @@ _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 _RESERVED = {"o": "O", **{c.word: c.kind for c in _CONSTS}}
 _PUNCT = (("=>", "SEQ"), ("[]", "BOX"), ("(", "LP"), (")", "RP"), ("<", "LT"), (">", "GT"))
 # one named group per token kind, tried in order: a fresh letter's "p{"
-# before the words, the symbols longest first (so /\ beats /, <> beats
-# <), and any other character last
-_TOKEN = re.compile("|".join(
-    [r"(?P<SKIP>\s+)", r"(?P<FRESH>p\{)", f"(?P<WORD>{_ATOM_RE.pattern})", r"(?P<RBRACE>\})"]
-    + [f"(?P<{kind}>{re.escape(sym)})" for sym, kind in sorted(
-        [(op.text, op.kind) for op in _OPS] + list(_PUNCT), key=lambda row: -len(row[0]))]
-    + [r"(?P<BAD>.)"]), re.DOTALL)
+# before the words, the symbols longest first (so /\ beats /, <> beats <),
+# and any other character last; then the whitespace after the token, so
+# that no match is whitespace alone.  A match starts at its token, and
+# whitespace before the first token is skipped by the scan.
+_TOKEN = re.compile("(?:" + "|".join(
+    [r"(?P<FRESH>p\{)", f"(?P<WORD>{_ATOM_RE.pattern})", r"(?P<RBRACE>\})"]
+    + [f"(?P<{kind}>{re.escape(sym)})"
+       for sym, kind in sorted([(op.text, op.kind) for op in _OPS] + list(_PUNCT),
+                               key=lambda row: -len(row[0]))]
+    + [r"(?P<BAD>\S)"]) + r")\s*")
 
 
 def is_atom_name(name) -> bool:
@@ -811,17 +827,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     bad = None  # the first bad character inside a letter
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind == "SKIP":
-            continue
         pos = m.start()
         if kind == "WORD":
-            word = m.group()
+            word = m.group(kind)
             toks.append((_RESERVED.get(word, "ATOM"), word, pos))
         elif kind == "RBRACE" and opened:
             if opened.pop() is not None:
                 toks.append(("RBRACE", "", pos))
         elif kind == "BAD" or kind == "RBRACE":
-            c = m.group()
+            c = m.group(kind)
             if not opened:
                 raise ParseError(f"unexpected character {c!r}", pos)
             if bad is None:
@@ -831,7 +845,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         else:
             if kind == "FRESH":
                 opened.append(pos)
-            toks.append((kind, m.group(), pos))
+            toks.append((kind, m.group(kind), pos))
     if opened:
         raise ParseError("unterminated fresh letter", opened[0])
     if bad:

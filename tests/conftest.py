@@ -364,9 +364,11 @@ TERM_TAGS = {
 
 def term_hash(x) -> int:
     """The hash term x must have: the hash of its class's tag followed by
-    its field values, an absent child (None) counted as `sx.NONE_HASH`."""
+    its field values, each child term counted as its own hash (an int) and
+    an absent child (None) as `sx.NONE_HASH`."""
     return hash((TERM_TAGS[type(x)],
-                 *(sx.NONE_HASH if v is None else v for v in term_values(x))))
+                 *(sx.NONE_HASH if v is None else hash(v) if type(v) in TERM_FIELDS else v
+                   for v in term_values(x))))
 
 
 def terms_equal(x, y) -> bool:

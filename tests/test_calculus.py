@@ -881,6 +881,38 @@ def test_post_order_visits_each_node_once_after_its_premises(d):
     assert [n["premises"] for n in nodes] == [[at[id(x)] for x in n.premises] for n in got]
 
 
+def test_post_order_is_the_reference_order_on_built_derivations():
+    # lattice certificates and derived proofs share subproofs by identity;
+    # the walk returns one list, in the order of the recursive definition
+    built = [d for a, b in lattice_pairs(7, 200) if (d := lm.lat_le(a, b)) is not None]
+    built += [derive(BF, frozenset(), seq(text), SearchBudget()).derivation
+              for text in ("~~~~p => p", "p => ~~p", "p /\\ (q \\/ r) => (p /\\ q) \\/ r")]
+    assert len(built) >= 50
+    for d in built:
+        got = pf.post_order(d)
+        assert type(got) is list
+        assert [id(n) for n in got] == [id(n) for n in post_order_reference(d)]
+        assert pf.size(d) == len(got)
+
+
+def test_derivation_nodes_are_frozen_slotted_and_compared_by_identity():
+    d = lm.and_mono(lm.did(p), lm.did(q))
+    twin = pf.node(d.seq, d.rule, d.premises, d.inst)
+    assert not hasattr(d, "__dict__")
+    for name in ("seq", "rule", "premises", "inst", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(d, name)
+    # two nodes with the same fields are two nodes: equality and hash go
+    # by identity, so a table writes both, and their shared premises once
+    assert twin is not d and twin != d and not twin == d and d == d
+    assert len({d, twin, d}) == 2
+    assert len(pf.to_json(pf.node(d.seq, pf.AND_R, [d, twin]))["nodes"]) == pf.size(d) + 2
+    assert repr(lm.did(p)) == (f"Derivation(seq={seq('p => p')!r}, rule='Id', premises=(), "
+                               "inst=Inst(path=None, idx=None))")
+
+
 def test_pretty_prints_a_shared_premise_once():
     # the second use of a shared subproof is its one line, marked, at its
     # own depth; its premises do not print again
@@ -944,12 +976,18 @@ def _edit(path, value):
     (_edit(["nodes", 1, "inst", "path"], ["0"]), r"^malformed path \['0'\]$"),
     (_edit(["nodes", 1, "inst", "idx"], None), "^malformed idx None$"),
     (_edit(["nodes", 1, "inst", "path"], None), "^malformed path None$"),
+    # an empty string or object is no empty list, on a leaf as elsewhere
+    (_edit(["nodes", 1, "inst", "path"], ""), "^malformed path ''$"),
+    (_edit(["nodes", 1, "inst", "path"], {}), r"^malformed path \{\}$"),
+    (_edit(["nodes", 0, "premises"], ""), "^node 0: malformed premises ''$"),
+    (_edit(["nodes", 0, "premises"], {}), r"^node 0: malformed premises \{\}$"),
 ], ids=["no-format", "format-1", "format-2", "unknown-tag", "keyword-atom", "formula-self",
         "formula-negative", "succedent-range", "leaf-range", "node-sequent-range",
         "premise-range", "premise-self", "premise-later",
         "unknown-inst-field", "premises-not-a-list", "empty", "inst-null", "main-null",
         "side-null", "member-null", "premise-true", "sequent-float", "idx-string",
-        "path-string-step", "idx-null", "path-null"])
+        "path-string-step", "idx-null", "path-null", "path-empty-string", "path-empty-object",
+        "premises-empty-string", "premises-empty-object"])
 def test_from_json_rejects_malformed_tables(edit, why):
     d = lm.and_mono(lm.did(p), lm.did(q))
     table = json.loads(json.dumps(pf.to_json(d)))

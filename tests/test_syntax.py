@@ -466,7 +466,7 @@ def test_deep_tower_hashes_keys_and_compares_in_constant_stack():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        assert hash(f) == hash((TERM_TAGS[sx.LNot], f.a))
+        assert hash(f) == hash((TERM_TAGS[sx.LNot], hash(f.a)))
         assert {f: 1}[f] == 1 and f in {f} and s in {s: 1} and s in {s}
         # unequal towers differ in their stored hash, so no walk is needed
         assert f != g and not f == g

@@ -15,6 +15,9 @@ least time of `REPEAT` runs at each of n = `N`, 2`N` and 4`N`:
   pairs   `transform.pair_bot` and `pair_top` on `(((p0 /\ p1) \/ p2)
           /\ p3) ...`, n connectives, /\ and \/ in turn, each with a new
           letter, under its companion set
+  recheck `cli.main` on `prove ~`^n `p => p --system bfnl-star --recheck`,
+          its output captured: build, check, write, read and recheck of a
+          derivation of about 10n nodes, so the time per node at scale
 
 A case that grows linearly reads about 2 per doubling.  A tree whose pair
 builders find each pair's core by `lat_le` search does not finish `pairs`:
@@ -25,7 +28,9 @@ its `pair_bot` certificates grow about ninefold or more per doubling of n
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import io
 import os
 import sys
 import time
@@ -54,12 +59,20 @@ def _cases(fk):
         tr.pair_bot(f, psi)
         tr.pair_top(f, psi)
 
+    def recheck(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = fk.cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"recheck: exit code {code}")
+
     return {
         "parens": (lambda n: "(" * n + "p o q" + ")" * n + " => q", sx.parse_sequent),
         "fresh": (lambda n: "p{" * n + "q" + "}" * n, sx.parse_lambek),
         "pool": (tower, lambda g: pv._cut_pool(system, frozenset(), g, budget)),
         "derive": (tower, lambda g: pv.derive(system, frozenset(), g, budget)),
         "pairs": (alternating, pairs),
+        "recheck": (lambda n: ["prove", "~" * n + "p => p", "--system", "bfnl-star", "--recheck"],
+                    recheck),
     }
 
 
