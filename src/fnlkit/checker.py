@@ -5,14 +5,27 @@ reads, and a premise function.  A node records only what its conclusion
 and premises do not show: the hole path and a pick-one rule's side.  From
 the conclusion, that instantiation and the subtree at the recorded
 position (and, for cut, the minor premise's succedent, the cut formula),
-the function computes the premises the rule demands, or says why the
+the function gives the premises the rule demands, or says why the
 conclusion does not fit the rule; the principal formula, the cut formula
-and the assumption used are read off, never recorded.
-`check_derivation` then checks each node once for each of: the system has
-the rule, the sequent is well formed there, the arity, no field the rule
-does not read is recorded, and the premises are the demanded ones.  So
-malformed evidence fails even where it is sound.  Nothing here calls the
-search code, so a prover bug cannot vouch for itself."""
+and the assumption used are read off, never recorded.  An axiom's
+function compares the conclusion's fields with the shape it needs and
+builds no term.
+
+A demanded premise is not a sequent but one of two things: a plain
+(antecedent, succedent) pair, or an edit of the conclusion, the subtree a
+premise has in place of the conclusion's at the recorded position (a
+structure tree, or a formula for a leaf of it), the rest of its
+antecedent and its succedent being the conclusion's.
+
+`check_derivation` checks each node once for each of: the system has the
+rule, the sequent is well formed there, the arity, no field the rule does
+not read is recorded, and the premises are the demanded ones.  It tests
+each premise in place: its succedent, then a pair's antecedent, or, for an
+edit, the sibling at every step of the path and then the subtree at its
+end, each by identity first, then by value.  A demanded sequent is built
+only to word a failure, so no passing check builds a sequent or a path's
+spine.  So malformed evidence fails even where it is sound.  Nothing here
+calls the search code, so a prover bug cannot vouch for itself."""
 
 from __future__ import annotations
 
@@ -26,7 +39,8 @@ from .systems import SystemSpec, allowed_rules, validate_sequent
 # rule -> (arity, the Inst fields it does not read, premise function), filled
 # by @_rule from the fields each rule reads.  A premise function maps
 # (conclusion, inst, subtree at inst.path or None, recorded premises, phi)
-# to the premise sequents or to the reason it does not fit.
+# to the demanded premises ((antecedent, succedent) pairs, or the tree or
+# leaf formula at the path) or to the reason it does not fit.
 _RULES: dict = {}
 
 
@@ -44,9 +58,9 @@ def _leaf(t) -> Optional[sx.LFormula]:
     return t.f if isinstance(t, sx.SLeaf) else None
 
 
-def _plug(c, inst, t) -> sx.Sequent:
-    # the conclusion with t in place of the subtree at the recorded position
-    return sx.Sequent(pf.tree_replace(c.ant, inst.path, t), c.suc)
+def _same(a, b) -> bool:
+    # by identity first: comparing equal deep terms costs their size
+    return a is b or a == b
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +73,8 @@ def _fits(ok, reason):
 
 @_rule(pf.ID, 0)
 def _id(c, inst, x, prems, phi):
-    return _fits(_leaf(c.ant) == c.suc, "antecedent is not a single leaf equal to the succedent")
+    return _fits(_same(_leaf(c.ant), c.suc),
+                 "antecedent is not a single leaf equal to the succedent")
 
 
 @_rule(pf.DIST, 0)
@@ -67,56 +82,65 @@ def _dist(c, inst, x, prems, phi):
     f = _leaf(c.ant)
     if not (isinstance(f, sx.LAnd) and isinstance(f.r, sx.LOr)):
         return "antecedent is not of shape A /\\ (B \\/ C)"
-    return _fits(c.suc == sx.LOr(sx.LAnd(f.l, f.r.l), sx.LAnd(f.l, f.r.r)),
+    s = c.suc
+    return _fits(isinstance(s, sx.LOr) and isinstance(s.l, sx.LAnd) and isinstance(s.r, sx.LAnd)
+                 and _same(s.l.l, f.l) and _same(s.l.r, f.r.l)
+                 and _same(s.r.l, f.l) and _same(s.r.r, f.r.r),
                  "succedent does not distribute the antecedent")
 
 
 @_rule(pf.BOT_AX, 0, ("path",))
 def _bot(c, inst, x, prems, phi):
-    return _fits(_leaf(x) == sx.BOT, "recorded position does not hold bot")
+    return _fits(_same(_leaf(x), sx.BOT), "recorded position does not hold bot")
 
 
 @_rule(pf.TOP_AX, 0)
 def _top(c, inst, x, prems, phi):
-    return _fits(c.suc == sx.TOP, "succedent must be top")
+    return _fits(_same(c.suc, sx.TOP), "succedent must be top")
 
 
 @_rule(pf.NEG1, 0)
 def _neg1(c, inst, x, prems, phi):
     f = _leaf(c.ant)
-    return _fits(isinstance(f, sx.LAnd) and isinstance(f.r, sx.LNot) and f.l == f.r.a
-                 and c.suc == sx.BOT, "not of shape A /\\ ~A => bot")
+    return _fits(isinstance(f, sx.LAnd) and isinstance(f.r, sx.LNot) and _same(f.l, f.r.a)
+                 and _same(c.suc, sx.BOT), "not of shape A /\\ ~A => bot")
 
 
 @_rule(pf.NEG2, 0)
 def _neg2(c, inst, x, prems, phi):
     s = c.suc
-    return _fits(_leaf(c.ant) == sx.TOP and isinstance(s, sx.LOr) and isinstance(s.r, sx.LNot)
-                 and s.l == s.r.a, "not of shape top => A \\/ ~A")
+    return _fits(_same(_leaf(c.ant), sx.TOP) and isinstance(s, sx.LOr)
+                 and isinstance(s.r, sx.LNot) and _same(s.l, s.r.a),
+                 "not of shape top => A \\/ ~A")
 
 
 @_rule(pf.AX_T, 0)
 def _ax_t(c, inst, x, prems, phi):
     f = _leaf(c.ant)
-    return _fits(f is not None and c.suc == sx.LDia(f), "not of shape A => <>A")
+    return _fits(f is not None and isinstance(c.suc, sx.LDia) and _same(c.suc.a, f),
+                 "not of shape A => <>A")
 
 
 @_rule(pf.AX_4, 0)
 def _ax_4(c, inst, x, prems, phi):
-    return _fits(isinstance(c.suc, sx.LDia) and _leaf(c.ant) == sx.LDia(sx.LDia(c.suc.a)),
+    f = _leaf(c.ant)
+    return _fits(isinstance(c.suc, sx.LDia) and isinstance(f, sx.LDia)
+                 and isinstance(f.a, sx.LDia) and _same(f.a.a, c.suc.a),
                  "not of shape <><>A => <>A")
 
 
 @_rule(pf.AX_5, 0)
 def _ax_5(c, inst, x, prems, phi):
     f = _leaf(c.ant)
-    return _fits(isinstance(f, sx.LDia) and c.suc == sx.LNot(sx.LDia(sx.LNot(sx.LDia(f.a)))),
-                 "not of shape <>A => ~<>~<>A")
+    s = c.suc
+    return _fits(isinstance(f, sx.LDia) and isinstance(s, sx.LNot) and isinstance(s.a, sx.LDia)
+                 and isinstance(s.a.a, sx.LNot) and isinstance(s.a.a.a, sx.LDia)
+                 and _same(s.a.a.a.a, f.a), "not of shape <>A => ~<>~<>A")
 
 
 @_rule(pf.ONE_R, 0)
 def _one_r(c, inst, x, prems, phi):
-    return _fits(c.ant is None and c.suc == sx.ONE, "not the empty-antecedent unit sequent")
+    return _fits(c.ant is None and _same(c.suc, sx.ONE), "not the empty-antecedent unit sequent")
 
 
 @_rule(pf.ASSUMPTION, 0)
@@ -133,7 +157,7 @@ def _prod_l(c, inst, x, prems, phi):
     f = _leaf(x)
     if not isinstance(f, sx.LProd):
         return "recorded position does not hold a product leaf"
-    return (_plug(c, inst, sx.SNode(sx.SLeaf(f.l), sx.SLeaf(f.r))),)
+    return (sx.SNode(sx.SLeaf(f.l), sx.SLeaf(f.r)),)
 
 
 @_rule(pf.DIA_L, 1, ("path",))
@@ -141,7 +165,7 @@ def _dia_l(c, inst, x, prems, phi):
     f = _leaf(x)
     if not isinstance(f, sx.LDia):
         return "recorded position does not hold a diamond leaf"
-    return (_plug(c, inst, sx.SBracket(sx.SLeaf(f.a))),)
+    return (sx.SBracket(sx.SLeaf(f.a)),)
 
 
 @_rule(pf.BOXDOWN_L, 1, ("path",))
@@ -149,28 +173,28 @@ def _boxdown_l(c, inst, x, prems, phi):
     f = _leaf(x.a) if isinstance(x, sx.SBracket) else None
     if not isinstance(f, sx.LBoxDown):
         return "recorded position is not a bracketed box-down leaf"
-    return (_plug(c, inst, sx.SLeaf(f.a)),)
+    return (f.a,)
 
 
 @_rule(pf.ONE_L_LEFT, 1, ("path",))
 def _one_l_left(c, inst, x, prems, phi):
-    if not (isinstance(x, sx.SNode) and x.l == sx.SLeaf(sx.ONE)):
+    if not (isinstance(x, sx.SNode) and _same(_leaf(x.l), sx.ONE)):
         return "recorded position is not a node with unit on the left"
-    return (_plug(c, inst, x.r),)
+    return (x.r,)
 
 
 @_rule(pf.ONE_L_RIGHT, 1, ("path",))
 def _one_l_right(c, inst, x, prems, phi):
-    if not (isinstance(x, sx.SNode) and x.r == sx.SLeaf(sx.ONE)):
+    if not (isinstance(x, sx.SNode) and _same(_leaf(x.r), sx.ONE)):
         return "recorded position is not a node with unit on the right"
-    return (_plug(c, inst, x.l),)
+    return (x.l,)
 
 
 @_rule(pf.EXCH, 1, ("path",))
 def _exch(c, inst, x, prems, phi):
     if not isinstance(x, sx.SNode):
         return "recorded position is not a node"
-    return (_plug(c, inst, sx.SNode(x.r, x.l)),)
+    return (sx.SNode(x.r, x.l),)
 
 
 @_rule(pf.AND_L, 1, ("path", "idx"))
@@ -178,7 +202,7 @@ def _and_l(c, inst, x, prems, phi):
     f = _leaf(x)
     if not isinstance(f, sx.LAnd) or inst.idx not in (1, 2):
         return "recorded position does not hold a conjunction leaf"
-    return (_plug(c, inst, sx.SLeaf(f.l if inst.idx == 1 else f.r)),)
+    return (f.l if inst.idx == 1 else f.r,)
 
 
 @_rule(pf.OR_L, 2, ("path",))
@@ -186,7 +210,7 @@ def _or_l(c, inst, x, prems, phi):
     f = _leaf(x)
     if not isinstance(f, sx.LOr):
         return "recorded position does not hold a disjunction leaf"
-    return (_plug(c, inst, sx.SLeaf(f.l)), _plug(c, inst, sx.SLeaf(f.r)))
+    return (f.l, f.r)
 
 
 @_rule(pf.UNDER_L, 2, ("path",))
@@ -194,7 +218,7 @@ def _under_l(c, inst, x, prems, phi):
     f = _leaf(x.r) if isinstance(x, sx.SNode) else None
     if not isinstance(f, sx.LUnder):
         return "recorded position is not a node with a left-residual leaf on the right"
-    return (sx.Sequent(x.l, f.l), _plug(c, inst, sx.SLeaf(f.r)))
+    return ((x.l, f.l), f.r)
 
 
 @_rule(pf.OVER_L, 2, ("path",))
@@ -202,7 +226,7 @@ def _over_l(c, inst, x, prems, phi):
     f = _leaf(x.l) if isinstance(x, sx.SNode) else None
     if not isinstance(f, sx.LOver):
         return "recorded position is not a node with a right-residual leaf on the left"
-    return (_plug(c, inst, sx.SLeaf(f.l)), sx.Sequent(x.r, f.r))
+    return (f.l, (x.r, f.r))
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +237,14 @@ def _over_l(c, inst, x, prems, phi):
 def _and_r(c, inst, x, prems, phi):
     if not isinstance(c.suc, sx.LAnd):
         return "succedent is not a conjunction"
-    return (sx.Sequent(c.ant, c.suc.l), sx.Sequent(c.ant, c.suc.r))
+    return ((c.ant, c.suc.l), (c.ant, c.suc.r))
 
 
 @_rule(pf.OR_R, 1, ("idx",))
 def _or_r(c, inst, x, prems, phi):
     if not isinstance(c.suc, sx.LOr) or inst.idx not in (1, 2):
         return "succedent is not a disjunction"
-    return (sx.Sequent(c.ant, c.suc.l if inst.idx == 1 else c.suc.r),)
+    return ((c.ant, c.suc.l if inst.idx == 1 else c.suc.r),)
 
 
 @_rule(pf.UNDER_R, 1)
@@ -228,7 +252,7 @@ def _under_r(c, inst, x, prems, phi):
     if not isinstance(c.suc, sx.LUnder):
         return "succedent is not a left residual"
     arg = sx.SLeaf(c.suc.l)
-    return (sx.Sequent(arg if c.ant is None else sx.SNode(arg, c.ant), c.suc.r),)
+    return ((arg if c.ant is None else sx.SNode(arg, c.ant), c.suc.r),)
 
 
 @_rule(pf.OVER_R, 1)
@@ -236,28 +260,28 @@ def _over_r(c, inst, x, prems, phi):
     if not isinstance(c.suc, sx.LOver):
         return "succedent is not a right residual"
     arg = sx.SLeaf(c.suc.r)
-    return (sx.Sequent(arg if c.ant is None else sx.SNode(c.ant, arg), c.suc.l),)
+    return ((arg if c.ant is None else sx.SNode(c.ant, arg), c.suc.l),)
 
 
 @_rule(pf.DIA_R, 1)
 def _dia_r(c, inst, x, prems, phi):
     if not (isinstance(c.suc, sx.LDia) and isinstance(c.ant, sx.SBracket)):
         return "needs a bracketed antecedent and diamond succedent"
-    return (sx.Sequent(c.ant.a, c.suc.a),)
+    return ((c.ant.a, c.suc.a),)
 
 
 @_rule(pf.BOXDOWN_R, 1)
 def _boxdown_r(c, inst, x, prems, phi):
     if not isinstance(c.suc, sx.LBoxDown) or c.ant is None:
         return "needs a nonempty antecedent and box-down succedent"
-    return (sx.Sequent(sx.SBracket(c.ant), c.suc.a),)
+    return ((sx.SBracket(c.ant), c.suc.a),)
 
 
 @_rule(pf.PROD_R, 2)
 def _prod_r(c, inst, x, prems, phi):
     if not (isinstance(c.suc, sx.LProd) and isinstance(c.ant, sx.SNode)):
         return "needs a node antecedent and product succedent"
-    return (sx.Sequent(c.ant.l, c.suc.l), sx.Sequent(c.ant.r, c.suc.r))
+    return ((c.ant.l, c.suc.l), (c.ant.r, c.suc.r))
 
 
 @_rule(pf.CUT, 2, ("path",))
@@ -266,10 +290,10 @@ def _cut(c, inst, x, prems, phi):
     if c.ant is None:
         if inst.path != ():
             return "empty-antecedent cut must record the root position"
-        return (sx.Sequent(None, a), sx.Sequent(sx.SLeaf(a), c.suc))
+        return ((None, a), a)
     if x is None:
         return "cut needs a recorded position in the antecedent"
-    return (sx.Sequent(x, a), _plug(c, inst, sx.SLeaf(a)))
+    return ((x, a), a)
 
 
 def check_derivation(sys: SystemSpec, phi, d: pf.Derivation, trail=None) -> bool:
@@ -312,6 +336,42 @@ def check_derivation(sys: SystemSpec, phi, d: pf.Derivation, trail=None) -> bool
         if isinstance(want, str):
             return fail(node, want)
         for k, w in enumerate(want):
-            if prems[k].seq != w:
-                return fail(node, f"premise {k + 1} is not {sx.render_sequent(w)}")
+            s = prems[k].seq
+            if type(w) is tuple:
+                ok = _same(s.suc, w[1]) and _same(s.ant, w[0])
+            else:
+                ok = _same(s.suc, c.suc) and _plugged(c.ant, inst.path, w, s.ant)
+            if not ok:
+                w = sx.render_sequent(_demanded(c, inst, w))
+                return fail(node, f"premise {k + 1} is not {w}")
     return True
+
+
+def _plugged(t, path, hole, u) -> bool:
+    """Whether u is t with hole (a tree, or a formula for a leaf of it) in
+    place of the subtree at path, a position of t: the same class at every
+    step and an equal sibling, then the hole."""
+    for step in path:
+        if u.__class__ is not t.__class__:
+            return False
+        if step == pf.LEFT:
+            if not _same(u.r, t.r):
+                return False
+            t, u = t.l, u.l
+        elif step == pf.RIGHT:
+            if not _same(u.l, t.l):
+                return False
+            t, u = t.r, u.r
+        else:
+            t, u = t.a, u.a
+    if isinstance(hole, sx.LFormula):
+        return type(u) is sx.SLeaf and _same(u.f, hole)
+    return _same(u, hole)
+
+
+def _demanded(c, inst, w) -> sx.Sequent:
+    # the premise a demand stands for, built only to word a failure
+    if type(w) is tuple:
+        return sx.Sequent(*w)
+    hole = sx.SLeaf(w) if isinstance(w, sx.LFormula) else w
+    return sx.Sequent(pf.tree_replace(c.ant, inst.path, hole), c.suc)

@@ -43,6 +43,25 @@ def _leaf_at(ant: sx.StructTree, path: pf.Path, a: sx.LFormula) -> bool:
     return type(t) is sx.SLeaf and (t.f is a or t.f == a)
 
 
+def _leaf_swapped(ant: sx.StructTree, other, path: pf.Path, a: sx.LFormula) -> bool:
+    # whether other is ant with a leaf of a at path, a position of ant,
+    # tested in place: the same class and sibling at every step, then the leaf
+    for step in path:
+        if type(other) is not type(ant):
+            return False
+        if step == pf.LEFT:
+            if not _same(other.r, ant.r):
+                return False
+            ant, other = ant.l, other.l
+        elif step == pf.RIGHT:
+            if not _same(other.l, ant.l):
+                return False
+            ant, other = ant.r, other.r
+        else:
+            ant, other = ant.a, other.a
+    return type(other) is sx.SLeaf and _same(other.f, a)
+
+
 # ---------------------------------------------------------------------------
 # one node per rule
 
@@ -104,8 +123,8 @@ def dcut(minor: pf.Derivation, major: pf.Derivation, path: pf.Path = ()) -> pf.D
     return pf.node(seq, pf.CUT, [minor, major], pf.Inst(path=path))
 
 
-def _same(a: sx.LFormula, b: sx.LFormula) -> bool:
-    # by identity first: comparing near-equal deep formulas costs their size
+def _same(a, b) -> bool:
+    # by identity first: comparing near-equal deep terms costs their size
     return a is b or a == b
 
 
@@ -159,10 +178,8 @@ def dor_l(d1: pf.Derivation, d2: pf.Derivation, main: sx.LOr, path: pf.Path = ()
     """From G[A] => C and G[B] => C conclude G[A \\/ B] => C."""
     ant = d1.seq.ant
     _fit(ant is not None and _leaf_at(ant, path, main.l), "left premise mismatch")
-    _fit(
-        d2.seq == sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(main.r)), d1.seq.suc),
-        "right premise mismatch",
-    )
+    _fit(_same(d2.seq.suc, d1.seq.suc) and _leaf_swapped(ant, d2.seq.ant, path, main.r),
+         "right premise mismatch")
     seq = sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(main)), d1.seq.suc)
     return pf.node(seq, pf.OR_L, [d1, d2], pf.Inst(path=path))
 

@@ -32,13 +32,19 @@ proof:
 Shared subproofs stay shared: one node entry per distinct node object.
 `table_text` writes the table as the text ``json.dumps(table, indent=2)``
 prints, in one pass over the nodes: each entry is written as text when it
-is first indexed, and the three lists are joined once at the end.
+is first indexed, and the three lists are joined once at the end.  A
+formula is found by identity, then by its entry with its children's
+indices.  A sequent is keyed by value alone, since a derivation's
+conclusions are seldom one object: by its succedent's index and its
+antecedent's formula index (one leaf) or text.  A tree's text is kept
+per (tree, indent), so a tree met again at another depth is written with
+that depth's indent.
 `to_json` is that text parsed.  Reading builds the terms straight from
 the table, without the parser, and rejects a malformed table with
-ParseError.  Every index is tested where it is read: an int (not a bool
-or a float) below the number of entries it may refer to, which for a
-formula's child or a node's premise is the number of entries before it.
-The error message is formatted only when that test fails.  ``premises``
+ParseError.  Every index is tested inline where it is read: an int (not
+a bool or a float) below the number of entries it may refer to, which
+for a formula's child or a node's premise is the number of entries
+before it.  The error message is formatted only when that test fails.  ``premises``
 and ``path`` must be lists.  A node with no ``inst``, or one that records
 nothing, reads as `NO_INST`, and the nodes of one table that record the
 same share one `Inst`.  A ``null`` ``inst``, ``path``, ``idx``, ``seq``,
@@ -250,16 +256,6 @@ _INST = "," + _PAD[3] + '"inst": '
 _TABLE = _rows(['"format": %d', '"formulas": %s', '"sequents": %s', '"nodes": %s'], _PAD[0], "{}")
 
 
-def _ant_text(k, pad: str) -> str:
-    # an antecedent from its key: a formula index, (l, r), or (a,) for <a>
-    if type(k) is int:
-        return int.__repr__(k)
-    inner = pad + "  "
-    if len(k) == 1:
-        return "{" + inner + '"b": ' + _ant_text(k[0], inner) + pad + "}"
-    return "[" + inner + _ant_text(k[0], inner) + "," + inner + _ant_text(k[1], inner) + pad + "]"
-
-
 def table_text(d: Derivation) -> TableText:
     """The text ``json.dumps(table, indent=2)`` prints for the format-3
     table of d, written in one pass over post_order(d): each entry is
@@ -267,13 +263,15 @@ def table_text(d: Derivation) -> TableText:
     formulas: list[str] = []
     sequents: list[str] = []
     nodes: list[str] = []
-    # entries are found by object identity first, then by a key naming the
-    # children by index, so no term is hashed or compared deeply
+    # a formula is found by object identity first, then by a key naming its
+    # children by index, so no term is compared deeply.  A sequent is found
+    # by value alone, by the key (antecedent, succedent index), where a
+    # one-leaf antecedent is its formula index and any other its text; a
+    # tree's text is kept per (tree, pad), its value and its indent
     f_at: dict[int, int] = {}
     f_key: dict = {}
-    t_at: dict[int, object] = {}
-    s_at: dict[int, int] = {}
-    s_key: dict[tuple, int] = {}
+    s_at: dict[tuple, int] = {}
+    t_text: dict[tuple, str] = {}
 
     def formula(f: sx.LFormula) -> int:
         i = f_at.get(id(f))
@@ -326,30 +324,35 @@ def table_text(d: Derivation) -> TableText:
             f_at[id(g)] = i
         return f_at[id(f)]
 
-    def tree(t: sx.StructTree):
-        # the key of an antecedent, for _ant_text
-        k = t_at.get(id(t))
-        if k is None:
-            if isinstance(t, sx.SLeaf):
-                k = formula(t.f)
-            elif isinstance(t, sx.SNode):
-                k = (tree(t.l), tree(t.r))
+    def tree(t: sx.StructTree, pad: str) -> str:
+        # the text of an antecedent whose first line begins with pad: a
+        # leaf's formula index, [l, r] for a pair, {"b": a} for a bracket
+        if type(t) is sx.SLeaf:
+            return int.__repr__(formula(t.f))
+        text = t_text.get((t, pad))
+        if text is None:
+            inner = pad + "  "
+            if type(t) is sx.SNode:
+                text = "[" + inner + tree(t.l, inner) + "," + inner + tree(t.r, inner) + pad + "]"
             else:
-                k = (tree(t.a),)
-            t_at[id(t)] = k
-        return k
+                text = "{" + inner + '"b": ' + tree(t.a, inner) + pad + "}"
+            t_text[(t, pad)] = text
+        return text
 
     def sequent(s: sx.Sequent) -> int:
-        i = s_at.get(id(s))
+        a = s.ant
+        if a is None:
+            key = None
+        elif type(a) is sx.SLeaf:
+            key = formula(a.f)
+        else:
+            key = tree(a, _PAD[3])
+        suc = formula(s.suc)
+        i = s_at.get((key, suc))
         if i is None:
-            key = None if s.ant is None else tree(s.ant)
-            suc = formula(s.suc)
-            i = s_key.get((key, suc))
-            if i is None:
-                i = s_key[(key, suc)] = len(sequents)
-                ant = "null" if key is None else _ant_text(key, _PAD[3])
-                sequents.append(_SEQUENT % (ant, suc))
-            s_at[id(s)] = i
+            i = s_at[(key, suc)] = len(sequents)
+            ant = "null" if key is None else key if type(key) is str else int.__repr__(key)
+            sequents.append(_SEQUENT % (ant, suc))
         return i
 
     n_at: dict[int, int] = {}
@@ -384,7 +387,8 @@ def to_json(d: Derivation) -> dict:
 
 def _at(rows: list, x, what: str, k: int = 0):
     """rows[x] for an index x below len(rows); else ParseError names what,
-    formatted with k, and x."""
+    formatted with k, and x.  A reader tests an in-range int index inline
+    and calls this only when that test fails, to raise."""
     if type(x) is int and 0 <= x < len(rows):
         return rows[x]
     raise ParseError(f"{what.format(k)} {x!r} is not an index below {len(rows)}")
@@ -397,7 +401,8 @@ def _read_formulas(rows: list) -> list[sx.LFormula]:
         tag, args = e[0], e[1:]
         cls = _CONNECTIVES.get(tag)
         if cls is not None and len(args) == len(_CHILDREN[cls]):
-            f = cls(*[_at(out, i, "formula {}: child", k) for i in args])
+            f = cls(*[out[i] if type(i) is int and 0 <= i < k
+                      else _at(out, i, "formula {}: child", k) for i in args])
         elif tag == "atom" and len(args) == 1 and sx.is_atom_name(args[0]):
             f = sx.LAtom(args[0])
         elif tag == "const" and len(args) == 1 and args[0] in _CONSTS:
@@ -414,12 +419,13 @@ def _read_formulas(rows: list) -> list[sx.LFormula]:
 
 def _read_sequents(rows: list, fs: list[sx.LFormula]) -> list[sx.Sequent]:
     leaves: dict[int, sx.SLeaf] = {}
+    n = len(fs)
 
     def tree(x) -> sx.StructTree:
         if type(x) is int:
             leaf = leaves.get(x)
             if leaf is None:
-                leaf = leaves[x] = sx.SLeaf(_at(fs, x, "leaf formula"))
+                leaf = leaves[x] = sx.SLeaf(fs[x] if 0 <= x < n else _at(fs, x, "leaf formula"))
             return leaf
         if type(x) is list and len(x) == 2:
             return sx.SNode(tree(x[0]), tree(x[1]))
@@ -432,7 +438,9 @@ def _read_sequents(rows: list, fs: list[sx.LFormula]) -> list[sx.Sequent]:
         if type(e) is not list or len(e) != 2:
             raise ParseError(f"malformed sequent {e!r}")
         ant = None if e[0] is None else tree(e[0])
-        out.append(sx.Sequent(ant, _at(fs, e[1], "succedent formula")))
+        i = e[1]
+        out.append(sx.Sequent(ant, fs[i] if type(i) is int and 0 <= i < n
+                              else _at(fs, i, "succedent formula")))
     return out
 
 
@@ -470,15 +478,18 @@ def from_json(j: dict) -> Derivation:
         ss = _read_sequents(j["sequents"], fs)
         done: list[Derivation] = []
         insts = {(None, None): NO_INST}
+        m = len(ss)
         for k, n in enumerate(j["nodes"]):
             if not n.keys() <= _NODE_KEYS or type(n["rule"]) is not str:
                 raise ParseError(f"node {k}: malformed entry")
-            s = _at(ss, n["seq"], "node {}: sequent", k)
+            i = n["seq"]
+            s = ss[i] if type(i) is int and 0 <= i < m else _at(ss, i, "node {}: sequent", k)
             ps = n["premises"]
             if type(ps) is not list:
                 raise ParseError(f"node {k}: malformed premises {ps!r}")
             # done holds exactly the k nodes a premise may refer to
-            ps = tuple([_at(done, p, "node {}: premise", k) for p in ps])
+            ps = tuple([done[p] if type(p) is int and 0 <= p < k
+                        else _at(done, p, "node {}: premise", k) for p in ps])
             done.append(Derivation(s, n["rule"], ps,
                                    _read_inst(n["inst"], insts) if "inst" in n else NO_INST))
     except (KeyError, IndexError, TypeError, AttributeError, RecursionError) as e:

@@ -266,10 +266,53 @@ def validate_reference(sys, s: sx.Sequent):
             raise ValidationError(f"{sys.name} has no {what}")
 
 
+def _leaf_formula(t) -> Optional[sx.LFormula]:
+    return t.f if isinstance(t, sx.SLeaf) else None
+
+
+# whether an axiom's conclusion c (with x, the subtree at the recorded
+# position) fits: the conclusion the axiom would have, built from the
+# fields it is read off, compared by value
+AXIOM_REFERENCE = {
+    pf.ID: lambda c, x: c == sx.Sequent(sx.SLeaf(c.suc), c.suc),
+    pf.DIST: lambda c, x: (
+        isinstance(f := _leaf_formula(c.ant), sx.LAnd) and isinstance(f.r, sx.LOr)
+        and c.suc == sx.LOr(sx.LAnd(f.l, f.r.l), sx.LAnd(f.l, f.r.r))),
+    pf.BOT_AX: lambda c, x: x == sx.SLeaf(sx.BOT),
+    pf.TOP_AX: lambda c, x: c.suc == sx.TOP,
+    pf.NEG1: lambda c, x: (
+        isinstance(f := _leaf_formula(c.ant), sx.LAnd)
+        and c == sx.Sequent(sx.SLeaf(sx.LAnd(f.l, sx.LNot(f.l))), sx.BOT)),
+    pf.NEG2: lambda c, x: (
+        isinstance(c.suc, sx.LOr)
+        and c == sx.Sequent(sx.SLeaf(sx.TOP), sx.LOr(c.suc.l, sx.LNot(c.suc.l)))),
+    pf.AX_T: lambda c, x: (f := _leaf_formula(c.ant)) is not None and c.suc == sx.LDia(f),
+    pf.AX_4: lambda c, x: (
+        isinstance(c.suc, sx.LDia) and c.ant == sx.SLeaf(sx.LDia(sx.LDia(c.suc.a)))),
+    pf.AX_5: lambda c, x: (
+        isinstance(f := _leaf_formula(c.ant), sx.LDia)
+        and c.suc == sx.LNot(sx.LDia(sx.LNot(sx.LDia(f.a))))),
+    pf.ONE_R: lambda c, x: c == sx.Sequent(None, sx.ONE),
+}
+
+
+def demanded_reference(c: sx.Sequent, inst: pf.Inst, w) -> sx.Sequent:
+    """The premise sequent a `checker._RULES` demand stands for: a plain
+    (antecedent, succedent) pair, or the conclusion with a new subtree at
+    the recorded path, given as a tree or as a leaf's formula."""
+    if isinstance(w, tuple):
+        return sx.Sequent(*w)
+    if isinstance(w, sx.LFormula):
+        w = sx.SLeaf(w)
+    return sx.Sequent(pf.tree_replace(c.ant, inst.path, w), c.suc)
+
+
 def check_reference(sys, phi, d: pf.Derivation, trail: list) -> bool:
     """checker.check_derivation without its leaf-mask and NO_INST
-    shortcuts: validate_reference on every node, and every field the rule
-    does not read looked up, whatever the node's Inst."""
+    shortcuts or its in-place tests: validate_reference on every node,
+    every field the rule does not read looked up, whatever the node's
+    Inst, an axiom's conclusion built and compared by AXIOM_REFERENCE, and
+    each demanded premise built as a sequent and compared by value."""
     phi = frozenset(phi)
 
     def fail(node, msg):
@@ -297,9 +340,13 @@ def check_reference(sys, phi, d: pf.Derivation, trail: list) -> bool:
             except (TypeError, ValueError):
                 pass
         want = premises_of(c, inst, x, prems, phi)
+        fits = AXIOM_REFERENCE.get(node.rule)
+        if fits is not None and fits(c, x) != (want == ()):
+            return fail(node, "the reference and the checker disagree on the axiom's shape")
         if isinstance(want, str):
             return fail(node, want)
         for k, w in enumerate(want):
+            w = demanded_reference(c, inst, w)
             if prems[k].seq != w:
                 return fail(node, f"premise {k + 1} is not {sx.render_sequent(w)}")
     return True

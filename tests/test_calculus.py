@@ -3,6 +3,7 @@ builders."""
 
 import dataclasses
 import functools
+import itertools
 import json
 import random
 import re
@@ -319,6 +320,41 @@ def test_one_node_checks_as_the_reference_that_validates_every_node(name, s, rul
         assert got == want
 
 
+_Z = sx.LAtom("z")
+
+
+def _swaps(f, new):
+    """f with one subformula occurrence, or the whole, replaced by new."""
+    yield new
+    names = type(f).__match_args__
+    for k in names:
+        child = getattr(f, k)
+        if isinstance(child, sx.LFormula):
+            for g in _swaps(child, new):
+                yield type(f)(*[g if j == k else getattr(f, j) for j in names])
+
+
+@given(lambek_formulas, lambek_formulas, lambek_formulas)
+@settings(max_examples=150)
+def test_axiom_shapes_check_as_the_built_conclusion_compares(a, b, c):
+    # each axiom's fields are compared in place; the reference builds the
+    # conclusion the axiom would have and compares it, on every fitting
+    # conclusion and on each with one subformula changed
+    fitting = [lm.did(a), lm.dD(a, b, c), lm.dneg1(a), lm.dneg2(a), dax_t(a), dax_4(a),
+               dax_5(a), lm.dtop(sx.SLeaf(a)), done_r(), lm.dbot_f(a)]
+    for d in fitting:
+        s, seqs = d.seq, [d.seq]
+        if s.ant is not None:
+            seqs += [sx.Sequent(sx.SLeaf(g), s.suc) for g in _swaps(s.ant.f, _Z)]
+        seqs += [sx.Sequent(s.ant, g) for g in _swaps(s.suc, _Z)]
+        for new in seqs:
+            node = pf.node(new, d.rule, (), d.inst)
+            got, want = [], []
+            assert ck.check_derivation(E5, (), node, got) == check_reference(E5, (), node, want)
+            assert got == want
+            assert new is not s or not want  # the fitting conclusion passes
+
+
 # a sound one-step instance and a corruption of its recorded position or its
 # conclusion, with the reason the checker gives
 _DIA_IN_BRACKET = lm.ddia_l(lm.ddia_r(lm.ddia_r(lm.did(p))), (2,))
@@ -350,6 +386,146 @@ def test_checker_rejects_a_malformed_position_or_shape(good, change, reason):
     trail = []
     assert not ck.check_derivation(E5, (), bad, trail)
     assert trail[0].startswith(f"{good.rule} at ") and reason in trail[0], trail
+
+
+# one step of a certificate, cut off at its premises, which become
+# assumption leaves, and moved under a context: a one-leaf step gains
+# recorded positions below the context's hole, with siblings on the way.
+# A premise that keeps the conclusion's antecedent around the step's
+# position moves with it, any other stays as it is.
+_HOLE = sx.SLeaf(sx.LAtom("h"))
+_CONTEXTS = (None, "h o r", "r o (h o s)", "< r o (s o (< h > o r)) >")
+
+
+def _step_under(n, context):
+    """Node n as one step under context (the hole h), with assumption
+    leaves for premises, as the reference accepts it, or None when it has
+    no premise or does not move there."""
+    if not n.premises or (context is not None and n.seq.ant is None):
+        return None
+    ctx = None if context is None else sx.parse_tree(context)
+    h = () if ctx is None else next(path for path, t in pf.positions(ctx) if t == _HOLE)
+
+    def put(s):
+        return sx.Sequent(pf.tree_replace(ctx, h, s.ant), s.suc)
+
+    inst = n.inst if n.inst.path is None else pf.Inst(h + n.inst.path, n.inst.idx)
+    for moved in itertools.product((True, False), repeat=len(n.premises)):
+        prems = [put(x.seq) if up and x.seq.ant is not None else x.seq
+                 for x, up in zip(n.premises, moved)]
+        d = pf.node(put(n.seq), n.rule, [lm.dassume(s) for s in prems], inst)
+        if check_reference(E5, prems, d, []):
+            return d
+    return None
+
+
+def _sibling_mutants(step):
+    """The step with one premise's succedent, or one subtree of its
+    antecedent off the recorded path, replaced by z, the subtree at the
+    hole kept; each with the assumptions it needs."""
+    path = step.inst.path
+    for k, leaf in enumerate(step.premises):
+        s = leaf.seq
+        changed = [sx.Sequent(s.ant, _Z)]
+        for q, _ in () if s.ant is None else pf.positions(s.ant):
+            if path is None or (path[:len(q)] != q and q[:len(path)] != path):
+                changed.append(sx.Sequent(pf.tree_replace(s.ant, q, sx.SLeaf(_Z)), s.suc))
+        for new in changed:
+            if new != s:
+                prems = [x.seq for x in step.premises]
+                prems[k] = new
+                yield pf.node(step.seq, step.rule, [lm.dassume(x) for x in prems], step.inst), prems
+
+
+@st.composite
+def certificates(draw):
+    """A lat_le certificate, a derived ~^n p => p or p => ~^n p proof, or
+    one RULE_CASES instance."""
+    kind = draw(st.sampled_from(("lattice", "tower", "rule")))
+    if kind == "lattice":
+        rng = random.Random(draw(st.integers(0, 2 ** 16)))
+        while True:
+            a, b = (random_lattice_formula(rng, rng.randint(2, 6), LATTICE_GENS) for _ in "ab")
+            d = lm.lat_le(a, b)
+            if d is not None:
+                return d
+    if kind == "tower":
+        tower = "~" * (2 * draw(st.integers(1, 3))) + "p"
+        text = draw(st.sampled_from((f"{tower} => p", f"p => {tower}")))
+        return derive(BF, frozenset(), seq(text), SearchBudget()).derivation
+    case = RULE_CASES[draw(st.sampled_from(sorted(RULE_CASES)))]
+    return case[0] if isinstance(case, tuple) else case
+
+
+def rejects_changed_siblings_as_the_reference(d, context) -> set:
+    """Each step of d under context is accepted, and each of its sibling
+    mutants rejected with the reference's trail; the (rule, path step)
+    pairs of the moved steps that have a mutant."""
+    seen = set()
+    for n in pf.post_order(d):
+        step = _step_under(n, context)
+        if step is None:
+            continue
+        assert ck.check_derivation(E5, [x.seq for x in step.premises], step)
+        for bad, phi in _sibling_mutants(step):
+            got, want = [], []
+            assert not ck.check_derivation(E5, phi, bad, got)
+            assert not check_reference(E5, phi, bad, want)
+            assert got == want
+            seen.update((step.rule, k) for k in step.inst.path or ())
+    return seen
+
+
+@given(certificates(), st.sampled_from(_CONTEXTS))
+@settings(max_examples=60)
+def test_a_changed_sibling_of_a_premise_is_rejected_as_by_the_reference(d, context):
+    # the whole-premise misfit test above cannot tell a walk that skips the
+    # siblings on the path from one that compares them: here only a sibling
+    # or the succedent differs from the demanded premise
+    rejects_changed_siblings_as_the_reference(d, context)
+
+
+def test_changed_siblings_reach_each_side_of_a_path_and_a_bracket():
+    # fixed draws of the test above, whose moved cut, conjunction and
+    # disjunction steps have siblings off the path on either side
+    lattice = lm.lat_le(f("p /\\ (q \\/ r)"), f("(p /\\ q) \\/ r"))
+    tower = derive(BF, frozenset(), seq("~~~~p => p"), SearchBudget()).derivation
+    seen = set()
+    for d in (lattice, tower):
+        seen |= rejects_changed_siblings_as_the_reference(d, _CONTEXTS[-1])
+    assert {rule for rule, _ in seen} >= {pf.CUT, pf.AND_L, pf.OR_L}
+    assert {k for _, k in seen} == {pf.LEFT, pf.RIGHT, pf.UNDER_BRACKET}
+
+
+def spy_on_building(monkeypatch) -> list:
+    """The arguments of every Sequent built and every tree_replace call
+    from now on, however the caller reaches them."""
+    calls = []
+    init, replace = sx.Sequent.__init__, pf.tree_replace
+
+    def spy_init(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(sx.Sequent, "__init__", spy_init)
+    monkeypatch.setattr(pf, "tree_replace", lambda *a: calls.append(a) or replace(*a))
+    return calls
+
+
+def test_a_passing_check_builds_no_sequent_and_replaces_no_subtree(monkeypatch):
+    # every premise is tested in place; a demanded sequent is built only
+    # to word a failure
+    tower = derive(BF, frozenset(), seq("~" * 40 + "p => p"), SearchBudget()).derivation
+    cases = [(BF, tower, ())]
+    cases += [(E5, case[0] if isinstance(case, tuple) else case, (_MEMBER,))
+              for case in RULE_CASES.values()]
+    misfit = pf.node(seq("p => p /\\ q"), pf.AND_R, [lm.did(p), lm.did(p)])
+    calls = spy_on_building(monkeypatch)
+    for sys, d, phi in cases:
+        assert ck.check_derivation(sys, phi, d)
+    assert calls == []
+    assert not ck.check_derivation(BF, (), misfit, [])
+    assert calls  # the spies see a failure's wording
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +570,22 @@ def test_lattice_rule_builders():
     a, b = f("p /\\ q"), f("p \\/ q")
     checked(BF, lm.dand_r(lm.dand_l(lm.did(p), a, 1), lm.dand_l(lm.did(q), a, 2)))
     checked(BF, lm.dor_l(lm.dor_r(lm.did(p), b, 1), lm.dor_r(lm.did(q), b, 2), b))
+
+
+def test_dor_l_tests_its_right_premise_in_place():
+    # the right premise is the left one with B for A at the path: its
+    # succedent, every sibling on the path and the leaf must fit, and equal
+    # by value is enough
+    main, path = f("p \\/ q"), (1, 0)
+    left = lm.dassume(seq("r o (p o s) => t"))
+    right = lm.dassume(seq("r o (q o s) => t"))
+    d = lm.dor_l(left, right, main, path)
+    assert d.seq == seq("r o ((p \\/ q) o s) => t")
+    checked(BF, d, [left.seq, right.seq])
+    for text in ("z o (q o s) => t", "r o (q o z) => t", "r o (z o s) => t", "r o (q o s) => z",
+                 "r o < q o s > => t", "r o q => t", "r o ((q o z) o s) => t"):
+        with pytest.raises(LemmaError, match="right premise mismatch"):
+            lm.dor_l(left, lm.dassume(seq(text)), main, path)
 
 
 def test_product_and_slash_builders():
@@ -791,6 +983,25 @@ def test_table_text_dumps_the_reference_table_of_section_stage_proofs(a):
     r = derive(get_system(name), phi, goal, SearchBudget(max_goals=150, samples=0))
     assert r.derivation is not None
     written_as_the_reference(r.derivation)
+
+
+def test_table_text_writes_equal_conclusions_once_and_a_shared_tree_at_each_depth(monkeypatch):
+    # two distinct but equal conclusions are one sequent entry; one tree
+    # object at three depths is written with the indent of each
+    shared = sx.parse_tree("p o q")
+    deeper = sx.SNode(shared, sx.SLeaf(r))
+    first, twin = sx.Sequent(shared, p), sx.Sequent(sx.parse_tree("p o q"), p)
+    assert first == twin and first is not twin and first.ant is not twin.ant
+    d = pf.node(sx.Sequent(sx.SBracket(deeper), r), pf.OR_L, [
+        lm.dassume(first), lm.dassume(twin), lm.dassume(sx.Sequent(deeper, q))])
+    calls = spy_on_building(monkeypatch)
+    written_as_the_reference(d)
+    table = json.loads(pf.table_text(d))
+    assert calls == []
+    assert len(table["sequents"]) == 3
+    assert table["nodes"][0]["seq"] == table["nodes"][1]["seq"]
+    ants = [ant for ant, _ in table["sequents"]]
+    assert ants == [[0, 1], [[0, 1], 2], {"b": [[0, 1], 2]}]
 
 
 def _antecedent_shapes(t, out: set) -> set:
