@@ -9,7 +9,10 @@ A -> B as ~A \\/ B on entry, which has the same dagger image.  A proof
 translates, rule by rule, into a derivation of  /\\L-image => \\/R-image
 where diamonds become left products with the designated marker atom; all
 the regrouping between steps is discharged by the certified lattice and
-boolean entailment engines."""
+boolean entailment engines, and each negr step is one excluded-middle
+split (`lemmas.by_cases`).  `prove_dagger_sequent` is the one way in: it
+proves a => b, or b alone when a is None, and translates the proof into
+dagger(a) => dagger(b), or top => dagger(b)."""
 
 from __future__ import annotations
 
@@ -67,9 +70,6 @@ class KProver:
 
     def prove(self, left, right) -> Optional[GKProof]:
         return self._prove(canon(map(_unimp, left)), canon(map(_unimp, right)))
-
-    def prove_formula(self, a: sx.ModalFormula) -> Optional[GKProof]:
-        return self.prove((), (a,))
 
     def _prove(self, left: Side, right: Side) -> Optional[GKProof]:
         key = (left, right)
@@ -219,12 +219,9 @@ def to_derivation(proof: GKProof) -> pf.Derivation:
         return lm.le_trans(start, mono, _glue(mono.seq.suc, d))
     if r == "negr":
         gx = dagger(proof.principal.a)
-        split = lm.expand_by_cases(lm.did(c), gx)
+        ngx = sx.LNot(gx)
         left = _via(sx.LAnd(c, gx), proof.premises[0], d)
-        right = lm.le_trans(_glue(sx.LAnd(c, sx.LNot(gx)), sx.LNot(gx)),
-                            _glue(sx.LNot(gx), d))
-        combined = lm.dor_l(left, right, sx.LOr(sx.LAnd(c, gx), sx.LAnd(c, sx.LNot(gx))))
-        return lm.le_trans(split, combined)
+        return lm.by_cases(left, lm.le_trans(_glue(sx.LAnd(c, ngx), ngx), _glue(ngx, d)))
     if r == "k":
         m = sx.LAtom(M)
         sub = to_derivation(proof.premises[0])
@@ -235,24 +232,11 @@ def to_derivation(proof: GKProof) -> pf.Derivation:
     raise AssertionError(f"unknown rule {r}")
 
 
-def prove_dagger_top(b: sx.ModalFormula) -> Optional[pf.Derivation]:
-    """A derivation of  top => dagger(b)  when b is K-provable, else None.
-    (The raw translation of an empty left side already starts from top.)"""
-    proof = KProver().prove_formula(b)
-    if proof is None:
-        return None
-    return to_derivation(proof)
-
-
-def prove_dagger_goal(a: sx.ModalFormula) -> Optional[pf.Derivation]:
-    """A derivation of  => dagger(a)  when a is K-provable, else None: the
-    top-started one, cut against the empty top axiom."""
-    d = prove_dagger_top(a)
-    return None if d is None else lm.dcut(lm.dtop(None), d, ())
-
-
-def prove_dagger_sequent(a: sx.ModalFormula, b: sx.ModalFormula) -> Optional[pf.Derivation]:
-    """A derivation of  dagger(a) => dagger(b)  when a entails b in K: the
-    translation itself, since a one-formula side is its own image."""
-    proof = KProver().prove((a,), (b,))
+def prove_dagger_sequent(a: Optional[sx.ModalFormula],
+                         b: sx.ModalFormula) -> Optional[pf.Derivation]:
+    """A derivation of  dagger(a) => dagger(b)  when a entails b in K, else
+    None: the translation itself, since a one-formula side is its own
+    image.  With a None (an empty left side) it is  top => dagger(b), when
+    b is K-valid."""
+    proof = KProver().prove(() if a is None else (a,), (b,))
     return None if proof is None else to_derivation(proof)

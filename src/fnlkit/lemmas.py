@@ -5,7 +5,8 @@ checker accepts; shape mismatches raise LemmaError immediately rather
 than producing a bad proof.  On top of the one-node-per-rule
 constructors sit the algebraic workhorses: transitivity chains,
 monotonicity in every connective, distribution by cases
-(`dist_or_l`, `dist_pairs`), the double-negation and De Morgan
+(`dist_or_l`, `dist_pairs`), the excluded-middle case split that every
+classical step takes (`by_cases`), the double-negation and De Morgan
 conversions, and `lat_le`/`bool_le`, which decide (and certify) lattice
 and boolean entailments between formulas built from opaque generators.
 
@@ -386,23 +387,23 @@ def boxdown_mono(d: pf.Derivation) -> pf.Derivation:
     return dboxdown_r(inner)
 
 
-def expand_by_cases(d: pf.Derivation, g: sx.LFormula) -> pf.Derivation:
-    """From G => X conclude G => (X /\\ g) \\/ (X /\\ ~g)."""
-    x = d.seq.suc
-    with_lem = dand_r(d, le_trans(dtop(d.seq.ant), dneg2(g)))
-    return le_trans(with_lem, dD(x, g, sx.LNot(g)))
+def by_cases(d1: pf.Derivation, d2: pf.Derivation) -> pf.Derivation:
+    """From X /\\ g => C and X /\\ ~g => C conclude X => C: excluded middle
+    on g (top => g \\/ ~g), one distribution and a case split."""
+    f = d1.seq.ant.f if isinstance(d1.seq.ant, sx.SLeaf) else None
+    _fit(isinstance(f, sx.LAnd), "first case is not a conjunction sequent")
+    x, g = f.l, f.r
+    start, dist = did(x), dD(x, g, sx.LNot(g))
+    lem = dand_r(start, le_trans(dtop(start.seq.ant), dneg2(g)))
+    return le_trans(lem, dist, dor_l(d1, d2, dist.seq.suc))
 
 
 def neg_intro(d: pf.Derivation) -> pf.Derivation:
     """From X /\\ Y => bot conclude X => ~Y."""
     f = d.seq.ant.f if isinstance(d.seq.ant, sx.SLeaf) else None
     _fit(isinstance(f, sx.LAnd) and d.seq.suc == sx.BOT, "premise is not a refutation pair")
-    x, y = f.l, f.r
-    ny = sx.LNot(y)
-    split = expand_by_cases(did(x), y)
-    left = le_trans(d, dbot_f(ny))
-    right = dand_l(did(ny), sx.LAnd(x, ny), 2)
-    return le_trans(split, dor_l(left, right, sx.LOr(sx.LAnd(x, y), sx.LAnd(x, ny))))
+    ny = sx.LNot(f.r)
+    return by_cases(le_trans(d, dbot_f(ny)), dand_l(did(ny), sx.LAnd(f.l, ny), 2))
 
 
 def neg_anti(d: pf.Derivation) -> pf.Derivation:
@@ -459,21 +460,14 @@ def cong_replace(
 
 def dnn_intro(a: sx.LFormula) -> pf.Derivation:
     """A => ~~A."""
-    na, nna = sx.LNot(a), sx.LNot(sx.LNot(a))
-    split = expand_by_cases(did(a), na)
-    left = le_trans(dneg1(a), dbot_f(nna))
-    right = dand_l(did(nna), sx.LAnd(a, nna), 2)
-    return le_trans(split, dor_l(left, right, sx.LOr(sx.LAnd(a, na), sx.LAnd(a, nna))))
+    return neg_intro(dneg1(a))
 
 
 def dnn_elim(a: sx.LFormula) -> pf.Derivation:
     """~~A => A."""
     na, nna = sx.LNot(a), sx.LNot(sx.LNot(a))
-    split = expand_by_cases(did(nna), a)
     left = dand_l(did(a), sx.LAnd(nna, a), 2)
-    flip = comm_and(nna, na)
-    right = le_trans(flip, dneg1(na), dbot_f(a))
-    return le_trans(split, dor_l(left, right, sx.LOr(sx.LAnd(nna, a), sx.LAnd(nna, na))))
+    return by_cases(left, le_trans(comm_and(nna, na), dneg1(na), dbot_f(a)))
 
 
 def dneg_top() -> pf.Derivation:
@@ -495,14 +489,9 @@ def dm_and_fwd(a: sx.LFormula, b: sx.LFormula) -> pf.Derivation:
     na, nb = sx.LNot(a), sx.LNot(b)
     target = sx.LOr(na, nb)
     xa = sx.LAnd(x, a)
-    xab = sx.LAnd(xa, b)
-    xanb = sx.LAnd(xa, nb)
-    leftleft = le_trans(lat_le_strict(xab, sx.LAnd(ab, x)), dneg1(ab), dbot_f(target))
-    leftright = lat_le_strict(xanb, target)
-    left = le_trans(expand_by_cases(did(xa), b), dor_l(leftleft, leftright, sx.LOr(xab, xanb)))
-    right = lat_le_strict(sx.LAnd(x, na), target)
-    split = expand_by_cases(did(x), a)
-    return le_trans(split, dor_l(left, right, sx.LOr(xa, sx.LAnd(x, na))))
+    clash = le_trans(lat_le_strict(sx.LAnd(xa, b), sx.LAnd(ab, x)), dneg1(ab), dbot_f(target))
+    left = by_cases(clash, lat_le_strict(sx.LAnd(xa, nb), target))
+    return by_cases(left, lat_le_strict(sx.LAnd(x, na), target))
 
 
 def dm_and_bwd(a: sx.LFormula, b: sx.LFormula) -> pf.Derivation:
@@ -801,11 +790,9 @@ def _blat(x: sx.LFormula, y: sx.LFormula) -> Optional[pf.Derivation]:
     if not undecided:
         return None
     g = undecided[0]
-    split = expand_by_cases(did(x), g)
-    xg, xng = sx.LAnd(x, g), sx.LAnd(x, sx.LNot(g))
-    d1 = _blat(xg, y)
-    d2 = None if d1 is None else _blat(xng, y)
-    return None if d2 is None else le_trans(split, dor_l(d1, d2, sx.LOr(xg, xng)))
+    d1 = _blat(sx.LAnd(x, g), y)
+    d2 = None if d1 is None else _blat(sx.LAnd(x, sx.LNot(g)), y)
+    return None if d2 is None else by_cases(d1, d2)
 
 
 def bool_le(x: sx.LFormula, y: sx.LFormula) -> Optional[pf.Derivation]:

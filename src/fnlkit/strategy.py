@@ -146,10 +146,13 @@ def _top_for_negbot(f: sx.LFormula):
 
 
 def try_k_oracle(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
-    """Goals that read back to K: decide them with the modal sequent
-    prover, translate its proof, and cut in a replacement of every ~bot by
-    top where the goal writes top.  The proof uses bfnl-star rules only,
-    so every system with negation admits it."""
+    """Goals that read back to K: decide them with one call of the modal
+    sequent prover, `gk.prove_dagger_sequent`, and translate its proof.
+    An empty or top antecedent is an empty left side, whose translation
+    starts from top; an empty one is cut against the empty top axiom.
+    Then a replacement of every ~bot by top is cut in where the goal
+    writes top.  The proof uses bfnl-star rules only, so every system
+    with negation admits it."""
     if phi or not (sys.negation and sys.bounded):
         return None
     if goal.ant is not None and not isinstance(goal.ant, sx.SLeaf):
@@ -157,13 +160,14 @@ def try_k_oracle(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
     b = _read_modal(goal.suc)
     if b is None:
         return None
-    if goal.ant is None:
-        d = gk.prove_dagger_goal(b)
-    elif goal.ant.f == sx.TOP:
-        d = gk.prove_dagger_top(b)
-    else:
+    a = None
+    if goal.ant is not None and goal.ant.f != sx.TOP:
         a = _read_modal(goal.ant.f)
-        d = None if a is None else gk.prove_dagger_sequent(a, b)
+        if a is None:
+            return None
+    d = gk.prove_dagger_sequent(a, b)
+    if d is not None and goal.ant is None:
+        d = lm.dcut(lm.dtop(None), d, ())
     if d is not None and d.seq.suc != goal.suc:
         got, fwd, _ = _top_for_negbot(d.seq.suc)
         d = lm.dcut(d, fwd, ()) if got == goal.suc else None

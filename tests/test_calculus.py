@@ -603,6 +603,27 @@ def test_product_and_slash_builders():
     checked(BF, lm.dover_l(major, minor, ()))
 
 
+def test_residual_builders_with_an_empty_rest():
+    # from A => A the rest of the antecedent is empty: => A \ A and
+    # => A / A, which a system with empty antecedents admits and dfnl not
+    under, over = lm.dunder_r(lm.did(p), p), lm.dover_r(lm.did(p), p)
+    assert under.seq == seq("=> p \\ p") and over.seq == seq("=> p / p")
+    for d in (under, over):
+        checked(BF, d)
+        assert not ck.check_derivation(get_system("dfnl"), (), d)
+
+
+def test_or_inject_into_nested_disjunctions():
+    d = lm.did(q)
+    for text in ("(p \\/ q) \\/ r", "p \\/ (r \\/ (q \\/ s))", "((s \\/ (p \\/ q)) \\/ r) \\/ p"):
+        got = lm.or_inject(d, f(text))
+        assert got.seq == sx.Sequent(sx.SLeaf(q), f(text)), text
+        checked(BF, got)
+    assert lm.or_inject(d, q) is d
+    with pytest.raises(LemmaError, match="not a disjunct"):
+        lm.or_inject(d, f("p /\\ q"))
+
+
 def test_modal_and_unit_builders():
     sysk = get_system("bfnl-star-k")
     checked(sysk, lm.ddia_l(lm.ddia_r(lm.did(p)), ()))
@@ -811,9 +832,21 @@ def test_truth_vectors_change_no_certificate(monkeypatch):
     assert sum(text is not None for text in with_vectors) >= 100
 
 
-def test_expand_by_cases():
-    d = lm.expand_by_cases(lm.did(f("p \\/ q")), f("p \\/ q"))
+def test_by_cases():
+    # X /\ g => C and X /\ ~g => C give X => C, X and g read off the first
+    x, g = f("p \\/ q"), f("q /\\ r")
+    d1 = lm.dand_l(lm.did(x), sx.LAnd(x, g), 1)
+    d2 = lm.dand_l(lm.did(x), sx.LAnd(x, sx.LNot(g)), 1)
+    d = lm.by_cases(d1, d2)
+    assert d.seq == sx.Sequent(sx.SLeaf(x), x)
     checked(BF, d)
+    # the first case is not a conjunction sequent
+    with pytest.raises(LemmaError, match="not a conjunction"):
+        lm.by_cases(lm.did(x), d2)
+    # the second case is not the ~g one
+    for other in (sx.LAnd(x, g), sx.LAnd(x, sx.LNot(p)), sx.LAnd(p, sx.LNot(g))):
+        with pytest.raises(LemmaError, match="right premise mismatch"):
+            lm.by_cases(d1, lm.dand_l(lm.did(other.l), other, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1192,13 +1225,22 @@ def _edit(path, value):
     (_edit(["nodes", 1, "inst", "path"], {}), r"^malformed path \{\}$"),
     (_edit(["nodes", 0, "premises"], ""), "^node 0: malformed premises ''$"),
     (_edit(["nodes", 0, "premises"], {}), r"^node 0: malformed premises \{\}$"),
+    # an antecedent is an index, a pair or a bracket; a sequent is a pair;
+    # a node's rule is a name, and it has no other keys
+    (_edit(["sequents", 0, 0], [0, 1, 2]), r"^malformed antecedent \[0, 1, 2\]$"),
+    (_edit(["sequents", 0, 0], {"c": 0}), r"^malformed antecedent \{'c': 0\}$"),
+    (_edit(["sequents", 0, 0], "0"), "^malformed antecedent '0'$"),
+    (_edit(["sequents", 0], [0]), r"^malformed sequent \[0\]$"),
+    (_edit(["nodes", 1, "rule"], 5), "^node 1: malformed entry$"),
+    (_edit(["nodes", 1, "note"], "x"), "^node 1: malformed entry$"),
 ], ids=["no-format", "format-1", "format-2", "unknown-tag", "keyword-atom", "formula-self",
         "formula-negative", "succedent-range", "leaf-range", "node-sequent-range",
         "premise-range", "premise-self", "premise-later",
         "unknown-inst-field", "premises-not-a-list", "empty", "inst-null", "main-null",
         "side-null", "member-null", "premise-true", "sequent-float", "idx-string",
         "path-string-step", "idx-null", "path-null", "path-empty-string", "path-empty-object",
-        "premises-empty-string", "premises-empty-object"])
+        "premises-empty-string", "premises-empty-object", "antecedent-triple",
+        "antecedent-object", "antecedent-string", "sequent-single", "rule-int", "node-key"])
 def test_from_json_rejects_malformed_tables(edit, why):
     d = lm.and_mono(lm.did(p), lm.did(q))
     table = json.loads(json.dumps(pf.to_json(d)))

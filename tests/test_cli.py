@@ -250,6 +250,13 @@ def test_modelcheck_errors_come_from_the_vocabulary_not_the_state(capsys, tmp_pa
             assert code == 1 and out == "" and message in err, (text, state)
 
 
+def test_modelcheck_rejects_a_bad_model_file_in_one_line(capsys, tmp_path):
+    mfile = tmp_path / "ternary.json"
+    mfile.write_text(json.dumps({"states": ["u", "u"], "rel": [], "val": {}}))
+    code, out, err = run(capsys, "modelcheck", str(mfile), "p => p")
+    assert (code, out, err) == (1, "", "error: duplicate state names\n")
+
+
 def test_modelcheck_nested_diamonds_take_linear_time(capsys, tmp_path):
     # on the complete 3-state frame with p false everywhere, a per-state
     # evaluator without a memo visits 3^40 paths

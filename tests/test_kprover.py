@@ -13,6 +13,8 @@ from fnlkit import checker as ck
 from fnlkit import gk
 from fnlkit import ktableau as kt
 from fnlkit import models as md
+from fnlkit import proofs as pf
+from fnlkit import strategy
 from fnlkit import syntax as sx
 from fnlkit import transform as tr
 from fnlkit.prover import SearchBudget, derive
@@ -160,7 +162,7 @@ def test_exhaustive_tableau_vs_sequent_prover():
     assert len(formulas) > 2000
     prover = gk.KProver()
     for f in formulas:
-        assert kt.k_decide(f).valid == (prover.prove_formula(f) is not None), \
+        assert kt.k_decide(f).valid == (prover.prove((), (f,)) is not None), \
             sx.render_modal(f)
 
 
@@ -186,7 +188,7 @@ def test_random_deep_formulas_agree():
     checked = 0
     for _ in range(150):
         f = _random_modal(rng, rng.randrange(2, 5))
-        assert kt.k_decide(f).valid == (prover.prove_formula(f) is not None)
+        assert kt.k_decide(f).valid == (prover.prove((), (f,)) is not None)
         checked += 1
     assert checked == 150
 
@@ -237,22 +239,37 @@ def test_modus_ponens_closure():
 def test_prove_dagger_goal_for_the_k_axioms():
     for text in VALID:
         a = m(text)
-        d = gk.prove_dagger_goal(a)
+        d = gk.prove_dagger_sequent(None, a)
         assert d is not None, text
-        assert d.seq == sx.Sequent(None, tr.dagger(a))
+        assert d.seq == sx.Sequent(sx.SLeaf(sx.TOP), tr.dagger(a))
         assert ck.check_derivation(BF, (), d), text
 
 
 def test_prove_dagger_goal_refuses_invalid_input():
     for text in INVALID:
-        assert gk.prove_dagger_goal(m(text)) is None, text
+        assert gk.prove_dagger_sequent(None, m(text)) is None, text
 
 
 def test_prove_dagger_top_starts_from_top():
-    d = gk.prove_dagger_top(m("p -> p"))
+    d = gk.prove_dagger_sequent(None, m("p -> p"))
     assert d is not None
     assert d.seq == sx.Sequent(sx.SLeaf(sx.TOP), tr.dagger(m("p -> p")))
     assert ck.check_derivation(BF, (), d)
+
+
+def test_k_oracle_cuts_an_empty_antecedent_against_the_top_axiom():
+    # => dagger(a) is the top-started translation under one cut with the
+    # empty top axiom, and nothing else
+    for text in VALID:
+        a = m(text)
+        goal = sx.Sequent(None, tr.dagger(a))
+        d = strategy.try_k_oracle(BF, (), goal, None)
+        assert d is not None and d.seq == goal, text
+        assert d.rule == pf.CUT and d.premises[0].rule == pf.TOP_AX
+        assert d.premises[0].seq == sx.Sequent(None, sx.TOP)
+        assert pf.table_text(d.premises[1]) == pf.table_text(gk.prove_dagger_sequent(None, a))
+        assert ck.check_derivation(BF, (), d), text
+    assert strategy.try_k_oracle(BF, (), sx.Sequent(None, tr.dagger(m(INVALID[0]))), None) is None
 
 
 def test_prove_dagger_sequent_between_formulas():

@@ -28,7 +28,7 @@ from fnlkit import sampling
 from fnlkit import strategy
 from fnlkit import syntax as sx
 from fnlkit import transform as tr
-from fnlkit.errors import ParseError, ValidationError
+from fnlkit.errors import LemmaError, ParseError, ValidationError
 from fnlkit.systems import SYSTEMS, get_system
 
 BF = get_system("bfnl-star")
@@ -62,6 +62,21 @@ def test_identity_is_proved_by_the_id_axiom():
 def test_excluded_middle_is_proved():
     r = proved(BF, frozenset(), "=> ~p \\/ p")
     assert r.derivation.seq == seq("=> ~p \\/ p")
+
+
+def test_a_strategy_that_raises_lemma_error_declines(monkeypatch):
+    # a builder whose pieces do not fit raises LemmaError; the strategy
+    # that called it declines, and the next one in the chain proves the goal
+    calls = []
+
+    def misfit(*args):
+        calls.append(args)
+        raise LemmaError("derivation pieces do not fit: a test misfit")
+
+    monkeypatch.setattr(strategy, "STRATEGIES", (("misfit", misfit),) + strategy.STRATEGIES)
+    r = proved(BF, frozenset(), "p => p")
+    assert r.strategy == strategy.STRATEGIES[1][0] == "axiom"
+    assert len(calls) == 1
 
 
 def test_bare_atom_is_refuted_by_a_one_state_model():
@@ -541,8 +556,14 @@ def test_trace_hooks_find_their_targets(monkeypatch):
     installed = spans.install(spans.Tracer(), fk)
     try:
         assert installed.patches
-        # the checker's validator factory is gone; its hook is a known orphan
-        assert set(installed.missing) <= {"fnlkit.checker.sequent_validator"}
+        # the checker's validator factory and the two K-oracle entries that
+        # prove_dagger_sequent replaced are gone; their hooks are known orphans
+        assert set(installed.missing) <= {"fnlkit.checker.sequent_validator",
+                                          "fnlkit.gk.prove_dagger_goal",
+                                          "fnlkit.gk.prove_dagger_top"}
+        # the one K-oracle entry keeps its hook
+        assert (fk.gk, "prove_dagger_sequent") in [(mod, attr) for mod, attr, _ in
+                                                   installed.patches]
     finally:
         installed.uninstall()
     assert not hasattr(pv.derive, "__wrapped__")

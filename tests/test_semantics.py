@@ -482,6 +482,28 @@ def test_model_validation():
         md.ternary_from_json({"states": ["a"], "rel": [["a", "a"]], "val": {}})
 
 
+@pytest.mark.parametrize("load, doc, message", [
+    (md.kripke_from_json, {"states": ["w", "w"], "rel": [], "val": {}},
+     "^duplicate state names$"),
+    (md.kripke_from_json, {"states": ["w"], "rel": [], "val": {"p": ["w", "u"]}},
+     "^valuation of 'p' leaves the state set$"),
+    (md.ternary_from_json, {"states": ["a"], "rel": [["a", "a", "b"]], "val": {}},
+     "^rel3 mentions unknown states$"),
+    (md.ternary_from_json, {"states": ["a"], "rel": [], "val": {}, "unit": "e"},
+     "^unit is not a state$"),
+    (md.ternary_from_json, {"states": ["a"], "rel": [], "val": {}, "dia": [["a", "b"]]},
+     "^dia relation mentions unknown states$"),
+    (md.kripke_from_json, {"states": ["w"], "rel": [["w", 1]], "val": {}},
+     "^each entry of rel must be a list of state names$"),
+    (md.ternary_from_json, {"states": ["a"], "rel": [], "val": {}, "unit": 0},
+     "^unit must be a state name$"),
+], ids=["duplicate-states", "kripke-valuation", "rel3-unknown", "unit-unknown", "dia-unknown",
+        "rel-entry-names", "unit-not-a-string"])
+def test_model_files_are_rejected_with_their_fault(load, doc, message):
+    with pytest.raises(ModelError, match=message):
+        load(doc)
+
+
 @settings(max_examples=25)
 @given(modal_formulas)
 def test_modal_eval_total_on_samples(f):

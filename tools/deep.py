@@ -4,9 +4,16 @@
 
 TREE is the root of an fnlkit checkout (with `src/fnlkit`); it defaults
 to the checkout this script lives in.  Every case runs in-process, with
-every fnlkit `functools` cache cleared and the garbage collector run
-before each run and off during it, as `timeit` does, and reports the
-least time of `REPEAT` runs at each of n = `N`, 2`N` and 4`N`:
+every fnlkit `functools` cache cleared before each run, outside its
+timing, and the garbage collector run before each sample and off during
+it, as `timeit` does.  A sample is a batch of k runs back to back, where
+k is chosen once per case, from the least of three runs at n = `N`, so
+that a sample at n = `N` lasts at least `SAMPLE_S`; the same k serves all
+three sizes.  So the cases that take a few ms (`parens`, `fresh`, `pool`,
+`derive`) are timed over 50 ms or more, where the machine's drift from
+one run to the next no longer swamps their ratios.  The script prints
+each case's k and, at each of n = `N`, 2`N` and 4`N`, the least time per
+run of `REPEAT` samples (the batch's summed run times over k):
 
   parens  `parse_sequent` of `(`^n `p o q` `)`^n ` => q`
   fresh   `parse_lambek` of `p{`^n `q` `}`^n
@@ -31,6 +38,7 @@ import argparse
 import contextlib
 import gc
 import io
+import math
 import os
 import sys
 import time
@@ -38,6 +46,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 N = 1000
 REPEAT = 5
+SAMPLE_S = 0.05
 
 
 def _cases(fk):
@@ -84,6 +93,23 @@ def _clear():
                     obj.cache_clear()
 
 
+def _sample(run, arg, k: int, repeat: int) -> float:
+    # the least time per run, over `repeat` samples of k runs each
+    best = float("inf")
+    for _ in range(repeat):
+        gc.collect()
+        gc.disable()
+        total = 0.0
+        for _ in range(k):
+            _clear()
+            t0 = time.perf_counter()
+            run(arg)
+            total += time.perf_counter() - t0
+        gc.enable()
+        best = min(best, total / k)
+    return best
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("tree", nargs="?", default=ROOT, help="fnlkit checkout to time")
@@ -94,23 +120,14 @@ def main(argv=None) -> int:
     import fnlkit as fk
 
     sizes = (N, 2 * N, 4 * N)
-    print(f"{'case':8}" + "".join(f"{f'n={n} s':>12}" for n in sizes) + "  ratio per doubling")
+    print(f"{'case':8}{'k':>4}" + "".join(f"{f'n={n} s':>12}" for n in sizes)
+          + "  ratio per doubling")
     for name, (make, run) in _cases(fk).items():
-        times = []
-        for n in sizes:
-            arg = make(n)
-            best = float("inf")
-            for _ in range(REPEAT):
-                _clear()
-                gc.collect()
-                gc.disable()
-                t0 = time.perf_counter()
-                run(arg)
-                best = min(best, time.perf_counter() - t0)
-                gc.enable()
-            times.append(best)
+        once = _sample(run, make(N), 1, 3)
+        k = max(1, math.ceil(SAMPLE_S / once))
+        times = [_sample(run, make(n), k, REPEAT) for n in sizes]
         ratios = "  ".join(f"{b / a:.2f}" for a, b in zip(times, times[1:]))
-        print(f"{name:8}" + "".join(f"{t:12.4f}" for t in times) + f"  {ratios}")
+        print(f"{name:8}{k:4}" + "".join(f"{t:12.4f}" for t in times) + f"  {ratios}")
     return 0
 
 
