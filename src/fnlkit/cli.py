@@ -363,7 +363,7 @@ _FORMAT = (("--format",), dict(choices=("json", "text"), default="json",
                                help="output rendering (default json)"))
 
 _BUDGET = (
-    (("--budget",), dict(help="depth:N,goals:N,cutsize:N,ms:N,seed:N,samples:N")),
+    (("--budget",), dict(help="depth:N,goals:N,ms:N,seed:N,samples:N")),
     (("--seed",), dict(type=int, help="overrides the budget's seed")),
 )
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
+from . import models as md
 from . import proofs as pf
 from . import syntax as sx
 from .errors import LemmaError
@@ -529,12 +530,8 @@ _LATTICE = (sx.LAnd, sx.LOr)
 # lattice, and a boolean law iff it holds in the two-element algebra, so the
 # vectors of A and B decide A => B: it fails iff A's has a bit B's lacks.
 TV_GENS = 12
-_TV_FULL = (1 << (1 << TV_GENS)) - 1
-# generator i: the high 2^i bits of every 2^(i+1)-bit block
-_TV_GEN = tuple(
-    _TV_FULL // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
-    for i in range(TV_GENS)
-)
+# generator i: true in valuation v iff bit i of v is set
+_TV_GEN = tuple(md.periodic(1 << i, 1 << TV_GENS) for i in range(TV_GENS))
 
 
 def generators(f: sx.LFormula, boolean: bool, acc: dict) -> dict:

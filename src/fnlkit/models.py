@@ -2,20 +2,21 @@
 
 Ternary triples are read product-first: (u, v, w) in rel3 means u splits
 into a left part v and a right part w.  The optional binary `dia` relation
-backs the two modal operators on the substructural side; constructed
-models never need it, it exists so the evaluator is total.
+backs the two modal operators on the substructural side.  A Kripke model
+is read as a ternary frame with no triples whose `dia` is its edges.
 
 Satisfaction is computed by extension: `extension(j, f, memo)` is the
 set of states of j where f holds, as an int whose bit i is j.states[i],
 computed once per distinct subformula over the caller's memo for j.
+One walk serves both kinds of model: a modal formula's connectives are
+read as their substructural twins, and `->` as `~l \\/ r`.
 `/\\`, `\\/` and `~` become `& | ^`, and `*`, `\\`, `/`, `<>` and `[v]`
-each make one pass over rel3 or dia.  `eval_lambek`, `sequent_true`,
-`sequent_true_everywhere` and `satisfies_assumptions` are bit tests on
-those extensions, and `modal_extension` and `eval_modal` do the same for
-Kripke models.  A formula the model cannot read (`one` without a unit, a
-modal operator without dia, a bracketed antecedent) raises its
-ModelError before anything is evaluated, decided from the vocabulary
-mask (`sx.vocab`), so at every state alike.
+each make one pass over rel3 or dia.  `eval_lambek`, `eval_modal`,
+`sequent_true`, `sequent_true_everywhere` and `satisfies_assumptions` are
+bit tests on those extensions.  A formula the model cannot read (`one`
+without a unit, a modal operator without dia, a bracketed antecedent)
+raises its ModelError before anything is evaluated, decided from the
+vocabulary mask (`sx.vocab`), so at every state alike.
 """
 
 from __future__ import annotations
@@ -52,10 +53,9 @@ class TernaryModel:
 
 # Validation numbers a model's states, bit i for states[i], and returns the
 # model's frame over those bits, which the constructor keeps and every
-# evaluation reads: (all states, state -> bit, relation, dia), where the
-# relation is rel3 as bit triples (a Kripke model's rel as bit pairs) and
-# dia is a ternary model's dia as bit pairs.  Models are immutable by
-# convention.
+# evaluation reads: (all states, state -> bit, rel3, dia), with rel3 as bit
+# triples and dia as bit pairs.  A Kripke model's frame has no triples and
+# its rel as dia.  Models are immutable by convention.
 
 
 def _bits(states: tuple[str, ...]) -> dict[str, int]:
@@ -77,7 +77,7 @@ def validate_kripke(m: KripkeModel) -> tuple:
     for name, ext in m.val.items():
         if not w >= ext:
             raise ModelError(f"valuation of {name!r} leaves the state set")
-    return (1 << len(bit)) - 1, bit, rel, ()
+    return (1 << len(bit)) - 1, bit, (), rel
 
 
 def validate_ternary(j: TernaryModel) -> tuple:
@@ -105,6 +105,17 @@ def validate_ternary(j: TernaryModel) -> tuple:
     return (1 << len(bit)) - 1, bit, rel, dia
 
 
+def periodic(h: int, width: int) -> int:
+    """The width-bit mask whose bit v is bit b of v, for h = 2^b: the high
+    h bits of every 2h-bit block, built from a repeated byte pattern."""
+    if h >= 8:
+        unit = bytes(h // 8) + b"\xff" * (h // 8)
+    else:
+        unit = bytes(((0xAA, 0xCC, 0xF0)[h.bit_length() - 1],))
+    copies = -(-width // (8 * len(unit)))
+    return int.from_bytes(unit * copies, "little") & ((1 << width) - 1)
+
+
 # ---------------------------------------------------------------------------
 # satisfaction, by extension
 #
@@ -113,7 +124,8 @@ def validate_ternary(j: TernaryModel) -> tuple:
 # subformula over one memo, a dict from formulas to extensions that the
 # caller keeps for one model.  The lattice connectives become `& | ^`, and
 # a product, residual or modal operator makes one pass over the relation.
-# The relations are read from the model's frame (above).  Under the key
+# The relations are read from the model's frame (above), and a modal
+# connective as its twin in _TWINS, over a Kripke frame.  Under the key
 # _NAMES the memo also keeps the render memo that names fresh letters'
 # valuation keys.
 
@@ -146,57 +158,29 @@ def _state_bit(m, u: str) -> int:
     return bit
 
 
-def modal_extension(m: KripkeModel, a: sx.ModalFormula, memo: dict) -> int:
-    """The states of m where a holds, as a bitset (bit i is m.states[i]);
-    memo is kept for m."""
-    out = memo.get(a)
-    if out is not None:
-        return out
-    t = a.__class__
-    if t is sx.MAtom:
-        out, bit = 0, m._frame[1]
-        for s in m.val.get(a.name, ()):
-            out |= bit[s]
-    elif t is sx.MBot:
-        out = 0
-    elif t is sx.MAnd:
-        out = modal_extension(m, a.l, memo) & modal_extension(m, a.r, memo)
-    elif t is sx.MOr:
-        out = modal_extension(m, a.l, memo) | modal_extension(m, a.r, memo)
-    elif t is sx.MImp:
-        l, r = modal_extension(m, a.l, memo), modal_extension(m, a.r, memo)
-        out = (m._frame[0] ^ l) | r
-    elif t is sx.MNot:
-        out = m._frame[0] ^ modal_extension(m, a.a, memo)
-    else:
-        # diamond: some successor satisfies the body
-        body, out = modal_extension(m, a.a, memo), 0
-        for x, u in m._frame[2]:
-            if body & u:
-                out |= x
-    memo[a] = out
-    return out
-
-
-def eval_modal(m: KripkeModel, w: str, a: sx.ModalFormula) -> bool:
-    bit = _state_bit(m, w)
-    return bool(modal_extension(m, a, {}) & bit)
-
-
-def extension(j: TernaryModel, f: sx.LFormula, memo: dict) -> int:
+def extension(j, f, memo: dict) -> int:
     """The states of j where f holds, as a bitset (bit i is j.states[i]);
-    memo is kept for j.  A formula j cannot read (`one` without a unit, a
-    modal operator without dia) raises its ModelError first."""
+    memo is kept for j.  j is a ternary model and f a substructural
+    formula, or j a Kripke model and f a modal one, which the same walk
+    reads through its twins with j's edges as dia.  A formula j cannot
+    read (`one` without a unit, a modal operator without dia) raises its
+    ModelError first."""
     if f._vocab & _OPTIONAL:
         check_vocab(f._vocab, j.unit is not None, j.dia is not None)
     return _extension(j, f, memo)
 
 
-def _extension(j: TernaryModel, a: sx.LFormula, memo: dict) -> int:
+# a modal connective and the substructural one it is read as
+_TWINS = {sx.MAtom: sx.LAtom, sx.MBot: sx.LBot, sx.MAnd: sx.LAnd, sx.MOr: sx.LOr,
+          sx.MNot: sx.LNot, sx.MDia: sx.LDia}
+
+
+def _extension(j, a, memo: dict) -> int:
     out = memo.get(a)
     if out is not None:
         return out
     t = a.__class__
+    t = _TWINS.get(t, t)
     if t is sx.LAtom:
         out, bit = 0, j._frame[1]
         for s in j.val.get(a.name, ()):
@@ -249,6 +233,8 @@ def _extension(j: TernaryModel, a: sx.LFormula, memo: dict) -> int:
         for u, v in j._frame[3]:
             if body & v:
                 out |= u
+    elif t is sx.MImp:
+        out = (j._frame[0] ^ _extension(j, a.l, memo)) | _extension(j, a.r, memo)
     elif t is sx.LBoxDown:
         # every v with (v, u) in dia satisfies the body
         body, bad = _extension(j, a.a, memo), 0
@@ -300,6 +286,11 @@ def _sequent_extension(j: TernaryModel, a: Optional[sx.LFormula], b: sx.LFormula
 def eval_lambek(j: TernaryModel, u: str, a: sx.LFormula) -> bool:
     bit = _state_bit(j, u)
     return bool(extension(j, a, {}) & bit)
+
+
+def eval_modal(m: KripkeModel, w: str, a: sx.ModalFormula) -> bool:
+    bit = _state_bit(m, w)
+    return bool(extension(m, a, {}) & bit)
 
 
 def sequent_true(j: TernaryModel, u: str, s: sx.Sequent, memo: Optional[dict] = None) -> bool:

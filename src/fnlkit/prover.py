@@ -9,11 +9,11 @@ without sampling: the exhaustively enumerated small models, then the K
 countermodel pushed down the chain, which refutes it.  Every other goal
 tries the closed-form strategies first and that search second.  Then
 comes deepening depth-first search over the rule moves with cut
-formulas drawn from a bounded closure of the problem's subformulas, and
-finally, on the same fragments, the full countermodel search with
-seeded sampling.  Proofs are re-validated by the independent checker
-before they are returned; countermodels are re-evaluated on a fresh
-copy.  Unknown is an honest first-class outcome."""
+formulas drawn from the problem's subformulas, and finally, on the same
+fragments, the full countermodel search with seeded sampling.  Proofs
+are re-validated by the independent checker before they are returned;
+countermodels are re-evaluated on a fresh copy.  Unknown is an honest
+first-class outcome."""
 
 from __future__ import annotations
 
@@ -40,7 +40,6 @@ UNKNOWN = "unknown"
 class SearchBudget:
     max_depth: int = 14
     max_goals: int = 40000
-    cut_size: int = 0  # closure size bound for cut candidates
     time_cap_ms: int = 15000
     seed: int = 0
     samples: int = 600  # countermodel attempts
@@ -55,7 +54,6 @@ class SearchBudget:
 _BUDGET_KEYS = {
     "depth": ("max_depth", 0),
     "goals": ("max_goals", 1),
-    "cutsize": ("cut_size", 0),
     "ms": ("time_cap_ms", 1),
     "seed": ("seed", None),
     "samples": ("samples", 0),
@@ -64,7 +62,7 @@ _BUDGET_KEYS = {
 
 def parse_budget(text: str) -> SearchBudget:
     """Budget string: comma-separated key:int pairs, e.g.
-    "depth:30,goals:100000,cutsize:1,ms:30000"."""
+    "depth:30,goals:100000,ms:30000"."""
     kw = {}
     for part in filter(None, (p.strip() for p in text.split(","))):
         key, _, val = part.partition(":")
@@ -109,22 +107,18 @@ class _Exhausted(Exception):
     pass
 
 
-def _cut_pool(sys: SystemSpec, phi, goal: sx.Sequent, budget: SearchBudget):
+def _cut_pool(sys: SystemSpec, phi, goal: sx.Sequent):
+    # the cut candidates: the problem's subformulas, with the lattice bounds
+    # when sys has them, in `sort_key` order
     base = set(sx.subformulas_of_problem(goal, phi))
     if sys.bounded:
         base |= {sx.TOP, sx.BOT}
-    mode = "and_or_not" if sys.negation else "and_or"
-    spec = sx.ClosureSpec(frozenset(base), mode, budget.cut_size)
-    # the closure is in `sort_key` order and holds every base member within
-    # the bound; the rest are larger, so they sort after all of it
-    closure = sx.enumerate_closure(spec)
-    above = spec.base.difference(closure)
-    return closure + tuple(sx.sorted_by_key(above, sx.lsizes(above)))
+    return tuple(sx.sorted_by_key(base, sx.lsizes(base)))
 
 
 def _search(sys: SystemSpec, phi, goal: sx.Sequent, budget: SearchBudget,
             deadline: float) -> Optional[pf.Derivation]:
-    pool = _cut_pool(sys, phi, goal, budget)
+    pool = _cut_pool(sys, phi, goal)
     proved: dict[sx.Sequent, pf.Derivation] = {}
     goals = 0
 

@@ -3,8 +3,7 @@ goals, in a fixed deterministic order.
 
 Axioms come first, then cheap and invertible moves; the pick-one rules
 and slash left rules follow; cut comes last, instantiated only over the
-supplied candidate pool (the bounded closure of the problem's
-subformulas).
+supplied candidate pool (the problem's subformulas).
 
 ``rule_instances`` is a generator whose moves are right by construction,
 with no filter behind them:

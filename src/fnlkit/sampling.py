@@ -148,17 +148,6 @@ def _verify_ternary(j: md.TernaryModel, goal: sx.Sequent, phi) -> Optional[str]:
 # the letters' `_subsets` of the states, first letter outermost.
 
 
-def _periodic(h: int, width: int) -> int:
-    """The width-bit mask whose set bits are the high h bits of every 2h-bit
-    block, h a power of 2 below width, built from a repeated byte pattern."""
-    if h >= 8:
-        unit = bytes(h // 8) + b"\xff" * (h // 8)
-    else:
-        unit = bytes(((0xAA, 0xCC, 0xF0)[h.bit_length() - 1],))
-    copies = max(1, width // (8 * len(unit)))
-    return int.from_bytes(unit * copies, "little") & ((1 << width) - 1)
-
-
 @functools.lru_cache(maxsize=None)
 def _frame_masks(n_states: int, n_atoms: int):
     """Every ternary model on n_states states over n_atoms letters as masks,
@@ -168,9 +157,9 @@ def _frame_masks(n_states: int, n_atoms: int):
     low = n_states * n_atoms
     width = 1 << (low + n_states ** 3)
     triples = itertools.product(range(n_states), repeat=3)
-    rel = {t: _periodic(1 << (low + i), width) for i, t in enumerate(triples)}
+    rel = {t: md.periodic(1 << (low + i), width) for i, t in enumerate(triples)}
     letters = tuple(
-        tuple(_periodic(1 << ((n_atoms - 1 - i) * n_states + w), width)
+        tuple(md.periodic(1 << ((n_atoms - 1 - i) * n_states + w), width)
               for w in range(n_states))
         for i in range(n_atoms)
     )

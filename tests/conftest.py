@@ -200,7 +200,7 @@ def sequent_true_reference(j: md.TernaryModel, u: str, s: sx.Sequent) -> bool:
 
 def eval_modal_reference(m: md.KripkeModel, w: str, a: sx.ModalFormula) -> bool:
     """Truth of a at state w of m, one state at a time and with no memo:
-    the reference for `models.modal_extension`."""
+    the reference for `models.extension` on a Kripke model."""
     if isinstance(a, sx.MAtom):
         return w in m.val.get(a.name, frozenset())
     if isinstance(a, sx.MBot):

@@ -495,7 +495,7 @@ def test_buildmodel_variants(capsys, tmp_path):
 # text format
 
 
-def test_text_format_renders_derivations_and_models(capsys):
+def test_text_format_renders_derivations_and_models(capsys, monkeypatch):
     code, out, err = run(capsys, "prove", "--system", "bfnl-star", "p => p",
                          "--format", "text")
     assert code == 0
@@ -506,6 +506,16 @@ def test_text_format_renders_derivations_and_models(capsys):
     code, out, err = run(capsys, "countermodel", "p => q", "--format", "text",
                          "--samples", "100")
     assert "countermodel falsifying the goal" in out
+    code, out, err = run(capsys, "countermodel", "<>p => p", "--with-dia", "--format", "text")
+    assert code == 0 and "\ndia: " in out
+    code, out, err = run(capsys, "pipeline", "p", "--run-prover", "--format", "text")
+    assert code == 0
+    assert "\nverdict: refuted\ncountermodel falsifying the goal at " in out
+    unknown = pv.ProofResult(pv.UNKNOWN, report="search budget exhausted")
+    monkeypatch.setattr(pv, "derive", lambda *args: unknown)
+    code, out, err = run(capsys, "pipeline", "p", "--run-prover", "--format", "text")
+    assert code == 2
+    assert out.splitlines()[-2:] == ["verdict: unknown", "search budget exhausted"]
 
 
 # ---------------------------------------------------------------------------

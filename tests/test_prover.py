@@ -144,9 +144,9 @@ def test_negation_tower_needs_no_lattice_search(monkeypatch):
 
 
 def test_budget_string_round_trip():
-    b = pv.parse_budget("depth:30,goals:100000,cutsize:1,ms:30000,seed:7,samples:50")
-    assert b == pv.SearchBudget(max_depth=30, max_goals=100000, cut_size=1,
-                                time_cap_ms=30000, seed=7, samples=50)
+    b = pv.parse_budget("depth:30,goals:100000,ms:30000,seed:7,samples:50")
+    assert b == pv.SearchBudget(max_depth=30, max_goals=100000, time_cap_ms=30000,
+                                seed=7, samples=50)
     assert pv.parse_budget("depth:5") == replace(pv.SearchBudget(), max_depth=5)
 
 
@@ -168,7 +168,7 @@ def test_budget_limits_must_be_positive():
 
 
 @pytest.mark.parametrize("key, least", [
-    ("depth", 0), ("goals", 1), ("cutsize", 0), ("ms", 1), ("samples", 0)])
+    ("depth", 0), ("goals", 1), ("ms", 1), ("samples", 0)])
 def test_budget_messages_name_the_key_and_its_least_value(key, least):
     # the least value is accepted; one below it is rejected by the key typed
     pv.parse_budget(f"{key}:{least}")
@@ -255,10 +255,10 @@ def _random_formula(rng: random.Random, size: int) -> sx.LFormula:
 
 
 @pytest.mark.parametrize("sys", [DF, BD, BF], ids=lambda s: s.name)
-def test_cut_pool_is_the_sorted_union_of_base_and_closure(sys, monkeypatch):
-    # the pool is the closure (in `sort_key` order) and then the base
-    # members above the cut size, which is the sorted union of the two;
-    # of those, a prefix key is built only for one whose size another shares
+def test_cut_pool_is_the_sorted_base(sys, monkeypatch):
+    # the pool is the problem's subformulas, with top and bot in a bounded
+    # system, in `sort_key` order; a prefix key is built only for a member
+    # whose size another shares
     keyed = []
     depth = 0
     prefix_key, sort_key = sx._prefix_key, sx.sort_key
@@ -277,7 +277,6 @@ def test_cut_pool_is_the_sorted_union_of_base_and_closure(sys, monkeypatch):
 
     monkeypatch.setattr(sx, "_prefix_key", spy)
     rng = random.Random(sys.name)
-    mode = "and_or_not" if sys.negation else "and_or"
     for _ in range(12):
         goal = sx.simple(_random_formula(rng, rng.randrange(3)),
                          _random_formula(rng, rng.randrange(3)))
@@ -285,25 +284,21 @@ def test_cut_pool_is_the_sorted_union_of_base_and_closure(sys, monkeypatch):
         base = set(sx.subformulas_of_problem(goal, phi))
         if sys.bounded:
             base |= {sx.TOP, sx.BOT}
-        for cut in range(3):
-            closure = sx.enumerate_closure(sx.ClosureSpec(frozenset(base), mode, cut))
-            want = tuple(sorted(set(base) | set(closure), key=sort_key))
-            keyed.clear()
-            assert pv._cut_pool(sys, phi, goal, pv.SearchBudget(cut_size=cut)) == want
-            above = [sx.lsize(f) for f in want if sx.lsize(f) > cut]
-            assert sorted(keyed, key=sort_key) == [
-                f for f in want if sx.lsize(f) > cut and above.count(sx.lsize(f)) > 1]
-    # a tower's members all differ in size, so none above the bound is keyed
+        want = tuple(sorted(base, key=sort_key))
+        keyed.clear()
+        assert pv._cut_pool(sys, phi, goal) == want
+        sizes = [sx.lsize(f) for f in want]
+        assert sorted(keyed, key=sort_key) == [f for f in want if sizes.count(sx.lsize(f)) > 1]
+    # a tower's compound members all differ in size, so none of them is keyed
     tower = sx.LDia(sx.LAtom("p"))
     for _ in range(300):
         tower = sx.LNot(tower)
     goal = sx.simple(tower, sx.LAtom("q"))
-    for cut in range(3):
-        keyed.clear()
-        pool = pv._cut_pool(sys, frozenset(), goal, pv.SearchBudget(cut_size=cut))
-        assert [f for f in pool if sx.lsize(f) > cut] == sorted(
-            sx.subformulas(tower) - {sx.LAtom("p")}, key=sx.lsize)[cut:]
-        assert not [f for f in keyed if sx.lsize(f) > cut]
+    keyed.clear()
+    pool = pv._cut_pool(sys, frozenset(), goal)
+    assert [f for f in pool if sx.lsize(f) > 0] == sorted(
+        sx.subformulas(tower) - {sx.LAtom("p")}, key=sx.lsize)
+    assert not [f for f in keyed if sx.lsize(f) > 0]
 
 
 # ---------------------------------------------------------------------------

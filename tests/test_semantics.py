@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (all_kripke, all_ternary, eval_lambek_reference, eval_modal_reference,
-                      lambek_formulas, modal_formulas, sample_kripke, sequent_true_reference,
-                      sequents, ternary_stream, walk)
+                      lambek_formulas, large_modal_formulas, modal_formulas, sample_kripke,
+                      sequent_true_reference, sequents, ternary_stream, walk)
 from fnlkit import models as md
 from fnlkit import sampling as smp
 from fnlkit import syntax as sx
@@ -168,11 +168,11 @@ def test_extension_matches_the_per_state_reference(a, s, seed, unit, symmetric, 
 
 
 @settings(max_examples=150)
-@given(f=modal_formulas, seed=st.integers(0, 10 ** 6))
+@given(f=modal_formulas | large_modal_formulas(), seed=st.integers(0, 10 ** 6))
 def test_modal_extension_matches_the_per_state_reference(f, seed):
     m = sample_kripke(random.Random(seed), 4, ("p", "q", "r", "s_1"))
     memo: dict = {}
-    ext = md.modal_extension(m, f, memo)
+    ext = md.extension(m, f, memo)
     for i, w in enumerate(m.states):
         want = eval_modal_reference(m, w, f)
         assert bool(ext >> i & 1) == want
@@ -415,6 +415,21 @@ def test_kernel_keeps_exactly_the_reference_candidates_at_the_letter_cap(goal, a
     ]
     got = list(smp._exhaustive_ternary(2, atoms, goal, phi, symmetric))
     assert [md.ternary_to_json(j) for j in got] == [md.ternary_to_json(j) for j in expected]
+
+
+def test_periodic_masks_hold_bit_b_of_each_index():
+    # the reference sum(1 << v for v in range(w) if v // h % 2), grown one
+    # bit per width, against every power of two h below every w up to 4096:
+    # both byte patterns, and widths shorter than one pattern or not a
+    # whole number of patterns
+    hs = [1 << i for i in range(12)]
+    want = dict.fromkeys(hs, 0)
+    for w in range(1, 4097):
+        for h in hs:
+            if (w - 1) // h % 2:
+                want[h] |= 1 << (w - 1)
+            if h < w:
+                assert md.periodic(h, w) == want[h], (h, w)
 
 
 @pytest.mark.parametrize("n, relations", [(1, 2), (2, 64)])

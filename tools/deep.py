@@ -17,8 +17,8 @@ run of `REPEAT` samples (the batch's summed run times over k):
 
   parens  `parse_sequent` of `(`^n `p o q` `)`^n ` => q`
   fresh   `parse_lambek` of `p{`^n `q` `}`^n
-  pool    `prover._cut_pool` on `~`^n `<>p => q` in `bfnl-star-k`, goals:50
-  derive  `prover.derive` on the same goal and budget (it ends Unknown)
+  pool    `prover._cut_pool` on `~`^n `<>p => q` in `bfnl-star-k`
+  derive  `prover.derive` on the same goal, goals:50 (it ends Unknown)
   pairs   `transform.pair_bot` and `pair_top` on `(((p0 /\ p1) \/ p2)
           /\ p3) ...`, n connectives, /\ and \/ in turn, each with a new
           letter, under its companion set
@@ -77,7 +77,7 @@ def _cases(fk):
     return {
         "parens": (lambda n: "(" * n + "p o q" + ")" * n + " => q", sx.parse_sequent),
         "fresh": (lambda n: "p{" * n + "q" + "}" * n, sx.parse_lambek),
-        "pool": (tower, lambda g: pv._cut_pool(system, frozenset(), g, budget)),
+        "pool": (tower, lambda g: pv._cut_pool(system, frozenset(), g)),
         "derive": (tower, lambda g: pv.derive(system, frozenset(), g, budget)),
         "pairs": (alternating, pairs),
         "recheck": (lambda n: ["prove", "~" * n + "p => p", "--system", "bfnl-star", "--recheck"],
