@@ -30,7 +30,7 @@ Side = tuple[sx.ModalFormula, ...]
 
 
 def _mkey(f: sx.ModalFormula):
-    return (sx.msize(f), sx.render_modal(f))
+    return (sx.lsize(f), sx.render_modal(f))
 
 
 def canon(fs) -> Side:

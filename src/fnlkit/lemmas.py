@@ -35,10 +35,6 @@ def _fit(cond: bool, what: str) -> None:
         raise LemmaError(f"derivation pieces do not fit: {what}")
 
 
-def _ls(a: sx.LFormula, b: sx.LFormula) -> sx.Sequent:
-    return sx.Sequent(sx.SLeaf(a), b)
-
-
 def _leaf_at(ant: sx.StructTree, path: pf.Path, a: sx.LFormula) -> bool:
     # whether the subtree of ant at path is a leaf of a, tested in place
     t = pf.tree_at(ant, path)
@@ -52,16 +48,16 @@ def _leaf_swapped(ant: sx.StructTree, other, path: pf.Path, a: sx.LFormula) -> b
         if type(other) is not type(ant):
             return False
         if step == pf.LEFT:
-            if not _same(other.r, ant.r):
+            if other.r != ant.r:
                 return False
             ant, other = ant.l, other.l
         elif step == pf.RIGHT:
-            if not _same(other.l, ant.l):
+            if other.l != ant.l:
                 return False
             ant, other = ant.r, other.r
         else:
             ant, other = ant.a, other.a
-    return type(other) is sx.SLeaf and _same(other.f, a)
+    return type(other) is sx.SLeaf and other.f == a
 
 
 # ---------------------------------------------------------------------------
@@ -70,18 +66,18 @@ def _leaf_swapped(ant: sx.StructTree, other, path: pf.Path, a: sx.LFormula) -> b
 
 def did(a: sx.LFormula) -> pf.Derivation:
     """A => A."""
-    return pf.node(_ls(a, a), pf.ID, [], pf.NO_INST)
+    return pf.node(sx.simple(a, a), pf.ID)
 
 
 def dtop(ant: Optional[sx.StructTree] = None) -> pf.Derivation:
     """G => top."""
-    return pf.node(sx.Sequent(ant, sx.TOP), pf.TOP_AX, [], pf.NO_INST)
+    return pf.node(sx.Sequent(ant, sx.TOP), pf.TOP_AX)
 
 
 def dbot(ant: sx.StructTree, path: pf.Path, suc: sx.LFormula) -> pf.Derivation:
     """G[bot] => A."""
     _fit(_leaf_at(ant, path, sx.BOT), "no bot leaf at path")
-    return pf.node(sx.Sequent(ant, suc), pf.BOT_AX, [], pf.Inst(path=path))
+    return pf.node(sx.Sequent(ant, suc), pf.BOT_AX, [], path)
 
 
 def dbot_f(suc: sx.LFormula) -> pf.Derivation:
@@ -91,23 +87,23 @@ def dbot_f(suc: sx.LFormula) -> pf.Derivation:
 
 def dD(a: sx.LFormula, b: sx.LFormula, c: sx.LFormula) -> pf.Derivation:
     """A /\\ (B \\/ C) => (A /\\ B) \\/ (A /\\ C)."""
-    seq = _ls(sx.LAnd(a, sx.LOr(b, c)), sx.LOr(sx.LAnd(a, b), sx.LAnd(a, c)))
-    return pf.node(seq, pf.DIST, [], pf.NO_INST)
+    seq = sx.simple(sx.LAnd(a, sx.LOr(b, c)), sx.LOr(sx.LAnd(a, b), sx.LAnd(a, c)))
+    return pf.node(seq, pf.DIST)
 
 
 def dneg1(a: sx.LFormula) -> pf.Derivation:
     """A /\\ ~A => bot."""
-    return pf.node(_ls(sx.LAnd(a, sx.LNot(a)), sx.BOT), pf.NEG1, [], pf.NO_INST)
+    return pf.node(sx.simple(sx.LAnd(a, sx.LNot(a)), sx.BOT), pf.NEG1)
 
 
 def dneg2(a: sx.LFormula) -> pf.Derivation:
     """top => A \\/ ~A."""
-    return pf.node(_ls(sx.TOP, sx.LOr(a, sx.LNot(a))), pf.NEG2, [], pf.NO_INST)
+    return pf.node(sx.simple(sx.TOP, sx.LOr(a, sx.LNot(a))), pf.NEG2)
 
 
 def dassume(seq: sx.Sequent) -> pf.Derivation:
     """A member of the assumption set, verbatim."""
-    return pf.node(seq, pf.ASSUMPTION, [], pf.NO_INST)
+    return pf.node(seq, pf.ASSUMPTION)
 
 
 def dcut(minor: pf.Derivation, major: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
@@ -122,12 +118,7 @@ def dcut(minor: pf.Derivation, major: pf.Derivation, path: pf.Path = ()) -> pf.D
     else:
         new_ant = pf.tree_replace(m_ant, path, minor.seq.ant)
     seq = sx.Sequent(new_ant, major.seq.suc)
-    return pf.node(seq, pf.CUT, [minor, major], pf.Inst(path=path))
-
-
-def _same(a, b) -> bool:
-    # by identity first: comparing near-equal deep terms costs their size
-    return a is b or a == b
+    return pf.node(seq, pf.CUT, [minor, major], path)
 
 
 def le_trans(*ds: pf.Derivation) -> pf.Derivation:
@@ -140,11 +131,11 @@ def le_trans(*ds: pf.Derivation) -> pf.Derivation:
         if d.rule != pf.ID:
             continue
         if i:
-            _fit(_same(ds[i - 1].seq.suc, d.seq.suc),
+            _fit(ds[i - 1].seq.suc == d.seq.suc,
                  "identity link does not fit the previous link")
         elif len(ds) > 1:
             ant = ds[1].seq.ant
-            _fit(isinstance(ant, sx.SLeaf) and _same(ant.f, d.seq.suc),
+            _fit(isinstance(ant, sx.SLeaf) and ant.f == d.seq.suc,
                  "leading identity link does not fit the next link")
     links = [d for d in ds if d.rule != pf.ID] or ds[:1]
     out = links[0]
@@ -157,7 +148,7 @@ def dand_r(d1: pf.Derivation, d2: pf.Derivation) -> pf.Derivation:
     """From G => A and G => B conclude G => A /\\ B."""
     _fit(d1.seq.ant == d2.seq.ant, "conjunction premises differ in antecedent")
     seq = sx.Sequent(d1.seq.ant, sx.LAnd(d1.seq.suc, d2.seq.suc))
-    return pf.node(seq, pf.AND_R, [d1, d2], pf.NO_INST)
+    return pf.node(seq, pf.AND_R, [d1, d2])
 
 
 def dand_l(d: pf.Derivation, main: sx.LAnd, idx: int, path: pf.Path = ()) -> pf.Derivation:
@@ -166,31 +157,31 @@ def dand_l(d: pf.Derivation, main: sx.LAnd, idx: int, path: pf.Path = ()) -> pf.
     ant = d.seq.ant
     _fit(ant is not None and _leaf_at(ant, path, sub), "premise lacks the conjunct")
     seq = sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(main)), d.seq.suc)
-    return pf.node(seq, pf.AND_L, [d], pf.Inst(path=path, idx=idx))
+    return pf.node(seq, pf.AND_L, [d], path, idx)
 
 
 def dor_r(d: pf.Derivation, main: sx.LOr, idx: int) -> pf.Derivation:
     """From G => A_idx conclude G => A1 \\/ A2."""
     sub = main.l if idx == 1 else main.r
     _fit(d.seq.suc == sub, "premise does not prove the chosen disjunct")
-    return pf.node(sx.Sequent(d.seq.ant, main), pf.OR_R, [d], pf.Inst(idx=idx))
+    return pf.node(sx.Sequent(d.seq.ant, main), pf.OR_R, [d], idx=idx)
 
 
 def dor_l(d1: pf.Derivation, d2: pf.Derivation, main: sx.LOr, path: pf.Path = ()) -> pf.Derivation:
     """From G[A] => C and G[B] => C conclude G[A \\/ B] => C."""
     ant = d1.seq.ant
     _fit(ant is not None and _leaf_at(ant, path, main.l), "left premise mismatch")
-    _fit(_same(d2.seq.suc, d1.seq.suc) and _leaf_swapped(ant, d2.seq.ant, path, main.r),
+    _fit(d2.seq.suc == d1.seq.suc and _leaf_swapped(ant, d2.seq.ant, path, main.r),
          "right premise mismatch")
     seq = sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(main)), d1.seq.suc)
-    return pf.node(seq, pf.OR_L, [d1, d2], pf.Inst(path=path))
+    return pf.node(seq, pf.OR_L, [d1, d2], path)
 
 
 def dprod_r(d1: pf.Derivation, d2: pf.Derivation) -> pf.Derivation:
     """From G => A and D => B conclude G o D => A * B."""
     _fit(d1.seq.ant is not None and d2.seq.ant is not None, "product needs nonempty sides")
     seq = sx.Sequent(sx.SNode(d1.seq.ant, d2.seq.ant), sx.LProd(d1.seq.suc, d2.seq.suc))
-    return pf.node(seq, pf.PROD_R, [d1, d2], pf.NO_INST)
+    return pf.node(seq, pf.PROD_R, [d1, d2])
 
 
 def dprod_l(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
@@ -204,7 +195,7 @@ def dprod_l(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
     )
     main = sx.LProd(x.l.f, x.r.f)
     seq = sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(main)), d.seq.suc)
-    return pf.node(seq, pf.PROD_L, [d], pf.Inst(path=path))
+    return pf.node(seq, pf.PROD_L, [d], path)
 
 
 def dunder_r(d: pf.Derivation, a: sx.LFormula) -> pf.Derivation:
@@ -216,7 +207,7 @@ def dunder_r(d: pf.Derivation, a: sx.LFormula) -> pf.Derivation:
         _fit(isinstance(ant, sx.SNode) and ant.l == sx.SLeaf(a), "antecedent does not start with A")
         rest = ant.r
     main = sx.LUnder(a, d.seq.suc)
-    return pf.node(sx.Sequent(rest, main), pf.UNDER_R, [d], pf.NO_INST)
+    return pf.node(sx.Sequent(rest, main), pf.UNDER_R, [d])
 
 
 def dover_r(d: pf.Derivation, b: sx.LFormula) -> pf.Derivation:
@@ -228,7 +219,7 @@ def dover_r(d: pf.Derivation, b: sx.LFormula) -> pf.Derivation:
         _fit(isinstance(ant, sx.SNode) and ant.r == sx.SLeaf(b), "antecedent does not end with B")
         rest = ant.l
     main = sx.LOver(d.seq.suc, b)
-    return pf.node(sx.Sequent(rest, main), pf.OVER_R, [d], pf.NO_INST)
+    return pf.node(sx.Sequent(rest, main), pf.OVER_R, [d])
 
 
 def dunder_l(minor: pf.Derivation, major: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
@@ -241,7 +232,7 @@ def dunder_l(minor: pf.Derivation, major: pf.Derivation, path: pf.Path = ()) -> 
     main = sx.LUnder(minor.seq.suc, hole.f)
     new = pf.tree_replace(m_ant, path, sx.SNode(minor.seq.ant, sx.SLeaf(main)))
     seq = sx.Sequent(new, major.seq.suc)
-    return pf.node(seq, pf.UNDER_L, [minor, major], pf.Inst(path=path))
+    return pf.node(seq, pf.UNDER_L, [minor, major], path)
 
 
 def dover_l(major: pf.Derivation, minor: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
@@ -254,14 +245,14 @@ def dover_l(major: pf.Derivation, minor: pf.Derivation, path: pf.Path = ()) -> p
     main = sx.LOver(hole.f, minor.seq.suc)
     new = pf.tree_replace(m_ant, path, sx.SNode(sx.SLeaf(main), minor.seq.ant))
     seq = sx.Sequent(new, major.seq.suc)
-    return pf.node(seq, pf.OVER_L, [major, minor], pf.Inst(path=path))
+    return pf.node(seq, pf.OVER_L, [major, minor], path)
 
 
 def ddia_r(d: pf.Derivation) -> pf.Derivation:
     """From G => A conclude < G > => <>A."""
     _fit(d.seq.ant is not None, "empty antecedent cannot be bracketed")
     main = sx.LDia(d.seq.suc)
-    return pf.node(sx.Sequent(sx.SBracket(d.seq.ant), main), pf.DIA_R, [d], pf.NO_INST)
+    return pf.node(sx.Sequent(sx.SBracket(d.seq.ant), main), pf.DIA_R, [d])
 
 
 def ddia_l(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
@@ -271,14 +262,14 @@ def ddia_l(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
     _fit(isinstance(x, sx.SBracket) and isinstance(x.a, sx.SLeaf), "no bracketed leaf at path")
     main = sx.LDia(x.a.f)
     seq = sx.Sequent(pf.tree_replace(ant, path, sx.SLeaf(main)), d.seq.suc)
-    return pf.node(seq, pf.DIA_L, [d], pf.Inst(path=path))
+    return pf.node(seq, pf.DIA_L, [d], path)
 
 
 def dboxdown_r(d: pf.Derivation) -> pf.Derivation:
     """From < G > => A conclude G => []vA."""
     _fit(isinstance(d.seq.ant, sx.SBracket), "antecedent is not bracketed")
     main = sx.LBoxDown(d.seq.suc)
-    return pf.node(sx.Sequent(d.seq.ant.a, main), pf.BOXDOWN_R, [d], pf.NO_INST)
+    return pf.node(sx.Sequent(d.seq.ant.a, main), pf.BOXDOWN_R, [d])
 
 
 def dassume_prod(member: sx.Sequent) -> pf.Derivation:
@@ -309,7 +300,7 @@ def dist_or_l(d1: pf.Derivation, d2: pf.Derivation) -> pf.Derivation:
     one distribution and a case split."""
     xa = d1.seq.ant.f if isinstance(d1.seq.ant, sx.SLeaf) else None
     xb = d2.seq.ant.f if isinstance(d2.seq.ant, sx.SLeaf) else None
-    _fit(isinstance(xa, sx.LAnd) and isinstance(xb, sx.LAnd) and _same(xa.l, xb.l),
+    _fit(isinstance(xa, sx.LAnd) and isinstance(xb, sx.LAnd) and xa.l == xb.l,
          "premises are not conjunctions with one left conjunct")
     return le_trans(dD(xa.l, xa.r, xb.r), dor_l(d1, d2, sx.LOr(xa, xb)))
 
@@ -324,7 +315,7 @@ def dist_pairs(x: sx.LAnd, d1: pf.Derivation, d2: pf.Derivation) -> pf.Derivatio
         pair = d.seq.ant.f if isinstance(d.seq.ant, sx.SLeaf) else None
         _fit(isinstance(pair, sx.LAnd), "premise is not a conjunction sequent")
         xi = x.l if idx == 1 else x.r
-        first = _same(pair.l, xi)
+        first = pair.l == xi
         a = pair.r if first else pair.l
         main = sx.LAnd(x, a)
         part = dand_l(dand_l(did(xi), x, idx), main, 1)
@@ -383,7 +374,7 @@ def boxdown_mono(d: pf.Derivation) -> pf.Derivation:
         sx.Sequent(sx.SBracket(sx.SLeaf(sx.LBoxDown(a))), d.seq.suc),
         pf.BOXDOWN_L,
         [d],
-        pf.Inst(path=()),
+        (),
     )
     return dboxdown_r(inner)
 
@@ -427,7 +418,8 @@ def cong_replace(
     """Replace every occurrence of a inside c by b and certify both
     directions: returns (c', c => c', c' => c).  The residuals flip the
     argument direction and a negation flips the whole step."""
-    _fit(dab.seq == _ls(a, b) and dba.seq == _ls(b, a), "premises must be a two-way pair")
+    _fit(dab.seq == sx.simple(a, b) and dba.seq == sx.simple(b, a),
+         "premises must be a two-way pair")
     if c == a:
         return b, dab, dba
     if isinstance(c, (sx.LAnd, sx.LOr, sx.LProd, sx.LUnder, sx.LOver)):

@@ -1,14 +1,12 @@
 """Derivation trees, rule names, context paths, and serialization.
 
 A derivation node carries its conclusion, a rule name, premise subtrees,
-and the instantiation data the checker cannot rebuild from those: the
-hole path and, for a pick-one rule, which side was picked.  Everything
-else a step acts on (its principal formula, a cut formula, the assumption
-used) the checker reads off the conclusion, the subtree at the path and
-the premises.  Nodes hash by identity so large proofs can share subtrees
-freely.  A node that records nothing carries the one empty instantiation
-`NO_INST` (any all-None `Inst` means the same), so the checker and the
-writer skip its field tests on an identity test.
+and, in two slots of its own, what the checker cannot rebuild from
+those: the hole path and, for a pick-one rule, which side was picked,
+each None when not recorded.  Everything else a step acts on (its
+principal formula, a cut formula, the assumption used) the checker reads
+off the conclusion, the subtree at the path and the premises.  Nodes
+hash by identity so large proofs can share subtrees freely.
 
 Derivations serialize to JSON as one table, format 3, in which every
 distinct formula, sequent and node is written once and later entries
@@ -45,17 +43,15 @@ ParseError.  Every index is tested inline where it is read: an int (not
 a bool or a float) below the number of entries it may refer to, which
 for a formula's child or a node's premise is the number of entries
 before it.  The error message is formatted only when that test fails.  ``premises``
-and ``path`` must be lists.  A node with no ``inst``, or one that records
-nothing, reads as `NO_INST`, and the nodes of one table that record the
-same share one `Inst`.  A ``null`` ``inst``, ``path``, ``idx``, ``seq``,
-``premises`` or ``rule`` is malformed, not omitted.
+and ``path`` must be lists.  A node with no ``inst``, or an ``inst``
+that omits a field, records None there.  A ``null`` ``inst``, ``path``,
+``idx``, ``seq``, ``premises`` or ``rule`` is malformed, not omitted.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _esc
 from typing import Iterator, Optional
 
@@ -136,42 +132,33 @@ def positions(t: sx.StructTree) -> Iterator[tuple[Path, sx.StructTree]]:
             queue.append((path + (UNDER_BRACKET,), x.a))
 
 
-@dataclass(frozen=True)
-class Inst:
-    """Re-check data for one step that its conclusion and premises do not
-    show: where in the antecedent the rule acted, and which side a
-    pick-one rule took."""
-
-    path: Optional[Path] = None
-    idx: Optional[int] = None  # 1 or 2 for the pick-one rules
-
-
-# the one empty instantiation: every node that records nothing carries it,
-# so the checker and the writer skip the field tests on an identity test
-NO_INST = Inst()
-
-
 class Derivation(sx.Frozen):
     """One step: its conclusion, its rule, its premise subtrees and what it
-    records for the checker.  Immutable and slotted like the terms: the
-    constructor fills the slots through their descriptors and every
-    assignment raises.  Nodes compare and hash by identity."""
+    records for the checker: the hole path where the rule acted, and the
+    side (1 or 2) a pick-one rule took, each None when not recorded.
+    Immutable and slotted like the terms: the constructor fills the slots
+    through their descriptors and every assignment raises.  Nodes compare
+    and hash by identity."""
 
-    __slots__ = __match_args__ = ("seq", "rule", "premises", "inst")
+    __slots__ = __match_args__ = ("seq", "rule", "premises", "path", "idx")
 
-    def __init__(self, seq: sx.Sequent, rule: str, premises: tuple = (), inst: Inst = NO_INST):
+    def __init__(self, seq: sx.Sequent, rule: str, premises: tuple = (),
+                 path: Optional[Path] = None, idx: Optional[int] = None):
         _set_seq(self, seq)
         _set_rule(self, rule)
         _set_premises(self, premises)
-        _set_inst(self, inst)
+        _set_path(self, path)
+        _set_idx(self, idx)
 
 
 _set_seq, _set_rule = Derivation.seq.__set__, Derivation.rule.__set__
-_set_premises, _set_inst = Derivation.premises.__set__, Derivation.inst.__set__
+_set_premises = Derivation.premises.__set__
+_set_path, _set_idx = Derivation.path.__set__, Derivation.idx.__set__
 
 
-def node(seq: sx.Sequent, rule: str, premises=(), inst: Inst = NO_INST) -> Derivation:
-    return Derivation(seq, rule, tuple(premises), inst)
+def node(seq: sx.Sequent, rule: str, premises=(), path: Optional[Path] = None,
+         idx: Optional[int] = None) -> Derivation:
+    return Derivation(seq, rule, tuple(premises), path, idx)
 
 
 def post_order(d: Derivation) -> list[Derivation]:
@@ -212,7 +199,7 @@ _CONSTS = {"bot": sx.BOT, "top": sx.TOP, "one": sx.ONE}
 _CONST_NAMES = {type(c): name for name, c in _CONSTS.items()}
 _FRESH_CONSTS = {"bot": sx.P_BOT, "top": sx.P_TOP}
 _NODE_KEYS = frozenset(("rule", "seq", "premises", "inst"))
-_INST_KEYS = frozenset(f.name for f in fields(Inst))
+_INST_KEYS = frozenset(("path", "idx"))
 
 
 class TableText(str):
@@ -362,16 +349,12 @@ def table_text(d: Derivation) -> TableText:
         rule = rules.get(n.rule)
         if rule is None:
             rule = rules[n.rule] = _esc(n.rule)
-        i = n.inst
-        more = ""
-        if i is not NO_INST:
-            inst = []
-            if i.path is not None:
-                inst.append('"path": ' + _rows([int.__repr__(x) for x in i.path], _PAD[4]))
-            if i.idx is not None:
-                inst.append('"idx": %d' % i.idx)
-            if inst:
-                more = _INST + _rows(inst, _PAD[3], "{}")
+        inst = []
+        if n.path is not None:
+            inst.append('"path": ' + _rows([int.__repr__(x) for x in n.path], _PAD[4]))
+        if n.idx is not None:
+            inst.append('"idx": %d' % n.idx)
+        more = _INST + _rows(inst, _PAD[3], "{}") if inst else ""
         ps = n.premises
         entry = _NODES[len(ps)] if len(ps) < len(_NODES) else _node_entry(len(ps))
         n_at[id(n)] = len(nodes)
@@ -444,9 +427,8 @@ def _read_sequents(rows: list, fs: list[sx.LFormula]) -> list[sx.Sequent]:
     return out
 
 
-def _read_inst(d: dict, insts: dict) -> Inst:
-    """The Inst entry d records, taken from insts, a table's distinct
-    instantiations by (path, idx), and put there when new."""
+def _read_inst(d: dict) -> tuple[Optional[Path], Optional[int]]:
+    """The (path, idx) an ``inst`` entry d records, None where omitted."""
     if not d.keys() <= _INST_KEYS:
         raise ParseError(f"unknown instantiation fields {sorted(d.keys() - _INST_KEYS)}")
     # an omitted field is not recorded; a null one is malformed
@@ -460,10 +442,7 @@ def _read_inst(d: dict, insts: dict) -> Inst:
         idx = d["idx"]
         if type(idx) is not int:
             raise ParseError(f"malformed idx {idx!r}")
-    inst = insts.get((path, idx))
-    if inst is None:
-        inst = insts[(path, idx)] = Inst(path, idx)
-    return inst
+    return path, idx
 
 
 def from_json(j: dict) -> Derivation:
@@ -477,7 +456,6 @@ def from_json(j: dict) -> Derivation:
         fs = _read_formulas(j["formulas"])
         ss = _read_sequents(j["sequents"], fs)
         done: list[Derivation] = []
-        insts = {(None, None): NO_INST}
         m = len(ss)
         for k, n in enumerate(j["nodes"]):
             if not n.keys() <= _NODE_KEYS or type(n["rule"]) is not str:
@@ -490,8 +468,8 @@ def from_json(j: dict) -> Derivation:
             # done holds exactly the k nodes a premise may refer to
             ps = tuple([done[p] if type(p) is int and 0 <= p < k
                         else _at(done, p, "node {}: premise", k) for p in ps])
-            done.append(Derivation(s, n["rule"], ps,
-                                   _read_inst(n["inst"], insts) if "inst" in n else NO_INST))
+            path, idx = _read_inst(n["inst"]) if "inst" in n else (None, None)
+            done.append(Derivation(s, n["rule"], ps, path, idx))
     except (KeyError, IndexError, TypeError, AttributeError, RecursionError) as e:
         raise ParseError(f"malformed derivation table ({type(e).__name__}: {e})") from None
     if not done:

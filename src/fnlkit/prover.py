@@ -134,7 +134,7 @@ def _search(sys: SystemSpec, phi, goal: sx.Sequent, budget: SearchBudget,
         if goals % 256 == 0 and time.monotonic() > deadline:
             raise _Exhausted
         path2 = path | {g}
-        for rule, prems, inst in rules.rule_instances(sys, g, phi, pool):
+        for rule, prems, at, idx in rules.rule_instances(sys, g, phi, pool):
             if prems and depth == 0:
                 # deeper iterations will retry this move; no later move can
                 # close g here, since every zero-premise move comes first
@@ -146,7 +146,7 @@ def _search(sys: SystemSpec, phi, goal: sx.Sequent, budget: SearchBudget,
                     break
                 ds.append(d)
             else:
-                out = pf.node(g, rule, ds, inst)
+                out = pf.node(g, rule, ds, at, idx)
                 proved[g] = out
                 return out
         return None

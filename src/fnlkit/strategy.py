@@ -46,8 +46,8 @@ Recurse = Callable[[SystemSpec, frozenset, sx.Sequent], Optional[pf.Derivation]]
 
 
 def try_axioms(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
-    for rule, _, inst in rules.axioms(sys, goal, phi):
-        return pf.node(goal, rule, (), inst)
+    for rule, _, path, idx in rules.axioms(sys, goal, phi):
+        return pf.node(goal, rule, (), path, idx)
     return None
 
 
@@ -136,7 +136,7 @@ def try_congruence(sys: SystemSpec, phi, goal: sx.Sequent, recurse: Recurse):
 def _read_modal(f: sx.LFormula) -> Optional[sx.ModalFormula]:
     # the modal formula f reads back to, if it has at most 40 symbols
     a = tr.read_k(f)
-    return None if a is None or sx.msize(a) > 40 else a
+    return None if a is None or sx.lsize(a) > 40 else a
 
 
 def _top_for_negbot(f: sx.LFormula):

@@ -241,14 +241,6 @@ def mbox(a: ModalFormula) -> ModalFormula:
     return MNot(MDia(MNot(a)))
 
 
-def msize(f: ModalFormula) -> int:
-    if isinstance(f, (MAtom, MBot)):
-        return 0
-    if isinstance(f, (MNot, MDia)):
-        return 1 + msize(f.a)
-    return 1 + msize(f.l) + msize(f.r)
-
-
 def matoms(f: ModalFormula) -> frozenset[str]:
     if isinstance(f, MAtom):
         return frozenset([f.name])
@@ -370,9 +362,10 @@ def fresh_for(a: LFormula) -> LFresh:
     return LFresh("neg", a)
 
 
-def lsize(f: LFormula) -> int:
-    """Connective count.  Atoms, constants and fresh letters all weigh 0;
-    a fresh letter is atomic, its payload is bookkeeping, not structure."""
+def lsize(f: LFormula | ModalFormula) -> int:
+    """Connective count, of a Lambek or a modal formula.  Atoms, constants
+    and fresh letters all weigh 0; a fresh letter is atomic, its payload is
+    bookkeeping, not structure."""
     if isinstance(f, _Unary):
         return 1 + lsize(f.a)
     if isinstance(f, _Binary):

@@ -665,7 +665,7 @@ def ddagger_derivation(d: pf.Derivation, phi, memo: Optional[dict] = None) -> pf
             return pair_top(_ddag(n.seq.suc.l, memo), phi, memo)
         if n.rule not in target:
             raise LemmaError(f"{n.rule} has no image in the negation-free system")
-        return pf.node(ddagger_sequent(n.seq, memo), n.rule, prems, n.inst)
+        return pf.node(ddagger_sequent(n.seq, memo), n.rule, prems, n.path, n.idx)
 
     return _map_derivation(d, step)
 
@@ -696,7 +696,7 @@ def section_derivation(d: pf.Derivation, phi, memo: Optional[dict] = None) -> pf
             return tree_top(section_sequent(n.seq, memo).ant, phi)
         if n.rule == pf.BOT_AX:
             img = section_sequent(n.seq, memo)
-            out = tree_absorb(img.ant, n.inst.path, phi)
+            out = tree_absorb(img.ant, n.path, phi)
             if img.suc != sx.P_BOT:
                 out = lm.le_trans(out, sec_from_pbot(img.suc, phi))
             return out
@@ -704,7 +704,7 @@ def section_derivation(d: pf.Derivation, phi, memo: Optional[dict] = None) -> pf
             raise LemmaError(f"{n.rule} has no image in the constant-free system")
         if n.rule in (pf.UNDER_R, pf.OVER_R) and n.seq.ant is None:
             raise LemmaError("empty residual introduction has no constant-free image")
-        return pf.node(section_sequent(n.seq, memo), n.rule, prems, n.inst)
+        return pf.node(section_sequent(n.seq, memo), n.rule, prems, n.path, n.idx)
 
     return _map_derivation(d, step)
 

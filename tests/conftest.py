@@ -52,21 +52,21 @@ def _wrap_dia(a: sx.ModalFormula, b: sx.ModalFormula) -> sx.ModalFormula:
     return sx.MDia(sx.MAnd(a, b))
 
 
-_small_modal = modal_formulas.filter(lambda f: sx.msize(f) <= 25)
+_small_modal = modal_formulas.filter(lambda f: sx.lsize(f) <= 25)
 # each join adds at most 4 symbols (a box is 3: ~<>~)
 _joins = st.sampled_from([sx.MAnd, sx.MOr, sx.MImp, _wrap_box, _wrap_dia])
 
 
 @st.composite
 def large_modal_formulas(draw) -> sx.ModalFormula:
-    """Modal formulas of 30 to 60 symbols (`sx.msize`), where the median
+    """Modal formulas of 30 to 60 symbols (`sx.lsize`), where the median
     `modal_formulas` draw has 3: small draws joined by connectives, some
     under a box or a diamond, until the size reaches a drawn target.
     Their chain problems have hundreds of assumptions."""
     target, f = draw(st.integers(30, 60)), draw(_small_modal)
-    while sx.msize(f) < target:
+    while sx.lsize(f) < target:
         g = draw(_small_modal)
-        if sx.msize(f) + sx.msize(g) + 4 > 60:
+        if sx.lsize(f) + sx.lsize(g) + 4 > 60:
             g = sx.MAtom(draw(atom_names))
         f = draw(_joins)(f, g)
     return f
@@ -296,7 +296,7 @@ AXIOM_REFERENCE = {
 }
 
 
-def demanded_reference(c: sx.Sequent, inst: pf.Inst, w) -> sx.Sequent:
+def demanded_reference(c: sx.Sequent, path: pf.Path, w) -> sx.Sequent:
     """The premise sequent a `checker._RULES` demand stands for: a plain
     (antecedent, succedent) pair, or the conclusion with a new subtree at
     the recorded path, given as a tree or as a leaf's formula."""
@@ -304,15 +304,15 @@ def demanded_reference(c: sx.Sequent, inst: pf.Inst, w) -> sx.Sequent:
         return sx.Sequent(*w)
     if isinstance(w, sx.LFormula):
         w = sx.SLeaf(w)
-    return sx.Sequent(pf.tree_replace(c.ant, inst.path, w), c.suc)
+    return sx.Sequent(pf.tree_replace(c.ant, path, w), c.suc)
 
 
 def check_reference(sys, phi, d: pf.Derivation, trail: list) -> bool:
-    """checker.check_derivation without its leaf-mask and NO_INST
-    shortcuts or its in-place tests: validate_reference on every node,
-    every field the rule does not read looked up, whatever the node's
-    Inst, an axiom's conclusion built and compared by AXIOM_REFERENCE, and
-    each demanded premise built as a sequent and compared by value."""
+    """checker.check_derivation without its leaf-mask shortcut or its
+    in-place tests: validate_reference on every node, every field the rule
+    does not read looked up by name, an axiom's conclusion built and
+    compared by AXIOM_REFERENCE, and each demanded premise built as a
+    sequent and compared by value."""
     phi = frozenset(phi)
 
     def fail(node, msg):
@@ -320,33 +320,33 @@ def check_reference(sys, phi, d: pf.Derivation, trail: list) -> bool:
         return False
 
     for node in pf.post_order(d):
-        c, inst, prems = node.seq, node.inst, node.premises
+        c, prems = node.seq, node.premises
         if node.rule not in allowed_rules(sys):
             return fail(node, "rule not available in this system")
         try:
             validate_reference(sys, c)
         except ValidationError as e:
             return fail(node, f"ill-formed sequent ({e})")
-        arity, unread, premises_of = ck._RULES[node.rule]
+        arity, reads_path, reads_idx, premises_of = ck._RULES[node.rule]
         if len(prems) != arity:
             return fail(node, "wrong number of premises")
-        for k in unread:
-            if getattr(inst, k) is not None:
+        for k, reads in (("path", reads_path), ("idx", reads_idx)):
+            if not reads and getattr(node, k) is not None:
                 return fail(node, f"records {k}, which the rule does not read")
         x = None
-        if inst.path is not None:
+        if node.path is not None:
             try:
-                x = pf.tree_at(c.ant, inst.path)
+                x = pf.tree_at(c.ant, node.path)
             except (TypeError, ValueError):
                 pass
-        want = premises_of(c, inst, x, prems, phi)
+        want = premises_of(c, node, x, prems, phi)
         fits = AXIOM_REFERENCE.get(node.rule)
         if fits is not None and fits(c, x) != (want == ()):
             return fail(node, "the reference and the checker disagree on the axiom's shape")
         if isinstance(want, str):
             return fail(node, want)
         for k, w in enumerate(want):
-            w = demanded_reference(c, inst, w)
+            w = demanded_reference(c, node.path, w)
             if prems[k].seq != w:
                 return fail(node, f"premise {k + 1} is not {sx.render_sequent(w)}")
     return True
@@ -539,12 +539,11 @@ def reference_table(d: pf.Derivation) -> dict:
             "seq": sequent(n.seq),
             "premises": [n_at[id(p)] for p in n.premises],
         }
-        i = n.inst
         inst = {}
-        if i.path is not None:
-            inst["path"] = list(i.path)
-        if i.idx is not None:
-            inst["idx"] = i.idx
+        if n.path is not None:
+            inst["path"] = list(n.path)
+        if n.idx is not None:
+            inst["idx"] = n.idx
         if inst:
             j["inst"] = inst
         n_at[id(n)] = len(nodes)
@@ -724,23 +723,23 @@ def random_lattice_formula(rng: random.Random, leaves: int, gens) -> sx.LFormula
 
 def done_r() -> pf.Derivation:
     """=> one."""
-    return pf.node(sx.Sequent(None, sx.ONE), pf.ONE_R, [], pf.NO_INST)
+    return pf.node(sx.Sequent(None, sx.ONE), pf.ONE_R)
 
 
 def dax_t(a: sx.LFormula) -> pf.Derivation:
     """A => <>A."""
-    return pf.node(sx.simple(a, sx.LDia(a)), pf.AX_T, [], pf.NO_INST)
+    return pf.node(sx.simple(a, sx.LDia(a)), pf.AX_T)
 
 
 def dax_4(a: sx.LFormula) -> pf.Derivation:
     """<><>A => <>A."""
-    return pf.node(sx.simple(sx.LDia(sx.LDia(a)), sx.LDia(a)), pf.AX_4, [], pf.NO_INST)
+    return pf.node(sx.simple(sx.LDia(sx.LDia(a)), sx.LDia(a)), pf.AX_4)
 
 
 def dax_5(a: sx.LFormula) -> pf.Derivation:
     """<>A => ~<>~<>A."""
     seq = sx.simple(sx.LDia(a), sx.LNot(sx.LDia(sx.LNot(sx.LDia(a)))))
-    return pf.node(seq, pf.AX_5, [], pf.NO_INST)
+    return pf.node(seq, pf.AX_5)
 
 
 def dboxdown_l(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
@@ -750,7 +749,7 @@ def dboxdown_l(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
     lm._fit(isinstance(x, sx.SLeaf), "no leaf at path")
     main = sx.LBoxDown(x.f)
     new = pf.tree_replace(ant, path, sx.SBracket(sx.SLeaf(main)))
-    return pf.node(sx.Sequent(new, d.seq.suc), pf.BOXDOWN_L, [d], pf.Inst(path=path))
+    return pf.node(sx.Sequent(new, d.seq.suc), pf.BOXDOWN_L, [d], path)
 
 
 def dexch(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
@@ -759,7 +758,7 @@ def dexch(d: pf.Derivation, path: pf.Path = ()) -> pf.Derivation:
     x = pf.tree_at(ant, path) if ant is not None else None
     lm._fit(isinstance(x, sx.SNode), "no node at path")
     new = pf.tree_replace(ant, path, sx.SNode(x.r, x.l))
-    return pf.node(sx.Sequent(new, d.seq.suc), pf.EXCH, [d], pf.Inst(path=path))
+    return pf.node(sx.Sequent(new, d.seq.suc), pf.EXCH, [d], path)
 
 
 def done_l(d: pf.Derivation, path: pf.Path = (), side: str = "l") -> pf.Derivation:
@@ -771,7 +770,7 @@ def done_l(d: pf.Derivation, path: pf.Path = (), side: str = "l") -> pf.Derivati
     new_sub = sx.SNode(unit, sub) if side == "l" else sx.SNode(sub, unit)
     rule = pf.ONE_L_LEFT if side == "l" else pf.ONE_L_RIGHT
     seq = sx.Sequent(pf.tree_replace(ant, path, new_sub), d.seq.suc)
-    return pf.node(seq, rule, [d], pf.Inst(path=path))
+    return pf.node(seq, rule, [d], path)
 
 
 def fact7(d: pf.Derivation) -> pf.Derivation:
@@ -812,7 +811,7 @@ def negrewrite_derivation(d: pf.Derivation) -> pf.Derivation:
             ax = tr.neg_axiom(s)
             if ax is not None:
                 return ax
-        return pf.node(s, n.rule, prems, n.inst)
+        return pf.node(s, n.rule, prems, n.path, n.idx)
 
     return tr._map_derivation(d, step)
 

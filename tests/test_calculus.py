@@ -64,7 +64,7 @@ def test_rule_instances_id_and_prod_l():
     assert pf.ID in names  # matched directly, zero premises
     idx = names.index(pf.ID)
     assert moves[idx][1] == []
-    assert (pf.PROD_L, [seq("(p o q) => p * q")]) in [(n, pr) for n, pr, _ in moves]
+    assert (pf.PROD_L, [seq("(p o q) => p * q")]) in [(n, pr) for n, pr, _, _ in moves]
 
 
 def test_rule_instances_bot_axiom_under_any_context():
@@ -109,7 +109,7 @@ def test_premises_stay_well_formed():
     for sysname, text in [("bfnl-star-k", goals[1]), ("bfnl-star", goals[0]), ("bfnl-star", goals[2])]:
         sys = get_system(sysname)
         goal = seq(text)
-        for _, prems, _ in rules.rule_instances(sys, goal, frozenset(), cut_pool=(p,)):
+        for _, prems, _, _ in rules.rule_instances(sys, goal, frozenset(), cut_pool=(p,)):
             for g in prems:
                 from fnlkit.systems import validate_sequent
 
@@ -127,9 +127,9 @@ def test_moves_are_legal_distinct_and_axioms_first(goal):
         for phi in (frozenset(), frozenset([goal])):
             seen = set()
             branched = False
-            for rule, prems, inst in rules.rule_instances(sys, goal, phi, pool):
+            for rule, prems, path, idx in rules.rule_instances(sys, goal, phi, pool):
                 assert rule in allowed, (sys.name, rule)
-                key = (rule, tuple(prems), inst)
+                key = (rule, tuple(prems), path, idx)
                 assert key not in seen, (sys.name, rule)
                 seen.add(key)
                 assert prems or not branched, (sys.name, rule)
@@ -152,7 +152,7 @@ def test_checker_accepts_id_and_rejects_renamed_rule():
 def test_checker_rejects_foreign_rules_per_system():
     # exchange node inside a non-exchange system
     d = pf.node(seq("(q o p) => r"), pf.EXCH,
-                [pf.node(seq("(p o q) => r"), pf.ID)], pf.Inst(path=()))
+                [pf.node(seq("(p o q) => r"), pf.ID)], ())
     assert not ck.check_derivation(BF, (), d)
     # negation axioms are bfnl-family only
     d2 = lm.dneg1(p)
@@ -220,7 +220,7 @@ def _well_formed(sys, s):
 
 
 def _reinst(d, **fields):
-    return pf.node(d.seq, d.rule, d.premises, dataclasses.replace(d.inst, **fields))
+    return pf.node(d.seq, d.rule, d.premises, **{"path": d.path, "idx": d.idx, **fields})
 
 
 @pytest.mark.parametrize("good, fields, phi, reason", [
@@ -288,15 +288,32 @@ def test_checker_rejects_a_misfit_of_each_rule(rule):
     checked(E5, good, phi)
     if good.premises:
         swapped = (*good.premises[:-1], lm.did(sx.LAtom("z")))
-        bad = pf.node(good.seq, rule, swapped, good.inst)
+        bad = pf.node(good.seq, rule, swapped, good.path, good.idx)
         k, want = len(swapped), good.premises[-1].seq
         reason = f"premise {k} is not {sx.render_sequent(want)}"
     else:
         _, conclusion, reason = case
-        bad = pf.node(seq(conclusion), rule, (), good.inst)
+        bad = pf.node(seq(conclusion), rule, (), good.path, good.idx)
     trail = []
     assert not ck.check_derivation(E5, phi, bad, trail)
     assert trail[0].startswith(f"{rule} at ") and reason in trail[0], trail
+
+
+@pytest.mark.parametrize("rule", sorted(RULE_CASES))
+def test_checker_rejects_each_field_a_rule_does_not_read(rule):
+    # a sound instance records exactly the fields its rule reads; the same
+    # step recording any other field is rejected, whatever the value
+    case, phi = RULE_CASES[rule], (_MEMBER,)
+    good = case[0] if isinstance(case, tuple) else case
+    values = {"path": ((), (0,)), "idx": (1, 2)}
+    unread = [k for k in values if getattr(good, k) is None]
+    assert unread or rule == pf.AND_L  # only the conjunction left rule reads both
+    for k in unread:
+        for value in values[k]:
+            trail = []
+            assert not ck.check_derivation(E5, phi, _reinst(good, **{k: value}), trail)
+            assert trail == [f"{rule} at {sx.render_sequent(good.seq)}: "
+                             f"records {k}, which the rule does not read"]
 
 
 _antecedents = st.one_of(
@@ -311,13 +328,12 @@ _antecedents = st.one_of(
        st.sampled_from(sorted(ck._RULES)), st.booleans())
 @settings(max_examples=400)
 def test_one_node_checks_as_the_reference_that_validates_every_node(name, s, rule, member):
-    # validate_sequent's leaf-mask test decides exactly as the walk does; an
-    # all-None Inst that is not NO_INST checks as NO_INST does
+    # validate_sequent's leaf-mask test decides exactly as the walk does
     sys, phi = SYSTEMS[name], (s,) if member else ()
-    for d in (pf.node(s, rule, (), pf.NO_INST), pf.node(s, rule, (), pf.Inst())):
-        got, want = [], []
-        assert ck.check_derivation(sys, phi, d, got) == check_reference(sys, phi, d, want)
-        assert got == want
+    d = pf.node(s, rule)
+    got, want = [], []
+    assert ck.check_derivation(sys, phi, d, got) == check_reference(sys, phi, d, want)
+    assert got == want
 
 
 _Z = sx.LAtom("z")
@@ -348,7 +364,7 @@ def test_axiom_shapes_check_as_the_built_conclusion_compares(a, b, c):
             seqs += [sx.Sequent(sx.SLeaf(g), s.suc) for g in _swaps(s.ant.f, _Z)]
         seqs += [sx.Sequent(s.ant, g) for g in _swaps(s.suc, _Z)]
         for new in seqs:
-            node = pf.node(new, d.rule, (), d.inst)
+            node = pf.node(new, d.rule, (), d.path, d.idx)
             got, want = [], []
             assert ck.check_derivation(E5, (), node, got) == check_reference(E5, (), node, want)
             assert got == want
@@ -380,7 +396,7 @@ _DIA_IN_BRACKET = lm.ddia_l(lm.ddia_r(lm.ddia_r(lm.did(p))), (2,))
 def test_checker_rejects_a_malformed_position_or_shape(good, change, reason):
     checked(E5, good)
     if isinstance(change, str):
-        bad = pf.node(seq(change), good.rule, good.premises, good.inst)
+        bad = pf.node(seq(change), good.rule, good.premises, good.path, good.idx)
     else:
         bad = _reinst(good, **change)
     trail = []
@@ -409,11 +425,11 @@ def _step_under(n, context):
     def put(s):
         return sx.Sequent(pf.tree_replace(ctx, h, s.ant), s.suc)
 
-    inst = n.inst if n.inst.path is None else pf.Inst(h + n.inst.path, n.inst.idx)
+    path = n.path if n.path is None else h + n.path
     for moved in itertools.product((True, False), repeat=len(n.premises)):
         prems = [put(x.seq) if up and x.seq.ant is not None else x.seq
                  for x, up in zip(n.premises, moved)]
-        d = pf.node(put(n.seq), n.rule, [lm.dassume(s) for s in prems], inst)
+        d = pf.node(put(n.seq), n.rule, [lm.dassume(s) for s in prems], path, n.idx)
         if check_reference(E5, prems, d, []):
             return d
     return None
@@ -423,7 +439,7 @@ def _sibling_mutants(step):
     """The step with one premise's succedent, or one subtree of its
     antecedent off the recorded path, replaced by z, the subtree at the
     hole kept; each with the assumptions it needs."""
-    path = step.inst.path
+    path = step.path
     for k, leaf in enumerate(step.premises):
         s = leaf.seq
         changed = [sx.Sequent(s.ant, _Z)]
@@ -434,7 +450,8 @@ def _sibling_mutants(step):
             if new != s:
                 prems = [x.seq for x in step.premises]
                 prems[k] = new
-                yield pf.node(step.seq, step.rule, [lm.dassume(x) for x in prems], step.inst), prems
+                yield (pf.node(step.seq, step.rule, [lm.dassume(x) for x in prems],
+                               step.path, step.idx), prems)
 
 
 @st.composite
@@ -472,7 +489,7 @@ def rejects_changed_siblings_as_the_reference(d, context) -> set:
             assert not ck.check_derivation(E5, phi, bad, got)
             assert not check_reference(E5, phi, bad, want)
             assert got == want
-            seen.update((step.rule, k) for k in step.inst.path or ())
+            seen.update((step.rule, k) for k in step.path or ())
     return seen
 
 
@@ -1077,7 +1094,7 @@ def test_table_text_writes_every_entry_shape():
             fields.update(n.get("inst", {}))
             empty_path = empty_path or n.get("inst", {}).get("path") == []
     assert shapes == {"null", "leaf", "pair", "b"}
-    assert fields == {f.name for f in dataclasses.fields(pf.Inst)}
+    assert fields == {"path", "idx"}
     assert empty_path
     assert kinds == {*sx.L_TAGS.values(), ("atom", "p"), ("atom", "q"), ("atom", "m"),
                      ("const", "bot"), ("const", "top"), ("const", "one"),
@@ -1085,15 +1102,12 @@ def test_table_text_writes_every_entry_shape():
 
 
 def test_table_text_round_trips_three_premises_every_inst_field_and_any_path():
-    # three premises, every Inst field, an all-None Inst that is not
-    # NO_INST (written field by field), and paths of length 0 and 4:
-    # reloading reprints the same text
+    # three premises, every recorded field, a node that records none, and
+    # paths of length 0 and 4: reloading reprints the same text
     leaf = lm.did(p)
-    empty = pf.node(seq("q => q"), pf.ID, (), pf.Inst())
-    assert empty.inst is not pf.NO_INST
-    rooted = pf.node(seq("=> p"), pf.CUT, [leaf], pf.Inst(path=()))
-    every = pf.Inst(path=(0, 2, 1, 0), idx=2)
-    d = pf.node(seq("p o <(p o q) o r> => q"), pf.OR_L, [leaf, empty, rooted], every)
+    empty = pf.node(seq("q => q"), pf.ID)
+    rooted = pf.node(seq("=> p"), pf.CUT, [leaf], ())
+    d = pf.node(seq("p o <(p o q) o r> => q"), pf.OR_L, [leaf, empty, rooted], (0, 2, 1, 0), 2)
     text = pf.table_text(d)
     assert pf.table_text(pf.from_json(json.loads(text))) == text
     written_as_the_reference(d)
@@ -1141,9 +1155,10 @@ def test_post_order_is_the_reference_order_on_built_derivations():
 
 def test_derivation_nodes_are_frozen_slotted_and_compared_by_identity():
     d = lm.and_mono(lm.did(p), lm.did(q))
-    twin = pf.node(d.seq, d.rule, d.premises, d.inst)
+    twin = pf.node(d.seq, d.rule, d.premises, d.path, d.idx)
     assert not hasattr(d, "__dict__")
-    for name in ("seq", "rule", "premises", "inst", "extra"):
+    assert pf.Derivation.__slots__ == ("seq", "rule", "premises", "path", "idx")
+    for name in ("seq", "rule", "premises", "path", "idx", "extra"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(d, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -1154,7 +1169,7 @@ def test_derivation_nodes_are_frozen_slotted_and_compared_by_identity():
     assert len({d, twin, d}) == 2
     assert len(pf.to_json(pf.node(d.seq, pf.AND_R, [d, twin]))["nodes"]) == pf.size(d) + 2
     assert repr(lm.did(p)) == (f"Derivation(seq={seq('p => p')!r}, rule='Id', premises=(), "
-                               "inst=Inst(path=None, idx=None))")
+                               "path=None, idx=None)")
 
 
 def test_pretty_prints_a_shared_premise_once():

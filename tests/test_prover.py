@@ -661,6 +661,27 @@ def test_census_lists_every_refuted_command_whose_countermodel_stage_changed():
     assert census.stage_changes(base, base) == []
 
 
+def test_census_counts_the_same_calls_twice_on_one_tree():
+    # two children run the same commands on one tree, with the hash seed
+    # fixed: every fnlkit function's call count agrees, so no delta prints
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([_sys.executable, str(root / "tools" / "census.py"), "--calls",
+                           "--seed", "1", "--workload", "lattice-mix", str(root), str(root)],
+                          stdout=subprocess.PIPE, text=True)
+    assert done.returncode == 0, done.stdout
+    lines = done.stdout.splitlines()
+    at = next(k for k, x in enumerate(lines) if x.startswith("calls lattice-mix        delta: "))
+    before, after = lines[at].split(": ")[1].split(" -> ")
+    assert before == after and int(before.replace(",", "")) > 0
+    assert not lines[at + 1].startswith("  ")
+    path = root / "tools" / "census.py"
+    spec = importlib.util.spec_from_file_location("census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    assert census.call_deltas({"a": 3, "b": 1, "c": 2}, {"a": 1, "c": 2, "d": 2}) == [
+        ("a", -2), ("d", 2), ("b", -1)]
+
+
 def test_census_rechecks_every_printed_table_and_exits_1_on_a_lossy_reader(tmp_path):
     # a whole census of one tree and one workload: every printed table is
     # reloaded and accepted; a copy whose reader drops the root's premises
@@ -681,7 +702,7 @@ def test_census_rechecks_every_printed_table_and_exits_1_on_a_lossy_reader(tmp_p
 
             def from_json(j):
                 d = _read(j)
-                return node(d.seq, d.rule, (), d.inst)
+                return node(d.seq, d.rule, (), d.path, d.idx)
         """))
     done = subprocess.run(census + [str(tmp_path)], stdout=subprocess.PIPE, text=True)
     assert done.returncode == 1, done.stdout
@@ -708,7 +729,7 @@ def test_census_recheck_reloads_a_printed_table_under_its_accepting_call():
         == "no accepting checker call wrote this table"
     # a reader that loses a premise, or raises, is reported
     lossy = types.SimpleNamespace(to_json=pf.to_json, from_json=lambda t: pf.node(
-        d.seq, d.rule, d.premises[:1], d.inst))
+        d.seq, d.rule, d.premises[:1], d.path, d.idx))
     assert census.recheck_table(types.SimpleNamespace(proofs=lossy), table, accepted,
                                 ck.check_derivation) \
         == "reloaded derivation rejected: Cut at p => q: wrong number of premises"

@@ -327,7 +327,7 @@ def test_sizes():
     assert sx.lsize(sx.BOT) == 0
     assert sx.lsize(sx.fresh_for(sx.LAnd(p, q))) == 0  # fresh letters are atomic
     assert sx.lsize(sx.LProd(p, sx.LNot(q))) == 2
-    assert sx.msize(sx.parse_modal("[]p")) == 3
+    assert sx.lsize(sx.parse_modal("[]p")) == 3
 
 
 def test_subformulas():

@@ -59,7 +59,7 @@ def test_dagger_size_linear_and_fragment(a):
     if "m" in sx.matoms(a):
         return
     out = tr.dagger(a)
-    assert sx.lsize(out) <= 2 * sx.msize(a) + 1
+    assert sx.lsize(out) <= 2 * sx.lsize(a) + 1
     for g in walk(out):
         assert not isinstance(g, (sx.LTop, sx.LOne, sx.LDia, sx.LBoxDown, sx.LUnder, sx.LOver, sx.LFresh))
 
@@ -96,7 +96,7 @@ def test_build_exchange_shape():
 def test_truth_lemma_on_samples(a):
     if "m" in sx.matoms(a):
         return
-    rng = random.Random(sx.msize(a))
+    rng = random.Random(sx.lsize(a))
     m = sample_kripke(rng, 4, ("p", "q", "r", "s_1"))
     j = tr.build_ternary_model(m)
     for w in m.states:
@@ -348,11 +348,11 @@ def test_a_pair_of_constant_value_is_closed_by_that_value():
     f = sx.parse_lambek("(top \\/ p) /\\ (q \\/ top)")
     psi = _pair_psi(f)
     d = tr.pair_bot(f, psi)
-    assert d.rule == pf.AND_L and d.inst.idx == 2
+    assert d.rule == pf.AND_L and d.idx == 2
     assert assumptions_of(d) == frozenset()
     assert ck.check_derivation(get_system("bdfnl-star"), psi, d)
     top = tr.pair_top(f, psi)
-    assert top.rule == pf.OR_R and top.inst.idx == 1
+    assert top.rule == pf.OR_R and top.idx == 1
     assert ck.check_derivation(get_system("bdfnl-star"), psi, top)
 
 

@@ -42,6 +42,18 @@ compile to no code of their own.  A
 statement spread over several lines counts as run when any of its own
 lines ran (for a compound statement: its header, not its body).
 
+    python3 tools/census.py --calls --seed 1 TREE [OTHER]
+
+With `--calls` each child counts, under `sys.setprofile`, the calls into
+every function of the tree's `src/fnlkit` (a generator's resumption
+counts as a call), and the census prints, per workload and tree, the
+total and the TOP_CALLS functions called most, as `module.qualname`.
+Given two trees it then prints every function whose count differs, with
+the change, largest first.  The counts are exact and, with the hash seed
+fixed, repeatable; they include the census's own `fnlkit.proofs.size`
+call on each derivation handed to the checker, and they do not change the
+exit status.
+
 Each child also reloads every printed derivation table (`json.loads`,
 then `fnlkit.proofs.from_json`) and checks it with
 `fnlkit.checker.check_derivation` under the system and assumptions of
@@ -66,6 +78,7 @@ from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
+TOP_CALLS = 15
 
 
 def _own_lines(stmt: ast.stmt) -> range:
@@ -127,9 +140,11 @@ def recheck_table(fk, table: dict, accepted: list, check) -> str:
     return "ok"
 
 
-def census(tree: str, seed: int, names: list[str], unrun: bool = False) -> dict:
-    """One record per command of each named workload, run on tree, and with
-    unrun the statements of fnlkit's function bodies that no command ran.
+def census(tree: str, seed: int, names: list[str], unrun: bool = False,
+           calls: bool = False) -> dict:
+    """One record per command of each named workload, run on tree; with
+    unrun the statements of fnlkit's function bodies that no command ran,
+    and with calls each workload's count of calls per fnlkit function.
     Each record says whether the printed derivation table, if any, reloads
     and passes the checker (see recheck_table)."""
     import run as bench  # bench/run.py: the import and the cache list
@@ -185,7 +200,14 @@ def census(tree: str, seed: int, names: list[str], unrun: bool = False) -> dict:
     def call(frame, event, arg):
         return line if frame.f_code.co_filename.startswith(pkg + os.sep) else None
 
+    counts: Counter = Counter()  # code object -> calls, for this workload
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(pkg + os.sep):
+            counts[frame.f_code] += 1
+
     out: dict = {}
+    per_function: dict = {}
     for name in names:
         rows = []
         with tempfile.TemporaryDirectory() as workdir:
@@ -200,11 +222,13 @@ def census(tree: str, seed: int, names: list[str], unrun: bool = False) -> dict:
                 text = io.StringIO()
                 with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
                     sys.settrace(call if unrun else None)
+                    sys.setprofile(profile if calls else None)
                     try:
                         code = fk.cli.main(list(cmd.argv))
                     except Exception as e:  # noqa: BLE001 - a crash is a result too
                         code = f"raised {type(e).__name__}"
                     finally:
+                        sys.setprofile(None)
                         sys.settrace(None)
                 printed = text.getvalue()
                 try:
@@ -227,7 +251,12 @@ def census(tree: str, seed: int, names: list[str], unrun: bool = False) -> dict:
                     "stage": "+".join(hits) if payload.get("verdict") == "refuted" else None,
                 })
         out[name] = rows
-    return {"rows": out, "unrun": unrun_statements(pkg, ran) if unrun else None}
+        per_function[name] = {
+            f"{os.path.basename(code.co_filename)[:-3]}.{code.co_qualname}": n
+            for code, n in counts.items()}
+        counts.clear()
+    return {"rows": out, "unrun": unrun_statements(pkg, ran) if unrun else None,
+            "calls": per_function if calls else None}
 
 
 def summary(rows: list[dict]) -> dict:
@@ -301,11 +330,36 @@ def stage_changes(base: dict, other: dict) -> list[str]:
             for a, b in zip(rows, other[name]) if a["stage"] != b["stage"]]
 
 
-def run_child(tree: str, seed: int, names: list[str], unrun: bool) -> dict:
+def call_deltas(base: dict, other: dict) -> list[tuple[str, int]]:
+    """Each function whose call count differs between two counts, with
+    other's count less base's, largest change first, then by name."""
+    deltas = {fn: other.get(fn, 0) - base.get(fn, 0) for fn in base.keys() | other.keys()}
+    return sorted(((fn, d) for fn, d in deltas.items() if d), key=lambda x: (-abs(x[1]), x[0]))
+
+
+def print_calls(names: list[str], trees: list[str], counted: list[dict]) -> None:
+    """Per workload, each tree's total and most called functions, then,
+    given two trees, every function whose count differs."""
+    for name in names:
+        for tree, c in zip(trees, counted):
+            n = c[name]
+            print(f"calls {name:18} {tree}: {sum(n.values()):,} in {len(n)} functions")
+            for fn, k in Counter(n).most_common(TOP_CALLS):
+                print(f"  {k:>10,}  {fn}")
+        if len(counted) == 2:
+            base, other = counted[0][name], counted[1][name]
+            print(f"calls {name:18} delta: {sum(base.values()):,} -> {sum(other.values()):,}")
+            for fn, d in call_deltas(base, other):
+                print(f"  {d:>+10,}  {fn} ({base.get(fn, 0):,} -> {other.get(fn, 0):,})")
+
+
+def run_child(tree: str, seed: int, names: list[str], unrun: bool, calls: bool) -> dict:
     env = dict(os.environ, PYTHONHASHSEED="0")
     argv = [sys.executable, os.path.abspath(__file__), "--seed", str(seed), "--child", tree]
     if unrun:
         argv.append("--unrun")
+    if calls:
+        argv.append("--calls")
     for name in names:
         argv += ["--workload", name]
     done = subprocess.run(argv, env=env, stdout=subprocess.PIPE, check=True, text=True)
@@ -320,6 +374,8 @@ def main(argv=None) -> int:
                     help="a workload to run (repeatable; default: all four)")
     ap.add_argument("--unrun", action="store_true",
                     help="trace fnlkit and list the function-body statements no command ran")
+    ap.add_argument("--calls", action="store_true",
+                    help="count the calls per fnlkit function and print the most called")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     sys.path.insert(0, BENCH)
@@ -327,11 +383,11 @@ def main(argv=None) -> int:
 
     names = args.names or list(wl.WORKLOADS)
     if args.child:
-        json.dump(census(args.trees[0], args.seed, names, args.unrun), sys.stdout)
+        json.dump(census(args.trees[0], args.seed, names, args.unrun, args.calls), sys.stdout)
         return 0
     if len(args.trees) > 2:
         ap.error("give one or two trees")
-    children = [run_child(t, args.seed, names, args.unrun) for t in args.trees]
+    children = [run_child(t, args.seed, names, args.unrun, args.calls) for t in args.trees]
     results = [c["rows"] for c in children]
     for name in names:
         for tree, res in zip(args.trees, results):
@@ -342,6 +398,8 @@ def main(argv=None) -> int:
             print(f"unrun {tree}: {len(child['unrun'])} statement(s)")
             for where in child["unrun"]:
                 print(f"  {where}")
+    if args.calls:
+        print_calls(names, args.trees, [c["calls"] for c in children])
     rejected = 0
     for tree, res in zip(args.trees, results):
         for name in names:
