@@ -24,11 +24,15 @@ or sequent's leaves and adds `V_BRACKET` for a bracket; trees and
 sequents store no mask, since the rules rebuild them at every step.
 
 The concrete grammar is two tables, one row per operator (`_OPS`) and
-one per constant (`_CONSTS`).  The tokenizer reads the rows through one
-compiled pattern (`_TOKEN`, a named group per token kind), and `L_TAGS`,
-a precedence-climbing parser that reads each token once, and one
-renderer for both languages (`render_modal` is `render_lambek`) read
-them too.
+one per constant (`_CONSTS`).  The tokenizer reads the text with one
+`findall` of one compiled pattern built from the rows (`_TOKEN`, whose one
+group is the token) and gives each token its kind by one lookup in
+`_KINDS`; it records no offsets.  `L_TAGS`, a precedence-climbing parser
+that reads the token kinds in place, each once, and one renderer for both
+languages (`render_modal` is `render_lambek`) read the rows too.  Offsets
+are found only when a parse fails: `_offsets` scans the text again with
+the same pattern and reports a broken letter rule (a bad character, an
+unmatched brace, an unterminated fresh letter) before the parser's error.
 """
 
 from __future__ import annotations
@@ -788,17 +792,20 @@ def sorted_by_key(fs: Iterable[LFormula], sizes: dict) -> list[LFormula]:
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 _RESERVED = {"o": "O", **{c.word: c.kind for c in _CONSTS}}
 _PUNCT = (("=>", "SEQ"), ("[]", "BOX"), ("(", "LP"), (")", "RP"), ("<", "LT"), (">", "GT"))
-# one named group per token kind, tried in order: a fresh letter's "p{"
-# before the words, the symbols longest first (so /\ beats /, <> beats <),
-# and any other character last; then the whitespace after the token, so
-# that no match is whitespace alone.  A match starts at its token, and
-# whitespace before the first token is skipped by the scan.
-_TOKEN = re.compile("(?:" + "|".join(
-    [r"(?P<FRESH>p\{)", f"(?P<WORD>{_ATOM_RE.pattern})", r"(?P<RBRACE>\})"]
-    + [f"(?P<{kind}>{re.escape(sym)})"
-       for sym, kind in sorted([(op.text, op.kind) for op in _OPS] + list(_PUNCT),
-                               key=lambda row: -len(row[0]))]
-    + [r"(?P<BAD>\S)"]) + r")\s*")
+# the kind of each spelling that is not an atom: a word that starts with a
+# lowercase letter and is not here is an ATOM, any other token is BAD
+_KINDS = {"p{": "FRESH", "}": "RBRACE", **{op.text: op.kind for op in _OPS}, **dict(_PUNCT),
+          **_RESERVED}
+# one group, the token, tried in order: a fresh letter's "p{" before the
+# words, the symbols longest first (so /\ beats /, <> beats <), and any
+# other character last; then the whitespace after it, so that no match is
+# whitespace alone.  A match starts at its token, and whitespace before the
+# first token is skipped by the scan.
+_TOKEN = re.compile("(" + "|".join(
+    [r"p\{", _ATOM_RE.pattern, r"\}"]
+    + [re.escape(sym) for sym in sorted([op.text for op in _OPS] + [s for s, _ in _PUNCT],
+                                        key=lambda sym: -len(sym))]
+    + [r"\S"]) + r")\s*")
 
 
 def is_atom_name(name) -> bool:
@@ -807,95 +814,106 @@ def is_atom_name(name) -> bool:
             and name not in _RESERVED)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """The (kind, text, offset) tokens of text.  A fresh letter is a FRESH
-    token for its "p{", the tokens of its contents, and an RBRACE token for
-    its "}", which reads as the end of the letter's input.
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The tokens of text and their kinds, each list ending with an EOF
+    token.  A fresh letter is a FRESH token for its "p{", the tokens of its
+    contents, and an RBRACE token for its "}", which reads as the end of
+    the letter's input.
 
-    A bad character inside a letter is reported only once every letter is
-    closed, and a bare "{" there (None on the stack) counts towards the
-    matching, so an unterminated letter is reported before it."""
-    toks = []
+    No offset is recorded and no letter rule is checked here: a text that
+    breaks one holds a BAD token or a brace that the parser cannot match,
+    so its parse fails, and `_offsets` then reports the rule it breaks."""
+    words = _TOKEN.findall(text)
+    get = _KINDS.get
+    kinds = [get(w) or ("ATOM" if "a" <= w[0] <= "z" else "BAD") for w in words]
+    words.append("")
+    kinds.append("EOF")
+    return words, kinds
+
+
+def _offsets(text: str) -> list[int]:
+    """The offset of each token of text and of its end, by `_tokenize`'s
+    scan; or the error of the first letter rule that text breaks.
+
+    A bad character or a "}" outside every letter is reported where it is.
+    One inside a letter is reported only once every letter is closed, and
+    a bare "{" there (None on the stack) counts towards the matching, so
+    an unterminated letter is reported before it."""
+    offsets = []
     opened = []  # the offsets of the letters (None: bare braces) still open
     bad = None  # the first bad character inside a letter
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
+    for kind, m in zip(_tokenize(text)[1], _TOKEN.finditer(text)):
         pos = m.start()
-        if kind == "WORD":
-            word = m.group(kind)
-            toks.append((_RESERVED.get(word, "ATOM"), word, pos))
-        elif kind == "RBRACE" and opened:
-            if opened.pop() is not None:
-                toks.append(("RBRACE", "", pos))
+        if kind == "RBRACE" and opened:
+            if opened.pop() is None:
+                continue
         elif kind == "BAD" or kind == "RBRACE":
-            c = m.group(kind)
+            tok = m.group(1)
             if not opened:
-                raise ParseError(f"unexpected character {c!r}", pos)
+                raise ParseError(f"unexpected character {tok!r}", pos)
             if bad is None:
-                bad = ParseError(f"unexpected character {c!r}", pos)
-            if c == "{":
+                bad = ParseError(f"unexpected character {tok!r}", pos)
+            if tok == "{":
                 opened.append(None)
-        else:
-            if kind == "FRESH":
-                opened.append(pos)
-            toks.append((kind, m.group(kind), pos))
+            continue
+        elif kind == "FRESH":
+            opened.append(pos)
+        offsets.append(pos)
     if opened:
         raise ParseError("unterminated fresh letter", opened[0])
     if bad:
         raise bad
-    toks.append(("EOF", "", len(text)))
-    return toks
+    offsets.append(len(text))
+    return offsets
 
 
 class _Parser:
-    """Recursive descent over the token list, each token read once.  `lang`
-    switches the accepted token set: "modal" or "lambek"."""
+    """Recursive descent over the token kinds, read in place at `pos`, each
+    token once.  It recurses at every nesting level, with the frames it
+    always took there, so a deep input runs out of frames (RecursionError)
+    where it always did.  `lang` switches the accepted token set: "modal"
+    or "lambek".  An error is raised by `fail`, which alone finds the
+    tokens' offsets."""
 
-    def __init__(self, text: str, toks: list[tuple[str, str, int]], lang: str):
+    __slots__ = ("text", "words", "kinds", "pos", "modal", "infix", "prefix", "consts",
+                 "atom")
+
+    def __init__(self, text: str, lang: str):
         self.text = text
-        self.toks = toks
+        self.words, self.kinds = _tokenize(text)
         self.pos = 0
-        self.lang = lang
+        self.modal = lang == "modal"
         self.infix = _INFIX[lang]
         self.prefix = _PREFIX[lang]
+        self.consts = _CONSTANTS[lang]
+        self.atom = MAtom if self.modal else LAtom
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.toks[self.pos]
-
-    def take(self) -> tuple[str, str, int]:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def quote(self, i: int) -> str:
-        # an error quotes token i by its text, and a fresh letter by its
-        # contents, up to the "}" that closes it: the tokens hold no
-        # contents, which would copy a nest of n letters n times
-        kind, text, start = self.toks[i]
+    def quote(self, i: int, offsets: list[int]) -> str:
+        # an error quotes token i by its text, a fresh letter by its
+        # contents, up to the "}" that closes it, and the end of the input
+        # or of a letter's contents as ""
+        kind = self.kinds[i]
+        if kind == "RBRACE" or kind == "EOF":
+            return ""
         if kind != "FRESH":
-            return text
+            return self.words[i]
         depth = 0
-        for kind, _, pos in self.toks[i:]:
+        for j in range(i, len(self.kinds)):
+            kind = self.kinds[j]
             depth += (kind == "FRESH") - (kind == "RBRACE")
             if not depth:
-                return self.text[start + 2 : pos]
+                return self.text[offsets[i] + 2 : offsets[j]]
+
+    def fail(self, i: int, msg: str):
+        """Raise the first error of the text: a broken letter rule's, or
+        msg at token i, with "{}" in it filled by the token's quote."""
+        offsets = _offsets(self.text)
+        raise ParseError(msg.format(repr(self.quote(i, offsets) or "end of input")), offsets[i])
 
     def expect(self, kind: str):
-        t = self.peek()
-        if t[0] != kind:
-            raise ParseError(f"expected {kind}, found {self.quote(self.pos) or 'end of input'!r}",
-                             t[2])
-        self.take()
-
-    def done(self, end: str):
-        # the input, or a fresh letter's contents, ends here
-        t = self.peek()
-        if t[0] != end:
-            raise ParseError(f"trailing input {self.quote(self.pos)!r}", t[2])
-        self.take()
-
-    def fail(self, msg: str):
-        raise ParseError(msg, self.peek()[2])
+        if self.kinds[self.pos] != kind:
+            self.fail(self.pos, f"expected {kind}, found {{}}")
+        self.pos += 1
 
     def formula(self, floor: int = 1, left=None):
         """The formula here whose binary operators all bind at floor or
@@ -903,68 +921,73 @@ class _Parser:
         its first operand, already read."""
         if left is None:
             left = self.unary()
-        op = self.infix.get(self.peek()[0])
+        kinds = self.kinds
+        infix = self.infix
+        op = infix.get(kinds[self.pos])
         while op is not None and op[0] >= floor:
             prec, chains, cls = op
-            self.take()
+            self.pos += 1
             # a right operand takes its own level, so operators associate
             # to the right; one that does not chain takes only tighter ones
             left = cls(left, self.formula(prec if chains else prec + 1))
-            kind, _, pos = self.peek()
-            op = self.infix.get(kind)
+            op = infix.get(kinds[self.pos])
             if not chains and op is not None and op[0] == prec:
                 # only the slashes do not chain
-                raise ParseError("slashes do not chain; parenthesize", pos)
+                self.fail(self.pos, "slashes do not chain; parenthesize")
         return left
 
     def unary(self):
-        kind = self.peek()[0]
+        # a prefix operator and its operand, or a primary formula
+        pos = self.pos
+        kind = self.kinds[pos]
+        self.pos = pos + 1
+        if kind == "ATOM":
+            return self.atom(self.words[pos])
         cls = self.prefix.get(kind)
         if cls is not None:
-            self.take()
             return cls(self.unary())
-        if kind == "BOX":
-            if self.lang != "modal":
-                self.fail("[] is modal syntax")
-            self.take()
-            return mbox(self.unary())
-        if kind == "BOXDOWN":  # only modal has no prefix row for it
-            self.fail("[v] is not modal syntax")
-        return self.atom()
-
-    def atom(self):
-        kind, text, pos = self.take()
-        if kind == "ATOM":
-            return MAtom(text) if self.lang == "modal" else LAtom(text)
-        f = _CONSTANTS[self.lang].get(kind)
+        f = self.consts.get(kind)
         if f is not None:
             return f
-        if kind == "FRESH" and self.lang == "lambek":
-            f = self.formula()
-            self.done("RBRACE")
-            return LFresh("neg", f)
+        if kind == "LP" or kind == "FRESH" and not self.modal:
+            return self.nest(kind)
+        if kind == "BOX":
+            if not self.modal:
+                self.fail(pos, "[] is modal syntax")
+            return mbox(self.unary())
+        if kind == "BOXDOWN":  # only modal has no prefix row for it
+            self.fail(pos, "[v] is not modal syntax")
+        self.fail(pos, "unexpected {}")
+
+    def nest(self, kind: str):
+        # a parenthesized formula or a fresh letter, in a frame of its own
+        # as well, so that a nest of them runs out of frames at the depth
+        # it always has
+        f = self.formula()
         if kind == "LP":
-            f = self.formula()
             self.expect("RP")
             return f
-        raise ParseError(f"unexpected {self.quote(self.pos - 1) or 'end of input'!r}", pos)
+        if self.kinds[self.pos] != "RBRACE":
+            self.fail(self.pos, "trailing input {}")
+        self.pos += 1
+        return LFresh("neg", f)
 
     # structure trees
 
     def tree(self) -> StructTree:
         left = self.tree_primary()
-        if self.peek()[0] == "O":
-            self.take()
-            right = self.tree_primary()
-            if self.peek()[0] == "O":
-                self.fail("o does not chain; parenthesize")
-            return SNode(left, right)
-        return left
+        if self.kinds[self.pos] != "O":
+            return left
+        self.pos += 1
+        right = self.tree_primary()
+        if self.kinds[self.pos] == "O":
+            self.fail(self.pos, "o does not chain; parenthesize")
+        return SNode(left, right)
 
     def tree_primary(self) -> StructTree:
-        kind = self.peek()[0]
+        kind = self.kinds[self.pos]
         if kind == "LT":
-            self.take()
+            self.pos += 1
             inner = self.tree()
             self.expect("GT")
             return SBracket(inner)
@@ -972,7 +995,7 @@ class _Parser:
             return SLeaf(self.formula())
         # a parenthesis opens a subtree; a leaf there is a parenthesized
         # formula, which operators after the ")" may go on with
-        self.take()
+        self.pos += 1
         inner = self.tree()
         self.expect("RP")
         if isinstance(inner, SLeaf):
@@ -980,35 +1003,40 @@ class _Parser:
         return inner
 
     def sequent(self) -> Sequent:
-        if self.peek()[0] == "SEQ":
-            self.take()
+        if self.kinds[self.pos] == "SEQ":
+            self.pos += 1
             return Sequent(None, self.formula())
         ant = self.tree()
         self.expect("SEQ")
         return Sequent(ant, self.formula())
 
 
-def _parse(text: str, lang: str, goal: str):
-    p = _Parser(text, _tokenize(text), lang)
-    out = getattr(p, goal)()
-    p.done("EOF")
+def _parse(text: str, lang: str, goal):
+    p = _Parser(text, lang)
+    try:
+        out = goal(p)
+    except RecursionError:
+        _offsets(text)  # a broken letter rule is reported first
+        raise
+    if p.kinds[p.pos] != "EOF":
+        p.fail(p.pos, "trailing input {}")
     return out
 
 
 def parse_modal(text: str) -> ModalFormula:
-    return _parse(text, "modal", "formula")
+    return _parse(text, "modal", _Parser.formula)
 
 
 def parse_lambek(text: str) -> LFormula:
-    return _parse(text, "lambek", "formula")
+    return _parse(text, "lambek", _Parser.formula)
 
 
 def parse_tree(text: str) -> StructTree:
-    return _parse(text, "lambek", "tree")
+    return _parse(text, "lambek", _Parser.tree)
 
 
 def parse_sequent(text: str) -> Sequent:
-    return _parse(text, "lambek", "sequent")
+    return _parse(text, "lambek", _Parser.sequent)
 
 
 # ---------------------------------------------------------------------------

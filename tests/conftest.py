@@ -633,6 +633,135 @@ def shown_reference(text: str, t: RefTok) -> str:
     return text[t.pos + 2 : t.end] if t.kind == "FRESH" else t.text
 
 
+class _RefParser:
+    """`syntax._Parser` as it was before it read the token kinds in place:
+    recursive descent over `tokenize_reference`'s tokens, each read once
+    through `peek` and `take`, quoted by `shown_reference`."""
+
+    def __init__(self, text: str, lang: str):
+        self.text = text
+        self.toks = tokenize_reference(text)
+        self.pos = 0
+        self.lang = lang
+        self.infix = sx._INFIX[lang]
+        self.prefix = sx._PREFIX[lang]
+
+    def peek(self) -> RefTok:
+        return self.toks[self.pos]
+
+    def take(self) -> RefTok:
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def expect(self, kind: str):
+        t = self.peek()
+        if t.kind != kind:
+            raise ParseError(
+                f"expected {kind}, found {shown_reference(self.text, t) or 'end of input'!r}",
+                t.pos)
+        self.take()
+
+    def done(self, end: str):
+        t = self.peek()
+        if t.kind != end:
+            raise ParseError(f"trailing input {shown_reference(self.text, t)!r}", t.pos)
+        self.take()
+
+    def fail(self, msg: str):
+        raise ParseError(msg, self.peek().pos)
+
+    def formula(self, floor: int = 1, left=None):
+        if left is None:
+            left = self.unary()
+        op = self.infix.get(self.peek().kind)
+        while op is not None and op[0] >= floor:
+            prec, chains, cls = op
+            self.take()
+            left = cls(left, self.formula(prec if chains else prec + 1))
+            t = self.peek()
+            op = self.infix.get(t.kind)
+            if not chains and op is not None and op[0] == prec:
+                raise ParseError("slashes do not chain; parenthesize", t.pos)
+        return left
+
+    def unary(self):
+        kind = self.peek().kind
+        cls = self.prefix.get(kind)
+        if cls is not None:
+            self.take()
+            return cls(self.unary())
+        if kind == "BOX":
+            if self.lang != "modal":
+                self.fail("[] is modal syntax")
+            self.take()
+            return sx.mbox(self.unary())
+        if kind == "BOXDOWN":
+            self.fail("[v] is not modal syntax")
+        return self.atom()
+
+    def atom(self):
+        t = self.take()
+        if t.kind == "ATOM":
+            return sx.MAtom(t.text) if self.lang == "modal" else sx.LAtom(t.text)
+        f = sx._CONSTANTS[self.lang].get(t.kind)
+        if f is not None:
+            return f
+        if t.kind == "FRESH" and self.lang == "lambek":
+            f = self.formula()
+            self.done("RBRACE")
+            return sx.LFresh("neg", f)
+        if t.kind == "LP":
+            f = self.formula()
+            self.expect("RP")
+            return f
+        raise ParseError(f"unexpected {shown_reference(self.text, t) or 'end of input'!r}",
+                         t.pos)
+
+    def tree(self):
+        left = self.tree_primary()
+        if self.peek().kind == "O":
+            self.take()
+            right = self.tree_primary()
+            if self.peek().kind == "O":
+                self.fail("o does not chain; parenthesize")
+            return sx.SNode(left, right)
+        return left
+
+    def tree_primary(self):
+        kind = self.peek().kind
+        if kind == "LT":
+            self.take()
+            inner = self.tree()
+            self.expect("GT")
+            return sx.SBracket(inner)
+        if kind != "LP":
+            return sx.SLeaf(self.formula())
+        self.take()
+        inner = self.tree()
+        self.expect("RP")
+        if isinstance(inner, sx.SLeaf):
+            return sx.SLeaf(self.formula(left=inner.f))
+        return inner
+
+    def sequent(self):
+        if self.peek().kind == "SEQ":
+            self.take()
+            return sx.Sequent(None, self.formula())
+        ant = self.tree()
+        self.expect("SEQ")
+        return sx.Sequent(ant, self.formula())
+
+
+def parse_reference(text: str, goal: str, lang: str = "lambek"):
+    """The reference for `syntax.parse_*`: goal is "formula", "tree" or
+    "sequent", lang "modal" or "lambek"."""
+    p = _RefParser(text, lang)
+    out = getattr(p, goal)()
+    p.done("EOF")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # references for the lattice and boolean provers
 

@@ -459,11 +459,27 @@ def test_phi_lines_render_as_render_sequent(a):
     ("translate", "k", "~" * 40000 + "p"),
     ("prove", "--system", "bfnl-star", "=> " + "~" * 40000 + "p"),
     ("pipeline", "~" * 40000 + "p"),
+    # a chain of 40,000 operators, 40,000 parentheses and 40,000 letters
+    ("prove", "--system", "bfnl-star", "=> " + " /\\ ".join(["p"] * 40001)),
+    ("prove", "--system", "bfnl-star", "(" * 40000 + "p" + ")" * 40000 + " => p"),
+    ("prove", "--system", "bfnl-star", "p{" * 40000 + "p" + "}" * 40000 + " => p"),
 ])
 def test_deep_inputs_fail_cleanly(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == "error: input nests too deeply\n"
+
+
+@pytest.mark.parametrize("text, err", [
+    ("p{" * 40000 + "p" + "}" * 40000 + " => p &", "unexpected character '&' (at offset 120007)"),
+    ("~" * 40000 + "p } => p", "unexpected character '}' (at offset 40002)"),
+    ("p{" * 40000 + "~" * 40000 + "p => p", "unterminated fresh letter (at offset 0)"),
+], ids=["bad-after-letters", "brace-after-negations", "unterminated-letters"])
+def test_a_bad_character_past_a_deep_nest_is_reported(capsys, text, err):
+    # the tokenizer's error comes first, however deep the nest before it
+    code, out, got = run(capsys, "prove", "--system", "bfnl-star", text)
+    assert code == 1 and out == ""
+    assert got == f"error: {err}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (TERM_FIELDS, TERM_TAGS, closure_contains, lambek_formulas, modal_formulas,
-                      sequents, shown_reference, struct_trees, term_hash, term_repr, term_values,
-                      terms_equal, tokenize_reference, walk)
+                      parse_reference, sequents, shown_reference, struct_trees, term_hash,
+                      term_repr, term_values, terms_equal, tokenize_reference, walk)
 from fnlkit import syntax as sx
 from fnlkit.errors import ParseError, ValidationError
 from fnlkit.systems import SYSTEMS, validate_sequent
@@ -117,18 +117,37 @@ def test_nested_fresh_letters_are_tokenized_once(monkeypatch):
 
 def test_nested_parentheses_read_each_token_once(monkeypatch):
     # a "(" that opens a subtree is read once, not first as a formula and
-    # then again as a tree, so deep nesting parses in linear time
+    # then again as a tree, so deep nesting parses in linear time: the
+    # parser's position moves one token at a time and never back, and it
+    # stops on the end of input
     text = "(" * 200 + "p o q" + ")" * 200 + " => q"
-    reads = []
-    take = sx._Parser.take
-    monkeypatch.setattr(sx._Parser, "take", lambda self: reads.append(1) or take(self))
+    moves = []
+    at = {}
+
+    def move(self, pos):
+        moves.append(pos)
+        at["pos"] = pos
+
+    monkeypatch.setattr(sx._Parser, "pos", property(lambda self: at["pos"], move))
     assert sx.parse_sequent(text) == sx.Sequent(sx.SNode(sx.SLeaf(p), sx.SLeaf(q)), q)
-    assert len(reads) == len(sx._tokenize(text)) == 406
+    assert moves == list(range(406))
+    assert len(sx._tokenize(text)[1]) == 406  # its last token is the end of input
+
+
+def _balanced(depth: int) -> str:
+    # 2^depth negated letters under a balanced nest of parentheses
+    if depth == 0:
+        return "~p"
+    return f"({_balanced(depth - 1)} \\/ {_balanced(depth - 1)})"
+
+
+_LONG = _balanced(11) + " => (q *)"  # 10,243 tokens, the last one wrong
 
 
 @pytest.mark.parametrize("text, pos", [
     ("((p /\\ q) /\\ (q *)) => q", 17),
     ("(p) * => q", 6),
+    pytest.param(_LONG, len(_LONG) - 1, id="long"),
 ])
 def test_an_error_inside_a_parenthesis_is_reported_where_it_is(text, pos):
     with pytest.raises(ParseError) as e:
@@ -155,13 +174,14 @@ def _reference_tokens(text: str):
 
 
 def _tokens(text: str):
-    # each token with the text an error quotes for it
+    # each token's kind, the text an error quotes for it, and its offset
     try:
-        toks = sx._tokenize(text)
+        offsets = sx._offsets(text)
     except ParseError as e:
         return str(e), e.pos
-    quote = sx._Parser(text, toks, "lambek").quote
-    return [(kind, quote(i), pos) for i, (kind, _, pos) in enumerate(toks)]
+    parser = sx._Parser(text, "lambek")
+    assert len(offsets) == len(parser.kinds)
+    return [(kind, parser.quote(i, offsets), offsets[i]) for i, kind in enumerate(parser.kinds)]
 
 
 def test_the_tokenizer_matches_the_character_walk():
@@ -296,6 +316,76 @@ def test_seeded_render_roundtrip_of_trees_with_parenthesized_leaves():
         assert sx.parse_tree(sx.render_tree(t)) == t
         s = sx.Sequent(t, _random_formula(rng, 3, _L_LEAVES, _L_OPS))
         assert sx.parse_sequent(sx.render_sequent(s)) == s
+
+
+# each entry point with the goal and language the reference parses it by
+_ENTRIES = [
+    (sx.parse_modal, "formula", "modal"),
+    (sx.parse_lambek, "formula", "lambek"),
+    (sx.parse_tree, "tree", "lambek"),
+    (sx.parse_sequent, "sequent", "lambek"),
+]
+
+
+def _outcome(parse, text):
+    # the term, the error's message and offset, or too deep a nest
+    try:
+        return "term", parse(text)
+    except ParseError as e:
+        return "error", str(e), e.pos
+    except RecursionError:
+        return ("deep",)
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return sx.SLeaf(_random_formula(rng, 2, _L_LEAVES, _L_OPS))
+    if rng.random() < 0.2:
+        return sx.SBracket(_random_tree(rng, depth - 1))
+    return sx.SNode(_random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+
+
+def _draw(rng) -> str:
+    # alphabet pieces, bad characters included, or a rendered formula,
+    # tree or sequent, half of them with one piece inserted at a character
+    # offset or put in place of a word
+    if rng.random() < 0.4:
+        return "".join(rng.choice(_TOKEN_ALPHABET) for _ in range(rng.randrange(1, 14)))
+    shape = rng.randrange(4)
+    if shape == 0:
+        text = sx.render_modal(_random_formula(rng, 3, _M_LEAVES, _M_OPS))
+    elif shape == 1:
+        text = sx.render_lambek(_random_formula(rng, 3, _L_LEAVES, _L_OPS))
+    elif shape == 2:
+        text = sx.render_tree(_random_tree(rng, 2))
+    else:
+        ant = _random_tree(rng, 2) if rng.random() < 0.8 else None
+        text = sx.render_sequent(sx.Sequent(ant, _random_formula(rng, 2, _L_LEAVES, _L_OPS)))
+    piece = rng.choice(_TOKEN_ALPHABET)
+    edit = rng.random()
+    if edit < 0.25:
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + piece + text[i:]
+    elif edit < 0.5:
+        words = text.split(" ")
+        words[rng.randrange(len(words))] = piece
+        text = " ".join(words)
+    return text
+
+
+def test_the_parser_matches_the_reference():
+    # all four entry points give the reference parser's term, or its
+    # error, message and offset, on seeded draws
+    rng = random.Random(37)
+    parsed = {parse: 0 for parse, _, _ in _ENTRIES}
+    for _ in range(20000):
+        text = _draw(rng)
+        for parse, goal, lang in _ENTRIES:
+            got = _outcome(parse, text)
+            assert got == _outcome(lambda t: parse_reference(t, goal, lang), text), (text, goal)
+            parsed[parse] += got[0] == "term"
+    # every entry point reads terms as well as errors
+    assert all(1000 < n < 10000 for n in parsed.values()), parsed
 
 
 @given(modal_formulas)

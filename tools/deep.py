@@ -1,4 +1,4 @@
-"""Growth of deep inputs: time at n, 2n and 4n, and the ratio per doubling.
+r"""Growth of deep inputs: time at n, 2n and 4n, and the ratio per doubling.
 
     python3 tools/deep.py [TREE]
 
@@ -9,14 +9,16 @@ timing, and the garbage collector run before each sample and off during
 it, as `timeit` does.  A sample is a batch of k runs back to back, where
 k is chosen once per case, from the least of three runs at n = `N`, so
 that a sample at n = `N` lasts at least `SAMPLE_S`; the same k serves all
-three sizes.  So the cases that take a few ms (`parens`, `fresh`, `pool`,
-`derive`) are timed over 50 ms or more, where the machine's drift from
+three sizes.  So the cases that take a few ms (`parens`, `fresh`, `chain`,
+`pool`, `derive`) are timed over 50 ms or more, where the machine's drift from
 one run to the next no longer swamps their ratios.  The script prints
 each case's k and, at each of n = `N`, 2`N` and 4`N`, the least time per
 run of `REPEAT` samples (the batch's summed run times over k):
 
   parens  `parse_sequent` of `(`^n `p o q` `)`^n ` => q`
   fresh   `parse_lambek` of `p{`^n `q` `}`^n
+  chain   `parse_lambek` of n binary operators between letters, `\/`,
+          `/\` and `*` in turn: `p \/ p /\ p * p \/ p` ...
   pool    `prover._cut_pool` on `~`^n `<>p => q` in `bfnl-star-k`
   derive  `prover.derive` on the same goal, goals:50 (it ends Unknown)
   pairs   `transform.pair_bot` and `pair_top` on `(((p0 /\ p1) \/ p2)
@@ -47,6 +49,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 N = 1000
 REPEAT = 5
 SAMPLE_S = 0.05
+CHAIN = ("\\/", "/\\", "*")  # the operators of the `chain` case, in turn
 
 
 def _cases(fk):
@@ -77,6 +80,8 @@ def _cases(fk):
     return {
         "parens": (lambda n: "(" * n + "p o q" + ")" * n + " => q", sx.parse_sequent),
         "fresh": (lambda n: "p{" * n + "q" + "}" * n, sx.parse_lambek),
+        "chain": (lambda n: "p" + "".join(f" {CHAIN[i % 3]} p" for i in range(n)),
+                  sx.parse_lambek),
         "pool": (tower, lambda g: pv._cut_pool(system, frozenset(), g)),
         "derive": (tower, lambda g: pv.derive(system, frozenset(), g, budget)),
         "pairs": (alternating, pairs),
